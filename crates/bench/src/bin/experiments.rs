@@ -547,53 +547,45 @@ fn e7() {
         ("full MB", 8),
         ("pieces MB/s", 12),
         ("pieces MB", 10),
-        ("wu-manber MB/s", 15),
-        ("wm zero%", 9),
     ]);
     for &n in &[10usize, 50, 100, 500, 1000, 2000] {
         let sigs = generated_signatures(n, 1000 + n as u64);
         let full = AcDfa::new(sigs.to_patterns());
-        // The stepwise walk below needs raw transition access, which only
-        // the dense engine exposes.
-        let plan = splitdetect::split::SplitPlan::compile_unchecked_with(
-            &sigs,
-            3,
-            splitdetect::MatcherKind::Dense,
-        );
-        let wm = sd_match::WuManber::new(sigs.to_patterns());
+        let plan = splitdetect::split::SplitPlan::compile_unchecked(&sigs, 3);
 
-        let time_scan = |dfa: &AcDfa| {
+        // The conventional engine walks the whole stream through the
+        // full-signature DFA; the fast path scans each segment-sized
+        // payload for pieces and stops at the first hit.
+        let full_tput = {
             let start = Instant::now();
             let mut state = AcDfa::START;
             let mut acc = 0u64;
             for &b in &corpus {
-                state = dfa.next_state(state, b);
-                acc += u64::from(dfa.is_match_state(state));
+                state = full.next_state(state, b);
+                acc += u64::from(full.is_match_state(state));
             }
-            let secs = start.elapsed().as_secs_f64();
-            (VOLUME as f64 / 1e6 / secs, acc)
+            std::hint::black_box(acc);
+            VOLUME as f64 / 1e6 / start.elapsed().as_secs_f64()
         };
-        let (full_tput, _) = time_scan(&full);
-        let (piece_tput, _) = time_scan(plan.dense_dfa().expect("compiled dense"));
-        let wm_tput = {
+        let piece_tput = {
             let start = Instant::now();
-            let hits = wm.find_all(&corpus).len();
-            let secs = start.elapsed().as_secs_f64();
-            let _ = hits;
-            VOLUME as f64 / 1e6 / secs
+            let mut hits = 0u64;
+            for seg in corpus.chunks(1460) {
+                hits += u64::from(plan.scan(std::hint::black_box(seg)).is_some());
+            }
+            std::hint::black_box(hits);
+            VOLUME as f64 / 1e6 / start.elapsed().as_secs_f64()
         };
         println!(
-            "{:>11} {:>10.0} {:>8.1} {:>12.0} {:>10.1} {:>15.0} {:>8.1}%",
+            "{:>11} {:>10.0} {:>8.1} {:>12.0} {:>10.1}",
             n,
             full_tput,
             full.memory_bytes() as f64 / 1e6,
             piece_tput,
             plan.memory_bytes() as f64 / 1e6,
-            wm_tput,
-            wm.zero_shift_fraction() * 100.0,
         );
     }
-    println!("\nshape: per-byte DFA cost is constant in signature count (that is the\npoint of a DFA) while Wu-Manber -- the era's software engine -- starts\nfaster (bad-block skipping) and degrades as its shift table fills\n(zero% column); the crossover is why the paper assumes a DFA at line\nrate. Memory grows linearly for all engines.");
+    println!("\nshape: the dense DFA's per-byte cost is constant in signature count\n(that is the point of a DFA) until its 1 KB-per-state table outgrows\ncache. The piece automaton holds the same pieces in a small fraction of\nthat memory. These generated signatures are printable-byte noise, so a\nlarge share of HTTP-like payload bytes are piece first bytes: the\nstart-state skip has little to skip and the per-segment scan runs below\nthe dense walk (the escape-density case; E18's scan/adversarial mix).");
 }
 
 // ---------------------------------------------------------------- E8 ----

@@ -117,7 +117,7 @@ pub fn generated_signatures(n: usize, seed: u64) -> SignatureSet {
 
 /// A signature set compiled from a generated Snort-subset rule corpus:
 /// family-shared content prefixes, text/hex alphabet mix, realistic
-/// length distribution — the structure the sparse-automaton work is
+/// length distribution — the structure the piece automaton's tiers are
 /// sized against (shared prefixes dedup, byte classes saturate).
 pub fn corpus_signature_set(rules: usize, seed: u64) -> SignatureSet {
     let text = sd_traffic::generate_rule_corpus(&sd_traffic::RuleCorpusConfig::sized(rules, seed));

@@ -1,7 +1,7 @@
-//! Fast-path matcher × mix sweep core: per-segment scan throughput across
-//! the six scan-engine builds and three payload mixes, the full classify
-//! path on the standard benign trace, and the 10k-rule corpus footprint
-//! ladder. This is the measurement behind the `fastpath` bench main, the
+//! Fast-path mix sweep core: per-segment scan throughput of the piece
+//! automaton across three payload mixes, the full classify path on the
+//! standard benign trace, and the 10k-rule corpus scan and footprint.
+//! This is the measurement behind the `fastpath` bench main, the
 //! `fastpath-matcher-mix` lab experiment and `BENCH_fastpath.json`.
 //!
 //! The mixes:
@@ -9,13 +9,9 @@
 //! * **benign** — HTTP-like traffic with no signature material; the mix
 //!   the prefilter's skip loop is built for,
 //! * **pieces** — benign bytes with a signature piece planted in every
-//!   segment, so every scan ends in a DFA hit (all engines early-exit at
-//!   the same byte),
+//!   segment, so every scan ends in an automaton hit,
 //! * **adversarial** — benign bytes salted with ~25 % escape bytes, the
 //!   attacker's best attempt at defeating the skip loop.
-//!
-//! Measurement is paired: engines alternate inside each round so
-//! thermal/scheduler drift cancels, and medians are compared.
 
 use std::time::{Duration, Instant};
 
@@ -25,7 +21,7 @@ use sd_ips::{Signature, SignatureSet};
 use sd_traffic::payload::PayloadModel;
 use splitdetect::fastpath::{FastPath, FastPathParams};
 use splitdetect::split::SplitPlan;
-use splitdetect::{MatcherKind, SplitDetectConfig};
+use splitdetect::SplitDetectConfig;
 
 use super::median;
 use crate::benign_trace;
@@ -40,9 +36,9 @@ pub const SEGMENT: usize = 1400;
 /// noisier medians — well inside the 15 % compare tolerance).
 #[derive(Debug, Clone, Copy)]
 pub struct Params {
-    /// Paired rounds for the small-corpus mixes and the classify path.
+    /// Rounds for the small-corpus mixes and the classify path.
     pub rounds: usize,
-    /// Paired rounds for the 10k-rule scan (plan builds dominate).
+    /// Rounds for the 10k-rule scan (the plan build dominates).
     pub rounds_10k: usize,
     /// Generated corpus size for the scale rows.
     pub corpus_rules: usize,
@@ -76,21 +72,14 @@ pub fn sigs() -> SignatureSet {
     SignatureSet::from_signatures([Signature::new("one", crate::SIG)])
 }
 
-/// Compile the default-corpus plan for one matcher kind.
-pub fn plan_for(kind: MatcherKind) -> SplitPlan {
-    let config = SplitDetectConfig {
-        fastpath_matcher: kind,
-        ..Default::default()
-    };
-    SplitPlan::compile(&sigs(), &config).expect("admissible")
+/// Compile the default-corpus plan.
+pub fn plan() -> SplitPlan {
+    SplitPlan::compile(&sigs(), &SplitDetectConfig::default()).expect("admissible")
 }
 
-/// Build a full fast path (plan + flow table) for one matcher kind.
-pub fn build_fastpath(sigs: &SignatureSet, kind: MatcherKind) -> FastPath {
-    let config = SplitDetectConfig {
-        fastpath_matcher: kind,
-        ..Default::default()
-    };
+/// Build a full fast path (plan + flow table).
+pub fn build_fastpath(sigs: &SignatureSet) -> FastPath {
+    let config = SplitDetectConfig::default();
     let cutoff = config.validate(sigs).expect("admissible");
     let plan = SplitPlan::compile(sigs, &config).expect("admissible");
     FastPath::new(
@@ -160,8 +149,8 @@ pub fn scan_once(plan: &SplitPlan, corpus: &[u8]) -> Duration {
 }
 
 /// One timed pass of the full classify path over the benign packet trace.
-pub fn classify_once(kind: MatcherKind, trace: &sd_traffic::trace::Trace) -> Duration {
-    let mut fp = build_fastpath(&sigs(), kind);
+pub fn classify_once(trace: &sd_traffic::trace::Trace) -> Duration {
+    let mut fp = build_fastpath(&sigs());
     let start = Instant::now();
     let mut diverts = 0u64;
     for pkt in trace.iter_bytes() {
@@ -172,13 +161,11 @@ pub fn classify_once(kind: MatcherKind, trace: &sd_traffic::trace::Trace) -> Dur
     start.elapsed()
 }
 
-/// One throughput result row: a (mix, matcher) cell of the sweep grid.
+/// One throughput result row.
 pub struct MixRow {
     /// Mix label (`scan/benign`, `classify/benign`, `scan10k/benign`, …).
     pub mix: String,
-    /// Scan-engine build measured.
-    pub kind: MatcherKind,
-    /// Median over the paired rounds.
+    /// Median over the rounds.
     pub median: Duration,
     /// Bytes processed per pass (the throughput denominator).
     pub bytes: u64,
@@ -187,31 +174,27 @@ pub struct MixRow {
 impl MixRow {
     /// Throughput in MiB/s.
     pub fn mib_per_s(&self) -> f64 {
-        self.bytes as f64 / (1 << 20) as f64 / self.median.as_secs_f64()
+        super::mib_per_s(self.bytes, self.median)
     }
 }
 
-/// Default-corpus automaton footprint for one matcher kind.
+/// Default-corpus automaton footprint.
 pub struct AutomatonRow {
-    /// Scan-engine build.
-    pub kind: MatcherKind,
     /// Exact table bytes.
     pub bytes: usize,
-    /// Byte classes (256 for unclassed builds).
+    /// Byte classes over the hot rows.
     pub classes: usize,
-    /// Prefilter escape set size (0 when no prefilter).
+    /// Prefilter escape set size.
     pub escape_bytes: usize,
 }
 
-/// 10k-rule corpus automaton footprint for one matcher kind.
+/// 10k-rule corpus automaton footprint.
 pub struct Automaton10kRow {
-    /// Scan-engine build.
-    pub kind: MatcherKind,
     /// Exact table bytes.
     pub bytes: usize,
-    /// Hot-tier bytes (0 for untiered builds).
+    /// Hot-tier bytes.
     pub hot_bytes: usize,
-    /// Cold-tier bytes (0 for untiered builds).
+    /// Cold-tier bytes.
     pub cold_bytes: usize,
     /// Automaton states.
     pub states: usize,
@@ -223,77 +206,35 @@ pub struct Automaton10kRow {
 pub struct Report {
     /// Parameters the run used.
     pub params: Params,
-    /// Throughput rows, sorted by mix (matcher in `MatcherKind::ALL`
-    /// order within each mix) — the order `BENCH_fastpath.json` records.
+    /// Throughput rows, sorted by mix — the order `BENCH_fastpath.json`
+    /// records.
     pub rows: Vec<MixRow>,
-    /// Default-corpus automaton footprints.
-    pub automaton: Vec<AutomatonRow>,
-    /// 10k-corpus automaton footprints.
-    pub automaton_10k: Vec<Automaton10kRow>,
+    /// Default-corpus automaton footprint.
+    pub automaton: AutomatonRow,
+    /// 10k-corpus automaton footprint.
+    pub automaton_10k: Automaton10kRow,
 }
 
 impl Report {
-    /// Dense-baseline median seconds for a mix (NaN when absent).
-    pub fn dense_secs(&self, mix: &str) -> f64 {
-        self.rows
-            .iter()
-            .find(|r| r.mix == mix && r.kind == MatcherKind::Dense)
-            .map(|r| r.median.as_secs_f64())
-            .unwrap_or(f64::NAN)
-    }
-
-    /// Median seconds of one (mix, matcher) cell.
-    pub fn secs(&self, mix: &str, kind: MatcherKind) -> f64 {
-        self.rows
-            .iter()
-            .find(|r| r.mix == mix && r.kind == kind)
-            .expect("row present")
-            .median
-            .as_secs_f64()
-    }
-
-    /// 10k automaton bytes for one matcher kind.
-    pub fn bytes_10k(&self, kind: MatcherKind) -> usize {
-        self.automaton_10k
-            .iter()
-            .find(|r| r.kind == kind)
-            .expect("10k plan present")
-            .bytes
-    }
-
     /// Print the human table the bench main has always printed.
     pub fn print(&self) {
         println!(
-            "\nfast-path matcher throughput (median of {} paired rounds):",
+            "\nfast-path throughput (median of {} rounds):",
             self.params.rounds
         );
-        println!(
-            "{:<18} {:<18} {:>10} {:>9}",
-            "mix", "matcher", "MiB/s", "vs dense"
-        );
+        println!("{:<18} {:>10}", "mix", "MiB/s");
         for r in &self.rows {
-            println!(
-                "{:<18} {:<18} {:>10.1} {:>8.2}x",
-                r.mix,
-                r.kind.to_string(),
-                r.mib_per_s(),
-                self.dense_secs(&r.mix) / r.median.as_secs_f64()
-            );
+            println!("{:<18} {:>10.1}", r.mix, r.mib_per_s());
         }
-        println!("\n10k-rule corpus automaton footprint:");
+        let a = &self.automaton_10k;
         println!(
-            "{:<18} {:>12} {:>9} {:>10}",
-            "matcher", "bytes", "states", "build-ms"
+            "\n10k-rule corpus automaton: {} B ({} hot + {} cold), {} states, built in {:.2} ms",
+            a.bytes,
+            a.hot_bytes,
+            a.cold_bytes,
+            a.states,
+            a.build.as_secs_f64() * 1e3
         );
-        for r in &self.automaton_10k {
-            println!(
-                "{:<18} {:>12} {:>9} {:>10.2}",
-                r.kind.to_string(),
-                r.bytes,
-                r.states,
-                r.build.as_secs_f64() * 1e3
-            );
-        }
     }
 }
 
@@ -306,120 +247,74 @@ pub fn run(params: &Params) -> Report {
         ("scan/adversarial", adversarial_corpus()),
     ];
     let trace = benign_trace(200, 17);
-    let trace_bytes = trace.total_bytes();
-    let plans: Vec<(MatcherKind, SplitPlan)> =
-        MatcherKind::ALL.iter().map(|&k| (k, plan_for(k))).collect();
+    let plan = plan();
 
     // Warm every path once before measuring.
-    for (kind, plan) in &plans {
-        for (_, corpus) in &scan_mixes {
-            scan_once(plan, corpus);
-        }
-        classify_once(*kind, &trace);
+    for (_, corpus) in &scan_mixes {
+        scan_once(&plan, corpus);
     }
+    classify_once(&trace);
 
-    // Paired measurement: alternate engines inside each round so
-    // thermal/scheduler drift cancels, compare medians.
-    let rounds = params.rounds;
-    let mut samples: Vec<Vec<Duration>> = vec![Vec::with_capacity(rounds); plans.len() * 4];
-    for _ in 0..rounds {
-        for (pi, (kind, plan)) in plans.iter().enumerate() {
-            for (mi, (_, corpus)) in scan_mixes.iter().enumerate() {
-                samples[pi * 4 + mi].push(scan_once(plan, corpus));
-            }
-            samples[pi * 4 + 3].push(classify_once(*kind, &trace));
+    // Interleave the mixes inside each round so thermal/scheduler drift
+    // spreads evenly across them.
+    let mut scan_samples: Vec<Vec<Duration>> = vec![Vec::new(); scan_mixes.len()];
+    let mut classify_samples = Vec::new();
+    for _ in 0..params.rounds {
+        for ((_, corpus), samples) in scan_mixes.iter().zip(&mut scan_samples) {
+            samples.push(scan_once(&plan, corpus));
         }
+        classify_samples.push(classify_once(&trace));
     }
 
     // 10k-rule corpus: the production-scale mix. Scan-only (the classify
     // path's flow table is rule-count independent) and fewer rounds — the
-    // point is how each representation's throughput and footprint hold up
-    // as the corpus grows, not another microbenchmark. Benign bytes trip
-    // corpus pieces early and often at this scale, so every build
-    // early-exits at the same byte: the comparison stays paired-fair.
+    // point is how throughput and footprint hold up as the corpus grows,
+    // not another microbenchmark. Benign bytes trip corpus pieces early
+    // and often at this scale.
     let sigs10k = crate::corpus_signature_set(params.corpus_rules, params.corpus_seed);
-    let plans10k: Vec<(MatcherKind, SplitPlan)> = MatcherKind::ALL
+    let plan10k = SplitPlan::compile(&sigs10k, &SplitDetectConfig::default()).expect("admissible");
+    let benign10k = &scan_mixes[0].1;
+    scan_once(&plan10k, benign10k);
+    let samples10k: Vec<Duration> = (0..params.rounds_10k)
+        .map(|_| scan_once(&plan10k, benign10k))
+        .collect();
+
+    let mut rows: Vec<MixRow> = scan_mixes
         .iter()
-        .map(|&k| {
-            let config = SplitDetectConfig {
-                fastpath_matcher: k,
-                ..Default::default()
-            };
-            (
-                k,
-                SplitPlan::compile(&sigs10k, &config).expect("admissible"),
-            )
+        .zip(scan_samples)
+        .map(|((mix, _), samples)| MixRow {
+            mix: mix.to_string(),
+            median: median(samples),
+            bytes: VOLUME as u64,
         })
         .collect();
-    let benign10k = &scan_mixes[0].1;
-    for (_, plan) in &plans10k {
-        scan_once(plan, benign10k);
-    }
-    let mut samples10k: Vec<Vec<Duration>> =
-        vec![Vec::with_capacity(params.rounds_10k); plans10k.len()];
-    for _ in 0..params.rounds_10k {
-        for (pi, (_, plan)) in plans10k.iter().enumerate() {
-            samples10k[pi].push(scan_once(plan, benign10k));
-        }
-    }
-
-    let mut rows = Vec::new();
-    for (pi, (kind, _)) in plans.iter().enumerate() {
-        for (mi, (mix, _)) in scan_mixes.iter().enumerate() {
-            rows.push(MixRow {
-                mix: mix.to_string(),
-                kind: *kind,
-                median: median(samples[pi * 4 + mi].clone()),
-                bytes: VOLUME as u64,
-            });
-        }
-        rows.push(MixRow {
-            mix: "classify/benign".to_string(),
-            kind: *kind,
-            median: median(samples[pi * 4 + 3].clone()),
-            bytes: trace_bytes,
-        });
-    }
-    for (pi, (kind, _)) in plans10k.iter().enumerate() {
-        rows.push(MixRow {
-            mix: "scan10k/benign".to_string(),
-            kind: *kind,
-            median: median(samples10k[pi].clone()),
-            bytes: VOLUME as u64,
-        });
-    }
+    rows.push(MixRow {
+        mix: "classify/benign".to_string(),
+        median: median(classify_samples),
+        bytes: trace.total_bytes(),
+    });
+    rows.push(MixRow {
+        mix: "scan10k/benign".to_string(),
+        median: median(samples10k),
+        bytes: VOLUME as u64,
+    });
     rows.sort_by(|a, b| a.mix.cmp(&b.mix));
 
-    let automaton = plans
-        .iter()
-        .map(|(kind, plan)| AutomatonRow {
-            kind: *kind,
-            bytes: plan.memory_bytes(),
-            classes: plan.class_count().unwrap_or(256),
-            escape_bytes: plan.escape_byte_count().unwrap_or(0),
-        })
-        .collect();
-    let automaton_10k = plans10k
-        .iter()
-        .map(|(kind, plan)| {
-            let (hot_bytes, cold_bytes) = plan
-                .tier_stats()
-                .map_or((0, 0), |t| (t.hot_bytes, t.cold_bytes));
-            Automaton10kRow {
-                kind: *kind,
-                bytes: plan.memory_bytes(),
-                hot_bytes,
-                cold_bytes,
-                states: plan.state_count(),
-                build: plan.build_time(),
-            }
-        })
-        .collect();
-
+    let tiers = plan10k.tier_stats();
     Report {
         params: *params,
         rows,
-        automaton,
-        automaton_10k,
+        automaton: AutomatonRow {
+            bytes: plan.memory_bytes(),
+            classes: plan.class_count(),
+            escape_bytes: plan.escape_byte_count(),
+        },
+        automaton_10k: Automaton10kRow {
+            bytes: plan10k.memory_bytes(),
+            hot_bytes: tiers.hot_bytes,
+            cold_bytes: tiers.cold_bytes,
+            states: plan10k.state_count(),
+            build: plan10k.build_time(),
+        },
     }
 }

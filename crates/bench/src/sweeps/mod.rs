@@ -2,14 +2,13 @@
 //! `sd-lab` experiment runner.
 //!
 //! Each submodule owns one declared sweep: the workload builders, the
-//! paired-median measurement loop and the typed result rows. The bench
-//! mains (`benches/fastpath.rs`, `benches/slowpath.rs`,
-//! `benches/flowstate.rs`, `src/bin/tier_sweep.rs`) call these cores to
-//! print tables and enforce CI invariants; `sd-lab` calls the same cores
-//! to journal every trial with config + git provenance and to regenerate
-//! the `BENCH_*.json` baselines. There is exactly one implementation of
-//! every measurement, so a bench row and a journaled trial can never
-//! disagree about what was measured.
+//! median measurement loop and the typed result rows. The bench mains
+//! (`benches/fastpath.rs`, `benches/slowpath.rs`, `benches/flowstate.rs`)
+//! call these cores to print tables; `sd-lab` calls the same cores to
+//! journal every trial with config + git provenance and to regenerate the
+//! `BENCH_*.json` baselines. There is exactly one implementation of every
+//! measurement, so a bench row and a journaled trial can never disagree
+//! about what was measured.
 //!
 //! Everything is seeded: running a sweep twice measures identical
 //! workloads.

@@ -1,16 +1,18 @@
-//! Tier-threshold ladder core (E22): the tiered piece automaton compiled
-//! at a ladder of `tiered_hot_states` overrides plus the budget
-//! heuristic, scanned over the benign HTTP-like mix, next to the sparse
-//! and dense anchors. This is the measurement behind the `tier_sweep`
-//! bin and the `tiered-hot-ladder` lab experiment.
+//! Tier-threshold ladder core (E22): the piece automaton built with
+//! `TieredNfa::with_hot_states` at a ladder of hot-tier sizes — from the
+//! all-cold endpoint (`H = 1`, a CSR NFA under a dense root row) to the
+//! all-hot one (a byte-classed DFA) — plus the budget heuristic, scanned
+//! over the benign HTTP-like mix. This is the measurement behind the
+//! `tiered-hot-ladder` lab experiment.
 
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sd_match::TieredNfa;
 use sd_traffic::payload::PayloadModel;
 use splitdetect::split::SplitPlan;
-use splitdetect::{MatcherKind, SplitDetectConfig};
+use splitdetect::SplitDetectConfig;
 
 use super::median;
 
@@ -20,13 +22,14 @@ pub const VOLUME: usize = 1 << 20;
 pub const SEGMENT: usize = 1400;
 /// Rule-corpus sizes walked (the E21/E22 corpora, seed 42).
 pub const RULE_COUNTS: [usize; 2] = [1_000, 10_000];
-/// Hot-state overrides walked between the anchors and the heuristic.
-pub const HOT_LADDER: [usize; 5] = [1, 256, 1024, 4096, 16_384];
+/// Hot-state counts walked: the all-cold anchor, the interior ladder, and
+/// the all-hot anchor (`usize::MAX` clamps to the state count).
+pub const HOT_LADDER: [usize; 6] = [1, 256, 1024, 4096, 16_384, usize::MAX];
 
 /// Ladder parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct Params {
-    /// Paired rounds (median taken; the E22 table used 7).
+    /// Rounds (median taken; the E22 table used 7).
     pub rounds: usize,
     /// Corpus generator seed.
     pub corpus_seed: u64,
@@ -42,35 +45,35 @@ impl Params {
     }
 }
 
-/// One ladder row: an anchor, a pinned hot-tier size, or the heuristic.
+/// One ladder row: a pinned hot-tier size or the heuristic.
 pub struct Row {
-    /// Build label ("sparse", "dense", "tiered H=256", "tiered heuristic").
+    /// Build label ("H=1", "H=256", …, "H=all", "heuristic").
     pub build: String,
-    /// Hot-tier states the build actually chose (None for anchors).
-    pub hot_states: Option<usize>,
+    /// Hot-tier states the build ended up with.
+    pub hot_states: usize,
     /// Exact automaton bytes.
     pub bytes: usize,
-    /// Byte classes (None when unclassed).
-    pub classes: Option<usize>,
-    /// Median scan time over the paired rounds.
+    /// Byte classes over the hot rows.
+    pub classes: usize,
+    /// Median scan time over the rounds.
     pub median: Duration,
-    /// Throughput relative to the sparse anchor.
-    pub vs_sparse: f64,
+    /// Throughput relative to the all-cold anchor (`H=1`).
+    pub vs_cold: f64,
 }
 
 /// One corpus size's ladder.
 pub struct LadderReport {
     /// Rule-corpus size.
     pub rules: usize,
-    /// Rows in ladder order (sparse, dense, H ladder, heuristic).
+    /// Rows in ladder order (`HOT_LADDER`, then the heuristic).
     pub rows: Vec<Row>,
 }
 
-fn scan_once(plan: &SplitPlan, corpus: &[u8]) -> Duration {
+fn scan_once(nfa: &TieredNfa, corpus: &[u8]) -> Duration {
     let start = Instant::now();
     let mut hits = 0u64;
     for seg in corpus.chunks(SEGMENT) {
-        hits += u64::from(plan.scan(seg).is_some());
+        hits += u64::from(nfa.find_first_id(seg).is_some());
     }
     std::hint::black_box(hits);
     start.elapsed()
@@ -80,84 +83,54 @@ fn scan_once(plan: &SplitPlan, corpus: &[u8]) -> Duration {
 pub fn run(params: &Params) -> Vec<LadderReport> {
     let mut rng = StdRng::seed_from_u64(3);
     let corpus = PayloadModel::HttpLike.generate(&mut rng, VOLUME);
-    let mut reports = Vec::with_capacity(RULE_COUNTS.len());
+    let k = SplitDetectConfig::default().pieces_per_signature;
 
-    for &rules in &RULE_COUNTS {
-        let sigs = crate::corpus_signature_set(rules, params.corpus_seed);
-        let k = SplitDetectConfig::default().pieces_per_signature;
+    RULE_COUNTS
+        .iter()
+        .map(|&rules| {
+            let sigs = crate::corpus_signature_set(rules, params.corpus_seed);
+            let pieces = SplitPlan::compile_unchecked(&sigs, k).pieces().clone();
 
-        let mut plans: Vec<(String, SplitPlan)> = vec![
-            (
-                "sparse".into(),
-                SplitPlan::compile_unchecked_full(&sigs, k, MatcherKind::Sparse, None),
-            ),
-            (
-                "dense".into(),
-                SplitPlan::compile_unchecked_full(&sigs, k, MatcherKind::Dense, None),
-            ),
-        ];
-        for &hot in &HOT_LADDER {
-            plans.push((
-                format!("tiered H={hot}"),
-                SplitPlan::compile_unchecked_full(&sigs, k, MatcherKind::Tiered, Some(hot)),
-            ));
-        }
-        plans.push((
-            "tiered heuristic".into(),
-            SplitPlan::compile_unchecked_full(&sigs, k, MatcherKind::Tiered, None),
-        ));
+            let mut builds: Vec<(String, TieredNfa)> = HOT_LADDER
+                .iter()
+                .map(|&hot| {
+                    let label = if hot == usize::MAX {
+                        "H=all".to_string()
+                    } else {
+                        format!("H={hot}")
+                    };
+                    (label, TieredNfa::with_hot_states(pieces.clone(), hot))
+                })
+                .collect();
+            builds.push(("heuristic".into(), TieredNfa::new(pieces)));
 
-        for (_, plan) in &plans {
-            scan_once(plan, &corpus);
-        }
-        let mut samples: Vec<Vec<Duration>> = vec![Vec::with_capacity(params.rounds); plans.len()];
-        for _ in 0..params.rounds {
-            for (pi, (_, plan)) in plans.iter().enumerate() {
-                samples[pi].push(scan_once(plan, &corpus));
+            for (_, nfa) in &builds {
+                scan_once(nfa, &corpus);
             }
-        }
-
-        let sparse_secs = median(samples[0].clone()).as_secs_f64();
-        let rows = plans
-            .iter()
-            .enumerate()
-            .map(|(pi, (name, plan))| {
-                let med = median(samples[pi].clone());
-                Row {
-                    build: name.clone(),
-                    hot_states: plan.tier_stats().map(|t| t.hot_states),
-                    bytes: plan.memory_bytes(),
-                    classes: plan.class_count(),
-                    median: med,
-                    vs_sparse: sparse_secs / med.as_secs_f64(),
+            // Alternate builds inside each round so thermal/scheduler
+            // drift cancels; compare medians.
+            let mut samples: Vec<Vec<Duration>> = vec![Vec::new(); builds.len()];
+            for _ in 0..params.rounds {
+                for (bi, (_, nfa)) in builds.iter().enumerate() {
+                    samples[bi].push(scan_once(nfa, &corpus));
                 }
-            })
-            .collect();
-        reports.push(LadderReport { rules, rows });
-    }
-    reports
-}
+            }
 
-/// Print one ladder table (the E22 format).
-pub fn print(report: &LadderReport, rounds: usize) {
-    println!(
-        "\n{} rules (benign {} MiB mix, median of {rounds} paired rounds):",
-        report.rules,
-        VOLUME >> 20
-    );
-    println!(
-        "{:<18} {:>7} {:>11} {:>8} {:>9} {:>10}",
-        "build", "hot", "bytes", "classes", "MiB/s", "vs sparse"
-    );
-    for r in &report.rows {
-        println!(
-            "{:<18} {:>7} {:>11} {:>8} {:>9.1} {:>9.2}x",
-            r.build,
-            r.hot_states.map_or("-".into(), |h| h.to_string()),
-            r.bytes,
-            r.classes.map_or("-".into(), |c| c.to_string()),
-            VOLUME as f64 / (1 << 20) as f64 / r.median.as_secs_f64(),
-            r.vs_sparse
-        );
-    }
+            let medians: Vec<Duration> = samples.into_iter().map(median).collect();
+            let cold_secs = medians[0].as_secs_f64();
+            let rows = builds
+                .iter()
+                .zip(&medians)
+                .map(|((name, nfa), med)| Row {
+                    build: name.clone(),
+                    hot_states: nfa.hot_state_count(),
+                    bytes: nfa.memory_bytes(),
+                    classes: nfa.class_count(),
+                    median: *med,
+                    vs_cold: cold_secs / med.as_secs_f64(),
+                })
+                .collect();
+            LadderReport { rules, rows }
+        })
+        .collect()
 }

@@ -16,7 +16,7 @@ use sd_traffic::rulegen::{generate_rule_corpus, RuleCorpusConfig};
 use sd_traffic::victim::{receive_stream, VictimConfig};
 use sd_traffic::{pcap, Trace};
 use splitdetect::{
-    MatcherKind, ShardedSplitDetect, SplitDetect, SplitDetectConfig, SplitDetectStats, SplitPlan,
+    ShardedSplitDetect, SplitDetect, SplitDetectConfig, SplitDetectStats, SplitPlan,
 };
 
 use crate::opts::{Command, EngineKind, OutputFormat, ParsedArgs, SabotageKind, ServeSource};
@@ -75,8 +75,6 @@ fn split_config(args: &ParsedArgs) -> SplitDetectConfig {
     SplitDetectConfig {
         slow_path_policy: args.policy,
         shard_batch_packets: args.shard_batch,
-        fastpath_matcher: args.matcher,
-        tiered_hot_states: args.tiered_hot,
         slow_path_workers: args.slow_workers,
         slow_path_lane_depth: args.slow_lane_depth,
         slow_path_shed: args.shed_policy,
@@ -671,9 +669,9 @@ fn generate_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), Str
 const ANALYZE_CHUNKS: usize = 512;
 const ANALYZE_CHUNK_BYTES: usize = 1460;
 
-/// `sd analyze-rules`: corpus diagnostics, automaton cost attribution
-/// across every matcher representation, piece-dedup savings, and per-rule
-/// fast-path hit counts over a seeded benign workload.
+/// `sd analyze-rules`: corpus diagnostics, the piece automaton's cost and
+/// tier layout, piece-dedup savings, and per-rule fast-path hit counts
+/// over a seeded benign workload.
 fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let (set, errors) = parse_rules_lenient(&text);
@@ -687,11 +685,8 @@ fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), Stri
         return Err("rule file contains no usable alert rules".into());
     }
     let sigs = set.to_signatures();
-    let config = SplitDetectConfig {
-        tiered_hot_states: args.tiered_hot,
-        ..Default::default()
-    };
-    config.validate(&sigs).map_err(|e| e.to_string())?;
+    let config = SplitDetectConfig::default();
+    let plan = SplitPlan::compile(&sigs, &config).map_err(|e| e.to_string())?;
     let content_bytes: usize = set.rules.iter().map(|r| r.signature_bytes().len()).sum();
     let _ = writeln!(
         out,
@@ -701,45 +696,22 @@ fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), Stri
         config.pieces_per_signature
     );
 
-    // Automaton cost attribution: compile the corpus under every
-    // representation. Dense is the 100% baseline.
+    // Automaton cost, next to what a dense DFA (1 KB per state) over the
+    // same trie would occupy.
     let _ = writeln!(
         out,
         "{:<18} {:>12} {:>9} {:>10} {:>9}",
-        "matcher", "bytes", "states", "build-ms", "vs-dense"
+        "automaton", "bytes", "states", "build-ms", "vs-dense"
     );
-    let mut dense_bytes = 0usize;
-    let mut default_plan = None;
-    let mut tier_report = None;
-    for kind in MatcherKind::ALL {
-        let plan = SplitPlan::compile(
-            &sigs,
-            &SplitDetectConfig {
-                fastpath_matcher: kind,
-                ..config
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        if kind == MatcherKind::Dense {
-            dense_bytes = plan.memory_bytes();
-        }
-        let _ = writeln!(
-            out,
-            "{:<18} {:>12} {:>9} {:>10.2} {:>8.1}%",
-            kind.name(),
-            plan.memory_bytes(),
-            plan.state_count(),
-            plan.build_time().as_secs_f64() * 1e3,
-            plan.memory_bytes() as f64 * 100.0 / dense_bytes.max(1) as f64
-        );
-        if kind == MatcherKind::Tiered {
-            tier_report = plan.tier_stats();
-        }
-        if kind == config.fastpath_matcher {
-            default_plan = Some(plan);
-        }
-    }
-    let plan = default_plan.expect("MatcherKind::ALL contains the default kind");
+    let _ = writeln!(
+        out,
+        "{:<18} {:>12} {:>9} {:>10.2} {:>8.1}%",
+        "tiered",
+        plan.memory_bytes(),
+        plan.state_count(),
+        plan.build_time().as_secs_f64() * 1e3,
+        plan.memory_bytes() as f64 * 100.0 / (plan.state_count() * 1024) as f64
+    );
 
     // Trie depth occupancy: distinct piece prefixes per depth = automaton
     // states per level. The tiered heuristic fronts the shallow, populous
@@ -780,22 +752,13 @@ fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), Stri
             cum as f64 * 100.0 / total_states as f64
         );
     }
-    if let Some(t) = tier_report {
-        let _ = writeln!(
-            out,
-            "tiered split{}: {} hot state(s) as dense rows ({} B, {} classes), \
-             {} cold in CSR ({} B)",
-            match args.tiered_hot {
-                Some(_) => " (--tiered-hot override)",
-                None => " (budget heuristic)",
-            },
-            t.hot_states,
-            t.hot_bytes,
-            t.class_count,
-            t.cold_states,
-            t.cold_bytes
-        );
-    }
+    let t = plan.tier_stats();
+    let _ = writeln!(
+        out,
+        "tiered split (budget heuristic): {} hot state(s) as dense rows ({} B, {} classes), \
+         {} cold in CSR ({} B)",
+        t.hot_states, t.hot_bytes, t.class_count, t.cold_states, t.cold_bytes
+    );
 
     // Piece dedup: shared prefixes across rule families collapse into one
     // automaton pattern each.

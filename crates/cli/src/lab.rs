@@ -3,9 +3,7 @@
 //! Thin over the `sd-lab` crate: resolve the action, run it, print
 //! human-readable results. The one piece of policy living here is CI
 //! integration: `lab compare` mirrors its markdown delta table into
-//! `$GITHUB_STEP_SUMMARY` when that variable is set, exactly like
-//! `scripts/bench_compare.py` does, so the Actions summary looks the same
-//! whichever gate produced it.
+//! `$GITHUB_STEP_SUMMARY` when that variable is set.
 
 use std::io::Write;
 use std::path::PathBuf;

@@ -7,15 +7,14 @@ pub const USAGE: &str = "\
 usage:
   sd scan <capture.pcap> [--rules FILE] [--engine split|conventional|naive]
                          [--policy first|last|bsd|linux]
-                         [--shards N] [--shard-batch PKTS] [--matcher M]
-                         [--tiered-hot N] [--slow-workers N]
-                         [--slow-lane-depth PKTS]
+                         [--shards N] [--shard-batch PKTS]
+                         [--slow-workers N] [--slow-lane-depth PKTS]
                          [--shed-policy block|shed-flow|alert-overload]
                          [--flow-hash-seed S]
   sd run <capture.pcap>  [--rules FILE] [--policy P] [--shards N]
                          [--shard-batch PKTS] [--metrics-out PATH]
-                         [--matcher M] [--tiered-hot N] [--slow-workers N]
-                         [--slow-lane-depth PKTS] [--shed-policy S]
+                         [--slow-workers N] [--slow-lane-depth PKTS]
+                         [--shed-policy S]
   sd compare <capture.pcap> [--rules FILE] [--policy P]
   sd stats <capture.pcap> [--shards N] [--shard-batch PKTS]
            [--format human|prom|json]
@@ -29,9 +28,8 @@ usage:
   sd analyze-rules <FILE> [--top N] [--seed S]
   sd serve [--rules FILE] [--source loopback|afpacket] [--iface IF]
            [--scrape ADDR] [--duration-secs N] [--shards N]
-           [--flows N] [--attacks N] [--seed S] [--matcher M]
-           [--tiered-hot N] [--slow-workers N] [--slow-lane-depth PKTS]
-           [--shed-policy S]
+           [--flows N] [--attacks N] [--seed S] [--slow-workers N]
+           [--slow-lane-depth PKTS] [--shed-policy S]
   sd lab list [--journal FILE]
   sd lab run <experiment|ci-smoke> [--journal FILE] [--smoke] [--rounds N]
   sd lab emit [--journal FILE] [--out-dir DIR]
@@ -47,15 +45,6 @@ same registry instead of the human workload summary.
 --shards N > 1 runs the flow-sharded engine; --shard-batch sets how many
 packets the dispatcher accumulates per shard before each channel send
 (default 64; 1 degrades to per-packet dispatch).
---matcher selects the fast-path scan engine:
-dense|classed|classed+prefilter|sparse|sparse+bloom|tiered (default
-classed+prefilter, the fastest on small corpora; all kinds make
-identical divert decisions — sparse and sparse+bloom trade scan speed
-for tables that stay small at 10k-rule corpora; tiered lays out the hot
-shallow states as dense byte-classed rows and keeps the cold tail in
-CSR form, recovering most of the dense throughput at sparse-class
-memory). --tiered-hot N overrides the tiered matcher's budget heuristic
-and pins the hot tier to exactly N states (ignored by other matchers).
 --flow-hash-seed S pins the flow-table hash key for bit-reproducible
 runs; without it every engine draws a process-random key, so collision
 floods against the table cannot be precomputed.
@@ -77,8 +66,7 @@ realistic automaton sizes.
 generate-rules writes a seeded Snort-subset signature corpus
 (--count rules, --malformed appended broken lines for loader tests).
 analyze-rules loads a rule file leniently (line-numbered diagnostics),
-compiles the corpus under every matcher representation, and reports
-automaton cost attribution, piece-dedup savings and per-rule fast-path
+compiles the piece automaton, and reports its hot/cold tier layout, piece-dedup savings and per-rule fast-path
 hit counts over a seeded benign workload (--top N rows, --seed S).
 serve runs the engine as a long-lived daemon. --source loopback (the
 default) feeds a seeded labelled workload (--flows/--attacks/--seed)
@@ -193,12 +181,6 @@ pub struct ParsedArgs {
     pub metrics_out: Option<String>,
     /// `--format human|prom|json` (stats).
     pub format: OutputFormat,
-    /// `--matcher dense|classed|classed+prefilter`: the fast-path scan
-    /// engine (perf knob; divert decisions are identical across kinds).
-    pub matcher: splitdetect::MatcherKind,
-    /// `--tiered-hot N`: pin the tiered matcher's hot-tier size instead
-    /// of the budget heuristic (ignored by other matchers).
-    pub tiered_hot: Option<usize>,
     /// `--slow-workers N`: asynchronous slow-path worker threads
     /// (0 = inline slow path, the default).
     pub slow_workers: usize,
@@ -301,8 +283,8 @@ pub enum Command {
     Fuzz,
     /// Write a seeded Snort-subset rule corpus.
     GenerateRules(String),
-    /// Analyze a rule corpus: parse diagnostics, automaton cost per
-    /// matcher representation, piece dedup, per-rule fast-path hits.
+    /// Analyze a rule corpus: parse diagnostics, piece-automaton cost and
+    /// tier layout, piece dedup, per-rule fast-path hits.
     AnalyzeRules(String),
     /// Run the live capture daemon.
     Serve,
@@ -339,8 +321,6 @@ pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
     let mut replay_trace = None;
     let mut metrics_out = None;
     let mut format = OutputFormat::Human;
-    let mut matcher = splitdetect::MatcherKind::default();
-    let mut tiered_hot = None;
     let mut slow_workers = 0usize;
     let mut slow_lane_depth = 512usize;
     let mut shed_policy = splitdetect::ShedPolicy::default();
@@ -442,20 +422,6 @@ pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
                     "json" => OutputFormat::Json,
                     other => return Err(format!("unknown format {other:?}")),
                 }
-            }
-            "--matcher" => {
-                let v = value_of("--matcher")?;
-                matcher = splitdetect::MatcherKind::from_name(v)
-                    .ok_or_else(|| format!("unknown matcher {v:?}"))?;
-            }
-            "--tiered-hot" => {
-                let v: usize = value_of("--tiered-hot")?
-                    .parse()
-                    .map_err(|_| "bad --tiered-hot value".to_string())?;
-                if v == 0 {
-                    return Err("--tiered-hot must be >= 1".into());
-                }
-                tiered_hot = Some(v);
             }
             "--slow-workers" => {
                 slow_workers = value_of("--slow-workers")?
@@ -593,8 +559,6 @@ pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
         replay_trace,
         metrics_out,
         format,
-        matcher,
-        tiered_hot,
         slow_workers,
         slow_lane_depth,
         shed_policy,
@@ -631,8 +595,6 @@ fn defaults_with(command: Command) -> ParsedArgs {
         replay_trace: None,
         metrics_out: None,
         format: OutputFormat::Human,
-        matcher: splitdetect::MatcherKind::default(),
-        tiered_hot: None,
         slow_workers: 0,
         slow_lane_depth: 512,
         shed_policy: splitdetect::ShedPolicy::default(),
@@ -789,28 +751,6 @@ mod tests {
         let a = parse(&args("scan --rules r.rules cap.pcap")).unwrap();
         let b = parse(&args("scan cap.pcap --rules r.rules")).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn matcher_flag_defaults_and_parses() {
-        use splitdetect::MatcherKind;
-        let p = parse(&args("scan cap.pcap")).unwrap();
-        assert_eq!(p.matcher, MatcherKind::ClassedPrefilter);
-        let p = parse(&args("scan cap.pcap --matcher dense")).unwrap();
-        assert_eq!(p.matcher, MatcherKind::Dense);
-        let p = parse(&args("run cap.pcap --matcher classed")).unwrap();
-        assert_eq!(p.matcher, MatcherKind::Classed);
-        let p = parse(&args("stats cap.pcap --matcher classed+prefilter")).unwrap();
-        assert_eq!(p.matcher, MatcherKind::ClassedPrefilter);
-        let p = parse(&args("scan cap.pcap --matcher sparse")).unwrap();
-        assert_eq!(p.matcher, MatcherKind::Sparse);
-        let p = parse(&args("run cap.pcap --matcher sparse+bloom")).unwrap();
-        assert_eq!(p.matcher, MatcherKind::SparseBloom);
-        let p = parse(&args("scan cap.pcap --matcher tiered")).unwrap();
-        assert_eq!(p.matcher, MatcherKind::Tiered);
-        assert_eq!(p.tiered_hot, None);
-        let p = parse(&args("scan cap.pcap --matcher tiered --tiered-hot 4096")).unwrap();
-        assert_eq!(p.tiered_hot, Some(4096));
     }
 
     #[test]
@@ -1049,11 +989,9 @@ mod tests {
             "run a b",
             "run cap.pcap --metrics-out",
             "stats cap.pcap --format yaml",
-            "scan cap.pcap --matcher warp",
-            "scan cap.pcap --matcher",
-            "scan cap.pcap --tiered-hot 0",
-            "scan cap.pcap --tiered-hot lots",
-            "scan cap.pcap --tiered-hot",
+            // One piece automaton: its former selector flags are gone.
+            "scan cap.pcap --matcher tiered",
+            "serve --tiered-hot 4096",
             "scan cap.pcap --slow-workers many",
             "scan cap.pcap --slow-lane-depth 0",
             "scan cap.pcap --shed-policy coin-flip",

@@ -24,6 +24,12 @@ fn usage_on_bad_args() {
     let (code, out) = run(&["scan"]);
     assert_eq!(code, 2);
     assert!(out.contains("scan needs a pcap path"));
+    // One piece automaton: the flags that used to select another are gone.
+    for flag in ["--matcher", "--tiered-hot"] {
+        let (code, out) = run(&["scan", "x.pcap", flag, "dense"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains(&format!("unknown flag {flag}")), "{out}");
+    }
 }
 
 #[test]
@@ -305,7 +311,7 @@ fn fuzz_smoke_is_clean_and_deterministic() {
 }
 
 #[test]
-fn generate_rules_then_analyze_reports_every_representation() {
+fn generate_rules_then_analyze_reports_the_automaton() {
     let dir = tmpdir("rulegen");
     let path = dir.join("corpus.rules");
     let path_s = path.to_str().unwrap();
@@ -322,22 +328,12 @@ fn generate_rules_then_analyze_reports_every_representation() {
     let (code, out) = run(&["analyze-rules", path_s, "--top", "3"]);
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("120 alert rule(s)"), "{out}");
-    for kind in ["dense", "classed+prefilter", "sparse+bloom", "tiered"] {
-        assert!(out.contains(kind), "missing {kind} row: {out}");
-    }
+    assert!(out.contains("vs-dense"), "missing automaton table: {out}");
     assert!(out.contains("trie depth occupancy"), "{out}");
     assert!(out.contains("tiered split (budget heuristic)"), "{out}");
     assert!(out.contains("piece dedup:"), "{out}");
     assert!(out.contains("fast-path hits"), "{out}");
     assert!(!out.contains("parse error"), "{out}");
-
-    // --tiered-hot pins the split and the report says so.
-    let (code, pinned) = run(&["analyze-rules", path_s, "--top", "3", "--tiered-hot", "7"]);
-    assert_eq!(code, 0, "{pinned}");
-    assert!(
-        pinned.contains("tiered split (--tiered-hot override): 7 hot state(s)"),
-        "{pinned}"
-    );
 
     // Determinism: same corpus, same seed, same report.
     let (_, again) = run(&["analyze-rules", path_s, "--top", "3"]);

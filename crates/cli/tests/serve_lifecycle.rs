@@ -142,7 +142,7 @@ fn reload_does_not_drop_a_piece_straddling_the_boundary() {
     let sig = SIG_B.as_bytes();
     let first = pkt("10.0.0.8:4100", 1000, &sig[..10]);
     assert!(tx.send(0, &first));
-    await_counter(scrape_addr, "sd_serve_packets_total", 1);
+    let before = await_counter(scrape_addr, "sd_serve_packets_total", 1);
 
     // Phase 2 — reload to a superset (new signature ids, new automaton).
     std::fs::write(
@@ -151,7 +151,15 @@ fn reload_does_not_drop_a_piece_straddling_the_boundary() {
     )
     .unwrap();
     control.request_reload();
-    await_counter(scrape_addr, "sd_serve_reloads_total", 1);
+    let after = await_counter(scrape_addr, "sd_serve_reloads_total", 1);
+    // The automaton gauges describe the installed plan, not the one the
+    // daemon started with: two signatures need more states than one.
+    for gauge in ["sd_automaton_hot_states", "sd_automaton_hot_bytes"] {
+        assert!(
+            counter(&after, gauge) > counter(&before, gauge),
+            "{gauge} must follow the reload"
+        );
+    }
 
     // Phase 3 — the remaining 14 bytes complete the straddling occurrence
     // under the new automaton.

@@ -98,78 +98,6 @@ impl std::error::Error for ConfigError {}
 /// and the theorem's probabilistic side collapses (E5 quantifies).
 pub const MIN_PIECE_LEN: usize = 4;
 
-/// Which scanning engine the fast path compiles the piece automaton to.
-///
-/// All kinds produce byte-identical divert decisions on every input (the
-/// matcher-equivalence oracle tests pin this); they differ only in table
-/// footprint and benign-traffic throughput. The dense and classed tables
-/// are the throughput champions on small rule sets; the sparse variants
-/// keep memory `O(pattern bytes)` so 10k-rule corpora stay cache-resident.
-/// The default is the fastest on the demo-scale corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MatcherKind {
-    /// Dense 256-entry-row Aho–Corasick DFA: the paper's baseline engine,
-    /// one table lookup per byte, 1 KB per state.
-    Dense,
-    /// Byte-class compressed DFA: same lookup count, rows shrunk to the
-    /// rule set's byte equivalence classes (~4–10× smaller tables).
-    Classed,
-    /// Classed DFA behind a SWAR start-state skip prefilter: benign bytes
-    /// are dismissed 8 per step, the DFA runs only at candidate positions.
-    #[default]
-    ClassedPrefilter,
-    /// CSR sparse hybrid NFA-DFA: per-state edge lists + failure links,
-    /// dense root row. `O(pattern bytes)` memory — the representation that
-    /// survives 10k-rule corpora (≤ 10% of the dense table).
-    Sparse,
-    /// Sparse automaton behind a Bloom filter over leading pattern windows:
-    /// the automaton runs only where a window membership test passes.
-    /// Self-disables (behaving as plain sparse) when the root's escape
-    /// density predicts the probes are a net loss.
-    SparseBloom,
-    /// Two-tier hybrid: dense byte-classed rows for the hot shallow states
-    /// (chosen by a depth/byte-budget heuristic, overridable with
-    /// `tiered_hot_states`), CSR edges + failure links for the cold tail,
-    /// SWAR start-state skip on the root. Near-classed throughput at
-    /// near-sparse memory — the 10k-rule representation of choice.
-    Tiered,
-}
-
-impl MatcherKind {
-    /// All kinds, in ablation order.
-    pub const ALL: [MatcherKind; 6] = [
-        MatcherKind::Dense,
-        MatcherKind::Classed,
-        MatcherKind::ClassedPrefilter,
-        MatcherKind::Sparse,
-        MatcherKind::SparseBloom,
-        MatcherKind::Tiered,
-    ];
-
-    /// Stable name (CLI values and stats snapshots).
-    pub fn name(&self) -> &'static str {
-        match self {
-            MatcherKind::Dense => "dense",
-            MatcherKind::Classed => "classed",
-            MatcherKind::ClassedPrefilter => "classed+prefilter",
-            MatcherKind::Sparse => "sparse",
-            MatcherKind::SparseBloom => "sparse+bloom",
-            MatcherKind::Tiered => "tiered",
-        }
-    }
-
-    /// Inverse of [`MatcherKind::name`].
-    pub fn from_name(name: &str) -> Option<MatcherKind> {
-        Self::ALL.iter().copied().find(|k| k.name() == name)
-    }
-}
-
-impl fmt::Display for MatcherKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Full Split-Detect configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SplitDetectConfig {
@@ -233,17 +161,6 @@ pub struct SplitDetectConfig {
     /// histograms still run); the default 1-in-64 keeps the telemetry tax
     /// under the 5 % budget the E17 overhead bench enforces.
     pub stage_timing_sample_shift: Option<u8>,
-    /// Which engine the piece automaton compiles to. Purely a perf knob:
-    /// every kind yields identical divert decisions (E18 measures the
-    /// throughput and table-size spread).
-    pub fastpath_matcher: MatcherKind,
-    /// Hot-tier size for [`MatcherKind::Tiered`], in states. `None` (the
-    /// default) applies the build-time byte-budget heuristic — spend about
-    /// as many bytes on dense hot rows as the CSR arena occupies, keeping
-    /// the total within ~2× sparse; `Some(h)` pins the boundary (the E22
-    /// threshold-sweep knob, `--tiered-hot` on the CLI). Ignored by every
-    /// other matcher kind.
-    pub tiered_hot_states: Option<usize>,
     /// Slow-path worker threads. `0` (the default) runs the slow path
     /// inline on the hot thread — synchronous alerts, the original
     /// behaviour. `≥ 1` moves diverted-flow reassembly to an asynchronous
@@ -281,8 +198,6 @@ impl Default for SplitDetectConfig {
             max_diverted_flows: DEFAULT_MAX_DIVERTED,
             divert_eviction: EvictionPolicy::EvictOldest,
             stage_timing_sample_shift: Some(6),
-            fastpath_matcher: MatcherKind::default(),
-            tiered_hot_states: None,
             slow_path_workers: 0,
             slow_path_lane_depth: 512,
             slow_path_shed: ShedPolicy::default(),
@@ -443,16 +358,6 @@ mod tests {
             SplitDetectConfig::default().validate(&SignatureSet::new()),
             Err(ConfigError::NoSignatures)
         );
-    }
-
-    #[test]
-    fn matcher_names_round_trip() {
-        for kind in MatcherKind::ALL {
-            assert_eq!(MatcherKind::from_name(kind.name()), Some(kind));
-            assert_eq!(kind.to_string(), kind.name());
-        }
-        assert_eq!(MatcherKind::from_name("warp-speed"), None);
-        assert_eq!(MatcherKind::default(), MatcherKind::ClassedPrefilter);
     }
 
     #[test]

@@ -106,12 +106,7 @@ impl SplitDetect {
     }
 
     fn build(sigs: SignatureSet, config: SplitDetectConfig, cutoff: usize) -> Self {
-        let plan = SplitPlan::compile_unchecked_full(
-            &sigs,
-            config.pieces_per_signature,
-            config.fastpath_matcher,
-            config.tiered_hot_states,
-        );
+        let plan = SplitPlan::compile_unchecked(&sigs, config.pieces_per_signature);
         let mut telemetry = PipelineTelemetry::new(config.stage_timing_sample_shift);
         telemetry.set_automaton_bytes(plan.memory_bytes());
         telemetry.set_automaton_build_ns(plan.build_time().as_nanos() as u64);
@@ -235,7 +230,6 @@ impl SplitDetect {
             slow_state_bytes: slow_res.state_bytes,
             slow_state_peak_bytes: slow_res.state_bytes_peak,
             automaton_bytes: self.fast.automaton_bytes() as u64,
-            matcher: self.fast.plan().matcher_kind(),
         }
     }
 
@@ -319,15 +313,10 @@ impl SplitDetect {
     }
 }
 
-/// Publish the plan's per-tier layout (zeros for untiered matchers, so a
-/// reload from tiered to another engine clears the gauges).
+/// Publish the plan's per-tier layout.
 fn set_tier_gauges(telemetry: &mut PipelineTelemetry, plan: &SplitPlan) {
-    match plan.tier_stats() {
-        Some(t) => {
-            telemetry.set_automaton_tiers(t.hot_states, t.cold_states, t.hot_bytes, t.cold_bytes)
-        }
-        None => telemetry.set_automaton_tiers(0, 0, 0, 0),
-    }
+    let t = plan.tier_stats();
+    telemetry.set_automaton_tiers(t.hot_states, t.cold_states, t.hot_bytes, t.cold_bytes);
 }
 
 /// TCP/UDP payload length of an IPv4 packet (0 when unparsable — counting

@@ -575,59 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_identical_across_matcher_kinds() {
-        use crate::config::MatcherKind;
-        let sigs = || SignatureSet::from_signatures([Signature::new("sig", SIG)]);
-        let config = SplitDetectConfig::default();
-        let cutoff = config.validate(&sigs()).unwrap();
-        let mut paths: Vec<FastPath> = MatcherKind::ALL
-            .iter()
-            .map(|&m| {
-                let cfg = SplitDetectConfig {
-                    fastpath_matcher: m,
-                    ..config
-                };
-                FastPath::new(
-                    SplitPlan::compile(&sigs(), &cfg).unwrap(),
-                    FastPathParams {
-                        cutoff,
-                        budget: config.small_segment_budget,
-                        table_capacity: 1024,
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        // A mix that exercises the piece scan, the small-segment budget,
-        // and plain benign payloads.
-        let packets = [
-            pkt(1000, &[b'z'; 100]),
-            pkt(1100, b"..ABCDEFGH.."), // piece 0 whole → divert
-            pkt(1112, &[b'q'; 4]),      // small segment
-            pkt(1116, &[b'q'; 4]),      // small again → over budget
-            pkt(1120, &[b'n'; 1000]),
-        ];
-        for (i, p) in packets.iter().enumerate() {
-            let verdicts: Vec<Verdict> = paths
-                .iter_mut()
-                .map(|f| f.classify(p, not_diverted).1)
-                .collect();
-            assert!(
-                verdicts.windows(2).all(|w| w[0] == w[1]),
-                "packet {i}: {verdicts:?}"
-            );
-        }
-        let dense_stats = paths[0].stats();
-        for p in &paths[1..] {
-            assert_eq!(p.stats(), dense_stats, "counters must agree too");
-        }
-        assert!(
-            paths[2].automaton_bytes() < paths[0].automaton_bytes(),
-            "prefiltered plan reports the compressed table"
-        );
-    }
-
-    #[test]
     fn benign_in_order_passes() {
         let mut f = fast();
         for (i, seq) in [1000u32, 1100, 1200].into_iter().enumerate() {

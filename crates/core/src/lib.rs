@@ -56,7 +56,7 @@ pub mod split;
 pub mod stats;
 pub mod theory;
 
-pub use config::{MatcherKind, SplitDetectConfig};
+pub use config::SplitDetectConfig;
 pub use divert::{DivertStats, EvictionPolicy};
 pub use engine::SplitDetect;
 pub use report::RunReport;

@@ -203,13 +203,12 @@ impl fmt::Display for RunReport {
         writeln!(f)?;
         writeln!(
             f,
-            "state: fast {}  delay-line {}  slow now {} (peak {})  automaton {} ({})",
+            "state: fast {}  delay-line {}  slow now {} (peak {})  automaton {}",
             human_bytes(s.fast_state_bytes),
             human_bytes(s.divert_state_bytes),
             human_bytes(s.slow_state_bytes),
             human_bytes(s.slow_state_peak_bytes),
-            human_bytes(s.automaton_bytes),
-            s.matcher
+            human_bytes(s.automaton_bytes)
         )?;
         if s.divert.set_evictions > 0 {
             writeln!(

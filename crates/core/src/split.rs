@@ -13,11 +13,9 @@ use std::time::{Duration, Instant};
 
 use sd_ips::{SignatureId, SignatureSet};
 use sd_match::pattern::PatternSet;
-use sd_match::{
-    AcDfa, BloomSparseNfa, ClassedDfa, Match, PatternId, PrefilteredDfa, SparseNfa, TieredNfa,
-};
+use sd_match::{Match, PatternId, TieredNfa};
 
-use crate::config::{ConfigError, MatcherKind, SplitDetectConfig};
+use crate::config::{ConfigError, SplitDetectConfig};
 
 /// Where a piece occurs inside its signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,96 +28,8 @@ pub struct PieceOrigin {
     pub offset: usize,
 }
 
-/// The piece automaton in whichever engine the config selected. Every
-/// variant recognizes the identical match set; they differ only in table
-/// layout and benign-byte cost (see [`MatcherKind`]).
-#[derive(Debug, Clone)]
-enum PieceAutomaton {
-    Dense(AcDfa),
-    Classed(ClassedDfa),
-    Prefiltered(PrefilteredDfa),
-    Sparse(SparseNfa),
-    SparseBloom(BloomSparseNfa),
-    Tiered(TieredNfa),
-}
-
-impl PieceAutomaton {
-    fn compile(set: PatternSet, matcher: MatcherKind, tiered_hot: Option<usize>) -> Self {
-        match matcher {
-            MatcherKind::Dense => PieceAutomaton::Dense(AcDfa::new(set)),
-            MatcherKind::Classed => PieceAutomaton::Classed(ClassedDfa::new(set)),
-            MatcherKind::ClassedPrefilter => PieceAutomaton::Prefiltered(PrefilteredDfa::new(set)),
-            MatcherKind::Sparse => PieceAutomaton::Sparse(SparseNfa::new(set)),
-            MatcherKind::SparseBloom => PieceAutomaton::SparseBloom(BloomSparseNfa::new(set)),
-            MatcherKind::Tiered => match tiered_hot {
-                Some(h) => PieceAutomaton::Tiered(TieredNfa::with_hot_states(set, h)),
-                None => PieceAutomaton::Tiered(TieredNfa::new(set)),
-            },
-        }
-    }
-
-    /// Early-exit scan: the id of the first matching piece, with no
-    /// `Match` materialized (the fast path never wants the offset).
-    #[inline]
-    fn find_first_id(&self, payload: &[u8]) -> Option<PatternId> {
-        match self {
-            PieceAutomaton::Dense(d) => d.find_first_id(payload),
-            PieceAutomaton::Classed(d) => d.find_first_id(payload),
-            PieceAutomaton::Prefiltered(d) => d.find_first_id(payload),
-            PieceAutomaton::Sparse(d) => d.find_first_id(payload),
-            PieceAutomaton::SparseBloom(d) => d.find_first_id(payload),
-            PieceAutomaton::Tiered(d) => d.find_first_id(payload),
-        }
-    }
-
-    /// All piece occurrences in `payload` (profiling, not the hot path).
-    fn find_all(&self, payload: &[u8]) -> Vec<Match> {
-        match self {
-            PieceAutomaton::Dense(d) => d.find_all(payload),
-            PieceAutomaton::Classed(d) => d.find_all(payload),
-            PieceAutomaton::Prefiltered(d) => d.find_all(payload),
-            PieceAutomaton::Sparse(d) => d.find_all(payload),
-            PieceAutomaton::SparseBloom(d) => d.find_all(payload),
-            PieceAutomaton::Tiered(d) => d.find_all(payload),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            PieceAutomaton::Dense(d) => d.memory_bytes(),
-            PieceAutomaton::Classed(d) => d.memory_bytes(),
-            PieceAutomaton::Prefiltered(d) => d.memory_bytes(),
-            PieceAutomaton::Sparse(d) => d.memory_bytes(),
-            PieceAutomaton::SparseBloom(d) => d.memory_bytes(),
-            PieceAutomaton::Tiered(d) => d.memory_bytes(),
-        }
-    }
-
-    fn state_count(&self) -> usize {
-        match self {
-            PieceAutomaton::Dense(d) => d.state_count(),
-            PieceAutomaton::Classed(d) => d.state_count(),
-            PieceAutomaton::Prefiltered(d) => d.state_count(),
-            PieceAutomaton::Sparse(d) => d.state_count(),
-            PieceAutomaton::SparseBloom(d) => d.state_count(),
-            PieceAutomaton::Tiered(d) => d.state_count(),
-        }
-    }
-
-    fn kind(&self) -> MatcherKind {
-        match self {
-            PieceAutomaton::Dense(_) => MatcherKind::Dense,
-            PieceAutomaton::Classed(_) => MatcherKind::Classed,
-            PieceAutomaton::Prefiltered(_) => MatcherKind::ClassedPrefilter,
-            PieceAutomaton::Sparse(_) => MatcherKind::Sparse,
-            PieceAutomaton::SparseBloom(_) => MatcherKind::SparseBloom,
-            PieceAutomaton::Tiered(_) => MatcherKind::Tiered,
-        }
-    }
-}
-
-/// Per-tier layout of a [`MatcherKind::Tiered`] plan (telemetry and the
-/// bench JSON report both tiers separately).
+/// Per-tier layout of the piece automaton (telemetry and the bench JSON
+/// report both tiers separately).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierStats {
     /// States laid out as dense byte-classed rows.
@@ -137,7 +47,7 @@ pub struct TierStats {
 /// The compiled split: piece automaton plus provenance.
 #[derive(Debug, Clone)]
 pub struct SplitPlan {
-    automaton: PieceAutomaton,
+    automaton: TieredNfa,
     /// origin lists parallel to pattern ids.
     origins: Vec<Vec<PieceOrigin>>,
     /// Longest piece length (the admissible small-segment cutoff floor).
@@ -145,8 +55,8 @@ pub struct SplitPlan {
     /// Shortest piece length.
     min_piece_len: usize,
     pieces_per_signature: usize,
-    /// Wall time spent compiling the automaton (per-representation build
-    /// cost — the telemetry gauge and `sd analyze-rules` report it).
+    /// Wall time spent compiling the automaton (the telemetry gauge and
+    /// `sd analyze-rules` report it).
     build_time: Duration,
 }
 
@@ -169,34 +79,12 @@ impl SplitPlan {
     /// Compile a signature set under a configuration. Validates A3.
     pub fn compile(sigs: &SignatureSet, config: &SplitDetectConfig) -> Result<Self, ConfigError> {
         config.validate(sigs)?;
-        Ok(Self::compile_unchecked_full(
-            sigs,
-            config.pieces_per_signature,
-            config.fastpath_matcher,
-            config.tiered_hot_states,
-        ))
-    }
-
-    /// [`SplitPlan::compile_unchecked_with`] using the default matcher.
-    pub fn compile_unchecked(sigs: &SignatureSet, k: usize) -> Self {
-        Self::compile_unchecked_with(sigs, k, MatcherKind::default())
+        Ok(Self::compile_unchecked(sigs, config.pieces_per_signature))
     }
 
     /// Compile without admissibility checks (ablation experiments). A
     /// signature shorter than `k` bytes is split into fewer pieces.
-    pub fn compile_unchecked_with(sigs: &SignatureSet, k: usize, matcher: MatcherKind) -> Self {
-        Self::compile_unchecked_full(sigs, k, matcher, None)
-    }
-
-    /// [`SplitPlan::compile_unchecked_with`] plus the tiered hot-state
-    /// override (`None` lets the budget heuristic size the hot tier;
-    /// ignored by every other matcher).
-    pub fn compile_unchecked_full(
-        sigs: &SignatureSet,
-        k: usize,
-        matcher: MatcherKind,
-        tiered_hot: Option<usize>,
-    ) -> Self {
+    pub fn compile_unchecked(sigs: &SignatureSet, k: usize) -> Self {
         let mut strings: Vec<Vec<u8>> = Vec::new();
         let mut origins: Vec<Vec<PieceOrigin>> = Vec::new();
         let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
@@ -230,7 +118,7 @@ impl SplitPlan {
 
         let set = PatternSet::from_patterns(strings.iter().map(|p| p.as_slice()));
         let started = Instant::now();
-        let automaton = PieceAutomaton::compile(set, matcher, tiered_hot);
+        let automaton = TieredNfa::new(set);
         SplitPlan {
             automaton,
             origins,
@@ -241,64 +129,33 @@ impl SplitPlan {
         }
     }
 
-    /// Which engine the piece automaton was compiled to.
-    pub fn matcher_kind(&self) -> MatcherKind {
-        self.automaton.kind()
+    /// Byte equivalence classes over the hot rows.
+    pub fn class_count(&self) -> usize {
+        self.automaton.class_count()
     }
 
-    /// The dense DFA, when this plan was compiled with
-    /// [`MatcherKind::Dense`] (the stepwise-walk experiments need raw
-    /// transition access, which only the dense engine exposes).
-    pub fn dense_dfa(&self) -> Option<&AcDfa> {
-        match &self.automaton {
-            PieceAutomaton::Dense(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Byte equivalence classes of the compressed engines (`None` for
-    /// dense, whose row width is always 256).
-    pub fn class_count(&self) -> Option<usize> {
-        match &self.automaton {
-            PieceAutomaton::Classed(d) => Some(d.class_count()),
-            PieceAutomaton::Prefiltered(d) => Some(d.class_count()),
-            PieceAutomaton::Tiered(d) => Some(d.class_count()),
-            _ => None,
-        }
-    }
-
-    /// Hot/cold tier layout (`None` unless compiled with
-    /// [`MatcherKind::Tiered`]).
-    pub fn tier_stats(&self) -> Option<TierStats> {
-        match &self.automaton {
-            PieceAutomaton::Tiered(d) => Some(TierStats {
-                hot_states: d.hot_state_count(),
-                cold_states: d.cold_state_count(),
-                hot_bytes: d.hot_tier_bytes(),
-                cold_bytes: d.cold_tier_bytes(),
-                class_count: d.class_count(),
-            }),
-            _ => None,
-        }
-    }
-
-    /// Bloom prefilter bit count (`None` unless compiled with
-    /// [`MatcherKind::SparseBloom`]).
-    pub fn bloom_bit_count(&self) -> Option<usize> {
-        match &self.automaton {
-            PieceAutomaton::SparseBloom(d) => Some(d.bloom().bit_count()),
-            _ => None,
+    /// Hot/cold tier layout.
+    pub fn tier_stats(&self) -> TierStats {
+        let d = &self.automaton;
+        TierStats {
+            hot_states: d.hot_state_count(),
+            cold_states: d.cold_state_count(),
+            hot_bytes: d.hot_tier_bytes(),
+            cold_bytes: d.cold_tier_bytes(),
+            class_count: d.class_count(),
         }
     }
 
     /// Distinct bytes that leave the automaton's start state (the
-    /// prefilter's escape set; `None` unless prefiltered).
-    pub fn escape_byte_count(&self) -> Option<usize> {
-        match &self.automaton {
-            PieceAutomaton::Prefiltered(d) => Some(d.escape_count()),
-            PieceAutomaton::Tiered(d) => Some(d.escape_count()),
-            _ => None,
-        }
+    /// prefilter's escape set).
+    pub fn escape_byte_count(&self) -> usize {
+        self.automaton.escape_count()
+    }
+
+    /// The distinct piece strings, indexed by the [`PatternId`]s
+    /// [`SplitPlan::scan`] reports.
+    pub fn pieces(&self) -> &PatternSet {
+        self.automaton.patterns()
     }
 
     /// Provenance of a matched piece pattern.
@@ -442,87 +299,27 @@ mod tests {
     }
 
     #[test]
-    fn every_matcher_kind_scans_identically() {
+    fn plan_reports_the_automaton_layout() {
         let sigs = set(&[b"ABCDEFGHIJKLMNOPQRSTUVWX", b"abcdefghijklmnopqrstuvwx"]);
-        let plans: Vec<SplitPlan> = MatcherKind::ALL
-            .iter()
-            .map(|&m| SplitPlan::compile_unchecked_with(&sigs, 3, m))
-            .collect();
-        let probes: [&[u8]; 6] = [
-            b"ABCDEFGH",
-            b"..ABCDEFGH..",
-            b"BCDEFGH",
-            b"",
-            b"nothing to see here",
-            b"qrstuvwx",
-        ];
-        for probe in probes {
-            let hits: Vec<Option<_>> = plans.iter().map(|p| p.scan(probe)).collect();
-            assert!(
-                hits.windows(2).all(|w| w[0] == w[1]),
-                "probe {probe:?}: {hits:?}"
-            );
-        }
-        for (plan, kind) in plans.iter().zip(MatcherKind::ALL) {
-            assert_eq!(plan.matcher_kind(), kind);
-        }
-    }
-
-    #[test]
-    fn compressed_engines_report_smaller_tables() {
-        let sigs = set(&[b"ABCDEFGHIJKLMNOPQRSTUVWX", b"abcdefghijklmnopqrstuvwx"]);
-        let dense = SplitPlan::compile_unchecked_with(&sigs, 3, MatcherKind::Dense);
-        let classed = SplitPlan::compile_unchecked_with(&sigs, 3, MatcherKind::Classed);
-        let pre = SplitPlan::compile_unchecked_with(&sigs, 3, MatcherKind::ClassedPrefilter);
-        assert!(classed.memory_bytes() < dense.memory_bytes() / 4);
-        assert!(pre.memory_bytes() < dense.memory_bytes() / 4);
-        assert!(dense.dense_dfa().is_some());
-        assert_eq!(dense.class_count(), None);
-        assert!(classed.dense_dfa().is_none());
-        assert!(classed.class_count().unwrap() <= 49, "48 letters + rest");
-        assert_eq!(classed.escape_byte_count(), None);
+        let plan = SplitPlan::compile_unchecked(&sigs, 3);
+        // 6 pieces of 8 distinct bytes + the root.
+        assert_eq!(plan.state_count(), 49);
+        assert!(plan.class_count() <= 49, "48 letters + rest");
         // Piece first bytes: A, I, Q, a, i, q → 6 escape bytes.
-        assert_eq!(pre.escape_byte_count(), Some(6));
-
-        let sparse = SplitPlan::compile_unchecked_with(&sigs, 3, MatcherKind::Sparse);
-        let bloom = SplitPlan::compile_unchecked_with(&sigs, 3, MatcherKind::SparseBloom);
-        assert!(sparse.memory_bytes() < dense.memory_bytes() / 4);
-        assert!(bloom.memory_bytes() < dense.memory_bytes() / 4);
-        assert_eq!(sparse.class_count(), None);
-        assert_eq!(bloom.class_count(), None);
-        assert_eq!(sparse.escape_byte_count(), None);
-        assert_eq!(sparse.state_count(), dense.state_count());
-
-        let tiered = SplitPlan::compile_unchecked_with(&sigs, 3, MatcherKind::Tiered);
-        assert!(tiered.memory_bytes() < dense.memory_bytes() / 4);
-        assert_eq!(tiered.state_count(), dense.state_count());
-        assert_eq!(tiered.escape_byte_count(), Some(6));
-        let tiers = tiered.tier_stats().expect("tiered plan reports tiers");
+        assert_eq!(plan.escape_byte_count(), 6);
+        let tiers = plan.tier_stats();
         assert_eq!(
             tiers.hot_states + tiers.cold_states,
-            tiered.state_count(),
+            plan.state_count(),
             "tiers partition the state set"
         );
-        assert_eq!(Some(tiers.class_count), tiered.class_count());
-        assert!(tiers.hot_bytes + tiers.cold_bytes <= tiered.memory_bytes());
-        assert_eq!(dense.tier_stats(), None);
-        assert_eq!(sparse.tier_stats(), None);
-    }
-
-    #[test]
-    fn tiered_hot_override_threads_through_config() {
-        let sigs = set(&[b"ABCDEFGHIJKLMNOPQRSTUVWX", b"abcdefghijklmnopqrstuvwx"]);
-        let cfg = SplitDetectConfig {
-            fastpath_matcher: MatcherKind::Tiered,
-            tiered_hot_states: Some(2),
-            ..Default::default()
-        };
-        let plan = SplitPlan::compile(&sigs, &cfg).unwrap();
-        let tiers = plan.tier_stats().unwrap();
-        assert_eq!(tiers.hot_states, 2, "override pins the hot tier size");
-        assert!(tiers.cold_states > 0);
-        assert!(plan.scan(b"..ABCDEFGH..").is_some());
-        assert!(plan.scan(b"nothing here").is_none());
+        assert_eq!(tiers.cold_states, 0, "a demo-scale corpus is all hot");
+        assert_eq!(tiers.class_count, plan.class_count());
+        assert!(tiers.hot_bytes + tiers.cold_bytes <= plan.memory_bytes());
+        assert!(
+            plan.memory_bytes() < plan.state_count() * 1024 / 4,
+            "byte classes keep the table well under a dense DFA's 1 KB/state"
+        );
     }
 
     #[test]

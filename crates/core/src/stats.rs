@@ -4,7 +4,6 @@
 //! diverted fractions (flows / packets / bytes), state splits between the
 //! fast and slow paths, and the per-byte processing split.
 
-use crate::config::MatcherKind;
 use crate::divert::DivertStats;
 use crate::fastpath::{DivertReason, FastPathStats};
 
@@ -33,10 +32,6 @@ pub struct SplitDetectStats {
     pub slow_state_peak_bytes: u64,
     /// Shared piece-automaton bytes (control plane, not per-flow).
     pub automaton_bytes: u64,
-    /// Which engine the piece automaton compiled to (context for
-    /// `automaton_bytes` — the compressed engines report far smaller
-    /// tables).
-    pub matcher: MatcherKind,
 }
 
 impl SplitDetectStats {
@@ -130,7 +125,6 @@ impl SplitDetectStats {
                 self.slow_state_peak_bytes.to_string(),
             ),
             ("automaton_bytes", self.automaton_bytes.to_string()),
-            ("fastpath_matcher", self.matcher.name().to_string()),
         ] {
             out.push_str(key);
             out.push(' ');
@@ -175,10 +169,6 @@ impl SplitDetectStats {
                     ));
                 }
                 s.fast.diverts.copy_from_slice(&vals);
-            } else if key == "fastpath_matcher" {
-                let rest = rest.trim();
-                s.matcher = MatcherKind::from_name(rest)
-                    .ok_or_else(|| format!("stats line {lineno}: unknown matcher {rest}"))?;
             } else if key == "divert.eviction_policy" {
                 let rest = rest.trim();
                 s.divert.policy = crate::divert::EvictionPolicy::from_name(rest)
@@ -216,8 +206,8 @@ impl SplitDetectStats {
             }
             seen.push(key.to_string());
         }
-        if seen.len() != 25 {
-            return Err(format!("stats: expected 25 fields, got {}", seen.len()));
+        if seen.len() != 24 {
+            return Err(format!("stats: expected 24 fields, got {}", seen.len()));
         }
         Ok(s)
     }
@@ -256,7 +246,6 @@ impl SplitDetectStats {
             total.slow_state_bytes += s.slow_state_bytes;
             total.slow_state_peak_bytes += s.slow_state_peak_bytes;
             total.automaton_bytes += s.automaton_bytes;
-            // The matcher kind is uniform across shards; keep the first's.
         }
         Some(total)
     }
@@ -279,7 +268,6 @@ mod tests {
             slow_state_bytes: 0,
             slow_state_peak_bytes: 0,
             automaton_bytes: 0,
-            matcher: MatcherKind::default(),
         }
     }
 
@@ -354,7 +342,6 @@ mod tests {
         s.slow_state_bytes = 22;
         s.slow_state_peak_bytes = 23;
         s.automaton_bytes = 24;
-        s.matcher = MatcherKind::Dense;
         let text = s.to_text();
         let back = SplitDetectStats::from_text(&text).unwrap();
         assert_eq!(back, s);
@@ -383,15 +370,7 @@ mod tests {
             .collect();
         assert!(SplitDetectStats::from_text(&t)
             .unwrap_err()
-            .contains("25 fields"));
-        // Bad matcher name.
-        let t = good.replace(
-            "fastpath_matcher classed+prefilter",
-            "fastpath_matcher abacus",
-        );
-        assert!(SplitDetectStats::from_text(&t)
-            .unwrap_err()
-            .contains("unknown matcher"));
+            .contains("24 fields"));
         // Bad policy name.
         let t = good.replace("eviction_policy evict-oldest", "eviction_policy coin-flip");
         assert!(SplitDetectStats::from_text(&t)

@@ -1,13 +1,11 @@
 //! Baseline regression compare: journal-emitted current vs checked-in
 //! baseline, per-metric tolerances.
 //!
-//! Mirrors `scripts/bench_compare.py` (same row keys, same delta table, so
-//! the CI summary looks identical whichever path produced it) and extends
-//! it with the memory gate: throughput metrics are higher-is-better
-//! medians failing below `-threshold`, memory metrics (automaton_10k
-//! `bytes`, flow-table `slot_bytes`) are lower-is-better failing above
-//! `+mem_threshold`. Rows or metrics present on only one side are
-//! reported but never fail the gate.
+//! Throughput metrics are higher-is-better medians failing below
+//! `-threshold`, memory metrics (automaton_10k `bytes`, flow-table
+//! `slot_bytes`) are lower-is-better failing above `+mem_threshold`. Rows
+//! or metrics present on only one side are reported but never fail the
+//! gate.
 
 use std::collections::BTreeMap;
 
@@ -46,8 +44,8 @@ pub struct Outcome {
 
 type MetricTable = BTreeMap<String, BTreeMap<String, (f64, MetricKind)>>;
 
-/// Identity of a result row: its string-valued fields, `k=v` in key order
-/// — byte-compatible with `bench_compare.py`'s `row_key`.
+/// Identity of a result row: its string-valued fields, `k=v` in key
+/// order.
 fn row_key(fields: &[(String, Value)]) -> String {
     let mut parts: Vec<String> = fields
         .iter()
@@ -97,8 +95,8 @@ pub fn extract(doc: &Value, label: &str) -> Result<(String, MetricTable), String
         table.insert(row_key(fields), metrics);
     }
 
-    // Memory gate rows. Key shape matches bench_compare.py's row_key over
-    // {"section": ..., "matcher": ...} dicts: sorted k=v pairs.
+    // Memory gate rows, keyed like `row_key` over
+    // {"section": ..., "matcher": ...}: sorted k=v pairs.
     if let Some(entries) = doc.get("automaton_10k").and_then(Value::as_obj) {
         for (matcher, inner) in entries {
             if let Some(bytes) = inner.get("bytes").and_then(Value::as_f64) {
@@ -210,7 +208,7 @@ pub fn compare_docs(
     Ok(out)
 }
 
-/// Render the markdown delta table (same shape as bench_compare.py).
+/// Render the markdown delta table.
 pub fn markdown(lines: &[Line], threshold: f64, mem_threshold: f64) -> String {
     let mut out = vec![
         format!(

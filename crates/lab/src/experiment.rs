@@ -54,7 +54,7 @@ pub static EXPERIMENTS: [Experiment; 5] = [
     Experiment {
         name: "fastpath-matcher-mix",
         e_numbers: "E18, E21",
-        description: "scan/classify throughput per matcher x payload mix, plus automaton footprints at 1-rule and 10k-rule scale",
+        description: "piece-automaton scan/classify throughput per payload mix, plus automaton footprints at 1-rule and 10k-rule scale",
         baseline: Some("BENCH_fastpath.json"),
         run: run_fastpath,
     },
@@ -82,7 +82,7 @@ pub static EXPERIMENTS: [Experiment; 5] = [
     Experiment {
         name: "tiered-hot-ladder",
         e_numbers: "E22",
-        description: "tiered automaton footprint/throughput ladder over hot-tier sizes at 1k and 10k rules, vs sparse/dense anchors",
+        description: "piece-automaton footprint/throughput ladder over hot-tier sizes at 1k and 10k rules, from the all-cold to the all-hot endpoint",
         baseline: None,
         run: run_tier_ladder,
     },
@@ -103,6 +103,11 @@ fn s(x: impl Into<String>) -> Value {
 fn kv(k: &str, v: Value) -> (String, Value) {
     (k.to_string(), v)
 }
+
+/// The `matcher` key every fast-path journal row and `BENCH_fastpath.json`
+/// entry carries. There is one piece automaton; the key stays so row keys
+/// line up with journals recorded while there were six.
+const MATCHER: &str = "tiered";
 
 fn run_fastpath(opts: &RunOpts) -> Vec<Trial> {
     let mut params = if opts.smoke {
@@ -125,42 +130,36 @@ fn run_fastpath(opts: &RunOpts) -> Vec<Trial> {
         ],
         metrics: Vec::new(),
     }];
-    for r in &report.automaton {
-        trials.push(Trial {
-            section: "automaton",
-            config: vec![kv("matcher", s(r.kind.to_string()))],
-            metrics: vec![
-                kv("bytes", n(r.bytes as f64)),
-                kv("classes", n(r.classes as f64)),
-                kv("escape_bytes", n(r.escape_bytes as f64)),
-            ],
-        });
-    }
-    for r in &report.automaton_10k {
-        trials.push(Trial {
-            section: "automaton_10k",
-            config: vec![kv("matcher", s(r.kind.to_string()))],
-            metrics: vec![
-                kv("bytes", n(r.bytes as f64)),
-                kv("hot_bytes", n(r.hot_bytes as f64)),
-                kv("cold_bytes", n(r.cold_bytes as f64)),
-                kv("states", n(r.states as f64)),
-                kv("build_ms", n(r.build.as_secs_f64() * 1e3)),
-            ],
-        });
-    }
+    let matcher = || kv("matcher", s(MATCHER));
+    let a = &report.automaton;
+    trials.push(Trial {
+        section: "automaton",
+        config: vec![matcher()],
+        metrics: vec![
+            kv("bytes", n(a.bytes as f64)),
+            kv("classes", n(a.classes as f64)),
+            kv("escape_bytes", n(a.escape_bytes as f64)),
+        ],
+    });
+    let a = &report.automaton_10k;
+    trials.push(Trial {
+        section: "automaton_10k",
+        config: vec![matcher()],
+        metrics: vec![
+            kv("bytes", n(a.bytes as f64)),
+            kv("hot_bytes", n(a.hot_bytes as f64)),
+            kv("cold_bytes", n(a.cold_bytes as f64)),
+            kv("states", n(a.states as f64)),
+            kv("build_ms", n(a.build.as_secs_f64() * 1e3)),
+        ],
+    });
     for r in &report.rows {
-        let dense = report.dense_secs(&r.mix);
         trials.push(Trial {
             section: "results",
-            config: vec![
-                kv("mix", s(r.mix.clone())),
-                kv("matcher", s(r.kind.to_string())),
-            ],
+            config: vec![kv("mix", s(r.mix.clone())), matcher()],
             metrics: vec![
                 kv("median_secs", n(r.median.as_secs_f64())),
                 kv("mib_per_s", n(r.mib_per_s())),
-                kv("speedup_vs_dense", n(dense / r.median.as_secs_f64())),
             ],
         });
     }
@@ -344,30 +343,23 @@ fn run_tier_ladder(opts: &RunOpts) -> Vec<Trial> {
     }];
     for report in &reports {
         for r in &report.rows {
-            let mut metrics = vec![
-                kv("bytes", n(r.bytes as f64)),
-                kv("median_secs", n(r.median.as_secs_f64())),
-                kv(
-                    "mib_per_s",
-                    n(sweeps::tier_ladder::VOLUME as f64
-                        / (1 << 20) as f64
-                        / r.median.as_secs_f64()),
-                ),
-                kv("vs_sparse", n(r.vs_sparse)),
-            ];
-            if let Some(h) = r.hot_states {
-                metrics.push(kv("hot_states", n(h as f64)));
-            }
-            if let Some(c) = r.classes {
-                metrics.push(kv("classes", n(c as f64)));
-            }
             trials.push(Trial {
                 section: "ladder",
                 config: vec![
                     kv("rules", n(report.rules as f64)),
                     kv("build", s(r.build.clone())),
                 ],
-                metrics,
+                metrics: vec![
+                    kv("bytes", n(r.bytes as f64)),
+                    kv("median_secs", n(r.median.as_secs_f64())),
+                    kv(
+                        "mib_per_s",
+                        n(mib_per_s(sweeps::tier_ladder::VOLUME as u64, r.median)),
+                    ),
+                    kv("vs_cold", n(r.vs_cold)),
+                    kv("hot_states", n(r.hot_states as f64)),
+                    kv("classes", n(r.classes as f64)),
+                ],
             });
         }
     }
@@ -447,7 +439,6 @@ pub fn run_experiment(name: &str, opts: &RunOpts, journal: &Journal) -> Result<R
 mod tests {
     use super::*;
     use crate::schema::SCHEMAS;
-    use splitdetect::MatcherKind;
 
     #[test]
     fn baseline_experiments_match_pinned_schemas() {
@@ -465,23 +456,5 @@ mod tests {
         let journal = Journal::new("/nonexistent/never-written.jsonl");
         let err = run_experiment("nope", &RunOpts::default(), &journal).unwrap_err();
         assert!(err.contains("unknown experiment"), "{err}");
-    }
-
-    // MatcherKind spelling is load-bearing: the emit schema keys baseline
-    // objects by Display output.
-    #[test]
-    fn matcher_display_matches_baseline_keys() {
-        let names: Vec<String> = MatcherKind::ALL.iter().map(|k| k.to_string()).collect();
-        assert_eq!(
-            names,
-            [
-                "dense",
-                "classed",
-                "classed+prefilter",
-                "sparse",
-                "sparse+bloom",
-                "tiered"
-            ]
-        );
     }
 }

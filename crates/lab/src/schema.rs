@@ -37,7 +37,7 @@ const fn f(name: &'static str, fmt: Fmt) -> Field {
 /// Shape of a baseline section.
 #[derive(Debug, Clone, Copy)]
 pub enum SectionKind {
-    /// JSON object keyed by a config field (`"automaton": {"dense": {...}}`);
+    /// JSON object keyed by a config field (`"automaton": {"tiered": {...}}`);
     /// `key` names the journal config field holding the object key.
     Keyed { key: &'static str },
     /// JSON array of row objects (`"results": [...]`).
@@ -109,7 +109,6 @@ pub const SCHEMAS: [BenchSchema; 3] = [
                     f("matcher", Fmt::Str),
                     f("median_secs", Fmt::Fixed(6)),
                     f("mib_per_s", Fmt::Fixed(1)),
-                    f("speedup_vs_dense", Fmt::Fixed(2)),
                 ],
             },
         ],

@@ -1,9 +1,11 @@
 //! Aho–Corasick automaton: classic goto/failure/output construction.
 //!
 //! This is the NFA form: transitions are sparse, and a search may follow a
-//! chain of failure links per input byte. The fast path compiles it to a
-//! dense DFA ([`crate::dfa::AcDfa`]) where every byte is exactly one table
-//! lookup — the property the paper's 20 Gbps hardware argument rests on.
+//! chain of failure links per input byte. It is the builder under both
+//! compiled forms: the dense DFA ([`crate::dfa::AcDfa`]), where every byte
+//! is exactly one table lookup — the property the paper's 20 Gbps hardware
+//! argument rests on — and the fast path's tiered piece automaton
+//! ([`crate::tiered::TieredNfa`]).
 
 use crate::pattern::{Match, PatternId, PatternSet};
 use std::collections::{BTreeMap, VecDeque};
@@ -115,7 +117,7 @@ impl AhoCorasick {
     }
 
     /// The sorted trie (goto) transitions out of `state`, failure links
-    /// unresolved — the raw edges a sparse compilation needs, as opposed to
+    /// unresolved — the raw edges the tiered cold tail stores, as opposed to
     /// [`Self::step`] which resolves the failure chain.
     pub fn transitions(&self, state: u32) -> impl Iterator<Item = (u8, u32)> + '_ {
         self.states[state as usize]
@@ -161,8 +163,8 @@ impl AhoCorasick {
 
     /// Approximate heap footprint in bytes: trie maps, fail links, outputs.
     /// BTreeMap overhead is charged at a flat 24 bytes per entry — the
-    /// point of this number is the NFA/DFA comparison in the ablation
-    /// bench, not allocator-exact accounting.
+    /// point of this number is the NFA/DFA comparison, not allocator-exact
+    /// accounting.
     pub fn memory_bytes(&self) -> usize {
         let mut total = self.states.len() * std::mem::size_of::<State>();
         for s in &self.states {

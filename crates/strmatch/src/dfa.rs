@@ -4,8 +4,10 @@
 //! loop is exactly one load and one index per input byte — no failure-link
 //! chains, no branches that depend on pattern structure. This is the
 //! software analogue of the TCAM/SRAM automaton the paper budgets for its
-//! 20 Gbps fast path, and it is what [`crate::stream::StreamMatcher`] and
-//! the Split-Detect fast path run.
+//! 20 Gbps fast path, and it is what [`crate::stream::StreamMatcher`] — the
+//! slow path's resumable full-signature matcher — runs. At 1 KB per state
+//! it does not scale to the piece automaton of a 10k-rule corpus; the fast
+//! path runs [`crate::tiered::TieredNfa`] instead.
 
 use crate::aho::AhoCorasick;
 use crate::pattern::{Match, PatternId, PatternSet};
@@ -108,8 +110,7 @@ impl AcDfa {
         None
     }
 
-    /// Pattern id of the first match, without materializing a [`Match`] —
-    /// the fast path only wants "which piece", never the offset.
+    /// Pattern id of the first match, without materializing a [`Match`].
     #[inline]
     pub fn find_first_id(&self, hay: &[u8]) -> Option<PatternId> {
         let mut state = Self::START;
@@ -122,8 +123,7 @@ impl AcDfa {
         None
     }
 
-    /// True if any pattern occurs in `hay`. This is the exact per-packet
-    /// hot loop of the fast path.
+    /// True if any pattern occurs in `hay`.
     #[inline]
     pub fn is_match(&self, hay: &[u8]) -> bool {
         let mut state = Self::START;

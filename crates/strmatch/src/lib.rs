@@ -1,43 +1,27 @@
-//! # sd-match — exact string matching engines
+//! # sd-match — exact multi-pattern string matching
 //!
 //! The Split-Detect fast path scans every packet payload against the set of
 //! *pieces* of all signatures; the slow path and the conventional IPS scan
 //! reassembled streams against the full signatures. Both reduce to
 //! multi-pattern exact matching, implemented here from scratch:
 //!
-//! * [`aho`] — Aho–Corasick automaton (goto/fail/output construction),
-//! * [`dfa`] — a dense byte-indexed DFA compiled from the NFA; this is the
-//!   fast-path engine the paper's hardware argument is about (one table
-//!   lookup per byte, no failure chains),
-//! * [`classed`] — the dense DFA with its 256-byte alphabet compressed to
-//!   equivalence classes, shrinking the transition table ~4–10× so real
-//!   rule sets stay L1/L2-resident at the same one-lookup-per-byte bound,
-//! * [`prefilter`] — a start-state skip prefilter (SWAR `u64` membership
-//!   scan, 8 bytes per step in safe Rust) fronting the classed DFA: the
-//!   accelerated engine the Split-Detect fast path defaults to,
-//! * [`sparse`] — a CSR hybrid NFA-DFA (`O(pattern bytes)` memory instead
-//!   of `O(states × 256)`) with an optional Bloom window prefilter before
-//!   exact confirm: the representations that keep 10k-rule corpora from
-//!   blowing past cache,
-//! * [`tiered`] — a two-tier hybrid: dense byte-classed rows for the hot
-//!   shallow states (where benign traffic lives), CSR edges for the cold
-//!   tail, fronted by the SWAR start-state skip — the engine that closes
-//!   the sparse throughput gap at 10k rules without the dense table,
-//! * [`bmh`] — Boyer–Moore–Horspool for single patterns (used by tests and
-//!   by the naive per-packet baseline when it has one signature),
-//! * [`shiftor`] — bit-parallel shift-or for short patterns (≤ 64 bytes;
-//!   signature pieces are short, so this is a credible alternative
-//!   fast-path engine and appears in the matcher ablation bench),
+//! * [`aho`] — Aho–Corasick automaton (goto/fail/output construction): the
+//!   NFA both compiled forms below are built from,
+//! * [`tiered`] — the fast path's piece automaton: dense byte-classed rows
+//!   for the hot shallow states (where benign traffic lives), CSR edges +
+//!   failure links for the cold tail, fronted by the start-state skip. A
+//!   small rule set is entirely hot (a byte-classed DFA behind a
+//!   prefilter); a 10k-rule corpus keeps only its shallow levels dense and
+//!   stays within ~2× the `O(pattern bytes)` CSR footprint,
+//! * [`prefilter`] — [`StartSkip`], the SWAR `u64` start-state skip
+//!   (8 bytes per step in safe Rust) in front of [`tiered`],
+//! * [`dfa`] — a dense byte-indexed DFA compiled from the NFA: one table
+//!   lookup per byte, 1 KB per state. The slow path's engine, and what the
+//!   paper's hardware argument is about,
 //! * [`stream`] — a resumable matcher that carries DFA state across chunk
 //!   boundaries, reporting absolute stream offsets: what the slow path runs
 //!   over reassembled bytes,
-//! * [`stride2`] — a two-bytes-per-lookup DFA: the hardware
-//!   multi-byte-per-cycle trade-off (throughput vs table width) as a
-//!   measurable software ablation,
-//! * [`wumanber`] — Wu–Manber bad-block shifting, the era's software IPS
-//!   engine: sublinear on small rule sets, degrading as the shift table
-//!   fills — the degradation the paper's DFA assumption avoids,
-//! * [`naive`] — the obviously-correct quadratic reference all engines are
+//! * [`naive`] — the obviously-correct quadratic reference every engine is
 //!   cross-checked against in unit and property tests.
 //!
 //! All engines report [`Match`] values identifying the pattern and the
@@ -48,26 +32,16 @@
 #![warn(missing_docs)]
 
 pub mod aho;
-pub mod bmh;
-pub mod classed;
 pub mod dfa;
 pub mod naive;
 pub mod pattern;
 pub mod prefilter;
-pub mod shiftor;
-pub mod sparse;
 pub mod stream;
-pub mod stride2;
 pub mod tiered;
-pub mod wumanber;
 
 pub use aho::AhoCorasick;
-pub use classed::ClassedDfa;
 pub use dfa::AcDfa;
 pub use pattern::{Match, PatternId, PatternSet};
-pub use prefilter::{PrefilteredDfa, StartSkip};
-pub use sparse::{BloomSparseNfa, SparseNfa, WindowBloom};
+pub use prefilter::StartSkip;
 pub use stream::StreamMatcher;
-pub use stride2::Stride2Dfa;
 pub use tiered::TieredNfa;
-pub use wumanber::WuManber;

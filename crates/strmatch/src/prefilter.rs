@@ -1,34 +1,32 @@
-//! Start-state skip prefilter + the prefiltered scanning engine.
+//! Start-state skip prefilter.
 //!
 //! Almost all traffic is benign and a benign payload mostly keeps an
-//! Aho–Corasick DFA parked in its start state — yet the dense scan still
-//! pays a serial, load-latency-bound table lookup for every byte. The only
-//! bytes that matter while parked are the ones with a transition *out* of
-//! the start state (the first bytes of pattern prefixes). [`StartSkip`]
+//! Aho–Corasick automaton parked in its start state — yet a plain scan
+//! still pays a serial, load-latency-bound table lookup for every byte. The
+//! only bytes that matter while parked are the ones with a transition *out*
+//! of the start state (the first bytes of pattern prefixes). [`StartSkip`]
 //! precomputes that escape set and scans eight bytes per step in safe Rust:
 //!
 //! * **general path** — one `u64` load per chunk, then a branch-free
 //!   256-bit-bitmap membership test per lane, OR-ed into a single per-chunk
-//!   branch. The eight tests are independent (full ILP), unlike the DFA's
-//!   chain of dependent loads.
+//!   branch. The eight tests are independent (full ILP), unlike the
+//!   automaton's chain of dependent loads.
 //! * **rare path** (≤ 3 escape bytes) — the classic SWAR zero-byte trick
 //!   (`memchr` without `memchr`): XOR with a splatted byte value turns
 //!   occurrences into zero lanes, and `(x - 0x01…) & !x & 0x80…` flags
 //!   them; three ALU ops per value per chunk, no per-lane work at all.
 //!
-//! [`PrefilteredDfa`] couples the skipper with a [`ClassedDfa`]: it skips
-//! while the automaton would sit in the start state, enters the DFA at the
-//! first candidate byte, and drops back to skipping whenever the walk
-//! returns to start. Skipped bytes provably keep the DFA at start (that is
-//! the definition of the escape set) and the start state never reports a
-//! match (empty patterns are rejected at [`PatternSet`] construction), so
-//! the match set is byte-identical to the dense scan on every input — the
-//! cross-check property tests in `tests/prop.rs` pin this. Worst-case cost
-//! is unchanged: adversarial bytes degrade to the plain one-lookup-per-byte
-//! DFA walk plus a bounded prefilter tax.
-
-use crate::classed::ClassedDfa;
-use crate::pattern::{Match, PatternId, PatternSet};
+//! [`crate::tiered::TieredNfa`] couples the skipper with its automaton: it
+//! skips while the walk would sit in the start state, enters the automaton
+//! at the first candidate byte, and drops back to skipping whenever the
+//! walk returns to start. Skipped bytes provably keep the automaton at
+//! start (that is the definition of the escape set) and the start state
+//! never reports a match (empty patterns are rejected at
+//! [`crate::pattern::PatternSet`] construction), so the match set is
+//! byte-identical to the dense scan on every input — the cross-check
+//! property tests in `tests/prop.rs` pin this. Worst-case cost is
+//! unchanged: adversarial bytes degrade to the plain per-byte automaton
+//! walk plus a bounded prefilter tax.
 
 /// Escape sets at most this large use the splatted-byte SWAR path.
 const RARE_MAX: usize = 3;
@@ -49,13 +47,6 @@ pub struct StartSkip {
 }
 
 impl StartSkip {
-    /// Build from the bytes that leave `dfa`'s start state.
-    pub fn for_dfa(dfa: &ClassedDfa) -> Self {
-        Self::from_escape_bytes(
-            (0u8..=255).filter(|&b| dfa.next_state(ClassedDfa::START, b) != ClassedDfa::START),
-        )
-    }
-
     /// Build from an explicit escape-byte set.
     pub fn from_escape_bytes(bytes: impl IntoIterator<Item = u8>) -> Self {
         let mut bitmap = [0u64; 4];
@@ -149,173 +140,18 @@ impl StartSkip {
     }
 }
 
-/// A [`ClassedDfa`] fronted by a [`StartSkip`] prefilter.
-#[derive(Debug, Clone)]
-pub struct PrefilteredDfa {
-    dfa: ClassedDfa,
-    skip: StartSkip,
-}
-
-impl PrefilteredDfa {
-    /// Compile from patterns.
-    pub fn new(set: PatternSet) -> Self {
-        Self::from_classed(ClassedDfa::new(set))
-    }
-
-    /// Wrap an already-compiled classed DFA.
-    pub fn from_classed(dfa: ClassedDfa) -> Self {
-        let skip = StartSkip::for_dfa(&dfa);
-        PrefilteredDfa { dfa, skip }
-    }
-
-    /// The wrapped automaton.
-    pub fn dfa(&self) -> &ClassedDfa {
-        &self.dfa
-    }
-
-    /// The start-state escape set.
-    pub fn skip(&self) -> &StartSkip {
-        &self.skip
-    }
-
-    /// The pattern set this engine recognizes.
-    pub fn patterns(&self) -> &PatternSet {
-        self.dfa.patterns()
-    }
-
-    /// Number of DFA states.
-    pub fn state_count(&self) -> usize {
-        self.dfa.state_count()
-    }
-
-    /// Number of byte equivalence classes.
-    pub fn class_count(&self) -> usize {
-        self.dfa.class_count()
-    }
-
-    /// Number of bytes that leave the start state.
-    pub fn escape_count(&self) -> usize {
-        self.skip.escape_count()
-    }
-
-    /// Heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.dfa.memory_bytes() + self.skip.memory_bytes()
-    }
-
-    /// Pattern id of the first match, early-exiting — the fast path's
-    /// per-packet scan.
-    #[inline]
-    pub fn find_first_id(&self, hay: &[u8]) -> Option<PatternId> {
-        let mut i = 0;
-        while let Some(c) = self.skip.find_candidate(hay, i) {
-            let mut state = ClassedDfa::START;
-            let mut j = c;
-            while j < hay.len() {
-                state = self.dfa.next_state(state, hay[j]);
-                j += 1;
-                if self.dfa.is_match_state(state) {
-                    return Some(self.dfa.outputs(state)[0]);
-                }
-                if state == ClassedDfa::START {
-                    break;
-                }
-            }
-            if j >= hay.len() {
-                return None;
-            }
-            i = j;
-        }
-        None
-    }
-
-    /// True if any pattern occurs in `hay`.
-    #[inline]
-    pub fn is_match(&self, hay: &[u8]) -> bool {
-        self.find_first_id(hay).is_some()
-    }
-
-    /// First match in `hay`.
-    pub fn find_first(&self, hay: &[u8]) -> Option<Match> {
-        let mut i = 0;
-        while let Some(c) = self.skip.find_candidate(hay, i) {
-            let mut state = ClassedDfa::START;
-            let mut j = c;
-            while j < hay.len() {
-                state = self.dfa.next_state(state, hay[j]);
-                j += 1;
-                if self.dfa.is_match_state(state) {
-                    return Some(Match::new(self.dfa.outputs(state)[0], j));
-                }
-                if state == ClassedDfa::START {
-                    break;
-                }
-            }
-            if j >= hay.len() {
-                return None;
-            }
-            i = j;
-        }
-        None
-    }
-
-    /// Find all matches in `hay` with end offsets relative to `hay`.
-    pub fn find_all(&self, hay: &[u8]) -> Vec<Match> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while let Some(c) = self.skip.find_candidate(hay, i) {
-            let mut state = ClassedDfa::START;
-            let mut j = c;
-            while j < hay.len() {
-                state = self.dfa.next_state(state, hay[j]);
-                j += 1;
-                if self.dfa.is_match_state(state) {
-                    for &p in self.dfa.outputs(state) {
-                        out.push(Match::new(p, j));
-                    }
-                }
-                if state == ClassedDfa::START {
-                    break;
-                }
-            }
-            if j >= hay.len() {
-                break;
-            }
-            i = j;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfa::AcDfa;
-    use crate::naive;
-
-    fn check(patterns: &[&[u8]], hay: &[u8]) {
-        let set = PatternSet::from_patterns(patterns);
-        let pre = PrefilteredDfa::new(set.clone());
-        let mut got = pre.find_all(hay);
-        let mut want = naive::find_all(&set, hay);
-        got.sort();
-        want.sort();
-        assert_eq!(got, want, "patterns {patterns:?} hay {hay:?}");
-        assert_eq!(pre.is_match(hay), !want.is_empty());
-        let dense = AcDfa::new(set);
-        assert_eq!(pre.find_first(hay), dense.find_first(hay));
-    }
 
     #[test]
-    fn skip_set_is_exactly_the_escape_bytes() {
-        let pre = PrefilteredDfa::new(PatternSet::from_patterns([b"GET".as_slice(), b"_tail"]));
-        // Escape bytes: 'G' and '_' (and nothing else — 'E', 'T' only
-        // matter after a 'G').
-        assert_eq!(pre.escape_count(), 2);
-        assert!(pre.skip().contains(b'G'));
-        assert!(pre.skip().contains(b'_'));
-        assert!(!pre.skip().contains(b'E'));
-        assert!(pre.skip().is_rare());
+    fn membership_is_exactly_the_escape_bytes() {
+        let skip = StartSkip::from_escape_bytes([b'G', b'_', b'G']);
+        assert_eq!(skip.escape_count(), 2, "duplicates collapse");
+        assert!(skip.contains(b'G'));
+        assert!(skip.contains(b'_'));
+        assert!(!skip.contains(b'E'));
+        assert!(skip.is_rare());
     }
 
     #[test]
@@ -351,63 +187,5 @@ mod tests {
         }
         assert_eq!(skip.find_candidate(&[], 0), None);
         assert_eq!(skip.find_candidate(&[0u8; 9], 99), None);
-    }
-
-    #[test]
-    fn agrees_with_naive_on_classics() {
-        check(&[b"he", b"she", b"his", b"hers"], b"ushers use hershey");
-        check(&[b"aa", b"aaa", b"aaaa"], b"aaaaaa");
-        check(
-            &[b"GET", b"POST", b"HEAD"],
-            b"GET / HTTP/1.1\r\nHost: POSTofficePOST",
-        );
-    }
-
-    #[test]
-    fn matches_straddling_chunk_boundaries() {
-        // Pattern starts at offset 6 and crosses the first 8-byte chunk.
-        let mut hay = vec![b'.'; 6];
-        hay.extend_from_slice(b"needle");
-        hay.extend_from_slice(&[b'.'; 3]);
-        check(&[b"needle"], &hay);
-        // Payload ends mid-chunk, match in the tail.
-        check(&[b"ab"], b"0123456789ab");
-        // Candidate in the last lane of a chunk.
-        check(&[b"xy"], b"0123456xy");
-    }
-
-    #[test]
-    fn resumes_skipping_after_failed_candidates() {
-        // Lots of 'n's that enter the DFA and immediately fall back to
-        // start; the real match is at the very end.
-        let mut hay = vec![b'n'; 50];
-        hay.extend_from_slice(b"needle");
-        check(&[b"needle"], &hay);
-    }
-
-    #[test]
-    fn overlapping_outputs_inside_one_dfa_entry() {
-        // After entering at 'u', the walk reports she+he at the same
-        // position without returning to start in between.
-        check(&[b"she", b"he"], b"..ushers..");
-    }
-
-    #[test]
-    fn all_256_byte_values() {
-        let p: Vec<u8> = vec![0, 127, 255];
-        let set = PatternSet::from_patterns([p.clone()]);
-        let pre = PrefilteredDfa::new(set);
-        let mut hay: Vec<u8> = (0u8..=255).collect();
-        hay.extend_from_slice(&p);
-        let ms = pre.find_all(&hay);
-        assert!(ms.iter().any(|m| m.end == hay.len()));
-    }
-
-    #[test]
-    fn memory_includes_dfa_and_skip() {
-        let pre = PrefilteredDfa::new(PatternSet::from_patterns(["needle"]));
-        assert!(pre.memory_bytes() > pre.dfa().memory_bytes());
-        // {n, e, d, l} plus the catch-all class.
-        assert_eq!(pre.class_count(), 5);
     }
 }

@@ -1,44 +1,42 @@
-//! Two-tier Aho–Corasick: dense byte-classed rows for the hot shallow
-//! states, CSR sorted-edge lists for the cold tail.
+//! The piece automaton: two-tier Aho–Corasick with dense byte-classed
+//! rows for the hot shallow states and CSR sorted-edge lists for the cold
+//! tail.
 //!
-//! The dense DFA ([`crate::dfa::AcDfa`]) is the throughput champion but
-//! spends 1 KB per state — ruinous at 10k-rule corpora (hundreds of MB).
-//! The CSR hybrid ([`crate::sparse::SparseNfa`]) keeps memory
-//! `O(pattern bytes)` but pays a binary search plus a failure-chain walk
-//! per byte once the automaton leaves its dense root row, which is why
-//! `scan10k/benign` runs at ~0.3× dense. Benign traffic, however, spends
-//! nearly all its time in the *shallow* states: the root and the first
-//! couple of trie levels absorb almost every byte, and the deep tail of
-//! the trie exists only to recognize suspicious continuations. That
-//! locality is the whole case for a tiered layout:
+//! The dense DFA ([`crate::dfa::AcDfa`]) is one lookup per byte but spends
+//! 1 KB per state — ruinous at 10k-rule corpora (hundreds of MB). A pure
+//! CSR automaton keeps memory `O(pattern bytes)` but pays a binary search
+//! plus a failure-chain walk per byte once it leaves the root, ~0.3× dense
+//! on benign bytes. Benign traffic, however, spends nearly all its time in
+//! the *shallow* states: the root and the first couple of trie levels
+//! absorb almost every byte, and the deep tail of the trie exists only to
+//! recognize suspicious continuations. That locality is the whole case for
+//! a tiered layout:
 //!
 //! * **hot tier** — the first `H` states in breadth-first (depth) order,
 //!   renumbered to ids `0..H`, stored as fully failure-resolved rows
 //!   compressed by byte equivalence classes (computed over the hot rows
-//!   only, so the build never touches the `O(states × 256)` full-column
-//!   cost that makes [`crate::classed::ClassedDfa`] unbuildable at scale).
-//!   Stepping from a hot state is one class load plus one table load —
-//!   the same bound as the classed DFA.
-//! * **cold tier** — every remaining state, renumbered to `H..n`, kept in
-//!   the CSR form of [`crate::sparse::SparseNfa`]: sorted edge arrays
-//!   plus a failure link. Failure links strictly decrease trie depth, and
-//!   the hot tier is a depth-ordered prefix rooted at depth 0, so every
-//!   failure chain re-enters the hot tier (at worst at the root) — cold
-//!   walks terminate without a dense root row of their own.
+//!   only, so the build never pays an `O(states × 256)` full-column scan).
+//!   Stepping from a hot state is one class load plus one table load.
+//! * **cold tier** — every remaining state, renumbered to `H..n`, kept as
+//!   sorted edge arrays plus a failure link. Failure links strictly
+//!   decrease trie depth, and the hot tier is a depth-ordered prefix
+//!   rooted at depth 0, so every failure chain re-enters the hot tier (at
+//!   worst at the root) — cold walks terminate without a dense root row of
+//!   their own.
 //!
-//! The scan loop fronts the root row with the same SWAR start-state skip
-//! ([`crate::prefilter::StartSkip`]) that makes the prefiltered classed
-//! engine ~4× dense on benign bytes: while the automaton would sit in the
+//! The scan loop fronts the root row with the SWAR start-state skip
+//! ([`crate::prefilter::StartSkip`]): while the automaton would sit in the
 //! start state, bytes outside the root's escape set are dismissed eight
-//! per step, and the exactness argument is identical to
-//! [`crate::prefilter::PrefilteredDfa`]'s (skipped bytes provably keep
-//! the automaton at start, and start never reports a match).
+//! per step. Skipped bytes provably keep the automaton at start, and start
+//! never reports a match, so the match set is exact.
 //!
-//! Tier membership defaults to a byte-budget heuristic — spend about as
+//! Tier membership is a build-time byte-budget heuristic — spend about as
 //! many bytes on the hot tier as the whole CSR arena would occupy, so the
-//! total stays within ~2× the sparse representation — and can be pinned
-//! with an explicit hot-state count (the `tiered_hot_states` config knob
-//! / `--tiered-hot` CLI flag).
+//! total stays within ~2× the all-cold representation. The two endpoints
+//! are familiar engines: `H = n` (every small rule set) is a byte-classed
+//! DFA behind a prefilter, and `H = 1` is a CSR NFA with a dense root row.
+//! [`TieredNfa::with_hot_states`] pins the boundary for tests and the
+//! threshold-ladder experiment; it is not a user-settable knob.
 
 use std::collections::HashMap;
 
@@ -46,9 +44,9 @@ use crate::aho::AhoCorasick;
 use crate::pattern::{Match, PatternId, PatternSet};
 use crate::prefilter::StartSkip;
 
-/// Never shrink the hot tier below this many states (when the automaton
-/// has them): the root plus its first trie level always fit.
-const MIN_HOT_STATES: usize = 256;
+/// The heuristic never shrinks the hot tier below this many states (when
+/// the automaton has them): the root plus its first trie level always fit.
+pub const MIN_HOT_STATES: usize = 256;
 
 /// Per-edge CSR cost in bytes (1 label + 4 next) used by the hot-budget
 /// estimate.
@@ -99,7 +97,9 @@ impl TieredNfa {
         Self::from_nfa(&AhoCorasick::new(set), None)
     }
 
-    /// Compile from patterns with an explicit hot-state count.
+    /// Compile from patterns with an explicit hot-state count (clamped to
+    /// `1..=state_count`): the equivalence tests' and the threshold-ladder
+    /// experiment's axis.
     pub fn with_hot_states(set: PatternSet, hot_states: usize) -> Self {
         Self::from_nfa(&AhoCorasick::new(set), Some(hot_states))
     }
@@ -132,7 +132,7 @@ impl TieredNfa {
             new_of[old as usize] = new as u32;
         }
 
-        // Hot-tier sizing. The explicit knob wins; otherwise spend about
+        // Hot-tier sizing. An explicit count wins; otherwise spend about
         // as many bytes on dense hot rows as the full CSR arena would
         // occupy, converging on the actual class count (classes are
         // computed over hot rows only, so the count depends on the
@@ -302,30 +302,6 @@ impl TieredNfa {
         None
     }
 
-    /// First match in `hay`.
-    pub fn find_first(&self, hay: &[u8]) -> Option<Match> {
-        let mut i = 0;
-        while let Some(c) = self.skip.find_candidate(hay, i) {
-            let mut state = Self::START;
-            let mut j = c;
-            while j < hay.len() {
-                state = self.next_state(state, hay[j]);
-                j += 1;
-                if self.is_match_state(state) {
-                    return Some(Match::new(self.outputs(state)[0], j));
-                }
-                if state == Self::START {
-                    break;
-                }
-            }
-            if j >= hay.len() {
-                return None;
-            }
-            i = j;
-        }
-        None
-    }
-
     /// Find all matches in `hay` (including overlapping), end offsets
     /// relative to `hay`.
     pub fn find_all(&self, hay: &[u8]) -> Vec<Match> {
@@ -424,8 +400,11 @@ mod tests {
             let mut got = tiered.find_all(hay);
             got.sort();
             assert_eq!(got, want, "tiered(hot={hot:?}) vs naive on {hay:?}");
-            assert_eq!(tiered.find_first(hay), dense.find_first(hay), "hot={hot:?}");
-            assert_eq!(tiered.find_first_id(hay), dense.find_first_id(hay));
+            assert_eq!(
+                tiered.find_first_id(hay),
+                dense.find_first_id(hay),
+                "hot={hot:?}"
+            );
             assert_eq!(tiered.is_match(hay), dense.is_match(hay));
         }
     }
@@ -449,6 +428,22 @@ mod tests {
         check(&[b"abab", b"baba"], b"ababababab");
         check(&[b"aaaa", b"aaab"], b"aaaaaab");
         check(&[b"she", b"he"], b"..ushers..");
+        // Both match; "abcd" ends first.
+        check(&[b"bcde", b"abcd"], b"zabcdez");
+        check(&[b"ab", b"abcdef"], b"abcdef");
+    }
+
+    #[test]
+    fn matches_straddling_skip_chunks() {
+        // Pattern starts at offset 6 and crosses the first 8-byte chunk.
+        check(&[b"needle"], b"......needle...");
+        // Payload ends mid-chunk, match in the tail.
+        check(&[b"ab"], b"0123456789ab");
+        // Candidate in the last lane of a chunk.
+        check(&[b"xy"], b"0123456xy");
+        // The walk from the first candidate falls back to start, and the
+        // real match begins inside the region it already covered.
+        check(&[b"abcd", b"cdxy"], b"abcxabcdxy");
     }
 
     #[test]
@@ -515,8 +510,8 @@ mod tests {
 
     #[test]
     fn default_budget_keeps_small_sets_fully_hot() {
-        // A demo-scale corpus fits entirely in the hot tier, so the
-        // tiered engine degenerates to classed+prefilter behaviour.
+        // A demo-scale corpus fits entirely in the hot tier: a
+        // byte-classed DFA behind the prefilter.
         let set = PatternSet::from_patterns([b"ABCDEFGH".as_slice(), b"IJKLMNOP", b"QRSTUVWX"]);
         let tiered = TieredNfa::new(set);
         assert_eq!(tiered.cold_state_count(), 0);
@@ -574,7 +569,7 @@ mod tests {
         hay.extend_from_slice(b"needle");
         hay.extend(vec![b'.'; 5]);
         assert_eq!(tiered.find_first_id(&hay), Some(0));
-        assert_eq!(tiered.find_first(&hay).unwrap().end, 73);
+        assert_eq!(tiered.find_all(&hay)[0].end, 73);
         // 'n' bytes that enter and fall back must not desync the resume.
         let mut hay = vec![b'n'; 50];
         hay.extend_from_slice(b"needle");

@@ -3,12 +3,27 @@
 //! must be chunking-invariant.
 
 use proptest::prelude::*;
-use sd_match::bmh::Horspool;
-use sd_match::shiftor::{ShiftOr, ShiftOrBank};
 use sd_match::stream::{StreamMatch, StreamMatcher};
-use sd_match::{
-    naive, AcDfa, AhoCorasick, BloomSparseNfa, ClassedDfa, PatternSet, PrefilteredDfa, SparseNfa,
-};
+use sd_match::tiered::MIN_HOT_STATES;
+use sd_match::{naive, AcDfa, AhoCorasick, PatternSet, TieredNfa};
+
+/// The piece automaton at every hot-tier size worth distinguishing: the
+/// all-cold endpoint (`1`, a CSR NFA under a dense root), a boundary
+/// inside the first trie level, the heuristic's floor, the heuristic
+/// itself, and the all-hot endpoint (a byte-classed DFA).
+fn hot_sweep(set: &PatternSet) -> Vec<TieredNfa> {
+    let nfa = AhoCorasick::new(set.clone());
+    [
+        Some(1),
+        Some(2),
+        Some(MIN_HOT_STATES),
+        None,
+        Some(usize::MAX),
+    ]
+    .into_iter()
+    .map(|hot| TieredNfa::from_nfa(&nfa, hot))
+    .collect()
+}
 
 /// Small alphabet so matches actually happen.
 fn small_bytes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -46,43 +61,6 @@ proptest! {
     }
 
     #[test]
-    fn horspool_agrees_with_naive(pat in small_bytes(8), hay in proptest::collection::vec(any::<u8>().prop_map(|b| b % 3 + b'a'), 0..200)) {
-        let h = Horspool::new(&pat);
-        let set = PatternSet::from_patterns([&pat]);
-        let want: Vec<usize> = naive::find_all(&set, &hay)
-            .iter()
-            .map(|m| m.start(&set))
-            .collect();
-        prop_assert_eq!(h.find_all(&hay), want);
-    }
-
-    #[test]
-    fn shiftor_agrees_with_naive(pat in small_bytes(8), hay in proptest::collection::vec(any::<u8>().prop_map(|b| b % 3 + b'a'), 0..200)) {
-        let so = ShiftOr::new(&pat);
-        let set = PatternSet::from_patterns([&pat]);
-        let want: Vec<usize> = naive::find_all(&set, &hay).iter().map(|m| m.end).collect();
-        prop_assert_eq!(so.find_ends(&hay), want);
-    }
-
-    #[test]
-    fn shiftor_bank_agrees_with_naive(
-        pats in proptest::collection::vec(small_bytes(5), 1..6),
-        hay in proptest::collection::vec(any::<u8>().prop_map(|b| b % 3 + b'a'), 0..200),
-    ) {
-        prop_assume!(pats.iter().map(Vec::len).sum::<usize>() <= 64);
-        let bank = ShiftOrBank::new(&pats);
-        let set = PatternSet::from_patterns(&pats);
-        let mut want: Vec<(usize, usize)> = naive::find_all(&set, &hay)
-            .iter()
-            .map(|m| (m.end, m.pattern as usize))
-            .collect();
-        want.sort();
-        let mut got = bank.find_all(&hay);
-        got.sort();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
     fn streaming_is_chunking_invariant(
         pats in pattern_set(),
         hay in proptest::collection::vec(any::<u8>().prop_map(|b| b % 4 + b'a'), 0..200),
@@ -109,76 +87,37 @@ proptest! {
 }
 
 proptest! {
-    /// The stride-2 DFA reports exactly the byte DFA's matches on random
-    /// patterns and haystacks (the exhaustive small-alphabet check lives in
-    /// the unit tests; this covers the full byte alphabet).
+    /// The piece automaton reports exactly the naive reference's (and the
+    /// dense DFA's) matches at every tier boundary — including overlapping
+    /// ones found mid-walk — on the full byte alphabet, with haystacks of
+    /// every length mod 8 (payloads ending mid-chunk come out of the
+    /// random length).
     #[test]
-    fn stride2_agrees_with_byte_dfa(
-        patterns in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..6), 1..6),
-        hay in prop::collection::vec(any::<u8>(), 0..300),
-    ) {
-        use sd_match::stride2::Stride2Dfa;
-        let set = PatternSet::from_patterns(patterns.iter().map(|p| p.as_slice()));
-        let dfa = AcDfa::new(set);
-        let s2 = Stride2Dfa::new(dfa.clone()).expect("small automaton");
-        let mut a = dfa.find_all(&hay);
-        let mut b = s2.find_all(&hay);
-        a.sort_by_key(|m| (m.end, m.pattern));
-        b.sort_by_key(|m| (m.end, m.pattern));
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(dfa.is_match(&hay), s2.is_match(&hay));
-    }
-
-    /// The byte-class compressed DFA is transition-for-transition the dense
-    /// DFA: same matches, same match-state decisions, on the full byte
-    /// alphabet.
-    #[test]
-    fn classed_agrees_with_naive_and_dense(
+    fn tiered_agrees_with_naive_and_dense_at_every_hot_count(
         patterns in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..6), 1..8),
         hay in prop::collection::vec(any::<u8>(), 0..300),
     ) {
         let set = PatternSet::from_patterns(patterns.iter().map(|p| p.as_slice()));
         let dense = AcDfa::new(set.clone());
-        let classed = ClassedDfa::new(set.clone());
-        let mut a = naive::find_all(&set, &hay);
-        let mut b = classed.find_all(&hay);
-        a.sort();
-        b.sort();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(classed.is_match(&hay), dense.is_match(&hay));
-        prop_assert_eq!(classed.find_first(&hay), dense.find_first(&hay));
-        prop_assert_eq!(classed.find_first_id(&hay), dense.find_first_id(&hay));
-        prop_assert!(classed.class_count() <= 256);
-    }
-
-    /// The prefiltered scan reports exactly the dense DFA's matches —
-    /// including overlapping ones found mid-walk — on the full byte
-    /// alphabet, with haystacks of every length mod 8 (payloads ending
-    /// mid-chunk come out of the random length).
-    #[test]
-    fn prefiltered_agrees_with_naive_and_dense(
-        patterns in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..6), 1..8),
-        hay in prop::collection::vec(any::<u8>(), 0..300),
-    ) {
-        let set = PatternSet::from_patterns(patterns.iter().map(|p| p.as_slice()));
-        let dense = AcDfa::new(set.clone());
-        let pre = PrefilteredDfa::new(set.clone());
-        let mut a = naive::find_all(&set, &hay);
-        let mut b = pre.find_all(&hay);
-        a.sort();
-        b.sort();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(pre.is_match(&hay), dense.is_match(&hay));
-        prop_assert_eq!(pre.find_first(&hay), dense.find_first(&hay));
-        prop_assert_eq!(pre.find_first_id(&hay), dense.find_first_id(&hay));
+        let mut want = naive::find_all(&set, &hay);
+        want.sort();
+        for tiered in hot_sweep(&set) {
+            let mut got = tiered.find_all(&hay);
+            got.sort();
+            prop_assert_eq!(&got, &want, "hot = {}", tiered.hot_state_count());
+            prop_assert_eq!(tiered.is_match(&hay), dense.is_match(&hay));
+            prop_assert_eq!(tiered.find_first_id(&hay), dense.find_first_id(&hay));
+            prop_assert!(tiered.class_count() <= 256);
+        }
     }
 
     /// Planted occurrences that straddle the 8-byte SWAR chunk boundary:
     /// the pattern is embedded at an arbitrary offset (sweeping all lanes)
-    /// in a sparse haystack, so the prefilter must hand over to the DFA at
-    /// exactly the right position whichever lane the first byte lands in.
+    /// in a sparse haystack, so the prefilter must hand over to the
+    /// automaton at exactly the right position whichever lane the first
+    /// byte lands in.
     #[test]
-    fn prefiltered_finds_planted_matches_across_chunk_boundaries(
+    fn tiered_finds_planted_matches_across_chunk_boundaries(
         pattern in prop::collection::vec(any::<u8>(), 1..12),
         noise in prop::collection::vec(any::<u8>(), 0..40),
         at in 0usize..40,
@@ -189,96 +128,13 @@ proptest! {
         hay.splice(at..at, pattern.iter().copied());
         hay.extend(std::iter::repeat_n(0u8, tail)); // end mid-chunk
         let set = PatternSet::from_patterns([pattern.as_slice()]);
-        let dense = AcDfa::new(set.clone());
-        let pre = PrefilteredDfa::new(set);
-        prop_assert!(pre.is_match(&hay), "planted pattern must be found");
-        let mut a = dense.find_all(&hay);
-        let mut b = pre.find_all(&hay);
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
-    }
-
-    /// The CSR sparse automaton is decision-for-decision the dense DFA:
-    /// same matches, same first-match identity, on the full byte alphabet.
-    #[test]
-    fn sparse_agrees_with_naive_and_dense(
-        patterns in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..6), 1..8),
-        hay in prop::collection::vec(any::<u8>(), 0..300),
-    ) {
-        let set = PatternSet::from_patterns(patterns.iter().map(|p| p.as_slice()));
-        let dense = AcDfa::new(set.clone());
-        let sparse = SparseNfa::new(set.clone());
-        let mut a = naive::find_all(&set, &hay);
-        let mut b = sparse.find_all(&hay);
-        a.sort();
-        b.sort();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(sparse.is_match(&hay), dense.is_match(&hay));
-        prop_assert_eq!(sparse.find_first(&hay), dense.find_first(&hay));
-        prop_assert_eq!(sparse.find_first_id(&hay), dense.find_first_id(&hay));
-    }
-
-    /// The Bloom-prefiltered sparse scan reports exactly the dense DFA's
-    /// matches — the window prefilter may only add candidate entries, never
-    /// skip a real one — on the full byte alphabet.
-    #[test]
-    fn bloom_sparse_agrees_with_naive_and_dense(
-        patterns in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..6), 1..8),
-        hay in prop::collection::vec(any::<u8>(), 0..300),
-    ) {
-        let set = PatternSet::from_patterns(patterns.iter().map(|p| p.as_slice()));
-        let dense = AcDfa::new(set.clone());
-        let bloomed = BloomSparseNfa::new(set.clone());
-        let mut a = naive::find_all(&set, &hay);
-        let mut b = bloomed.find_all(&hay);
-        a.sort();
-        b.sort();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(bloomed.is_match(&hay), dense.is_match(&hay));
-        prop_assert_eq!(bloomed.find_first(&hay), dense.find_first(&hay));
-        prop_assert_eq!(bloomed.find_first_id(&hay), dense.find_first_id(&hay));
-    }
-
-    /// Planted occurrences at arbitrary offsets (sweeping every window
-    /// alignment) in noise: the Bloom window scan must hand over to the
-    /// automaton at exactly the right position, including when the planted
-    /// pattern straddles a resume point.
-    #[test]
-    fn bloom_sparse_finds_planted_matches_at_any_offset(
-        pattern in prop::collection::vec(any::<u8>(), 1..12),
-        noise in prop::collection::vec(any::<u8>(), 0..40),
-        at in 0usize..40,
-    ) {
-        let mut hay = noise.clone();
-        let at = at.min(hay.len());
-        hay.splice(at..at, pattern.iter().copied());
-        let set = PatternSet::from_patterns([pattern.as_slice()]);
-        let dense = AcDfa::new(set.clone());
-        let bloomed = BloomSparseNfa::new(set);
-        prop_assert!(bloomed.is_match(&hay), "planted pattern must be found");
-        let mut a = dense.find_all(&hay);
-        let mut b = bloomed.find_all(&hay);
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
-    }
-
-    /// Wu–Manber reports exactly the reference matcher's matches for any
-    /// pattern set with ≥2-byte patterns.
-    #[test]
-    fn wu_manber_agrees_with_naive(
-        patterns in prop::collection::vec(prop::collection::vec(any::<u8>(), 2..8), 1..8),
-        hay in prop::collection::vec(any::<u8>(), 0..400),
-    ) {
-        use sd_match::wumanber::WuManber;
-        let set = PatternSet::from_patterns(patterns.iter().map(|p| p.as_slice()));
-        let wm = WuManber::new(set.clone());
-        let mut a = naive::find_all(&set, &hay);
-        let mut b = wm.find_all(&hay);
-        a.sort_by_key(|m| (m.end, m.pattern));
-        b.sort_by_key(|m| (m.end, m.pattern));
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(wm.is_match(&hay), !a.is_empty());
+        let mut want = AcDfa::new(set.clone()).find_all(&hay);
+        want.sort();
+        for tiered in hot_sweep(&set) {
+            prop_assert!(tiered.is_match(&hay), "planted pattern must be found");
+            let mut got = tiered.find_all(&hay);
+            got.sort();
+            prop_assert_eq!(&got, &want, "hot = {}", tiered.hot_state_count());
+        }
     }
 }

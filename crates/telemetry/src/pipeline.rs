@@ -166,23 +166,23 @@ impl PipelineTelemetry {
         );
         let automaton_build_ns = r.gauge(
             "sd_automaton_build_ns",
-            "Wall nanoseconds spent compiling the piece automaton (per-representation build cost)",
+            "Wall nanoseconds spent compiling the piece automaton",
         );
         let automaton_hot_states = r.gauge(
             "sd_automaton_hot_states",
-            "Tiered matcher: states laid out as dense byte-classed rows (0 for untiered matchers)",
+            "Piece automaton: states laid out as dense byte-classed rows",
         );
         let automaton_cold_states = r.gauge(
             "sd_automaton_cold_states",
-            "Tiered matcher: states kept in the CSR cold tail (0 for untiered matchers)",
+            "Piece automaton: states kept in the CSR cold tail",
         );
         let automaton_hot_bytes = r.gauge(
             "sd_automaton_hot_bytes",
-            "Tiered matcher: hot-tier table bytes (class map + dense rows)",
+            "Piece automaton: hot-tier table bytes (class map + dense rows)",
         );
         let automaton_cold_bytes = r.gauge(
             "sd_automaton_cold_bytes",
-            "Tiered matcher: cold-tier table bytes (CSR arrays + failure links)",
+            "Piece automaton: cold-tier table bytes (CSR arrays + failure links)",
         );
         let slowpath_queue_depth = r.gauge(
             "sd_slowpath_queue_depth",
@@ -276,24 +276,21 @@ impl PipelineTelemetry {
         self.registry.set(self.divert_memory, memory_bytes as i64);
     }
 
-    /// Record the compiled automaton's footprint (set once at engine
-    /// construction; the matcher-kind knob makes this worth watching).
+    /// Record the compiled automaton's footprint (set at engine
+    /// construction and on every rule reload).
     #[inline]
     pub fn set_automaton_bytes(&mut self, bytes: usize) {
         self.registry.set(self.automaton_memory, bytes as i64);
     }
 
-    /// Record how long the automaton compilation took (set once at engine
-    /// construction; representations differ by orders of magnitude at
-    /// 10k-rule scale).
+    /// Record how long the automaton compilation took (set at engine
+    /// construction and on every rule reload).
     #[inline]
     pub fn set_automaton_build_ns(&mut self, ns: u64) {
         self.registry.set(self.automaton_build_ns, ns as i64);
     }
 
-    /// Record the tiered matcher's per-tier layout (all zeros for
-    /// untiered matchers — the gauges stay in the schema so shard merges
-    /// and dashboards never branch on matcher kind).
+    /// Record the piece automaton's per-tier layout.
     #[inline]
     pub fn set_automaton_tiers(
         &mut self,

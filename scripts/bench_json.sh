@@ -6,12 +6,11 @@
 # every trial — full config, git commit + dirty flag, rustc version —
 # into lab-journal.jsonl, then regenerates BENCH_fastpath.json,
 # BENCH_slowpath.json and BENCH_flowstate.json from the journal with
-# `sd lab emit`, all in the repo root, so the matcher throughput
+# `sd lab emit`, all in the repo root, so the piece-automaton throughput
 # trajectory, the slow-path dispatch speedup, and the flow-table
 # occupancy sweep are checked in next to the code that changed them.
-# `sd lab compare` (or scripts/bench_compare.py) diffs fresh copies of
-# these files against the checked-in baselines in the CI
-# perf-regression gate.
+# `sd lab compare` diffs a fresh journal against the checked-in
+# baselines: it is the one perf-regression gate, locally and in CI.
 #
 # Pass --smoke for the short CI profile, or extra `sd lab run` flags
 # (e.g. --rounds N) through "$@". The journal is append-only: re-runs
