@@ -2,13 +2,11 @@
 //!
 //! Workload builders and reporting helpers used by the `experiments`
 //! binary (one subcommand per table/figure of the reconstructed
-//! evaluation) and by the Criterion benches. Everything is seeded: running
-//! an experiment twice prints identical numbers.
+//! evaluation). Everything is seeded: running an experiment twice prints
+//! identical numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod sweeps;
 
 use std::time::Instant;
 
@@ -113,17 +111,6 @@ pub fn header(cols: &[(&str, usize)]) {
 /// A signature set of `n` generated rules in a realistic length band.
 pub fn generated_signatures(n: usize, seed: u64) -> SignatureSet {
     SignatureSet::generate(seed, n, 16..40)
-}
-
-/// A signature set compiled from a generated Snort-subset rule corpus:
-/// family-shared content prefixes, text/hex alphabet mix, realistic
-/// length distribution — the structure the piece automaton's tiers are
-/// sized against (shared prefixes dedup, byte classes saturate).
-pub fn corpus_signature_set(rules: usize, seed: u64) -> SignatureSet {
-    let text = sd_traffic::generate_rule_corpus(&sd_traffic::RuleCorpusConfig::sized(rules, seed));
-    sd_ips::rules::parse_rules(&text)
-        .expect("generated corpus parses cleanly")
-        .to_signatures()
 }
 
 #[cfg(test)]

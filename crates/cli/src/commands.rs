@@ -39,7 +39,6 @@ pub fn dispatch(args: ParsedArgs, out: Out) -> Result<(), String> {
         Command::GenerateRules(path) => generate_rules_cmd(&args, path, out),
         Command::AnalyzeRules(path) => analyze_rules_cmd(&args, path, out),
         Command::Serve => serve_cmd(&args, out),
-        Command::Lab(action) => crate::lab::lab_cmd(action, out),
     }
 }
 

@@ -30,13 +30,17 @@ pub use serve::{ServeControl, ServeEngine, ServeOptions, ServeSummary};
 /// Run the CLI against `args` (without the program name), writing human
 /// output to `out`. Returns the process exit code.
 pub fn run(args: &[String], out: &mut dyn std::io::Write) -> i32 {
+    // `lab` has its own action + flag namespace and picks its own exit
+    // codes: `lab record` input that is not sd-e2e output exits 2.
+    if args.first().map(String::as_str) == Some("lab") {
+        return match opts::parse_lab(&args[1..]) {
+            Ok(action) => lab::lab_cmd(&action, out),
+            Err(e) => usage_error(&e, out),
+        };
+    }
     let parsed = match opts::parse(args) {
         Ok(p) => p,
-        Err(e) => {
-            let _ = writeln!(out, "error: {e}");
-            let _ = writeln!(out, "{}", opts::USAGE);
-            return 2;
-        }
+        Err(e) => return usage_error(&e, out),
     };
     match commands::dispatch(parsed, out) {
         Ok(()) => 0,
@@ -45,4 +49,11 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> i32 {
             1
         }
     }
+}
+
+/// Report a bad command line with the usage text; exit code 2.
+fn usage_error(e: &str, out: &mut dyn std::io::Write) -> i32 {
+    let _ = writeln!(out, "error: {e}");
+    let _ = writeln!(out, "{}", opts::USAGE);
+    2
 }

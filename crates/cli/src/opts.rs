@@ -30,12 +30,8 @@ usage:
            [--scrape ADDR] [--duration-secs N] [--shards N]
            [--flows N] [--attacks N] [--seed S] [--slow-workers N]
            [--slow-lane-depth PKTS] [--shed-policy S]
+  sd lab record [--journal FILE] < sd-e2e-output
   sd lab list [--journal FILE]
-  sd lab run <experiment|ci-smoke> [--journal FILE] [--smoke] [--rounds N]
-  sd lab emit [--journal FILE] [--out-dir DIR]
-  sd lab compare <journal.jsonl> <BASELINE.json ...> [--threshold T]
-                 [--mem-threshold T]
-  sd lab import <BENCH.json ...> [--journal FILE]
 
 Without --rules, the embedded demo rule set is used.
 run drives Split-Detect over the capture and, with --metrics-out PATH,
@@ -77,19 +73,12 @@ CAP_NET_RAW). --scrape ADDR serves Prometheus metrics at
 http://ADDR/metrics. SIGHUP re-reads --rules and swaps the automaton
 without dropping flow state; SIGTERM (or end of source) drains and
 prints the final report.
-lab is the experiment provenance harness. Declared sweeps run through
-`lab run`, journaling every trial (config, git commit + dirty flag,
-rustc version, measurements) into an append-only JSONL journal
-(default lab-journal.jsonl). `lab run ci-smoke` runs the three
-baseline-feeding sweeps at the smoke profile. `lab emit` regenerates
-the checked-in BENCH_*.json baselines byte-identically from the
-journal's latest runs; `lab import` converts checked-in baselines
-into journal rows (import→emit round-trips). `lab compare` gates the
-journal's latest runs against baseline files: throughput medians fail
-below --threshold (default 0.15), memory footprints (automaton_10k
-bytes, flow-table slot_bytes) fail above --mem-threshold (default
-0.15). `lab list` prints the registry and, with --journal, the
-journal's runs.";
+lab journals the results of the sd-e2e benchmark (benchmark/).
+`lab record` reads sd-e2e output on stdin and appends one row per
+workload and mode (config, every metric, git commit + dirty flag,
+rustc version) to an append-only JSONL journal (--journal, default
+lab-journal.jsonl); input that is not sd-e2e output exits 2 and
+journals nothing. `lab list` prints the journal's runs.";
 
 /// Which engine `scan` runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,46 +202,14 @@ pub struct ParsedArgs {
 /// `sd lab` action, with its own flag namespace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LabAction {
-    /// List declared experiments (and journal runs with `--journal`).
+    /// Journal the `sd-e2e` output read on stdin.
+    Record {
+        /// `--journal FILE`: where the rows are appended.
+        journal: String,
+    },
+    /// Print the journal's runs.
     List {
-        /// `--journal FILE`: also summarize this journal's runs.
-        journal: Option<String>,
-    },
-    /// Run one experiment (or the `ci-smoke` composite), appending to the
-    /// journal.
-    Run {
-        /// Experiment name from the registry, or `ci-smoke`.
-        experiment: String,
-        /// `--journal FILE`: where trial rows are appended.
-        journal: String,
-        /// `--smoke`: trimmed-rounds profile with identical row coverage.
-        smoke: bool,
-        /// `--rounds N`: force-override the profile's round count.
-        rounds: Option<usize>,
-    },
-    /// Regenerate every `BENCH_*.json` baseline from the journal.
-    Emit {
-        /// `--journal FILE`: journal to read the latest runs from.
-        journal: String,
-        /// `--out-dir DIR`: where the baseline files are written.
-        out_dir: String,
-    },
-    /// Gate the journal's latest runs against checked-in baselines.
-    Compare {
-        /// First positional: the journal holding the fresh measurements.
-        journal: String,
-        /// Remaining positionals: baseline files to gate against.
-        baselines: Vec<String>,
-        /// `--threshold T`: throughput metrics fail below `-T`.
-        threshold: f64,
-        /// `--mem-threshold T`: memory metrics fail above `+T`.
-        mem_threshold: f64,
-    },
-    /// Import checked-in baselines into the journal as synthetic runs.
-    Import {
-        /// Baseline files to import.
-        files: Vec<String>,
-        /// `--journal FILE`: journal the rows are appended to.
+        /// `--journal FILE`: the journal to summarize.
         journal: String,
     },
 }
@@ -288,21 +245,13 @@ pub enum Command {
     AnalyzeRules(String),
     /// Run the live capture daemon.
     Serve,
-    /// The experiment provenance harness.
-    Lab(LabAction),
 }
 
-/// Parse `args` (without the program name).
+/// Parse `args` (without the program name). Every subcommand but `lab`
+/// shares one flag loop; `lab` has its own namespace ([`parse_lab`]).
 pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
     let mut it = args.iter();
     let sub = it.next().ok_or("missing subcommand")?;
-
-    // `lab` has its own action + flag namespace; everything else shares
-    // one flag loop.
-    if sub == "lab" {
-        let rest: Vec<String> = it.cloned().collect();
-        return Ok(defaults_with(Command::Lab(parse_lab(&rest)?)));
-    }
 
     let mut positional: Vec<String> = Vec::new();
     let mut rules = None;
@@ -574,152 +523,24 @@ pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
     })
 }
 
-/// A `ParsedArgs` carrying only `command` — the shape the `lab` path
-/// produces, since lab flags live inside [`LabAction`].
-fn defaults_with(command: Command) -> ParsedArgs {
-    ParsedArgs {
-        command,
-        rules: None,
-        policy: sd_reassembly::OverlapPolicy::First,
-        engine: EngineKind::Split,
-        flows: 100,
-        attacks: 3,
-        seed: 1,
-        speed: 1.0,
-        shards: 1,
-        shard_batch: 64,
-        iters: 256,
-        minimize: false,
-        sabotage: None,
-        trace_out: "fuzz-failure.trace".to_string(),
-        replay_trace: None,
-        metrics_out: None,
-        format: OutputFormat::Human,
-        slow_workers: 0,
-        slow_lane_depth: 512,
-        shed_policy: splitdetect::ShedPolicy::default(),
-        flow_hash_seed: None,
-        count: 1000,
-        malformed: 0,
-        top: 10,
-        rules_seed: None,
-        source: ServeSource::Loopback,
-        iface: None,
-        scrape: None,
-        duration_secs: None,
-    }
-}
-
-/// Parse `sd lab <action> ...`.
-fn parse_lab(args: &[String]) -> Result<LabAction, String> {
+/// Parse `sd lab <action> [--journal FILE]` (the arguments after `lab`).
+pub fn parse_lab(args: &[String]) -> Result<LabAction, String> {
     let mut it = args.iter();
-    let action = it
-        .next()
-        .ok_or("lab needs an action: list|run|emit|compare|import")?;
-
-    let mut positional: Vec<String> = Vec::new();
-    let mut journal: Option<String> = None;
-    let mut out_dir = ".".to_string();
-    let mut smoke = false;
-    let mut rounds: Option<usize> = None;
-    let mut threshold = 0.15f64;
-    let mut mem_threshold = 0.15f64;
-
+    let action = it.next().ok_or("lab needs an action: record|list")?;
+    let make: fn(String) -> LabAction = match action.as_str() {
+        "record" => |journal| LabAction::Record { journal },
+        "list" => |journal| LabAction::List { journal },
+        other => return Err(format!("unknown lab action {other:?} (record|list)")),
+    };
+    let mut journal = DEFAULT_JOURNAL.to_string();
     while let Some(arg) = it.next() {
-        let mut value_of = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
-            "--journal" => journal = Some(value_of("--journal")?.clone()),
-            "--out-dir" => out_dir = value_of("--out-dir")?.clone(),
-            "--smoke" => smoke = true,
-            "--rounds" => {
-                let v: usize = value_of("--rounds")?
-                    .parse()
-                    .map_err(|_| "bad --rounds value".to_string())?;
-                if v == 0 {
-                    return Err("--rounds must be >= 1".into());
-                }
-                rounds = Some(v);
-            }
-            "--threshold" => {
-                threshold = value_of("--threshold")?
-                    .parse()
-                    .map_err(|_| "bad --threshold value".to_string())?;
-                if !(0.0..1.0).contains(&threshold) {
-                    return Err("--threshold must be in [0, 1)".into());
-                }
-            }
-            "--mem-threshold" => {
-                mem_threshold = value_of("--mem-threshold")?
-                    .parse()
-                    .map_err(|_| "bad --mem-threshold value".to_string())?;
-                if !(0.0..1.0).contains(&mem_threshold) {
-                    return Err("--mem-threshold must be in [0, 1)".into());
-                }
-            }
+            "--journal" => journal = it.next().ok_or("--journal needs a value")?.clone(),
             flag if flag.starts_with("--") => return Err(format!("unknown lab flag {flag}")),
-            pos => positional.push(pos.to_string()),
+            _ => return Err(format!("lab {action} takes no positional arguments")),
         }
     }
-
-    let journal_or_default = journal
-        .clone()
-        .unwrap_or_else(|| DEFAULT_JOURNAL.to_string());
-    match action.as_str() {
-        "list" => {
-            if !positional.is_empty() {
-                return Err("lab list takes no positional arguments".into());
-            }
-            Ok(LabAction::List { journal })
-        }
-        "run" => match positional.as_slice() {
-            [experiment] => Ok(LabAction::Run {
-                experiment: experiment.clone(),
-                journal: journal_or_default,
-                smoke,
-                rounds,
-            }),
-            [] => Err("lab run needs an experiment name (try `sd lab list`)".into()),
-            _ => Err("lab run takes exactly one experiment name".into()),
-        },
-        "emit" => {
-            if !positional.is_empty() {
-                return Err("lab emit takes no positional arguments".into());
-            }
-            Ok(LabAction::Emit {
-                journal: journal_or_default,
-                out_dir,
-            })
-        }
-        "compare" => match positional.as_slice() {
-            [journal_pos, baselines @ ..] if !baselines.is_empty() => {
-                if journal.is_some() {
-                    return Err(
-                        "lab compare takes the journal as its first positional, not --journal"
-                            .into(),
-                    );
-                }
-                Ok(LabAction::Compare {
-                    journal: journal_pos.clone(),
-                    baselines: baselines.to_vec(),
-                    threshold,
-                    mem_threshold,
-                })
-            }
-            _ => Err("lab compare needs <journal.jsonl> and at least one baseline file".into()),
-        },
-        "import" => {
-            if positional.is_empty() {
-                return Err("lab import needs at least one BENCH_*.json file".into());
-            }
-            Ok(LabAction::Import {
-                files: positional,
-                journal: journal_or_default,
-            })
-        }
-        other => Err(format!("unknown lab action {other:?}")),
-    }
+    Ok(make(journal))
 }
 
 #[cfg(test)]
@@ -871,98 +692,56 @@ mod tests {
 
     #[test]
     fn lab_actions_parse() {
-        let p = parse(&args("lab list")).unwrap();
-        assert_eq!(p.command, Command::Lab(LabAction::List { journal: None }));
-
-        let p = parse(&args("lab list --journal j.jsonl")).unwrap();
         assert_eq!(
-            p.command,
-            Command::Lab(LabAction::List {
-                journal: Some("j.jsonl".into())
-            })
+            parse_lab(&args("record")).unwrap(),
+            LabAction::Record {
+                journal: DEFAULT_JOURNAL.into()
+            }
         );
-
-        let p = parse(&args("lab run ci-smoke")).unwrap();
         assert_eq!(
-            p.command,
-            Command::Lab(LabAction::Run {
-                experiment: "ci-smoke".into(),
-                journal: DEFAULT_JOURNAL.into(),
-                smoke: false,
-                rounds: None,
-            })
+            parse_lab(&args("record --journal j.jsonl")).unwrap(),
+            LabAction::Record {
+                journal: "j.jsonl".into()
+            }
         );
-
-        let p = parse(&args(
-            "lab run fastpath-matcher-mix --journal j.jsonl --smoke --rounds 3",
-        ))
-        .unwrap();
         assert_eq!(
-            p.command,
-            Command::Lab(LabAction::Run {
-                experiment: "fastpath-matcher-mix".into(),
-                journal: "j.jsonl".into(),
-                smoke: true,
-                rounds: Some(3),
-            })
+            parse_lab(&args("list")).unwrap(),
+            LabAction::List {
+                journal: DEFAULT_JOURNAL.into()
+            }
         );
-
-        let p = parse(&args("lab emit --journal j.jsonl --out-dir /tmp/x")).unwrap();
         assert_eq!(
-            p.command,
-            Command::Lab(LabAction::Emit {
-                journal: "j.jsonl".into(),
-                out_dir: "/tmp/x".into(),
-            })
-        );
-
-        let p = parse(&args(
-            "lab compare j.jsonl BENCH_fastpath.json BENCH_flowstate.json \
-             --threshold 0.2 --mem-threshold 0.1",
-        ))
-        .unwrap();
-        assert_eq!(
-            p.command,
-            Command::Lab(LabAction::Compare {
-                journal: "j.jsonl".into(),
-                baselines: vec!["BENCH_fastpath.json".into(), "BENCH_flowstate.json".into()],
-                threshold: 0.2,
-                mem_threshold: 0.1,
-            })
-        );
-
-        let p = parse(&args("lab import BENCH_slowpath.json")).unwrap();
-        assert_eq!(
-            p.command,
-            Command::Lab(LabAction::Import {
-                files: vec!["BENCH_slowpath.json".into()],
-                journal: DEFAULT_JOURNAL.into(),
-            })
+            parse_lab(&args("list --journal j.jsonl")).unwrap(),
+            LabAction::List {
+                journal: "j.jsonl".into()
+            }
         );
     }
 
     #[test]
     fn lab_errors_are_helpful() {
         for bad in [
-            "lab",
-            "lab frobnicate",
-            "lab list stray",
-            "lab run",
-            "lab run a b",
-            "lab run x --rounds 0",
-            "lab run x --rounds many",
-            "lab run x --journal",
-            "lab emit stray",
-            "lab compare",
-            "lab compare j.jsonl",
-            "lab compare j.jsonl b.json --threshold 2",
-            "lab compare j.jsonl b.json --mem-threshold -0.1",
-            "lab compare j.jsonl b.json --journal other.jsonl",
-            "lab import",
-            "lab run x --unknown-flag",
+            "",
+            "frobnicate",
+            "record stray",
+            "list stray",
+            "record --journal",
+            "record --unknown-flag",
+            // The baseline machinery is gone: its actions and flags with it.
+            "run flowstate-occupancy",
+            "emit",
+            "compare j.jsonl b.json",
+            "import b.json",
+            "record --smoke",
+            "record --rounds 3",
+            "list --out-dir d",
+            "record --threshold 0.1",
+            "record --mem-threshold 0.1",
         ] {
-            assert!(parse(&args(bad)).is_err(), "should reject {bad:?}");
+            assert!(parse_lab(&args(bad)).is_err(), "should reject {bad:?}");
         }
+        // `lab` is not a flag-loop subcommand: `sd_cli::run` routes it.
+        assert!(parse(&args("lab list")).is_err());
     }
 
     #[test]

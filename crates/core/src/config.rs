@@ -159,7 +159,7 @@ pub struct SplitDetectConfig {
     /// Telemetry: sample per-stage latencies on one packet in `2^shift`.
     /// `None` disables latency timing entirely (counters and size
     /// histograms still run); the default 1-in-64 keeps the telemetry tax
-    /// under the 5 % budget the E17 overhead bench enforces.
+    /// small (`sd-e2e` reports it as `telemetry.stage_timing_ns`).
     pub stage_timing_sample_shift: Option<u8>,
     /// Slow-path worker threads. `0` (the default) runs the slow path
     /// inline on the hot thread — synchronous alerts, the original
@@ -174,7 +174,7 @@ pub struct SplitDetectConfig {
     /// `slow_path_workers == 0`.
     pub slow_path_lane_depth: usize,
     /// What to do when a diverted packet's worker lane is full (E19
-    /// sweeps shed fraction against lane depth).
+    /// measured shed fraction against lane depth).
     pub slow_path_shed: ShedPolicy,
 }
 

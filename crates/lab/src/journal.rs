@@ -1,11 +1,10 @@
 //! Append-only JSONL trial journal.
 //!
-//! One line per trial row. A row is the atom of the harness: one measured
-//! entity (a results row, an automaton footprint, a run's meta header)
-//! with its full identity split into `config` (what was configured —
-//! strings and numbers that name the cell) and `metrics` (what was
-//! measured), plus provenance and a run id grouping all rows appended by
-//! one `sd lab run` invocation.
+//! One line per trial row. A row is the atom of the journal: one measured
+//! run (for `sd-e2e`, one workload in one mode) with its full identity
+//! split into `config` (what was configured — strings and numbers that
+//! name the cell) and `metrics` (what was measured), plus provenance and a
+//! run id grouping all rows appended by one `sd lab record` invocation.
 //!
 //! The store is deliberately dumb — append and scan. Query views
 //! ([`latest_run`], [`run_summaries`]) are functions over the scanned
@@ -28,13 +27,13 @@ pub const SCHEMA_VERSION: f64 = 1.0;
 pub struct TrialRow {
     /// Line-format version ([`SCHEMA_VERSION`]).
     pub schema: f64,
-    /// Groups every row appended by one runner invocation.
+    /// Groups every row appended by one `sd lab record` invocation.
     pub run_id: String,
-    /// Canonical experiment name, e.g. `fastpath-matcher-mix`.
+    /// Experiment name, e.g. `sd-e2e`.
     pub experiment: String,
-    /// Order of this row within its run (emit preserves it).
+    /// Order of this row within its run.
     pub seq: f64,
-    /// Section within the experiment: `meta`, `results`, `automaton`, ...
+    /// Section within the experiment; for `sd-e2e`, the workload.
     pub section: String,
     /// Wall-clock seconds since the Unix epoch when the run started.
     pub unix_secs: f64,

@@ -1,17 +1,23 @@
 //! Dependency-free JSON value model, parser and writer.
 //!
-//! The journal and the baseline emitters both need JSON, and the workspace
-//! is offline-only (no serde). This is a small recursive-descent parser
-//! over the full JSON grammar plus a writer, with one deliberate deviation
-//! from typical value models: objects are ordered `Vec<(String, Value)>`,
-//! not maps. Baseline emit is byte-exact and journal rows must round-trip
-//! config order, so insertion order is part of the data.
+//! The journal, `sd lab record` and the `sd-e2e` result line all need
+//! JSON, and the workspace is offline-only (no serde). This is a small
+//! recursive-descent parser over the full JSON grammar plus a writer, with
+//! one deliberate deviation from typical value models: objects are ordered
+//! `Vec<(String, Value)>`, not maps. Journal rows must round-trip config
+//! order, so insertion order is part of the data.
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level and reads untrusted input (`sd lab record`
+/// parses stdin), so without a bound a line of 200k `[` overflows the
+/// stack. Every document this repo writes nests at most three deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value. Objects preserve insertion order; duplicate keys are
 /// preserved by the parser (last `get` wins is *not* implemented — `get`
-/// returns the first, matching how the emitters write unique keys).
+/// returns the first, matching how every writer here emits unique keys).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
@@ -69,11 +75,13 @@ impl Value {
         }
     }
 
-    /// Parse a complete JSON document; trailing non-whitespace is an error.
+    /// Parse a complete JSON document; trailing non-whitespace, and
+    /// nesting deeper than [`MAX_DEPTH`], are errors.
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -158,6 +166,8 @@ pub fn write_str(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -200,8 +210,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -419,5 +443,23 @@ mod tests {
         assert!(Value::parse("{\"a\" 1}").is_err());
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_a_crash() {
+        for unit in ["[", "{\"a\":"] {
+            let err = Value::parse(&unit.repeat(200_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{unit}: {err}");
+        }
+        // Exactly at the bound still parses; one level more does not.
+        let at = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&at(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&at(MAX_DEPTH + 1)).is_err());
+        // The deepest document the repo reads (depth 3) is well inside it.
+        let benchmark = Value::parse(include_str!("../../../BENCHMARK.json")).unwrap();
+        assert!(benchmark
+            .get("end_to_end")
+            .and_then(Value::as_arr)
+            .is_some());
     }
 }

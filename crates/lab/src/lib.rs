@@ -1,99 +1,18 @@
-//! # sd-lab — experiment provenance harness
+//! # sd-lab — journal of `sd-e2e` results
 //!
-//! Every performance number this repo publishes flows through here.
-//! Experiments are declared as data ([`experiment::EXPERIMENTS`]); a
-//! runner executes the shared measurement cores in `sd_bench::sweeps` and
-//! journals every trial — full configuration, git commit and dirty flag,
-//! rustc version, measurements — into an append-only JSONL row store
-//! ([`journal`]). Downstream of the journal:
-//!
-//! * [`schema::emit_from_journal`] regenerates the checked-in
-//!   `BENCH_*.json` baselines byte-for-byte,
-//! * [`schema::import`] converts a checked-in baseline back into journal
-//!   rows (the CI provenance job round-trips import→emit and diffs),
-//! * [`compare`] gates regressions with per-metric tolerances: throughput
-//!   medians fail on drops, memory footprints fail on growth.
+//! The repo has one measurement system: the `sd-e2e` benchmark
+//! (`benchmark/`), wire bytes in, verdicts out, through the real `serve()`
+//! loop. This crate keeps its results: [`record`] pairs each table header
+//! of `sd-e2e` output with its JSON result line, and each pair becomes one
+//! provenance-stamped row — git commit and dirty flag, rustc version
+//! ([`provenance`]) — in an append-only JSONL row store ([`journal`]).
 //!
 //! The crate is dependency-free beyond the workspace (no serde): the
-//! journal format is hand-rolled JSON ([`json`]) because the baselines'
-//! byte-exact layout is part of the contract and owning the writer is the
-//! cheapest way to pin it.
+//! journal format is hand-rolled JSON ([`json`]) because the line layout
+//! is part of the contract and owning the writer is the cheapest way to
+//! pin it.
 
-pub mod compare;
-pub mod experiment;
 pub mod journal;
 pub mod json;
 pub mod provenance;
-pub mod schema;
-
-use std::path::{Path, PathBuf};
-
-use journal::{Journal, TrialRow};
-use json::Value;
-use provenance::Provenance;
-
-/// Emit every baseline the journal can feed into `out_dir`, returning the
-/// written paths. Errors if any of the three baseline experiments has no
-/// run in the journal.
-pub fn emit_all(rows: &[TrialRow], out_dir: &Path) -> Result<Vec<PathBuf>, String> {
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
-    let mut written = Vec::new();
-    for schema in &schema::SCHEMAS {
-        let doc = schema::emit_from_journal(rows, schema)?;
-        let path = out_dir.join(schema.file);
-        std::fs::write(&path, doc).map_err(|e| format!("write {}: {e}", path.display()))?;
-        written.push(path);
-    }
-    Ok(written)
-}
-
-/// Compare a journal's latest runs against checked-in baseline files.
-/// Each baseline's `"bench"` field selects which document to emit
-/// in-memory from the journal for the comparison.
-pub fn compare_journal(
-    rows: &[TrialRow],
-    baseline_paths: &[PathBuf],
-    threshold: f64,
-    mem_threshold: f64,
-) -> Result<compare::Outcome, String> {
-    let mut all = compare::Outcome::default();
-    for path in baseline_paths {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let base = Value::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let bench = base
-            .get("bench")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{}: no \"bench\" field", path.display()))?;
-        let schema = schema::schema_for_bench(bench)
-            .ok_or_else(|| format!("{}: unknown bench '{bench}'", path.display()))?;
-        let current_text = schema::emit_from_journal(rows, schema)?;
-        let current = Value::parse(&current_text).expect("emit writes valid JSON");
-        let outcome = compare::compare_docs(&base, &current, threshold, mem_threshold)?;
-        all.lines.extend(outcome.lines);
-        all.failures.extend(outcome.failures);
-    }
-    Ok(all)
-}
-
-/// Import checked-in baseline files into the journal as synthetic runs
-/// (provenance captured now; one shared run id). Returns, per file, the
-/// experiment name and row count.
-pub fn import_files(paths: &[PathBuf], journal: &Journal) -> Result<Vec<(String, usize)>, String> {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_err(|e| e.to_string())?
-        .as_secs();
-    let run_id = journal::fresh_run_id(unix_secs);
-    let provenance = Provenance::capture();
-    let mut imported = Vec::new();
-    for path in paths {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let doc = Value::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let (schema, rows) = schema::import(&doc, &provenance, &run_id, unix_secs as f64)?;
-        journal.append(&rows)?;
-        imported.push((schema.experiment.to_string(), rows.len()));
-    }
-    Ok(imported)
-}
+pub mod record;

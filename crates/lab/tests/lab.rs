@@ -1,32 +1,14 @@
-//! Integration tests for the provenance harness: journal round-trip
-//! properties, git provenance against real throwaway repositories, and
-//! the pinned baseline schemas against the files actually checked in.
+//! Integration tests for the journal: row round-trip properties, git
+//! provenance against real throwaway repositories, and the pinned line
+//! schema.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
 use proptest::prelude::*;
-use sd_lab::journal::{latest_run, Journal, TrialRow, SCHEMA_VERSION};
+use sd_lab::journal::{Journal, TrialRow, SCHEMA_VERSION};
 use sd_lab::json::Value;
 use sd_lab::provenance::Provenance;
-use sd_lab::schema::{emit, import, schema_for_bench, SCHEMAS};
-
-#[test]
-fn every_schema_is_reachable_by_bench_name() {
-    for schema in &SCHEMAS {
-        let found = schema_for_bench(schema.bench).expect("bench name resolves");
-        assert_eq!(found.file, schema.file);
-    }
-    assert!(schema_for_bench("no-such-bench").is_none());
-}
-
-/// Repo root (the checked-in BENCH_*.json baselines live there).
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root")
-}
 
 // ---------------------------------------------------------------------
 // Journal row round-trip property: config in == config out.
@@ -212,63 +194,6 @@ fn provenance_tracks_commit_and_dirty_flag() {
     assert!(dirty.git_dirty, "modified tracked file must read dirty");
     assert_eq!(dirty.git_commit, clean.git_commit);
 
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-// ---------------------------------------------------------------------
-// Pinned baseline schemas vs the files actually checked in.
-// ---------------------------------------------------------------------
-
-fn prov() -> Provenance {
-    Provenance {
-        git_commit: "test".into(),
-        git_dirty: false,
-        rustc: "rustc test".into(),
-    }
-}
-
-/// The schema-lock test: importing each checked-in baseline and emitting
-/// it back must reproduce the file byte-for-byte. A failure here means
-/// the emit schema and the checked-in format have drifted — exactly what
-/// the CI `lab-provenance` job gates.
-#[test]
-fn import_emit_round_trips_checked_in_baselines_byte_for_byte() {
-    for schema in &SCHEMAS {
-        let path = repo_root().join(schema.file);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        let doc = Value::parse(&text).expect("baseline parses");
-        let (imported_schema, rows) = import(&doc, &prov(), "run-pin", 0.0).expect("imports");
-        assert_eq!(imported_schema.file, schema.file);
-        let refs: Vec<&TrialRow> = rows.iter().collect();
-        let emitted = emit(schema, &refs).expect("emits");
-        assert_eq!(
-            emitted, text,
-            "{} no longer round-trips byte-for-byte — baseline schema drifted",
-            schema.file
-        );
-    }
-}
-
-/// Import journals under the canonical experiment names so emit/compare
-/// work off imported journals with no special cases.
-#[test]
-fn import_lands_under_canonical_experiment_names() {
-    let dir = std::env::temp_dir().join(format!("sd-lab-import-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let journal = Journal::new(dir.join("j.jsonl"));
-    let paths: Vec<PathBuf> = SCHEMAS.iter().map(|s| repo_root().join(s.file)).collect();
-    let imported = sd_lab::import_files(&paths, &journal).expect("imports");
-    assert_eq!(imported.len(), 3);
-    let rows = journal.read().unwrap();
-    for schema in &SCHEMAS {
-        let (_, run) = latest_run(&rows, schema.experiment)
-            .unwrap_or_else(|| panic!("run for {}", schema.experiment));
-        assert!(run.iter().any(|r| r.section == "meta"));
-        let emitted = sd_lab::schema::emit_from_journal(&rows, schema).expect("emits");
-        let text = std::fs::read_to_string(repo_root().join(schema.file)).unwrap();
-        assert_eq!(emitted, text);
-    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
