@@ -76,7 +76,6 @@ fn split_config(args: &ParsedArgs) -> SplitDetectConfig {
         shard_batch_packets: args.shard_batch,
         slow_path_workers: args.slow_workers,
         slow_path_lane_depth: args.slow_lane_depth,
-        slow_path_shed: args.shed_policy,
         flow_hash_seed: args.flow_hash_seed,
         ..Default::default()
     }

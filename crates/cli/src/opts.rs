@@ -9,12 +9,10 @@ usage:
                          [--policy first|last|bsd|linux]
                          [--shards N] [--shard-batch PKTS]
                          [--slow-workers N] [--slow-lane-depth PKTS]
-                         [--shed-policy block|shed-flow|alert-overload]
                          [--flow-hash-seed S]
   sd run <capture.pcap>  [--rules FILE] [--policy P] [--shards N]
                          [--shard-batch PKTS] [--metrics-out PATH]
                          [--slow-workers N] [--slow-lane-depth PKTS]
-                         [--shed-policy S]
   sd compare <capture.pcap> [--rules FILE] [--policy P]
   sd stats <capture.pcap> [--shards N] [--shard-batch PKTS]
            [--format human|prom|json]
@@ -29,7 +27,7 @@ usage:
   sd serve [--rules FILE] [--source loopback|afpacket] [--iface IF]
            [--scrape ADDR] [--duration-secs N] [--shards N]
            [--flows N] [--attacks N] [--seed S] [--slow-workers N]
-           [--slow-lane-depth PKTS] [--shed-policy S]
+           [--slow-lane-depth PKTS]
   sd lab record [--journal FILE] < sd-e2e-output
   sd lab list [--journal FILE]
 
@@ -47,9 +45,8 @@ floods against the table cannot be precomputed.
 --slow-workers N >= 1 moves the slow path to N asynchronous worker
 threads behind bounded lanes (--slow-lane-depth packets each, default
 512) so diverted flows never stall the fast path; 0 (default) keeps it
-inline. --shed-policy picks the full-lane behaviour: block (fast path
-waits), shed-flow (drop + count), or alert-overload (drop + count +
-synthetic overload alert; the default).
+inline. A packet meeting a full lane is shed: counted, with one
+synthetic overload alert per overload episode.
 fuzz runs the differential oracle: random adversarial traces checked
 against the victim model, Split-Detect (single and sharded) and the
 conventional IPS. --sabotage disables a fast-path rule to prove the
@@ -175,8 +172,6 @@ pub struct ParsedArgs {
     pub slow_workers: usize,
     /// `--slow-lane-depth PKTS`: bound of each slow-path worker lane.
     pub slow_lane_depth: usize,
-    /// `--shed-policy block|shed-flow|alert-overload`: full-lane policy.
-    pub shed_policy: splitdetect::ShedPolicy,
     /// `--flow-hash-seed S`: pin the flow-table hash key (reproducible
     /// runs); absent, the engine draws a process-random key.
     pub flow_hash_seed: Option<u64>,
@@ -272,7 +267,6 @@ pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
     let mut format = OutputFormat::Human;
     let mut slow_workers = 0usize;
     let mut slow_lane_depth = 512usize;
-    let mut shed_policy = splitdetect::ShedPolicy::default();
     let mut flow_hash_seed = None;
     let mut count = 1000usize;
     let mut malformed = 0usize;
@@ -384,11 +378,6 @@ pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
                 if slow_lane_depth == 0 {
                     return Err("--slow-lane-depth must be >= 1".into());
                 }
-            }
-            "--shed-policy" => {
-                let v = value_of("--shed-policy")?;
-                shed_policy = splitdetect::ShedPolicy::from_name(v)
-                    .ok_or_else(|| format!("unknown shed policy {v:?}"))?;
             }
             "--flow-hash-seed" => {
                 flow_hash_seed = Some(
@@ -510,7 +499,6 @@ pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
         format,
         slow_workers,
         slow_lane_depth,
-        shed_policy,
         flow_hash_seed,
         count,
         malformed,
@@ -600,24 +588,12 @@ mod tests {
 
     #[test]
     fn slow_path_flags_default_and_parse() {
-        use splitdetect::ShedPolicy;
         let p = parse(&args("scan cap.pcap")).unwrap();
-        assert_eq!(
-            (p.slow_workers, p.slow_lane_depth, p.shed_policy),
-            (0, 512, ShedPolicy::AlertOverload)
-        );
-        let p = parse(&args(
-            "scan cap.pcap --slow-workers 4 --slow-lane-depth 64 --shed-policy block",
-        ))
-        .unwrap();
-        assert_eq!(
-            (p.slow_workers, p.slow_lane_depth, p.shed_policy),
-            (4, 64, ShedPolicy::Block)
-        );
-        let p = parse(&args("run cap.pcap --shed-policy shed-flow")).unwrap();
-        assert_eq!(p.shed_policy, ShedPolicy::ShedFlow);
-        let p = parse(&args("run cap.pcap --shed-policy alert-overload")).unwrap();
-        assert_eq!(p.shed_policy, ShedPolicy::AlertOverload);
+        assert_eq!((p.slow_workers, p.slow_lane_depth), (0, 512));
+        let p = parse(&args("scan cap.pcap --slow-workers 4 --slow-lane-depth 64")).unwrap();
+        assert_eq!((p.slow_workers, p.slow_lane_depth), (4, 64));
+        let p = parse(&args("run cap.pcap --slow-workers 2")).unwrap();
+        assert_eq!((p.slow_workers, p.slow_lane_depth), (2, 512));
     }
 
     #[test]
@@ -773,8 +749,6 @@ mod tests {
             "serve --tiered-hot 4096",
             "scan cap.pcap --slow-workers many",
             "scan cap.pcap --slow-lane-depth 0",
-            "scan cap.pcap --shed-policy coin-flip",
-            "scan cap.pcap --shed-policy",
             "generate-rules",
             "generate-rules a b",
             "generate-rules out.rules --count 0",

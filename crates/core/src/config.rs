@@ -12,7 +12,6 @@ use sd_reassembly::{OverlapPolicy, UrgentSemantics};
 
 use crate::divert::{EvictionPolicy, DEFAULT_MAX_DIVERTED};
 use crate::fastpath::SmallCounterBackend;
-use crate::slowpath::ShedPolicy;
 
 /// Why a configuration is inadmissible.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,17 +164,15 @@ pub struct SplitDetectConfig {
     /// inline on the hot thread — synchronous alerts, the original
     /// behaviour. `≥ 1` moves diverted-flow reassembly to an asynchronous
     /// [`crate::slowpath::SlowPathPool`]: the fast path never blocks on
-    /// it, alerts return via [`crate::SplitDetect::poll`] / `finish()`,
-    /// and overload is governed by [`Self::slow_path_shed`].
+    /// it, and alerts return via [`crate::SplitDetect::poll`] /
+    /// `finish()`.
     pub slow_path_workers: usize,
     /// Bound of each worker's packet lane (packets). The bound is what
-    /// makes overload *visible*: a full lane triggers the shed policy
-    /// instead of queueing without limit. Ignored when
-    /// `slow_path_workers == 0`.
+    /// makes overload *visible*: a diverted packet meeting a full lane is
+    /// shed — counted, with one overload alert per episode — instead of
+    /// queueing without limit (E19 measured shed fraction against lane
+    /// depth). Ignored when `slow_path_workers == 0`.
     pub slow_path_lane_depth: usize,
-    /// What to do when a diverted packet's worker lane is full (E19
-    /// measured shed fraction against lane depth).
-    pub slow_path_shed: ShedPolicy,
 }
 
 impl Default for SplitDetectConfig {
@@ -200,7 +197,6 @@ impl Default for SplitDetectConfig {
             stage_timing_sample_shift: Some(6),
             slow_path_workers: 0,
             slow_path_lane_depth: 512,
-            slow_path_shed: ShedPolicy::default(),
         }
     }
 }

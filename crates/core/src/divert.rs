@@ -62,20 +62,11 @@ pub enum EvictionPolicy {
 }
 
 impl EvictionPolicy {
-    /// Stable label used in reports and the stats text format.
+    /// Stable label used in reports.
     pub fn name(self) -> &'static str {
         match self {
             EvictionPolicy::EvictOldest => "evict-oldest",
             EvictionPolicy::RefuseNew => "refuse-new",
-        }
-    }
-
-    /// Inverse of [`EvictionPolicy::name`].
-    pub fn from_name(s: &str) -> Option<EvictionPolicy> {
-        match s {
-            "evict-oldest" => Some(EvictionPolicy::EvictOldest),
-            "refuse-new" => Some(EvictionPolicy::RefuseNew),
-            _ => None,
         }
     }
 }
@@ -110,75 +101,6 @@ pub struct DivertStats {
     pub shed_bytes: u64,
     /// The bound policy in force (uniform across shards).
     pub policy: EvictionPolicy,
-}
-
-impl DivertStats {
-    /// Serialize as stable `key value` lines, inverted exactly by
-    /// [`DivertStats::from_text`] — the same snapshot discipline as
-    /// `SplitDetectStats` and `ShardDispatchStats`.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (key, value) in [
-            ("flows_diverted", self.flows_diverted.to_string()),
-            ("set_evictions", self.set_evictions.to_string()),
-            ("set_refused", self.set_refused.to_string()),
-            ("replayed_packets", self.replayed_packets.to_string()),
-            ("delay_line_misses", self.delay_line_misses.to_string()),
-            ("shed_packets", self.shed_packets.to_string()),
-            ("shed_bytes", self.shed_bytes.to_string()),
-            ("eviction_policy", self.policy.name().to_string()),
-        ] {
-            out.push_str(key);
-            out.push(' ');
-            out.push_str(&value);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse the [`DivertStats::to_text`] format. Strict: every field must
-    /// appear exactly once and no unknown keys are accepted.
-    pub fn from_text(text: &str) -> Result<DivertStats, String> {
-        let mut s = DivertStats::default();
-        let mut seen: Vec<String> = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let lineno = i + 1;
-            let (key, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("divert line {lineno}: missing value"))?;
-            if seen.iter().any(|k| k == key) {
-                return Err(format!("divert line {lineno}: duplicate key {key}"));
-            }
-            let rest = rest.trim();
-            if key == "eviction_policy" {
-                s.policy = EvictionPolicy::from_name(rest)
-                    .ok_or_else(|| format!("divert line {lineno}: unknown policy {rest}"))?;
-            } else {
-                let v = rest
-                    .parse::<u64>()
-                    .map_err(|_| format!("divert line {lineno}: bad number {rest}"))?;
-                match key {
-                    "flows_diverted" => s.flows_diverted = v,
-                    "set_evictions" => s.set_evictions = v,
-                    "set_refused" => s.set_refused = v,
-                    "replayed_packets" => s.replayed_packets = v,
-                    "delay_line_misses" => s.delay_line_misses = v,
-                    "shed_packets" => s.shed_packets = v,
-                    "shed_bytes" => s.shed_bytes = v,
-                    _ => return Err(format!("divert line {lineno}: unknown key {key}")),
-                }
-            }
-            seen.push(key.to_string());
-        }
-        if seen.len() != 8 {
-            return Err(format!("divert: expected 8 fields, got {}", seen.len()));
-        }
-        Ok(s)
-    }
 }
 
 /// The diversion manager.
@@ -537,42 +459,13 @@ mod tests {
     }
 
     #[test]
-    fn divert_stats_text_roundtrip() {
-        let s = DivertStats {
-            flows_diverted: 1,
-            set_evictions: 2,
-            set_refused: 3,
-            replayed_packets: 4,
-            delay_line_misses: 5,
-            shed_packets: 6,
-            shed_bytes: 7,
-            policy: EvictionPolicy::RefuseNew,
-        };
-        let text = s.to_text();
-        let back = DivertStats::from_text(&text).unwrap();
-        assert_eq!(back, s);
-        // Strictness: unknown key, duplicate, missing field, bad policy.
-        assert!(DivertStats::from_text(&format!("{text}mystery 1\n")).is_err());
-        assert!(DivertStats::from_text(&format!("{text}set_refused 9\n")).is_err());
-        assert!(DivertStats::from_text("flows_diverted 1\n")
-            .unwrap_err()
-            .contains("8 fields"));
-        let bad = text.replace("refuse-new", "coin-flip");
-        assert!(DivertStats::from_text(&bad)
-            .unwrap_err()
-            .contains("unknown policy"));
-        let bad = text.replace("set_refused 3", "set_refused x");
-        assert!(DivertStats::from_text(&bad)
-            .unwrap_err()
-            .contains("bad number"));
-    }
-
-    #[test]
     fn eviction_policy_names_roundtrip() {
         for p in [EvictionPolicy::EvictOldest, EvictionPolicy::RefuseNew] {
-            assert_eq!(EvictionPolicy::from_name(p.name()), Some(p));
             assert_eq!(p.to_string(), p.name());
         }
-        assert_eq!(EvictionPolicy::from_name("random"), None);
+        assert_ne!(
+            EvictionPolicy::EvictOldest.name(),
+            EvictionPolicy::RefuseNew.name()
+        );
     }
 }

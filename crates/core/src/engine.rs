@@ -27,7 +27,8 @@ use sd_telemetry::{PipelineTelemetry, Stage};
 use crate::config::{ConfigError, SplitDetectConfig};
 use crate::divert::DiversionManager;
 use crate::fastpath::{FastPath, FastPathParams, Verdict};
-use crate::slowpath::{SlowPathPool, SlowWorkerFailure};
+use crate::lane::WorkerFailure;
+use crate::slowpath::SlowPathPool;
 use crate::split::SplitPlan;
 use crate::stats::SplitDetectStats;
 
@@ -137,7 +138,6 @@ impl SplitDetect {
                 conv,
                 config.slow_path_workers,
                 config.slow_path_lane_depth,
-                config.slow_path_shed,
             ))
         };
         SplitDetect {
@@ -246,10 +246,11 @@ impl SplitDetect {
         self.fast.decay_small_counters();
     }
 
-    /// Workers of the asynchronous slow-path pool that panicked (empty in
-    /// inline mode, and before `finish()`). A failed worker degrades —
-    /// its flows' packets are shed and counted — it never aborts the run.
-    pub fn slow_failures(&self) -> &[SlowWorkerFailure] {
+    /// Workers of the asynchronous slow-path pool that failed to spawn or
+    /// panicked (empty in inline mode; panics appear at `finish()`). A
+    /// failed worker degrades — its flows' packets are shed and counted —
+    /// it never aborts the run.
+    pub fn slow_failures(&self) -> &[WorkerFailure] {
         match &self.slow {
             SlowPathDispatch::Inline(_) => &[],
             SlowPathDispatch::Pool(pool) => pool.failures(),
@@ -264,12 +265,11 @@ impl SplitDetect {
     pub fn poll(&mut self, out: &mut Vec<Alert>) {
         if let SlowPathDispatch::Pool(pool) = &mut self.slow {
             let before = out.len();
-            let info = pool.poll(out);
-            self.usage.alerts += (out.len() - before) as u64;
-            for ns in &info.latencies_ns {
-                self.telemetry.observe_slowpath_latency(*ns);
+            for ns in pool.poll(out) {
+                self.telemetry.observe_slowpath_latency(ns);
             }
-            self.telemetry.set_slowpath_queue_depth(info.queue_depth);
+            self.usage.alerts += (out.len() - before) as u64;
+            self.telemetry.set_slowpath_queue_depth(pool.queue_depth());
         }
     }
 
@@ -413,11 +413,10 @@ impl Ips for SplitDetect {
             SlowPathDispatch::Inline(slow) => slow.finish(out),
             SlowPathDispatch::Pool(pool) => {
                 let before = out.len();
-                let info = pool.finish(out);
-                self.usage.alerts += (out.len() - before) as u64;
-                for ns in &info.latencies_ns {
-                    self.telemetry.observe_slowpath_latency(*ns);
+                for ns in pool.finish(out) {
+                    self.telemetry.observe_slowpath_latency(ns);
                 }
+                self.usage.alerts += (out.len() - before) as u64;
                 self.telemetry.set_slowpath_queue_depth(0);
                 // Joined worker state is now visible; fold the peak in so
                 // post-finish resource readings are comparable to inline.

@@ -24,9 +24,12 @@
 //!   path, diversion and slow path together,
 //! * [`slowpath`] — the asynchronous bounded slow-path worker pool with
 //!   load shedding: decouples diverted-flow reassembly from the hot
-//!   thread (inline remains the default; see `ShedPolicy`),
+//!   thread (inline remains the default),
 //! * [`shard`] — flow-hash sharding across N engine instances: the
 //!   software form of the parallelism the 20 Gbps argument assumes,
+//! * `lane` (crate-private) — the worker threads, bounded lanes, buffer
+//!   recycling and failure handling both of those pools run on, reporting
+//!   dead workers as [`WorkerFailure`]s,
 //! * [`theory`] — the detection theorem: machine-checkable statement of the
 //!   parameter constraints and the pigeonhole bound behind the proof,
 //! * [`stats`] — the measurement surface the experiments read, and
@@ -49,6 +52,7 @@ pub mod config;
 pub mod divert;
 pub mod engine;
 pub mod fastpath;
+mod lane;
 pub mod report;
 pub mod shard;
 pub mod slowpath;
@@ -59,9 +63,10 @@ pub mod theory;
 pub use config::SplitDetectConfig;
 pub use divert::{DivertStats, EvictionPolicy};
 pub use engine::SplitDetect;
+pub use lane::{WorkerFailure, WorkerKind};
 pub use report::RunReport;
-pub use shard::{ShardDispatchStats, ShardFailure, ShardedSplitDetect};
-pub use slowpath::{ShedPolicy, SlowPathPool, SlowWorkerFailure};
+pub use shard::{ShardDispatchStats, ShardedSplitDetect};
+pub use slowpath::SlowPathPool;
 pub use split::{SplitPlan, TierStats};
 pub use stats::SplitDetectStats;
 

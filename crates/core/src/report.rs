@@ -9,7 +9,8 @@
 use std::fmt;
 
 use crate::fastpath::DivertReason;
-use crate::shard::{ShardDispatchStats, ShardFailure};
+use crate::lane::WorkerFailure;
+use crate::shard::ShardDispatchStats;
 use crate::stats::SplitDetectStats;
 
 /// A formatted snapshot of one engine run. Display renders the block.
@@ -19,7 +20,7 @@ pub struct RunReport {
     /// Per-shard dispatcher counters, present for sharded runs.
     dispatch: Vec<ShardDispatchStats>,
     /// Workers that died mid-run, present for sharded runs.
-    failures: Vec<ShardFailure>,
+    failures: Vec<WorkerFailure>,
 }
 
 impl RunReport {
@@ -37,126 +38,13 @@ impl RunReport {
     pub fn with_dispatch(
         stats: SplitDetectStats,
         dispatch: Vec<ShardDispatchStats>,
-        failures: Vec<ShardFailure>,
+        failures: Vec<WorkerFailure>,
     ) -> Self {
         RunReport {
             stats,
             dispatch,
             failures,
         }
-    }
-
-    /// The engine stats snapshot.
-    pub fn stats(&self) -> &SplitDetectStats {
-        &self.stats
-    }
-
-    /// Per-shard dispatcher counters (empty for single-engine runs).
-    pub fn dispatch(&self) -> &[ShardDispatchStats] {
-        &self.dispatch
-    }
-
-    /// Worker failures (empty for single-engine and healthy sharded runs).
-    pub fn failures(&self) -> &[ShardFailure] {
-        &self.failures
-    }
-
-    /// Serialize the whole report as sectioned `key value` text, inverted
-    /// exactly by [`RunReport::from_text`] — the machine-readable
-    /// counterpart to the human `Display` rendering, for archiving runs
-    /// and diffing them in experiment scripts.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("[stats]\n");
-        out.push_str(&self.stats.to_text());
-        for (i, d) in self.dispatch.iter().enumerate() {
-            out.push_str(&format!("[dispatch {i}]\n"));
-            out.push_str(&d.to_text());
-        }
-        for (i, fl) in self.failures.iter().enumerate() {
-            out.push_str(&format!("[failure {i}]\n"));
-            out.push_str(&format!("shard {}\n", fl.shard));
-            // The message is free text: last field of its section, rest of
-            // the line after the key.
-            out.push_str(&format!("message {}\n", fl.message));
-        }
-        out
-    }
-
-    /// Parse the [`RunReport::to_text`] format.
-    pub fn from_text(text: &str) -> Result<RunReport, String> {
-        // Split into sections on `[header]` lines; the stats section is
-        // mandatory and must come first.
-        let mut sections: Vec<(String, String)> = Vec::new();
-        for raw in text.lines() {
-            let line = raw.trim_end();
-            if line.starts_with('[') && line.ends_with(']') {
-                sections.push((line[1..line.len() - 1].to_string(), String::new()));
-            } else if let Some((_, body)) = sections.last_mut() {
-                body.push_str(line);
-                body.push('\n');
-            } else if !line.trim().is_empty() {
-                return Err(format!("report: content before first section: {line}"));
-            }
-        }
-        let Some((first, stats_body)) = sections.first() else {
-            return Err("report: empty input".into());
-        };
-        if first != "stats" {
-            return Err(format!(
-                "report: first section must be [stats], got [{first}]"
-            ));
-        }
-        let stats = SplitDetectStats::from_text(stats_body)?;
-        let mut dispatch = Vec::new();
-        let mut failures = Vec::new();
-        for (header, body) in &sections[1..] {
-            if let Some(idx) = header.strip_prefix("dispatch ") {
-                let i: usize = idx
-                    .parse()
-                    .map_err(|_| format!("report: bad dispatch index {idx}"))?;
-                if i != dispatch.len() {
-                    return Err(format!("report: dispatch {i} out of order"));
-                }
-                dispatch.push(ShardDispatchStats::from_text(body)?);
-            } else if let Some(idx) = header.strip_prefix("failure ") {
-                let i: usize = idx
-                    .parse()
-                    .map_err(|_| format!("report: bad failure index {idx}"))?;
-                if i != failures.len() {
-                    return Err(format!("report: failure {i} out of order"));
-                }
-                let mut shard = None;
-                let mut message = None;
-                for l in body.lines() {
-                    let l = l.trim();
-                    if l.is_empty() {
-                        continue;
-                    }
-                    if let Some(v) = l.strip_prefix("shard ") {
-                        shard = Some(
-                            v.trim()
-                                .parse::<usize>()
-                                .map_err(|_| format!("report: bad shard index {v}"))?,
-                        );
-                    } else if let Some(v) = l.strip_prefix("message ") {
-                        message = Some(v.to_string());
-                    } else {
-                        return Err(format!("report: unknown failure line: {l}"));
-                    }
-                }
-                match (shard, message) {
-                    (Some(shard), Some(message)) => failures.push(ShardFailure { shard, message }),
-                    _ => return Err(format!("report: failure {i} missing shard or message")),
-                }
-            } else {
-                return Err(format!("report: unknown section [{header}]"));
-            }
-        }
-        Ok(RunReport {
-            stats,
-            dispatch,
-            failures,
-        })
     }
 }
 
@@ -337,8 +225,9 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let failures = vec![ShardFailure {
-            shard: 1,
+        let failures = vec![WorkerFailure {
+            kind: crate::WorkerKind::Shard,
+            worker: 1,
             message: "boom".into(),
         }];
         let text = RunReport::with_dispatch(engine.stats(), dispatch, failures).to_string();
@@ -346,70 +235,6 @@ mod tests {
         assert!(text.contains("pool 9/1 hit/miss"), "{text}");
         assert!(text.contains("5 packets dropped"), "{text}");
         assert!(text.contains("shard 1 worker failed: boom"), "{text}");
-    }
-
-    #[test]
-    fn report_text_roundtrip_single_engine() {
-        let sigs =
-            SignatureSet::from_signatures([Signature::new("e", &b"EVIL_SIGNATURE_BYTES"[..])]);
-        let mut engine = SplitDetect::new(sigs).unwrap();
-        let mut out = Vec::new();
-        let pkt = {
-            let f = TcpPacketSpec::new("10.0.0.1:1000", "10.0.0.2:80")
-                .seq(1)
-                .payload(b"..EVIL_SIGNATURE_BYTES..")
-                .build();
-            ip_of_frame(&f).to_vec()
-        };
-        engine.process_packet(&pkt, 0, &mut out);
-        let report = RunReport::new(engine.stats());
-        let back = RunReport::from_text(&report.to_text()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn report_text_roundtrip_sharded() {
-        let sigs =
-            SignatureSet::from_signatures([Signature::new("e", &b"EVIL_SIGNATURE_BYTES"[..])]);
-        let engine = SplitDetect::new(sigs).unwrap();
-        let dispatch = vec![
-            ShardDispatchStats {
-                batches_sent: 10,
-                packets_enqueued: 640,
-                bytes_enqueued: 64_000,
-                recycle_hits: 9,
-                recycle_misses: 1,
-                queue_depth_high_water: 3,
-                ..Default::default()
-            },
-            ShardDispatchStats {
-                packets_dropped: 5,
-                dead: true,
-                ..Default::default()
-            },
-        ];
-        let failures = vec![ShardFailure {
-            shard: 1,
-            message: "worker hit an injected fault mid batch".into(),
-        }];
-        let report = RunReport::with_dispatch(engine.stats(), dispatch, failures);
-        let back = RunReport::from_text(&report.to_text()).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.dispatch().len(), 2);
-        assert_eq!(
-            back.failures()[0].message,
-            "worker hit an injected fault mid batch"
-        );
-    }
-
-    #[test]
-    fn report_text_rejects_junk() {
-        assert!(RunReport::from_text("").is_err());
-        assert!(RunReport::from_text("[dispatch 0]\n").is_err());
-        let good = RunReport::new(SplitDetectStats::default()).to_text();
-        assert!(RunReport::from_text(&format!("{good}[mystery]\n")).is_err());
-        assert!(RunReport::from_text(&format!("{good}[dispatch 1]\n")).is_err());
-        assert!(RunReport::from_text(&format!("{good}[failure 0]\nshard 0\n")).is_err());
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! measures exactly this). The dispatcher therefore accumulates packets
 //! into per-shard `PacketBatch` buffers — one contiguous byte arena plus
 //! a span index — and sends whole batches. Workers return drained batches
-//! through a recycle channel, so steady-state operation performs **zero
-//! heap allocations per packet**: every byte is copied once into a pooled
-//! arena and the pool cycles between dispatcher and workers.
+//! through the lanes' recycle channel, so steady-state operation performs
+//! **zero heap allocations per packet**: every byte is copied once into a
+//! pooled arena and the pool cycles between dispatcher and workers.
 //!
 //! The batch size is [`SplitDetectConfig::shard_batch_packets`]; the E15
 //! sweep quantifies the dispatch-overhead amortisation at sizes
@@ -29,20 +29,15 @@
 //!
 //! ## Failure containment
 //!
-//! A panicking worker must not take the engine (or the process) with it:
-//! the dispatcher marks the shard dead on the first failed send, counts
-//! the packets it can no longer deliver, and keeps the other lanes
-//! running. [`ShardedSplitDetect::finish`] joins every worker, collects
-//! panic messages as [`ShardFailure`] records (also logged to stderr), and
-//! never panics itself — so neither does `Drop`.
+//! A shard whose worker failed to spawn or panicked is dead: the
+//! dispatcher counts the packets it can no longer deliver and keeps the
+//! other lanes running, and the failure is reported as a
+//! [`WorkerFailure`], never as a propagated panic.
 //!
 //! The trade-off measured by experiment E15: per-shard state is provisioned
 //! N times (each shard gets its own flow table and delay line), so memory
 //! scales with cores while throughput does — the same provisioning trade a
 //! multi-lane line card makes.
-
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::thread::JoinHandle;
 
 use sd_flow::{hash, FlowKey};
 use sd_ips::{Alert, Ips, ResourceUsage, SignatureSet};
@@ -51,6 +46,7 @@ use sd_telemetry::PipelineTelemetry;
 
 use crate::config::{ConfigError, SplitDetectConfig};
 use crate::engine::SplitDetect;
+use crate::lane::{sum_usage, Lanes, Worker, WorkerFailure, WorkerKind};
 use crate::stats::SplitDetectStats;
 
 /// Bounded per-shard queue depth, in batches. Small enough that a stalled
@@ -62,10 +58,8 @@ const SHARD_QUEUE_BATCHES: usize = 8;
 /// → dispatcher. One contiguous arena for payload bytes plus a span
 /// index; clearing retains both capacities, so a warmed-up batch is
 /// allocation-free to refill.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PacketBatch {
-    /// Which shard this batch was last sent to (recycle accounting).
-    shard: usize,
     /// Concatenated raw packets.
     data: Vec<u8>,
     /// `(start, end, tick)` for each packet in `data`.
@@ -73,14 +67,6 @@ struct PacketBatch {
 }
 
 impl PacketBatch {
-    fn new() -> Self {
-        PacketBatch {
-            shard: 0,
-            data: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
     fn push(&mut self, packet: &[u8], tick: u64) {
         let start = self.data.len();
         self.data.extend_from_slice(packet);
@@ -105,7 +91,6 @@ enum Job {
     Reload(SignatureSet),
     /// Test/chaos hook: make the worker panic with this message.
     Poison(String),
-    Flush,
 }
 
 /// Dispatcher-side counters for one shard lane — the backpressure and
@@ -115,9 +100,11 @@ enum Job {
 pub struct ShardDispatchStats {
     /// Batches sent over the channel.
     pub batches_sent: u64,
-    /// Packets enqueued into batches for this shard.
+    /// Packets accepted for this shard: sent in a batch, or pending in the
+    /// one being filled. A batch that fails to send moves its packets to
+    /// `packets_dropped`.
     pub packets_enqueued: u64,
-    /// Raw bytes enqueued for this shard.
+    /// Raw bytes of `packets_enqueued`.
     pub bytes_enqueued: u64,
     /// Packets dropped because the shard worker had died.
     pub packets_dropped: u64,
@@ -152,119 +139,21 @@ impl ShardDispatchStats {
         total
     }
 
-    /// Mean packets per sent batch (0 when nothing was sent).
+    /// Mean packets per sent batch (0 when nothing was sent). Exact after
+    /// `finish`, when no packet is left pending.
     pub fn mean_batch_fill(&self) -> f64 {
         if self.batches_sent == 0 {
             0.0
         } else {
-            (self.packets_enqueued - self.packets_dropped.min(self.packets_enqueued)) as f64
-                / self.batches_sent as f64
+            self.packets_enqueued as f64 / self.batches_sent as f64
         }
     }
-
-    /// Serialize as stable `key value` lines; inverted exactly by
-    /// [`ShardDispatchStats::from_text`].
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (key, value) in [
-            ("batches_sent", self.batches_sent.to_string()),
-            ("packets_enqueued", self.packets_enqueued.to_string()),
-            ("bytes_enqueued", self.bytes_enqueued.to_string()),
-            ("packets_dropped", self.packets_dropped.to_string()),
-            ("recycle_hits", self.recycle_hits.to_string()),
-            ("recycle_misses", self.recycle_misses.to_string()),
-            (
-                "queue_depth_high_water",
-                self.queue_depth_high_water.to_string(),
-            ),
-            ("dead", self.dead.to_string()),
-        ] {
-            out.push_str(key);
-            out.push(' ');
-            out.push_str(&value);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse the [`ShardDispatchStats::to_text`] format. Strict: every
-    /// field must appear exactly once, no unknown keys.
-    pub fn from_text(text: &str) -> Result<ShardDispatchStats, String> {
-        let mut s = ShardDispatchStats::default();
-        let mut seen: Vec<String> = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let lineno = i + 1;
-            let (key, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("dispatch line {lineno}: missing value"))?;
-            if seen.iter().any(|k| k == key) {
-                return Err(format!("dispatch line {lineno}: duplicate key {key}"));
-            }
-            let rest = rest.trim();
-            if key == "dead" {
-                s.dead = rest
-                    .parse::<bool>()
-                    .map_err(|_| format!("dispatch line {lineno}: bad bool {rest}"))?;
-            } else {
-                let v = rest
-                    .parse::<u64>()
-                    .map_err(|_| format!("dispatch line {lineno}: bad number {rest}"))?;
-                match key {
-                    "batches_sent" => s.batches_sent = v,
-                    "packets_enqueued" => s.packets_enqueued = v,
-                    "bytes_enqueued" => s.bytes_enqueued = v,
-                    "packets_dropped" => s.packets_dropped = v,
-                    "recycle_hits" => s.recycle_hits = v,
-                    "recycle_misses" => s.recycle_misses = v,
-                    "queue_depth_high_water" => s.queue_depth_high_water = v,
-                    _ => return Err(format!("dispatch line {lineno}: unknown key {key}")),
-                }
-            }
-            seen.push(key.to_string());
-        }
-        if seen.len() != 8 {
-            return Err(format!("dispatch: expected 8 fields, got {}", seen.len()));
-        }
-        Ok(s)
-    }
-}
-
-/// A worker that died before `finish`, with the panic message it left.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFailure {
-    /// Index of the failed shard.
-    pub shard: usize,
-    /// The worker's panic payload (or a placeholder for non-string panics).
-    pub message: String,
-}
-
-impl std::fmt::Display for ShardFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shard {} worker failed: {}", self.shard, self.message)
-    }
-}
-
-struct Lane {
-    /// `None` once the worker is known dead (send failed).
-    tx: Option<SyncSender<Job>>,
-    handle: Option<JoinHandle<(SplitDetect, Vec<Alert>)>>,
-    /// The batch currently being filled for this shard.
-    pending: PacketBatch,
-    stats: ShardDispatchStats,
-    /// Batches sent and not yet seen back on the recycle channel.
-    in_flight: u64,
 }
 
 struct Finished {
     /// Surviving engines (`None` where the worker panicked), indexed by shard.
     engines: Vec<Option<SplitDetect>>,
     usage: ResourceUsage,
-    dispatch: Vec<ShardDispatchStats>,
-    failures: Vec<ShardFailure>,
     /// Per-shard engine registries merged into one, plus per-lane
     /// dispatcher counters (`{shard="i"}`-labeled) attached for export.
     telemetry: PipelineTelemetry,
@@ -278,11 +167,11 @@ struct Finished {
 /// [`finish`](Ips::finish) — the deployment model of a multi-queue NIC,
 /// where per-packet verdicts are per-lane and reporting is aggregated.
 pub struct ShardedSplitDetect {
-    lanes: Vec<Lane>,
-    /// Drained batches coming back from workers.
-    recycle_rx: Receiver<PacketBatch>,
-    /// Kept so worker clones can be made; never sent on directly.
-    _recycle_tx: Sender<PacketBatch>,
+    lanes: Lanes<Job, PacketBatch, (SplitDetect, Vec<Alert>)>,
+    /// The batch being filled for each shard.
+    pending: Vec<PacketBatch>,
+    /// Dispatcher counters per shard (`dead` is read from the lanes).
+    dispatch: Vec<ShardDispatchStats>,
     /// Ready-to-fill batch buffers.
     pool: Vec<PacketBatch>,
     batch_packets: usize,
@@ -291,9 +180,6 @@ pub struct ShardedSplitDetect {
     /// thread before broadcasting.
     per_shard_config: SplitDetectConfig,
     packets: u64,
-    /// Shards whose worker threads never spawned (lane born dead). Folded
-    /// into the finish-time failure report.
-    early_failures: Vec<ShardFailure>,
     finished: Option<Finished>,
 }
 
@@ -322,28 +208,6 @@ impl ShardedSplitDetect {
         config: SplitDetectConfig,
         shards: usize,
     ) -> Result<Self, ConfigError> {
-        Self::new_inner(sigs, config, shards, 0)
-    }
-
-    /// Test hook: like [`ShardedSplitDetect::new`] but shard `i`'s worker
-    /// fails to spawn when bit `i` of `fail_mask` is set, exercising the
-    /// born-dead lane path without depending on OS thread exhaustion.
-    #[doc(hidden)]
-    pub fn new_with_spawn_failures(
-        sigs: SignatureSet,
-        config: SplitDetectConfig,
-        shards: usize,
-        fail_mask: u64,
-    ) -> Result<Self, ConfigError> {
-        Self::new_inner(sigs, config, shards, fail_mask)
-    }
-
-    fn new_inner(
-        sigs: SignatureSet,
-        config: SplitDetectConfig,
-        shards: usize,
-        fail_mask: u64,
-    ) -> Result<Self, ConfigError> {
         let shards = shards.max(1);
         let per_shard = SplitDetectConfig {
             flow_table_capacity: config.flow_table_capacity.div_ceil(shards),
@@ -354,111 +218,45 @@ impl ShardedSplitDetect {
         };
         // Validate once up front so errors surface on the caller's thread.
         per_shard.validate(&sigs)?;
-
-        let (recycle_tx, recycle_rx) = channel::<PacketBatch>();
-        let mut lanes = Vec::with_capacity(shards);
-        let mut early_failures = Vec::new();
-        for i in 0..shards {
-            // A pinned seed still gets a distinct per-shard derivation so
-            // shard tables do not share collision sets; `None` stays `None`
-            // (each shard draws its own random key at build).
-            let shard_config = SplitDetectConfig {
-                flow_hash_seed: per_shard
+        let engines = (0..shards)
+            .map(|i| {
+                // A pinned seed still gets a distinct per-shard derivation
+                // so shard tables do not share collision sets; `None` stays
+                // `None` (each shard draws its own random key at build).
+                let flow_hash_seed = per_shard
                     .flow_hash_seed
-                    .map(|s| s.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))),
-                ..per_shard
-            };
-            let engine = SplitDetect::with_config(sigs.clone(), shard_config)?;
-            let (tx, rx) = sync_channel::<Job>(SHARD_QUEUE_BATCHES);
-            let recycle = recycle_tx.clone();
-            let spawned = if i < 64 && fail_mask & (1u64 << i) != 0 {
-                Err(std::io::Error::other("injected spawn failure"))
-            } else {
-                std::thread::Builder::new()
-                    .name(format!("sd-shard-{i}"))
-                    .spawn(move || {
-                        let mut engine = engine;
-                        let mut alerts = Vec::new();
-                        while let Ok(job) = rx.recv() {
-                            match job {
-                                Job::Batch(mut batch) => {
-                                    for i in 0..batch.spans.len() {
-                                        let (s, e, tick) = batch.spans[i];
-                                        engine.process_packet(&batch.data[s..e], tick, &mut alerts);
-                                    }
-                                    batch.clear();
-                                    // The dispatcher may already be gone during
-                                    // teardown; a full pool is not an error.
-                                    let _ = recycle.send(batch);
-                                }
-                                Job::Reload(sigs) => {
-                                    // Validated on the dispatcher thread
-                                    // before broadcast; a failure here
-                                    // would mean the config mutated, which
-                                    // it cannot (Copy, never exposed).
-                                    if let Err(e) = engine.reload_rules(sigs) {
-                                        eprintln!("split-detect: shard reload failed: {e}");
-                                    }
-                                }
-                                Job::Poison(msg) => panic!("{msg}"),
-                                Job::Flush => break,
-                            }
-                        }
-                        engine.finish(&mut alerts);
-                        (engine, alerts)
-                    })
-            };
-            match spawned {
-                Ok(handle) => lanes.push(Lane {
-                    tx: Some(tx),
-                    handle: Some(handle),
-                    pending: PacketBatch::new(),
-                    stats: ShardDispatchStats::default(),
-                    in_flight: 0,
-                }),
-                Err(e) => {
-                    // Born-dead lane: its packets are counted as dropped
-                    // (same as a mid-run worker death) and the spawn error
-                    // surfaces at finish() — the caller's thread never
-                    // panics.
-                    eprintln!("split-detect: shard {i} worker failed to spawn: {e}");
-                    early_failures.push(ShardFailure {
-                        shard: i,
-                        message: format!("spawn failed: {e}"),
-                    });
-                    lanes.push(Lane {
-                        tx: None,
-                        handle: None,
-                        pending: PacketBatch::new(),
-                        stats: ShardDispatchStats {
-                            dead: true,
-                            ..Default::default()
-                        },
-                        in_flight: 0,
-                    });
-                }
-            }
-        }
+                    .map(|s| s.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+                SplitDetect::with_config(
+                    sigs.clone(),
+                    SplitDetectConfig {
+                        flow_hash_seed,
+                        ..per_shard
+                    },
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let lanes = Lanes::spawn(
+            WorkerKind::Shard,
+            SHARD_QUEUE_BATCHES,
+            engines
+                .into_iter()
+                .map(|engine| move |worker: Worker<Job, PacketBatch>| run_shard(engine, worker)),
+        );
         Ok(ShardedSplitDetect {
             lanes,
-            recycle_rx,
-            _recycle_tx: recycle_tx,
+            pending: (0..shards).map(|_| PacketBatch::default()).collect(),
+            dispatch: vec![ShardDispatchStats::default(); shards],
             pool: Vec::new(),
             batch_packets: config.shard_batch_packets.max(1),
             per_shard_config: per_shard,
             packets: 0,
-            early_failures,
             finished: None,
         })
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        if let Some(f) = &self.finished {
-            f.engines.len()
-        } else {
-            self.lanes.len()
-        }
+        self.lanes.len()
     }
 
     fn shard_of(&self, packet: &[u8]) -> usize {
@@ -476,65 +274,47 @@ impl ShardedSplitDetect {
         }
     }
 
-    /// Pull every batch the workers have returned so far into the pool,
-    /// crediting the lane it was in flight to.
-    fn drain_recycle(
-        lanes: &mut [Lane],
-        recycle_rx: &Receiver<PacketBatch>,
-        pool: &mut Vec<PacketBatch>,
-    ) {
-        while let Ok(batch) = recycle_rx.try_recv() {
-            lanes[batch.shard].in_flight = lanes[batch.shard].in_flight.saturating_sub(1);
-            pool.push(batch);
-        }
-    }
-
     /// A cleared batch buffer for `shard`: recycled when possible,
     /// freshly allocated otherwise.
     fn acquire_batch(&mut self, shard: usize) -> PacketBatch {
-        Self::drain_recycle(&mut self.lanes, &self.recycle_rx, &mut self.pool);
+        let pool = &mut self.pool;
+        self.lanes.recycled(|batch| pool.push(batch));
         match self.pool.pop() {
             Some(mut batch) => {
-                self.lanes[shard].stats.recycle_hits += 1;
+                self.dispatch[shard].recycle_hits += 1;
                 batch.clear();
                 batch
             }
             None => {
-                self.lanes[shard].stats.recycle_misses += 1;
-                PacketBatch::new()
+                self.dispatch[shard].recycle_misses += 1;
+                PacketBatch::default()
             }
         }
     }
 
-    /// Send `shard`'s pending batch (if non-empty). Marks the shard dead
-    /// instead of panicking when the worker is gone.
+    /// Send `shard`'s pending batch (if non-empty), blocking while its
+    /// lane is full. A dead lane drops the batch, counted.
     fn flush_shard(&mut self, shard: usize) {
-        if self.lanes[shard].pending.len() == 0 {
+        if self.pending[shard].len() == 0 {
             return;
         }
         let fresh = self.acquire_batch(shard);
-        let mut batch = std::mem::replace(&mut self.lanes[shard].pending, fresh);
-        batch.shard = shard;
-        let lane = &mut self.lanes[shard];
-        let Some(tx) = &lane.tx else {
-            lane.stats.packets_dropped += batch.len() as u64;
-            batch.clear();
-            self.pool.push(batch);
-            return;
-        };
-        lane.in_flight += 1;
-        lane.stats.queue_depth_high_water = lane.stats.queue_depth_high_water.max(lane.in_flight);
-        lane.stats.batches_sent += 1;
-        match tx.send(Job::Batch(batch)) {
-            Ok(()) => {}
-            Err(std::sync::mpsc::SendError(job)) => {
-                // Worker hung up (panicked): degrade, don't die.
-                lane.tx = None;
-                lane.in_flight -= 1;
-                lane.stats.batches_sent -= 1;
-                lane.stats.dead = true;
+        let batch = std::mem::replace(&mut self.pending[shard], fresh);
+        let (packets, bytes) = (batch.len() as u64, batch.data.len() as u64);
+        let stats = &mut self.dispatch[shard];
+        match self.lanes.send(shard, Job::Batch(batch)) {
+            Ok(()) => {
+                stats.batches_sent += 1;
+                stats.queue_depth_high_water = stats
+                    .queue_depth_high_water
+                    .max(self.lanes.in_flight(shard));
+            }
+            Err(job) => {
+                // The worker is gone: these packets never reach it.
+                stats.packets_enqueued -= packets;
+                stats.bytes_enqueued -= bytes;
+                stats.packets_dropped += packets;
                 if let Job::Batch(mut batch) = job {
-                    lane.stats.packets_dropped += batch.len() as u64;
                     batch.clear();
                     self.pool.push(batch);
                 }
@@ -542,22 +322,29 @@ impl ShardedSplitDetect {
         }
     }
 
+    fn flush_all(&mut self) {
+        for shard in 0..self.lanes.len() {
+            self.flush_shard(shard);
+        }
+    }
+
     /// Per-shard dispatcher counters (available before and after
     /// [`Ips::finish`]).
     pub fn dispatch_stats(&self) -> Vec<ShardDispatchStats> {
-        match &self.finished {
-            Some(f) => f.dispatch.clone(),
-            None => self.lanes.iter().map(|l| l.stats).collect(),
-        }
+        self.dispatch
+            .iter()
+            .enumerate()
+            .map(|(i, d)| ShardDispatchStats {
+                dead: self.lanes.is_dead(i),
+                ..*d
+            })
+            .collect()
     }
 
     /// Workers that failed, with their messages: spawn failures are
     /// visible immediately, panic failures are added by [`Ips::finish`].
-    pub fn failures(&self) -> &[ShardFailure] {
-        match &self.finished {
-            Some(f) => &f.failures,
-            None => &self.early_failures,
-        }
+    pub fn failures(&self) -> &[WorkerFailure] {
+        self.lanes.failures()
     }
 
     /// Aggregate statistics across surviving shards (after [`Ips::finish`]).
@@ -592,18 +379,8 @@ impl ShardedSplitDetect {
     pub fn reload_rules(&mut self, sigs: &SignatureSet) -> Result<(), ConfigError> {
         assert!(self.finished.is_none(), "engine already finished");
         self.per_shard_config.validate(sigs)?;
-        for shard in 0..self.lanes.len() {
-            self.flush_shard(shard);
-            let lane = &mut self.lanes[shard];
-            if let Some(tx) = &lane.tx {
-                if tx.send(Job::Reload(sigs.clone())).is_err() {
-                    // Worker hung up (panicked): degrade like flush_shard
-                    // does; finish() reports the panic.
-                    lane.tx = None;
-                    lane.stats.dead = true;
-                }
-            }
-        }
+        self.flush_all();
+        self.lanes.broadcast(|| Job::Reload(sigs.clone()));
         Ok(())
     }
 
@@ -612,61 +389,90 @@ impl ShardedSplitDetect {
     /// fault-containment tests.
     #[doc(hidden)]
     pub fn poison_shard(&mut self, shard: usize) {
-        if let Some(tx) = &self.lanes[shard].tx {
-            let _ = tx.send(Job::Poison(format!(
-                "injected fault: shard {shard} worker poisoned"
-            )));
+        self.lanes.control(
+            shard,
+            Job::Poison(format!("injected fault: shard {shard} worker poisoned")),
+        );
+    }
+}
+
+/// One shard worker: scan every batch in lane order, recycle it, and
+/// return the engine with its alerts once the lane closes.
+fn run_shard(
+    mut engine: SplitDetect,
+    worker: Worker<Job, PacketBatch>,
+) -> (SplitDetect, Vec<Alert>) {
+    let mut alerts = Vec::new();
+    for job in worker.jobs() {
+        match job {
+            Job::Batch(mut batch) => {
+                for &(s, e, tick) in &batch.spans {
+                    engine.process_packet(&batch.data[s..e], tick, &mut alerts);
+                }
+                batch.clear();
+                worker.recycle(batch);
+            }
+            Job::Reload(sigs) => {
+                // Validated on the dispatcher thread before broadcast; a
+                // failure here would mean the config mutated, which it
+                // cannot (Copy, never exposed).
+                if let Err(e) = engine.reload_rules(sigs) {
+                    eprintln!("split-detect: shard reload failed: {e}");
+                }
+            }
+            Job::Poison(msg) => panic!("{msg}"),
+        }
+    }
+    engine.finish(&mut alerts);
+    (engine, alerts)
+}
+
+impl Ips for ShardedSplitDetect {
+    fn name(&self) -> &'static str {
+        "split-detect-sharded"
+    }
+
+    fn process_packet(&mut self, packet: &[u8], tick: u64, _out: &mut Vec<Alert>) {
+        assert!(self.finished.is_none(), "engine already finished");
+        self.packets += 1;
+        let idx = self.shard_of(packet);
+        let stats = &mut self.dispatch[idx];
+        if self.lanes.is_dead(idx) {
+            // Worker died earlier: count, don't crash. The failure itself
+            // is reported by failures().
+            stats.packets_dropped += 1;
+            return;
+        }
+        stats.packets_enqueued += 1;
+        stats.bytes_enqueued += packet.len() as u64;
+        let pending = &mut self.pending[idx];
+        pending.push(packet, tick);
+        if pending.len() >= self.batch_packets {
+            self.flush_shard(idx);
         }
     }
 
-    fn finish_inner(&mut self, out: &mut Vec<Alert>) {
+    /// Flush every lane, join every worker and collect their alerts.
+    /// Idempotent. Dropping the engine without calling this still joins
+    /// the workers (their alerts are discarded).
+    fn finish(&mut self, out: &mut Vec<Alert>) {
         if self.finished.is_some() {
             return;
         }
         // Flush partial batches first (dead lanes just count the drops).
-        for shard in 0..self.lanes.len() {
-            self.flush_shard(shard);
-        }
-        let mut engines = Vec::with_capacity(self.lanes.len());
-        let mut dispatch = Vec::with_capacity(self.lanes.len());
-        let mut failures = std::mem::take(&mut self.early_failures);
-        let mut usage = ResourceUsage::default();
-        for (i, mut lane) in self.lanes.drain(..).enumerate() {
-            if let Some(tx) = lane.tx.take() {
-                // Send errors mean the worker already hung up; join below
-                // reports why.
-                let _ = tx.send(Job::Flush);
-            }
-            let Some(handle) = lane.handle.take() else {
-                // Born dead (spawn failure, already recorded): keep the
-                // engine/dispatch slots aligned with shard indices.
-                engines.push(None);
-                dispatch.push(lane.stats);
-                continue;
-            };
-            match handle.join() {
-                Ok((engine, alerts)) => {
+        self.flush_all();
+        let engines: Vec<Option<SplitDetect>> = self
+            .lanes
+            .finish()
+            .into_iter()
+            .map(|joined| {
+                joined.map(|(engine, alerts)| {
                     out.extend(alerts);
-                    let r = engine.resources();
-                    usage.packets += r.packets;
-                    usage.payload_bytes += r.payload_bytes;
-                    usage.bytes_scanned += r.bytes_scanned;
-                    usage.bytes_buffered_total += r.bytes_buffered_total;
-                    usage.state_bytes += r.state_bytes;
-                    usage.state_bytes_peak += r.state_bytes_peak; // sum: provisioned per lane
-                    usage.alerts += r.alerts;
-                    engines.push(Some(engine));
-                }
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    lane.stats.dead = true;
-                    eprintln!("split-detect: shard {i} worker failed: {message}");
-                    failures.push(ShardFailure { shard: i, message });
-                    engines.push(None);
-                }
-            }
-            dispatch.push(lane.stats);
-        }
+                    engine
+                })
+            })
+            .collect();
+        let usage = sum_usage(engines.iter().flatten().map(Ips::resources));
         // Merge the per-shard engine registries (identical schemas by
         // construction), then attach per-lane dispatcher counters so one
         // export shows both pipeline and dispatch behaviour.
@@ -679,7 +485,7 @@ impl ShardedSplitDetect {
             }
         }
         let reg = telemetry.registry_mut();
-        for (i, d) in dispatch.iter().enumerate() {
+        for (i, d) in self.dispatch.iter().enumerate() {
             let shard = i.to_string();
             for (name, help, value) in [
                 (
@@ -705,49 +511,8 @@ impl ShardedSplitDetect {
         self.finished = Some(Finished {
             engines,
             usage,
-            dispatch,
-            failures,
             telemetry,
         });
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-impl Ips for ShardedSplitDetect {
-    fn name(&self) -> &'static str {
-        "split-detect-sharded"
-    }
-
-    fn process_packet(&mut self, packet: &[u8], tick: u64, _out: &mut Vec<Alert>) {
-        assert!(self.finished.is_none(), "engine already finished");
-        self.packets += 1;
-        let idx = self.shard_of(packet);
-        let lane = &mut self.lanes[idx];
-        if lane.tx.is_none() {
-            // Worker died earlier: count, don't crash. The failure itself
-            // surfaces at finish().
-            lane.stats.packets_dropped += 1;
-            return;
-        }
-        lane.stats.packets_enqueued += 1;
-        lane.stats.bytes_enqueued += packet.len() as u64;
-        lane.pending.push(packet, tick);
-        if lane.pending.len() >= self.batch_packets {
-            self.flush_shard(idx);
-        }
-    }
-
-    fn finish(&mut self, out: &mut Vec<Alert>) {
-        self.finish_inner(out);
     }
 
     fn resources(&self) -> ResourceUsage {
@@ -758,16 +523,6 @@ impl Ips for ShardedSplitDetect {
                 ..Default::default()
             },
         }
-    }
-}
-
-impl Drop for ShardedSplitDetect {
-    fn drop(&mut self) {
-        // Make sure worker threads exit even if finish() was never called.
-        // finish_inner collects worker panics instead of propagating them,
-        // so drop can never double-panic.
-        let mut sink = Vec::new();
-        self.finish_inner(&mut sink);
     }
 }
 
@@ -785,6 +540,19 @@ mod tests {
 
     fn sigs() -> SignatureSet {
         SignatureSet::from_signatures([Signature::new("evil", SIG)])
+    }
+
+    impl ShardedSplitDetect {
+        /// Like `new`, but shard `i`'s worker fails to spawn when bit `i`
+        /// of `fail_mask` is set.
+        fn new_with_spawn_failures(
+            sigs: SignatureSet,
+            config: SplitDetectConfig,
+            shards: usize,
+            fail_mask: u64,
+        ) -> Result<Self, ConfigError> {
+            crate::lane::with_spawn_failures(fail_mask, || Self::new(sigs, config, shards))
+        }
     }
 
     fn mixed_trace(n_attacks: usize) -> sd_traffic::mixer::LabeledTrace {
@@ -925,6 +693,10 @@ mod tests {
         );
         assert!(total.queue_depth_high_water >= 1);
         assert!(!total.dead);
+        assert_eq!(
+            total.mean_batch_fill(),
+            n as f64 / total.batches_sent as f64
+        );
         // Batches recycle in steady state.
         assert!(
             total.recycle_hits > total.recycle_misses,
@@ -935,24 +707,25 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_stats_text_roundtrip() {
-        let s = ShardDispatchStats {
-            batches_sent: 1,
-            packets_enqueued: 2,
-            bytes_enqueued: 3,
-            packets_dropped: 4,
-            recycle_hits: 5,
-            recycle_misses: 6,
-            queue_depth_high_water: 7,
-            dead: true,
+    fn batch_fill_counts_only_packets_sent_after_a_shard_dies() {
+        // Shard 1 dies on its first job. Its lane holds only
+        // SHARD_QUEUE_BATCHES batches, so a later send meets the closed
+        // channel and the rest of its packets drop at intake: they must not
+        // dilute the fill of the batches actually sent.
+        let labeled = mixed_trace(4);
+        let config = SplitDetectConfig {
+            shard_batch_packets: 1,
+            ..Default::default()
         };
-        let back = ShardDispatchStats::from_text(&s.to_text()).unwrap();
-        assert_eq!(back, s);
-        // Strictness: unknown key, duplicate, missing field all fail.
-        let good = s.to_text();
-        assert!(ShardDispatchStats::from_text(&format!("{good}x 1\n")).is_err());
-        assert!(ShardDispatchStats::from_text(&format!("{good}dead false\n")).is_err());
-        assert!(ShardDispatchStats::from_text("batches_sent 1\n").is_err());
+        let mut engine = ShardedSplitDetect::new(sigs(), config, 2).unwrap();
+        engine.poison_shard(1);
+        run_trace(&mut engine, labeled.trace.iter_bytes());
+        let lanes = engine.dispatch_stats();
+        let total = ShardDispatchStats::aggregate(&lanes);
+        assert!(lanes[1].dead && total.packets_dropped > 0);
+        let sent = labeled.trace.len() as u64 - total.packets_dropped;
+        assert_eq!(total.batches_sent, sent, "one packet per batch");
+        assert_eq!(total.mean_batch_fill(), 1.0);
     }
 
     #[test]
@@ -1025,7 +798,7 @@ mod tests {
         engine.finish(&mut out);
         let failures = engine.failures().to_vec();
         assert_eq!(failures.len(), 1, "exactly one worker failed");
-        assert_eq!(failures[0].shard, 1);
+        assert_eq!(failures[0].worker, 1);
         assert!(failures[0].message.contains("injected fault"));
         assert!(failures[0].to_string().contains("shard 1"));
         // Surviving shards still report and still detected their flows.
@@ -1060,7 +833,7 @@ mod tests {
         engine.finish(&mut out);
         let failures = engine.failures().to_vec();
         assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].shard, 1);
+        assert_eq!(failures[0].worker, 1);
         assert!(failures[0].message.contains("spawn failed"));
         assert_eq!(engine.stats().len(), 3, "three survivors");
         let lanes = engine.dispatch_stats();

@@ -13,39 +13,34 @@
 //!   dispatcher uses, so one flow's packets are processed by one worker in
 //!   wire order — the same affinity argument that makes sharding correct
 //!   makes the pool alert-equivalent to the inline slow path.
-//! * **Bounded SPSC lanes.** The hot thread enqueues pooled single-packet
-//!   buffers over a `sync_channel` per worker (the PR-1 shard-dispatch
-//!   pattern: buffers recycle back on a shared channel, so steady state
-//!   allocates nothing per packet). The bound is the whole point: it is
-//!   where overload becomes *visible* instead of unbounded queueing.
-//! * **Load shedding.** When a lane is full, [`ShedPolicy`] decides:
-//!   `Block` re-creates the inline coupling explicitly (backpressure),
-//!   `ShedFlow` drops the packet and counts it, and the default
-//!   `AlertOverload` additionally emits one synthetic
-//!   [`AlertSource::Overload`] alert per overload episode so the
-//!   degradation is attributable in the alert stream itself.
+//! * **Bounded lanes.** The hot thread enqueues pooled single-packet
+//!   buffers on the worker lanes the shard dispatcher also runs on. The
+//!   bound is the whole point: it is where overload becomes *visible*
+//!   instead of unbounded queueing.
+//! * **Load shedding.** A packet meeting a full (or dead) lane is shed:
+//!   counted (packets and payload bytes), and the first shed of each
+//!   overload episode on a lane emits one synthetic
+//!   [`AlertSource::Overload`] alert, so an adversary cannot degrade
+//!   detection *quietly*. The fast path never stalls.
 //! * **Return channel.** Workers send alerts back tagged with
 //!   `(tick, worker, seq)`; [`SlowPathPool::poll`] and
 //!   [`SlowPathPool::finish`] merge them in that order, so a finish-only
 //!   run is deterministic: per-flow order is exact (flow → one worker,
 //!   lane is FIFO) and cross-worker ties break by worker index.
 //!
-//! Worker panics are contained exactly like shard-worker panics: the lane
-//! is marked dead, subsequent packets for it are shed (counted), and the
-//! failure surfaces at `finish()` — never as a propagated panic, so
-//! `Drop` is safe with work in flight. A worker thread that fails to
-//! *spawn* degrades the same way: its lane is born dead, every packet
-//! pinned to it sheds, and the spawn error is reported alongside panic
-//! failures at `finish()`.
+//! A worker that fails to spawn or panics leaves a dead lane whose packets
+//! all shed; the failure is reported as a [`WorkerFailure`], never as a
+//! propagated panic.
 
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::thread::JoinHandle;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Instant;
 
 use sd_flow::{hash, FlowKey};
 use sd_ips::alert::AlertSource;
 use sd_ips::conventional::{ConventionalConfig, ConventionalIps};
 use sd_ips::{Alert, Ips, ResourceUsage, SignatureSet};
+
+use crate::lane::{sum_usage, Lanes, Worker, WorkerFailure, WorkerKind};
 
 /// Hash seed for flow → worker pinning. Distinct from the shard
 /// dispatcher's seed so a flow's shard and its slow-path worker are
@@ -55,55 +50,6 @@ const SLOW_LANE_SEED: u64 = 0x510E;
 /// Ceiling on a recycled packet buffer's retained capacity (one jumbo
 /// frame) — the same ratchet guard the delay-line pool uses.
 const SLOW_BUFFER_CAP_BYTES: usize = 9216;
-
-/// What the pool does when a packet's lane is full.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ShedPolicy {
-    /// Block the enqueueing (fast-path) thread until the lane drains.
-    /// Deliberately re-creates the inline coupling: nothing is ever shed,
-    /// but an adversary flooding the divert path stalls the fast path.
-    Block,
-    /// Shed the packet: count it (packets and payload bytes) and move on.
-    /// The fast path never stalls; the shed flow's coverage silently
-    /// degrades to whatever the slow path saw before the lane filled.
-    ShedFlow,
-    /// Shed like [`ShedPolicy::ShedFlow`] but also emit one synthetic
-    /// [`AlertSource::Overload`] alert per overload episode per lane, so
-    /// the degradation is visible in the alert stream, not only in
-    /// counters. The default: an adversary should not be able to degrade
-    /// detection *quietly*.
-    #[default]
-    AlertOverload,
-}
-
-impl ShedPolicy {
-    /// All policies, in escalation order.
-    pub const ALL: [ShedPolicy; 3] = [
-        ShedPolicy::Block,
-        ShedPolicy::ShedFlow,
-        ShedPolicy::AlertOverload,
-    ];
-
-    /// Stable name (CLI values and docs).
-    pub fn name(self) -> &'static str {
-        match self {
-            ShedPolicy::Block => "block",
-            ShedPolicy::ShedFlow => "shed-flow",
-            ShedPolicy::AlertOverload => "alert-overload",
-        }
-    }
-
-    /// Inverse of [`ShedPolicy::name`].
-    pub fn from_name(s: &str) -> Option<ShedPolicy> {
-        Self::ALL.iter().copied().find(|p| p.name() == s)
-    }
-}
-
-impl std::fmt::Display for ShedPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Pool-side counters, overlaid into `DivertStats`/telemetry by the
 /// engine.
@@ -123,25 +69,6 @@ pub struct SlowPathPoolStats {
     pub queue_depth_high_water: u64,
 }
 
-/// A slow-path worker that died, with its panic message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlowWorkerFailure {
-    /// Index of the failed worker.
-    pub worker: usize,
-    /// The worker's panic payload.
-    pub message: String,
-}
-
-impl std::fmt::Display for SlowWorkerFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "slow-path worker {} failed: {}",
-            self.worker, self.message
-        )
-    }
-}
-
 enum Job {
     Packet {
         data: Vec<u8>,
@@ -152,7 +79,6 @@ enum Job {
     /// lane order, so packets enqueued before the reload are scanned
     /// under the old rules and packets after it under the new.
     Reload(SignatureSet),
-    Flush,
 }
 
 /// One worker's alert delivery: everything its engine raised for one
@@ -165,60 +91,28 @@ struct AlertMsg {
     alerts: Vec<Alert>,
 }
 
-struct SlowLane {
-    /// `None` once the worker is known dead.
-    tx: Option<SyncSender<Job>>,
-    handle: Option<JoinHandle<ConventionalIps>>,
-    /// Jobs sent and not yet recycled back (≈ queue occupancy).
-    in_flight: u64,
-    /// Monotone per-lane sequence for the deterministic merge.
-    seq: u64,
-    /// Whether the lane is currently inside an overload episode (set on
-    /// shed, cleared on the next successful enqueue). Bounds
-    /// `AlertOverload` to one synthetic alert per episode.
-    shedding: bool,
-}
-
-struct FinishedPool {
-    usage: ResourceUsage,
-    failures: Vec<SlowWorkerFailure>,
-}
-
 /// What [`SlowPathPool::enqueue`] did with a packet.
 #[derive(Debug, Default)]
 pub struct EnqueueOutcome {
     /// Whether the packet reached a lane (false = shed).
     pub accepted: bool,
-    /// A synthetic overload alert to emit, when `AlertOverload` opened a
-    /// new overload episode.
+    /// A synthetic overload alert to emit, when this shed opened a new
+    /// overload episode.
     pub overload_alert: Option<Alert>,
-}
-
-/// What a drain ([`SlowPathPool::poll`] / [`SlowPathPool::finish`])
-/// observed, for telemetry.
-#[derive(Debug, Default)]
-pub struct DrainInfo {
-    /// Alerts appended to the caller's sink.
-    pub alerts_emitted: u64,
-    /// One enqueue→alert-delivery latency sample (ns) per alert batch.
-    pub latencies_ns: Vec<u64>,
-    /// Total jobs currently in flight across lanes (queue-depth gauge).
-    pub queue_depth: u64,
 }
 
 /// The bounded asynchronous slow path. See the module docs.
 pub struct SlowPathPool {
-    lanes: Vec<SlowLane>,
+    lanes: Lanes<Job, Vec<u8>, ConventionalIps>,
     alert_rx: Receiver<AlertMsg>,
-    recycle_rx: Receiver<(usize, Vec<u8>)>,
     /// Ready-to-fill packet buffers.
     pool: Vec<Vec<u8>>,
-    policy: ShedPolicy,
+    /// Per lane: inside an overload episode (set on shed, cleared on the
+    /// next accepted packet). Bounds overload alerts to one per episode.
+    shedding: Vec<bool>,
     stats: SlowPathPoolStats,
-    /// Workers whose threads never spawned (lane born dead). Folded into
-    /// the finish-time failure report.
-    early_failures: Vec<SlowWorkerFailure>,
-    finished: Option<FinishedPool>,
+    /// Merged worker usage, set once `finish` has joined the workers.
+    usage: Option<ResourceUsage>,
 }
 
 impl SlowPathPool {
@@ -232,98 +126,30 @@ impl SlowPathPool {
         conv: ConventionalConfig,
         workers: usize,
         lane_depth: usize,
-        policy: ShedPolicy,
-    ) -> Self {
-        Self::new_inner(sigs, conv, workers, lane_depth, policy, 0)
-    }
-
-    /// Test hook: like [`SlowPathPool::new`] but worker `i` fails to spawn
-    /// when bit `i` of `fail_mask` is set, exercising the born-dead lane
-    /// path without depending on OS thread exhaustion.
-    #[doc(hidden)]
-    pub fn new_with_spawn_failures(
-        sigs: SignatureSet,
-        conv: ConventionalConfig,
-        workers: usize,
-        lane_depth: usize,
-        policy: ShedPolicy,
-        fail_mask: u64,
-    ) -> Self {
-        Self::new_inner(sigs, conv, workers, lane_depth, policy, fail_mask)
-    }
-
-    fn new_inner(
-        sigs: SignatureSet,
-        conv: ConventionalConfig,
-        workers: usize,
-        lane_depth: usize,
-        policy: ShedPolicy,
-        fail_mask: u64,
     ) -> Self {
         let workers = workers.max(1);
-        let lane_depth = lane_depth.max(1);
         let per_worker = ConventionalConfig {
             max_connections: conv.max_connections.div_ceil(workers),
             ..conv
         };
-        let (alert_tx, alert_rx) = channel::<AlertMsg>();
-        let (recycle_tx, recycle_rx) = channel::<(usize, Vec<u8>)>();
-        let mut lanes = Vec::with_capacity(workers);
-        let mut early_failures = Vec::new();
-        for i in 0..workers {
-            let engine = ConventionalIps::with_config(sigs.clone(), per_worker);
-            let (tx, rx) = sync_channel::<Job>(lane_depth);
-            let alerts_out = alert_tx.clone();
-            let recycle = recycle_tx.clone();
-            let spawned = if i < 64 && fail_mask & (1u64 << i) != 0 {
-                Err(std::io::Error::other("injected spawn failure"))
-            } else {
-                std::thread::Builder::new()
-                    .name(format!("sd-slow-{i}"))
-                    .spawn(move || worker_loop(i, engine, rx, alerts_out, recycle))
-            };
-            match spawned {
-                Ok(handle) => lanes.push(SlowLane {
-                    tx: Some(tx),
-                    handle: Some(handle),
-                    in_flight: 0,
-                    seq: 0,
-                    shedding: false,
-                }),
-                Err(e) => {
-                    // Born-dead lane: packets pinned here shed (counted),
-                    // and the spawn error surfaces at finish() like a
-                    // worker panic would — the hot thread never crashes.
-                    eprintln!("split-detect: slow-path worker {i} failed to spawn: {e}");
-                    early_failures.push(SlowWorkerFailure {
-                        worker: i,
-                        message: format!("spawn failed: {e}"),
-                    });
-                    lanes.push(SlowLane {
-                        tx: None,
-                        handle: None,
-                        in_flight: 0,
-                        seq: 0,
-                        shedding: false,
-                    });
-                }
-            }
-        }
+        let (alert_tx, alert_rx) = channel();
+        let lanes = Lanes::spawn(
+            WorkerKind::SlowPath,
+            lane_depth.max(1),
+            (0..workers).map(|_| {
+                let engine = ConventionalIps::with_config(sigs.clone(), per_worker);
+                let alerts_out = alert_tx.clone();
+                move |worker: Worker<Job, Vec<u8>>| run_worker(engine, worker, alerts_out)
+            }),
+        );
         SlowPathPool {
             lanes,
             alert_rx,
-            recycle_rx,
             pool: Vec::new(),
-            policy,
+            shedding: vec![false; workers],
             stats: SlowPathPoolStats::default(),
-            early_failures,
-            finished: None,
+            usage: None,
         }
-    }
-
-    /// Number of worker lanes.
-    pub fn workers(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Pool-side counters (shed/enqueue accounting).
@@ -333,54 +159,46 @@ impl SlowPathPool {
 
     /// Workers that failed: spawn failures are visible immediately, panic
     /// failures are added by [`SlowPathPool::finish`].
-    pub fn failures(&self) -> &[SlowWorkerFailure] {
-        match &self.finished {
-            Some(f) => &f.failures,
-            None => &self.early_failures,
-        }
+    pub fn failures(&self) -> &[WorkerFailure] {
+        self.lanes.failures()
     }
 
     /// Merged resource usage of the worker engines. Zero until
     /// [`SlowPathPool::finish`] — per-worker state lives on the worker
     /// threads until then.
     pub fn usage(&self) -> ResourceUsage {
-        match &self.finished {
-            Some(f) => f.usage,
-            None => ResourceUsage::default(),
-        }
+        self.usage.unwrap_or_default()
     }
 
-    /// Total jobs in flight across lanes (the queue-depth gauge).
+    /// Total jobs in flight across lanes (the queue-depth gauge). A dead
+    /// lane holds none.
     pub fn queue_depth(&self) -> u64 {
-        self.lanes.iter().map(|l| l.in_flight).sum()
+        (0..self.lanes.len()).map(|i| self.lanes.in_flight(i)).sum()
     }
 
     fn drain_recycle(&mut self) {
-        while let Ok((worker, mut buf)) = self.recycle_rx.try_recv() {
-            self.lanes[worker].in_flight = self.lanes[worker].in_flight.saturating_sub(1);
+        let pool = &mut self.pool;
+        self.lanes.recycled(|mut buf| {
             if buf.capacity() > SLOW_BUFFER_CAP_BYTES {
                 buf = Vec::with_capacity(SLOW_BUFFER_CAP_BYTES);
             }
-            self.pool.push(buf);
-        }
+            pool.push(buf);
+        });
     }
 
     fn shed(&mut self, lane: usize, key: FlowKey, payload_len: usize) -> EnqueueOutcome {
         self.stats.shed_packets += 1;
         self.stats.shed_bytes += payload_len as u64;
-        let episode_opened = !self.lanes[lane].shedding;
-        self.lanes[lane].shedding = true;
-        let overload_alert = if self.policy == ShedPolicy::AlertOverload && episode_opened {
+        let episode_opened = !std::mem::replace(&mut self.shedding[lane], true);
+        let overload_alert = episode_opened.then(|| {
             self.stats.overload_alerts += 1;
-            Some(Alert {
+            Alert {
                 flow: key,
                 signature: 0, // meaningless for overload alerts
                 offset: 0,
                 source: AlertSource::Overload,
-            })
-        } else {
-            None
-        };
+            }
+        });
         EnqueueOutcome {
             accepted: false,
             overload_alert,
@@ -388,8 +206,8 @@ impl SlowPathPool {
     }
 
     /// Enqueue one diverted packet for `key`'s pinned worker. Returns
-    /// whether the packet was accepted and, under `AlertOverload`, the
-    /// synthetic alert opening a new overload episode.
+    /// whether the packet was accepted and, when this shed opened a new
+    /// overload episode, the synthetic alert announcing it.
     pub fn enqueue(
         &mut self,
         key: FlowKey,
@@ -397,33 +215,25 @@ impl SlowPathPool {
         payload_len: usize,
         tick: u64,
     ) -> EnqueueOutcome {
-        assert!(self.finished.is_none(), "pool already finished");
+        assert!(self.usage.is_none(), "pool already finished");
         self.drain_recycle();
-        let lane_idx = (hash::hash_key_seeded(SLOW_LANE_SEED, &key) as usize) % self.lanes.len();
-        if self.lanes[lane_idx].tx.is_none() {
+        let lane = (hash::hash_key_seeded(SLOW_LANE_SEED, &key) as usize) % self.lanes.len();
+        if self.lanes.is_dead(lane) {
             // Worker died earlier: shed (counted), never crash the hot
-            // thread. The failure itself surfaces at finish().
-            return self.shed(lane_idx, key, payload_len);
+            // thread. The failure itself is reported by failures().
+            return self.shed(lane, key, payload_len);
         }
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(packet);
+        let mut data = self.pool.pop().unwrap_or_default();
+        data.clear();
+        data.extend_from_slice(packet);
         let job = Job::Packet {
-            data: buf,
+            data,
             tick,
             enqueued: Instant::now(),
         };
-        let lane = &mut self.lanes[lane_idx];
-        let tx = lane.tx.as_ref().expect("checked above");
-        let send_result = match self.policy {
-            ShedPolicy::Block => tx.send(job).map_err(|e| TrySendError::Disconnected(e.0)),
-            ShedPolicy::ShedFlow | ShedPolicy::AlertOverload => tx.try_send(job),
-        };
-        match send_result {
+        match self.lanes.try_send(lane, job) {
             Ok(()) => {
-                lane.in_flight += 1;
-                lane.seq += 1;
-                lane.shedding = false;
+                self.shedding[lane] = false;
                 self.stats.enqueued_packets += 1;
                 self.stats.enqueued_bytes += payload_len as u64;
                 let depth = self.queue_depth();
@@ -433,19 +243,12 @@ impl SlowPathPool {
                     overload_alert: None,
                 }
             }
-            Err(TrySendError::Full(job)) => {
+            Err(job) => {
+                // Full lane, or a worker that just hung up (panicked).
                 if let Job::Packet { data, .. } = job {
                     self.pool.push(data);
                 }
-                self.shed(lane_idx, key, payload_len)
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                // Worker hung up (panicked): degrade, don't die.
-                if let Job::Packet { data, .. } = job {
-                    self.pool.push(data);
-                }
-                self.lanes[lane_idx].tx = None;
-                self.shed(lane_idx, key, payload_len)
+                self.shed(lane, key, payload_len)
             }
         }
     }
@@ -458,124 +261,81 @@ impl SlowPathPool {
     /// reload is a rare control event, and waiting for lane space beats
     /// shedding data packets to make room.
     pub fn reload(&mut self, sigs: &SignatureSet) {
-        assert!(self.finished.is_none(), "pool already finished");
-        for lane in &mut self.lanes {
-            if let Some(tx) = &lane.tx {
-                if tx.send(Job::Reload(sigs.clone())).is_err() {
-                    // Worker hung up (panicked): degrade like enqueue does;
-                    // finish() reports the panic.
-                    lane.tx = None;
-                }
-            }
-        }
+        assert!(self.usage.is_none(), "pool already finished");
+        self.lanes.broadcast(|| Job::Reload(sigs.clone()));
     }
 
     /// Sort and append every alert message drained so far. The order is
     /// `(tick, worker, seq)`: deterministic for a finish-only run, and
     /// always per-flow exact (a flow's alerts come from one worker, whose
-    /// lane preserves wire order).
-    fn merge(msgs: &mut Vec<AlertMsg>, out: &mut Vec<Alert>, info: &mut DrainInfo) {
+    /// lane preserves wire order). Returns one enqueue→alert-delivery
+    /// latency sample (ns) per message.
+    fn merge(&self, out: &mut Vec<Alert>) -> Vec<u64> {
+        let mut msgs: Vec<AlertMsg> = self.alert_rx.try_iter().collect();
         msgs.sort_by_key(|m| (m.tick, m.worker, m.seq));
         let now = Instant::now();
-        for msg in msgs.drain(..) {
-            info.latencies_ns
-                .push(now.duration_since(msg.enqueued).as_nanos() as u64);
-            info.alerts_emitted += msg.alerts.len() as u64;
+        let mut latencies_ns = Vec::with_capacity(msgs.len());
+        for msg in msgs {
+            latencies_ns.push(now.duration_since(msg.enqueued).as_nanos() as u64);
             out.extend(msg.alerts);
         }
+        latencies_ns
     }
 
-    /// Drain alerts delivered so far into `out` (non-blocking). Messages
-    /// available at the moment of the call are merged in deterministic
-    /// `(tick, worker, seq)` order; *which* messages have arrived yet is
-    /// inherently timing-dependent, so a mid-run poll is best-effort —
-    /// [`SlowPathPool::finish`] gives the complete, deterministic merge.
-    pub fn poll(&mut self, out: &mut Vec<Alert>) -> DrainInfo {
+    /// Drain alerts delivered so far into `out` (non-blocking), returning
+    /// their delivery latencies. Messages available at the moment of the
+    /// call are merged in deterministic `(tick, worker, seq)` order;
+    /// *which* messages have arrived yet is inherently timing-dependent,
+    /// so a mid-run poll is best-effort — [`SlowPathPool::finish`] gives
+    /// the complete, deterministic merge.
+    pub fn poll(&mut self, out: &mut Vec<Alert>) -> Vec<u64> {
         self.drain_recycle();
-        let mut info = DrainInfo::default();
-        let mut msgs = Vec::new();
-        while let Ok(msg) = self.alert_rx.try_recv() {
-            msgs.push(msg);
-        }
-        Self::merge(&mut msgs, out, &mut info);
-        info.queue_depth = self.queue_depth();
-        info
+        self.merge(out)
     }
 
     /// Flush every lane, join every worker, and merge all outstanding
     /// alerts (including the workers' own `finish` alerts, which sort
-    /// after all packet ticks). Idempotent: a second call emits nothing
-    /// and re-reports the first call's failures.
-    pub fn finish(&mut self, out: &mut Vec<Alert>) -> DrainInfo {
-        let mut info = DrainInfo::default();
-        if self.finished.is_some() {
-            return info;
+    /// after all packet ticks), returning their delivery latencies.
+    /// Idempotent: a second call emits nothing. Dropping the pool without
+    /// calling this still joins the workers (their alerts are discarded).
+    pub fn finish(&mut self, out: &mut Vec<Alert>) -> Vec<u64> {
+        if self.usage.is_some() {
+            return Vec::new();
         }
-        let mut usage = ResourceUsage::default();
-        let mut failures = std::mem::take(&mut self.early_failures);
-        for lane in &mut self.lanes {
-            if let Some(tx) = lane.tx.take() {
-                // A send error means the worker already hung up; the join
-                // below reports why.
-                let _ = tx.send(Job::Flush);
-            }
-        }
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            let Some(handle) = lane.handle.take() else {
-                continue;
-            };
-            match handle.join() {
-                Ok(engine) => {
-                    let r = engine.resources();
-                    usage.packets += r.packets;
-                    usage.payload_bytes += r.payload_bytes;
-                    usage.bytes_scanned += r.bytes_scanned;
-                    usage.bytes_buffered_total += r.bytes_buffered_total;
-                    usage.state_bytes += r.state_bytes;
-                    usage.state_bytes_peak += r.state_bytes_peak; // sum: provisioned per lane
-                    usage.alerts += r.alerts;
-                }
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    eprintln!("split-detect: slow-path worker {i} failed: {message}");
-                    failures.push(SlowWorkerFailure { worker: i, message });
-                }
-            }
-            lane.in_flight = 0;
-        }
-        // All senders are gone now (workers joined), so this drains
-        // everything ever sent.
-        let mut msgs = Vec::new();
-        while let Ok(msg) = self.alert_rx.try_recv() {
-            msgs.push(msg);
-        }
-        Self::merge(&mut msgs, out, &mut info);
-        self.finished = Some(FinishedPool { usage, failures });
-        info
+        let engines = self.lanes.finish();
+        self.usage = Some(sum_usage(engines.iter().flatten().map(Ips::resources)));
+        // Every worker is joined, so every alert message ever sent is
+        // already in the channel.
+        self.merge(out)
     }
 }
 
-impl Drop for SlowPathPool {
-    fn drop(&mut self) {
-        // Join workers even if finish() was never called. finish()
-        // collects worker panics instead of propagating them, so drop can
-        // never double-panic; alerts still in flight go to a sink (there
-        // is nowhere left to deliver them).
-        let mut sink = Vec::new();
-        let _ = self.finish(&mut sink);
-    }
-}
-
-fn worker_loop(
-    worker: usize,
+/// One slow-path worker: reassemble and scan each packet in lane order,
+/// recycle its buffer, and ship any alerts back tagged for the merge.
+fn run_worker(
     mut engine: ConventionalIps,
-    rx: Receiver<Job>,
+    worker: Worker<Job, Vec<u8>>,
     alerts_out: Sender<AlertMsg>,
-    recycle: Sender<(usize, Vec<u8>)>,
 ) -> ConventionalIps {
     let mut seq = 0u64;
     let mut buf = Vec::new();
-    while let Ok(job) = rx.recv() {
+    let mut deliver = |tick: u64, enqueued: Instant, alerts: &mut Vec<Alert>| {
+        if alerts.is_empty() {
+            return;
+        }
+        for alert in alerts.iter_mut() {
+            alert.source = AlertSource::SlowPath;
+        }
+        seq += 1;
+        let _ = alerts_out.send(AlertMsg {
+            worker: worker.index(),
+            seq,
+            tick,
+            enqueued,
+            alerts: std::mem::take(alerts),
+        });
+    };
+    for job in worker.jobs() {
         match job {
             Job::Packet {
                 data,
@@ -583,55 +343,18 @@ fn worker_loop(
                 enqueued,
             } => {
                 engine.process_packet(&data, tick, &mut buf);
-                // The dispatcher may already be gone during teardown; an
-                // undeliverable recycle is not an error.
-                let _ = recycle.send((worker, data));
-                if !buf.is_empty() {
-                    for alert in &mut buf {
-                        alert.source = AlertSource::SlowPath;
-                    }
-                    seq += 1;
-                    let _ = alerts_out.send(AlertMsg {
-                        worker,
-                        seq,
-                        tick,
-                        enqueued,
-                        alerts: std::mem::take(&mut buf),
-                    });
-                }
+                worker.recycle(data);
+                deliver(tick, enqueued, &mut buf);
             }
             Job::Reload(sigs) => engine.reload_signatures(sigs),
-            Job::Flush => break,
         }
     }
     // The engine's own finish can still alert (buffered stream tails);
     // tag those after every packet tick so the merge is total.
     let flush_started = Instant::now();
     engine.finish(&mut buf);
-    if !buf.is_empty() {
-        for alert in &mut buf {
-            alert.source = AlertSource::SlowPath;
-        }
-        seq += 1;
-        let _ = alerts_out.send(AlertMsg {
-            worker,
-            seq,
-            tick: u64::MAX,
-            enqueued: flush_started,
-            alerts: std::mem::take(&mut buf),
-        });
-    }
+    deliver(u64::MAX, flush_started, &mut buf);
     engine
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -647,14 +370,8 @@ mod tests {
         SignatureSet::from_signatures([Signature::new("evil", SIG)])
     }
 
-    fn pool(workers: usize, lane_depth: usize, policy: ShedPolicy) -> SlowPathPool {
-        SlowPathPool::new(
-            sigs(),
-            ConventionalConfig::default(),
-            workers,
-            lane_depth,
-            policy,
-        )
+    fn pool(workers: usize, lane_depth: usize) -> SlowPathPool {
+        SlowPathPool::new(sigs(), ConventionalConfig::default(), workers, lane_depth)
     }
 
     fn pkt(src: &str, seq: u32, payload: &[u8]) -> (FlowKey, Vec<u8>) {
@@ -669,29 +386,18 @@ mod tests {
     }
 
     #[test]
-    fn shed_policy_names_round_trip() {
-        for p in ShedPolicy::ALL {
-            assert_eq!(ShedPolicy::from_name(p.name()), Some(p));
-            assert_eq!(p.to_string(), p.name());
-        }
-        assert_eq!(ShedPolicy::from_name("panic"), None);
-        assert_eq!(ShedPolicy::default(), ShedPolicy::AlertOverload);
-    }
-
-    #[test]
     fn pool_detects_signature_and_labels_slow_path() {
-        let mut p = pool(2, 64, ShedPolicy::AlertOverload);
+        let mut p = pool(2, 64);
         let mut payload = b"..".to_vec();
         payload.extend_from_slice(SIG);
         let (key, raw) = pkt("10.0.0.1:4000", 1000, &payload);
         let outcome = p.enqueue(key, &raw, payload.len(), 0);
         assert!(outcome.accepted);
         let mut out = Vec::new();
-        let info = p.finish(&mut out);
+        let latencies_ns = p.finish(&mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].source, AlertSource::SlowPath);
-        assert_eq!(info.alerts_emitted, 1);
-        assert_eq!(info.latencies_ns.len(), 1);
+        assert_eq!(latencies_ns.len(), 1);
         assert_eq!(p.stats().shed_packets, 0);
     }
 
@@ -700,7 +406,7 @@ mod tests {
         // The signature split across two packets must reassemble, which
         // only works if both packets reach the same worker engine.
         for workers in [1usize, 2, 4] {
-            let mut p = pool(workers, 64, ShedPolicy::AlertOverload);
+            let mut p = pool(workers, 64);
             let (key, p1) = pkt("10.0.0.1:4000", 1000, &SIG[..10]);
             let (_, p2) = pkt("10.0.0.1:4000", 1010, &SIG[10..]);
             p.enqueue(key, &p1, 10, 0);
@@ -718,7 +424,7 @@ mod tests {
         // wedge deterministically without a test hook, so flood with far
         // more packets than the lane holds and assert the episode
         // accounting invariants rather than exact counts.
-        let mut p = pool(1, 1, ShedPolicy::AlertOverload);
+        let mut p = pool(1, 1);
         let mut overloads = 0u64;
         let n = 512u32;
         for i in 0..n {
@@ -742,37 +448,8 @@ mod tests {
     }
 
     #[test]
-    fn shed_flow_policy_sheds_silently() {
-        let mut p = pool(1, 1, ShedPolicy::ShedFlow);
-        for i in 0..256u32 {
-            let (key, raw) = pkt("10.0.0.1:4000", 1000 + i * 1400, &[b'y'; 1400]);
-            let outcome = p.enqueue(key, &raw, 1400, i as u64);
-            assert!(outcome.overload_alert.is_none(), "shed-flow never alerts");
-        }
-        assert_eq!(p.stats().overload_alerts, 0);
-        let mut out = Vec::new();
-        p.finish(&mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn block_policy_never_sheds() {
-        let mut p = pool(1, 1, ShedPolicy::Block);
-        for i in 0..256u32 {
-            let (key, raw) = pkt("10.0.0.1:4000", 1000 + i * 1400, &[b'z'; 1400]);
-            let outcome = p.enqueue(key, &raw, 1400, i as u64);
-            assert!(outcome.accepted, "block policy waits, never sheds");
-        }
-        let s = p.stats();
-        assert_eq!(s.shed_packets, 0);
-        assert_eq!(s.enqueued_packets, 256);
-        let mut out = Vec::new();
-        p.finish(&mut out);
-    }
-
-    #[test]
     fn finish_twice_neither_panics_nor_duplicates() {
-        let mut p = pool(2, 64, ShedPolicy::AlertOverload);
+        let mut p = pool(2, 64);
         let mut payload = b"..".to_vec();
         payload.extend_from_slice(SIG);
         let (key, raw) = pkt("10.0.0.1:4000", 1000, &payload);
@@ -787,7 +464,7 @@ mod tests {
 
     #[test]
     fn drop_with_in_flight_work_does_not_hang_or_panic() {
-        let mut p = pool(4, 256, ShedPolicy::AlertOverload);
+        let mut p = pool(4, 256);
         for i in 0..200u32 {
             let (key, raw) = pkt(
                 &format!("10.0.{}.{}:4000", i % 4, i % 100 + 1),
@@ -801,19 +478,23 @@ mod tests {
 
     #[test]
     fn buffers_recycle_in_steady_state() {
-        let mut p = pool(1, 8, ShedPolicy::Block);
+        // A lane deeper than the packets sent: nothing sheds.
+        let mut p = pool(1, 1024);
         for i in 0..512u32 {
             let (key, raw) = pkt("10.0.0.1:4000", 1000 + i * 64, &[b'r'; 64]);
             p.enqueue(key, &raw, 64, i as u64);
         }
         let mut out = Vec::new();
         p.finish(&mut out);
+        let s = p.stats();
+        assert_eq!((s.enqueued_packets, s.shed_packets), (512, 0));
         // The pool can never hold more buffers than were ever in flight
-        // simultaneously (lane depth) plus the one being filled.
+        // simultaneously plus the one being filled.
         assert!(
-            p.pool.len() <= 8 + 1,
-            "pool grew past the lane bound: {}",
-            p.pool.len()
+            p.pool.len() as u64 <= s.queue_depth_high_water + 1,
+            "pool grew past the in-flight bound: {} > {} + 1",
+            p.pool.len(),
+            s.queue_depth_high_water
         );
     }
 
@@ -823,14 +504,7 @@ mod tests {
         // documented contract: failures surface at finish(), never as a
         // propagated panic), packets pinned to the dead lane shed, and the
         // healthy lane keeps detecting.
-        let mut p = SlowPathPool::new_with_spawn_failures(
-            sigs(),
-            ConventionalConfig::default(),
-            2,
-            64,
-            ShedPolicy::ShedFlow,
-            0b01,
-        );
+        let mut p = crate::lane::with_spawn_failures(0b01, || pool(2, 64));
         assert_eq!(p.failures().len(), 1, "spawn failure visible pre-finish");
         let mut payload = b"..".to_vec();
         payload.extend_from_slice(SIG);
@@ -852,14 +526,7 @@ mod tests {
 
     #[test]
     fn all_workers_failing_to_spawn_is_survivable() {
-        let mut p = SlowPathPool::new_with_spawn_failures(
-            sigs(),
-            ConventionalConfig::default(),
-            2,
-            8,
-            ShedPolicy::AlertOverload,
-            0b11,
-        );
+        let mut p = crate::lane::with_spawn_failures(0b11, || pool(2, 8));
         let (key, raw) = pkt("10.0.0.1:4000", 1000, b"data");
         let outcome = p.enqueue(key, &raw, 4, 0);
         assert!(!outcome.accepted);
@@ -874,7 +541,7 @@ mod tests {
         // Mid-run poll() consumes whatever alert messages have arrived;
         // finish() must emit only the remainder — the union is complete
         // with no duplicates.
-        let mut p = pool(2, 64, ShedPolicy::Block);
+        let mut p = pool(2, 64);
         let mut payload = b"..".to_vec();
         payload.extend_from_slice(SIG);
         let n = 8u16;
@@ -905,7 +572,7 @@ mod tests {
         // Engine teardown without finish(): alerts already drained by
         // poll() stay with the caller, Drop joins cleanly, and the buffer
         // pool never exceeds its in-flight bound (no leaked buffers).
-        let mut p = pool(2, 8, ShedPolicy::Block);
+        let mut p = pool(2, 128);
         let mut payload = b"..".to_vec();
         payload.extend_from_slice(SIG);
         for i in 0..64u16 {
@@ -923,8 +590,8 @@ mod tests {
         assert!(!out.is_empty());
         let drained = out.clone();
         assert!(
-            p.pool.len() <= 2 * 8 + 1,
-            "recycled buffers exceed the lane bound: {}",
+            p.pool.len() as u64 <= p.stats().queue_depth_high_water + 1,
+            "recycled buffers exceed the in-flight bound: {}",
             p.pool.len()
         );
         drop(p); // finish-into-sink: must join cleanly, not touch `out`
@@ -937,7 +604,7 @@ mod tests {
         // known ticks: the merged order must sort by tick regardless of
         // worker scheduling.
         let run = || {
-            let mut p = pool(4, 64, ShedPolicy::AlertOverload);
+            let mut p = pool(4, 64);
             let mut payload = b"..".to_vec();
             payload.extend_from_slice(SIG);
             let flows = ["10.0.0.1:4000", "10.0.0.3:4000", "10.0.0.5:4000"];

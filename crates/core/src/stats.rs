@@ -76,142 +76,6 @@ impl SplitDetectStats {
         self.fast_state_bytes + self.divert_state_bytes + self.slow_state_bytes
     }
 
-    /// Serialize as stable `key value` lines. [`SplitDetectStats::from_text`]
-    /// inverts this exactly; experiment scripts diff and archive snapshots
-    /// in this form without depending on the human `RunReport` rendering.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        let diverts: Vec<String> = self.fast.diverts.iter().map(u64::to_string).collect();
-        for (key, value) in [
-            ("fast.packets", self.fast.packets.to_string()),
-            ("fast.bytes_scanned", self.fast.bytes_scanned.to_string()),
-            ("fast.malformed", self.fast.malformed.to_string()),
-            ("fast.small_segments", self.fast.small_segments.to_string()),
-            ("fast.out_of_order", self.fast.out_of_order.to_string()),
-            ("fast.diverts", diverts.join(" ")),
-            ("fast.reclaimed", self.fast.reclaimed.to_string()),
-            (
-                "divert.flows_diverted",
-                self.divert.flows_diverted.to_string(),
-            ),
-            (
-                "divert.set_evictions",
-                self.divert.set_evictions.to_string(),
-            ),
-            ("divert.set_refused", self.divert.set_refused.to_string()),
-            (
-                "divert.replayed_packets",
-                self.divert.replayed_packets.to_string(),
-            ),
-            (
-                "divert.delay_line_misses",
-                self.divert.delay_line_misses.to_string(),
-            ),
-            ("divert.shed_packets", self.divert.shed_packets.to_string()),
-            ("divert.shed_bytes", self.divert.shed_bytes.to_string()),
-            (
-                "divert.eviction_policy",
-                self.divert.policy.name().to_string(),
-            ),
-            ("flows_seen", self.flows_seen.to_string()),
-            ("packets_to_slow", self.packets_to_slow.to_string()),
-            ("bytes_to_slow", self.bytes_to_slow.to_string()),
-            ("payload_bytes", self.payload_bytes.to_string()),
-            ("fast_state_bytes", self.fast_state_bytes.to_string()),
-            ("divert_state_bytes", self.divert_state_bytes.to_string()),
-            ("slow_state_bytes", self.slow_state_bytes.to_string()),
-            (
-                "slow_state_peak_bytes",
-                self.slow_state_peak_bytes.to_string(),
-            ),
-            ("automaton_bytes", self.automaton_bytes.to_string()),
-        ] {
-            out.push_str(key);
-            out.push(' ');
-            out.push_str(&value);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse the [`SplitDetectStats::to_text`] format. Strict: every field
-    /// must appear exactly once and no unknown keys are accepted, so a
-    /// snapshot from a different engine version fails loudly instead of
-    /// silently zero-filling.
-    pub fn from_text(text: &str) -> Result<SplitDetectStats, String> {
-        let mut s = SplitDetectStats::default();
-        let mut seen: Vec<String> = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let lineno = i + 1;
-            let (key, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("stats line {lineno}: missing value"))?;
-            if seen.iter().any(|k| k == key) {
-                return Err(format!("stats line {lineno}: duplicate key {key}"));
-            }
-            if key == "fast.diverts" {
-                let vals = rest
-                    .split_whitespace()
-                    .map(|w| {
-                        w.parse::<u64>()
-                            .map_err(|_| format!("stats line {lineno}: bad number {w}"))
-                    })
-                    .collect::<Result<Vec<u64>, String>>()?;
-                if vals.len() != s.fast.diverts.len() {
-                    return Err(format!(
-                        "stats line {lineno}: fast.diverts needs {} values, got {}",
-                        s.fast.diverts.len(),
-                        vals.len()
-                    ));
-                }
-                s.fast.diverts.copy_from_slice(&vals);
-            } else if key == "divert.eviction_policy" {
-                let rest = rest.trim();
-                s.divert.policy = crate::divert::EvictionPolicy::from_name(rest)
-                    .ok_or_else(|| format!("stats line {lineno}: unknown policy {rest}"))?;
-            } else {
-                let v = rest
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| format!("stats line {lineno}: bad number {rest}"))?;
-                match key {
-                    "fast.packets" => s.fast.packets = v,
-                    "fast.bytes_scanned" => s.fast.bytes_scanned = v,
-                    "fast.malformed" => s.fast.malformed = v,
-                    "fast.small_segments" => s.fast.small_segments = v,
-                    "fast.out_of_order" => s.fast.out_of_order = v,
-                    "fast.reclaimed" => s.fast.reclaimed = v,
-                    "divert.flows_diverted" => s.divert.flows_diverted = v,
-                    "divert.set_evictions" => s.divert.set_evictions = v,
-                    "divert.set_refused" => s.divert.set_refused = v,
-                    "divert.replayed_packets" => s.divert.replayed_packets = v,
-                    "divert.delay_line_misses" => s.divert.delay_line_misses = v,
-                    "divert.shed_packets" => s.divert.shed_packets = v,
-                    "divert.shed_bytes" => s.divert.shed_bytes = v,
-                    "flows_seen" => s.flows_seen = v,
-                    "packets_to_slow" => s.packets_to_slow = v,
-                    "bytes_to_slow" => s.bytes_to_slow = v,
-                    "payload_bytes" => s.payload_bytes = v,
-                    "fast_state_bytes" => s.fast_state_bytes = v,
-                    "divert_state_bytes" => s.divert_state_bytes = v,
-                    "slow_state_bytes" => s.slow_state_bytes = v,
-                    "slow_state_peak_bytes" => s.slow_state_peak_bytes = v,
-                    "automaton_bytes" => s.automaton_bytes = v,
-                    _ => return Err(format!("stats line {lineno}: unknown key {key}")),
-                }
-            }
-            seen.push(key.to_string());
-        }
-        if seen.len() != 24 {
-            return Err(format!("stats: expected 24 fields, got {}", seen.len()));
-        }
-        Ok(s)
-    }
-
     /// Element-wise sum across shards: counters add, state bytes add
     /// (each shard provisions its own tables), peaks add as well since the
     /// shards run concurrently. `None` (and a zeroed snapshot) for an
@@ -311,81 +175,6 @@ mod tests {
         assert_eq!(t.fast_state_bytes, 200);
         assert_eq!(t.fast.diverts[0], 3);
         assert!(SplitDetectStats::aggregate(&[]).is_none());
-    }
-
-    #[test]
-    fn text_roundtrip_preserves_every_field() {
-        // A snapshot with every field distinct, so a swapped or dropped
-        // field cannot cancel out.
-        let mut s = zeroed();
-        s.fast.packets = 1;
-        s.fast.bytes_scanned = 2;
-        s.fast.malformed = 3;
-        s.fast.small_segments = 4;
-        s.fast.out_of_order = 5;
-        s.fast.diverts = [6, 7, 8, 9, 10];
-        s.fast.reclaimed = 11;
-        s.divert.flows_diverted = 12;
-        s.divert.set_evictions = 13;
-        s.divert.set_refused = 25;
-        s.divert.replayed_packets = 14;
-        s.divert.delay_line_misses = 15;
-        s.divert.shed_packets = 26;
-        s.divert.shed_bytes = 27;
-        s.divert.policy = crate::divert::EvictionPolicy::RefuseNew;
-        s.flows_seen = 16;
-        s.packets_to_slow = 17;
-        s.bytes_to_slow = 18;
-        s.payload_bytes = 19;
-        s.fast_state_bytes = 20;
-        s.divert_state_bytes = 21;
-        s.slow_state_bytes = 22;
-        s.slow_state_peak_bytes = 23;
-        s.automaton_bytes = 24;
-        let text = s.to_text();
-        let back = SplitDetectStats::from_text(&text).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn text_parse_rejects_junk() {
-        let good = zeroed().to_text();
-        // Unknown key.
-        let mut t = good.clone();
-        t.push_str("mystery 1\n");
-        assert!(SplitDetectStats::from_text(&t)
-            .unwrap_err()
-            .contains("unknown key"));
-        // Duplicate key.
-        let mut t = good.clone();
-        t.push_str("flows_seen 2\n");
-        assert!(SplitDetectStats::from_text(&t)
-            .unwrap_err()
-            .contains("duplicate"));
-        // Missing field.
-        let t: String = good
-            .lines()
-            .filter(|l| !l.starts_with("payload_bytes"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(SplitDetectStats::from_text(&t)
-            .unwrap_err()
-            .contains("24 fields"));
-        // Bad policy name.
-        let t = good.replace("eviction_policy evict-oldest", "eviction_policy coin-flip");
-        assert!(SplitDetectStats::from_text(&t)
-            .unwrap_err()
-            .contains("unknown policy"));
-        // Bad number.
-        let t = good.replace("flows_seen 0", "flows_seen zero");
-        assert!(SplitDetectStats::from_text(&t)
-            .unwrap_err()
-            .contains("bad number"));
-        // Wrong divert arity.
-        let t = good.replace("fast.diverts 0 0 0 0 0", "fast.diverts 0 0");
-        assert!(SplitDetectStats::from_text(&t)
-            .unwrap_err()
-            .contains("needs 5"));
     }
 
     #[test]

@@ -40,6 +40,29 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `sd fuzz --replay-trace` reads untrusted files: arbitrary text, a
+    /// valid trace with one line replaced by junk, and a mutation line
+    /// with junk arguments all parse to `Ok` or `Err`, never a panic.
+    #[test]
+    fn trace_parser_never_panics(
+        seed in any::<u64>(),
+        line in any::<usize>(),
+        junk in "\\PC{0,60}",
+    ) {
+        let _ = TraceProgram::from_text(&junk);
+        let text = TraceProgram::random(seed).to_text();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let at = line % lines.len();
+        lines[at] = &junk;
+        let _ = TraceProgram::from_text(&lines.join("\n"));
+        let _ = TraceProgram::from_text(&format!("{text}mutate {junk}\n"));
+        let _ = TraceProgram::from_text(&format!("{text}mutate split {junk}\n"));
+    }
+}
+
 #[test]
 fn fixed_campaign_is_clean_and_deterministic() {
     let config = CampaignConfig {

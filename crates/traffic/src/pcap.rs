@@ -22,6 +22,10 @@ pub const LINKTYPE_ETHERNET: u32 = 1;
 const MAGIC_LE: u32 = 0xa1b2_c3d4;
 const MAGIC_BE: u32 = 0xd4c3_b2a1;
 
+/// Largest record the reader allocates for, whatever the header's snaplen
+/// claims: libpcap's own ceiling (256 KiB).
+pub const MAX_RECORD_BYTES: usize = 262_144;
+
 /// Errors from pcap parsing.
 #[derive(Debug)]
 pub enum PcapError {
@@ -33,6 +37,14 @@ pub enum PcapError {
     UnsupportedLinkType(u32),
     /// Truncated record.
     Truncated,
+    /// A record header claiming more bytes than the file's snaplen (or
+    /// [`MAX_RECORD_BYTES`]) allows; rejected before allocating.
+    Oversized {
+        /// The record's claimed captured length.
+        len: usize,
+        /// The largest length this file admits.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for PcapError {
@@ -42,6 +54,9 @@ impl std::fmt::Display for PcapError {
             PcapError::BadMagic(m) => write!(f, "not a pcap file (magic {m:#010x})"),
             PcapError::UnsupportedLinkType(t) => write!(f, "unsupported linktype {t}"),
             PcapError::Truncated => f.write_str("truncated pcap record"),
+            PcapError::Oversized { len, max } => {
+                write!(f, "pcap record of {len} bytes exceeds the {max}-byte limit")
+            }
         }
     }
 }
@@ -104,6 +119,12 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Trace, PcapError> {
     if linktype != LINKTYPE_RAW && linktype != LINKTYPE_ETHERNET {
         return Err(PcapError::UnsupportedLinkType(linktype));
     }
+    // Record lengths are untrusted: bound them before allocating. Like
+    // libpcap, a snaplen of 0 means "unset" rather than "nothing fits".
+    let max_record = match read_u32(&hdr[16..20]) as usize {
+        0 => MAX_RECORD_BYTES,
+        snaplen => snaplen.min(MAX_RECORD_BYTES),
+    };
 
     let mut packets = Vec::new();
     loop {
@@ -116,6 +137,12 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Trace, PcapError> {
         let sec = read_u32(&rec[0..4]) as u64;
         let usec = read_u32(&rec[4..8]) as u64;
         let incl = read_u32(&rec[8..12]) as usize;
+        if incl > max_record {
+            return Err(PcapError::Oversized {
+                len: incl,
+                max: max_record,
+            });
+        }
         let mut data = vec![0u8; incl];
         r.read_exact(&mut data).map_err(|e| {
             if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -183,6 +210,43 @@ mod tests {
         write_trace(&mut buf, &trace).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(matches!(read_trace(&buf[..]), Err(PcapError::Truncated)));
+    }
+
+    /// A 24-byte header (snaplen 65535) plus one 16-byte record header.
+    fn header_and_record(incl_len: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for field in [MAGIC_LE, 0x0004_0002, 0, 0, 65_535, LINKTYPE_RAW] {
+            buf.extend_from_slice(&field.to_le_bytes());
+        }
+        for field in [0, 0, incl_len, incl_len] {
+            buf.extend_from_slice(&field.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn oversized_record_rejected_before_allocating() {
+        // A 40-byte file claiming a ~4 GiB record used to allocate it.
+        let buf = header_and_record(0xFFFF_FFF0);
+        assert_eq!(buf.len(), 40);
+        assert!(matches!(
+            read_trace(&buf[..]),
+            Err(PcapError::Oversized {
+                len: 0xFFFF_FFF0,
+                max: 65_535
+            })
+        ));
+        // Longer than the snaplen, though under the absolute ceiling.
+        let mut buf = header_and_record(65_536);
+        buf.resize(buf.len() + 65_536, 0);
+        assert!(matches!(
+            read_trace(&buf[..]),
+            Err(PcapError::Oversized { .. })
+        ));
+        // Exactly the snaplen is fine.
+        let mut buf = header_and_record(65_535);
+        buf.resize(buf.len() + 65_535, 0);
+        assert_eq!(read_trace(&buf[..]).unwrap().len(), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use split_detect::core::SplitDetect;
-use split_detect::ips::rules::parse_rules;
+use split_detect::ips::rules::{parse_rules, parse_rules_lenient};
 use split_detect::ips::{ConventionalIps, Ips, NaivePacketIps, Signature, SignatureSet};
 use split_detect::packet::builder::{ip_of_frame, TcpPacketSpec};
 use split_detect::packet::parse::{parse_ethernet, parse_ipv4};
@@ -112,11 +112,36 @@ proptest! {
         let _ = d.memory_bytes();
     }
 
-    /// pcap reading: arbitrary bytes produce errors, never panics; and a
-    /// valid file truncated anywhere never panics.
+    /// pcap reading: arbitrary bytes produce errors, never panics —
+    /// alone, and behind a valid global header so the record parser (not
+    /// just the magic check) sees them.
     #[test]
     fn pcap_reader_never_panics(data in prop::collection::vec(any::<u8>(), 0..400)) {
         let _ = pcap::read_trace(&data[..]);
+        for linktype in [pcap::LINKTYPE_RAW, pcap::LINKTYPE_ETHERNET] {
+            let mut buf = pcap_header(linktype);
+            buf.extend_from_slice(&data);
+            let _ = pcap::read_trace(&buf[..]);
+        }
+    }
+
+    /// Mutated valid captures: any bytes of a real file (global header,
+    /// record lengths, payload) overwritten, plus arbitrary trailing
+    /// bytes, read to a trace or an error, never a panic or an unbounded
+    /// allocation.
+    #[test]
+    fn mutated_pcap_is_an_error_or_a_trace(
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..8),
+        tail in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut buf = Vec::new();
+        pcap::write_trace(&mut buf, &three_packet_trace()).unwrap();
+        for (at, byte) in edits {
+            let i = at % buf.len();
+            buf[i] = byte;
+        }
+        buf.extend_from_slice(&tail);
+        let _ = pcap::read_trace(&buf[..]);
     }
 
     #[test]
@@ -144,6 +169,49 @@ proptest! {
         let _ = parse_rules(&text);
         let _ = parse_rules(&format!("alert tcp any any -> any any ({text})"));
     }
+
+    /// The lenient loader (what `sd analyze-rules` reads) takes arbitrary
+    /// lines: bare junk, rule-shaped junk, and backslash continuations.
+    #[test]
+    fn lenient_rule_loader_never_panics(
+        lines in prop::collection::vec(("\\PC{0,80}", 0u8..4), 0..12),
+    ) {
+        let text: String = lines
+            .iter()
+            .map(|(line, shape)| match shape {
+                0 => format!("{line}\n"),
+                1 => format!("alert tcp any any -> any any ({line})\n"),
+                2 => format!("alert tcp any any -> any any ({line} \\\n"),
+                _ => format!("{line} \\\n"),
+            })
+            .collect();
+        let _ = parse_rules_lenient(&text);
+        let _ = parse_rules(&text);
+    }
+}
+
+fn pcap_header(linktype: u32) -> Vec<u8> {
+    let mut buf = Vec::new();
+    pcap::write_trace(
+        &mut buf,
+        &split_detect::traffic::Trace::from_packets(vec![]),
+    )
+    .unwrap();
+    buf[20..24].copy_from_slice(&linktype.to_le_bytes());
+    buf
+}
+
+fn three_packet_trace() -> split_detect::traffic::Trace {
+    split_detect::traffic::Trace::from_packets(
+        (0..3u16)
+            .map(|i| {
+                let frame = TcpPacketSpec::new(&format!("10.0.0.1:{}", 1000 + i), "10.0.0.2:80")
+                    .payload(&[b'p'; 60])
+                    .build();
+                split_detect::traffic::TracePacket::new(i as u64, ip_of_frame(&frame).to_vec())
+            })
+            .collect(),
+    )
 }
 
 /// Deterministic edge cases that random generation is unlikely to hit.
