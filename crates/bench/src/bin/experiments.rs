@@ -585,7 +585,7 @@ fn e7() {
             plan.memory_bytes() as f64 / 1e6,
         );
     }
-    println!("\nshape: the dense DFA's per-byte cost is constant in signature count\n(that is the point of a DFA) until its 1 KB-per-state table outgrows\ncache. The piece automaton holds the same pieces in a small fraction of\nthat memory. These generated signatures are printable-byte noise, so a\nlarge share of HTTP-like payload bytes are piece first bytes: the\nstart-state skip has little to skip and the per-segment scan runs below\nthe dense walk (the escape-density case; E18's scan/adversarial mix).");
+    println!("\nshape: the dense DFA's per-byte cost is constant in signature count\n(that is the point of a DFA) until its 1 KB-per-state table outgrows\ncache. The piece automaton holds the same pieces in a small fraction of\nthat memory. These generated signatures are printable-byte noise, so a\nlarge share of HTTP-like payload bytes are piece first bytes; the piece\nscan filters on each position's first four bytes instead, so that share\ndoes not decide its speed.");
 }
 
 // ---------------------------------------------------------------- E8 ----

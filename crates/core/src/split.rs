@@ -146,12 +146,6 @@ impl SplitPlan {
         }
     }
 
-    /// Distinct bytes that leave the automaton's start state (the
-    /// prefilter's escape set).
-    pub fn escape_byte_count(&self) -> usize {
-        self.automaton.escape_count()
-    }
-
     /// The distinct piece strings, indexed by the [`PatternId`]s
     /// [`SplitPlan::scan`] reports.
     pub fn pieces(&self) -> &PatternSet {
@@ -305,8 +299,6 @@ mod tests {
         // 6 pieces of 8 distinct bytes + the root.
         assert_eq!(plan.state_count(), 49);
         assert!(plan.class_count() <= 49, "48 letters + rest");
-        // Piece first bytes: A, I, Q, a, i, q → 6 escape bytes.
-        assert_eq!(plan.escape_byte_count(), 6);
         let tiers = plan.tier_stats();
         assert_eq!(
             tiers.hot_states + tiers.cold_states,

@@ -234,10 +234,11 @@ fn corpus_scale_automata_agree_at_every_hot_count() {
     }
 }
 
-/// Inputs that straddle the prefilter's 8-byte skip chunks: a corpus
-/// signature placed at every small offset moves its pieces across the
-/// chunk lanes; the match lists must stay identical to the naive
-/// reference at every sweep point.
+/// A corpus signature placed at every offset `0..16`: each of its pieces
+/// meets the window filter at every alignment, and a walk that stops at
+/// depth ≤ 1 inside one piece resumes right where the next begins; the
+/// match lists must stay identical to the naive reference at every sweep
+/// point.
 #[test]
 fn corpus_scale_automata_agree_on_straddling_offsets() {
     let sigs = corpus_signatures(CORPUS_RULES, 0xC0FFEE);

@@ -9,12 +9,11 @@
 //!   NFA both compiled forms below are built from,
 //! * [`tiered`] — the fast path's piece automaton: dense byte-classed rows
 //!   for the hot shallow states (where benign traffic lives), CSR edges +
-//!   failure links for the cold tail, fronted by the start-state skip. A
-//!   small rule set is entirely hot (a byte-classed DFA behind a
-//!   prefilter); a 10k-rule corpus keeps only its shallow levels dense and
-//!   stays within ~2× the `O(pattern bytes)` CSR footprint,
-//! * [`prefilter`] — [`StartSkip`], the SWAR `u64` start-state skip
-//!   (8 bytes per step in safe Rust) in front of [`tiered`],
+//!   failure links for the cold tail, entered only where a hashed filter
+//!   over each piece's first (up to) 4 bytes finds a candidate. A small
+//!   rule set is entirely hot (a byte-classed DFA behind the filter); a
+//!   10k-rule corpus keeps only its shallow levels dense and stays within
+//!   ~2× the `O(pattern bytes)` CSR footprint,
 //! * [`dfa`] — a dense byte-indexed DFA compiled from the NFA: one table
 //!   lookup per byte, 1 KB per state. The slow path's engine, and what the
 //!   paper's hardware argument is about,
@@ -35,13 +34,11 @@ pub mod aho;
 pub mod dfa;
 pub mod naive;
 pub mod pattern;
-pub mod prefilter;
 pub mod stream;
 pub mod tiered;
 
 pub use aho::AhoCorasick;
 pub use dfa::AcDfa;
 pub use pattern::{Match, PatternId, PatternSet};
-pub use prefilter::StartSkip;
 pub use stream::StreamMatcher;
 pub use tiered::TieredNfa;

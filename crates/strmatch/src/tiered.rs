@@ -1,6 +1,6 @@
 //! The piece automaton: two-tier Aho–Corasick with dense byte-classed
 //! rows for the hot shallow states and CSR sorted-edge lists for the cold
-//! tail.
+//! tail, entered only where a piece-window filter says a piece may start.
 //!
 //! The dense DFA ([`crate::dfa::AcDfa`]) is one lookup per byte but spends
 //! 1 KB per state — ruinous at 10k-rule corpora (hundreds of MB). A pure
@@ -13,39 +13,56 @@
 //! a tiered layout:
 //!
 //! * **hot tier** — the first `H` states in breadth-first (depth) order,
-//!   renumbered to ids `0..H`, stored as fully failure-resolved rows
-//!   compressed by byte equivalence classes (computed over the hot rows
-//!   only, so the build never pays an `O(states × 256)` full-column scan).
-//!   Stepping from a hot state is one class load plus one table load.
-//! * **cold tier** — every remaining state, renumbered to `H..n`, kept as
-//!   sorted edge arrays plus a failure link. Failure links strictly
-//!   decrease trie depth, and the hot tier is a depth-ordered prefix
-//!   rooted at depth 0, so every failure chain re-enters the hot tier (at
-//!   worst at the root) — cold walks terminate without a dense root row of
-//!   their own.
+//!   stored as fully failure-resolved rows compressed by byte equivalence
+//!   classes (computed over the hot rows only, so the build never pays an
+//!   `O(states × 256)` full-column scan). Hot states that report nothing
+//!   are numbered before hot states that report a match.
+//! * **cold tier** — every remaining state, kept as sorted edge arrays
+//!   plus a failure link. Failure links strictly decrease trie depth, and
+//!   the hot tier is a depth-ordered prefix rooted at depth 0, so every
+//!   failure chain re-enters the hot tier (at worst at the root) — cold
+//!   walks terminate without a dense root row of their own.
 //!
-//! The scan loop fronts the root row with the SWAR start-state skip
-//! ([`crate::prefilter::StartSkip`]): while the automaton would sit in the
-//! start state, bytes outside the root's escape set are dismissed eight
-//! per step. Skipped bytes provably keep the automaton at start, and start
-//! never reports a match, so the match set is exact.
+//! **One-compare step.** State ids are stored premultiplied: hot state `t`
+//! is `t × class_count` (its row offset) and cold state `t` is `hot_count
+//! × class_count + (t − hot_count)`. A step from a hot state that reports
+//! nothing is `hot[enc + classes[b]]`, and one `enc >= plain_limit` test
+//! catches both a match and a cold state.
+//!
+//! **Window filter.** Split-Detect pieces are near-uniform in length, so
+//! every piece is at least `w = min(4, shortest piece)` bytes long. A
+//! bitmap holds one bit per piece at a multiplicative hash of its first
+//! `w` bytes, and the scan tests one position per step — a `u32` load, a
+//! mask, a multiply, a shift and a bit test, with no dependence between
+//! positions. On a hit at `c` the automaton walks from the start state at
+//! `c`; once it has read at least two bytes and is back at depth ≤ 1 at
+//! `j`, the filter resumes at `j − depth`. That is exact: any occurrence
+//! still in progress at `j` starts at or after `j − depth`, every
+//! occurrence sets its window's bit, and an occurrence starting before `c`
+//! would have been a hit. It is linear: each walk advances at least one
+//! byte net, so the automaton takes at most `2n` steps. Breadth-first
+//! numbering makes "depth ≤ 1" one compare, which needs the root and all
+//! its children hot and reporting nothing — hence the hot-tier floor of
+//! `1 + fan-out` and `w ≥ 2`. With a one-byte piece, or a hot tier pinned
+//! below the root's fan-out, the same walker runs once over the whole
+//! payload with no filter.
 //!
 //! Tier membership is a build-time byte-budget heuristic — spend about as
 //! many bytes on the hot tier as the whole CSR arena would occupy, so the
 //! total stays within ~2× the all-cold representation. The two endpoints
 //! are familiar engines: `H = n` (every small rule set) is a byte-classed
-//! DFA behind a prefilter, and `H = 1` is a CSR NFA with a dense root row.
-//! [`TieredNfa::with_hot_states`] pins the boundary for tests and the
-//! threshold-ladder experiment; it is not a user-settable knob.
+//! DFA behind the filter, and `H = 1` is a CSR NFA with a dense root row.
+//! [`TieredNfa::with_hot_states`] pins the boundary for the equivalence
+//! tests; it is not a user-settable knob.
 
 use std::collections::HashMap;
 
 use crate::aho::AhoCorasick;
 use crate::pattern::{Match, PatternId, PatternSet};
-use crate::prefilter::StartSkip;
 
-/// The heuristic never shrinks the hot tier below this many states (when
-/// the automaton has them): the root plus its first trie level always fit.
+/// The byte-budget heuristic never shrinks the hot tier below this many
+/// states (when the automaton has them), nor below the root plus its whole
+/// first trie level, which the window filter's resume rule needs hot.
 pub const MIN_HOT_STATES: usize = 256;
 
 /// Per-edge CSR cost in bytes (1 label + 4 next) used by the hot-budget
@@ -56,8 +73,103 @@ const CSR_EDGE_BYTES: usize = 5;
 /// hot-budget estimate.
 const CSR_STATE_BYTES: usize = 8;
 
-/// Two-tier Aho–Corasick automaton: byte-classed dense rows for states
-/// `0..hot_count`, CSR edges + failure links for the tail.
+/// Longest piece prefix the window filter hashes: one `u32` load.
+const MAX_WINDOW: usize = 4;
+
+/// Window-filter bitmap bits per piece, keeping the false-hit rate near
+/// 1/64 per position; the bitmap is 8 KB at 200 rules.
+const FILTER_BITS_PER_PIECE: usize = 64;
+
+/// Bitmap size bounds, log2 of the bit count: 512 B to 256 KB.
+const FILTER_LOG2_BITS: (u32, u32) = (12, 21);
+
+/// Fibonacci-hashing multiplier, `2^32 / φ`.
+const WINDOW_HASH: u32 = 0x9E37_79B1;
+
+/// The piece-window filter: one bit per piece at a multiplicative hash of
+/// its first `window` bytes. A position whose window misses the bitmap
+/// starts no piece; a hit is only a candidate for the automaton to verify.
+#[derive(Debug, Clone)]
+struct WindowFilter {
+    /// Bytes hashed per position, `2..=MAX_WINDOW`.
+    window: usize,
+    /// Keeps the low `window` bytes of a little-endian `u32`.
+    mask: u32,
+    /// `32 − log2(bitmap bits)`: the hash keeps its top bits.
+    shift: u32,
+    bits: Box<[u64]>,
+}
+
+impl WindowFilter {
+    /// `None` when a piece is shorter than two bytes: a one-byte window
+    /// would be the start-byte set, which rejects almost nothing.
+    fn new(set: &PatternSet) -> Option<Self> {
+        let window = set.min_len()?.min(MAX_WINDOW);
+        if window < 2 {
+            return None;
+        }
+        let (lo, hi) = FILTER_LOG2_BITS;
+        let log2 = (set.len() * FILTER_BITS_PER_PIECE)
+            .next_power_of_two()
+            .trailing_zeros()
+            .clamp(lo, hi);
+        let mut filter = WindowFilter {
+            window,
+            mask: u32::MAX >> (32 - 8 * window as u32),
+            shift: 32 - log2,
+            bits: vec![0; 1 << (log2 - 6)].into_boxed_slice(),
+        };
+        for (_, piece) in set.iter() {
+            let h = filter.hash(load_window(piece));
+            filter.bits[h >> 6] |= 1 << (h & 63);
+        }
+        Some(filter)
+    }
+
+    #[inline(always)]
+    fn hash(&self, x: u32) -> usize {
+        ((x & self.mask).wrapping_mul(WINDOW_HASH) >> self.shift) as usize
+    }
+
+    #[inline(always)]
+    fn hit(&self, x: u32) -> bool {
+        let h = self.hash(x);
+        (self.bits[h >> 6] >> (h & 63)) & 1 != 0
+    }
+
+    /// First position at or after `from` whose window hits the bitmap.
+    /// The last `window − 1` positions cannot start a piece and are not
+    /// tested.
+    #[inline]
+    fn find(&self, hay: &[u8], from: usize) -> Option<usize> {
+        let mut p = from;
+        while let Some(w) = hay.get(p..p + 4) {
+            if self.hit(u32::from_le_bytes(w.try_into().expect("4-byte window"))) {
+                return Some(p);
+            }
+            p += 1;
+        }
+        let last = hay.len().checked_sub(self.window)?;
+        (p..=last).find(|&p| self.hit(load_window(&hay[p..])))
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.bits.len() * 8
+    }
+}
+
+/// Little-endian value of the first (up to) four bytes, zero-padded.
+fn load_window(bytes: &[u8]) -> u32 {
+    bytes
+        .iter()
+        .take(MAX_WINDOW)
+        .enumerate()
+        .fold(0, |x, (k, &b)| x | u32::from(b) << (8 * k))
+}
+
+/// Two-tier Aho–Corasick automaton: byte-classed dense rows for the hot
+/// states, CSR edges + failure links for the tail, behind a window filter.
+/// State ids inside are encoded as the module docs describe.
 #[derive(Debug, Clone)]
 pub struct TieredNfa {
     /// States `0..hot_count` are hot (dense rows); the root is state 0.
@@ -67,30 +179,34 @@ pub struct TieredNfa {
     /// Byte → class, for the hot-tier lookup.
     classes: Box<[u8; 256]>,
     /// Hot transition table, `hot_count × class_count`, fully
-    /// failure-resolved (targets may be cold states).
+    /// failure-resolved; entries are encoded targets (may be cold).
     hot: Vec<u32>,
+    /// Encoded ids below this are hot states that report nothing.
+    plain_limit: u32,
+    /// First encoded cold id, `hot_count × class_count`.
+    cold_base: u32,
+    /// Encoded ids below this are the root and its children (depth ≤ 1),
+    /// where a filtered walk may stop; 0 when there is no filter.
+    shallow_limit: u32,
     /// CSR offsets for cold state `s`: edges
     /// `edge_start[s - hot_count] .. edge_start[s - hot_count + 1]`.
     edge_start: Vec<u32>,
     /// Sorted byte labels of cold-state trie edges.
     edge_bytes: Vec<u8>,
-    /// Edge targets parallel to `edge_bytes` (renumbered ids).
+    /// Encoded edge targets parallel to `edge_bytes`.
     edge_next: Vec<u32>,
-    /// Failure link per cold state (renumbered; strictly shallower).
+    /// Encoded failure link per cold state (strictly shallower).
     fail: Vec<u32>,
     /// Pattern ids ending at each state (failure-chain outputs merged),
-    /// indexed by renumbered id.
+    /// indexed by state number: hot states, then cold.
     outputs: Vec<Box<[PatternId]>>,
-    /// Per-state "any output?" flag, checked before touching `outputs`.
-    has_output: Vec<bool>,
-    /// SWAR skip over the root row's escape bytes.
-    skip: StartSkip,
+    filter: Option<WindowFilter>,
     set: PatternSet,
 }
 
 impl TieredNfa {
-    /// The start state.
-    pub const START: u32 = 0;
+    /// The start state, encoded (the root is hot state 0).
+    const START: u32 = 0;
 
     /// Compile from patterns with the default hot-tier budget.
     pub fn new(set: PatternSet) -> Self {
@@ -98,8 +214,7 @@ impl TieredNfa {
     }
 
     /// Compile from patterns with an explicit hot-state count (clamped to
-    /// `1..=state_count`): the equivalence tests' and the threshold-ladder
-    /// experiment's axis.
+    /// `1..=state_count`): the equivalence tests' axis.
     pub fn with_hot_states(set: PatternSet, hot_states: usize) -> Self {
         Self::from_nfa(&AhoCorasick::new(set), Some(hot_states))
     }
@@ -115,7 +230,8 @@ impl TieredNfa {
         // is depth-closed up to its boundary level — every failure link
         // from a cold state lands at a strictly shallower state, which is
         // either hot or an earlier cold state, and the chain bottoms out
-        // at the (hot) root.
+        // at the (hot) root. The root's children are positions
+        // `1..=fanout`.
         let mut order: Vec<u32> = Vec::with_capacity(n);
         order.push(0);
         let mut head = 0usize;
@@ -131,6 +247,7 @@ impl TieredNfa {
         for (new, &old) in order.iter().enumerate() {
             new_of[old as usize] = new as u32;
         }
+        let fanout = nfa.transitions(0).count();
 
         // Hot-tier sizing. An explicit count wins; otherwise spend about
         // as many bytes on dense hot rows as the full CSR arena would
@@ -139,25 +256,62 @@ impl TieredNfa {
         // boundary — one or two refinement passes settle it).
         let edges = n.saturating_sub(1); // a trie over n states has n-1 edges
         let csr_budget = edges * CSR_EDGE_BYTES + n * CSR_STATE_BYTES;
-        let clamp_hot = |h: usize| h.clamp(MIN_HOT_STATES.min(n).max(1), n);
+        let floor = MIN_HOT_STATES.max(1 + fanout).min(n);
+        let clamp_hot = |h: usize| h.clamp(floor, n);
         let mut hot_count = match hot_states {
             Some(h) => h.clamp(1, n),
             None => clamp_hot(csr_budget / 1024), // worst case: 256 classes
         };
-        let (mut classes, mut class_count, mut hot) =
-            build_hot_rows(nfa, &order, &new_of, hot_count);
+        let (mut classes, mut columns) = hot_columns(nfa, &order, &new_of, hot_count);
         if hot_states.is_none() {
             for _ in 0..2 {
-                let want = clamp_hot(csr_budget / (4 * class_count.max(1)));
+                let want = clamp_hot(csr_budget / (4 * columns.len().max(1)));
                 if want == hot_count {
                     break;
                 }
                 hot_count = want;
-                (classes, class_count, hot) = build_hot_rows(nfa, &order, &new_of, hot_count);
+                (classes, columns) = hot_columns(nfa, &order, &new_of, hot_count);
+            }
+        }
+        let class_count = columns.len();
+
+        // Final numbering (breadth-first position → state number): hot
+        // states that report nothing, then hot match states, each in
+        // breadth-first order; the cold tail keeps its positions. The
+        // partition is stable, so when no piece is one byte long the root
+        // and its children keep numbers `0..=fanout`.
+        let reports = |s: usize| !nfa.outputs(order[s]).is_empty();
+        let (plain, matching): (Vec<usize>, Vec<usize>) =
+            (0..hot_count).partition(|&s| !reports(s));
+        let mut number: Vec<usize> = (0..n).collect();
+        for (k, &s) in plain.iter().chain(&matching).enumerate() {
+            number[s] = k;
+        }
+        let cold_base = hot_count * class_count;
+        assert!(
+            cold_base + (n - hot_count) <= u32::MAX as usize,
+            "encoded state ids must fit u32"
+        );
+        let encode = |s: u32| -> u32 {
+            let t = number[s as usize];
+            let enc = if t < hot_count {
+                t * class_count
+            } else {
+                cold_base + t - hot_count
+            };
+            enc as u32
+        };
+
+        // The rows already built, permuted into the final numbering and
+        // encoded — no second class computation.
+        let mut hot = vec![0u32; cold_base];
+        for (c, col) in columns.iter().enumerate() {
+            for (s, &t) in col.iter().enumerate() {
+                hot[number[s] * class_count + c] = encode(t);
             }
         }
 
-        // Cold tail: raw trie edges + failure links, targets renumbered.
+        // Cold tail: raw trie edges + failure links, targets encoded.
         let mut edge_start = Vec::with_capacity(n - hot_count + 1);
         let mut edge_bytes = Vec::new();
         let mut edge_next = Vec::new();
@@ -166,34 +320,43 @@ impl TieredNfa {
             edge_start.push(edge_bytes.len() as u32);
             for (b, t) in nfa.transitions(old) {
                 edge_bytes.push(b);
-                edge_next.push(new_of[t as usize]);
+                edge_next.push(encode(new_of[t as usize]));
             }
-            fail.push(new_of[nfa.fail(old) as usize]);
+            fail.push(encode(new_of[nfa.fail(old) as usize]));
         }
         edge_start.push(edge_bytes.len() as u32);
 
-        let mut outputs = Vec::with_capacity(n);
-        let mut has_output = Vec::with_capacity(n);
-        for &old in &order {
-            let out = nfa.outputs(old).to_vec().into_boxed_slice();
-            has_output.push(!out.is_empty());
-            outputs.push(out);
+        let mut outputs: Vec<Box<[PatternId]>> = vec![Box::default(); n];
+        for (s, &old) in order.iter().enumerate() {
+            outputs[number[s]] = nfa.outputs(old).into();
         }
 
-        let skip = StartSkip::from_escape_bytes((0u8..=255).filter(|&b| nfa.step(0, b) != 0));
+        let filter = if hot_count > fanout {
+            WindowFilter::new(nfa.patterns())
+        } else {
+            None
+        };
+        let shallow_limit = if filter.is_some() {
+            debug_assert!((0..=fanout).all(|s| number[s] == s && !reports(s)));
+            (1 + fanout) * class_count
+        } else {
+            0
+        };
 
         TieredNfa {
             hot_count: hot_count as u32,
             class_count: class_count as u32,
             classes,
             hot,
+            plain_limit: (plain.len() * class_count) as u32,
+            cold_base: cold_base as u32,
+            shallow_limit: shallow_limit as u32,
             edge_start,
             edge_bytes,
             edge_next,
             fail,
             outputs,
-            has_output,
-            skip,
+            filter,
             set: nfa.patterns().clone(),
         }
     }
@@ -205,7 +368,7 @@ impl TieredNfa {
 
     /// Number of states (hot + cold; equals the NFA's).
     pub fn state_count(&self) -> usize {
-        self.has_output.len()
+        self.outputs.len()
     }
 
     /// States laid out as dense hot rows.
@@ -223,12 +386,6 @@ impl TieredNfa {
         self.class_count as usize
     }
 
-    /// Distinct bytes that leave the start state (the prefilter's escape
-    /// set).
-    pub fn escape_count(&self) -> usize {
-        self.skip.escape_count()
-    }
-
     /// Hot-tier bytes: the class map plus the dense rows.
     pub fn hot_tier_bytes(&self) -> usize {
         256 + self.hot.len() * 4
@@ -242,92 +399,98 @@ impl TieredNfa {
             + self.fail.len() * 4
     }
 
-    /// One input byte from `state`. Hot states are one class load plus
-    /// one table load; cold states binary-search their edges and follow
-    /// failure links, which strictly decrease depth and therefore re-enter
-    /// the hot tier.
+    /// One input byte from encoded state `enc`. Hot states are one class
+    /// load plus one table load; cold states binary-search their edges and
+    /// follow failure links, which strictly decrease depth and therefore
+    /// re-enter the hot tier.
     #[inline]
-    pub fn next_state(&self, mut state: u32, byte: u8) -> u32 {
+    fn step(&self, mut enc: u32, byte: u8) -> u32 {
         loop {
-            if state < self.hot_count {
-                return self.hot[state as usize * self.class_count as usize
-                    + self.classes[byte as usize] as usize];
+            if enc < self.cold_base {
+                return self.hot[enc as usize + usize::from(self.classes[usize::from(byte)])];
             }
-            let c = (state - self.hot_count) as usize;
+            let c = (enc - self.cold_base) as usize;
             let lo = self.edge_start[c] as usize;
             let hi = self.edge_start[c + 1] as usize;
             if let Ok(k) = self.edge_bytes[lo..hi].binary_search(&byte) {
                 return self.edge_next[lo + k];
             }
-            state = self.fail[c];
+            enc = self.fail[c];
         }
     }
 
-    /// True if `state` reports at least one pattern.
-    #[inline(always)]
-    pub fn is_match_state(&self, state: u32) -> bool {
-        self.has_output[state as usize]
-    }
-
-    /// Pattern ids ending at `state`.
-    #[inline]
-    pub fn outputs(&self, state: u32) -> &[PatternId] {
+    /// Pattern ids ending at encoded state `enc`.
+    fn outputs(&self, enc: u32) -> &[PatternId] {
+        let state = if enc < self.cold_base {
+            enc / self.class_count
+        } else {
+            self.hot_count + (enc - self.cold_base)
+        };
         &self.outputs[state as usize]
     }
 
-    /// Pattern id of the first match, early-exiting — the fast path's
-    /// per-packet scan. Skips benign bytes eight per step while the
-    /// automaton would sit at start.
-    #[inline]
-    pub fn find_first_id(&self, hay: &[u8]) -> Option<PatternId> {
-        let mut i = 0;
-        while let Some(c) = self.skip.find_candidate(hay, i) {
-            let mut state = Self::START;
+    /// The scan both searches share: filter to a candidate, walk the
+    /// automaton from the start state, resume the filter at `j − depth`
+    /// (module docs). `on_match(ids, end)` sees every non-empty output in
+    /// end order and returns `true` to stop.
+    #[inline(always)]
+    fn walk(&self, hay: &[u8], mut on_match: impl FnMut(&[PatternId], usize) -> bool) {
+        let hot = &self.hot[..];
+        let classes = &*self.classes;
+        let mut from = 0;
+        loop {
+            let c = match &self.filter {
+                Some(filter) => match filter.find(hay, from) {
+                    Some(c) => c,
+                    None => return,
+                },
+                None => from,
+            };
+            let mut enc = Self::START;
             let mut j = c;
-            while j < hay.len() {
-                state = self.next_state(state, hay[j]);
+            loop {
+                let Some(&b) = hay.get(j) else { return };
                 j += 1;
-                if self.is_match_state(state) {
-                    return Some(self.outputs(state)[0]);
+                enc = hot[enc as usize + usize::from(classes[usize::from(b)])];
+                while enc >= self.plain_limit {
+                    let out = self.outputs(enc);
+                    if !out.is_empty() && on_match(out, j) {
+                        return;
+                    }
+                    let Some(&b) = hay.get(j) else { return };
+                    j += 1;
+                    enc = self.step(enc, b);
                 }
-                if state == Self::START {
+                if enc < self.shallow_limit && j > c + 1 {
                     break;
                 }
             }
-            if j >= hay.len() {
-                return None;
-            }
-            i = j;
+            // Depth 0 at the root, 1 anywhere else below `shallow_limit`.
+            from = j - usize::from(enc != Self::START);
         }
-        None
+    }
+
+    /// Pattern id of the first match (smallest end offset), early-exiting
+    /// — the fast path's per-packet scan.
+    #[inline]
+    pub fn find_first_id(&self, hay: &[u8]) -> Option<PatternId> {
+        let mut first = None;
+        self.walk(hay, |out, _| {
+            first = Some(out[0]);
+            true
+        });
+        first
     }
 
     /// Find all matches in `hay` (including overlapping), end offsets
     /// relative to `hay`.
     pub fn find_all(&self, hay: &[u8]) -> Vec<Match> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while let Some(c) = self.skip.find_candidate(hay, i) {
-            let mut state = Self::START;
-            let mut j = c;
-            while j < hay.len() {
-                state = self.next_state(state, hay[j]);
-                j += 1;
-                if self.is_match_state(state) {
-                    for &p in self.outputs(state) {
-                        out.push(Match::new(p, j));
-                    }
-                }
-                if state == Self::START {
-                    break;
-                }
-            }
-            if j >= hay.len() {
-                break;
-            }
-            i = j;
-        }
-        out
+        let mut all = Vec::new();
+        self.walk(hay, |out, end| {
+            all.extend(out.iter().map(|&p| Match::new(p, end)));
+            false
+        });
+        all
     }
 
     /// True if any pattern occurs in `hay`.
@@ -336,29 +499,30 @@ impl TieredNfa {
         self.find_first_id(hay).is_some()
     }
 
-    /// Heap footprint in bytes: both tiers, outputs, the skip bitmap and
+    /// Heap footprint in bytes: both tiers, outputs, the filter bitmap and
     /// the pattern bytes.
     pub fn memory_bytes(&self) -> usize {
         let mut total = self.hot_tier_bytes() + self.cold_tier_bytes();
-        total += self.has_output.len();
         for o in &self.outputs {
             total += o.len() * std::mem::size_of::<PatternId>() + std::mem::size_of::<usize>();
         }
-        total += self.skip.memory_bytes();
+        total += self.filter.as_ref().map_or(0, WindowFilter::memory_bytes);
         total += self.set.total_bytes();
         total
     }
 }
 
-/// Byte classes and dense rows over the first `hot_count` states of
-/// `order`. Classes merge bytes whose *hot* columns agree — `hot_count ×
-/// 256` resolved steps, never the full-state-count column scan.
-fn build_hot_rows(
+/// Byte classes and their columns over the first `hot_count` states of
+/// `order`: `columns[class][s]` is the breadth-first position reached from
+/// position `s` on any byte of the class. Classes merge bytes whose *hot*
+/// columns agree — `hot_count × 256` resolved steps, never the
+/// full-state-count column scan.
+fn hot_columns(
     nfa: &AhoCorasick,
     order: &[u32],
     new_of: &[u32],
     hot_count: usize,
-) -> (Box<[u8; 256]>, usize, Vec<u32>) {
+) -> (Box<[u8; 256]>, Vec<Vec<u32>>) {
     let mut columns: Vec<Vec<u32>> = Vec::new();
     let mut class_of: HashMap<Vec<u32>, u8> = HashMap::new();
     let mut classes = Box::new([0u8; 256]);
@@ -374,14 +538,7 @@ fn build_hot_rows(
         });
         classes[b as usize] = class;
     }
-    let class_count = columns.len();
-    let mut hot = vec![0u32; hot_count * class_count];
-    for (c, col) in columns.iter().enumerate() {
-        for (s, &target) in col.iter().enumerate() {
-            hot[s * class_count + c] = target;
-        }
-    }
-    (classes, class_count, hot)
+    (classes, columns)
 }
 
 #[cfg(test)]
@@ -407,6 +564,12 @@ mod tests {
             );
             assert_eq!(tiered.is_match(hay), dense.is_match(hay));
         }
+    }
+
+    /// The filter's window for a default-budget build (`None` = no filter).
+    fn window(patterns: &[&[u8]]) -> Option<usize> {
+        let tiered = TieredNfa::new(PatternSet::from_patterns(patterns));
+        tiered.filter.as_ref().map(|f| f.window)
     }
 
     #[test]
@@ -435,14 +598,15 @@ mod tests {
 
     #[test]
     fn matches_straddling_skip_chunks() {
-        // Pattern starts at offset 6 and crosses the first 8-byte chunk.
+        // A match after a run of windows the filter rejects.
         check(&[b"needle"], b"......needle...");
-        // Payload ends mid-chunk, match in the tail.
+        // The match is the payload's last bytes, reached by the tail
+        // gather rather than a full 4-byte load.
         check(&[b"ab"], b"0123456789ab");
-        // Candidate in the last lane of a chunk.
         check(&[b"xy"], b"0123456xy");
-        // The walk from the first candidate falls back to start, and the
-        // real match begins inside the region it already covered.
+        // The walk from the first candidate falls back to depth ≤ 1, and
+        // the real match begins inside the region it already covered: the
+        // resume point `j − depth` must re-test it.
         check(&[b"abcd", b"cdxy"], b"abcxabcdxy");
     }
 
@@ -456,6 +620,64 @@ mod tests {
             let tiered = TieredNfa::from_nfa(&AhoCorasick::new(set.clone()), hot);
             assert!(tiered.find_all(&hay).iter().any(|m| m.end == hay.len()));
         }
+    }
+
+    #[test]
+    fn hot_floor_keeps_every_depth_one_state_hot() {
+        // Every byte value starts a piece: the root plus its first level
+        // is 257 states, one more than the budget floor.
+        let pieces: Vec<Vec<u8>> = (0..=255u8).map(|b| vec![b, b'-', b'!']).collect();
+        let set = PatternSet::from_patterns(&pieces);
+        let tiered = TieredNfa::new(set.clone());
+        assert!(
+            tiered.hot_state_count() >= 257,
+            "every depth-1 state is hot"
+        );
+        assert_eq!(tiered.filter.as_ref().map(|f| f.window), Some(3));
+        assert_eq!(tiered.shallow_limit as usize, 257 * tiered.class_count());
+        let mut hay = b"....".to_vec();
+        hay.extend_from_slice(&[255, b'-', 255, b'-', b'!', 0, b'-']);
+        let mut want = naive::find_all(&set, &hay);
+        want.sort();
+        let mut got = tiered.find_all(&hay);
+        got.sort();
+        assert_eq!(got, want);
+        assert_eq!(tiered.find_first_id(&hay), Some(255));
+    }
+
+    #[test]
+    fn window_is_the_shortest_piece_up_to_four_bytes() {
+        assert_eq!(window(&[b"ab", b"wxyz"]), Some(2));
+        assert_eq!(window(&[b"abc", b"wxyz"]), Some(3));
+        assert_eq!(window(&[b"abcdefg", b"wxyz"]), Some(4));
+        // Occurrences ending the payload, starting inside its last four
+        // bytes, and payloads shorter than one full load.
+        let cases: [(&[&[u8]], &[u8]); 3] = [
+            (&[b"ab", b"wxyz"], b"ab"),
+            (&[b"abc", b"wxyz"], b"abc"),
+            (&[b"abcdefg", b"wxyz"], b"wxyz"),
+        ];
+        for (pieces, tail) in cases {
+            let mut hay = b"0123456789".to_vec();
+            hay.extend_from_slice(tail);
+            check(pieces, &hay);
+            check(pieces, tail);
+            check(pieces, &hay[hay.len() - tail.len() - 1..]);
+            check(pieces, &hay[..hay.len() - 1]);
+        }
+    }
+
+    #[test]
+    fn one_byte_piece_falls_back_to_the_unfiltered_walk() {
+        assert_eq!(window(&[b"x", b"abcd"]), None);
+        check(&[b"x", b"abcd"], b"..abcd..x");
+        check(&[b"x", b"abcd"], b"x");
+        check(&[b"x", b"xabcd", b"abcd"], b"xxabcdx");
+        // A hot tier pinned below the root's fan-out has no filter either.
+        let set = PatternSet::from_patterns([b"abcd".as_slice(), b"bcde", b"cdef"]);
+        let pinned = TieredNfa::with_hot_states(set, 3);
+        assert!(pinned.filter.is_none());
+        assert_eq!(pinned.find_first_id(b"..bcdef"), Some(1));
     }
 
     #[test]
@@ -511,12 +733,12 @@ mod tests {
     #[test]
     fn default_budget_keeps_small_sets_fully_hot() {
         // A demo-scale corpus fits entirely in the hot tier: a
-        // byte-classed DFA behind the prefilter.
+        // byte-classed DFA behind the window filter.
         let set = PatternSet::from_patterns([b"ABCDEFGH".as_slice(), b"IJKLMNOP", b"QRSTUVWX"]);
         let tiered = TieredNfa::new(set);
         assert_eq!(tiered.cold_state_count(), 0);
         assert!(tiered.class_count() <= 25, "24 letters + rest");
-        assert_eq!(tiered.escape_count(), 3, "A, I, Q");
+        assert_eq!(tiered.filter.as_ref().map(|f| f.window), Some(4));
     }
 
     #[test]
@@ -562,7 +784,8 @@ mod tests {
 
     #[test]
     fn prefilter_skips_but_never_misses() {
-        // A long benign run, then a match that starts mid-chunk.
+        // A long benign run whose windows the filter rejects, then a match
+        // well past the first load.
         let set = PatternSet::from_patterns([b"needle".as_slice()]);
         let tiered = TieredNfa::new(set);
         let mut hay = vec![b'.'; 67];
@@ -570,7 +793,8 @@ mod tests {
         hay.extend(vec![b'.'; 5]);
         assert_eq!(tiered.find_first_id(&hay), Some(0));
         assert_eq!(tiered.find_all(&hay)[0].end, 73);
-        // 'n' bytes that enter and fall back must not desync the resume.
+        // 'n' bytes that enter the automaton and fall back to depth 1 must
+        // not desync the resume point.
         let mut hay = vec![b'n'; 50];
         hay.extend_from_slice(b"needle");
         assert!(tiered.is_match(&hay));

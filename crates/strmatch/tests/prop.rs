@@ -111,11 +111,11 @@ proptest! {
         }
     }
 
-    /// Planted occurrences that straddle the 8-byte SWAR chunk boundary:
-    /// the pattern is embedded at an arbitrary offset (sweeping all lanes)
-    /// in a sparse haystack, so the prefilter must hand over to the
-    /// automaton at exactly the right position whichever lane the first
-    /// byte lands in.
+    /// Planted occurrences at an arbitrary offset of a noisy haystack,
+    /// followed by 0–8 zero bytes: the window filter must report the
+    /// occurrence's first position whether a full 4-byte load or the tail
+    /// gather near the payload's end reaches it, and hand over to the
+    /// automaton at exactly that position.
     #[test]
     fn tiered_finds_planted_matches_across_chunk_boundaries(
         pattern in prop::collection::vec(any::<u8>(), 1..12),
@@ -135,6 +135,31 @@ proptest! {
             let mut got = tiered.find_all(&hay);
             got.sort();
             prop_assert_eq!(&got, &want, "hot = {}", tiered.hot_state_count());
+        }
+    }
+
+    /// The window filter on and resuming constantly: pieces of 2–6 bytes
+    /// over a 3-letter alphabet make nearly every position a candidate,
+    /// so walks stop at depth ≤ 1 and resume at `j − depth` throughout the
+    /// haystack. The sweep's pinned `1` and `2` fall below the root's
+    /// fan-out and run the unfiltered walk on the same inputs.
+    #[test]
+    fn filtered_walk_agrees_with_naive_and_dense(
+        patterns in prop::collection::vec(
+            prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 2..=6),
+            1..8,
+        ),
+        hay in prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..200),
+    ) {
+        let set = PatternSet::from_patterns(&patterns);
+        let dense = AcDfa::new(set.clone());
+        let mut want = naive::find_all(&set, &hay);
+        want.sort();
+        for tiered in hot_sweep(&set) {
+            let mut got = tiered.find_all(&hay);
+            got.sort();
+            prop_assert_eq!(&got, &want, "hot = {}", tiered.hot_state_count());
+            prop_assert_eq!(tiered.find_first_id(&hay), dense.find_first_id(&hay));
         }
     }
 }
