@@ -757,6 +757,13 @@ fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), Stri
          {} cold in CSR ({} B)",
         t.hot_states, t.hot_bytes, t.class_count, t.cold_states, t.cold_bytes
     );
+    let _ = match plan.filter_shape() {
+        Some((window, stride, bytes)) => writeln!(
+            out,
+            "window filter: w={window}, stride {stride}, bitmap {bytes} B"
+        ),
+        None => writeln!(out, "window filter: off (1-byte piece)"),
+    };
 
     // Piece dedup: shared prefixes across rule families collapse into one
     // automaton pattern each.

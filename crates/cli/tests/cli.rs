@@ -331,6 +331,12 @@ fn generate_rules_then_analyze_reports_the_automaton() {
     assert!(out.contains("vs-dense"), "missing automaton table: {out}");
     assert!(out.contains("trie depth occupancy"), "{out}");
     assert!(out.contains("tiered split (budget heuristic)"), "{out}");
+    // Generated pieces are at least 5 bytes: 4-byte windows, stride 2,
+    // 64 bits per inserted window.
+    assert!(
+        out.contains("window filter: w=4, stride 2, bitmap 8192 B"),
+        "{out}"
+    );
     assert!(out.contains("piece dedup:"), "{out}");
     assert!(out.contains("fast-path hits"), "{out}");
     assert!(!out.contains("parse error"), "{out}");

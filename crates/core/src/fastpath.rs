@@ -389,10 +389,11 @@ impl FastPath {
             return done(Some(key), Verdict::AlreadyDiverted);
         }
 
+        let stats = &mut self.stats;
         let (key, verdict) = match parsed.transport {
             Transport::Fragment(_) => {
                 if self.params.divert_on_fragments {
-                    let v = self.divert(DivertReason::Fragment);
+                    let v = divert(stats, DivertReason::Fragment);
                     (Some(key), v)
                 } else {
                     (Some(key), Verdict::Benign)
@@ -404,31 +405,31 @@ impl FastPath {
                 // The flow lookup comes first (a hardware pipeline fetches
                 // per-flow state before the payload arrives); it also makes
                 // `flows_seen` accounting include flows whose very first
-                // packet diverts.
+                // packet diverts. It is the packet's only probe: the rules
+                // below share `state` until a teardown removes the entry.
                 let d = match dir {
                     Direction::Forward => 0usize,
                     Direction::Backward => 1usize,
                 };
-                self.table.get_or_insert_with(&flow_key, FlowState::default);
+                let (state, _) = self.table.get_or_insert_with(&flow_key, FlowState::default);
 
                 // Rule 0: the URG flag. Its delivery semantics differ
                 // across stacks (see sd-reassembly::urgent), so the fast
                 // path refuses to interpret it — the slow path, which
                 // knows the victim's semantics, takes over.
                 if self.params.divert_on_urgent && info.repr.flags.urg() {
-                    let v = self.divert(DivertReason::Urgent);
+                    let v = divert(stats, DivertReason::Urgent);
                     return done(Some(key), v);
                 }
 
-                // Rule 1: piece scan. One DFA pass over the payload; this
-                // is the dominant per-byte cost of the whole fast path.
-                self.stats.bytes_scanned += payload.len() as u64;
+                // Rule 1: piece scan. One window-filtered walk of the piece
+                // automaton over the payload; this is the dominant
+                // per-byte cost of the whole fast path.
+                stats.bytes_scanned += payload.len() as u64;
                 if self.plan.scan(payload).is_some() {
-                    let v = self.divert(DivertReason::PieceMatch);
+                    let v = divert(stats, DivertReason::PieceMatch);
                     return done(Some(key), v);
                 }
-
-                let (state, _) = self.table.get_or_insert_with(&flow_key, FlowState::default);
 
                 // Rule 2: sequence monotonicity (data/FIN segments only —
                 // pure ACKs carry no stream bytes and repeat seq numbers
@@ -454,9 +455,9 @@ impl FastPath {
                     }
                 }
                 if out_of_order {
-                    self.stats.out_of_order += 1;
+                    stats.out_of_order += 1;
                     if self.params.divert_on_out_of_order {
-                        let v = self.divert(DivertReason::OutOfOrder);
+                        let v = divert(stats, DivertReason::OutOfOrder);
                         return done(Some(key), v);
                     }
                 }
@@ -467,34 +468,31 @@ impl FastPath {
                 // the sticky set — so reclamation cannot un-divert.)
                 if info.repr.flags.rst() {
                     if self.table.remove(&flow_key).is_some() {
-                        self.stats.reclaimed += 1;
+                        stats.reclaimed += 1;
                     }
                     return done(Some(key), Verdict::Benign);
                 }
                 if info.repr.flags.fin() {
-                    let (state, _) = self.table.get_or_insert_with(&flow_key, FlowState::default);
                     state.set_fin(d);
                     if state.both_fins() {
                         self.table.remove(&flow_key);
-                        self.stats.reclaimed += 1;
+                        stats.reclaimed += 1;
                         return done(Some(key), Verdict::Benign);
                     }
                 }
 
                 // Rule 3: small-segment budget (data bytes only).
                 if !payload.is_empty() && payload.len() < self.params.cutoff {
-                    self.stats.small_segments += 1;
+                    stats.small_segments += 1;
                     let count = match &mut self.small_bloom {
                         Some(bloom) => bloom.increment(&flow_key),
                         None => {
-                            let (state, _) =
-                                self.table.get_or_insert_with(&flow_key, FlowState::default);
                             state.small_count[d] = state.small_count[d].saturating_add(1);
                             state.small_count[d]
                         }
                     };
                     if count > self.budget {
-                        let v = self.divert(DivertReason::SmallSegments);
+                        let v = divert(stats, DivertReason::SmallSegments);
                         return done(Some(key), v);
                     }
                 }
@@ -506,9 +504,9 @@ impl FastPath {
                 // are unused for UDP, but the slot is what "per-flow state"
                 // costs either way).
                 self.table.get_or_insert_with(&flow_key, FlowState::default);
-                self.stats.bytes_scanned += info.payload.len() as u64;
+                stats.bytes_scanned += info.payload.len() as u64;
                 if self.plan.scan(info.payload).is_some() {
-                    let v = self.divert(DivertReason::PieceMatch);
+                    let v = divert(stats, DivertReason::PieceMatch);
                     (Some(key), v)
                 } else {
                     (Some(key), Verdict::Benign)
@@ -518,15 +516,17 @@ impl FastPath {
         };
         done(key, verdict)
     }
+}
 
-    fn divert(&mut self, reason: DivertReason) -> Verdict {
-        let idx = DivertReason::ALL
-            .iter()
-            .position(|r| *r == reason)
-            .expect("reason in ALL");
-        self.stats.diverts[idx] += 1;
-        Verdict::Divert(reason)
-    }
+/// Count one diversion and return its verdict. A function of the stats
+/// alone, so the rules can call it while they hold the flow's entry.
+fn divert(stats: &mut FastPathStats, reason: DivertReason) -> Verdict {
+    let idx = DivertReason::ALL
+        .iter()
+        .position(|r| *r == reason)
+        .expect("reason in ALL");
+    stats.diverts[idx] += 1;
+    Verdict::Divert(reason)
 }
 
 #[cfg(test)]
@@ -889,6 +889,8 @@ mod tests {
         assert_eq!(s.packets, 2);
         assert_eq!(s.bytes_scanned, 103);
         assert_eq!(s.small_segments, 1);
+        // One flow-table probe per TCP packet, the small segment included.
+        assert_eq!(f.table_stats().lookups, 2);
         assert!(f.table_memory_bytes() > 0);
         assert!(f.automaton_bytes() > 0);
     }

@@ -146,6 +146,13 @@ impl SplitPlan {
         }
     }
 
+    /// The scan's window filter as `(window, stride, bitmap bytes)`, or
+    /// `None` when it runs unfiltered (a one-byte piece); see
+    /// [`TieredNfa::filter_shape`].
+    pub fn filter_shape(&self) -> Option<(usize, usize, usize)> {
+        self.automaton.filter_shape()
+    }
+
     /// The distinct piece strings, indexed by the [`PatternId`]s
     /// [`SplitPlan::scan`] reports.
     pub fn pieces(&self) -> &PatternSet {
@@ -322,5 +329,10 @@ mod tests {
         assert_eq!(plan.min_piece_len(), 8);
         assert_eq!(plan.pieces_per_signature(), 3);
         assert!(plan.memory_bytes() > 0);
+        // The filter follows the shortest piece: 4-byte windows, every
+        // fifth position tested.
+        let (window, stride, bitmap) = plan.filter_shape().expect("8-byte pieces are filtered");
+        assert_eq!((window, stride), (4, 5));
+        assert!(bitmap > 0 && bitmap < plan.memory_bytes());
     }
 }

@@ -7,10 +7,12 @@
 //! with a correct engine.
 
 use proptest::prelude::*;
+use sd_ips::SignatureSet;
 use sd_oracle::{
     campaign_signatures, run_campaign, run_program, CampaignConfig, EngineTweaks, TraceProgram,
     CAMPAIGN_CORPUS_RULES,
 };
+use splitdetect::{SplitDetectConfig, SplitPlan};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -132,6 +134,33 @@ fn corpus_ballast_campaign_is_clean_and_deterministic() {
         |_, _| {},
     );
     assert_eq!(a.stats, lone.stats, "ballast must be invisible in verdicts");
+}
+
+/// The differential campaigns must exercise the strided window filter
+/// (stride `s > 1`), not just the stride-1 case: the oracle signature's
+/// pieces are 7/7/6 bytes (`s = 3`), and the `--rules-seed 42` ballast and
+/// the 200-rule benchmark set both bottom out at 5-byte pieces (`s = 2`).
+/// A change to the oracle signature or the corpus lengths that drops a
+/// campaign back to stride 1 fails here instead of silently.
+#[test]
+fn campaign_automata_run_the_strided_filter() {
+    let stride = |sigs: &SignatureSet| {
+        let plan = SplitPlan::compile(sigs, &SplitDetectConfig::default()).expect("admissible");
+        let (window, stride, _) = plan.filter_shape().expect("filtered scan");
+        assert_eq!(window, 4);
+        stride
+    };
+    assert_eq!(stride(&campaign_signatures(None)), 3, "sd fuzz --seed 1");
+    assert_eq!(
+        stride(&campaign_signatures(Some(42))),
+        2,
+        "sd fuzz --rules-seed 42"
+    );
+    assert_eq!(
+        stride(&SignatureSet::generate(2006, 200, 16..40)),
+        2,
+        "sd-e2e's 200-rule set"
+    );
 }
 
 /// The acceptance gate: disable one fast-path rule, and the fuzzer must

@@ -10,7 +10,8 @@
 //! * [`tiered`] — the fast path's piece automaton: dense byte-classed rows
 //!   for the hot shallow states (where benign traffic lives), CSR edges +
 //!   failure links for the cold tail, entered only where a hashed filter
-//!   over each piece's first (up to) 4 bytes finds a candidate. A small
+//!   over each piece's leading (up to) 4-byte windows finds a candidate;
+//!   the filter tests one position in every `shortest piece − 3`. A small
 //!   rule set is entirely hot (a byte-classed DFA behind the filter); a
 //!   10k-rule corpus keeps only its shallow levels dense and stays within
 //!   ~2× the `O(pattern bytes)` CSR footprint,

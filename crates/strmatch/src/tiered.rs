@@ -30,22 +30,28 @@
 //! catches both a match and a cold state.
 //!
 //! **Window filter.** Split-Detect pieces are near-uniform in length, so
-//! every piece is at least `w = min(4, shortest piece)` bytes long. A
-//! bitmap holds one bit per piece at a multiplicative hash of its first
-//! `w` bytes, and the scan tests one position per step — a `u32` load, a
-//! mask, a multiply, a shift and a bit test, with no dependence between
-//! positions. On a hit at `c` the automaton walks from the start state at
-//! `c`; once it has read at least two bytes and is back at depth ≤ 1 at
-//! `j`, the filter resumes at `j − depth`. That is exact: any occurrence
-//! still in progress at `j` starts at or after `j − depth`, every
-//! occurrence sets its window's bit, and an occurrence starting before `c`
-//! would have been a hit. It is linear: each walk advances at least one
-//! byte net, so the automaton takes at most `2n` steps. Breadth-first
-//! numbering makes "depth ≤ 1" one compare, which needs the root and all
-//! its children hot and reporting nothing — hence the hot-tier floor of
-//! `1 + fan-out` and `w ≥ 2`. With a one-byte piece, or a hot tier pinned
-//! below the root's fan-out, the same walker runs once over the whole
-//! payload with no filter.
+//! every piece is at least `m` (the shortest piece) bytes long. With
+//! `w = min(4, m)` and stride `s = m − w + 1`, a bitmap holds one bit at a
+//! multiplicative hash of each of a piece's `s` windows of `w` bytes
+//! (offsets `0..s`), and the scan tests one position in every `s` —
+//! `from + s − 1, from + 2s − 1, …` — each a `u32` load, a mask, a
+//! multiply, a shift and a bit test, with no dependence between
+//! positions. An occurrence starting at `c ≥ from` has its windows at
+//! `c ..= c + s − 1`, which holds exactly one tested position, and that
+//! position is at most `len − w`. On a hit at `q` the automaton walks
+//! from the start state at `c0 = q − (s − 1)`: an occurrence starting in
+//! `[from, c0)` would have hit at a tested position before `q`. Once the
+//! walk has read at least two bytes and is back at depth ≤ 1 at `j`, the
+//! filter resumes at `from = j − depth ≥ c0 + 1`: any occurrence still in
+//! progress at `j` starts at or after `j − depth`. It is linear: tested
+//! positions strictly increase, so the filter makes at most `n` tests,
+//! and each walk ends at most one byte before the next `c0`, so the
+//! automaton takes at most `2n` steps. Breadth-first numbering makes
+//! "depth ≤ 1" one compare, which needs the root and all its children
+//! hot and reporting nothing — hence the hot-tier floor of `1 + fan-out`
+//! and `w ≥ 2`. With a one-byte piece, or a hot tier pinned below the
+//! root's fan-out, the same walker runs once over the whole payload with
+//! no filter.
 //!
 //! Tier membership is a build-time byte-budget heuristic — spend about as
 //! many bytes on the hot tier as the whole CSR arena would occupy, so the
@@ -76,9 +82,10 @@ const CSR_STATE_BYTES: usize = 8;
 /// Longest piece prefix the window filter hashes: one `u32` load.
 const MAX_WINDOW: usize = 4;
 
-/// Window-filter bitmap bits per piece, keeping the false-hit rate near
-/// 1/64 per position; the bitmap is 8 KB at 200 rules.
-const FILTER_BITS_PER_PIECE: usize = 64;
+/// Window-filter bitmap bits per inserted window (pieces × stride),
+/// keeping the false-hit rate near 1/64 per tested position; the bitmap
+/// is 16 KB at 200 rules (600 pieces, stride 2).
+const FILTER_BITS_PER_WINDOW: usize = 64;
 
 /// Bitmap size bounds, log2 of the bit count: 512 B to 256 KB.
 const FILTER_LOG2_BITS: (u32, u32) = (12, 21);
@@ -86,13 +93,17 @@ const FILTER_LOG2_BITS: (u32, u32) = (12, 21);
 /// Fibonacci-hashing multiplier, `2^32 / φ`.
 const WINDOW_HASH: u32 = 0x9E37_79B1;
 
-/// The piece-window filter: one bit per piece at a multiplicative hash of
-/// its first `window` bytes. A position whose window misses the bitmap
-/// starts no piece; a hit is only a candidate for the automaton to verify.
+/// The strided piece-window filter: one bit at a multiplicative hash of
+/// each of a piece's first `stride` windows of `window` bytes. A tested
+/// window that misses the bitmap is no such window of any piece; a hit is
+/// only a candidate for the automaton to verify.
 #[derive(Debug, Clone)]
 struct WindowFilter {
     /// Bytes hashed per position, `2..=MAX_WINDOW`.
     window: usize,
+    /// Positions per test, `shortest piece − window + 1`; above 1 only
+    /// when `window == MAX_WINDOW`.
+    stride: usize,
     /// Keeps the low `window` bytes of a little-endian `u32`.
     mask: u32,
     /// `32 − log2(bitmap bits)`: the hash keeps its top bits.
@@ -104,24 +115,29 @@ impl WindowFilter {
     /// `None` when a piece is shorter than two bytes: a one-byte window
     /// would be the start-byte set, which rejects almost nothing.
     fn new(set: &PatternSet) -> Option<Self> {
-        let window = set.min_len()?.min(MAX_WINDOW);
+        let shortest = set.min_len()?;
+        let window = shortest.min(MAX_WINDOW);
         if window < 2 {
             return None;
         }
+        let stride = shortest - window + 1;
         let (lo, hi) = FILTER_LOG2_BITS;
-        let log2 = (set.len() * FILTER_BITS_PER_PIECE)
+        let log2 = (set.len() * stride * FILTER_BITS_PER_WINDOW)
             .next_power_of_two()
             .trailing_zeros()
             .clamp(lo, hi);
         let mut filter = WindowFilter {
             window,
+            stride,
             mask: u32::MAX >> (32 - 8 * window as u32),
             shift: 32 - log2,
             bits: vec![0; 1 << (log2 - 6)].into_boxed_slice(),
         };
         for (_, piece) in set.iter() {
-            let h = filter.hash(load_window(piece));
-            filter.bits[h >> 6] |= 1 << (h & 63);
+            for at in 0..stride {
+                let h = filter.hash(load_window(&piece[at..]));
+                filter.bits[h >> 6] |= 1 << (h & 63);
+            }
         }
         Some(filter)
     }
@@ -137,18 +153,22 @@ impl WindowFilter {
         (self.bits[h >> 6] >> (h & 63)) & 1 != 0
     }
 
-    /// First position at or after `from` whose window hits the bitmap.
-    /// The last `window − 1` positions cannot start a piece and are not
-    /// tested.
+    /// Where to walk from: `q − (stride − 1)` for the first tested
+    /// position `q` in `from + stride − 1, from + 2·stride − 1, …` whose
+    /// window hits the bitmap. The last `window − 1` positions cannot
+    /// start a piece and are not tested.
     #[inline]
     fn find(&self, hay: &[u8], from: usize) -> Option<usize> {
-        let mut p = from;
+        let back = self.stride - 1;
+        let mut p = from + back;
         while let Some(w) = hay.get(p..p + 4) {
             if self.hit(u32::from_le_bytes(w.try_into().expect("4-byte window"))) {
-                return Some(p);
+                return Some(p - back);
             }
-            p += 1;
+            p += self.stride;
         }
+        // Past the `u32` loads only `window < 4`, hence `stride == 1`,
+        // leaves positions to test; for `window == 4` the range is empty.
         let last = hay.len().checked_sub(self.window)?;
         (p..=last).find(|&p| self.hit(load_window(&hay[p..])))
     }
@@ -399,6 +419,15 @@ impl TieredNfa {
             + self.fail.len() * 4
     }
 
+    /// The window filter's shape — bytes hashed per tested position,
+    /// positions per test, bitmap bytes — or `None` when the scan runs
+    /// unfiltered. Derived from the pattern set; not a knob.
+    pub fn filter_shape(&self) -> Option<(usize, usize, usize)> {
+        self.filter
+            .as_ref()
+            .map(|f| (f.window, f.stride, f.memory_bytes()))
+    }
+
     /// One input byte from encoded state `enc`. Hot states are one class
     /// load plus one table load; cold states binary-search their edges and
     /// follow failure links, which strictly decrease depth and therefore
@@ -566,10 +595,11 @@ mod tests {
         }
     }
 
-    /// The filter's window for a default-budget build (`None` = no filter).
-    fn window(patterns: &[&[u8]]) -> Option<usize> {
+    /// The filter's window and stride for a default-budget build (`None`
+    /// = no filter).
+    fn shape(patterns: &[&[u8]]) -> Option<(usize, usize)> {
         let tiered = TieredNfa::new(PatternSet::from_patterns(patterns));
-        tiered.filter.as_ref().map(|f| f.window)
+        tiered.filter_shape().map(|(w, s, _)| (w, s))
     }
 
     #[test]
@@ -597,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_straddling_skip_chunks() {
+    fn matches_after_rejected_windows_and_in_the_tail() {
         // A match after a run of windows the filter rejects.
         check(&[b"needle"], b"......needle...");
         // The match is the payload's last bytes, reached by the tail
@@ -647,9 +677,14 @@ mod tests {
 
     #[test]
     fn window_is_the_shortest_piece_up_to_four_bytes() {
-        assert_eq!(window(&[b"ab", b"wxyz"]), Some(2));
-        assert_eq!(window(&[b"abc", b"wxyz"]), Some(3));
-        assert_eq!(window(&[b"abcdefg", b"wxyz"]), Some(4));
+        assert_eq!(shape(&[b"ab", b"wxyz"]), Some((2, 1)));
+        assert_eq!(shape(&[b"abc", b"wxyz"]), Some((3, 1)));
+        assert_eq!(shape(&[b"abcdefg", b"wxyz"]), Some((4, 1)));
+        // Longer shortest pieces keep the 4-byte window and stride by
+        // `m − 3`.
+        assert_eq!(shape(&[b"abcde", b"vwxyz0"]), Some((4, 2)));
+        assert_eq!(shape(&[b"abcdef", b"vwxyz01"]), Some((4, 3)));
+        assert_eq!(shape(&[b"abcdefghi", b"rstuvwxyz0"]), Some((4, 6)));
         // Occurrences ending the payload, starting inside its last four
         // bytes, and payloads shorter than one full load.
         let cases: [(&[&[u8]], &[u8]); 3] = [
@@ -668,8 +703,49 @@ mod tests {
     }
 
     #[test]
+    fn strided_filter_finds_every_start_offset() {
+        const LETTERS: &[u8] = b"ABCDEFGHIJKL";
+        const OTHER: &[u8] = b"MNOPQRSTUVWXYZ";
+        for (m, s) in [(5, 2), (6, 3), (9, 6)] {
+            let piece = &LETTERS[..m];
+            let pieces: [&[u8]; 2] = [piece, &OTHER[..m + 3]];
+            assert_eq!(shape(&pieces), Some((4, s)));
+            // A near miss (the piece without its last byte) can hand the
+            // automaton a walk that falls back to the root, moving `from`
+            // off 0 before the planted occurrence; `lead` shifts the
+            // tested positions against both.
+            for lead in 0..s {
+                for decoy in [false, true] {
+                    for at in 0..=2 * s {
+                        let mut hay = vec![b'.'; lead];
+                        if decoy {
+                            hay.extend_from_slice(&piece[..m - 1]);
+                            hay.push(b'.');
+                        }
+                        hay.resize(hay.len() + at, b'.');
+                        hay.extend_from_slice(piece);
+                        // Starting at `len − m`, the last admissible start.
+                        check(&pieces, &hay);
+                        hay.extend_from_slice(b"..");
+                        check(&pieces, &hay);
+                    }
+                }
+            }
+            // Payloads of `m ..= m + s` bytes, the occurrence at every
+            // start.
+            for len in m..=m + s {
+                for at in 0..=len - m {
+                    let mut hay = vec![b'.'; len];
+                    hay[at..at + m].copy_from_slice(piece);
+                    check(&pieces, &hay);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn one_byte_piece_falls_back_to_the_unfiltered_walk() {
-        assert_eq!(window(&[b"x", b"abcd"]), None);
+        assert_eq!(shape(&[b"x", b"abcd"]), None);
         check(&[b"x", b"abcd"], b"..abcd..x");
         check(&[b"x", b"abcd"], b"x");
         check(&[b"x", b"xabcd", b"abcd"], b"xxabcdx");
@@ -738,7 +814,8 @@ mod tests {
         let tiered = TieredNfa::new(set);
         assert_eq!(tiered.cold_state_count(), 0);
         assert!(tiered.class_count() <= 25, "24 letters + rest");
-        assert_eq!(tiered.filter.as_ref().map(|f| f.window), Some(4));
+        // 8-byte pieces: a 4-byte window tested every fifth position.
+        assert_eq!(tiered.filter_shape(), Some((4, 5, 512)));
     }
 
     #[test]
@@ -783,7 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn prefilter_skips_but_never_misses() {
+    fn filter_rejects_benign_runs_but_never_misses() {
         // A long benign run whose windows the filter rejects, then a match
         // well past the first load.
         let set = PatternSet::from_patterns([b"needle".as_slice()]);

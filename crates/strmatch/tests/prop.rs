@@ -162,4 +162,39 @@ proptest! {
             prop_assert_eq!(tiered.find_first_id(&hay), dense.find_first_id(&hay));
         }
     }
+
+    /// The strided filter: pieces of 5–12 bytes over a 3-letter alphabet
+    /// put the shortest piece at 5 bytes or more, so the filter tests one
+    /// position in every `s ≥ 2`, walks back `s − 1` bytes from each hit
+    /// and resumes constantly. Two pieces are planted so occurrences are
+    /// certain, not a matter of luck.
+    #[test]
+    fn strided_walk_agrees_with_naive_and_dense(
+        patterns in prop::collection::vec(
+            prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 5..=12),
+            1..8,
+        ),
+        noise in prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..200),
+        at in (0usize..200, 0usize..200),
+    ) {
+        let mut hay = noise;
+        for (k, pos) in [at.0, at.1].into_iter().enumerate() {
+            let piece = &patterns[k % patterns.len()];
+            let pos = pos.min(hay.len());
+            hay.splice(pos..pos, piece.iter().copied());
+        }
+        let set = PatternSet::from_patterns(&patterns);
+        let dense = AcDfa::new(set.clone());
+        let mut want = naive::find_all(&set, &hay);
+        want.sort();
+        for tiered in hot_sweep(&set) {
+            if let Some((_, stride, _)) = tiered.filter_shape() {
+                prop_assert!(stride >= 2, "shortest piece ≥ 5 bytes");
+            }
+            let mut got = tiered.find_all(&hay);
+            got.sort();
+            prop_assert_eq!(&got, &want, "hot = {}", tiered.hot_state_count());
+            prop_assert_eq!(tiered.find_first_id(&hay), dense.find_first_id(&hay));
+        }
+    }
 }
