@@ -253,17 +253,18 @@ impl DiversionManager {
         self.order.push_back(key);
         self.stats.flows_diverted += 1;
 
+        // Lift the flow's packets out in place; the rest keep their order.
         let mut history = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.delay.len());
-        for (k, pkt) in self.delay.drain(..) {
-            if k == key {
-                history.push(pkt);
-            } else {
-                kept.push_back((k, pkt));
+        let mut lifted = 0;
+        self.delay.retain_mut(|(k, pkt)| {
+            if *k != key {
+                return true;
             }
-        }
-        self.delay = kept;
-        self.delay_buf_bytes = self.delay.iter().map(|(_, b)| b.capacity()).sum();
+            lifted += pkt.capacity();
+            history.push(std::mem::take(pkt));
+            false
+        });
+        self.delay_buf_bytes -= lifted;
         self.stats.replayed_packets += history.len() as u64;
         history
     }
@@ -319,6 +320,27 @@ mod tests {
         let h2 = d.divert(key(2));
         assert_eq!(h2, vec![b"two-a".to_vec()]);
         assert_eq!(d.stats().replayed_packets, 3);
+    }
+
+    #[test]
+    fn divert_lifts_one_flow_and_keeps_the_rest_in_order() {
+        let mut d = DiversionManager::new(64);
+        let mut line = Vec::new();
+        for i in 0..40u32 {
+            let (k, pkt) = (key(i % 3), vec![i as u8; 1 + (i as usize * 7) % 50]);
+            d.record(k, &pkt);
+            line.push((k, pkt));
+        }
+        let h = d.divert(key(1));
+        let (lifted, kept): (Vec<_>, Vec<_>) = line.into_iter().partition(|(k, _)| *k == key(1));
+        assert_eq!(h, lifted.into_iter().map(|(_, p)| p).collect::<Vec<_>>());
+        let remaining: Vec<(FlowKey, Vec<u8>)> = d.delay.iter().cloned().collect();
+        assert_eq!(remaining, kept, "the other flows keep their order");
+        let delay: usize = d.delay.iter().map(|(_, b)| b.capacity()).sum();
+        assert_eq!(d.delay_buf_bytes, delay);
+        let pool: usize = d.pool.iter().map(Vec::capacity).sum();
+        assert_eq!(d.pool_buf_bytes, pool);
+        assert_eq!(d.stats().replayed_packets, 13);
     }
 
     #[test]

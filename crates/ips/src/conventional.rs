@@ -7,12 +7,16 @@
 //! honestly — bounded state, deterministic eviction, byte-accurate
 //! accounting — because the paper's headline claim is a *ratio* against
 //! exactly this engine.
+//!
+//! The automaton is the same [`sd_match::TieredNfa`] the fast path scans
+//! pieces with, built over whole signatures. Reassembly hands in-order
+//! bytes to it through a sink, straight from the packet where it can, and
+//! each direction keeps only a [`StreamTail`] of `longest signature − 1`
+//! bytes to find occurrences that straddle segments.
 
 use std::collections::HashMap;
 
 use sd_flow::{Direction, FlowKey};
-use sd_match::stream::StreamMatcher;
-use sd_match::AcDfa;
 use sd_packet::parse::{parse_ipv4, Transport};
 use sd_reassembly::conn::ConnState;
 use sd_reassembly::defrag::DefragResult;
@@ -21,6 +25,7 @@ use sd_reassembly::{Connection, Defragmenter, Normalizer, OverlapPolicy, UrgentS
 use crate::alert::{Alert, AlertSource};
 use crate::api::{Ips, ResourceUsage};
 use crate::signature::SignatureSet;
+use crate::stream::{StreamScanner, StreamTail};
 
 /// Default cap on simultaneously tracked connections ("state for 1 million
 /// connections" is the paper's sizing point; tests use smaller tables).
@@ -32,11 +37,9 @@ pub const CONN_OVERHEAD_BYTES: usize = 48;
 
 struct ConnEntry {
     conn: Connection,
-    matchers: [StreamMatcher; 2],
-    /// Last `longest signature − 1` delivered bytes per direction: the
-    /// context window a rule reload replays into fresh matchers so an
-    /// occurrence straddling the swap is not silently missed.
-    tails: [Vec<u8>; 2],
+    /// Per direction: the last `longest signature − 1` delivered bytes and
+    /// the stream offset, all the matching state a stream needs.
+    tails: [StreamTail; 2],
     last_tick: u64,
     mem: usize,
 }
@@ -44,33 +47,10 @@ struct ConnEntry {
 impl ConnEntry {
     fn memory_bytes(&self) -> usize {
         CONN_OVERHEAD_BYTES
-            + 2 * StreamMatcher::STATE_BYTES
+            + 2 * StreamTail::STATE_BYTES
             + self.conn.memory_bytes()
             + self.tails[0].len()
             + self.tails[1].len()
-    }
-}
-
-/// Delivered-byte window needed to re-anchor matchers across a reload: one
-/// byte short of the longest signature (an occurrence straddling the swap
-/// has at least one byte still to come).
-fn tail_window_of(sigs: &SignatureSet) -> usize {
-    sigs.iter()
-        .map(|(_, s)| s.bytes.len())
-        .max()
-        .unwrap_or(0)
-        .saturating_sub(1)
-}
-
-/// Slide `delivered` into `tail`, keeping only the last `window` bytes.
-fn append_tail(tail: &mut Vec<u8>, delivered: &[u8], window: usize) {
-    if delivered.len() >= window {
-        tail.clear();
-        tail.extend_from_slice(&delivered[delivered.len() - window..]);
-    } else {
-        let excess = (tail.len() + delivered.len()).saturating_sub(window);
-        tail.drain(..excess);
-        tail.extend_from_slice(delivered);
     }
 }
 
@@ -101,10 +81,7 @@ impl Default for ConventionalConfig {
 /// The conventional IPS baseline.
 pub struct ConventionalIps {
     sigs: SignatureSet,
-    dfa: AcDfa,
-    /// `longest signature − 1`: per-direction tail bytes retained for
-    /// reload re-anchoring.
-    tail_window: usize,
+    scanner: StreamScanner,
     normalizer: Normalizer,
     defrag: Defragmenter,
     conns: HashMap<FlowKey, ConnEntry>,
@@ -124,12 +101,9 @@ impl ConventionalIps {
 
     /// Build with an explicit configuration.
     pub fn with_config(sigs: SignatureSet, config: ConventionalConfig) -> Self {
-        let dfa = AcDfa::new(sigs.to_patterns());
-        let tail_window = tail_window_of(&sigs);
         ConventionalIps {
+            scanner: StreamScanner::new(&sigs),
             sigs,
-            dfa,
-            tail_window,
             normalizer: Normalizer::new(),
             defrag: Defragmenter::new(config.policy),
             conns: HashMap::new(),
@@ -147,25 +121,19 @@ impl ConventionalIps {
 
     /// Swap in a new signature set (live rule reload). Rebuilds the match
     /// automaton while keeping all reassembly state — buffers, sequence
-    /// tracking, and connection lifecycle carry straight across. Stream
-    /// matchers cannot carry over directly (their state ids index the
-    /// retired DFA), so each is *re-anchored*: the connection's retained
-    /// tail of recently delivered bytes is replayed into a fresh matcher
-    /// with match reporting suppressed, restoring the absolute offset. A
+    /// tracking, and connection lifecycle carry straight across. Each
+    /// stream keeps its tail, trimmed to the new window: the tail is plain
+    /// bytes, so the next junction scan runs it under the new rules, and a
     /// signature occurrence whose bytes straddle the reload instant (some
-    /// scanned before, some after) is therefore still detected the moment
-    /// its remaining bytes arrive.
+    /// delivered before, some after) is still detected the moment its
+    /// remaining bytes arrive.
     pub fn reload_signatures(&mut self, sigs: SignatureSet) {
-        self.dfa = AcDfa::new(sigs.to_patterns());
+        self.scanner = StreamScanner::new(&sigs);
         self.sigs = sigs;
-        self.tail_window = tail_window_of(&self.sigs);
         for entry in self.conns.values_mut() {
             let mem_before = entry.mem;
-            for (m, tail) in entry.matchers.iter_mut().zip(entry.tails.iter_mut()) {
-                if tail.len() > self.tail_window {
-                    tail.drain(..tail.len() - self.tail_window);
-                }
-                *m = StreamMatcher::resume(&self.dfa, tail, m.offset());
+            for tail in &mut entry.tails {
+                tail.trim(self.scanner.window());
             }
             entry.mem = entry.memory_bytes();
             self.conn_state_bytes = self.conn_state_bytes + entry.mem as u64 - mem_before as u64;
@@ -189,7 +157,7 @@ impl ConventionalIps {
 
     /// Matcher automaton size in bytes (shared, not per-flow).
     pub fn automaton_bytes(&self) -> usize {
-        self.dfa.memory_bytes()
+        self.scanner.memory_bytes()
     }
 
     fn evict_if_full(&mut self) {
@@ -206,28 +174,6 @@ impl ConventionalIps {
                 self.conn_state_bytes -= e.mem as u64;
             }
             self.evictions += 1;
-        }
-    }
-
-    fn scan_stream(
-        dfa: &AcDfa,
-        matcher: &mut StreamMatcher,
-        bytes: &[u8],
-        flow: FlowKey,
-        usage: &mut ResourceUsage,
-        out: &mut Vec<Alert>,
-    ) {
-        usage.bytes_scanned += bytes.len() as u64;
-        let mut hits = Vec::new();
-        matcher.feed(dfa, bytes, &mut hits);
-        for m in hits {
-            usage.alerts += 1;
-            out.push(Alert {
-                flow,
-                signature: m.pattern as usize,
-                offset: m.end,
-                source: AlertSource::Stream,
-            });
         }
     }
 }
@@ -289,32 +235,32 @@ impl Ips for ConventionalIps {
                 let urgent = self.config.urgent;
                 let entry = self.conns.entry(flow).or_insert_with(|| ConnEntry {
                     conn: Connection::new(policy).with_urgent(urgent),
-                    matchers: [StreamMatcher::new(), StreamMatcher::new()],
-                    tails: [Vec::new(), Vec::new()],
+                    tails: [StreamTail::new(), StreamTail::new()],
                     last_tick: tick,
                     mem: 0,
                 });
                 let mem_before = entry.mem;
                 entry.last_tick = tick;
 
-                entry.conn.on_segment(dir, &info.repr, info.payload);
-                self.usage.bytes_buffered_total += info.payload.len() as u64;
-
-                let stream = entry.conn.stream_mut(dir);
-                let delivered = stream.drain();
-                let midx = match dir {
+                let tail = &mut entry.tails[match dir {
                     Direction::Forward => 0,
                     Direction::Backward => 1,
+                }];
+                let (scanner, usage) = (&mut self.scanner, &mut self.usage);
+                let scan = |bytes: &[u8]| {
+                    usage.bytes_scanned += bytes.len() as u64;
+                    scanner.feed(tail, bytes, |signature, offset| {
+                        usage.alerts += 1;
+                        out.push(Alert {
+                            flow,
+                            signature: signature as usize,
+                            offset,
+                            source: AlertSource::Stream,
+                        });
+                    });
                 };
-                Self::scan_stream(
-                    &self.dfa,
-                    &mut entry.matchers[midx],
-                    &delivered,
-                    flow,
-                    &mut self.usage,
-                    out,
-                );
-                append_tail(&mut entry.tails[midx], &delivered, self.tail_window);
+                entry.conn.on_segment(dir, &info.repr, info.payload, scan);
+                self.usage.bytes_buffered_total += info.payload.len() as u64;
 
                 let closed = entry.conn.state() == ConnState::Closed;
                 entry.mem = entry.memory_bytes();
@@ -333,7 +279,7 @@ impl Ips for ConventionalIps {
                 };
                 self.usage.payload_bytes += info.payload.len() as u64;
                 self.usage.bytes_scanned += info.payload.len() as u64;
-                for m in self.dfa.find_all(info.payload) {
+                for m in self.scanner.find_all(info.payload) {
                     self.usage.alerts += 1;
                     out.push(Alert {
                         flow,
@@ -349,7 +295,7 @@ impl Ips for ConventionalIps {
     }
 
     fn finish(&mut self, _out: &mut Vec<Alert>) {
-        // Stream matchers are incremental; nothing is pending at trace end.
+        // Stream matching is incremental; nothing is pending at trace end.
     }
 
     fn resources(&self) -> ResourceUsage {
@@ -405,6 +351,24 @@ mod tests {
         ];
         let alerts = run_trace(&mut ips, pkts.iter().map(|p| p.as_slice()));
         assert_eq!(alerts.len(), 1, "reassembly must join the halves");
+    }
+
+    #[test]
+    fn detects_signature_over_segments_shorter_than_the_window() {
+        // Five segments of at most 6 bytes against a 19-byte window: the
+        // occurrence starts in one segment's tail bytes and ends three
+        // segments later, and is reported once at its true end offset.
+        let mut ips = ConventionalIps::new(sigs());
+        let pkts = [
+            tcp_pkt(1000, b"..EVIL"),
+            tcp_pkt(1006, b"_SIGNA"),
+            tcp_pkt(1012, b"TURE_"),
+            tcp_pkt(1017, b"BYTE"),
+            tcp_pkt(1021, b"S...."),
+        ];
+        let alerts = run_trace(&mut ips, pkts.iter().map(|p| p.as_slice()));
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(alerts[0].offset, 22);
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //!   accounted, identical for all engines so experiments swap them freely,
 //! * [`conventional`] — the classic IPS the paper wants to displace: full
 //!   normalization, IPv4 defragmentation, per-connection TCP reassembly,
-//!   streaming multi-pattern match over the reconstructed byte stream,
+//!   streaming multi-pattern match over the reconstructed byte stream
+//!   with the same tiered automaton the fast path runs,
+//! * [`stream`] — full-signature matching over reassembled slices: a
+//!   tail of `longest signature − 1` bytes per direction is the whole
+//!   stream state,
 //! * [`naive`] — the per-packet strawman (no reassembly at all) that
 //!   Ptacek–Newsham evasions defeat; it anchors the detection matrix E1,
 //! * [`rules`] — a Snort-subset rule parser, the adoption path from an
@@ -28,6 +32,7 @@ pub mod conventional;
 pub mod naive;
 pub mod rules;
 pub mod signature;
+pub mod stream;
 
 pub use alert::{Alert, AlertSource};
 pub use api::{Ips, ResourceUsage};

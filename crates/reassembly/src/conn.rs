@@ -61,8 +61,15 @@ impl Connection {
 
     /// Process one parsed segment traveling in `dir`.
     ///
-    /// Handles SYN/FIN/RST flags and pushes payload into the right stream.
-    pub fn on_segment(&mut self, dir: Direction, repr: &TcpRepr, payload: &[u8]) -> PushSummary {
+    /// Handles SYN/FIN/RST flags and pushes payload into the right stream;
+    /// bytes that become in-order in that direction go to `sink`.
+    pub fn on_segment(
+        &mut self,
+        dir: Direction,
+        repr: &TcpRepr,
+        payload: &[u8],
+        sink: impl FnMut(&[u8]),
+    ) -> PushSummary {
         let stream = self.stream_mut(dir);
         if repr.flags.syn() {
             stream.on_syn(repr.seq);
@@ -79,7 +86,7 @@ impl Connection {
             self.stream_mut(dir).skip_at(skip);
         }
         let stream = self.stream_mut(dir);
-        let summary = stream.push(data_seq, payload);
+        let summary = stream.push(data_seq, payload, sink);
         if repr.flags.fin() {
             let fin_seq = data_seq + payload.len();
             self.stream_mut(dir).on_fin(fin_seq);
@@ -127,6 +134,13 @@ mod tests {
     use sd_packet::tcp::TcpFlags;
     use sd_packet::SeqNumber;
 
+    /// Deliver one segment, returning what it made in-order.
+    fn on(c: &mut Connection, dir: Direction, repr: &TcpRepr, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        c.on_segment(dir, repr, payload, |b| out.extend_from_slice(b));
+        out
+    }
+
     fn seg(seq: u32, flags: TcpFlags) -> TcpRepr {
         TcpRepr {
             src_port: 1000,
@@ -142,35 +156,47 @@ mod tests {
     #[test]
     fn syn_consumes_sequence_position() {
         let mut c = Connection::new(OverlapPolicy::First);
-        c.on_segment(Direction::Forward, &seg(100, TcpFlags::SYN), b"");
-        c.on_segment(Direction::Forward, &seg(101, TcpFlags::ACK), b"data");
-        assert_eq!(c.stream_mut(Direction::Forward).drain(), b"data");
+        on(&mut c, Direction::Forward, &seg(100, TcpFlags::SYN), b"");
+        let got = on(
+            &mut c,
+            Direction::Forward,
+            &seg(101, TcpFlags::ACK),
+            b"data",
+        );
+        assert_eq!(got, b"data");
     }
 
     #[test]
     fn directions_are_independent() {
         let mut c = Connection::new(OverlapPolicy::First);
-        c.on_segment(Direction::Forward, &seg(100, TcpFlags::SYN), b"");
-        c.on_segment(Direction::Backward, &seg(500, TcpFlags::SYN), b"");
-        c.on_segment(Direction::Forward, &seg(101, TcpFlags::ACK), b"req");
-        c.on_segment(Direction::Backward, &seg(501, TcpFlags::ACK), b"resp");
-        assert_eq!(c.stream_mut(Direction::Forward).drain(), b"req");
-        assert_eq!(c.stream_mut(Direction::Backward).drain(), b"resp");
+        on(&mut c, Direction::Forward, &seg(100, TcpFlags::SYN), b"");
+        on(&mut c, Direction::Backward, &seg(500, TcpFlags::SYN), b"");
+        let req = on(&mut c, Direction::Forward, &seg(101, TcpFlags::ACK), b"req");
+        let resp = on(
+            &mut c,
+            Direction::Backward,
+            &seg(501, TcpFlags::ACK),
+            b"resp",
+        );
+        assert_eq!(req, b"req");
+        assert_eq!(resp, b"resp");
     }
 
     #[test]
     fn lifecycle_transitions() {
         let mut c = Connection::new(OverlapPolicy::First);
-        c.on_segment(Direction::Forward, &seg(100, TcpFlags::SYN), b"");
+        on(&mut c, Direction::Forward, &seg(100, TcpFlags::SYN), b"");
         assert_eq!(c.state(), ConnState::Established);
-        c.on_segment(
+        on(
+            &mut c,
             Direction::Forward,
             &seg(101, TcpFlags::FIN.union(TcpFlags::ACK)),
             b"",
         );
         assert_eq!(c.state(), ConnState::Closing);
-        c.on_segment(Direction::Backward, &seg(900, TcpFlags::SYN), b"");
-        c.on_segment(
+        on(&mut c, Direction::Backward, &seg(900, TcpFlags::SYN), b"");
+        on(
+            &mut c,
             Direction::Backward,
             &seg(901, TcpFlags::FIN.union(TcpFlags::ACK)),
             b"",
@@ -181,70 +207,68 @@ mod tests {
     #[test]
     fn rst_closes_immediately() {
         let mut c = Connection::new(OverlapPolicy::First);
-        c.on_segment(Direction::Forward, &seg(100, TcpFlags::SYN), b"");
-        c.on_segment(Direction::Backward, &seg(1, TcpFlags::RST), b"");
+        on(&mut c, Direction::Forward, &seg(100, TcpFlags::SYN), b"");
+        on(&mut c, Direction::Backward, &seg(1, TcpFlags::RST), b"");
         assert_eq!(c.state(), ConnState::Closed);
     }
 
     #[test]
     fn fin_with_payload_marks_end_after_data() {
         let mut c = Connection::new(OverlapPolicy::First);
-        c.on_segment(Direction::Forward, &seg(100, TcpFlags::SYN), b"");
-        c.on_segment(
+        on(&mut c, Direction::Forward, &seg(100, TcpFlags::SYN), b"");
+        let got = on(
+            &mut c,
             Direction::Forward,
             &seg(101, TcpFlags::FIN.union(TcpFlags::PSH)),
             b"last",
         );
-        let s = c.stream_mut(Direction::Forward);
-        assert_eq!(s.drain(), b"last");
-        assert!(s.is_finished());
+        assert_eq!(got, b"last");
+        assert!(c.stream(Direction::Forward).is_finished());
     }
 
     #[test]
     fn urgent_octet_discarded_under_discard_semantics() {
         let mut c = Connection::new(OverlapPolicy::First); // default: DiscardOne
-        c.on_segment(Direction::Forward, &seg(100, TcpFlags::SYN), b"");
+        on(&mut c, Direction::Forward, &seg(100, TcpFlags::SYN), b"");
         let mut urg = seg(101, TcpFlags::ACK.union(TcpFlags::URG));
         urg.urgent = 3; // third payload byte is urgent
-        c.on_segment(Direction::Forward, &urg, b"ab!cd");
         assert_eq!(
-            c.stream_mut(Direction::Forward).drain(),
+            on(&mut c, Direction::Forward, &urg, b"ab!cd"),
             b"abcd",
             "the urgent octet must not reach the application stream"
         );
         // Sequence accounting still includes it: the next segment starts
         // at 101 + 5.
-        c.on_segment(Direction::Forward, &seg(106, TcpFlags::ACK), b"ef");
-        assert_eq!(c.stream_mut(Direction::Forward).drain(), b"ef");
+        let got = on(&mut c, Direction::Forward, &seg(106, TcpFlags::ACK), b"ef");
+        assert_eq!(got, b"ef");
     }
 
     #[test]
     fn urgent_octet_kept_inline() {
         let mut c = Connection::new(OverlapPolicy::First)
             .with_urgent(crate::urgent::UrgentSemantics::Inline);
-        c.on_segment(Direction::Forward, &seg(100, TcpFlags::SYN), b"");
+        on(&mut c, Direction::Forward, &seg(100, TcpFlags::SYN), b"");
         let mut urg = seg(101, TcpFlags::ACK.union(TcpFlags::URG));
         urg.urgent = 3;
-        c.on_segment(Direction::Forward, &urg, b"ab!cd");
-        assert_eq!(c.stream_mut(Direction::Forward).drain(), b"ab!cd");
+        assert_eq!(on(&mut c, Direction::Forward, &urg, b"ab!cd"), b"ab!cd");
     }
 
     #[test]
     fn urgent_in_buffered_out_of_order_segment() {
         let mut c = Connection::new(OverlapPolicy::First);
-        c.on_segment(Direction::Forward, &seg(100, TcpFlags::SYN), b"");
+        on(&mut c, Direction::Forward, &seg(100, TcpFlags::SYN), b"");
         // Out-of-order urgent segment buffers first; discard must still
         // apply when it finally delivers.
         let mut urg = seg(105, TcpFlags::ACK.union(TcpFlags::URG));
         urg.urgent = 1;
-        c.on_segment(Direction::Forward, &urg, b"!yz");
-        assert_eq!(c.stream_mut(Direction::Forward).drain(), b"");
-        c.on_segment(
+        assert_eq!(on(&mut c, Direction::Forward, &urg, b"!yz"), b"");
+        let got = on(
+            &mut c,
             Direction::Forward,
             &seg(101, TcpFlags::ACK),
-            b"wxyz"[..4].as_ref(),
+            b"wxyz",
         );
-        assert_eq!(c.stream_mut(Direction::Forward).drain(), b"wxyzyz");
+        assert_eq!(got, b"wxyzyz");
     }
 
     #[test]
@@ -252,8 +276,13 @@ mod tests {
         let mut c = Connection::new(OverlapPolicy::First);
         let base = c.memory_bytes();
         // Create a gap so bytes stay buffered.
-        c.on_segment(Direction::Forward, &seg(100, TcpFlags::SYN), b"");
-        c.on_segment(Direction::Forward, &seg(200, TcpFlags::ACK), b"buffered");
+        on(&mut c, Direction::Forward, &seg(100, TcpFlags::SYN), b"");
+        on(
+            &mut c,
+            Direction::Forward,
+            &seg(200, TcpFlags::ACK),
+            b"buffered",
+        );
         assert!(c.memory_bytes() > base);
     }
 }

@@ -11,8 +11,11 @@
 //!   (src, dst, proto, ident), with byte-granularity overlap resolution and
 //!   explicit resource accounting.
 //! * [`stream`] — per-direction TCP stream reassembly: sequence tracking
-//!   from the SYN, out-of-order buffering, overlap resolution, in-order
-//!   delivery, FIN/RST handling and byte-accurate memory accounting.
+//!   from the SYN, out-of-order buffering, overlap resolution, FIN/RST
+//!   handling and byte-accurate memory accounting. In-order bytes go to a
+//!   caller-supplied sink as they become deliverable — a segment at the
+//!   live edge with nothing buffered goes straight from the packet, with
+//!   no allocation or copy — and none are kept once delivered.
 //! * [`conn`] — a bidirectional connection wrapper pairing two streams.
 //! * [`normalize`] — packet-level normalization: checksum verification,
 //!   header sanity, the drop/accept decisions a consistent normalizer makes

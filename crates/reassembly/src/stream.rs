@@ -7,6 +7,16 @@
 //! that its transformed packet sequences still deliver the attack payload
 //! through this reassembler configured with the victim's policy.
 //!
+//! ## Delivery
+//!
+//! [`TcpStreamReassembler::push`] hands every byte that becomes in-order to
+//! a caller-supplied sink, in stream order, and keeps nothing once it is
+//! delivered. A segment that starts at the live edge while nothing is
+//! buffered is the common case, and it goes to the sink straight from the
+//! packet: no allocation, no map operation, no copy. Overlap policy never
+//! applies to it, because there is nothing to overlap. Urgent bytes
+//! discarded from the application stream split the slice around them.
+//!
 //! ## Representation
 //!
 //! Buffered data lives in a `BTreeMap` of non-overlapping chunks keyed by
@@ -85,8 +95,6 @@ pub struct TcpStreamReassembler {
     anchor_seq: Option<SeqNumber>,
     /// Offset of the next byte to deliver.
     next_offset: u64,
-    /// Delivered but not yet drained bytes.
-    ready: Vec<u8>,
     chunks: BTreeMap<u64, Chunk>,
     buffered: usize,
     fin_offset: Option<u64>,
@@ -110,7 +118,6 @@ impl TcpStreamReassembler {
             limit,
             anchor_seq: None,
             next_offset: 0,
-            ready: Vec::new(),
             chunks: BTreeMap::new(),
             buffered: 0,
             fin_offset: None,
@@ -156,7 +163,8 @@ impl TcpStreamReassembler {
         }
     }
 
-    /// Record an RST: the stream is dead; buffered data stays drainable.
+    /// Record an RST: the stream is dead; buffered data still delivers if
+    /// its gap fills.
     pub fn on_rst(&mut self) {
         self.reset = true;
     }
@@ -194,8 +202,15 @@ impl TcpStreamReassembler {
         self.next_offset as i64 + rel
     }
 
-    /// Push one segment's payload at sequence number `seq`.
-    pub fn push(&mut self, seq: SeqNumber, data: &[u8]) -> PushSummary {
+    /// Push one segment's payload at sequence number `seq`, handing every
+    /// byte that becomes in-order to `sink` (possibly in several slices,
+    /// always in stream order).
+    pub fn push(
+        &mut self,
+        seq: SeqNumber,
+        data: &[u8],
+        mut sink: impl FnMut(&[u8]),
+    ) -> PushSummary {
         self.stats.segments += 1;
         self.stats.bytes += data.len() as u64;
         let mut summary = PushSummary::default();
@@ -233,16 +248,20 @@ impl TcpStreamReassembler {
             }
         }
 
-        if start > self.next_offset || !self.chunks.is_empty() {
-            self.stats.out_of_order_segments += u64::from(start > self.next_offset);
+        if start == self.next_offset && self.chunks.is_empty() && data.len() <= self.limit {
+            // The live edge with nothing buffered: straight to the sink.
+            summary.accepted = data.len();
+            self.deliver(data, &mut sink);
+            return summary;
         }
+        self.stats.out_of_order_segments += u64::from(start > self.next_offset);
 
         let (accepted, conflicting) = self.insert(start, data, &mut summary);
         summary.accepted = accepted;
         summary.conflicting = conflicting;
         self.stats.conflicting += conflicting as u64;
 
-        self.deliver_ready();
+        self.deliver_ready(&mut sink);
         summary
     }
 
@@ -359,49 +378,50 @@ impl TcpStreamReassembler {
         (accepted, conflicting)
     }
 
-    /// Move contiguous chunks at the live edge into the ready buffer.
-    fn deliver_ready(&mut self) {
-        while let Some((&off, _)) = self.chunks.first_key_value() {
-            if off != self.next_offset {
-                debug_assert!(off > self.next_offset, "chunk behind the live edge");
+    /// Hand buffered chunks that have become contiguous with the live edge
+    /// to `sink`.
+    fn deliver_ready(&mut self, sink: &mut impl FnMut(&[u8])) {
+        while let Some(entry) = self.chunks.first_entry() {
+            if *entry.key() != self.next_offset {
+                debug_assert!(
+                    *entry.key() > self.next_offset,
+                    "chunk behind the live edge"
+                );
                 break;
             }
-            let chunk = self.chunks.remove(&off).expect("first key exists");
+            let chunk = entry.remove();
             self.buffered -= chunk.data.len();
-            let len = chunk.data.len();
-            if self.skips.is_empty() {
-                self.ready.extend_from_slice(&chunk.data);
-            } else {
-                // Omit skipped (urgent-discarded) offsets from the
-                // application stream; sequence accounting is unchanged.
-                for (i, &b) in chunk.data.iter().enumerate() {
-                    let pos = off + i as u64;
-                    if let Ok(idx) = self.skips.binary_search(&pos) {
-                        self.skips.remove(idx);
-                    } else {
-                        self.ready.push(b);
-                    }
-                }
-            }
-            self.next_offset += len as u64;
-            self.stats.delivered += len as u64;
-            // Re-anchor so sequence unwrapping stays near the live edge.
-            if let Some(a) = self.anchor_seq {
-                self.anchor_seq = Some(a + len);
-            }
+            self.deliver(&chunk.data, sink);
         }
     }
 
-    /// Take all in-order bytes delivered since the last drain.
-    pub fn drain(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.ready)
-    }
-
-    /// Append delivered bytes to `out` instead of allocating.
-    pub fn drain_into(&mut self, out: &mut Vec<u8>) -> usize {
-        let n = self.ready.len();
-        out.append(&mut self.ready);
-        n
+    /// Deliver `data`, which starts at the live edge: every byte goes to
+    /// `sink` except skipped (urgent-discarded) offsets, which split the
+    /// slice around them; sequence accounting counts them all.
+    fn deliver(&mut self, data: &[u8], sink: &mut impl FnMut(&[u8])) {
+        let off = self.next_offset;
+        let end = off + data.len() as u64;
+        // `skip_at` admits only offsets at or past the live edge, and
+        // delivery consumes every skip it passes.
+        let passed = self.skips.partition_point(|&s| s < end);
+        let mut from = 0;
+        for &s in &self.skips[..passed] {
+            let at = (s - off) as usize;
+            if at > from {
+                sink(&data[from..at]);
+            }
+            from = at + 1;
+        }
+        if from < data.len() {
+            sink(&data[from..]);
+        }
+        self.skips.drain(..passed);
+        self.next_offset = end;
+        self.stats.delivered += data.len() as u64;
+        // Re-anchor so sequence unwrapping stays near the live edge.
+        if let Some(a) = self.anchor_seq {
+            self.anchor_seq = Some(a + data.len());
+        }
     }
 
     /// Stream offset of the next byte to deliver.
@@ -419,13 +439,10 @@ impl TcpStreamReassembler {
         self.chunks.len()
     }
 
-    /// Byte-accurate state footprint: fixed header, per-chunk overhead,
-    /// buffered data, and any undrained delivered bytes.
+    /// Byte-accurate state footprint: fixed header, per-chunk overhead and
+    /// buffered data (delivered bytes are the sink's).
     pub fn memory_bytes(&self) -> usize {
-        FIXED_STATE_BYTES
-            + self.chunks.len() * CHUNK_OVERHEAD_BYTES
-            + self.buffered
-            + self.ready.len()
+        FIXED_STATE_BYTES + self.chunks.len() * CHUNK_OVERHEAD_BYTES + self.buffered
     }
 
     /// Running counters.
@@ -438,12 +455,50 @@ impl TcpStreamReassembler {
 mod tests {
     use super::*;
 
-    fn push_str(r: &mut TcpStreamReassembler, seq: u32, s: &[u8]) -> PushSummary {
-        r.push(SeqNumber(seq), s)
+    /// A reassembler whose sink collects the delivered stream.
+    struct Rx {
+        r: TcpStreamReassembler,
+        delivered: Vec<u8>,
     }
 
-    fn mk() -> TcpStreamReassembler {
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::First);
+    impl Rx {
+        fn new(r: TcpStreamReassembler) -> Self {
+            Rx {
+                r,
+                delivered: Vec::new(),
+            }
+        }
+
+        /// Bytes delivered since the last call.
+        fn take(&mut self) -> Vec<u8> {
+            std::mem::take(&mut self.delivered)
+        }
+    }
+
+    impl std::ops::Deref for Rx {
+        type Target = TcpStreamReassembler;
+        fn deref(&self) -> &TcpStreamReassembler {
+            &self.r
+        }
+    }
+
+    impl std::ops::DerefMut for Rx {
+        fn deref_mut(&mut self) -> &mut TcpStreamReassembler {
+            &mut self.r
+        }
+    }
+
+    fn rx(policy: OverlapPolicy) -> Rx {
+        Rx::new(TcpStreamReassembler::new(policy))
+    }
+
+    fn push_str(r: &mut Rx, seq: u32, s: &[u8]) -> PushSummary {
+        let out = &mut r.delivered;
+        r.r.push(SeqNumber(seq), s, |b| out.extend_from_slice(b))
+    }
+
+    fn mk() -> Rx {
+        let mut r = rx(OverlapPolicy::First);
         r.on_syn(SeqNumber(999)); // data starts at 1000
         r
     }
@@ -453,19 +508,38 @@ mod tests {
         let mut r = mk();
         push_str(&mut r, 1000, b"hello ");
         push_str(&mut r, 1006, b"world");
-        assert_eq!(r.drain(), b"hello world");
+        assert_eq!(r.take(), b"hello world");
         assert_eq!(r.next_offset(), 11);
         assert_eq!(r.buffered_bytes(), 0);
+    }
+
+    #[test]
+    fn live_edge_segment_reaches_the_sink_straight_from_the_packet() {
+        let mut r = TcpStreamReassembler::new(OverlapPolicy::First);
+        r.on_syn(SeqNumber(999));
+        let data = b"hello world".to_vec();
+        let mut seen = Vec::new();
+        r.push(SeqNumber(1000), &data, |b| seen.push((b.as_ptr(), b.len())));
+        assert_eq!(seen, [(data.as_ptr(), 11)], "the packet's own bytes, once");
+        assert_eq!(r.memory_bytes(), FIXED_STATE_BYTES, "nothing kept");
+        // An urgent skip splits the slice around the discarded byte.
+        r.skip_at(SeqNumber(1013));
+        let data = b"abcde".to_vec();
+        seen.clear();
+        r.push(SeqNumber(1011), &data, |b| seen.push((b.as_ptr(), b.len())));
+        assert_eq!(seen, [(data.as_ptr(), 2), (data[3..].as_ptr(), 2)]);
+        assert_eq!(r.next_offset(), 16);
+        assert_eq!(r.stats().out_of_order_segments, 0);
     }
 
     #[test]
     fn out_of_order_buffers_then_delivers() {
         let mut r = mk();
         push_str(&mut r, 1006, b"world");
-        assert_eq!(r.drain(), b"");
+        assert_eq!(r.take(), b"");
         assert_eq!(r.buffered_bytes(), 5);
         push_str(&mut r, 1000, b"hello ");
-        assert_eq!(r.drain(), b"hello world");
+        assert_eq!(r.take(), b"hello world");
         assert_eq!(r.stats().out_of_order_segments, 1);
     }
 
@@ -473,11 +547,11 @@ mod tests {
     fn retransmission_of_delivered_data_is_old() {
         let mut r = mk();
         push_str(&mut r, 1000, b"abcdef");
-        r.drain();
+        r.take();
         let s = push_str(&mut r, 1000, b"abcdef");
         assert_eq!(s.old_bytes, 6);
         assert_eq!(s.accepted, 0);
-        assert_eq!(r.drain(), b"");
+        assert_eq!(r.take(), b"");
     }
 
     #[test]
@@ -487,7 +561,7 @@ mod tests {
         let s = push_str(&mut r, 1002, b"cdEF");
         assert_eq!(s.old_bytes, 2);
         assert_eq!(s.accepted, 2);
-        assert_eq!(r.drain(), b"abcdEF");
+        assert_eq!(r.take(), b"abcdEF");
     }
 
     #[test]
@@ -496,48 +570,48 @@ mod tests {
         push_str(&mut r, 1004, b"XXXX"); // offsets 4..8, buffered
         let s = push_str(&mut r, 1000, b"aaaaYYYY"); // claims 0..8
         assert_eq!(s.conflicting, 4, "XXXX vs YYYY differ");
-        assert_eq!(r.drain(), b"aaaaXXXX", "First keeps the earlier copy");
+        assert_eq!(r.take(), b"aaaaXXXX", "First keeps the earlier copy");
     }
 
     #[test]
     fn overlap_last_policy_takes_new() {
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::Last);
+        let mut r = rx(OverlapPolicy::Last);
         r.on_syn(SeqNumber(999));
         push_str(&mut r, 1004, b"XXXX");
         push_str(&mut r, 1000, b"aaaaYYYY");
-        assert_eq!(r.drain(), b"aaaaYYYY");
+        assert_eq!(r.take(), b"aaaaYYYY");
     }
 
     #[test]
     fn overlap_bsd_leading_edge_wins() {
         // BSD: new data wins only where the new segment starts earlier.
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::Bsd);
+        let mut r = rx(OverlapPolicy::Bsd);
         r.on_syn(SeqNumber(999));
         push_str(&mut r, 1004, b"XXXX"); // writer_start 4
         push_str(&mut r, 1000, b"aaaaYYYY"); // writer_start 0 < 4 → wins
-        assert_eq!(r.drain(), b"aaaaYYYY");
+        assert_eq!(r.take(), b"aaaaYYYY");
 
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::Bsd);
+        let mut r = rx(OverlapPolicy::Bsd);
         r.on_syn(SeqNumber(999));
         push_str(&mut r, 1002, b"XXXX"); // offsets 2..6, writer_start 2
         push_str(&mut r, 1002, b"YYYY"); // same start → old wins under BSD
         push_str(&mut r, 1000, b"ab");
-        assert_eq!(r.drain(), b"abXXXX");
+        assert_eq!(r.take(), b"abXXXX");
     }
 
     #[test]
     fn overlap_linux_ties_go_to_new() {
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::Linux);
+        let mut r = rx(OverlapPolicy::Linux);
         r.on_syn(SeqNumber(999));
         push_str(&mut r, 1002, b"XXXX");
         push_str(&mut r, 1002, b"YYYY"); // same start → new wins under Linux
         push_str(&mut r, 1000, b"ab");
-        assert_eq!(r.drain(), b"abYYYY");
+        assert_eq!(r.take(), b"abYYYY");
     }
 
     #[test]
     fn buffer_limit_drops_and_counts() {
-        let mut r = TcpStreamReassembler::with_limit(OverlapPolicy::First, 8);
+        let mut r = Rx::new(TcpStreamReassembler::with_limit(OverlapPolicy::First, 8));
         r.on_syn(SeqNumber(999));
         let s = push_str(&mut r, 1010, b"0123456789abcdef"); // 16 OoO bytes, limit 8
         assert_eq!(s.window_dropped, 8);
@@ -571,29 +645,29 @@ mod tests {
 
     #[test]
     fn sequence_wraparound() {
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::First);
+        let mut r = rx(OverlapPolicy::First);
         r.on_syn(SeqNumber(u32::MAX - 2)); // data starts at MAX-1
         push_str(&mut r, u32::MAX - 1, b"ab"); // bytes at seqs MAX-1, MAX
         push_str(&mut r, 0, b"cd"); // continues across the wrap
-        assert_eq!(r.drain(), b"abcd");
+        assert_eq!(r.take(), b"abcd");
         assert_eq!(r.next_offset(), 4);
         // Out-of-order across the wrap too.
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::First);
+        let mut r = rx(OverlapPolicy::First);
         r.on_syn(SeqNumber(u32::MAX - 2));
         push_str(&mut r, 0, b"cd");
-        assert_eq!(r.drain(), b"");
+        assert_eq!(r.take(), b"");
         push_str(&mut r, u32::MAX - 1, b"ab");
-        assert_eq!(r.drain(), b"abcd");
+        assert_eq!(r.take(), b"abcd");
     }
 
     #[test]
     fn syn_at_seq_max_starts_data_at_zero() {
         // The hardest ISN: SYN consumes 0xFFFF_FFFF, so the first data
         // byte sits at wrapped seq 0.
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::First);
+        let mut r = rx(OverlapPolicy::First);
         r.on_syn(SeqNumber(u32::MAX));
         push_str(&mut r, 0, b"hello");
-        assert_eq!(r.drain(), b"hello");
+        assert_eq!(r.take(), b"hello");
         assert_eq!(r.next_offset(), 5);
     }
 
@@ -603,60 +677,60 @@ mod tests {
         // whose tail carries live bytes was discarded whole — with an ISN
         // at the 2^32 boundary, a retransmit that includes the SYN
         // position lost real data.
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::First);
+        let mut r = rx(OverlapPolicy::First);
         r.on_syn(SeqNumber(u32::MAX)); // data origin at wrapped seq 0
         let s = push_str(&mut r, u32::MAX - 1, b"..abcd"); // starts 2 before origin
         assert_eq!(s.old_bytes, 2, "pre-origin head is old");
         assert_eq!(s.accepted, 4, "live tail must survive");
-        assert_eq!(r.drain(), b"abcd");
+        assert_eq!(r.take(), b"abcd");
         assert_eq!(r.stats().old_bytes, 2);
     }
 
     #[test]
     fn segment_entirely_before_origin_is_all_old() {
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::First);
+        let mut r = rx(OverlapPolicy::First);
         r.on_syn(SeqNumber(u32::MAX));
         let s = push_str(&mut r, u32::MAX - 9, b"old"); // ends before seq 0
         assert_eq!(s.old_bytes, 3);
         assert_eq!(s.accepted, 0);
-        assert_eq!(r.drain(), b"");
+        assert_eq!(r.take(), b"");
     }
 
     #[test]
     fn straddling_retransmit_after_delivery_accounts_both_clips() {
         // Head before the origin AND a delivered span: both clip, and the
         // old-byte accounting must sum them rather than overwrite.
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::First);
+        let mut r = rx(OverlapPolicy::First);
         r.on_syn(SeqNumber(u32::MAX));
         push_str(&mut r, 0, b"ab");
-        r.drain();
+        r.take();
         // Starts 1 before the origin, re-covers delivered "ab", adds "cd".
         let s = push_str(&mut r, u32::MAX, b".abcd");
         assert_eq!(s.old_bytes, 3, "1 pre-origin + 2 delivered");
         assert_eq!(s.accepted, 2);
-        assert_eq!(r.drain(), b"cd");
+        assert_eq!(r.take(), b"cd");
     }
 
     #[test]
     fn fin_straddling_the_wrap_finishes() {
         // Data occupies seqs MAX-1, MAX, 0, 1; the FIN position wraps to 2.
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::First);
+        let mut r = rx(OverlapPolicy::First);
         r.on_syn(SeqNumber(u32::MAX - 2));
         push_str(&mut r, u32::MAX - 1, b"abcd");
         r.on_fin(SeqNumber(2));
         assert!(r.is_finished());
-        assert_eq!(r.drain(), b"abcd");
+        assert_eq!(r.take(), b"abcd");
     }
 
     #[test]
     fn urgent_skip_across_the_wrap() {
         // Skip the byte at wrapped seq 0 (stream offset 2) before it
         // arrives; delivery must omit exactly that byte.
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::First);
+        let mut r = rx(OverlapPolicy::First);
         r.on_syn(SeqNumber(u32::MAX - 2)); // data origin at MAX-1
         r.skip_at(SeqNumber(0));
         push_str(&mut r, u32::MAX - 1, b"abcd");
-        assert_eq!(r.drain(), b"abd");
+        assert_eq!(r.take(), b"abd");
         assert_eq!(r.next_offset(), 4, "skipped byte still consumes seq space");
     }
 
@@ -668,9 +742,9 @@ mod tests {
         // Push enough to exceed one 32-bit wrap's worth of offset math being
         // exercised incrementally (scaled down for test time: 10 MB).
         for _ in 0..7000 {
-            r.push(SeqNumber(seq), &chunk);
+            push_str(&mut r, seq, &chunk);
             seq = seq.wrapping_add(1460);
-            r.drain();
+            r.take();
         }
         assert_eq!(r.next_offset(), 7000 * 1460);
     }
@@ -685,16 +759,16 @@ mod tests {
             FIXED_STATE_BYTES + CHUNK_OVERHEAD_BYTES + 10
         );
         push_str(&mut r, 1000, b"0123456789");
-        r.drain();
+        r.take();
         assert_eq!(r.memory_bytes(), FIXED_STATE_BYTES);
     }
 
     #[test]
     fn mid_stream_pickup_adopts_first_seq() {
-        let mut r = TcpStreamReassembler::new(OverlapPolicy::First);
+        let mut r = rx(OverlapPolicy::First);
         // No SYN ever seen.
-        r.push(SeqNumber(5_000_000), b"mid");
-        assert_eq!(r.drain(), b"mid");
+        push_str(&mut r, 5_000_000, b"mid");
+        assert_eq!(r.take(), b"mid");
     }
 
     #[test]
@@ -704,11 +778,11 @@ mod tests {
         push_str(&mut r, 1004, b"22");
         push_str(&mut r, 1000, b"00");
         assert_eq!(r.chunk_count(), 2);
-        assert_eq!(r.drain(), b"00");
+        assert_eq!(r.take(), b"00");
         push_str(&mut r, 1002, b"11");
-        assert_eq!(r.drain(), b"1122");
+        assert_eq!(r.take(), b"1122");
         push_str(&mut r, 1006, b"XX");
-        assert_eq!(r.drain(), b"XX33");
+        assert_eq!(r.take(), b"XX33");
         assert_eq!(r.buffered_bytes(), 0);
     }
 }

@@ -73,9 +73,12 @@ fn regression_stream_overlap_rewrites_delivered_prefix_last_policy() {
 
     let mut model: Vec<Option<(u8, u64)>> = vec![None; 64 + 24];
     let mut delivered_upto = 0usize;
+    let mut out = Vec::new();
     for &(start, len, fill) in &pushes {
         let data = vec![fill; len];
-        r.push(SeqNumber(1 + start as u32), &data);
+        r.push(SeqNumber(1 + start as u32), &data, |b| {
+            out.extend_from_slice(b)
+        });
         #[allow(clippy::needless_range_loop)]
         for i in start.max(delivered_upto)..start + len {
             match model[i] {
@@ -98,8 +101,6 @@ fn regression_stream_overlap_rewrites_delivered_prefix_last_policy() {
             None => break,
         }
     }
-    let mut out = Vec::new();
-    r.drain_into(&mut out);
     assert_eq!(out, expected, "policy {policy}");
 }
 
@@ -139,11 +140,10 @@ proptest! {
         let mut out = Vec::new();
         for &i in &order {
             let (s, e) = cuts[i];
-            r.push(SeqNumber(1000 + s as u32), &data[s..e]);
+            r.push(SeqNumber(1000 + s as u32), &data[s..e], |b| out.extend_from_slice(b));
             if dup {
-                r.push(SeqNumber(1000 + s as u32), &data[s..e]);
+                r.push(SeqNumber(1000 + s as u32), &data[s..e], |b| out.extend_from_slice(b));
             }
-            r.drain_into(&mut out);
         }
         prop_assert_eq!(&out, &data, "policy {}", policy);
         prop_assert_eq!(r.buffered_bytes(), 0);
@@ -166,9 +166,10 @@ proptest! {
         // the policy (matching real stacks, where delivered data is gone).
         let mut model: Vec<Option<(u8, u64)>> = vec![None; 64 + 24];
         let mut delivered_upto = 0usize;
+        let mut out = Vec::new();
         for &(start, len, fill) in &pushes {
             let data = vec![fill; len];
-            r.push(SeqNumber(1 + start as u32), &data);
+            r.push(SeqNumber(1 + start as u32), &data, |b| out.extend_from_slice(b));
             #[allow(clippy::needless_range_loop)]
             for i in start.max(delivered_upto)..start + len {
                 match model[i] {
@@ -192,8 +193,6 @@ proptest! {
                 None => break,
             }
         }
-        let mut out = Vec::new();
-        r.drain_into(&mut out);
         prop_assert_eq!(out, expected, "policy {}", policy);
     }
 

@@ -4,8 +4,9 @@
 //! chain of failure links per input byte. It is the builder under both
 //! compiled forms: the dense DFA ([`crate::dfa::AcDfa`]), where every byte
 //! is exactly one table lookup — the property the paper's 20 Gbps hardware
-//! argument rests on — and the fast path's tiered piece automaton
-//! ([`crate::tiered::TieredNfa`]).
+//! argument rests on — and the tiered automaton
+//! ([`crate::tiered::TieredNfa`]) that the fast path runs over pieces and
+//! the slow path over whole signatures.
 
 use crate::pattern::{Match, PatternId, PatternSet};
 use std::collections::{BTreeMap, VecDeque};

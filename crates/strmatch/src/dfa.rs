@@ -4,10 +4,11 @@
 //! loop is exactly one load and one index per input byte — no failure-link
 //! chains, no branches that depend on pattern structure. This is the
 //! software analogue of the TCAM/SRAM automaton the paper budgets for its
-//! 20 Gbps fast path, and it is what [`crate::stream::StreamMatcher`] — the
-//! slow path's resumable full-signature matcher — runs. At 1 KB per state
-//! it does not scale to the piece automaton of a 10k-rule corpus; the fast
-//! path runs [`crate::tiered::TieredNfa`] instead.
+//! 20 Gbps fast path. At 1 KB per state it stops fitting in cache long
+//! before a 10k-rule corpus (200 MB over whole signatures), so both the
+//! fast and the slow path run [`crate::tiered::TieredNfa`] instead. The
+//! dense DFA stays as the per-packet strawman's engine, in the experiments
+//! and as the dense reference of the equivalence tests.
 
 use crate::aho::AhoCorasick;
 use crate::pattern::{Match, PatternId, PatternSet};

@@ -7,20 +7,19 @@
 //!
 //! * [`aho`] — Aho–Corasick automaton (goto/fail/output construction): the
 //!   NFA both compiled forms below are built from,
-//! * [`tiered`] — the fast path's piece automaton: dense byte-classed rows
-//!   for the hot shallow states (where benign traffic lives), CSR edges +
-//!   failure links for the cold tail, entered only where a hashed filter
-//!   over each piece's leading (up to) 4-byte windows finds a candidate;
-//!   the filter tests one position in every `shortest piece − 3`. A small
-//!   rule set is entirely hot (a byte-classed DFA behind the filter); a
-//!   10k-rule corpus keeps only its shallow levels dense and stays within
-//!   ~2× the `O(pattern bytes)` CSR footprint,
+//! * [`tiered`] — the automaton both paths run, over pieces on the fast
+//!   path and over whole signatures on the slow path: dense byte-classed
+//!   rows for the hot shallow states (where benign traffic lives), CSR
+//!   edges + failure links for the cold tail, entered only where a hashed
+//!   filter over each pattern's leading (up to) 4-byte windows finds a
+//!   candidate; the filter tests one position in every `shortest pattern
+//!   − 3`. A small rule set is entirely hot (a byte-classed DFA behind the
+//!   filter); a 10k-rule corpus keeps only its shallow levels dense and
+//!   stays within ~2× the `O(pattern bytes)` CSR footprint,
 //! * [`dfa`] — a dense byte-indexed DFA compiled from the NFA: one table
-//!   lookup per byte, 1 KB per state. The slow path's engine, and what the
-//!   paper's hardware argument is about,
-//! * [`stream`] — a resumable matcher that carries DFA state across chunk
-//!   boundaries, reporting absolute stream offsets: what the slow path runs
-//!   over reassembled bytes,
+//!   lookup per byte, 1 KB per state. What the paper's hardware argument is
+//!   about, the per-packet strawman's engine and the dense reference of
+//!   the equivalence tests; no Split-Detect path builds it,
 //! * [`naive`] — the obviously-correct quadratic reference every engine is
 //!   cross-checked against in unit and property tests.
 //!
@@ -35,11 +34,9 @@ pub mod aho;
 pub mod dfa;
 pub mod naive;
 pub mod pattern;
-pub mod stream;
 pub mod tiered;
 
 pub use aho::AhoCorasick;
 pub use dfa::AcDfa;
 pub use pattern::{Match, PatternId, PatternSet};
-pub use stream::StreamMatcher;
 pub use tiered::TieredNfa;

@@ -1,6 +1,9 @@
-//! The piece automaton: two-tier Aho–Corasick with dense byte-classed
-//! rows for the hot shallow states and CSR sorted-edge lists for the cold
-//! tail, entered only where a piece-window filter says a piece may start.
+//! The automaton both paths run: two-tier Aho–Corasick with dense
+//! byte-classed rows for the hot shallow states and CSR sorted-edge lists
+//! for the cold tail, entered only where a piece-window filter says a
+//! piece may start. The fast path builds it over signature pieces and the
+//! slow path over whole signatures, with the same constructor, hot-tier
+//! heuristic and filter; below, "piece" means whichever patterns it holds.
 //!
 //! The dense DFA ([`crate::dfa::AcDfa`]) is one lookup per byte but spends
 //! 1 KB per state — ruinous at 10k-rule corpora (hundreds of MB). A pure
@@ -29,8 +32,9 @@
 //! nothing is `hot[enc + classes[b]]`, and one `enc >= plain_limit` test
 //! catches both a match and a cold state.
 //!
-//! **Window filter.** Split-Detect pieces are near-uniform in length, so
-//! every piece is at least `m` (the shortest piece) bytes long. With
+//! **Window filter.** Every piece is at least `m` (the shortest piece)
+//! bytes long; Split-Detect pieces are near-uniform, so `m` is close to
+//! the typical length. With
 //! `w = min(4, m)` and stride `s = m − w + 1`, a bitmap holds one bit at a
 //! multiplicative hash of each of a piece's `s` windows of `w` bytes
 //! (offsets `0..s`), and the scan tests one position in every `s` —

@@ -1,9 +1,7 @@
 //! Cross-engine property tests: every engine must agree with the naive
-//! reference on arbitrary patterns and haystacks, and the streaming matcher
-//! must be chunking-invariant.
+//! reference on arbitrary patterns and haystacks.
 
 use proptest::prelude::*;
-use sd_match::stream::{StreamMatch, StreamMatcher};
 use sd_match::tiered::MIN_HOT_STATES;
 use sd_match::{naive, AcDfa, AhoCorasick, PatternSet, TieredNfa};
 
@@ -58,31 +56,6 @@ proptest! {
         want.sort();
         prop_assert_eq!(got, want);
         prop_assert_eq!(dfa.is_match(&hay), !dfa.find_all(&hay).is_empty());
-    }
-
-    #[test]
-    fn streaming_is_chunking_invariant(
-        pats in pattern_set(),
-        hay in proptest::collection::vec(any::<u8>().prop_map(|b| b % 4 + b'a'), 0..200),
-        cuts in proptest::collection::vec(0usize..200, 0..8),
-    ) {
-        let dfa = AcDfa::new(PatternSet::from_patterns(&pats));
-        let mut batch = Vec::new();
-        StreamMatcher::new().feed(&dfa, &hay, &mut batch);
-
-        let mut boundaries: Vec<usize> = cuts.iter().map(|&c| c % (hay.len() + 1)).collect();
-        boundaries.push(0);
-        boundaries.push(hay.len());
-        boundaries.sort_unstable();
-        boundaries.dedup();
-
-        let mut m = StreamMatcher::new();
-        let mut out: Vec<StreamMatch> = Vec::new();
-        for w in boundaries.windows(2) {
-            m.feed(&dfa, &hay[w[0]..w[1]], &mut out);
-        }
-        prop_assert_eq!(out, batch);
-        prop_assert_eq!(m.offset(), hay.len() as u64);
     }
 }
 

@@ -110,8 +110,7 @@ pub fn receive_stream(
         {
             stream.skip_at(skip);
         }
-        stream.push(data_seq, info.payload);
-        stream.drain_into(&mut out);
+        stream.push(data_seq, info.payload, |b| out.extend_from_slice(b));
     }
     out
 }

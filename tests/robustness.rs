@@ -92,10 +92,9 @@ proptest! {
                 r.on_syn(split_detect::packet::SeqNumber(s));
             }
             for (seq, data) in &pushes {
-                r.push(split_detect::packet::SeqNumber(*seq), data);
+                r.push(split_detect::packet::SeqNumber(*seq), data, |_| {});
                 r.on_fin(split_detect::packet::SeqNumber(seq.wrapping_add(1)));
             }
-            let _ = r.drain();
             let _ = r.memory_bytes();
         }
     }
