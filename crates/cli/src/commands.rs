@@ -758,9 +758,10 @@ fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), Stri
         t.hot_states, t.hot_bytes, t.class_count, t.cold_states, t.cold_bytes
     );
     let _ = match plan.filter_shape() {
-        Some((window, stride, bytes)) => writeln!(
+        Some((window, stride, bytes, avx2)) => writeln!(
             out,
-            "window filter: w={window}, stride {stride}, bitmap {bytes} B"
+            "window filter: w={window}, stride {stride}, bitmap {bytes} B, {}",
+            if avx2 { "avx2 ×8" } else { "scalar" }
         ),
         None => writeln!(out, "window filter: off (1-byte piece)"),
     };

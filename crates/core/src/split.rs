@@ -146,10 +146,10 @@ impl SplitPlan {
         }
     }
 
-    /// The scan's window filter as `(window, stride, bitmap bytes)`, or
-    /// `None` when it runs unfiltered (a one-byte piece); see
-    /// [`TieredNfa::filter_shape`].
-    pub fn filter_shape(&self) -> Option<(usize, usize, usize)> {
+    /// The scan's window filter as `(window, stride, bitmap bytes,
+    /// eight-wide AVX2 loop)`, or `None` when it runs unfiltered (a
+    /// one-byte piece); see [`TieredNfa::filter_shape`].
+    pub fn filter_shape(&self) -> Option<(usize, usize, usize, bool)> {
         self.automaton.filter_shape()
     }
 
@@ -331,7 +331,7 @@ mod tests {
         assert!(plan.memory_bytes() > 0);
         // The filter follows the shortest piece: 4-byte windows, every
         // fifth position tested.
-        let (window, stride, bitmap) = plan.filter_shape().expect("8-byte pieces are filtered");
+        let (window, stride, bitmap, _) = plan.filter_shape().expect("8-byte pieces are filtered");
         assert_eq!((window, stride), (4, 5));
         assert!(bitmap > 0 && bitmap < plan.memory_bytes());
     }

@@ -146,7 +146,7 @@ fn corpus_ballast_campaign_is_clean_and_deterministic() {
 fn campaign_automata_run_the_strided_filter() {
     let stride = |sigs: &SignatureSet| {
         let plan = SplitPlan::compile(sigs, &SplitDetectConfig::default()).expect("admissible");
-        let (window, stride, _) = plan.filter_shape().expect("filtered scan");
+        let (window, stride, _, _) = plan.filter_shape().expect("filtered scan");
         assert_eq!(window, 4);
         stride
     };

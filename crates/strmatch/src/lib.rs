@@ -13,9 +13,13 @@
 //!   edges + failure links for the cold tail, entered only where a hashed
 //!   filter over each pattern's leading (up to) 4-byte windows finds a
 //!   candidate; the filter tests one position in every `shortest pattern
-//!   − 3`. A small rule set is entirely hot (a byte-classed DFA behind the
-//!   filter); a 10k-rule corpus keeps only its shallow levels dense and
-//!   stays within ~2× the `O(pattern bytes)` CSR footprint,
+//!   − 3`, eight per branch where the CPU has AVX2. A small rule set is
+//!   entirely hot (a byte-classed DFA behind the filter); a 10k-rule
+//!   corpus keeps only its shallow levels dense and stays within ~2× the
+//!   `O(pattern bytes)` CSR footprint,
+//! * `wide` (crate-private) — that eight-wide AVX2 filter loop, which
+//!   returns exactly the scalar loop's candidates; the crate's only
+//!   `unsafe`, compiled on x86-64 alone,
 //! * [`dfa`] — a dense byte-indexed DFA compiled from the NFA: one table
 //!   lookup per byte, 1 KB per state. What the paper's hardware argument is
 //!   about, the per-packet strawman's engine and the dense reference of
@@ -27,7 +31,8 @@
 //! *end* offset (one past the last byte), and find **all** occurrences,
 //! including overlapping ones.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod aho;
@@ -35,6 +40,8 @@ pub mod dfa;
 pub mod naive;
 pub mod pattern;
 pub mod tiered;
+#[allow(unsafe_code)]
+mod wide;
 
 pub use aho::AhoCorasick;
 pub use dfa::AcDfa;

@@ -40,14 +40,18 @@
 //! (offsets `0..s`), and the scan tests one position in every `s` —
 //! `from + s − 1, from + 2s − 1, …` — each a `u32` load, a mask, a
 //! multiply, a shift and a bit test, with no dependence between
-//! positions. An occurrence starting at `c ≥ from` has its windows at
-//! `c ..= c + s − 1`, which holds exactly one tested position, and that
-//! position is at most `len − w`. On a hit at `q` the automaton walks
-//! from the start state at `c0 = q − (s − 1)`: an occurrence starting in
-//! `[from, c0)` would have hit at a tested position before `q`. Once the
-//! walk has read at least two bytes and is back at depth ≤ 1 at `j`, the
-//! filter resumes at `from = j − depth ≥ c0 + 1`: any occurrence still in
-//! progress at `j` starts at or after `j − depth`. It is linear: tested
+//! positions. With AVX2, the crate's `wide` loop tests eight of them per
+//! branch and returns the same first hit; the scalar loop takes the
+//! first two, finishes after the last whole block, and is the whole
+//! filter elsewhere. An occurrence starting at `c ≥ from` has its windows
+//! at `c ..= c + s − 1`, which holds exactly one tested position, and
+//! that position is at most `len − w`. On a hit at `q` the automaton
+//! walks from the start state at `c0 = q − (s − 1)`: an occurrence
+//! starting in `[from, c0)` would have hit at a tested position before
+//! `q`. Once the walk has read at least two bytes and is back at depth
+//! ≤ 1 at `j`, the filter resumes at `from = j − depth ≥ c0 + 1`: any
+//! occurrence still in progress at `j` starts at or after `j − depth`.
+//! It is linear: tested
 //! positions strictly increase, so the filter makes at most `n` tests,
 //! and each walk ends at most one byte before the next `c0`, so the
 //! automaton takes at most `2n` steps. Breadth-first numbering makes
@@ -69,6 +73,7 @@ use std::collections::HashMap;
 
 use crate::aho::AhoCorasick;
 use crate::pattern::{Match, PatternId, PatternSet};
+use crate::wide::Avx2;
 
 /// The byte-budget heuristic never shrinks the hot tier below this many
 /// states (when the automaton has them), nor below the root plus its whole
@@ -95,7 +100,10 @@ const FILTER_BITS_PER_WINDOW: usize = 64;
 const FILTER_LOG2_BITS: (u32, u32) = (12, 21);
 
 /// Fibonacci-hashing multiplier, `2^32 / φ`.
-const WINDOW_HASH: u32 = 0x9E37_79B1;
+pub(crate) const WINDOW_HASH: u32 = 0x9E37_79B1;
+
+/// Tested positions the scalar loop takes before the eight-wide one.
+const SCALAR_PROBE: usize = 2;
 
 /// The strided piece-window filter: one bit at a multiplicative hash of
 /// each of a piece's first `stride` windows of `window` bytes. A tested
@@ -112,7 +120,11 @@ struct WindowFilter {
     mask: u32,
     /// `32 − log2(bitmap bits)`: the hash keeps its top bits.
     shift: u32,
-    bits: Box<[u64]>,
+    /// Bit `h & 31` of word `h >> 5` is set for each inserted hash `h`;
+    /// both loops read these words.
+    bits: Box<[u32]>,
+    /// Set when the CPU runs the eight-wide loop.
+    wide: Option<Avx2>,
 }
 
 impl WindowFilter {
@@ -135,12 +147,13 @@ impl WindowFilter {
             stride,
             mask: u32::MAX >> (32 - 8 * window as u32),
             shift: 32 - log2,
-            bits: vec![0; 1 << (log2 - 6)].into_boxed_slice(),
+            bits: vec![0; 1 << (log2 - 5)].into_boxed_slice(),
+            wide: Avx2::detect(),
         };
         for (_, piece) in set.iter() {
             for at in 0..stride {
                 let h = filter.hash(load_window(&piece[at..]));
-                filter.bits[h >> 6] |= 1 << (h & 63);
+                filter.bits[h >> 5] |= 1 << (h & 31);
             }
         }
         Some(filter)
@@ -154,7 +167,14 @@ impl WindowFilter {
     #[inline(always)]
     fn hit(&self, x: u32) -> bool {
         let h = self.hash(x);
-        (self.bits[h >> 6] >> (h & 63)) & 1 != 0
+        (self.bits[h >> 5] >> (h & 31)) & 1 != 0
+    }
+
+    /// Whether the `u32` window at `p` hits; `None` past the last load.
+    #[inline(always)]
+    fn test(&self, hay: &[u8], p: usize) -> Option<bool> {
+        let w = hay.get(p..p + 4)?;
+        Some(self.hit(u32::from_le_bytes(w.try_into().expect("4-byte window"))))
     }
 
     /// Where to walk from: `q − (stride − 1)` for the first tested
@@ -165,8 +185,24 @@ impl WindowFilter {
     fn find(&self, hay: &[u8], from: usize) -> Option<usize> {
         let back = self.stride - 1;
         let mut p = from + back;
-        while let Some(w) = hay.get(p..p + 4) {
-            if self.hit(u32::from_le_bytes(w.try_into().expect("4-byte window"))) {
+        if let Some(wide) = self.wide {
+            // Candidates cluster: a walk often ends just short of the next
+            // one, which the scalar test then finds in a few cycles, before
+            // the vector loop's dependent gathers would answer (E26).
+            for _ in 0..SCALAR_PROBE {
+                match self.test(hay, p) {
+                    Some(true) => return Some(p - back),
+                    Some(false) => p += self.stride,
+                    None => break,
+                }
+            }
+            match wide.find(hay, p, self.stride, self.mask, self.shift, &self.bits) {
+                Ok(q) => return Some(q - back),
+                Err(next) => p = next,
+            }
+        }
+        while let Some(hit) = self.test(hay, p) {
+            if hit {
                 return Some(p - back);
             }
             p += self.stride;
@@ -178,7 +214,7 @@ impl WindowFilter {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.bits.len() * 8
+        self.bits.len() * 4
     }
 }
 
@@ -424,12 +460,14 @@ impl TieredNfa {
     }
 
     /// The window filter's shape — bytes hashed per tested position,
-    /// positions per test, bitmap bytes — or `None` when the scan runs
-    /// unfiltered. Derived from the pattern set; not a knob.
-    pub fn filter_shape(&self) -> Option<(usize, usize, usize)> {
+    /// positions per test, bitmap bytes, and whether the AVX2 loop tests
+    /// eight positions per step (else the scalar loop tests one) — or
+    /// `None` when the scan runs unfiltered. Derived from the pattern set
+    /// and the CPU; not a knob.
+    pub fn filter_shape(&self) -> Option<(usize, usize, usize, bool)> {
         self.filter
             .as_ref()
-            .map(|f| (f.window, f.stride, f.memory_bytes()))
+            .map(|f| (f.window, f.stride, f.memory_bytes(), f.wide.is_some()))
     }
 
     /// One input byte from encoded state `enc`. Hot states are one class
@@ -603,7 +641,7 @@ mod tests {
     /// = no filter).
     fn shape(patterns: &[&[u8]]) -> Option<(usize, usize)> {
         let tiered = TieredNfa::new(PatternSet::from_patterns(patterns));
-        tiered.filter_shape().map(|(w, s, _)| (w, s))
+        tiered.filter_shape().map(|(w, s, _, _)| (w, s))
     }
 
     #[test]
@@ -747,6 +785,103 @@ mod tests {
         }
     }
 
+    /// The eight-wide loop against the scalar one at every filter shape
+    /// `(w, s)`, every `from` and every haystack length `0..=4·(7s + 4)`:
+    /// with no hit, with a piece window planted at each tested position,
+    /// and over bytes ≥ 0x80. The wide loop must return the scalar
+    /// loop's first hit among its whole blocks, or the same first
+    /// untested position, and `find` must not change. Skipped without
+    /// AVX2.
+    #[test]
+    fn wide_loop_returns_the_scalar_candidates() {
+        let Some(wide) = Avx2::detect() else { return };
+        let mut state = 0x2545_F491u32;
+        let mut next = move || {
+            state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            (state >> 16) as u8
+        };
+        for (m, shape) in [
+            (2, (2, 1)),
+            (3, (3, 1)),
+            (5, (4, 2)),
+            (6, (4, 3)),
+            (8, (4, 5)),
+            (16, (4, 13)),
+        ] {
+            for high in [false, true] {
+                let mut byte = || {
+                    if high {
+                        0x80 | next()
+                    } else {
+                        b'a' + next() % 26
+                    }
+                };
+                let pieces: Vec<Vec<u8>> = (m..m + 3)
+                    .map(|len| (0..len).map(|_| byte()).collect())
+                    .collect();
+                let filter =
+                    WindowFilter::new(&PatternSet::from_patterns(&pieces)).expect("filtered");
+                let (w, s) = (filter.window, filter.stride);
+                assert_eq!((w, s), shape);
+                let scalar = WindowFilter {
+                    wide: None,
+                    ..filter.clone()
+                };
+                let max_len = 4 * (7 * s + 4);
+                // '.' misses the letter pieces' bitmap everywhere; random
+                // high bytes hit it only by collision.
+                let filler: Vec<u8> = (0..max_len)
+                    .map(|_| if high { byte() } else { b'.' })
+                    .collect();
+                if !high {
+                    assert_eq!(scalar.find(&filler, 0), None, "filler must miss");
+                }
+                let mut block_end_hits = 0;
+                let mut check = |hay: &[u8], from: usize| {
+                    let p = from + s - 1;
+                    let mut q = p;
+                    let want = loop {
+                        if q + 7 * s + 4 > hay.len() {
+                            break Err(q);
+                        }
+                        if let Some(k) = (0..8).find(|k| filter.test(hay, q + k * s) == Some(true))
+                        {
+                            break Ok(q + k * s);
+                        }
+                        q += 8 * s;
+                    };
+                    let got = wide.find(hay, p, s, filter.mask, filter.shift, &filter.bits);
+                    assert_eq!(got, want, "w={w} s={s} len={} from={from}", hay.len());
+                    assert_eq!(
+                        filter.find(hay, from),
+                        scalar.find(hay, from),
+                        "w={w} s={s} len={} from={from}",
+                        hay.len()
+                    );
+                    // Only lane 7 of a block ending at `len` tests `len − 4`.
+                    if got.ok().map(|q| q + 4) == Some(hay.len()) {
+                        block_end_hits += 1;
+                    }
+                };
+                for len in 0..=max_len {
+                    let mut hay = filler[..len].to_vec();
+                    for from in 0..=len {
+                        check(&hay, from);
+                        for q in (from + s - 1..).step_by(s).take_while(|q| q + w <= len) {
+                            hay[q..q + w].copy_from_slice(&pieces[q % 3][..w]);
+                            check(&hay, from);
+                            hay[q..q + w].copy_from_slice(&filler[q..q + w]);
+                        }
+                    }
+                }
+                assert!(
+                    block_end_hits > 0,
+                    "w={w} s={s}: no last full block ending at len"
+                );
+            }
+        }
+    }
+
     #[test]
     fn one_byte_piece_falls_back_to_the_unfiltered_walk() {
         assert_eq!(shape(&[b"x", b"abcd"]), None);
@@ -819,7 +954,8 @@ mod tests {
         assert_eq!(tiered.cold_state_count(), 0);
         assert!(tiered.class_count() <= 25, "24 letters + rest");
         // 8-byte pieces: a 4-byte window tested every fifth position.
-        assert_eq!(tiered.filter_shape(), Some((4, 5, 512)));
+        let avx2 = Avx2::detect().is_some();
+        assert_eq!(tiered.filter_shape(), Some((4, 5, 512, avx2)));
     }
 
     #[test]

@@ -161,7 +161,7 @@ proptest! {
         let mut want = naive::find_all(&set, &hay);
         want.sort();
         for tiered in hot_sweep(&set) {
-            if let Some((_, stride, _)) = tiered.filter_shape() {
+            if let Some((_, stride, _, _)) = tiered.filter_shape() {
                 prop_assert!(stride >= 2, "shortest piece ≥ 5 bytes");
             }
             let mut got = tiered.find_all(&hay);
