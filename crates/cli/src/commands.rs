@@ -7,43 +7,67 @@ use rand::SeedableRng;
 use sd_ips::api::run_trace;
 use sd_ips::conventional::ConventionalConfig;
 use sd_ips::rules::{parse_rules, parse_rules_lenient, RuleSet, DEMO_RULES};
-use sd_ips::{AlertSource, ConventionalIps, Ips, NaivePacketIps, SignatureSet};
+use sd_ips::{Alert, AlertSource, ConventionalIps, Ips, NaivePacketIps, SignatureSet};
+use sd_reassembly::OverlapPolicy;
 use sd_traffic::benign::{BenignConfig, BenignGenerator};
 use sd_traffic::evasion::{generate, AttackSpec, EvasionStrategy};
-use sd_traffic::mixer::mix;
+use sd_traffic::mixer::{mix, LabeledTrace};
 use sd_traffic::payload::PayloadModel;
 use sd_traffic::rulegen::{generate_rule_corpus, RuleCorpusConfig};
 use sd_traffic::victim::{receive_stream, VictimConfig};
 use sd_traffic::{pcap, Trace};
-use splitdetect::{
-    ShardedSplitDetect, SplitDetect, SplitDetectConfig, SplitDetectStats, SplitPlan,
-};
+use splitdetect::{ShardedSplitDetect, SplitDetect, SplitDetectConfig, SplitPlan};
 
-use crate::opts::{Command, EngineKind, OutputFormat, ParsedArgs, SabotageKind, ServeSource};
+use crate::opts::{
+    Command, EngineArgs, EngineKind, FuzzArgs, ScanArgs, ServeArgs, ServeSource, WorkloadArgs,
+};
 use crate::serve::{self, ServeEngine, ServeOptions};
 
 type Out<'a> = &'a mut dyn Write;
 
-/// Run the parsed command.
-pub fn dispatch(args: ParsedArgs, out: Out) -> Result<(), String> {
-    match &args.command {
-        Command::Scan(path) => scan(&args, path, out),
-        Command::Run(path) => run_cmd(&args, path, out),
-        Command::Compare(path) => compare(&args, path, out),
-        Command::Stats(path) => stats_cmd(&args, path, out),
+/// Run the parsed command; returns the process exit code.
+pub fn dispatch(command: Command, out: Out) -> i32 {
+    let result = match &command {
+        Command::Scan(args) => scan(args, out),
+        Command::Compare {
+            pcap,
+            rules,
+            policy,
+        } => compare(pcap, rules.as_deref(), *policy, out),
+        Command::Stats(path) => stats_cmd(path, out),
         Command::Rules(path) => lint_rules(path, out),
-        Command::Gauntlet => gauntlet(&args, out),
-        Command::Generate(path) => generate_cmd(&args, path, out),
-        Command::Replay(path) => replay_cmd(&args, path, out),
-        Command::Fuzz => fuzz_cmd(&args, out),
-        Command::GenerateRules(path) => generate_rules_cmd(&args, path, out),
-        Command::AnalyzeRules(path) => analyze_rules_cmd(&args, path, out),
-        Command::Serve => serve_cmd(&args, out),
+        Command::Gauntlet { rules, policy } => gauntlet(rules.as_deref(), *policy, out),
+        Command::Generate {
+            path,
+            rules,
+            workload,
+        } => generate_cmd(path, rules.as_deref(), workload, out),
+        Command::Fuzz(args) => fuzz_cmd(args, out),
+        Command::GenerateRules {
+            path,
+            count,
+            malformed,
+            seed,
+        } => generate_rules_cmd(path, *count, *malformed, *seed, out),
+        Command::AnalyzeRules { path, top, seed } => analyze_rules_cmd(path, *top, *seed, out),
+        Command::Serve(args) => serve_cmd(args, out),
+        // `lab` picks its own exit codes: input that is not sd-e2e output
+        // is a usage error.
+        Command::Lab(action) => return crate::lab::lab_cmd(action, out),
+    };
+    match result {
+        Ok(()) => 0,
+        Err(e) => {
+            let _ = writeln!(out, "error: {e}");
+            1
+        }
     }
 }
 
-fn load_rules(args: &ParsedArgs, out: Out) -> Result<RuleSet, String> {
-    let text = match &args.rules {
+/// Load the rule file, or the embedded demo rules when there is none.
+/// Notes about the rules go to `out`.
+pub(crate) fn load_rules(path: Option<&str>, out: Out) -> Result<RuleSet, String> {
+    let text = match path {
         Some(path) => {
             std::fs::read_to_string(path).map_err(|e| format!("cannot read rules {path}: {e}"))?
         }
@@ -70,163 +94,141 @@ fn load_trace(path: &str) -> Result<Trace, String> {
     pcap::load(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-fn split_config(args: &ParsedArgs) -> SplitDetectConfig {
-    SplitDetectConfig {
+fn unusable(e: impl std::fmt::Display) -> String {
+    format!("rules not usable with Split-Detect: {e}")
+}
+
+fn build_split(sigs: SignatureSet, policy: OverlapPolicy) -> Result<SplitDetect, String> {
+    let config = SplitDetectConfig {
+        slow_path_policy: policy,
+        ..Default::default()
+    };
+    SplitDetect::with_config(sigs, config).map_err(unusable)
+}
+
+fn conventional(sigs: SignatureSet, policy: OverlapPolicy) -> ConventionalIps {
+    ConventionalIps::with_config(
+        sigs,
+        ConventionalConfig {
+            policy,
+            ..Default::default()
+        },
+    )
+}
+
+/// The Split-Detect engine `scan` and `serve` run: flow-sharded when
+/// `--shards` > 1.
+fn split_engine(sigs: SignatureSet, args: &EngineArgs) -> Result<ServeEngine, String> {
+    let config = SplitDetectConfig {
         slow_path_policy: args.policy,
         shard_batch_packets: args.shard_batch,
         slow_path_workers: args.slow_workers,
         slow_path_lane_depth: args.slow_lane_depth,
         flow_hash_seed: args.flow_hash_seed,
         ..Default::default()
-    }
-}
-
-fn build_split(sigs: SignatureSet, args: &ParsedArgs) -> Result<SplitDetect, String> {
-    SplitDetect::with_config(sigs, split_config(args))
-        .map_err(|e| format!("rules not usable with Split-Detect: {e}"))
-}
-
-fn build_sharded(sigs: SignatureSet, args: &ParsedArgs) -> Result<ShardedSplitDetect, String> {
-    ShardedSplitDetect::new(sigs, split_config(args), args.shards)
-        .map_err(|e| format!("rules not usable with Split-Detect: {e}"))
-}
-
-/// Render a finished sharded engine's report (aggregated engine stats plus
-/// dispatcher counters and worker failures).
-fn sharded_report(engine: &ShardedSplitDetect) -> Option<splitdetect::RunReport> {
-    SplitDetectStats::aggregate(&engine.stats()).map(|total| {
-        splitdetect::RunReport::with_dispatch(
-            total,
-            engine.dispatch_stats(),
-            engine.failures().to_vec(),
-        )
+    };
+    Ok(if args.shards > 1 {
+        let engine = ShardedSplitDetect::new(sigs, config, args.shards).map_err(unusable)?;
+        ServeEngine::Sharded(Box::new(engine))
+    } else {
+        let engine = SplitDetect::with_config(sigs, config).map_err(unusable)?;
+        ServeEngine::Single(Box::new(engine))
     })
 }
 
-fn scan(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
-    let rules = load_rules(args, out)?;
+/// `sd scan`: drive one engine over the capture, then print its report
+/// and alerts.
+fn scan(args: &ScanArgs, out: Out) -> Result<(), String> {
+    let e = &args.engine;
+    let rules = load_rules(e.rules.as_deref(), out)?;
     let sigs = rules.to_signatures();
-    let trace = load_trace(path)?;
+    let trace = load_trace(&args.pcap)?;
     let _ = writeln!(
         out,
-        "scanning {path}: {} packets, {} flows, {} rules, engine {}{}",
+        "scanning {}: {} packets, {} flows, {} rules",
+        args.pcap,
         trace.len(),
         trace.flow_count(),
-        rules.rules.len(),
-        args.engine,
-        if args.shards > 1 {
-            format!(" ({} shards, batch {})", args.shards, args.shard_batch)
-        } else {
-            String::new()
-        }
+        rules.rules.len()
     );
 
-    let alerts = match args.engine {
-        EngineKind::Split if args.shards > 1 => {
-            let mut e = build_sharded(sigs, args)?;
-            let alerts = run_trace(&mut e, trace.iter_bytes());
-            match sharded_report(&e) {
-                Some(report) => {
-                    let _ = write!(out, "{report}");
-                }
-                None => {
-                    let _ = writeln!(out, "no surviving shards; no engine stats");
-                    for failure in e.failures() {
-                        let _ = writeln!(out, "WARNING: {failure}");
-                    }
-                }
-            }
-            alerts
-        }
+    let alerts = match args.kind {
         EngineKind::Split => {
-            let mut e = build_split(sigs, args)?;
-            let alerts = run_trace(&mut e, trace.iter_bytes());
-            let _ = write!(out, "{}", splitdetect::RunReport::new(e.stats()));
-            for failure in e.slow_failures() {
-                let _ = writeln!(out, "WARNING: {failure}");
+            let mut engine = split_engine(sigs, e)?;
+            let alerts = drive(&mut engine, &trace, args.speed, out);
+            let _ = out.write_all(engine.final_report().1.as_bytes());
+            if let Some(base) = &args.metrics_out {
+                let registry = engine
+                    .live_registry()
+                    .ok_or("no surviving shards; no telemetry")?;
+                for (ext, text) in [
+                    ("prom", sd_telemetry::to_prometheus(registry)),
+                    ("json", sd_telemetry::to_json(registry)),
+                ] {
+                    let path = format!("{base}.{ext}");
+                    std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+                }
+                let _ = writeln!(out, "metrics written to {base}.prom and {base}.json");
             }
             alerts
         }
         EngineKind::Conventional => {
-            let mut e = ConventionalIps::with_config(
-                sigs,
-                ConventionalConfig {
-                    policy: args.policy,
-                    ..Default::default()
-                },
-            );
-            run_trace(&mut e, trace.iter_bytes())
+            drive(&mut conventional(sigs, e.policy), &trace, args.speed, out)
         }
-        EngineKind::Naive => {
-            let mut e = NaivePacketIps::new(sigs);
-            run_trace(&mut e, trace.iter_bytes())
-        }
+        EngineKind::Naive => drive(&mut NaivePacketIps::new(sigs), &trace, args.speed, out),
     };
-
-    let _ = writeln!(out, "{} alert(s)", alerts.len());
-    for a in &alerts {
-        // Overload alerts are synthetic (shed slow-path lanes); their
-        // `signature` field is meaningless and must not index the rule set.
-        if a.source == AlertSource::Overload {
-            let _ = writeln!(
-                out,
-                "  [overload] slow-path lane full, flow={} shed",
-                a.flow
-            );
-            continue;
-        }
-        let rule = &rules.rules[a.signature];
-        let _ = writeln!(
-            out,
-            "  [{}] {} flow={} off={}",
-            rule.sid,
-            rule.name(),
-            a.flow,
-            a.offset
-        );
-    }
+    print_alerts(&rules, &alerts, out);
     Ok(())
 }
 
-/// `sd run`: drive Split-Detect (sharded dispatcher, even at 1 shard, so
-/// the export always carries per-shard lane counters) and optionally
-/// write the merged telemetry registry as `PATH.prom` + `PATH.json`.
-fn run_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
-    let rules = load_rules(args, out)?;
-    let trace = load_trace(path)?;
-    let mut engine = build_sharded(rules.to_signatures(), args)?;
-    let alerts = run_trace(&mut engine, trace.iter_bytes());
+/// The one loop that drives an engine over a capture: replay it at
+/// `speed` times its recorded pacing (0 = back to back), finish, and
+/// say how the replay went.
+fn drive(engine: &mut dyn Ips, trace: &Trace, speed: f64, out: Out) -> Vec<Alert> {
+    let pace = if speed == 0.0 { f64::INFINITY } else { speed };
+    let mut alerts = Vec::new();
+    let r = sd_traffic::replay::replay(trace, pace, |pkt, tick| {
+        engine.process_packet(pkt, tick, &mut alerts)
+    });
+    engine.finish(&mut alerts);
+    let pacing = if pace.is_finite() {
+        format!(
+            "target {:.3}s, max lateness {:.3} ms",
+            r.target_secs,
+            r.max_lateness_secs * 1e3
+        )
+    } else {
+        "unpaced".to_string()
+    };
     let _ = writeln!(
         out,
-        "ran {path}: {} packets, {} shards, {} alert(s)",
-        trace.len(),
-        engine.shard_count(),
-        alerts.len()
+        "{} replayed {} packets in {:.3}s ({pacing})",
+        engine.name(),
+        r.packets,
+        r.elapsed_secs
     );
-    if let Some(report) = sharded_report(&engine) {
-        let _ = write!(out, "{report}");
-    }
-    for failure in engine.failures() {
-        let _ = writeln!(out, "WARNING: {failure}");
-    }
-    if let Some(base) = &args.metrics_out {
-        let tel = engine
-            .telemetry()
-            .ok_or("telemetry is only available after finish")?;
-        let prom_path = format!("{base}.prom");
-        let json_path = format!("{base}.json");
-        std::fs::write(&prom_path, sd_telemetry::to_prometheus(tel.registry()))
-            .map_err(|e| format!("cannot write {prom_path}: {e}"))?;
-        std::fs::write(&json_path, sd_telemetry::to_json(tel.registry()))
-            .map_err(|e| format!("cannot write {json_path}: {e}"))?;
-        let _ = writeln!(out, "metrics written to {prom_path} and {json_path}");
-    }
-    Ok(())
+    alerts
 }
 
-fn compare(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
-    let rules = load_rules(args, out)?;
-    let trace = load_trace(path)?;
+fn print_alerts(rules: &RuleSet, alerts: &[Alert], out: Out) {
+    let _ = writeln!(out, "{} alert(s)", alerts.len());
+    for a in alerts {
+        let (flow, off) = (&a.flow, a.offset);
+        // Overload alerts are synthetic (shed slow-path lanes); their
+        // `signature` field is meaningless and must not index the rule set.
+        let _ = if a.source == AlertSource::Overload {
+            writeln!(out, "  [overload] slow-path lane full, flow={flow} shed")
+        } else {
+            let rule = &rules.rules[a.signature];
+            let (sid, name) = (rule.sid, rule.name());
+            writeln!(out, "  [{sid}] {name} flow={flow} off={off}")
+        };
+    }
+}
+
+fn compare(pcap: &str, rules: Option<&str>, policy: OverlapPolicy, out: Out) -> Result<(), String> {
+    let rules = load_rules(rules, out)?;
+    let trace = load_trace(pcap)?;
     let _ = writeln!(
         out,
         "{:<14} {:>8} {:>14} {:>14} {:>12}",
@@ -247,40 +249,23 @@ fn compare(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
             ms
         );
     };
-    let mut naive = NaivePacketIps::new(rules.to_signatures());
-    row("naive-packet", &mut naive);
-    let mut conv = ConventionalIps::with_config(
-        rules.to_signatures(),
-        ConventionalConfig {
-            policy: args.policy,
-            ..Default::default()
-        },
+    row(
+        "naive-packet",
+        &mut NaivePacketIps::new(rules.to_signatures()),
     );
-    row("conventional", &mut conv);
-    let mut sd = build_split(rules.to_signatures(), args)?;
-    row("split-detect", &mut sd);
+    row(
+        "conventional",
+        &mut conventional(rules.to_signatures(), policy),
+    );
+    row(
+        "split-detect",
+        &mut build_split(rules.to_signatures(), policy)?,
+    );
     Ok(())
 }
 
-fn stats_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
+fn stats_cmd(path: &str, out: Out) -> Result<(), String> {
     let trace = load_trace(path)?;
-    if args.format != OutputFormat::Human {
-        // Machine formats: drive the engine over the capture and emit its
-        // telemetry registry instead of the human workload summary.
-        let rules = load_rules(args, &mut std::io::sink())?;
-        let mut engine = build_sharded(rules.to_signatures(), args)?;
-        let _ = run_trace(&mut engine, trace.iter_bytes());
-        let tel = engine
-            .telemetry()
-            .ok_or("telemetry is only available after finish")?;
-        let rendered = match args.format {
-            OutputFormat::Prom => sd_telemetry::to_prometheus(tel.registry()),
-            OutputFormat::Json => sd_telemetry::to_json(tel.registry()),
-            OutputFormat::Human => unreachable!(),
-        };
-        let _ = out.write_all(rendered.as_bytes());
-        return Ok(());
-    }
     let s = sd_traffic::stats::analyze(&trace);
     let _ = writeln!(
         out,
@@ -312,38 +297,6 @@ fn stats_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
         s.flows.top_flow_byte_share(0.1) * 100.0,
         s.flows.peak_concurrency
     );
-    if args.shards > 1 {
-        // Drive the sharded engine over the capture purely to report the
-        // dispatcher's batching/backpressure behaviour on this workload.
-        let rules = load_rules(args, out)?;
-        let mut engine = build_sharded(rules.to_signatures(), args)?;
-        let alerts = run_trace(&mut engine, trace.iter_bytes());
-        let _ = writeln!(
-            out,
-            "sharded dispatch ({} shards, batch {}): {} alert(s)",
-            args.shards,
-            args.shard_batch,
-            alerts.len()
-        );
-        let lanes = engine.dispatch_stats();
-        for (i, lane) in lanes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  shard {i}: {} batches, {} pkts ({:.1}/batch), pool {}/{} hit/miss, \
-                 high-water {}{}",
-                lane.batches_sent,
-                lane.packets_enqueued,
-                lane.mean_batch_fill(),
-                lane.recycle_hits,
-                lane.recycle_misses,
-                lane.queue_depth_high_water,
-                if lane.dead { ", DEAD" } else { "" }
-            );
-        }
-        for failure in engine.failures() {
-            let _ = writeln!(out, "  WARNING: {failure}");
-        }
-    }
     Ok(())
 }
 
@@ -383,12 +336,12 @@ fn lint_rules(path: &str, out: Out) -> Result<(), String> {
     Ok(())
 }
 
-fn gauntlet(args: &ParsedArgs, out: Out) -> Result<(), String> {
-    let rules = load_rules(args, out)?;
+fn gauntlet(rules: Option<&str>, policy: OverlapPolicy, out: Out) -> Result<(), String> {
+    let rules = load_rules(rules, out)?;
     // The gauntlet carries the first rule's signature through every evasion.
     let rule = &rules.rules[0];
     let victim = VictimConfig {
-        policy: args.policy,
+        policy,
         ..Default::default()
     };
     let _ = writeln!(
@@ -397,7 +350,7 @@ fn gauntlet(args: &ParsedArgs, out: Out) -> Result<(), String> {
         rule.sid,
         rule.name(),
         rule.signature_bytes().len(),
-        args.policy
+        policy
     );
     let _ = writeln!(
         out,
@@ -410,7 +363,7 @@ fn gauntlet(args: &ParsedArgs, out: Out) -> Result<(), String> {
         let spec = AttackSpec::simple(rule.signature_bytes().to_vec());
         let packets = generate(&spec, strategy, victim, 4242);
         let delivered = receive_stream(packets.iter(), victim, spec.server) == spec.payload();
-        let mut sd = build_split(rules.to_signatures(), args)?;
+        let mut sd = build_split(rules.to_signatures(), policy)?;
         let detected = run_trace(&mut sd, packets.iter().map(|p| p.as_slice()))
             .iter()
             .any(|a| a.source != AlertSource::Overload && a.signature == 0);
@@ -431,48 +384,6 @@ fn gauntlet(args: &ParsedArgs, out: Out) -> Result<(), String> {
     }
 }
 
-fn replay_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
-    let rules = load_rules(args, out)?;
-    let trace = load_trace(path)?;
-    let speed = if args.speed == 0.0 {
-        f64::INFINITY
-    } else {
-        args.speed
-    };
-    let mut engine = build_split(rules.to_signatures(), args)?;
-    let mut alerts = Vec::new();
-    let report = sd_traffic::replay::replay(&trace, speed, |pkt, tick| {
-        engine.process_packet(pkt, tick, &mut alerts)
-    });
-    engine.finish(&mut alerts);
-    let _ = writeln!(
-        out,
-        "replayed {} packets in {:.3}s (target {:.3}s), max lateness {:.3} ms",
-        report.packets,
-        report.elapsed_secs,
-        report.target_secs,
-        report.max_lateness_secs * 1e3
-    );
-    let _ = writeln!(out, "{} alert(s)", alerts.len());
-    for a in &alerts {
-        if a.source == AlertSource::Overload {
-            let _ = writeln!(
-                out,
-                "  [overload] slow-path lane full, flow={} shed",
-                a.flow
-            );
-            continue;
-        }
-        let rule = &rules.rules[a.signature];
-        let _ = writeln!(out, "  [{}] {} flow={}", rule.sid, rule.name(), a.flow);
-    }
-    let _ = write!(out, "{}", splitdetect::RunReport::new(engine.stats()));
-    for failure in engine.slow_failures() {
-        let _ = writeln!(out, "WARNING: {failure}");
-    }
-    Ok(())
-}
-
 /// `sd fuzz`: the differential oracle as a front-end command.
 ///
 /// Default mode runs a campaign of random adversarial trace programs; on a
@@ -480,19 +391,8 @@ fn replay_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
 /// `--trace-out` and the command errors. `--replay-trace` re-runs one
 /// saved trace instead. `--sabotage` cripples a fast-path rule so the
 /// oracle's catch can be demonstrated end to end.
-fn fuzz_cmd(args: &ParsedArgs, out: Out) -> Result<(), String> {
-    let tweaks = match args.sabotage {
-        None => sd_oracle::EngineTweaks::NONE,
-        Some(SabotageKind::OutOfOrder) => sd_oracle::EngineTweaks {
-            disable_out_of_order: true,
-            ..sd_oracle::EngineTweaks::NONE
-        },
-        Some(SabotageKind::Fragments) => sd_oracle::EngineTweaks {
-            disable_fragments: true,
-            ..sd_oracle::EngineTweaks::NONE
-        },
-    };
-
+fn fuzz_cmd(args: &FuzzArgs, out: Out) -> Result<(), String> {
+    let tweaks = args.tweaks;
     if let Some(path) = &args.replay_trace {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
@@ -539,15 +439,10 @@ fn fuzz_cmd(args: &ParsedArgs, out: Out) -> Result<(), String> {
             ),
         },
         if args.minimize { ", minimizing" } else { "" },
-        match args.sabotage {
-            None => String::new(),
-            Some(k) => format!(
-                ", SABOTAGE: {} rule disabled",
-                match k {
-                    SabotageKind::OutOfOrder => "out-of-order",
-                    SabotageKind::Fragments => "fragment",
-                }
-            ),
+        match (tweaks.disable_out_of_order, tweaks.disable_fragments) {
+            (true, _) => ", SABOTAGE: out-of-order rule disabled",
+            (_, true) => ", SABOTAGE: fragment rule disabled",
+            _ => "",
         }
     );
     let config = sd_oracle::CampaignConfig {
@@ -599,31 +494,42 @@ fn fuzz_cmd(args: &ParsedArgs, out: Out) -> Result<(), String> {
     ))
 }
 
-fn generate_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
-    let rules = load_rules(args, out)?;
+/// Attack `i` of a generated workload connects from client port
+/// `FIRST_ATTACK_PORT + i`.
+const FIRST_ATTACK_PORT: u16 = 40_000;
+
+/// The most attacks a workload holds with a client port each.
+pub const MAX_ATTACKS: usize = (u16::MAX - FIRST_ATTACK_PORT) as usize;
+
+/// The seeded labelled workload `sd generate` writes and the loopback
+/// daemon serves: benign flows mixed with attacks, attack `i` carrying
+/// rule `i mod rules` through evasion `i mod catalog`. The parser bounds
+/// `attacks` by [`MAX_ATTACKS`].
+fn workload(rules: &RuleSet, w: &WorkloadArgs) -> LabeledTrace {
     let benign = BenignGenerator::new(BenignConfig {
-        flows: args.flows,
-        seed: args.seed,
+        flows: w.flows,
+        seed: w.seed,
         ..Default::default()
     })
     .generate();
-
     let victim = VictimConfig::default();
     let catalog = EvasionStrategy::catalog();
-    let attacks: Vec<(Vec<Vec<u8>>, usize, &'static str)> = (0..args.attacks)
+    let attacks = (0..w.attacks)
         .map(|i| {
             let strategy = catalog[i % catalog.len()];
-            let rule = &rules.rules[i % rules.rules.len()];
-            let mut spec = AttackSpec::simple(rule.signature_bytes().to_vec());
-            spec.client.1 = 40_000 + i as u16;
-            (
-                generate(&spec, strategy, victim, args.seed + i as u64),
-                i % rules.rules.len(),
-                strategy.name(),
-            )
+            let rule = i % rules.rules.len();
+            let mut spec = AttackSpec::simple(rules.rules[rule].signature_bytes().to_vec());
+            spec.client.1 = FIRST_ATTACK_PORT + i as u16;
+            let packets = generate(&spec, strategy, victim, w.seed.wrapping_add(i as u64));
+            (packets, rule, strategy.name())
         })
         .collect();
-    let labeled = mix(benign, attacks, args.seed ^ 0x5eed);
+    mix(benign, attacks, w.seed ^ 0x5eed)
+}
+
+fn generate_cmd(path: &str, rules: Option<&str>, w: &WorkloadArgs, out: Out) -> Result<(), String> {
+    let rules = load_rules(rules, out)?;
+    let labeled = workload(&rules, w);
     pcap::save(path, &labeled.trace).map_err(|e| format!("cannot write {path}: {e}"))?;
     let _ = writeln!(
         out,
@@ -644,20 +550,26 @@ fn generate_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
 }
 
 /// `sd generate-rules`: write a seeded Snort-subset corpus to disk.
-fn generate_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
+fn generate_rules_cmd(
+    path: &str,
+    count: usize,
+    malformed: usize,
+    seed: u64,
+    out: Out,
+) -> Result<(), String> {
     let cfg = RuleCorpusConfig {
-        malformed: args.malformed,
-        ..RuleCorpusConfig::sized(args.count, args.seed)
+        malformed,
+        ..RuleCorpusConfig::sized(count, seed)
     };
     let text = generate_rule_corpus(&cfg);
     std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
     let _ = writeln!(
         out,
         "wrote {path}: {} alert rule(s), {} malformed line(s), {} bytes (seed {})",
-        args.count,
-        args.malformed,
+        count,
+        malformed,
         text.len(),
-        args.seed
+        seed
     );
     Ok(())
 }
@@ -670,7 +582,7 @@ const ANALYZE_CHUNK_BYTES: usize = 1460;
 /// `sd analyze-rules`: corpus diagnostics, the piece automaton's cost and
 /// tier layout, piece-dedup savings, and per-rule fast-path hit counts
 /// over a seeded benign workload.
-fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), String> {
+fn analyze_rules_cmd(path: &str, top: usize, seed: u64, out: Out) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let (set, errors) = parse_rules_lenient(&text);
     if !errors.is_empty() {
@@ -779,7 +691,7 @@ fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), Stri
 
     // Per-rule fast-path hits on seeded benign HTTP-like payload: which
     // rules would divert benign flows, and how often.
-    let mut rng = StdRng::seed_from_u64(args.seed ^ 0xA11A);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xA11A);
     let mut hits = vec![0u64; set.rules.len()];
     let mut total_hits = 0u64;
     let mut chunk = Vec::new();
@@ -796,7 +708,7 @@ fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), Stri
     let _ = writeln!(
         out,
         "fast-path hits on benign payload ({} chunks, {} B, seed {}): {} total",
-        ANALYZE_CHUNKS, scanned, args.seed, total_hits
+        ANALYZE_CHUNKS, scanned, seed, total_hits
     );
     let mut ranked: Vec<(usize, u64)> = hits
         .iter()
@@ -809,7 +721,7 @@ fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), Stri
         let _ = writeln!(out, "no rule's pieces hit benign payload");
     } else {
         let _ = writeln!(out, "{:<8} {:>10} {:>12}  rule", "sid", "hits", "hits/MB");
-        for &(i, h) in ranked.iter().take(args.top) {
+        for &(i, h) in ranked.iter().take(top) {
             let rule = &set.rules[i];
             let _ = writeln!(
                 out,
@@ -820,53 +732,17 @@ fn analyze_rules_cmd(args: &ParsedArgs, path: &str, out: Out) -> Result<(), Stri
                 rule.name()
             );
         }
-        if ranked.len() > args.top {
-            let _ = writeln!(
-                out,
-                "... and {} more rule(s) with hits",
-                ranked.len() - args.top
-            );
+        if ranked.len() > top {
+            let _ = writeln!(out, "... and {} more rule(s) with hits", ranked.len() - top);
         }
     }
     Ok(())
 }
 
-/// The loopback daemon's offered load: the same seeded labelled
-/// workload `sd generate` writes to disk, kept in memory.
-fn demo_workload(args: &ParsedArgs, rules: &RuleSet) -> Trace {
-    let benign = BenignGenerator::new(BenignConfig {
-        flows: args.flows,
-        seed: args.seed,
-        ..Default::default()
-    })
-    .generate();
-    let victim = VictimConfig::default();
-    let catalog = EvasionStrategy::catalog();
-    let attacks: Vec<(Vec<Vec<u8>>, usize, &'static str)> = (0..args.attacks)
-        .map(|i| {
-            let strategy = catalog[i % catalog.len()];
-            let rule = &rules.rules[i % rules.rules.len()];
-            let mut spec = AttackSpec::simple(rule.signature_bytes().to_vec());
-            spec.client.1 = 40_000 + i as u16;
-            (
-                generate(&spec, strategy, victim, args.seed + i as u64),
-                i % rules.rules.len(),
-                strategy.name(),
-            )
-        })
-        .collect();
-    mix(benign, attacks, args.seed ^ 0x5eed).trace
-}
-
 /// `sd serve`: the live capture daemon. See [`crate::serve`].
-fn serve_cmd(args: &ParsedArgs, out: Out) -> Result<(), String> {
-    let rules = load_rules(args, out)?;
-    let sigs = rules.to_signatures();
-    let engine = if args.shards > 1 {
-        ServeEngine::Sharded(Box::new(build_sharded(sigs, args)?))
-    } else {
-        ServeEngine::Single(Box::new(build_split(sigs, args)?))
-    };
+fn serve_cmd(args: &ServeArgs, out: Out) -> Result<(), String> {
+    let rules = load_rules(args.engine.rules.as_deref(), out)?;
+    let engine = split_engine(rules.to_signatures(), &args.engine)?;
     let scrape = match &args.scrape {
         Some(addr) => Some(
             sd_telemetry::ScrapeServer::bind(addr)
@@ -875,7 +751,7 @@ fn serve_cmd(args: &ParsedArgs, out: Out) -> Result<(), String> {
         None => None,
     };
     let opts = ServeOptions {
-        rules_path: args.rules.clone(),
+        rules_path: args.engine.rules.clone(),
         scrape,
         max_duration: args.duration_secs.map(std::time::Duration::from_secs),
         ..Default::default()
@@ -887,13 +763,13 @@ fn serve_cmd(args: &ParsedArgs, out: Out) -> Result<(), String> {
     match args.source {
         ServeSource::Loopback => {
             let (handle, mut src) = sd_traffic::loopback(1024);
-            let trace = demo_workload(args, &rules);
+            let trace = workload(&rules, &args.workload).trace;
             let _ = writeln!(
                 out,
                 "loopback load: {} packets/pass, {} flows, {} labelled attack(s){}",
                 trace.len(),
                 trace.flow_count(),
-                args.attacks,
+                args.workload.attacks,
                 match args.duration_secs {
                     Some(s) => format!(", looping for {s}s"),
                     None => ", one pass".to_string(),

@@ -1,6 +1,17 @@
 //! Argument parsing — by hand, flag-order independent, no dependencies.
+//!
+//! Each subcommand takes exactly the flags on its usage line: its parser
+//! takes them out of [`Args`] one by one, and a flag left over at the end
+//! is an `unknown flag`.
 
-use std::fmt;
+use std::num::NonZeroU64;
+use std::str::FromStr;
+
+use sd_oracle::EngineTweaks;
+use sd_reassembly::OverlapPolicy;
+use splitdetect::SplitDetectConfig;
+
+use crate::commands::MAX_ATTACKS;
 
 /// Usage text printed on parse errors.
 pub const USAGE: &str = "\
@@ -9,526 +20,433 @@ usage:
                          [--policy first|last|bsd|linux]
                          [--shards N] [--shard-batch PKTS]
                          [--slow-workers N] [--slow-lane-depth PKTS]
-                         [--flow-hash-seed S]
-  sd run <capture.pcap>  [--rules FILE] [--policy P] [--shards N]
-                         [--shard-batch PKTS] [--metrics-out PATH]
-                         [--slow-workers N] [--slow-lane-depth PKTS]
+                         [--flow-hash-seed S] [--speed X] [--metrics-out BASE]
   sd compare <capture.pcap> [--rules FILE] [--policy P]
-  sd stats <capture.pcap> [--shards N] [--shard-batch PKTS]
-           [--format human|prom|json]
+  sd stats <capture.pcap>
   sd rules <FILE>
   sd gauntlet [--rules FILE] [--policy P]
-  sd replay <capture.pcap> [--rules FILE] [--speed X (default 1.0, 0 = unpaced)]
-  sd generate <out.pcap> [--flows N] [--attacks N] [--seed S]
+  sd generate <out.pcap> [--rules FILE] [--flows N] [--attacks N] [--seed S]
   sd fuzz [--iters N] [--seed S] [--minimize] [--sabotage ooo|frag]
           [--trace-out FILE] [--replay-trace FILE] [--rules-seed S]
   sd generate-rules <out.rules> [--count N] [--seed S] [--malformed N]
   sd analyze-rules <FILE> [--top N] [--seed S]
-  sd serve [--rules FILE] [--source loopback|afpacket] [--iface IF]
-           [--scrape ADDR] [--duration-secs N] [--shards N]
-           [--flows N] [--attacks N] [--seed S] [--slow-workers N]
-           [--slow-lane-depth PKTS]
+  sd serve [--rules FILE] [--policy P] [--shards N] [--shard-batch PKTS]
+           [--slow-workers N] [--slow-lane-depth PKTS] [--flow-hash-seed S]
+           [--source loopback|afpacket] [--iface IF] [--scrape ADDR]
+           [--duration-secs N] [--flows N] [--attacks N] [--seed S]
   sd lab record [--journal FILE] < sd-e2e-output
   sd lab list [--journal FILE]
 
 Without --rules, the embedded demo rule set is used.
-run drives Split-Detect over the capture and, with --metrics-out PATH,
-writes the telemetry registry as PATH.prom (Prometheus text exposition)
-and PATH.json. stats --format prom|json drives the engine and emits the
-same registry instead of the human workload summary.
---shards N > 1 runs the flow-sharded engine; --shard-batch sets how many
-packets the dispatcher accumulates per shard before each channel send
-(default 64; 1 degrades to per-packet dispatch).
---flow-hash-seed S pins the flow-table hash key for bit-reproducible
-runs; without it every engine draws a process-random key, so collision
-floods against the table cannot be precomputed.
---slow-workers N >= 1 moves the slow path to N asynchronous worker
-threads behind bounded lanes (--slow-lane-depth packets each, default
-512) so diverted flows never stall the fast path; 0 (default) keeps it
-inline. A packet meeting a full lane is shed: counted, with one
-synthetic overload alert per overload episode.
-fuzz runs the differential oracle: random adversarial traces checked
-against the victim model, Split-Detect (single and sharded) and the
-conventional IPS. --sabotage disables a fast-path rule to prove the
-oracle catches a broken engine; --minimize shrinks failures; the failing
-trace is written to --trace-out (default fuzz-failure.trace);
---replay-trace re-runs one saved .trace file instead of a campaign;
---rules-seed S loads the engines under test with a generated rule
-corpus (seed S) on top of the oracle signature, so campaigns exercise
-realistic automaton sizes.
-generate-rules writes a seeded Snort-subset signature corpus
-(--count rules, --malformed appended broken lines for loader tests).
-analyze-rules loads a rule file leniently (line-numbered diagnostics),
-compiles the piece automaton, and reports its hot/cold tier layout, piece-dedup savings and per-rule fast-path
-hit counts over a seeded benign workload (--top N rows, --seed S).
-serve runs the engine as a long-lived daemon. --source loopback (the
-default) feeds a seeded labelled workload (--flows/--attacks/--seed)
-through an in-process source, looping it until --duration-secs elapses
-(one pass when omitted); --source afpacket captures from --iface via an
-AF_PACKET ring (requires a build with --features afpacket and
-CAP_NET_RAW). --scrape ADDR serves Prometheus metrics at
-http://ADDR/metrics. SIGHUP re-reads --rules and swaps the automaton
-without dropping flow state; SIGTERM (or end of source) drains and
-prints the final report.
-lab journals the results of the sd-e2e benchmark (benchmark/).
-`lab record` reads sd-e2e output on stdin and appends one row per
-workload and mode (config, every metric, git commit + dirty flag,
-rustc version) to an append-only JSONL journal (--journal, default
-lab-journal.jsonl); input that is not sd-e2e output exits 2 and
-journals nothing. `lab list` prints the journal's runs.";
+scan drives one engine over the capture, unpaced or at --speed X times
+its recorded pacing (0 = unpaced). --metrics-out BASE (split engine)
+writes the telemetry registry to BASE.prom (Prometheus) and BASE.json.
+--shards N > 1 runs the flow-sharded engine, sending --shard-batch
+packets per dispatch (default 64). --flow-hash-seed S pins the
+flow-table hash key (default: process-random, so collision floods
+cannot be precomputed). --slow-workers N >= 1 runs the slow path on N
+threads behind lanes of --slow-lane-depth packets (default 512); a
+packet meeting a full lane is shed and counted, with one overload alert
+per episode. 0 (default) keeps the slow path inline.
+stats describes a capture's workload; rules lints a rule file.
+fuzz checks random adversarial traces against the victim model,
+Split-Detect (single and sharded) and the conventional IPS. --sabotage
+disables a fast-path rule, --minimize shrinks failures, the failing
+trace goes to --trace-out (default fuzz-failure.trace), --replay-trace
+re-runs one, and --rules-seed S adds a generated rule corpus.
+generate-rules writes a seeded Snort-subset corpus (--malformed appends
+broken lines); analyze-rules reports its parse diagnostics, automaton
+cost and tier layout, piece dedup, and per-rule hits on seeded benign
+payload (--top rows).
+serve runs the engine as a daemon. --source loopback (default) loops
+generate's workload until --duration-secs (one pass without it);
+afpacket captures from --iface (build with --features afpacket; needs
+CAP_NET_RAW). --scrape ADDR serves http://ADDR/metrics. SIGHUP reloads
+--rules without dropping flow state; SIGTERM drains and reports.
+lab record journals sd-e2e output read on stdin to --journal (default
+lab-journal.jsonl), with git commit and rustc version; input that is
+not sd-e2e output exits 2. lab list prints the journal's runs.";
 
 /// Which engine `scan` runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Split-Detect (the default).
     Split,
-    /// The conventional reassembling IPS.
     Conventional,
-    /// The naive per-packet strawman.
     Naive,
 }
 
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            EngineKind::Split => "split-detect",
-            EngineKind::Conventional => "conventional",
-            EngineKind::Naive => "naive-packet",
-        })
-    }
-}
-
-/// Output format for `stats` (`--format`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutputFormat {
-    /// Human-readable workload summary (the default).
-    Human,
-    /// Prometheus text exposition of the engine's telemetry registry.
-    Prom,
-    /// JSON snapshot of the engine's telemetry registry.
-    Json,
-}
-
-/// Which packet source `serve` captures from (`--source`).
+/// Which packet source `serve` captures from: an in-process loopback fed
+/// with the `generate` workload (the default), or an AF_PACKET ring on
+/// `--iface` (Linux; needs a build with `--features afpacket`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeSource {
-    /// In-process loopback fed with a seeded labelled workload (the
-    /// default; what CI and the soak harness drive).
     Loopback,
-    /// AF_PACKET mmap-ring capture from `--iface` (Linux; needs a build
-    /// with `--features afpacket`).
     AfPacket,
 }
 
-/// Which fast-path rule `fuzz --sabotage` disables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SabotageKind {
-    /// Disable the out-of-order divert rule.
-    OutOfOrder,
-    /// Disable the fragment divert rule.
-    Fragments,
+/// The engine flags `scan` and `serve` share.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EngineArgs {
+    /// `None`: the embedded demo rules.
+    pub rules: Option<String>,
+    pub policy: OverlapPolicy,
+    /// 1 runs the single engine.
+    pub shards: usize,
+    pub shard_batch: usize,
+    /// 0 keeps the slow path inline.
+    pub slow_workers: usize,
+    pub slow_lane_depth: usize,
+    /// `None`: each engine draws a process-random flow-table hash key.
+    pub flow_hash_seed: Option<u64>,
 }
 
-/// A parsed command line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedArgs {
-    /// The subcommand with its positional arguments.
-    pub command: Command,
-    /// `--rules FILE`.
-    pub rules: Option<String>,
-    /// `--policy P`.
-    pub policy: sd_reassembly::OverlapPolicy,
-    /// `--engine E` (scan only).
-    pub engine: EngineKind,
-    /// `--flows N` (generate).
+/// The labelled workload `generate` writes and `serve` loops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WorkloadArgs {
     pub flows: usize,
-    /// `--attacks N` (generate).
+    /// At most [`MAX_ATTACKS`].
     pub attacks: usize,
-    /// `--seed S` (generate).
     pub seed: u64,
-    /// `--speed X` (replay); 0 means unpaced.
+}
+
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScanArgs {
+    pub pcap: String,
+    pub kind: EngineKind,
+    pub engine: EngineArgs,
+    /// Replay at `speed` times the recorded pacing; 0 is unpaced.
     pub speed: f64,
-    /// `--shards N` (scan/stats); 1 = single engine.
-    pub shards: usize,
-    /// `--shard-batch PKTS` (scan/stats): dispatcher batch size.
-    pub shard_batch: usize,
-    /// `--iters N` (fuzz): campaign length.
-    pub iters: u64,
-    /// `--minimize` (fuzz): shrink failing traces.
-    pub minimize: bool,
-    /// `--sabotage ooo|frag` (fuzz): deliberately cripple the engine.
-    pub sabotage: Option<SabotageKind>,
-    /// `--trace-out FILE` (fuzz): where the failing trace is written.
-    pub trace_out: String,
-    /// `--replay-trace FILE` (fuzz): replay one saved trace instead of a
-    /// campaign.
-    pub replay_trace: Option<String>,
-    /// `--metrics-out PATH` (run): write telemetry as PATH.prom + PATH.json.
+    /// Split engine only: write `BASE.prom` and `BASE.json`.
     pub metrics_out: Option<String>,
-    /// `--format human|prom|json` (stats).
-    pub format: OutputFormat,
-    /// `--slow-workers N`: asynchronous slow-path worker threads
-    /// (0 = inline slow path, the default).
-    pub slow_workers: usize,
-    /// `--slow-lane-depth PKTS`: bound of each slow-path worker lane.
-    pub slow_lane_depth: usize,
-    /// `--flow-hash-seed S`: pin the flow-table hash key (reproducible
-    /// runs); absent, the engine draws a process-random key.
-    pub flow_hash_seed: Option<u64>,
-    /// `--count N` (generate-rules): alert rules to emit.
-    pub count: usize,
-    /// `--malformed N` (generate-rules): broken trailing lines to append.
-    pub malformed: usize,
-    /// `--top N` (analyze-rules): rows in the per-rule hit table.
-    pub top: usize,
-    /// `--rules-seed S` (fuzz): run the campaign against a generated rule
-    /// corpus (plus the oracle signature) instead of the signature alone.
+}
+
+#[derive(Debug, Clone, PartialEq)]
+pub struct FuzzArgs {
+    pub iters: u64,
+    pub seed: u64,
+    pub minimize: bool,
+    /// `--sabotage`: the fast-path divert rule to disable.
+    pub tweaks: EngineTweaks,
+    pub trace_out: String,
+    /// Replay one saved trace instead of running a campaign.
+    pub replay_trace: Option<String>,
     pub rules_seed: Option<u64>,
-    /// `--source loopback|afpacket` (serve): the capture source.
+}
+
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeArgs {
+    pub engine: EngineArgs,
+    /// What the loopback source feeds.
+    pub workload: WorkloadArgs,
     pub source: ServeSource,
-    /// `--iface IF` (serve --source afpacket): interface to capture from.
     pub iface: Option<String>,
-    /// `--scrape ADDR` (serve): bind a Prometheus endpoint here.
     pub scrape: Option<String>,
-    /// `--duration-secs N` (serve): drain after N seconds of wall clock.
     pub duration_secs: Option<u64>,
 }
 
-/// `sd lab` action, with its own flag namespace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LabAction {
     /// Journal the `sd-e2e` output read on stdin.
-    Record {
-        /// `--journal FILE`: where the rows are appended.
-        journal: String,
-    },
+    Record { journal: String },
     /// Print the journal's runs.
-    List {
-        /// `--journal FILE`: the journal to summarize.
-        journal: String,
-    },
+    List { journal: String },
 }
 
-/// Default journal path for `sd lab`.
 pub const DEFAULT_JOURNAL: &str = "lab-journal.jsonl";
 
-/// The subcommand.
+/// A subcommand with the values it reads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Scan a capture.
-    Scan(String),
-    /// Run Split-Detect over a capture with telemetry export.
-    Run(String),
-    /// Compare all three engines on a capture.
-    Compare(String),
-    /// Print workload statistics of a capture.
+    Scan(ScanArgs),
+    Compare {
+        pcap: String,
+        rules: Option<String>,
+        policy: OverlapPolicy,
+    },
     Stats(String),
-    /// Lint a rule file.
     Rules(String),
-    /// Run the evasion gauntlet.
-    Gauntlet,
-    /// Generate a labelled workload.
-    Generate(String),
-    /// Replay a capture at its recorded pacing (scaled by --speed).
-    Replay(String),
-    /// Run the differential fuzzing oracle.
-    Fuzz,
-    /// Write a seeded Snort-subset rule corpus.
-    GenerateRules(String),
-    /// Analyze a rule corpus: parse diagnostics, piece-automaton cost and
-    /// tier layout, piece dedup, per-rule fast-path hits.
-    AnalyzeRules(String),
-    /// Run the live capture daemon.
-    Serve,
+    Gauntlet {
+        rules: Option<String>,
+        /// The victim's overlap policy.
+        policy: OverlapPolicy,
+    },
+    Generate {
+        path: String,
+        rules: Option<String>,
+        workload: WorkloadArgs,
+    },
+    Fuzz(FuzzArgs),
+    GenerateRules {
+        path: String,
+        count: usize,
+        malformed: usize,
+        seed: u64,
+    },
+    AnalyzeRules {
+        path: String,
+        top: usize,
+        seed: u64,
+    },
+    Serve(ServeArgs),
+    Lab(LabAction),
 }
 
-/// Parse `args` (without the program name). Every subcommand but `lab`
-/// shares one flag loop; `lab` has its own namespace ([`parse_lab`]).
-pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
-    let mut it = args.iter();
-    let sub = it.next().ok_or("missing subcommand")?;
+const POLICIES: &[(&str, OverlapPolicy)] = &[
+    ("first", OverlapPolicy::First),
+    ("last", OverlapPolicy::Last),
+    ("bsd", OverlapPolicy::Bsd),
+    ("linux", OverlapPolicy::Linux),
+];
 
-    let mut positional: Vec<String> = Vec::new();
-    let mut rules = None;
-    let mut policy = sd_reassembly::OverlapPolicy::First;
-    let mut engine = EngineKind::Split;
-    let mut flows = 100usize;
-    let mut attacks = 3usize;
-    let mut seed = 1u64;
-    let mut speed = 1.0f64;
-    let mut shards = 1usize;
-    let mut shard_batch = 64usize;
-    let mut iters = 256u64;
-    let mut minimize = false;
-    let mut sabotage = None;
-    let mut trace_out = "fuzz-failure.trace".to_string();
-    let mut replay_trace = None;
-    let mut metrics_out = None;
-    let mut format = OutputFormat::Human;
-    let mut slow_workers = 0usize;
-    let mut slow_lane_depth = 512usize;
-    let mut flow_hash_seed = None;
-    let mut count = 1000usize;
-    let mut malformed = 0usize;
-    let mut top = 10usize;
-    let mut rules_seed = None;
-    let mut source = ServeSource::Loopback;
-    let mut iface = None;
-    let mut scrape = None;
-    let mut duration_secs = None;
+const OUT_OF_ORDER: EngineTweaks = EngineTweaks {
+    disable_out_of_order: true,
+    ..EngineTweaks::NONE
+};
+const FRAGMENTS: EngineTweaks = EngineTweaks {
+    disable_fragments: true,
+    ..EngineTweaks::NONE
+};
 
-    while let Some(arg) = it.next() {
-        let mut value_of = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--rules" => rules = Some(value_of("--rules")?.clone()),
-            "--policy" => {
-                policy = match value_of("--policy")?.as_str() {
-                    "first" => sd_reassembly::OverlapPolicy::First,
-                    "last" => sd_reassembly::OverlapPolicy::Last,
-                    "bsd" => sd_reassembly::OverlapPolicy::Bsd,
-                    "linux" => sd_reassembly::OverlapPolicy::Linux,
-                    other => return Err(format!("unknown policy {other:?}")),
-                }
-            }
-            "--engine" => {
-                engine = match value_of("--engine")?.as_str() {
-                    "split" | "split-detect" | "sd" => EngineKind::Split,
-                    "conventional" | "conv" => EngineKind::Conventional,
-                    "naive" => EngineKind::Naive,
-                    other => return Err(format!("unknown engine {other:?}")),
-                }
-            }
-            "--flows" => {
-                flows = value_of("--flows")?
-                    .parse()
-                    .map_err(|_| "bad --flows value".to_string())?
-            }
-            "--attacks" => {
-                attacks = value_of("--attacks")?
-                    .parse()
-                    .map_err(|_| "bad --attacks value".to_string())?
-            }
-            "--seed" => {
-                seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed value".to_string())?
-            }
-            "--speed" => {
-                speed = value_of("--speed")?
-                    .parse()
-                    .map_err(|_| "bad --speed value".to_string())?;
-                if speed < 0.0 {
-                    return Err("--speed must be >= 0".into());
-                }
-            }
-            "--shards" => {
-                shards = value_of("--shards")?
-                    .parse()
-                    .map_err(|_| "bad --shards value".to_string())?;
-                if shards == 0 {
-                    return Err("--shards must be >= 1".into());
-                }
-            }
-            "--shard-batch" => {
-                shard_batch = value_of("--shard-batch")?
-                    .parse()
-                    .map_err(|_| "bad --shard-batch value".to_string())?;
-                if shard_batch == 0 {
-                    return Err("--shard-batch must be >= 1".into());
-                }
-            }
-            "--iters" => {
-                iters = value_of("--iters")?
-                    .parse()
-                    .map_err(|_| "bad --iters value".to_string())?;
-                if iters == 0 {
-                    return Err("--iters must be >= 1".into());
-                }
-            }
-            "--minimize" => minimize = true,
-            "--sabotage" => {
-                sabotage = Some(match value_of("--sabotage")?.as_str() {
-                    "ooo" | "out-of-order" => SabotageKind::OutOfOrder,
-                    "frag" | "fragments" => SabotageKind::Fragments,
-                    other => return Err(format!("unknown sabotage {other:?}")),
-                })
-            }
-            "--trace-out" => trace_out = value_of("--trace-out")?.clone(),
-            "--replay-trace" => replay_trace = Some(value_of("--replay-trace")?.clone()),
-            "--metrics-out" => metrics_out = Some(value_of("--metrics-out")?.clone()),
-            "--format" => {
-                format = match value_of("--format")?.as_str() {
-                    "human" => OutputFormat::Human,
-                    "prom" | "prometheus" => OutputFormat::Prom,
-                    "json" => OutputFormat::Json,
-                    other => return Err(format!("unknown format {other:?}")),
-                }
-            }
-            "--slow-workers" => {
-                slow_workers = value_of("--slow-workers")?
-                    .parse()
-                    .map_err(|_| "bad --slow-workers value".to_string())?
-            }
-            "--slow-lane-depth" => {
-                slow_lane_depth = value_of("--slow-lane-depth")?
-                    .parse()
-                    .map_err(|_| "bad --slow-lane-depth value".to_string())?;
-                if slow_lane_depth == 0 {
-                    return Err("--slow-lane-depth must be >= 1".into());
-                }
-            }
-            "--flow-hash-seed" => {
-                flow_hash_seed = Some(
-                    value_of("--flow-hash-seed")?
-                        .parse()
-                        .map_err(|_| "bad --flow-hash-seed value".to_string())?,
-                )
-            }
-            "--count" => {
-                count = value_of("--count")?
-                    .parse()
-                    .map_err(|_| "bad --count value".to_string())?;
-                if count == 0 {
-                    return Err("--count must be >= 1".into());
-                }
-            }
-            "--malformed" => {
-                malformed = value_of("--malformed")?
-                    .parse()
-                    .map_err(|_| "bad --malformed value".to_string())?
-            }
-            "--top" => {
-                top = value_of("--top")?
-                    .parse()
-                    .map_err(|_| "bad --top value".to_string())?;
-                if top == 0 {
-                    return Err("--top must be >= 1".into());
-                }
-            }
-            "--rules-seed" => {
-                rules_seed = Some(
-                    value_of("--rules-seed")?
-                        .parse()
-                        .map_err(|_| "bad --rules-seed value".to_string())?,
-                )
-            }
-            "--source" => {
-                source = match value_of("--source")?.as_str() {
-                    "loopback" => ServeSource::Loopback,
-                    "afpacket" | "af-packet" => ServeSource::AfPacket,
-                    other => return Err(format!("unknown source {other:?}")),
-                }
-            }
-            "--iface" => iface = Some(value_of("--iface")?.clone()),
-            "--scrape" => scrape = Some(value_of("--scrape")?.clone()),
-            "--duration-secs" => {
-                let v: u64 = value_of("--duration-secs")?
-                    .parse()
-                    .map_err(|_| "bad --duration-secs value".to_string())?;
-                if v == 0 {
-                    return Err("--duration-secs must be >= 1".into());
-                }
-                duration_secs = Some(v);
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            pos => positional.push(pos.to_string()),
-        }
-    }
+/// Flags that take no value.
+const SWITCHES: &[&str] = &["--minimize"];
 
-    let need_one = |what: &str, positional: &[String]| -> Result<String, String> {
-        match positional {
-            [one] => Ok(one.clone()),
-            [] => Err(format!("{sub} needs a {what}")),
-            _ => Err(format!("{sub} takes exactly one {what}")),
-        }
-    };
-
+/// Parse `args` (without the program name).
+pub fn parse(args: &[String]) -> Result<Command, String> {
+    let (sub, rest) = args.split_first().ok_or("missing subcommand")?;
+    let mut a = Args::new(sub, rest);
     let command = match sub.as_str() {
-        "scan" => Command::Scan(need_one("pcap path", &positional)?),
-        "run" => Command::Run(need_one("pcap path", &positional)?),
-        "compare" => Command::Compare(need_one("pcap path", &positional)?),
-        "stats" => Command::Stats(need_one("pcap path", &positional)?),
-        "rules" => Command::Rules(need_one("rules path", &positional)?),
-        "gauntlet" => {
-            if !positional.is_empty() {
-                return Err("gauntlet takes no positional arguments".into());
+        "scan" => {
+            let scan = ScanArgs {
+                pcap: a.one("pcap path")?,
+                kind: a.choice(
+                    "--engine",
+                    EngineKind::Split,
+                    &[
+                        ("split", EngineKind::Split),
+                        ("split-detect", EngineKind::Split),
+                        ("sd", EngineKind::Split),
+                        ("conventional", EngineKind::Conventional),
+                        ("conv", EngineKind::Conventional),
+                        ("naive", EngineKind::Naive),
+                    ],
+                )?,
+                engine: a.engine()?,
+                speed: a.get("--speed", 0.0)?,
+                metrics_out: a.opt("--metrics-out")?,
+            };
+            // NaN passes a plain `< 0.0` check; the replay needs a real pace.
+            if !(scan.speed.is_finite() && scan.speed >= 0.0) {
+                return Err("--speed must be a finite number >= 0".into());
             }
-            Command::Gauntlet
-        }
-        "generate" => Command::Generate(need_one("output path", &positional)?),
-        "replay" => Command::Replay(need_one("pcap path", &positional)?),
-        "fuzz" => {
-            if !positional.is_empty() {
-                return Err("fuzz takes no positional arguments".into());
+            if scan.metrics_out.is_some() && scan.kind != EngineKind::Split {
+                return Err("--metrics-out needs the split engine".into());
             }
-            Command::Fuzz
+            Command::Scan(scan)
         }
-        "generate-rules" => Command::GenerateRules(need_one("output path", &positional)?),
-        "analyze-rules" => Command::AnalyzeRules(need_one("rules path", &positional)?),
+        "compare" => Command::Compare {
+            pcap: a.one("pcap path")?,
+            rules: a.opt("--rules")?,
+            policy: a.policy()?,
+        },
+        "stats" => Command::Stats(a.one("pcap path")?),
+        "rules" => Command::Rules(a.one("rules path")?),
+        "gauntlet" => Command::Gauntlet {
+            rules: a.opt("--rules")?,
+            policy: a.policy()?,
+        },
+        "generate" => Command::Generate {
+            path: a.one("output path")?,
+            rules: a.opt("--rules")?,
+            workload: a.workload()?,
+        },
+        "fuzz" => Command::Fuzz(FuzzArgs {
+            iters: a.nonzero("--iters", 256)?,
+            seed: a.get("--seed", 1)?,
+            minimize: a.take("--minimize").is_some(),
+            tweaks: a.choice(
+                "--sabotage",
+                EngineTweaks::NONE,
+                &[
+                    ("ooo", OUT_OF_ORDER),
+                    ("out-of-order", OUT_OF_ORDER),
+                    ("frag", FRAGMENTS),
+                    ("fragments", FRAGMENTS),
+                ],
+            )?,
+            trace_out: a.get("--trace-out", "fuzz-failure.trace".to_string())?,
+            replay_trace: a.opt("--replay-trace")?,
+            rules_seed: a.opt("--rules-seed")?,
+        }),
+        "generate-rules" => Command::GenerateRules {
+            path: a.one("output path")?,
+            count: a.nonzero("--count", 1000)?,
+            malformed: a.get("--malformed", 0)?,
+            seed: a.get("--seed", 1)?,
+        },
+        "analyze-rules" => Command::AnalyzeRules {
+            path: a.one("rules path")?,
+            top: a.nonzero("--top", 10)?,
+            seed: a.get("--seed", 1)?,
+        },
         "serve" => {
-            if !positional.is_empty() {
-                return Err("serve takes no positional arguments".into());
-            }
-            if source == ServeSource::AfPacket && iface.is_none() {
+            let serve = ServeArgs {
+                engine: a.engine()?,
+                workload: a.workload()?,
+                source: a.choice(
+                    "--source",
+                    ServeSource::Loopback,
+                    &[
+                        ("loopback", ServeSource::Loopback),
+                        ("afpacket", ServeSource::AfPacket),
+                        ("af-packet", ServeSource::AfPacket),
+                    ],
+                )?,
+                iface: a.opt("--iface")?,
+                scrape: a.opt("--scrape")?,
+                duration_secs: a.opt("--duration-secs")?.map(NonZeroU64::get),
+            };
+            if serve.source == ServeSource::AfPacket && serve.iface.is_none() {
                 return Err("--source afpacket needs --iface".into());
             }
-            Command::Serve
+            Command::Serve(serve)
+        }
+        "lab" => {
+            let journal = a.get("--journal", DEFAULT_JOURNAL.to_string())?;
+            Command::Lab(match a.one("record|list action")?.as_str() {
+                "record" => LabAction::Record { journal },
+                "list" => LabAction::List { journal },
+                other => return Err(format!("unknown lab action {other:?} (record|list)")),
+            })
         }
         other => return Err(format!("unknown subcommand {other:?}")),
     };
-
-    Ok(ParsedArgs {
-        command,
-        rules,
-        policy,
-        engine,
-        flows,
-        attacks,
-        seed,
-        speed,
-        shards,
-        shard_batch,
-        iters,
-        minimize,
-        sabotage,
-        trace_out,
-        replay_trace,
-        metrics_out,
-        format,
-        slow_workers,
-        slow_lane_depth,
-        flow_hash_seed,
-        count,
-        malformed,
-        top,
-        rules_seed,
-        source,
-        iface,
-        scrape,
-        duration_secs,
-    })
+    a.done()?;
+    Ok(command)
 }
 
-/// Parse `sd lab <action> [--journal FILE]` (the arguments after `lab`).
-pub fn parse_lab(args: &[String]) -> Result<LabAction, String> {
-    let mut it = args.iter();
-    let action = it.next().ok_or("lab needs an action: record|list")?;
-    let make: fn(String) -> LabAction = match action.as_str() {
-        "record" => |journal| LabAction::Record { journal },
-        "list" => |journal| LabAction::List { journal },
-        other => return Err(format!("unknown lab action {other:?} (record|list)")),
-    };
-    let mut journal = DEFAULT_JOURNAL.to_string();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--journal" => journal = it.next().ok_or("--journal needs a value")?.clone(),
-            flag if flag.starts_with("--") => return Err(format!("unknown lab flag {flag}")),
-            _ => return Err(format!("lab {action} takes no positional arguments")),
+/// One subcommand's arguments, split into positionals and `--flag value`
+/// pairs; its parser takes the flags on its usage line out one by one.
+struct Args<'a> {
+    sub: &'a str,
+    positional: Vec<String>,
+    /// `(flag, value)`; `None` for a switch or a flag missing its value.
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl<'a> Args<'a> {
+    fn new(sub: &'a str, rest: &[String]) -> Self {
+        let (mut positional, mut flags) = (Vec::new(), Vec::new());
+        let mut it = rest.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                positional.push(arg.clone());
+            } else if SWITCHES.contains(&arg.as_str()) {
+                flags.push((arg.clone(), None));
+            } else {
+                flags.push((arg.clone(), it.next().cloned()));
+            }
+        }
+        Args {
+            sub,
+            positional,
+            flags,
         }
     }
-    Ok(make(journal))
+
+    /// Remove every `name` flag; the last one's value wins.
+    fn take(&mut self, name: &str) -> Option<Option<String>> {
+        let last = self.flags.iter().rposition(|(f, _)| f == name)?;
+        let value = self.flags.remove(last).1;
+        self.flags.retain(|(f, _)| f != name);
+        Some(value)
+    }
+
+    /// `name`'s value parsed as `T`, or `None` when it is not given.
+    fn opt<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, String> {
+        match self.take(name) {
+            None => Ok(None),
+            Some(None) => Err(format!("{name} needs a value")),
+            Some(Some(v)) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("bad {name} value {v:?}")),
+        }
+    }
+
+    fn get<T: FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    /// [`Args::get`] for a count that must be at least 1.
+    fn nonzero<T: FromStr + Default + PartialEq>(
+        &mut self,
+        name: &str,
+        default: T,
+    ) -> Result<T, String> {
+        let v = self.get(name, default)?;
+        if v == T::default() {
+            return Err(format!("{name} must be >= 1"));
+        }
+        Ok(v)
+    }
+
+    /// `name`'s value looked up among `(value, T)` choices.
+    fn choice<T: Copy>(&mut self, name: &str, default: T, of: &[(&str, T)]) -> Result<T, String> {
+        let Some(v) = self.opt::<String>(name)? else {
+            return Ok(default);
+        };
+        let found = of.iter().find(|(k, _)| *k == v).map(|&(_, t)| t);
+        found.ok_or_else(|| format!("unknown {} {v:?}", name.trim_start_matches('-')))
+    }
+
+    fn policy(&mut self) -> Result<OverlapPolicy, String> {
+        self.choice("--policy", OverlapPolicy::First, POLICIES)
+    }
+
+    fn engine(&mut self) -> Result<EngineArgs, String> {
+        let d = SplitDetectConfig::default();
+        Ok(EngineArgs {
+            rules: self.opt("--rules")?,
+            policy: self.policy()?,
+            shards: self.nonzero("--shards", 1)?,
+            shard_batch: self.nonzero("--shard-batch", d.shard_batch_packets)?,
+            slow_workers: self.get("--slow-workers", d.slow_path_workers)?,
+            slow_lane_depth: self.nonzero("--slow-lane-depth", d.slow_path_lane_depth)?,
+            flow_hash_seed: self.opt("--flow-hash-seed")?,
+        })
+    }
+
+    fn workload(&mut self) -> Result<WorkloadArgs, String> {
+        let w = WorkloadArgs {
+            flows: self.get("--flows", 100)?,
+            attacks: self.get("--attacks", 3)?,
+            seed: self.get("--seed", 1)?,
+        };
+        if w.attacks > MAX_ATTACKS {
+            return Err(format!("--attacks must be <= {MAX_ATTACKS}"));
+        }
+        Ok(w)
+    }
+
+    /// Take the one positional argument.
+    fn one(&mut self, what: &str) -> Result<String, String> {
+        match self.positional.len() {
+            1 => Ok(self.positional.remove(0)),
+            0 => Err(format!("{} needs a {what}", self.sub)),
+            _ => Err(format!("{} takes exactly one {what}", self.sub)),
+        }
+    }
+
+    /// Reject whatever the subcommand did not take.
+    fn done(self) -> Result<(), String> {
+        if let Some(extra) = self.positional.first() {
+            return Err(format!("{}: unexpected argument {extra:?}", self.sub));
+        }
+        match self.flags.first() {
+            Some((flag, _)) => Err(format!("unknown flag {flag}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -539,20 +457,36 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
+    /// Parse a command line that must be the `$variant` command.
+    macro_rules! parse_as {
+        ($variant:ident, $line:expr) => {
+            match parse(&args($line)).unwrap() {
+                Command::$variant(a) => a,
+                other => panic!("{other:?}"),
+            }
+        };
+    }
+
     #[test]
     fn scan_with_flags() {
-        let p = parse(&args("scan cap.pcap --engine conv --policy linux")).unwrap();
-        assert_eq!(p.command, Command::Scan("cap.pcap".into()));
-        assert_eq!(p.engine, EngineKind::Conventional);
-        assert_eq!(p.policy, sd_reassembly::OverlapPolicy::Linux);
+        let p = parse_as!(Scan, "scan cap.pcap --engine conv --policy linux");
+        assert_eq!(p.pcap, "cap.pcap");
+        assert_eq!(p.kind, EngineKind::Conventional);
+        assert_eq!(p.engine.policy, OverlapPolicy::Linux);
     }
 
     #[test]
     fn generate_defaults_and_overrides() {
-        let p = parse(&args("generate out.pcap")).unwrap();
-        assert_eq!((p.flows, p.attacks, p.seed), (100, 3, 1));
-        let p = parse(&args("generate out.pcap --flows 5 --attacks 2 --seed 9")).unwrap();
-        assert_eq!((p.flows, p.attacks, p.seed), (5, 2, 9));
+        let workload = |s: &str| match parse(&args(s)).unwrap() {
+            Command::Generate { workload: w, .. } => (w.flows, w.attacks, w.seed),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(workload("generate out.pcap"), (100, 3, 1));
+        assert_eq!(
+            workload("generate out.pcap --flows 5 --attacks 2 --seed 9"),
+            (5, 2, 9)
+        );
+        assert_eq!(workload("generate out.pcap --attacks 25535").1, MAX_ATTACKS);
     }
 
     #[test]
@@ -564,134 +498,128 @@ mod tests {
 
     #[test]
     fn rule_corpus_commands_parse() {
-        let p = parse(&args("generate-rules out.rules")).unwrap();
-        assert_eq!(p.command, Command::GenerateRules("out.rules".into()));
-        assert_eq!((p.count, p.malformed, p.seed), (1000, 0, 1));
+        let parsed = |line: &str| format!("{:?}", parse(&args(line)));
+        assert_eq!(
+            parsed("generate-rules out.rules"),
+            r#"Ok(GenerateRules { path: "out.rules", count: 1000, malformed: 0, seed: 1 })"#
+        );
+        assert_eq!(
+            parsed("generate-rules out.rules --count 10000 --seed 42 --malformed 5"),
+            r#"Ok(GenerateRules { path: "out.rules", count: 10000, malformed: 5, seed: 42 })"#
+        );
+        assert_eq!(
+            parsed("analyze-rules corpus.rules"),
+            r#"Ok(AnalyzeRules { path: "corpus.rules", top: 10, seed: 1 })"#
+        );
+        assert_eq!(
+            parsed("analyze-rules corpus.rules --top 25"),
+            r#"Ok(AnalyzeRules { path: "corpus.rules", top: 25, seed: 1 })"#
+        );
 
-        let p = parse(&args(
-            "generate-rules out.rules --count 10000 --seed 42 --malformed 5",
-        ))
-        .unwrap();
-        assert_eq!((p.count, p.malformed, p.seed), (10000, 5, 42));
-
-        let p = parse(&args("analyze-rules corpus.rules")).unwrap();
-        assert_eq!(p.command, Command::AnalyzeRules("corpus.rules".into()));
-        assert_eq!(p.top, 10);
-        let p = parse(&args("analyze-rules corpus.rules --top 25")).unwrap();
-        assert_eq!(p.top, 25);
-
-        let p = parse(&args("fuzz --rules-seed 7")).unwrap();
-        assert_eq!(p.rules_seed, Some(7));
-        let p = parse(&args("fuzz")).unwrap();
-        assert_eq!(p.rules_seed, None);
+        assert_eq!(parse_as!(Fuzz, "fuzz --rules-seed 7").rules_seed, Some(7));
+        assert_eq!(parse_as!(Fuzz, "fuzz").rules_seed, None);
     }
 
     #[test]
     fn slow_path_flags_default_and_parse() {
-        let p = parse(&args("scan cap.pcap")).unwrap();
+        let p = parse_as!(Scan, "scan cap.pcap").engine;
         assert_eq!((p.slow_workers, p.slow_lane_depth), (0, 512));
-        let p = parse(&args("scan cap.pcap --slow-workers 4 --slow-lane-depth 64")).unwrap();
+        let p = parse_as!(Scan, "scan cap.pcap --slow-workers 4 --slow-lane-depth 64").engine;
         assert_eq!((p.slow_workers, p.slow_lane_depth), (4, 64));
-        let p = parse(&args("run cap.pcap --slow-workers 2")).unwrap();
+        let p = parse_as!(Serve, "serve --slow-workers 2").engine;
         assert_eq!((p.slow_workers, p.slow_lane_depth), (2, 512));
     }
 
     #[test]
     fn shard_flags_default_and_parse() {
-        let p = parse(&args("scan cap.pcap")).unwrap();
+        let p = parse_as!(Scan, "scan cap.pcap").engine;
         assert_eq!((p.shards, p.shard_batch), (1, 64));
-        let p = parse(&args("scan cap.pcap --shards 4 --shard-batch 256")).unwrap();
+        let p = parse_as!(Scan, "scan cap.pcap --shards 4 --shard-batch 256").engine;
         assert_eq!((p.shards, p.shard_batch), (4, 256));
-        let p = parse(&args("stats cap.pcap --shards 2")).unwrap();
+        let p = parse_as!(Serve, "serve --shards 2").engine;
         assert_eq!((p.shards, p.shard_batch), (2, 64));
     }
 
     #[test]
     fn fuzz_defaults_and_flags() {
-        let p = parse(&args("fuzz")).unwrap();
-        assert_eq!(p.command, Command::Fuzz);
+        let p = parse_as!(Fuzz, "fuzz");
         assert_eq!((p.iters, p.seed, p.minimize), (256, 1, false));
-        assert_eq!(p.sabotage, None);
+        assert_eq!(p.tweaks, EngineTweaks::NONE);
         assert_eq!(p.trace_out, "fuzz-failure.trace");
         assert_eq!(p.replay_trace, None);
 
-        let p = parse(&args(
-            "fuzz --iters 5000 --seed 7 --minimize --sabotage ooo --trace-out f.trace",
-        ))
-        .unwrap();
+        let p = parse_as!(
+            Fuzz,
+            "fuzz --iters 5000 --seed 7 --minimize --sabotage ooo --trace-out f.trace"
+        );
         assert_eq!((p.iters, p.seed, p.minimize), (5000, 7, true));
-        assert_eq!(p.sabotage, Some(SabotageKind::OutOfOrder));
+        assert_eq!(p.tweaks, OUT_OF_ORDER);
         assert_eq!(p.trace_out, "f.trace");
 
-        let p = parse(&args("fuzz --sabotage frag --replay-trace saved.trace")).unwrap();
-        assert_eq!(p.sabotage, Some(SabotageKind::Fragments));
+        let p = parse_as!(Fuzz, "fuzz --sabotage frag --replay-trace saved.trace");
+        assert_eq!(p.tweaks, FRAGMENTS);
         assert_eq!(p.replay_trace.as_deref(), Some("saved.trace"));
     }
 
     #[test]
-    fn run_and_format_flags() {
-        let p = parse(&args("run cap.pcap")).unwrap();
-        assert_eq!(p.command, Command::Run("cap.pcap".into()));
-        assert_eq!(p.metrics_out, None);
-        assert_eq!(p.format, OutputFormat::Human);
+    fn scan_speed_and_metrics_flags() {
+        let p = parse_as!(Scan, "scan cap.pcap");
+        assert_eq!((p.speed, p.metrics_out), (0.0, None));
 
-        let p = parse(&args("run cap.pcap --metrics-out m --shards 2")).unwrap();
+        let p = parse_as!(Scan, "scan cap.pcap --metrics-out m --shards 2 --speed 2.5");
         assert_eq!(p.metrics_out.as_deref(), Some("m"));
-        assert_eq!(p.shards, 2);
-
-        let p = parse(&args("stats cap.pcap --format prom")).unwrap();
-        assert_eq!(p.format, OutputFormat::Prom);
-        let p = parse(&args("stats cap.pcap --format json")).unwrap();
-        assert_eq!(p.format, OutputFormat::Json);
-        let p = parse(&args("stats cap.pcap --format human")).unwrap();
-        assert_eq!(p.format, OutputFormat::Human);
+        assert_eq!((p.engine.shards, p.speed), (2, 2.5));
     }
 
     #[test]
     fn serve_defaults_and_flags() {
-        let p = parse(&args("serve")).unwrap();
-        assert_eq!(p.command, Command::Serve);
+        let p = parse_as!(Serve, "serve");
         assert_eq!(p.source, ServeSource::Loopback);
         assert_eq!((p.iface, p.scrape, p.duration_secs), (None, None, None));
 
-        let p = parse(&args(
+        let p = parse_as!(
+            Serve,
             "serve --source afpacket --iface eth0 --scrape 127.0.0.1:9100 \
-             --duration-secs 30 --rules r.rules --shards 4",
-        ))
-        .unwrap();
+             --duration-secs 30 --rules r.rules --shards 4"
+        );
         assert_eq!(p.source, ServeSource::AfPacket);
         assert_eq!(p.iface.as_deref(), Some("eth0"));
         assert_eq!(p.scrape.as_deref(), Some("127.0.0.1:9100"));
         assert_eq!(p.duration_secs, Some(30));
-        assert_eq!(p.shards, 4);
+        assert_eq!(p.engine.shards, 4);
     }
 
     #[test]
     fn lab_actions_parse() {
-        assert_eq!(
-            parse_lab(&args("record")).unwrap(),
-            LabAction::Record {
-                journal: DEFAULT_JOURNAL.into()
-            }
-        );
-        assert_eq!(
-            parse_lab(&args("record --journal j.jsonl")).unwrap(),
-            LabAction::Record {
-                journal: "j.jsonl".into()
-            }
-        );
-        assert_eq!(
-            parse_lab(&args("list")).unwrap(),
-            LabAction::List {
-                journal: DEFAULT_JOURNAL.into()
-            }
-        );
-        assert_eq!(
-            parse_lab(&args("list --journal j.jsonl")).unwrap(),
-            LabAction::List {
-                journal: "j.jsonl".into()
-            }
-        );
+        let journal = |j: &str| j.to_string();
+        for (line, action) in [
+            (
+                "lab record",
+                LabAction::Record {
+                    journal: journal(DEFAULT_JOURNAL),
+                },
+            ),
+            (
+                "lab record --journal j.jsonl",
+                LabAction::Record {
+                    journal: journal("j.jsonl"),
+                },
+            ),
+            (
+                "lab list",
+                LabAction::List {
+                    journal: journal(DEFAULT_JOURNAL),
+                },
+            ),
+            (
+                "lab list --journal j.jsonl",
+                LabAction::List {
+                    journal: journal("j.jsonl"),
+                },
+            ),
+        ] {
+            assert_eq!(parse(&args(line)), Ok(Command::Lab(action)), "{line}");
+        }
     }
 
     #[test]
@@ -714,10 +642,9 @@ mod tests {
             "record --threshold 0.1",
             "record --mem-threshold 0.1",
         ] {
-            assert!(parse_lab(&args(bad)).is_err(), "should reject {bad:?}");
+            let line = format!("lab {bad}");
+            assert!(parse(&args(&line)).is_err(), "should reject {line:?}");
         }
-        // `lab` is not a flag-loop subcommand: `sd_cli::run` routes it.
-        assert!(parse(&args("lab list")).is_err());
     }
 
     #[test]
@@ -740,10 +667,17 @@ mod tests {
             "fuzz --iters many",
             "fuzz --sabotage everything",
             "fuzz --trace-out",
+            // `run`, `replay` and `stats --format|--shards` became `scan`.
             "run",
             "run a b",
-            "run cap.pcap --metrics-out",
-            "stats cap.pcap --format yaml",
+            "replay cap.pcap --speed 0",
+            "stats cap.pcap --format prom",
+            "scan cap.pcap --metrics-out",
+            "scan cap.pcap --engine naive --metrics-out m",
+            "scan cap.pcap --speed nan",
+            "scan cap.pcap --speed inf",
+            "scan cap.pcap --speed -1",
+            "generate out.pcap --attacks 25536",
             // One piece automaton: its former selector flags are gone.
             "scan cap.pcap --matcher tiered",
             "serve --tiered-hot 4096",
@@ -765,6 +699,59 @@ mod tests {
             "serve --scrape",
         ] {
             assert!(parse(&args(bad)).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    /// The usage text is the contract: every flag on a subcommand's
+    /// usage line parses with a valid value, and every other flag the
+    /// usage text names is an `unknown flag` for that subcommand.
+    #[test]
+    fn usage_lines_match_the_parser() {
+        // Each entry: the command words with placeholder positionals, and
+        // the flags on its usage lines.
+        let mut commands: Vec<(Vec<String>, Vec<String>)> = Vec::new();
+        for line in USAGE.lines().skip(1).take_while(|l| !l.is_empty()) {
+            if line.starts_with("  sd ") {
+                let command = line
+                    .split_whitespace()
+                    .skip(1)
+                    .take_while(|w| !w.starts_with('['))
+                    .map(|w| if w.starts_with('<') { "x" } else { w }.to_string())
+                    .collect();
+                commands.push((command, Vec::new()));
+            }
+            let flags = &mut commands.last_mut().expect("usage starts with a command").1;
+            for word in line.split(|c: char| !(c.is_ascii_lowercase() || c == '-')) {
+                if word.starts_with("--") {
+                    flags.push(word.to_string());
+                }
+            }
+        }
+        assert_eq!(commands.len(), 12, "{commands:?}");
+        let mut known: Vec<&String> = commands.iter().flat_map(|(_, flags)| flags).collect();
+        known.sort();
+        known.dedup();
+        let value = |flag: &str| match flag {
+            "--engine" => "naive",
+            "--policy" => "bsd",
+            "--sabotage" => "frag",
+            "--source" => "loopback",
+            _ => "3",
+        };
+        for (command, flags) in &commands {
+            for flag in &known {
+                let mut line = command.clone();
+                line.push(flag.to_string());
+                if !SWITCHES.contains(&flag.as_str()) {
+                    line.push(value(flag).into());
+                }
+                let parsed = parse(&line);
+                if flags.contains(flag) {
+                    assert!(parsed.is_ok(), "{line:?}: {parsed:?}");
+                } else {
+                    assert_eq!(parsed, Err(format!("unknown flag {flag}")), "{line:?}");
+                }
+            }
         }
     }
 }

@@ -1,8 +1,8 @@
 //! `sd serve` — the long-running capture daemon.
 //!
-//! The offline commands (`scan`, `run`) drive an engine over a finite
-//! capture and exit. `serve` keeps a Split-Detect engine alive against a
-//! live [`PacketSource`] and adds the three things a daemon needs:
+//! `scan` drives an engine over a finite capture and exits. `serve`
+//! keeps a Split-Detect engine alive against a live [`PacketSource`]
+//! and adds the three things a daemon needs:
 //!
 //! * a **scrape endpoint**: the engine's telemetry registry plus the
 //!   daemon's own counters, published to an [`ScrapeServer`] at
@@ -13,8 +13,8 @@
 //!   at a packet boundary. Flow, diversion and reassembly state all
 //!   survive the swap — only the rules change,
 //! * **graceful drain** (SIGTERM): intake stops, slow-path lanes flush,
-//!   and the daemon emits the same final [`RunReport`] the offline
-//!   commands print, so a drained daemon is auditable like a batch run.
+//!   and the daemon emits the same final [`RunReport`] `scan` prints,
+//!   so a drained daemon is auditable like a batch run.
 //!
 //! All of the logic lives here as a library function driven by a
 //! [`ServeControl`]; real signal delivery is a two-line handler in the
@@ -26,11 +26,12 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sd_ips::rules::{parse_rules, DEMO_RULES};
-use sd_ips::{Alert, AlertSource, Ips, SignatureSet};
+use sd_ips::{Alert, AlertSource, Ips, ResourceUsage, SignatureSet};
 use sd_telemetry::{to_prometheus, Registry, ScrapeServer};
 use sd_traffic::{PacketSource, SourceEvent};
 use splitdetect::{RunReport, ShardedSplitDetect, SplitDetect, SplitDetectStats, SplitPlan};
+
+use crate::commands::load_rules;
 
 /// Shared run-state flags connecting signal handlers (or tests) to the
 /// serve loop. Cheap to clone; all methods are async-signal-safe (plain
@@ -130,10 +131,11 @@ pub struct ServeSummary {
     pub report: String,
 }
 
-/// The engine a daemon serves: the single-threaded engine polls
-/// slow-path alerts and exposes live telemetry mid-run; the sharded
-/// engine buffers per-worker alerts and telemetry until the drain joins
-/// its workers (its scrape mid-run carries the daemon counters only).
+/// The Split-Detect engine a daemon serves and `scan` drives: the
+/// single-threaded engine polls slow-path alerts and exposes live
+/// telemetry mid-run; the sharded engine buffers per-worker alerts and
+/// telemetry until the drain joins its workers (its scrape mid-run
+/// carries the daemon counters only).
 pub enum ServeEngine {
     /// One [`SplitDetect`] on the serve thread.
     Single(Box<SplitDetect>),
@@ -151,7 +153,11 @@ enum ReloadStep {
     Rejected(String),
 }
 
-impl ServeEngine {
+impl Ips for ServeEngine {
+    fn name(&self) -> &'static str {
+        "split-detect"
+    }
+
     fn process_packet(&mut self, packet: &[u8], tick: u64, out: &mut Vec<Alert>) {
         match self {
             ServeEngine::Single(e) => e.process_packet(packet, tick, out),
@@ -159,6 +165,22 @@ impl ServeEngine {
         }
     }
 
+    fn finish(&mut self, out: &mut Vec<Alert>) {
+        match self {
+            ServeEngine::Single(e) => e.finish(out),
+            ServeEngine::Sharded(e) => e.finish(out),
+        }
+    }
+
+    fn resources(&self) -> ResourceUsage {
+        match self {
+            ServeEngine::Single(e) => e.resources(),
+            ServeEngine::Sharded(e) => e.resources(),
+        }
+    }
+}
+
+impl ServeEngine {
     /// Drain asynchronous slow-path alerts mid-run (single engine only;
     /// sharded workers deliver at finish).
     fn poll(&mut self, out: &mut Vec<Alert>) {
@@ -168,7 +190,7 @@ impl ServeEngine {
     }
 
     /// The engine telemetry registry, when it is readable right now.
-    fn live_registry(&self) -> Option<&Registry> {
+    pub(crate) fn live_registry(&self) -> Option<&Registry> {
         match self {
             ServeEngine::Single(e) => Some(e.telemetry().registry()),
             ServeEngine::Sharded(e) => e.telemetry().map(|t| t.registry()),
@@ -205,16 +227,8 @@ impl ServeEngine {
         }
     }
 
-    fn finish(&mut self, out: &mut Vec<Alert>) {
-        match self {
-            ServeEngine::Single(e) => e.finish(out),
-            ServeEngine::Sharded(e) => e.finish(out),
-        }
-    }
-
-    /// Final stats + report text, mirroring what `scan`/`run` print.
-    /// Valid only after [`ServeEngine::finish`].
-    fn final_report(&self) -> (Option<SplitDetectStats>, String) {
+    /// Final stats + report text. Valid only after [`Ips::finish`].
+    pub(crate) fn final_report(&self) -> (Option<SplitDetectStats>, String) {
         match self {
             ServeEngine::Single(e) => {
                 let stats = e.stats();
@@ -240,21 +254,6 @@ impl ServeEngine {
             },
         }
     }
-}
-
-/// Re-read and parse the daemon's rule source into signatures.
-fn load_signatures(rules_path: &Option<String>) -> Result<SignatureSet, String> {
-    let text = match rules_path {
-        Some(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read rules {path}: {e}"))?
-        }
-        None => DEMO_RULES.to_string(),
-    };
-    let set = parse_rules(&text).map_err(|e| e.to_string())?;
-    if set.rules.is_empty() {
-        return Err("rule file contains no usable alert rules".into());
-    }
-    Ok(set.to_signatures())
 }
 
 /// Run the daemon until a drain is requested or the source closes.
@@ -351,24 +350,21 @@ pub fn serve(
                 // newest file is picked up right after it lands.
                 control.request_reload();
             } else {
-                match load_signatures(&opts.rules_path) {
-                    Ok(sigs) => match engine.begin_reload(sigs) {
-                        ReloadStep::Compiling(handle) => {
-                            let _ = writeln!(out, "reload: rebuilding automaton off-thread");
-                            pending = Some(handle);
-                        }
-                        ReloadStep::Applied => {
-                            reg.inc(c_reloads, 1);
-                            let _ = writeln!(out, "reload: new rules broadcast to shards");
-                            publish(&mut reg, &engine, &scrape);
-                        }
-                        ReloadStep::Rejected(e) => {
-                            reg.inc(c_reload_failures, 1);
-                            let _ = writeln!(out, "reload rejected ({e}); old rules kept");
-                            publish(&mut reg, &engine, &scrape);
-                        }
-                    },
-                    Err(e) => {
+                let step = load_rules(opts.rules_path.as_deref(), &mut std::io::sink())
+                    .map_or_else(ReloadStep::Rejected, |rules| {
+                        engine.begin_reload(rules.to_signatures())
+                    });
+                match step {
+                    ReloadStep::Compiling(handle) => {
+                        let _ = writeln!(out, "reload: rebuilding automaton off-thread");
+                        pending = Some(handle);
+                    }
+                    ReloadStep::Applied => {
+                        reg.inc(c_reloads, 1);
+                        let _ = writeln!(out, "reload: new rules broadcast to shards");
+                        publish(&mut reg, &engine, &scrape);
+                    }
+                    ReloadStep::Rejected(e) => {
                         reg.inc(c_reload_failures, 1);
                         let _ = writeln!(out, "reload rejected ({e}); old rules kept");
                         publish(&mut reg, &engine, &scrape);
@@ -460,27 +456,18 @@ fn finish_compile(
     c_reload_failures: sd_telemetry::CounterId,
     out: &mut dyn Write,
 ) {
-    match handle.join() {
-        Ok(Ok((plan, sigs))) => match engine.install(plan, sigs) {
-            Ok(()) => {
-                reg.inc(c_reloads, 1);
-                let _ = writeln!(out, "reload: new automaton installed");
-            }
-            Err(e) => {
-                reg.inc(c_reload_failures, 1);
-                let _ = writeln!(out, "reload rejected ({e}); old rules kept");
-            }
-        },
-        Ok(Err(e)) => {
+    let installed = handle
+        .join()
+        .unwrap_or_else(|_| Err("rebuild thread panicked".into()))
+        .and_then(|(plan, sigs)| engine.install(plan, sigs));
+    match installed {
+        Ok(()) => {
+            reg.inc(c_reloads, 1);
+            let _ = writeln!(out, "reload: new automaton installed");
+        }
+        Err(e) => {
             reg.inc(c_reload_failures, 1);
             let _ = writeln!(out, "reload rejected ({e}); old rules kept");
-        }
-        Err(_) => {
-            reg.inc(c_reload_failures, 1);
-            let _ = writeln!(
-                out,
-                "reload rejected (rebuild thread panicked); old rules kept"
-            );
         }
     }
 }

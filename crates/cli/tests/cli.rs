@@ -205,7 +205,7 @@ fn stats_describes_a_capture() {
 }
 
 #[test]
-fn run_writes_valid_prometheus_and_json_metrics() {
+fn scan_writes_valid_prometheus_and_json_metrics() {
     let dir = tmpdir("metrics");
     let pcap = dir.join("m.pcap");
     let pcap_s = pcap.to_str().unwrap();
@@ -213,7 +213,7 @@ fn run_writes_valid_prometheus_and_json_metrics() {
 
     let base = dir.join("metrics");
     let base_s = base.to_str().unwrap();
-    let (code, out) = run(&["run", pcap_s, "--shards", "2", "--metrics-out", base_s]);
+    let (code, out) = run(&["scan", pcap_s, "--shards", "2", "--metrics-out", base_s]);
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("metrics written to"), "{out}");
 
@@ -236,42 +236,29 @@ fn run_writes_valid_prometheus_and_json_metrics() {
         "{prom}"
     );
     assert!(prom.contains("sd_packets_total"), "{prom}");
+    assert!(prom.contains("sd_stage_packets_total"), "{prom}");
 
     let json = std::fs::read_to_string(format!("{base_s}.json")).unwrap();
     assert!(json.starts_with('{'), "{json}");
     assert!(json.contains("\"counters\""), "{json}");
     assert!(json.contains("\"histograms\""), "{json}");
     assert!(json.contains("sd_stage_latency_ns"), "{json}");
-    std::fs::remove_dir_all(&dir).ok();
-}
+    assert!(json.contains("sd_diverted_flows"), "{json}");
 
-#[test]
-fn stats_format_emits_machine_readable_registry() {
-    let dir = tmpdir("statsfmt");
-    let pcap = dir.join("f.pcap");
-    let pcap_s = pcap.to_str().unwrap();
-    run(&["generate", pcap_s, "--flows", "8", "--attacks", "1"]);
-
-    let (code, prom) = run(&["stats", pcap_s, "--format", "prom"]);
-    assert_eq!(code, 0, "{prom}");
+    // The single engine exports the same registry, without lane counters.
+    let (code, out) = run(&["scan", pcap_s, "--metrics-out", base_s]);
+    assert_eq!(code, 0, "{out}");
+    let prom = std::fs::read_to_string(format!("{base_s}.prom")).unwrap();
     sd_telemetry::promcheck::validate(&prom).unwrap_or_else(|errs| {
         panic!("invalid Prometheus exposition: {errs:?}\n{prom}");
     });
     assert!(prom.contains("sd_stage_packets_total"), "{prom}");
-    assert!(
-        !prom.contains("size mix"),
-        "machine format must not mix in the human summary: {prom}"
-    );
-
-    let (code, json) = run(&["stats", pcap_s, "--format", "json"]);
-    assert_eq!(code, 0, "{json}");
-    assert!(json.trim_start().starts_with('{'), "{json}");
-    assert!(json.contains("sd_diverted_flows"), "{json}");
+    assert!(!prom.contains("sd_shard_packets_total"), "{prom}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn replay_unpaced_detects_attacks() {
+fn scan_unpaced_and_paced_detect_attacks() {
     let dir = tmpdir("replay");
     let pcap = dir.join("r.pcap");
     run(&[
@@ -282,12 +269,54 @@ fn replay_unpaced_detects_attacks() {
         "--attacks",
         "2",
     ]);
-    let (code, out) = run(&["replay", pcap.to_str().unwrap(), "--speed", "0"]);
+    let (code, out) = run(&["scan", pcap.to_str().unwrap(), "--speed", "0"]);
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("replayed"), "{out}");
     assert!(out.contains("2 alert(s)"), "{out}");
     assert!(out.contains("divert reasons:"), "{out}");
+
+    // Paced: the same alerts, and the replay line reports the target.
+    let (code, out) = run(&["scan", pcap.to_str().unwrap(), "--speed", "1000"]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("(target "), "{out}");
+    assert!(out.contains("max lateness"), "{out}");
+    assert!(out.contains("2 alert(s)"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sharded_scan_prints_one_dispatch_line_per_shard() {
+    let dir = tmpdir("shards");
+    let pcap = dir.join("s.pcap");
+    let pcap_s = pcap.to_str().unwrap();
+    run(&["generate", pcap_s, "--flows", "10", "--attacks", "2"]);
+    let (code, out) = run(&["scan", pcap_s, "--shards", "3", "--shard-batch", "4"]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("dispatch: 3 shards"), "{out}");
+    for shard in 0..3 {
+        assert!(out.contains(&format!("  shard {shard}: ")), "{out}");
+    }
+    assert!(!out.contains("  shard 3: "), "{out}");
+    assert!(out.contains("2 alert(s)"), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn merged_and_misplaced_flags_exit_2() {
+    for args in [
+        &["scan", "x.pcap", "--engine", "naive", "--metrics-out", "m"][..],
+        &["scan", "x.pcap", "--speed", "nan"],
+        &["run", "x.pcap"],
+        &["replay", "x.pcap"],
+        &["stats", "x.pcap", "--format", "prom"],
+        &["stats", "x.pcap", "--shards", "2"],
+        &["rules", "x.rules", "--shards", "2"],
+        &["generate", "x.pcap", "--attacks", "25536"],
+    ] {
+        let (code, out) = run(args);
+        assert_eq!(code, 2, "{args:?}: {out}");
+        assert!(out.contains("usage:"), "{args:?}: {out}");
+    }
 }
 
 #[test]

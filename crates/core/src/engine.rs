@@ -22,6 +22,7 @@ use sd_flow::FlowKey;
 use sd_ips::alert::AlertSource;
 use sd_ips::conventional::{ConventionalConfig, ConventionalIps};
 use sd_ips::{Alert, Ips, ResourceUsage, SignatureSet};
+use sd_packet::parse::{parse_ipv4, Transport};
 use sd_telemetry::{PipelineTelemetry, Stage};
 
 use crate::config::{ConfigError, SplitDetectConfig};
@@ -273,13 +274,19 @@ impl SplitDetect {
         }
     }
 
-    fn hand_to_slow(&mut self, key: FlowKey, packet: &[u8], tick: u64, out: &mut Vec<Alert>) {
+    /// Hand one packet of a diverted flow to the slow path. `payload_len`
+    /// feeds best-effort accounting: each packet is counted exactly once —
+    /// replayed history packets arrive here individually, the live
+    /// packet afterwards with its classification's length.
+    fn hand_to_slow(
+        &mut self,
+        key: FlowKey,
+        packet: &[u8],
+        payload_len: usize,
+        tick: u64,
+        out: &mut Vec<Alert>,
+    ) {
         self.telemetry.stage_packet(Stage::SlowPath);
-        // Payload length is parsed *before* the slow path validates the
-        // packet: accounting is best-effort (0 for unparsable bytes), and
-        // each packet is counted exactly once — replayed history packets
-        // arrive here individually, the live diverting packet afterwards.
-        let payload_len = packet_info(packet).0;
         match &mut self.slow {
             SlowPathDispatch::Inline(slow) => {
                 self.packets_to_slow += 1;
@@ -319,27 +326,18 @@ fn set_tier_gauges(telemetry: &mut PipelineTelemetry, plan: &SplitPlan) {
     telemetry.set_automaton_tiers(t.hot_states, t.cold_states, t.hot_bytes, t.cold_bytes);
 }
 
-/// TCP/UDP payload length of an IPv4 packet (0 when unparsable — counting
-/// is best-effort for accounting, never for correctness), plus whether the
-/// packet carries anything the delay line must retain. Pure ACKs carry no
-/// stream bytes and no stream-affecting flags, so replaying them buys the
-/// slow path nothing — skipping them roughly halves delay-line traffic.
-fn packet_info(packet: &[u8]) -> (usize, bool) {
-    match sd_packet::parse::parse_ipv4(packet) {
+/// Payload length of a replayed delay-line packet, as
+/// `classify_instrumented` measures it for a live one (0 when unparsable
+/// — counting is best-effort for accounting, never for correctness).
+fn payload_len(packet: &[u8]) -> usize {
+    match parse_ipv4(packet) {
         Ok(p) => match p.transport {
-            sd_packet::parse::Transport::Tcp(t) => {
-                let keep = !t.payload.is_empty()
-                    || t.repr.flags.syn()
-                    || t.repr.flags.fin()
-                    || t.repr.flags.rst();
-                (t.payload.len(), keep)
-            }
-            sd_packet::parse::Transport::Udp(u) => (u.payload.len(), !u.payload.is_empty()),
-            sd_packet::parse::Transport::Fragment(raw)
-            | sd_packet::parse::Transport::Other(raw) => (raw.len(), true),
-            sd_packet::parse::Transport::NonIp => (0, false),
+            Transport::Tcp(t) => t.payload.len(),
+            Transport::Udp(u) => u.payload.len(),
+            Transport::Fragment(raw) | Transport::Other(raw) => raw.len(),
+            Transport::NonIp => 0,
         },
-        Err(_) => (0, false),
+        Err(_) => 0,
     }
 }
 
@@ -383,7 +381,7 @@ impl Ips for SplitDetect {
             }
             Verdict::AlreadyDiverted => {
                 let key = key.expect("already-diverted verdicts carry a key");
-                self.hand_to_slow(key, packet, tick, out);
+                self.hand_to_slow(key, packet, c.payload_len, tick, out);
                 self.telemetry.stage_lap(&mut clock, Stage::SlowPath);
             }
             Verdict::Divert(_reason) => {
@@ -392,9 +390,9 @@ impl Ips for SplitDetect {
                 self.telemetry.stage_lap(&mut clock, Stage::Divert);
                 self.telemetry.stage_packet(Stage::Divert);
                 for old in history {
-                    self.hand_to_slow(key, &old, tick, out);
+                    self.hand_to_slow(key, &old, payload_len(&old), tick, out);
                 }
-                self.hand_to_slow(key, packet, tick, out);
+                self.hand_to_slow(key, packet, c.payload_len, tick, out);
                 self.telemetry.stage_lap(&mut clock, Stage::SlowPath);
             }
             Verdict::Drop => {}

@@ -139,6 +139,20 @@ impl fmt::Display for RunReport {
                 d.recycle_misses,
                 d.queue_depth_high_water
             )?;
+            for (i, lane) in self.dispatch.iter().enumerate() {
+                writeln!(
+                    f,
+                    "  shard {i}: {} batches, {} pkts ({:.1}/batch), pool {}/{} hit/miss, \
+                     high-water {}{}",
+                    lane.batches_sent,
+                    lane.packets_enqueued,
+                    lane.mean_batch_fill(),
+                    lane.recycle_hits,
+                    lane.recycle_misses,
+                    lane.queue_depth_high_water,
+                    if lane.dead { ", DEAD" } else { "" }
+                )?;
+            }
             if d.packets_dropped > 0 {
                 writeln!(
                     f,
@@ -233,6 +247,11 @@ mod tests {
         let text = RunReport::with_dispatch(engine.stats(), dispatch, failures).to_string();
         assert!(text.contains("dispatch: 2 shards, 10 batches"), "{text}");
         assert!(text.contains("pool 9/1 hit/miss"), "{text}");
+        assert!(
+            text.contains("  shard 0: 10 batches, 640 pkts (64.0/batch), pool 9/1 hit/miss"),
+            "{text}"
+        );
+        assert!(text.contains("  shard 1: 0 batches") && text.contains(", DEAD"));
         assert!(text.contains("5 packets dropped"), "{text}");
         assert!(text.contains("shard 1 worker failed: boom"), "{text}");
     }

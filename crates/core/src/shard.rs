@@ -94,7 +94,7 @@ enum Job {
 }
 
 /// Dispatcher-side counters for one shard lane — the backpressure and
-/// pool-occupancy observability surfaced by `sd stats --shards` and
+/// pool-occupancy observability surfaced by `sd scan --shards` and
 /// `experiments e15`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardDispatchStats {

@@ -5,8 +5,8 @@
 //! statistics, and flow size/concurrency structure. This module computes
 //! those statistics from any trace — synthetic or loaded from pcap — so
 //! the claim is *checkable* (tests below assert the generator's output
-//! matches its calibration targets) and so `trace_tool info` / `sd` can
-//! describe real captures in the same terms.
+//! matches its calibration targets) and so `sd stats` can describe real
+//! captures in the same terms.
 
 use std::collections::HashMap;
 

@@ -84,24 +84,18 @@ fn main() {
     // "Keeps up" = the replay finished within 10% (+2 ms scheduling slack)
     // of its scheduled duration; beyond that the engine is the bottleneck.
     let sustains = |speed: f64| {
-        let mut alerts = Vec::new();
-        let report = if shards > 1 {
-            let mut engine =
-                ShardedSplitDetect::new(SignatureSet::demo(), config, shards).expect("admissible");
-            let report = replay(&trace, speed, |pkt, tick| {
-                engine.process_packet(pkt, tick, &mut alerts)
-            });
-            engine.finish(&mut alerts);
-            report
+        let mut engine: Box<dyn Ips> = if shards > 1 {
+            Box::new(
+                ShardedSplitDetect::new(SignatureSet::demo(), config, shards).expect("admissible"),
+            )
         } else {
-            let mut engine =
-                SplitDetect::with_config(SignatureSet::demo(), config).expect("admissible");
-            let report = replay(&trace, speed, |pkt, tick| {
-                engine.process_packet(pkt, tick, &mut alerts)
-            });
-            engine.finish(&mut alerts);
-            report
+            Box::new(SplitDetect::with_config(SignatureSet::demo(), config).expect("admissible"))
         };
+        let mut alerts = Vec::new();
+        let report = replay(&trace, speed, |pkt, tick| {
+            engine.process_packet(pkt, tick, &mut alerts)
+        });
+        engine.finish(&mut alerts);
         let ok = report.elapsed_secs <= report.target_secs * 1.10 + 0.002;
         println!(
             "  speed {speed:>7.0}x → offered {:>8.2} Gbps, took {:>7.1} ms (target {:>7.1})  {}",
