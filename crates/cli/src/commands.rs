@@ -158,12 +158,10 @@ fn scan(args: &ScanArgs, out: Out) -> Result<(), String> {
             let alerts = drive(&mut engine, &trace, args.speed, out);
             let _ = out.write_all(engine.final_report().1.as_bytes());
             if let Some(base) = &args.metrics_out {
-                let registry = engine
-                    .live_registry()
-                    .ok_or("no surviving shards; no telemetry")?;
+                let metrics = engine.metrics().expect("drive() finished the engine");
                 for (ext, text) in [
-                    ("prom", sd_telemetry::to_prometheus(registry)),
-                    ("json", sd_telemetry::to_json(registry)),
+                    ("prom", sd_telemetry::to_prometheus(&metrics)),
+                    ("json", sd_telemetry::to_json(&metrics)),
                 ] {
                     let path = format!("{base}.{ext}");
                     std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;

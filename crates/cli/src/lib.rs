@@ -2,7 +2,7 @@
 //!
 //! A thin operational front end over the workspace: `scan` drives any of
 //! the three engines over a capture (paced or not, optionally exporting
-//! telemetry); the other commands compare engines, lint rules, run the
+//! metrics); the other commands compare engines, lint rules, run the
 //! evasion gauntlet, generate workloads, fuzz, and serve live traffic.
 //! All logic lives here so the integration tests drive what users run.
 //!

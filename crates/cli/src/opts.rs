@@ -40,7 +40,7 @@ usage:
 Without --rules, the embedded demo rule set is used.
 scan drives one engine over the capture, unpaced or at --speed X times
 its recorded pacing (0 = unpaced). --metrics-out BASE (split engine)
-writes the telemetry registry to BASE.prom (Prometheus) and BASE.json.
+writes the run's metrics to BASE.prom (Prometheus) and BASE.json.
 --shards N > 1 runs the flow-sharded engine, sending --shard-batch
 packets per dispatch (default 64). --flow-hash-seed S pins the
 flow-table hash key (default: process-random, so collision floods

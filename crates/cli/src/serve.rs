@@ -4,10 +4,10 @@
 //! keeps a Split-Detect engine alive against a live [`PacketSource`]
 //! and adds the three things a daemon needs:
 //!
-//! * a **scrape endpoint**: the engine's telemetry registry plus the
-//!   daemon's own counters, published to an [`ScrapeServer`] at
-//!   `GET /metrics` at a cadence the packet loop controls (a slow or
-//!   hostile scraper can never stall intake),
+//! * a **scrape endpoint**: the engine's metrics plus the daemon's own
+//!   counters, rendered from their stats and published to a
+//!   [`ScrapeServer`] at `GET /metrics` at a cadence the packet loop
+//!   controls (a slow or hostile scraper can never stall intake),
 //! * **live rule reload** (SIGHUP): the rule file is re-read and the
 //!   piece automaton recompiled *off the packet path*, then swapped in
 //!   at a packet boundary. Flow, diversion and reassembly state all
@@ -133,9 +133,9 @@ pub struct ServeSummary {
 
 /// The Split-Detect engine a daemon serves and `scan` drives: the
 /// single-threaded engine polls slow-path alerts and exposes live
-/// telemetry mid-run; the sharded engine buffers per-worker alerts and
-/// telemetry until the drain joins its workers (its scrape mid-run
-/// carries the daemon counters only).
+/// metrics mid-run; the sharded engine buffers per-worker alerts and
+/// stats until the drain joins its workers (its scrape mid-run carries
+/// the daemon counters only).
 pub enum ServeEngine {
     /// One [`SplitDetect`] on the serve thread.
     Single(Box<SplitDetect>),
@@ -189,11 +189,11 @@ impl ServeEngine {
         }
     }
 
-    /// The engine telemetry registry, when it is readable right now.
-    pub(crate) fn live_registry(&self) -> Option<&Registry> {
+    /// The engine's metrics, when they are readable right now.
+    pub(crate) fn metrics(&self) -> Option<Registry> {
         match self {
-            ServeEngine::Single(e) => Some(e.telemetry().registry()),
-            ServeEngine::Sharded(e) => e.telemetry().map(|t| t.registry()),
+            ServeEngine::Single(e) => Some(e.metrics()),
+            ServeEngine::Sharded(e) => e.metrics(),
         }
     }
 
@@ -274,38 +274,16 @@ pub fn serve(
 ) -> Result<ServeSummary, String> {
     let start = Instant::now();
     let scrape = opts.scrape.take();
-
-    // The daemon's own registry, rendered alongside the engine's.
-    let mut reg = Registry::new();
-    let c_packets = reg.counter(
-        "sd_serve_packets_total",
-        "Packets accepted from the capture source",
-    );
-    let c_reloads = reg.counter("sd_serve_reloads_total", "Rule reloads applied");
-    let c_reload_failures = reg.counter(
-        "sd_serve_reload_failures_total",
-        "Rule reloads rejected (old rules kept)",
-    );
-    let g_uptime = reg.gauge(
-        "sd_serve_uptime_seconds",
-        "Seconds since the daemon started",
-    );
-    let g_draining = reg.gauge("sd_serve_draining", "1 once a drain has been requested");
-
-    let publish = |reg: &mut Registry, engine: &ServeEngine, scrape: &Option<ScrapeServer>| {
-        let Some(server) = scrape else { return };
-        reg.set(g_uptime, start.elapsed().as_secs() as i64);
-        let mut text = to_prometheus(reg);
-        if let Some(engine_reg) = engine.live_registry() {
-            text.push_str(&to_prometheus(engine_reg));
+    let mut counts = Counts::default();
+    let publish = |engine: &ServeEngine, counts: Counts, draining: bool| {
+        if let Some(server) = &scrape {
+            server.publish(counts.exposition(start.elapsed(), draining, engine));
         }
-        server.publish(text);
     };
 
     let mut alerts: Vec<Alert> = Vec::new();
     let mut buf: Vec<u8> = Vec::new();
     let mut pending: Option<JoinHandle<Result<(SplitPlan, SignatureSet), String>>> = None;
-    let mut packets = 0u64;
     let mut since_publish = 0u64;
 
     let _ = writeln!(
@@ -317,7 +295,7 @@ pub fn serve(
             None => "no scrape endpoint".to_string(),
         }
     );
-    publish(&mut reg, &engine, &scrape);
+    publish(&engine, counts, false);
 
     'run: loop {
         if let Some(limit) = opts.max_duration {
@@ -333,15 +311,8 @@ pub fn serve(
         // here — a packet boundary by construction.
         if pending.as_ref().is_some_and(|h| h.is_finished()) {
             let handle = pending.take().expect("checked is_some");
-            finish_compile(
-                handle,
-                &mut engine,
-                &mut reg,
-                c_reloads,
-                c_reload_failures,
-                out,
-            );
-            publish(&mut reg, &engine, &scrape);
+            finish_compile(handle, &mut engine, &mut counts, out);
+            publish(&engine, counts, false);
         }
 
         if control.take_reload() {
@@ -360,14 +331,14 @@ pub fn serve(
                         pending = Some(handle);
                     }
                     ReloadStep::Applied => {
-                        reg.inc(c_reloads, 1);
+                        counts.reloads += 1;
                         let _ = writeln!(out, "reload: new rules broadcast to shards");
-                        publish(&mut reg, &engine, &scrape);
+                        publish(&engine, counts, false);
                     }
                     ReloadStep::Rejected(e) => {
-                        reg.inc(c_reload_failures, 1);
+                        counts.reload_failures += 1;
                         let _ = writeln!(out, "reload rejected ({e}); old rules kept");
-                        publish(&mut reg, &engine, &scrape);
+                        publish(&engine, counts, false);
                     }
                 }
             }
@@ -376,18 +347,17 @@ pub fn serve(
         match source.poll(&mut buf, opts.poll_timeout) {
             SourceEvent::Packet { tick } => {
                 engine.process_packet(&buf, tick, &mut alerts);
-                packets += 1;
-                reg.inc(c_packets, 1);
+                counts.packets += 1;
                 since_publish += 1;
                 if since_publish >= opts.publish_every {
                     since_publish = 0;
                     engine.poll(&mut alerts);
-                    publish(&mut reg, &engine, &scrape);
+                    publish(&engine, counts, false);
                 }
             }
             SourceEvent::Idle => {
                 engine.poll(&mut alerts);
-                publish(&mut reg, &engine, &scrape);
+                publish(&engine, counts, false);
             }
             SourceEvent::Closed => {
                 let _ = writeln!(out, "source closed; draining");
@@ -398,22 +368,17 @@ pub fn serve(
 
     // Drain: intake has stopped. Settle any in-flight rebuild first so
     // reload accounting is deterministic, then flush and report.
-    reg.set(g_draining, 1);
     if let Some(handle) = pending.take() {
-        finish_compile(
-            handle,
-            &mut engine,
-            &mut reg,
-            c_reloads,
-            c_reload_failures,
-            out,
-        );
+        finish_compile(handle, &mut engine, &mut counts, out);
     }
     engine.finish(&mut alerts);
     let (stats, report) = engine.final_report();
 
-    let reloads = reg.counter_value(c_reloads);
-    let reload_failures = reg.counter_value(c_reload_failures);
+    let Counts {
+        packets,
+        reloads,
+        reload_failures,
+    } = counts;
     let overloads = alerts
         .iter()
         .filter(|a| a.source == AlertSource::Overload)
@@ -430,9 +395,9 @@ pub fn serve(
     );
     let _ = out.write_all(report.as_bytes());
 
-    // One last snapshot (the sharded registry only exists now), then
-    // take the endpoint down.
-    publish(&mut reg, &engine, &scrape);
+    // One last snapshot (the sharded engine's metrics only exist now),
+    // then take the endpoint down.
+    publish(&engine, counts, true);
     if let Some(mut server) = scrape {
         server.shutdown();
     }
@@ -447,13 +412,57 @@ pub fn serve(
     })
 }
 
+/// The serve loop's own counters.
+#[derive(Clone, Copy, Default)]
+struct Counts {
+    packets: u64,
+    reloads: u64,
+    reload_failures: u64,
+}
+
+impl Counts {
+    /// The scrape snapshot: the daemon's counters, then the engine's
+    /// metrics when they are readable.
+    fn exposition(self, uptime: Duration, draining: bool, engine: &ServeEngine) -> String {
+        let mut r = Registry::new();
+        r.counter(
+            "sd_serve_packets_total",
+            "Packets accepted from the capture source",
+            self.packets,
+        );
+        r.counter(
+            "sd_serve_reloads_total",
+            "Rule reloads applied",
+            self.reloads,
+        );
+        r.counter(
+            "sd_serve_reload_failures_total",
+            "Rule reloads rejected (old rules kept)",
+            self.reload_failures,
+        );
+        r.gauge(
+            "sd_serve_uptime_seconds",
+            "Seconds since the daemon started",
+            uptime.as_secs(),
+        );
+        r.gauge(
+            "sd_serve_draining",
+            "1 once a drain has been requested",
+            u64::from(draining),
+        );
+        let mut text = to_prometheus(&r);
+        if let Some(metrics) = engine.metrics() {
+            text.push_str(&to_prometheus(&metrics));
+        }
+        text
+    }
+}
+
 /// Join a finished (or drain-forced) automaton rebuild and install it.
 fn finish_compile(
     handle: JoinHandle<Result<(SplitPlan, SignatureSet), String>>,
     engine: &mut ServeEngine,
-    reg: &mut Registry,
-    c_reloads: sd_telemetry::CounterId,
-    c_reload_failures: sd_telemetry::CounterId,
+    counts: &mut Counts,
     out: &mut dyn Write,
 ) {
     let installed = handle
@@ -462,11 +471,11 @@ fn finish_compile(
         .and_then(|(plan, sigs)| engine.install(plan, sigs));
     match installed {
         Ok(()) => {
-            reg.inc(c_reloads, 1);
+            counts.reloads += 1;
             let _ = writeln!(out, "reload: new automaton installed");
         }
         Err(e) => {
-            reg.inc(c_reload_failures, 1);
+            counts.reload_failures += 1;
             let _ = writeln!(out, "reload rejected ({e}); old rules kept");
         }
     }

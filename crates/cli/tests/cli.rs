@@ -221,6 +221,7 @@ fn scan_writes_valid_prometheus_and_json_metrics() {
     sd_telemetry::promcheck::validate(&prom).unwrap_or_else(|errs| {
         panic!("invalid Prometheus exposition: {errs:?}\n{prom}");
     });
+    let sharded_prom = prom.clone();
     // Per-stage latency histograms and per-shard lane counters both made
     // it through the shard merge into the export.
     assert!(
@@ -254,6 +255,93 @@ fn scan_writes_valid_prometheus_and_json_metrics() {
     });
     assert!(prom.contains("sd_stage_packets_total"), "{prom}");
     assert!(!prom.contains("sd_shard_packets_total"), "{prom}");
+
+    // Every shard compiles the same plan: the sharded export reports that
+    // one plan's state counts, and the bytes all the copies hold.
+    let sharded = samples(&sharded_prom);
+    let single = samples(&prom);
+    for name in ["sd_automaton_hot_states", "sd_automaton_cold_states"] {
+        assert!(single[name] > 0 || name.contains("cold"), "{name}");
+        assert_eq!(sharded[name], single[name], "{name}");
+    }
+    for name in ["sd_automaton_hot_bytes", "sd_automaton_cold_bytes"] {
+        assert_eq!(sharded[name], 2 * single[name], "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sample lines of a Prometheus exposition: `name{labels}` → value.
+fn samples(prom: &str) -> std::collections::HashMap<String, u64> {
+    prom.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| {
+            let (name, value) = l.rsplit_once(' ')?;
+            Some((name.to_string(), value.parse().ok()?))
+        })
+        .collect()
+}
+
+#[test]
+fn exported_counters_equal_the_engine_stats() {
+    use sd_ips::Ips;
+    use splitdetect::fastpath::DivertReason;
+    use splitdetect::{ShardedSplitDetect, SplitDetect, SplitDetectConfig, SplitDetectStats};
+
+    let dir = tmpdir("stats-export");
+    let pcap = dir.join("e.pcap");
+    let pcap_s = pcap.to_str().unwrap();
+    let (code, out) = run(&["generate", pcap_s, "--flows", "40", "--attacks", "4"]);
+    assert_eq!(code, 0, "{out}");
+    let trace = sd_traffic::pcap::load(pcap_s).unwrap();
+    let sigs = || {
+        sd_ips::rules::parse_rules(sd_ips::rules::DEMO_RULES)
+            .unwrap()
+            .to_signatures()
+    };
+    // A one-deep lane behind one slow-path worker, so shedding is possible.
+    let config = SplitDetectConfig {
+        slow_path_workers: 1,
+        slow_path_lane_depth: 1,
+        ..Default::default()
+    };
+
+    let check = |label: &str, stats: SplitDetectStats, registry: splitdetect::Registry| {
+        let prom = sd_telemetry::to_prometheus(&registry);
+        sd_telemetry::promcheck::validate(&prom).unwrap_or_else(|errs| {
+            panic!("{label}: invalid Prometheus exposition: {errs:?}\n{prom}");
+        });
+        let m = samples(&prom);
+        assert_eq!(m["sd_packets_total"], stats.fast.packets, "{label}");
+        assert_eq!(m["sd_packets_total"], trace.len() as u64, "{label}");
+        assert_eq!(m["sd_parse_errors_total"], stats.fast.malformed, "{label}");
+        for reason in DivertReason::ALL {
+            let key = format!("sd_diverts_total{{reason=\"{}\"}}", reason.name());
+            assert_eq!(m[&key], stats.diverts_by(reason), "{label}: {key}");
+        }
+        assert!(stats.fast.total_diverts() > 0, "{label}");
+        assert_eq!(
+            m["sd_slowpath_shed_total"], stats.divert.shed_packets,
+            "{label}"
+        );
+        assert_eq!(
+            m["sd_stage_packets_total{stage=\"slow_path\"}"],
+            stats.packets_to_slow + stats.divert.shed_packets,
+            "{label}"
+        );
+    };
+
+    let mut single = SplitDetect::with_config(sigs(), config).unwrap();
+    sd_ips::api::run_trace(&mut single, trace.iter_bytes());
+    check("single", single.stats(), single.metrics());
+
+    let mut sharded = ShardedSplitDetect::new(sigs(), config, 2).unwrap();
+    let mut alerts = Vec::new();
+    for (tick, p) in trace.iter_bytes().enumerate() {
+        sharded.process_packet(p, tick as u64, &mut alerts);
+    }
+    sharded.finish(&mut alerts);
+    let stats = SplitDetectStats::aggregate(&sharded.stats()).unwrap();
+    check("2 shards", stats, sharded.metrics().unwrap());
     std::fs::remove_dir_all(&dir).ok();
 }
 

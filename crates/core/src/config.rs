@@ -156,8 +156,8 @@ pub struct SplitDetectConfig {
     /// What to do when a new diversion hits `max_diverted_flows`.
     pub divert_eviction: EvictionPolicy,
     /// Telemetry: sample per-stage latencies on one packet in `2^shift`.
-    /// `None` disables latency timing entirely (counters and size
-    /// histograms still run); the default 1-in-64 keeps the telemetry tax
+    /// `None` disables latency timing entirely (the packet-size
+    /// histogram still runs); the default 1-in-64 keeps the telemetry tax
     /// small (`sd-e2e` reports it as `telemetry.stage_timing_ns`).
     pub stage_timing_sample_shift: Option<u8>,
     /// Slow-path worker threads. `0` (the default) runs the slow path

@@ -89,10 +89,13 @@ pub struct DivertStats {
     /// [`EvictionPolicy::RefuseNew`] (also soundness erosion: the refused
     /// flow's history is never replayed).
     pub set_refused: u64,
+    /// Flows in the diverted set at snapshot time (a gauge, not a
+    /// running count).
+    pub set_size: u64,
+    /// Benign packets handed to the delay line.
+    pub recorded_packets: u64,
     /// Packets replayed from the delay line on diversion.
     pub replayed_packets: u64,
-    /// Packets that fell off the delay line before their flow diverted.
-    pub delay_line_misses: u64,
     /// Diverted packets shed at a full slow-path worker lane (asynchronous
     /// pool mode only — inline dispatch never sheds). Like `set_evictions`,
     /// nonzero means detection coverage degraded and the report WARNs.
@@ -176,9 +179,12 @@ impl DiversionManager {
         self.policy
     }
 
-    /// Counters.
+    /// Counters, with the diverted set's current size.
     pub fn stats(&self) -> DivertStats {
-        self.stats
+        DivertStats {
+            set_size: self.diverted.len() as u64,
+            ..self.stats
+        }
     }
 
     /// Retire a buffer into the pool: bounded entry count, clamped
@@ -198,6 +204,7 @@ impl DiversionManager {
 
     /// Record a benign-so-far packet into the delay line.
     pub fn record(&mut self, key: FlowKey, packet: &[u8]) {
+        self.stats.recorded_packets += 1;
         if self.delay_cap == 0 {
             return;
         }
@@ -215,9 +222,9 @@ impl DiversionManager {
         while self.delay.len() > self.delay_cap {
             if let Some((_, dropped)) = self.delay.pop_front() {
                 self.delay_buf_bytes -= dropped.capacity();
-                // A dropped packet whose flow later diverts is a miss; we
-                // cannot know the future, so misses are counted lazily at
-                // diversion time. The buffer itself goes back to the pool.
+                // A dropped packet whose flow later diverts never reaches
+                // the slow path, and that erosion is not counted. The
+                // buffer itself goes back to the pool.
                 self.recycle(dropped);
             }
         }

@@ -23,12 +23,13 @@ use sd_ips::alert::AlertSource;
 use sd_ips::conventional::{ConventionalConfig, ConventionalIps};
 use sd_ips::{Alert, Ips, ResourceUsage, SignatureSet};
 use sd_packet::parse::{parse_ipv4, Transport};
-use sd_telemetry::{PipelineTelemetry, Stage};
+use sd_telemetry::{PipelineTelemetry, Registry, Stage};
 
 use crate::config::{ConfigError, SplitDetectConfig};
 use crate::divert::DiversionManager;
 use crate::fastpath::{FastPath, FastPathParams, Verdict};
 use crate::lane::WorkerFailure;
+use crate::report::metrics_registry;
 use crate::slowpath::SlowPathPool;
 use crate::split::SplitPlan;
 use crate::stats::SplitDetectStats;
@@ -109,10 +110,6 @@ impl SplitDetect {
 
     fn build(sigs: SignatureSet, config: SplitDetectConfig, cutoff: usize) -> Self {
         let plan = SplitPlan::compile_unchecked(&sigs, config.pieces_per_signature);
-        let mut telemetry = PipelineTelemetry::new(config.stage_timing_sample_shift);
-        telemetry.set_automaton_bytes(plan.memory_bytes());
-        telemetry.set_automaton_build_ns(plan.build_time().as_nanos() as u64);
-        set_tier_gauges(&mut telemetry, &plan);
         let fast = FastPath::new(
             plan,
             FastPathParams {
@@ -153,7 +150,7 @@ impl SplitDetect {
             usage: ResourceUsage::default(),
             packets_to_slow: 0,
             bytes_to_slow: 0,
-            telemetry,
+            telemetry: PipelineTelemetry::new(config.stage_timing_sample_shift),
         }
     }
 
@@ -180,10 +177,6 @@ impl SplitDetect {
     /// wrapper that compiles inline.
     pub fn install_plan(&mut self, plan: SplitPlan, sigs: SignatureSet) -> Result<(), ConfigError> {
         let cutoff = self.config.validate(&sigs)?;
-        self.telemetry.set_automaton_bytes(plan.memory_bytes());
-        self.telemetry
-            .set_automaton_build_ns(plan.build_time().as_nanos() as u64);
-        set_tier_gauges(&mut self.telemetry, &plan);
         self.fast.swap_plan(plan, cutoff);
         match &mut self.slow {
             SlowPathDispatch::Inline(slow) => slow.reload_signatures(sigs),
@@ -212,12 +205,14 @@ impl SplitDetect {
     pub fn stats(&self) -> SplitDetectStats {
         let slow_res = self.slow_resources();
         let mut divert = self.divert.stats();
+        let mut slow_queue_depth = 0;
         if let SlowPathDispatch::Pool(pool) = &self.slow {
             // Shedding happens at the pool's lanes, but it is part of the
             // diversion story — surface it where the report reads it.
             let p = pool.stats();
             divert.shed_packets = p.shed_packets;
             divert.shed_bytes = p.shed_bytes;
+            slow_queue_depth = pool.queue_depth();
         }
         SplitDetectStats {
             fast: self.fast.stats(),
@@ -231,13 +226,20 @@ impl SplitDetect {
             slow_state_bytes: slow_res.state_bytes,
             slow_state_peak_bytes: slow_res.state_bytes_peak,
             automaton_bytes: self.fast.automaton_bytes() as u64,
+            slow_queue_depth,
         }
     }
 
-    /// The engine's telemetry registry (per-stage counters and sampled
-    /// latency histograms), for export and for merging shard instances.
+    /// The engine's sampled histograms (stage latency, packet size,
+    /// slow-path delivery latency), for merging shard instances.
     pub fn telemetry(&self) -> &PipelineTelemetry {
         &self.telemetry
+    }
+
+    /// Everything the engine counts, named for export: [`Self::stats`]
+    /// and the telemetry histograms rendered into one registry.
+    pub fn metrics(&self) -> Registry {
+        metrics_registry(&self.stats(), &self.telemetry, &[self.plan()], &[])
     }
 
     /// Decay the fast path's small-segment Bloom counters (no-op for the
@@ -270,7 +272,6 @@ impl SplitDetect {
                 self.telemetry.observe_slowpath_latency(ns);
             }
             self.usage.alerts += (out.len() - before) as u64;
-            self.telemetry.set_slowpath_queue_depth(pool.queue_depth());
         }
     }
 
@@ -286,7 +287,6 @@ impl SplitDetect {
         tick: u64,
         out: &mut Vec<Alert>,
     ) {
-        self.telemetry.stage_packet(Stage::SlowPath);
         match &mut self.slow {
             SlowPathDispatch::Inline(slow) => {
                 self.packets_to_slow += 1;
@@ -304,13 +304,10 @@ impl SplitDetect {
                 let outcome = pool.enqueue(key, packet, payload_len, tick);
                 if outcome.accepted {
                     // `packets/bytes_to_slow` count what the slow path
-                    // actually receives; shed traffic is counted apart.
+                    // actually receives; the pool counts shed traffic.
                     self.packets_to_slow += 1;
                     self.bytes_to_slow += payload_len as u64;
-                } else {
-                    self.telemetry.slowpath_shed(payload_len as u64);
                 }
-                self.telemetry.set_slowpath_queue_depth(pool.queue_depth());
                 if let Some(alert) = outcome.overload_alert {
                     out.push(alert);
                     self.usage.alerts += 1;
@@ -318,12 +315,6 @@ impl SplitDetect {
             }
         }
     }
-}
-
-/// Publish the plan's per-tier layout.
-fn set_tier_gauges(telemetry: &mut PipelineTelemetry, plan: &SplitPlan) {
-    let t = plan.tier_stats();
-    telemetry.set_automaton_tiers(t.hot_states, t.cold_states, t.hot_bytes, t.cold_bytes);
 }
 
 /// Payload length of a replayed delay-line packet, as
@@ -347,25 +338,15 @@ impl Ips for SplitDetect {
     }
 
     fn process_packet(&mut self, packet: &[u8], tick: u64, out: &mut Vec<Alert>) {
-        self.usage.packets += 1;
         let mut clock = self.telemetry.begin_packet(packet.len() as u64);
-        let fast = &mut self.fast;
         let divert_ref = &self.divert;
         let tel = &mut self.telemetry;
-        let c = fast.classify_instrumented(
+        let c = self.fast.classify_instrumented(
             packet,
             |k| divert_ref.is_diverted(k),
-            |parse_ok| {
-                tel.stage_lap(&mut clock, Stage::Parse);
-                if parse_ok {
-                    tel.stage_packet(Stage::Parse);
-                } else {
-                    tel.parse_error();
-                }
-            },
+            || tel.stage_lap(&mut clock, Stage::Parse),
         );
         self.telemetry.stage_lap(&mut clock, Stage::FastPath);
-        self.telemetry.stage_packet(Stage::FastPath);
         self.usage.payload_bytes += c.payload_len as u64;
         let (key, verdict) = (c.key, c.verdict);
 
@@ -375,7 +356,6 @@ impl Ips for SplitDetect {
                     if c.keep {
                         self.divert.record(key, packet);
                         self.telemetry.stage_lap(&mut clock, Stage::Divert);
-                        self.telemetry.stage_packet(Stage::Divert);
                     }
                 }
             }
@@ -388,7 +368,6 @@ impl Ips for SplitDetect {
                 let key = key.expect("divert verdicts carry a key");
                 let history = self.divert.divert(key);
                 self.telemetry.stage_lap(&mut clock, Stage::Divert);
-                self.telemetry.stage_packet(Stage::Divert);
                 for old in history {
                     self.hand_to_slow(key, &old, payload_len(&old), tick, out);
                 }
@@ -397,8 +376,6 @@ impl Ips for SplitDetect {
             }
             Verdict::Drop => {}
         }
-        self.telemetry
-            .set_divert_occupancy(self.divert.diverted_count(), self.divert.memory_bytes());
 
         let state = self.fast.table_memory_bytes() as u64
             + self.divert.memory_bytes() as u64
@@ -415,7 +392,6 @@ impl Ips for SplitDetect {
                     self.telemetry.observe_slowpath_latency(ns);
                 }
                 self.usage.alerts += (out.len() - before) as u64;
-                self.telemetry.set_slowpath_queue_depth(0);
                 // Joined worker state is now visible; fold the peak in so
                 // post-finish resource readings are comparable to inline.
                 let state = self.fast.table_memory_bytes() as u64
@@ -429,7 +405,7 @@ impl Ips for SplitDetect {
     fn resources(&self) -> ResourceUsage {
         let slow = self.slow_resources();
         ResourceUsage {
-            packets: self.usage.packets,
+            packets: self.fast.stats().packets,
             payload_bytes: self.usage.payload_bytes,
             bytes_scanned: self.fast.stats().bytes_scanned + slow.bytes_scanned,
             bytes_buffered_total: slow.bytes_buffered_total,
@@ -739,6 +715,35 @@ mod tests {
             25,
             "unparsable diverted traffic must count zero payload bytes"
         );
+    }
+
+    #[test]
+    fn exported_stage_counters_follow_the_packet_path() {
+        let mut e = engine();
+        let mut out = Vec::new();
+        let mut head = SIG[..7].to_vec();
+        head.splice(0..0, b"x".iter().copied());
+        e.process_packet(&pkt(1000, &head), 0, &mut out); // recorded
+        e.process_packet(&pkt(1008, &SIG[7..17]), 1, &mut out); // diverts, replays 1
+        e.process_packet(&pkt(1018, &SIG[17..]), 2, &mut out); // already diverted
+        e.process_packet(&[0xFF; 40], 3, &mut out); // fails header decode
+        let m = e.metrics();
+        let stage = |s: &str| m.value_of(&format!("sd_stage_packets_total{{stage=\"{s}\"}}"));
+        assert_eq!(stage("parse"), Some(3));
+        assert_eq!(stage("fast_path"), Some(4));
+        assert_eq!(
+            stage("divert"),
+            Some(2),
+            "one delay-line record, one divert"
+        );
+        assert_eq!(stage("slow_path"), Some(3), "one replayed, two live");
+        assert_eq!(m.value_of("sd_parse_errors_total"), Some(1));
+        assert_eq!(m.value_of("sd_diverted_flows"), Some(1));
+        let wire = m
+            .histograms()
+            .iter()
+            .find(|h| h.meta.name == "sd_packet_bytes");
+        assert_eq!(wire.map(|h| h.value.count), Some(4));
     }
 
     fn fpkt(src: &str, seq: u32, payload: &[u8]) -> Vec<u8> {

@@ -42,6 +42,11 @@ impl DivertReason {
         DivertReason::Urgent,
     ];
 
+    /// Position in [`DivertReason::ALL`] (and in [`FastPathStats::diverts`]).
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable label for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -331,11 +336,11 @@ impl FastPath {
         packet: &[u8],
         is_diverted: impl Fn(&FlowKey) -> bool,
     ) -> Classification {
-        self.classify_instrumented(packet, is_diverted, |_| {})
+        self.classify_instrumented(packet, is_diverted, || {})
     }
 
     /// [`classify_full`](Self::classify_full) with a telemetry hook:
-    /// `after_parse(ok)` fires as soon as header decode finishes (before
+    /// `after_parse()` fires as soon as header decode finishes (before
     /// any rule runs), so the engine can split parse latency from
     /// fast-path latency without a second header parse. The uninstrumented
     /// wrapper passes a no-op closure, which the optimizer erases.
@@ -343,11 +348,11 @@ impl FastPath {
         &mut self,
         packet: &[u8],
         is_diverted: impl Fn(&FlowKey) -> bool,
-        mut after_parse: impl FnMut(bool),
+        mut after_parse: impl FnMut(),
     ) -> Classification {
         self.stats.packets += 1;
         let parsed = parse_ipv4(packet);
-        after_parse(parsed.is_ok());
+        after_parse();
         let Ok(parsed) = parsed else {
             self.stats.malformed += 1;
             return Classification::non_flow(None, Verdict::Drop);
@@ -521,11 +526,7 @@ impl FastPath {
 /// Count one diversion and return its verdict. A function of the stats
 /// alone, so the rules can call it while they hold the flow's entry.
 fn divert(stats: &mut FastPathStats, reason: DivertReason) -> Verdict {
-    let idx = DivertReason::ALL
-        .iter()
-        .position(|r| *r == reason)
-        .expect("reason in ALL");
-    stats.diverts[idx] += 1;
+    stats.diverts[reason.index()] += 1;
     Verdict::Divert(reason)
 }
 
@@ -567,6 +568,13 @@ mod tests {
 
     fn not_diverted(_: &FlowKey) -> bool {
         false
+    }
+
+    #[test]
+    fn reason_index_is_its_position_in_all() {
+        for (i, reason) in DivertReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason.index(), i, "{}", reason.name());
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! * [`theory`] — the detection theorem: machine-checkable statement of the
 //!   parameter constraints and the pigeonhole bound behind the proof,
 //! * [`stats`] — the measurement surface the experiments read, and
-//!   [`report`] — its human-readable rendering.
+//!   [`report`] — its human-readable rendering and its metrics export.
 //!
 //! ## The detection theorem (informal)
 //!
@@ -72,4 +72,4 @@ pub use stats::SplitDetectStats;
 
 // The telemetry types engines hand out; re-exported so downstream crates
 // need not depend on `sd-telemetry` directly to read an engine's metrics.
-pub use sd_telemetry::{PipelineTelemetry, Stage};
+pub use sd_telemetry::{PipelineTelemetry, Registry, Stage};

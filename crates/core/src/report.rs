@@ -1,16 +1,22 @@
-//! Human-readable run reports.
+//! Run reports and metrics export.
 //!
 //! Every front end (CLI `scan`, examples, ad-hoc scripts) wants the same
 //! summary of what a Split-Detect run did: what diverted and why, where
 //! the state lives, how much traffic the slow path re-examined. Rendering
 //! it in one place keeps the numbers consistently labelled — and unit
 //! tested, which format strings scattered across binaries never are.
+//! [`RunReport`] renders the numbers as text; `metrics_registry` names
+//! the same numbers for Prometheus/JSON export (through
+//! `SplitDetect::metrics` and `ShardedSplitDetect::metrics`).
 
 use std::fmt;
+
+use sd_telemetry::{PipelineTelemetry, Registry, Stage};
 
 use crate::fastpath::DivertReason;
 use crate::lane::WorkerFailure;
 use crate::shard::ShardDispatchStats;
+use crate::split::SplitPlan;
 use crate::stats::SplitDetectStats;
 
 /// A formatted snapshot of one engine run. Display renders the block.
@@ -166,6 +172,255 @@ impl fmt::Display for RunReport {
         }
         Ok(())
     }
+}
+
+/// Name every number an engine run keeps, for export. `stats` is the
+/// run's snapshot (aggregated across shards for a sharded run),
+/// `telemetry` its sampled histograms, `plans` the piece plan each engine
+/// instance holds, and `dispatch` the sharded dispatcher's per-lane
+/// counters (empty for a single engine).
+///
+/// Byte gauges report memory held, summed over the instances as
+/// [`SplitDetectStats::aggregate`] sums it; the automaton's state counts
+/// describe one plan and are exported once.
+pub(crate) fn metrics_registry(
+    stats: &SplitDetectStats,
+    telemetry: &PipelineTelemetry,
+    plans: &[&SplitPlan],
+    dispatch: &[ShardDispatchStats],
+) -> Registry {
+    let s = stats;
+    let mut r = Registry::new();
+    r.counter(
+        "sd_packets_total",
+        "Packets processed by the engine",
+        s.fast.packets,
+    );
+    r.counter(
+        "sd_bytes_total",
+        "Wire bytes processed by the engine",
+        telemetry.packet_bytes().sum,
+    );
+    r.counter(
+        "sd_parse_errors_total",
+        "Packets that failed header decode",
+        s.fast.malformed,
+    );
+    r.counter(
+        "sd_timing_samples_total",
+        "Packets whose stage latencies were sampled",
+        telemetry.stage_latency(Stage::FastPath).count,
+    );
+    for stage in Stage::ALL {
+        let n = match stage {
+            Stage::Parse => s.fast.packets - s.fast.malformed,
+            Stage::FastPath => s.fast.packets,
+            Stage::Divert => s.divert.recorded_packets + s.fast.total_diverts(),
+            Stage::SlowPath => s.packets_to_slow + s.divert.shed_packets,
+        };
+        r.counter_labeled(
+            Stage::PACKETS_FAMILY,
+            "Packets that traversed each pipeline stage",
+            ("stage", stage.label()),
+            n,
+        );
+    }
+    r.counter(
+        "sd_slowpath_shed_total",
+        "Diverted packets shed at a full slow-path worker lane",
+        s.divert.shed_packets,
+    );
+    r.counter(
+        "sd_slowpath_shed_bytes_total",
+        "Payload bytes of diverted packets shed at a full worker lane",
+        s.divert.shed_bytes,
+    );
+    for reason in DivertReason::ALL {
+        r.counter_labeled(
+            "sd_diverts_total",
+            "Diversions by the fast-path rule that fired",
+            ("reason", reason.name()),
+            s.fast.diverts[reason.index()],
+        );
+    }
+    for (name, help, value) in [
+        (
+            "sd_flows_seen_total",
+            "Distinct flows inserted into the fast-path flow table",
+            s.flows_seen,
+        ),
+        (
+            "sd_flows_reclaimed_total",
+            "Flow-table entries reclaimed on connection close",
+            s.fast.reclaimed,
+        ),
+        (
+            "sd_payload_bytes_total",
+            "Payload bytes offered to the engine",
+            s.payload_bytes,
+        ),
+        (
+            "sd_scanned_bytes_total",
+            "Payload bytes run through the piece automaton",
+            s.fast.bytes_scanned,
+        ),
+        (
+            "sd_small_segments_total",
+            "Small data segments seen by the fast path",
+            s.fast.small_segments,
+        ),
+        (
+            "sd_out_of_order_total",
+            "Out-of-order data segments seen by the fast path",
+            s.fast.out_of_order,
+        ),
+        (
+            "sd_flows_diverted_total",
+            "Flows admitted to the diverted set",
+            s.divert.flows_diverted,
+        ),
+        (
+            "sd_divert_set_evictions_total",
+            "Diverted flows evicted at the set bound (detection guarantee eroded)",
+            s.divert.set_evictions,
+        ),
+        (
+            "sd_divert_set_refused_total",
+            "Diversions refused at the set bound (detection guarantee eroded)",
+            s.divert.set_refused,
+        ),
+        (
+            "sd_delay_line_packets_total",
+            "Benign packets recorded into the delay line",
+            s.divert.recorded_packets,
+        ),
+        (
+            "sd_replayed_packets_total",
+            "Delay-line packets replayed to the slow path on diversion",
+            s.divert.replayed_packets,
+        ),
+        (
+            "sd_slowpath_packets_total",
+            "Packets delivered to the slow path (replayed and live)",
+            s.packets_to_slow,
+        ),
+        (
+            "sd_slowpath_bytes_total",
+            "Payload bytes delivered to the slow path",
+            s.bytes_to_slow,
+        ),
+    ] {
+        r.counter(name, help, value);
+    }
+    for (i, d) in dispatch.iter().enumerate() {
+        let shard = i.to_string();
+        let label = ("shard", shard.as_str());
+        r.counter_labeled(
+            "sd_shard_packets_total",
+            "Packets enqueued to each shard lane",
+            label,
+            d.packets_enqueued,
+        );
+        r.counter_labeled(
+            "sd_shard_batches_total",
+            "Batches sent to each shard lane",
+            label,
+            d.batches_sent,
+        );
+        r.counter_labeled(
+            "sd_shard_dropped_total",
+            "Packets dropped because the shard worker had died",
+            label,
+            d.packets_dropped,
+        );
+    }
+
+    let tiers = plans.first().map(|p| p.tier_stats());
+    let sum = |f: fn(&SplitPlan) -> u64| plans.iter().map(|p| f(p)).sum::<u64>();
+    for (name, help, value) in [
+        (
+            "sd_diverted_flows",
+            "Flows currently in the diverted set",
+            s.divert.set_size,
+        ),
+        (
+            "sd_divert_memory_bytes",
+            "Bytes held by the diversion manager (delay line, set, pool)",
+            s.divert_state_bytes,
+        ),
+        (
+            "sd_automaton_bytes",
+            "Compiled piece-automaton table bytes (shared, not per-flow)",
+            s.automaton_bytes,
+        ),
+        (
+            "sd_automaton_build_ns",
+            "Wall nanoseconds spent compiling the piece automaton",
+            sum(|p| p.build_time().as_nanos() as u64),
+        ),
+        (
+            "sd_automaton_hot_states",
+            "Piece automaton: states laid out as dense byte-classed rows",
+            tiers.map_or(0, |t| t.hot_states as u64),
+        ),
+        (
+            "sd_automaton_cold_states",
+            "Piece automaton: states kept in the CSR cold tail",
+            tiers.map_or(0, |t| t.cold_states as u64),
+        ),
+        (
+            "sd_automaton_hot_bytes",
+            "Piece automaton: hot-tier table bytes (class map + dense rows)",
+            sum(|p| p.tier_stats().hot_bytes as u64),
+        ),
+        (
+            "sd_automaton_cold_bytes",
+            "Piece automaton: cold-tier table bytes (CSR arrays + failure links)",
+            sum(|p| p.tier_stats().cold_bytes as u64),
+        ),
+        (
+            "sd_slowpath_queue_depth",
+            "Diverted packets currently queued in slow-path worker lanes",
+            s.slow_queue_depth,
+        ),
+        (
+            "sd_fastpath_state_bytes",
+            "Fast-path flow-table bytes",
+            s.fast_state_bytes,
+        ),
+        (
+            "sd_slowpath_state_bytes",
+            "Slow-path reassembly state bytes",
+            s.slow_state_bytes,
+        ),
+        (
+            "sd_slowpath_state_peak_bytes",
+            "Peak slow-path reassembly state bytes",
+            s.slow_state_peak_bytes,
+        ),
+    ] {
+        r.gauge(name, help, value);
+    }
+
+    for stage in Stage::ALL {
+        r.histogram_labeled(
+            Stage::LATENCY_FAMILY,
+            "Sampled per-stage latency in nanoseconds",
+            ("stage", stage.label()),
+            telemetry.stage_latency(stage),
+        );
+    }
+    r.histogram(
+        "sd_packet_bytes",
+        "Wire size of processed packets",
+        telemetry.packet_bytes(),
+    );
+    r.histogram(
+        "sd_slowpath_latency_ns",
+        "Enqueue-to-alert-delivery latency of asynchronous slow-path alerts",
+        telemetry.slowpath_latency(),
+    );
+    r
 }
 
 #[cfg(test)]

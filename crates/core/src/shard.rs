@@ -42,11 +42,12 @@
 use sd_flow::{hash, FlowKey};
 use sd_ips::{Alert, Ips, ResourceUsage, SignatureSet};
 use sd_packet::parse::parse_ipv4;
-use sd_telemetry::PipelineTelemetry;
+use sd_telemetry::{PipelineTelemetry, Registry};
 
 use crate::config::{ConfigError, SplitDetectConfig};
 use crate::engine::SplitDetect;
 use crate::lane::{sum_usage, Lanes, Worker, WorkerFailure, WorkerKind};
+use crate::report::metrics_registry;
 use crate::stats::SplitDetectStats;
 
 /// Bounded per-shard queue depth, in batches. Small enough that a stalled
@@ -154,8 +155,7 @@ struct Finished {
     /// Surviving engines (`None` where the worker panicked), indexed by shard.
     engines: Vec<Option<SplitDetect>>,
     usage: ResourceUsage,
-    /// Per-shard engine registries merged into one, plus per-lane
-    /// dispatcher counters (`{shard="i"}`-labeled) attached for export.
+    /// The surviving shards' histograms, merged.
     telemetry: PipelineTelemetry,
 }
 
@@ -179,7 +179,6 @@ pub struct ShardedSplitDetect {
     /// a live reload can validate the new signature set on the caller's
     /// thread before broadcasting.
     per_shard_config: SplitDetectConfig,
-    packets: u64,
     finished: Option<Finished>,
 }
 
@@ -249,7 +248,6 @@ impl ShardedSplitDetect {
             pool: Vec::new(),
             batch_packets: config.shard_batch_packets.max(1),
             per_shard_config: per_shard,
-            packets: 0,
             finished: None,
         })
     }
@@ -360,12 +358,26 @@ impl ShardedSplitDetect {
         f.engines.iter().flatten().map(|e| e.stats()).collect()
     }
 
-    /// Merged pipeline telemetry across surviving shards, with per-lane
-    /// dispatcher counters (`sd_shard_*_total{shard="i"}`) attached.
-    /// `None` before [`Ips::finish`] — registries live on the worker
-    /// threads until then.
+    /// The surviving shards' sampled histograms, merged. `None` before
+    /// [`Ips::finish`].
     pub fn telemetry(&self) -> Option<&PipelineTelemetry> {
         self.finished.as_ref().map(|f| &f.telemetry)
+    }
+
+    /// Everything the surviving shards counted, aggregated and named for
+    /// export, with the dispatcher's per-lane counters
+    /// (`sd_shard_*_total{shard="i"}`). `None` before [`Ips::finish`] —
+    /// per-shard state lives on the worker threads until then.
+    pub fn metrics(&self) -> Option<Registry> {
+        let f = self.finished.as_ref()?;
+        let stats = SplitDetectStats::aggregate(&self.stats()).unwrap_or_default();
+        let plans: Vec<_> = f.engines.iter().flatten().map(|e| e.plan()).collect();
+        Some(metrics_registry(
+            &stats,
+            &f.telemetry,
+            &plans,
+            &self.dispatch_stats(),
+        ))
     }
 
     /// Broadcast a new signature set to every live shard (live rule
@@ -434,7 +446,6 @@ impl Ips for ShardedSplitDetect {
 
     fn process_packet(&mut self, packet: &[u8], tick: u64, _out: &mut Vec<Alert>) {
         assert!(self.finished.is_none(), "engine already finished");
-        self.packets += 1;
         let idx = self.shard_of(packet);
         let stats = &mut self.dispatch[idx];
         if self.lanes.is_dead(idx) {
@@ -473,40 +484,9 @@ impl Ips for ShardedSplitDetect {
             })
             .collect();
         let usage = sum_usage(engines.iter().flatten().map(Ips::resources));
-        // Merge the per-shard engine registries (identical schemas by
-        // construction), then attach per-lane dispatcher counters so one
-        // export shows both pipeline and dispatch behaviour.
         let mut telemetry = PipelineTelemetry::new(None);
         for engine in engines.iter().flatten() {
-            if let Err(e) = telemetry.merge_from(engine.telemetry()) {
-                // Unreachable for engines built by the same constructor;
-                // surface rather than silently drop if it ever happens.
-                eprintln!("split-detect: telemetry merge failed: {e}");
-            }
-        }
-        let reg = telemetry.registry_mut();
-        for (i, d) in self.dispatch.iter().enumerate() {
-            let shard = i.to_string();
-            for (name, help, value) in [
-                (
-                    "sd_shard_packets_total",
-                    "Packets enqueued to each shard lane",
-                    d.packets_enqueued,
-                ),
-                (
-                    "sd_shard_batches_total",
-                    "Batches sent to each shard lane",
-                    d.batches_sent,
-                ),
-                (
-                    "sd_shard_dropped_total",
-                    "Packets dropped because the shard worker had died",
-                    d.packets_dropped,
-                ),
-            ] {
-                let id = reg.counter_labeled(name, help, "shard", &shard);
-                reg.inc(id, value);
-            }
+            telemetry.merge_from(engine.telemetry());
         }
         self.finished = Some(Finished {
             engines,
@@ -518,10 +498,13 @@ impl Ips for ShardedSplitDetect {
     fn resources(&self) -> ResourceUsage {
         match &self.finished {
             Some(f) => f.usage,
-            None => ResourceUsage {
-                packets: self.packets,
-                ..Default::default()
-            },
+            None => {
+                let d = ShardDispatchStats::aggregate(&self.dispatch);
+                ResourceUsage {
+                    packets: d.packets_enqueued + d.packets_dropped,
+                    ..Default::default()
+                }
+            }
         }
     }
 }
@@ -733,8 +716,8 @@ mod tests {
         let labeled = mixed_trace(3);
         let mut engine = ShardedSplitDetect::new(sigs(), SplitDetectConfig::default(), 3).unwrap();
         assert!(
-            engine.telemetry().is_none(),
-            "registries live on the workers until finish"
+            engine.metrics().is_none(),
+            "per-shard state lives on the workers until finish"
         );
         let mut out = Vec::new();
         let n = labeled.trace.len() as u64;
@@ -742,21 +725,36 @@ mod tests {
             engine.process_packet(p, tick as u64, &mut out);
         }
         engine.finish(&mut out);
-        let tel = engine.telemetry().unwrap();
-        assert_eq!(tel.packets_total(), n, "every delivered packet counted");
-        let reg = tel.registry();
+        let reg = engine.metrics().unwrap();
+        assert_eq!(
+            reg.value_of("sd_packets_total"),
+            Some(n),
+            "every delivered packet counted"
+        );
         let per_shard: u64 = (0..3)
             .map(|i| {
-                reg.counter_by_name(&format!("sd_shard_packets_total{{shard=\"{i}\"}}"))
+                reg.value_of(&format!("sd_shard_packets_total{{shard=\"{i}\"}}"))
                     .unwrap()
             })
             .sum();
         assert_eq!(per_shard, n, "per-lane dispatch counters cover the trace");
-        // The merged registry exports valid Prometheus text with the
-        // per-stage histograms intact.
-        let text = sd_telemetry::to_prometheus(reg);
+        // The automaton's state counts describe one plan, not three; its
+        // bytes are held once per shard.
+        let one = SplitDetect::new(sigs()).unwrap().metrics();
+        for name in ["sd_automaton_hot_states", "sd_automaton_cold_states"] {
+            assert_eq!(reg.value_of(name), one.value_of(name), "{name}");
+        }
+        let bytes = |r: &Registry| r.value_of("sd_automaton_hot_bytes").unwrap();
+        assert_eq!(bytes(&reg), 3 * bytes(&one));
+        // The export is valid Prometheus text with the per-stage
+        // histograms of every shard merged in.
+        let text = sd_telemetry::to_prometheus(&reg);
         sd_telemetry::promcheck::validate(&text).unwrap();
         assert!(text.contains("sd_stage_latency_ns_bucket"), "{text}");
+        assert!(
+            text.contains(&format!("sd_packet_bytes_count {n}")),
+            "{text}"
+        );
     }
 
     #[test]

@@ -51,8 +51,8 @@ const SLOW_LANE_SEED: u64 = 0x510E;
 /// frame) — the same ratchet guard the delay-line pool uses.
 const SLOW_BUFFER_CAP_BYTES: usize = 9216;
 
-/// Pool-side counters, overlaid into `DivertStats`/telemetry by the
-/// engine.
+/// Pool-side counters; the engine overlays the shed counts into
+/// `DivertStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlowPathPoolStats {
     /// Packets accepted into a lane.

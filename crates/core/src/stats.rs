@@ -32,6 +32,9 @@ pub struct SplitDetectStats {
     pub slow_state_peak_bytes: u64,
     /// Shared piece-automaton bytes (control plane, not per-flow).
     pub automaton_bytes: u64,
+    /// Diverted packets queued in slow-path worker lanes right now
+    /// (asynchronous pool mode; always 0 inline and after `finish`).
+    pub slow_queue_depth: u64,
 }
 
 impl SplitDetectStats {
@@ -64,11 +67,7 @@ impl SplitDetectStats {
 
     /// Diversions attributed to `reason`.
     pub fn diverts_by(&self, reason: DivertReason) -> u64 {
-        let idx = DivertReason::ALL
-            .iter()
-            .position(|r| *r == reason)
-            .expect("reason in ALL");
-        self.fast.diverts[idx]
+        self.fast.diverts[reason.index()]
     }
 
     /// Total live state (fast + divert + slow), bytes.
@@ -96,8 +95,9 @@ impl SplitDetectStats {
             total.divert.flows_diverted += s.divert.flows_diverted;
             total.divert.set_evictions += s.divert.set_evictions;
             total.divert.set_refused += s.divert.set_refused;
+            total.divert.recorded_packets += s.divert.recorded_packets;
             total.divert.replayed_packets += s.divert.replayed_packets;
-            total.divert.delay_line_misses += s.divert.delay_line_misses;
+            total.divert.set_size += s.divert.set_size;
             total.divert.shed_packets += s.divert.shed_packets;
             total.divert.shed_bytes += s.divert.shed_bytes;
             // The policy is uniform across shards; keep the first's.
@@ -110,6 +110,7 @@ impl SplitDetectStats {
             total.slow_state_bytes += s.slow_state_bytes;
             total.slow_state_peak_bytes += s.slow_state_peak_bytes;
             total.automaton_bytes += s.automaton_bytes;
+            total.slow_queue_depth += s.slow_queue_depth;
         }
         Some(total)
     }
@@ -132,6 +133,7 @@ mod tests {
             slow_state_bytes: 0,
             slow_state_peak_bytes: 0,
             automaton_bytes: 0,
+            slow_queue_depth: 0,
         }
     }
 

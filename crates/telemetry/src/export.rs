@@ -10,7 +10,7 @@
 //! constraint) and nests histograms as sparse `{bucket_upper: count}`
 //! maps to keep snapshots diff-friendly.
 
-use crate::registry::{Histogram, MetricMeta, Registry};
+use crate::registry::{Histogram, MetricMeta, Registry, Series};
 
 fn label_suffix(meta: &MetricMeta, extra: Option<(&str, String)>) -> String {
     let mut pairs: Vec<(String, String)> = Vec::new();
@@ -97,14 +97,14 @@ pub fn to_prometheus(r: &Registry) -> String {
             out.push_str(&format!("# TYPE {} histogram\n", h.meta.name));
             seen.push(h.meta.name);
             for s in r.histograms().iter().filter(|s| s.meta.name == h.meta.name) {
-                render_histogram(&mut out, s);
+                render_histogram(&mut out, &s.meta, &s.value);
             }
         }
     }
     out
 }
 
-fn render_histogram(out: &mut String, h: &crate::registry::Histogram) {
+fn render_histogram(out: &mut String, meta: &MetricMeta, h: &Histogram) {
     // Cumulative buckets; skip trailing empty ones but always keep +Inf.
     let top = h.max_bucket().map_or(0, |i| i + 1);
     let mut cum = 0u64;
@@ -112,30 +112,27 @@ fn render_histogram(out: &mut String, h: &crate::registry::Histogram) {
         cum += h.buckets[i];
         out.push_str(&format!(
             "{}_bucket{} {}\n",
-            h.meta.name,
-            label_suffix(
-                &h.meta,
-                Some(("le", Histogram::bucket_upper(i).to_string()))
-            ),
+            meta.name,
+            label_suffix(meta, Some(("le", Histogram::bucket_upper(i).to_string()))),
             cum
         ));
     }
     out.push_str(&format!(
         "{}_bucket{} {}\n",
-        h.meta.name,
-        label_suffix(&h.meta, Some(("le", "+Inf".to_string()))),
+        meta.name,
+        label_suffix(meta, Some(("le", "+Inf".to_string()))),
         h.count
     ));
     out.push_str(&format!(
         "{}_sum{} {}\n",
-        h.meta.name,
-        label_suffix(&h.meta, None),
+        meta.name,
+        label_suffix(meta, None),
         h.sum
     ));
     out.push_str(&format!(
         "{}_count{} {}\n",
-        h.meta.name,
-        label_suffix(&h.meta, None),
+        meta.name,
+        label_suffix(meta, None),
         h.count
     ));
 }
@@ -180,7 +177,7 @@ pub fn to_json(r: &Registry) -> String {
     let hists: Vec<String> = r
         .histograms()
         .iter()
-        .map(|h| {
+        .map(|Series { meta, value: h }| {
             let buckets: Vec<String> = h
                 .buckets
                 .iter()
@@ -190,7 +187,7 @@ pub fn to_json(r: &Registry) -> String {
                 .collect();
             format!(
                 "    \"{}\": {{\"count\": {}, \"sum\": {}, \"buckets\": {{{}}}}}",
-                json_escape(&h.meta.full_name()),
+                json_escape(&meta.full_name()),
                 h.count,
                 h.sum,
                 buckets.join(", ")
@@ -209,28 +206,21 @@ mod tests {
 
     fn sample() -> Registry {
         let mut r = Registry::new();
-        let c = r.counter("sd_packets_total", "Packets processed");
-        let c2 = r.counter_labeled(
-            "sd_stage_packets_total",
-            "Per-stage packets",
-            "stage",
-            "fast_path",
-        );
-        let c3 = r.counter_labeled(
-            "sd_stage_packets_total",
-            "Per-stage packets",
-            "stage",
-            "slow_path",
-        );
-        let g = r.gauge("sd_diverted_flows", "Currently diverted");
-        let h = r.histogram_labeled("sd_stage_latency_ns", "Stage latency", "stage", "fast_path");
-        r.inc(c, 100);
-        r.inc(c2, 90);
-        r.inc(c3, 10);
-        r.set(g, 4);
+        r.counter("sd_packets_total", "Packets processed", 100);
+        let help = "Per-stage packets";
+        r.counter_labeled("sd_stage_packets_total", help, ("stage", "fast_path"), 90);
+        r.counter_labeled("sd_stage_packets_total", help, ("stage", "slow_path"), 10);
+        r.gauge("sd_diverted_flows", "Currently diverted", 4);
+        let mut h = Histogram::default();
         for v in [50u64, 300, 300, 9000] {
-            r.observe(h, v);
+            h.record(v);
         }
+        r.histogram_labeled(
+            "sd_stage_latency_ns",
+            "Stage latency",
+            ("stage", "fast_path"),
+            &h,
+        );
         r
     }
 
@@ -260,11 +250,12 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative() {
+        let mut h = Histogram::default();
+        h.record(1); // bucket 0 (le 1)
+        h.record(2); // bucket 1 (le 3)
+        h.record(2);
         let mut r = Registry::new();
-        let h = r.histogram("h_bytes", "h");
-        r.observe(h, 1); // bucket 0 (le 1)
-        r.observe(h, 2); // bucket 1 (le 3)
-        r.observe(h, 2);
+        r.histogram("h_bytes", "h", &h);
         let text = to_prometheus(&r);
         assert!(text.contains("h_bytes_bucket{le=\"1\"} 1"), "{text}");
         assert!(text.contains("h_bytes_bucket{le=\"3\"} 3"), "{text}");

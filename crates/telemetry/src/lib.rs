@@ -5,14 +5,14 @@
 //! be able to measure itself without perturbing what it measures. This
 //! crate provides:
 //!
-//! - [`Registry`]: counters, gauges, and fixed 64-bucket log₂ histograms
-//!   behind index handles. Registration allocates once; the hot-path ops
-//!   (`inc`/`set`/`observe`) are array indexing plus an add. No atomics —
-//!   each shard owns a registry and they merge at `finish()`.
-//! - [`PipelineTelemetry`]: the fixed per-engine metric schema (per-stage
-//!   packet counters, sampled per-stage latency histograms, packet-size
-//!   histogram, divert occupancy gauges) with 1-in-`2^shift` sampled
-//!   timing via [`StageClock`].
+//! - [`Histogram`]: a fixed 64-bucket log₂ histogram; recording is an
+//!   array index plus an add, no allocation, no atomics.
+//! - [`PipelineTelemetry`]: one engine's sampled measurements — the
+//!   1-in-`2^shift` sampling tick ([`StageClock`]), per-stage latency
+//!   histograms, the packet-size histogram and the asynchronous slow
+//!   path's delivery latency. Shard instances merge at `finish()`.
+//! - [`Registry`]: a named snapshot of counters, gauges and histograms,
+//!   built only at export time from numbers the engine already keeps.
 //! - [`export`]: Prometheus text-format and JSON renderings of a
 //!   registry snapshot.
 //! - [`promcheck`]: a dependency-free structural validator for the
@@ -33,8 +33,5 @@ pub mod scrape;
 
 pub use export::{to_json, to_prometheus};
 pub use pipeline::{PipelineTelemetry, Stage, StageClock};
-pub use registry::{
-    Counter, CounterId, Gauge, GaugeId, Histogram, HistogramId, MetricMeta, Registry,
-    HISTOGRAM_BUCKETS,
-};
+pub use registry::{Histogram, MetricMeta, Registry, Series, HISTOGRAM_BUCKETS};
 pub use scrape::ScrapeServer;

@@ -1,31 +1,15 @@
-//! The metric registry: counters, gauges, and log₂ histograms behind
-//! index handles.
+//! The metric registry: a snapshot of named counters, gauges, and log₂
+//! histograms, built at export time.
 //!
-//! Registration happens once at construction time (allocates); the hot
-//! path only ever indexes into pre-sized vectors — `inc`, `set`, and
-//! `observe` are a bounds-checked array access plus an add. That is the
-//! whole design: a line-rate pipeline cannot afford name lookups, hashing,
-//! or allocation per packet, so names exist only at registration and
-//! export time.
-
-use std::fmt;
+//! The engine counts in its own plain stats structs; nothing on the hot
+//! path touches a registry. A registry is assembled from those numbers
+//! when someone asks for an exposition, so names, help text, and labels
+//! exist only here and in the exporters.
 
 /// Number of log₂ buckets in every histogram. Bucket `i` counts values in
 /// `[2^i, 2^(i+1))` (bucket 0 also holds 0), so 64 buckets cover the full
 /// `u64` range with a fixed 512-byte array and no allocation on record.
 pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(pub(crate) usize);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(pub(crate) usize);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(pub(crate) usize);
 
 /// Name, help text, and an optional single `key="value"` label pair — the
 /// subset of the Prometheus data model this pipeline needs. The label
@@ -42,23 +26,7 @@ pub struct MetricMeta {
 }
 
 impl MetricMeta {
-    fn new(name: &'static str, help: &'static str) -> Self {
-        MetricMeta {
-            name,
-            help,
-            label: None,
-        }
-    }
-
-    fn labeled(name: &'static str, help: &'static str, key: &'static str, value: &str) -> Self {
-        MetricMeta {
-            name,
-            help,
-            label: Some((key, value.to_string())),
-        }
-    }
-
-    /// `name{key="value"}` (or bare name) for display and merge identity.
+    /// `name{key="value"}` (or bare name) for display and lookup.
     pub fn full_name(&self) -> String {
         match &self.label {
             Some((k, v)) => format!("{}{{{}=\"{}\"}}", self.name, k, v),
@@ -67,28 +35,13 @@ impl MetricMeta {
     }
 }
 
-impl fmt::Display for MetricMeta {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.full_name())
-    }
-}
-
-/// A monotonic counter.
+/// One exported series: its identity and its value.
 #[derive(Debug, Clone)]
-pub struct Counter {
+pub struct Series<T> {
     /// Identity.
     pub meta: MetricMeta,
-    /// Current value.
-    pub value: u64,
-}
-
-/// An instantaneous gauge.
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    /// Identity.
-    pub meta: MetricMeta,
-    /// Current value.
-    pub value: i64,
+    /// Value at snapshot time.
+    pub value: T,
 }
 
 /// A log₂-bucketed histogram: fixed 64-bucket array, running count and
@@ -96,8 +49,6 @@ pub struct Gauge {
 /// allocation, no float math.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    /// Identity.
-    pub meta: MetricMeta,
     /// `buckets[i]` counts values in `[2^i, 2^(i+1))`; bucket 0 includes 0.
     pub buckets: [u64; HISTOGRAM_BUCKETS],
     /// Total observations.
@@ -106,16 +57,17 @@ pub struct Histogram {
     pub sum: u64,
 }
 
-impl Histogram {
-    fn new(meta: MetricMeta) -> Self {
+impl Default for Histogram {
+    fn default() -> Self {
         Histogram {
-            meta,
             buckets: [0; HISTOGRAM_BUCKETS],
             count: 0,
             sum: 0,
         }
     }
+}
 
+impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn record(&mut self, value: u64) {
@@ -127,6 +79,15 @@ impl Histogram {
         self.buckets[bucket] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
+    }
+
+    /// Add another histogram's observations to this one.
+    pub fn merge_from(&mut self, other: &Histogram) {
+        for (x, y) in self.buckets.iter_mut().zip(other.buckets) {
+            *x += y;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
     }
 
     /// Inclusive upper bound of bucket `i` (`2^(i+1) − 1`).
@@ -161,14 +122,21 @@ impl Histogram {
     }
 }
 
-/// The registry. One per engine instance (no interior mutability, no
-/// atomics — per-shard registries are merged at `finish()` instead of
-/// contending during the run).
+/// A metrics snapshot, built series by series for export. Series sharing
+/// a name form one family (one label value each).
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    counters: Vec<Counter>,
-    gauges: Vec<Gauge>,
-    histograms: Vec<Histogram>,
+    counters: Vec<Series<u64>>,
+    gauges: Vec<Series<u64>>,
+    histograms: Vec<Series<Histogram>>,
+}
+
+fn meta(name: &'static str, help: &'static str, label: Option<(&'static str, &str)>) -> MetricMeta {
+    MetricMeta {
+        name,
+        help,
+        label: label.map(|(k, v)| (k, v.to_string())),
+    }
 }
 
 impl Registry {
@@ -177,162 +145,75 @@ impl Registry {
         Registry::default()
     }
 
-    /// Register a counter; returns its hot-path handle.
-    pub fn counter(&mut self, name: &'static str, help: &'static str) -> CounterId {
-        self.counters.push(Counter {
-            meta: MetricMeta::new(name, help),
-            value: 0,
-        });
-        CounterId(self.counters.len() - 1)
+    /// Add a monotonic counter.
+    pub fn counter(&mut self, name: &'static str, help: &'static str, value: u64) {
+        let meta = meta(name, help, None);
+        self.counters.push(Series { meta, value });
     }
 
-    /// Register a counter carrying one label pair.
+    /// Add one series of a counter family, told apart by a `(key, value)`
+    /// label.
     pub fn counter_labeled(
         &mut self,
         name: &'static str,
         help: &'static str,
-        key: &'static str,
-        value: &str,
-    ) -> CounterId {
-        self.counters.push(Counter {
-            meta: MetricMeta::labeled(name, help, key, value),
-            value: 0,
-        });
-        CounterId(self.counters.len() - 1)
+        label: (&'static str, &str),
+        value: u64,
+    ) {
+        let meta = meta(name, help, Some(label));
+        self.counters.push(Series { meta, value });
     }
 
-    /// Register a gauge.
-    pub fn gauge(&mut self, name: &'static str, help: &'static str) -> GaugeId {
-        self.gauges.push(Gauge {
-            meta: MetricMeta::new(name, help),
-            value: 0,
-        });
-        GaugeId(self.gauges.len() - 1)
+    /// Add an instantaneous gauge.
+    pub fn gauge(&mut self, name: &'static str, help: &'static str, value: u64) {
+        let meta = meta(name, help, None);
+        self.gauges.push(Series { meta, value });
     }
 
-    /// Register a histogram.
-    pub fn histogram(&mut self, name: &'static str, help: &'static str) -> HistogramId {
-        self.histograms
-            .push(Histogram::new(MetricMeta::new(name, help)));
-        HistogramId(self.histograms.len() - 1)
+    /// Add a histogram.
+    pub fn histogram(&mut self, name: &'static str, help: &'static str, value: &Histogram) {
+        let meta = meta(name, help, None);
+        let value = value.clone();
+        self.histograms.push(Series { meta, value });
     }
 
-    /// Register a histogram carrying one label pair.
+    /// Add one series of a histogram family, told apart by a `(key,
+    /// value)` label.
     pub fn histogram_labeled(
         &mut self,
         name: &'static str,
         help: &'static str,
-        key: &'static str,
-        value: &str,
-    ) -> HistogramId {
-        self.histograms
-            .push(Histogram::new(MetricMeta::labeled(name, help, key, value)));
-        HistogramId(self.histograms.len() - 1)
+        label: (&'static str, &str),
+        value: &Histogram,
+    ) {
+        let meta = meta(name, help, Some(label));
+        let value = value.clone();
+        self.histograms.push(Series { meta, value });
     }
 
-    /// Add `by` to a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].value += by;
-    }
-
-    /// Set a gauge.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, value: i64) {
-        self.gauges[id.0].value = value;
-    }
-
-    /// Record a histogram observation.
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, value: u64) {
-        self.histograms[id.0].record(value);
-    }
-
-    /// Current counter value.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].value
-    }
-
-    /// Current gauge value.
-    pub fn gauge_value(&self, id: GaugeId) -> i64 {
-        self.gauges[id.0].value
-    }
-
-    /// Read a histogram.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0]
-    }
-
-    /// All counters, registration order.
-    pub fn counters(&self) -> &[Counter] {
+    /// All counters, in insertion order.
+    pub fn counters(&self) -> &[Series<u64>] {
         &self.counters
     }
 
-    /// All gauges, registration order.
-    pub fn gauges(&self) -> &[Gauge] {
+    /// All gauges, in insertion order.
+    pub fn gauges(&self) -> &[Series<u64>] {
         &self.gauges
     }
 
-    /// All histograms, registration order.
-    pub fn histograms(&self) -> &[Histogram] {
+    /// All histograms, in insertion order.
+    pub fn histograms(&self) -> &[Series<Histogram>] {
         &self.histograms
     }
 
-    /// Look up a counter's value by its full name (export/test helper —
-    /// never the hot path).
-    pub fn counter_by_name(&self, full_name: &str) -> Option<u64> {
+    /// A counter's or gauge's value by its full name (`name` or
+    /// `name{key="value"}`).
+    pub fn value_of(&self, full_name: &str) -> Option<u64> {
         self.counters
             .iter()
-            .find(|c| c.meta.full_name() == full_name)
-            .map(|c| c.value)
-    }
-
-    /// Merge another registry of the *same schema* into this one:
-    /// counters and histogram buckets add, gauges take the sum (per-shard
-    /// occupancy gauges add up to fleet occupancy). Metrics are matched
-    /// positionally and verified by full name — shards built from the same
-    /// constructor always agree; anything else is a bug.
-    ///
-    /// # Errors
-    /// When the schemas differ (count or any full name mismatch).
-    pub fn merge_from(&mut self, other: &Registry) -> Result<(), String> {
-        if self.counters.len() != other.counters.len()
-            || self.gauges.len() != other.gauges.len()
-            || self.histograms.len() != other.histograms.len()
-        {
-            return Err(format!(
-                "registry shape mismatch: {}c/{}g/{}h vs {}c/{}g/{}h",
-                self.counters.len(),
-                self.gauges.len(),
-                self.histograms.len(),
-                other.counters.len(),
-                other.gauges.len(),
-                other.histograms.len()
-            ));
-        }
-        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-            if a.meta != b.meta {
-                return Err(format!("counter mismatch: {} vs {}", a.meta, b.meta));
-            }
-            a.value += b.value;
-        }
-        for (a, b) in self.gauges.iter_mut().zip(&other.gauges) {
-            if a.meta != b.meta {
-                return Err(format!("gauge mismatch: {} vs {}", a.meta, b.meta));
-            }
-            a.value += b.value;
-        }
-        for (a, b) in self.histograms.iter_mut().zip(&other.histograms) {
-            if a.meta != b.meta {
-                return Err(format!("histogram mismatch: {} vs {}", a.meta, b.meta));
-            }
-            for (x, y) in a.buckets.iter_mut().zip(b.buckets) {
-                *x += y;
-            }
-            a.count += b.count;
-            a.sum = a.sum.saturating_add(b.sum);
-        }
-        Ok(())
+            .chain(&self.gauges)
+            .find(|s| s.meta.full_name() == full_name)
+            .map(|s| s.value)
     }
 }
 
@@ -343,25 +224,19 @@ mod tests {
     #[test]
     fn counters_and_gauges_roundtrip() {
         let mut r = Registry::new();
-        let c = r.counter("pkts_total", "packets");
-        let g = r.gauge("occupancy", "live flows");
-        r.inc(c, 3);
-        r.inc(c, 4);
-        r.set(g, -2);
-        assert_eq!(r.counter_value(c), 7);
-        assert_eq!(r.gauge_value(g), -2);
-        assert_eq!(r.counter_by_name("pkts_total"), Some(7));
-        assert_eq!(r.counter_by_name("nope"), None);
+        r.counter("pkts_total", "packets", 7);
+        r.gauge("occupancy", "live flows", 2);
+        assert_eq!(r.value_of("pkts_total"), Some(7));
+        assert_eq!(r.value_of("occupancy"), Some(2));
+        assert_eq!(r.value_of("nope"), None);
     }
 
     #[test]
     fn histogram_buckets_are_log2() {
-        let mut r = Registry::new();
-        let h = r.histogram("lat_ns", "latency");
+        let mut hist = Histogram::default();
         for v in [0u64, 1, 2, 3, 4, 7, 8, 1 << 20] {
-            r.observe(h, v);
+            hist.record(v);
         }
-        let hist = r.histogram_ref(h);
         assert_eq!(hist.count, 8);
         assert_eq!(hist.buckets[0], 2, "0 and 1 share bucket 0");
         assert_eq!(hist.buckets[1], 2, "2 and 3");
@@ -381,63 +256,35 @@ mod tests {
 
     #[test]
     fn quantiles_are_bucket_coarse() {
-        let mut r = Registry::new();
-        let h = r.histogram("h", "h");
+        let mut hist = Histogram::default();
         for _ in 0..99 {
-            r.observe(h, 100); // bucket 6, upper 127
+            hist.record(100); // bucket 6, upper 127
         }
-        r.observe(h, 1 << 30);
-        let hist = r.histogram_ref(h);
+        hist.record(1 << 30);
         assert_eq!(hist.quantile_upper(0.5), 127);
         assert_eq!(hist.quantile_upper(0.99), 127);
         assert_eq!(hist.quantile_upper(1.0), Histogram::bucket_upper(30));
-        let empty = Histogram::new(MetricMeta::new("e", "e"));
-        assert_eq!(empty.quantile_upper(0.5), 0);
+        assert_eq!(Histogram::default().quantile_upper(0.5), 0);
     }
 
     #[test]
     fn merge_adds_everything() {
-        let build = || {
-            let mut r = Registry::new();
-            let c = r.counter("c_total", "c");
-            let g = r.gauge("g", "g");
-            let h = r.histogram_labeled("h_ns", "h", "stage", "fast");
-            (r, c, g, h)
-        };
-        let (mut a, c, g, h) = build();
-        let (mut b, c2, g2, h2) = build();
-        a.inc(c, 5);
-        a.set(g, 1);
-        a.observe(h, 10);
-        b.inc(c2, 7);
-        b.set(g2, 2);
-        b.observe(h2, 10);
-        b.observe(h2, 1000);
-        a.merge_from(&b).unwrap();
-        assert_eq!(a.counter_value(c), 12);
-        assert_eq!(a.gauge_value(g), 3);
-        assert_eq!(a.histogram_ref(h).count, 3);
-        assert_eq!(a.histogram_ref(h).sum, 1020);
-    }
-
-    #[test]
-    fn merge_rejects_schema_mismatch() {
-        let mut a = Registry::new();
-        a.counter("x_total", "x");
-        let mut b = Registry::new();
-        b.counter("y_total", "y");
-        assert!(a.merge_from(&b).unwrap_err().contains("counter mismatch"));
-        let c = Registry::new();
-        assert!(a.merge_from(&c).unwrap_err().contains("shape mismatch"));
+        let mut a = Histogram::default();
+        let mut b = Histogram::default();
+        a.record(10);
+        b.record(10);
+        b.record(1000);
+        a.merge_from(&b);
+        assert_eq!((a.count, a.sum), (3, 1020));
+        assert_eq!(a.buckets[3], 2);
+        assert_eq!(a.buckets[9], 1);
     }
 
     #[test]
     fn labels_render_in_full_name() {
         let mut r = Registry::new();
-        let id = r.counter_labeled("pkts_total", "p", "shard", "3");
-        assert_eq!(
-            r.counters()[id.0].meta.full_name(),
-            "pkts_total{shard=\"3\"}"
-        );
+        r.counter_labeled("pkts_total", "p", ("shard", "3"), 1);
+        assert_eq!(r.counters()[0].meta.full_name(), "pkts_total{shard=\"3\"}");
+        assert_eq!(r.value_of("pkts_total{shard=\"3\"}"), Some(1));
     }
 }

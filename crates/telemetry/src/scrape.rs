@@ -8,12 +8,12 @@
 //! snapshot and everything else with `404`.
 //!
 //! The split between publishing and serving is deliberate: the packet
-//! loop owns the registry (single-writer, no atomics — the crate-wide
-//! design), renders it with [`crate::to_prometheus`] at its own cadence,
-//! and hands the finished string to [`ScrapeServer::publish`]. The
-//! listener thread only ever touches that string snapshot, so a slow or
-//! hostile scraper can never stall packet processing, and the registry
-//! needs no locking. Scrapes between publishes see the previous snapshot
+//! loop owns its counters (single-writer, no atomics — the crate-wide
+//! design), builds a [`crate::Registry`] from them and renders it with
+//! [`crate::to_prometheus`] at its own cadence, and hands the finished
+//! string to [`ScrapeServer::publish`]. The listener thread only ever
+//! touches that string snapshot, so a slow or hostile scraper can never
+//! stall packet processing, and the counters need no locking. Scrapes between publishes see the previous snapshot
 //! — the same staleness contract a push-gateway has.
 
 use std::io::{Read, Write};
@@ -66,7 +66,7 @@ impl ScrapeServer {
         self.addr
     }
 
-    /// Replace the snapshot served at `/metrics`. Callers render the
+    /// Replace the snapshot served at `/metrics`. Callers render their
     /// registry themselves (typically [`crate::to_prometheus`]) so the
     /// cost of exporting is paid on the publisher's schedule, never per
     /// scrape.
@@ -222,8 +222,7 @@ mod tests {
     #[test]
     fn registry_snapshot_round_trips_through_the_endpoint() {
         let mut reg = crate::Registry::new();
-        let c = reg.counter("sd_serve_reloads_total", "Rule reloads applied");
-        reg.inc(c, 3);
+        reg.counter("sd_serve_reloads_total", "Rule reloads applied", 3);
         let server = ScrapeServer::bind("127.0.0.1:0").unwrap();
         server.publish(crate::to_prometheus(&reg));
         let resp = get(server.addr(), "/metrics");

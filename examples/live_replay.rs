@@ -11,31 +11,22 @@
 //! per-packet dispatch for comparison).
 
 use split_detect::core::config::SplitDetectConfig;
-use split_detect::core::{ShardedSplitDetect, SplitDetect};
+use split_detect::core::{ShardedSplitDetect, SplitDetect, SplitDetectStats};
 use split_detect::ips::{Ips, SignatureSet};
 use split_detect::telemetry::{PipelineTelemetry, Stage};
 use split_detect::traffic::benign::{BenignConfig, BenignGenerator};
 use split_detect::traffic::replay::replay;
 
-/// One compact telemetry line: the counters a pipeline operator would
+/// One compact telemetry line: the numbers a pipeline operator would
 /// watch scroll by on a dashboard.
-fn snapshot(tel: &PipelineTelemetry) {
-    let r = tel.registry();
-    let diverted = r
-        .gauges()
-        .iter()
-        .find(|g| g.meta.name == "sd_diverted_flows")
-        .map_or(0, |g| g.value);
-    let slow = r
-        .counter_by_name("sd_stage_packets_total{stage=\"slow_path\"}")
-        .unwrap_or(0);
+fn snapshot(stats: &SplitDetectStats, tel: &PipelineTelemetry) {
     let fast = tel.stage_latency(Stage::FastPath);
     println!(
         "  [telemetry] packets {:>7} | diverted flows {:>4} | slow-path pkts {:>6} \
          | fast-path p99 <= {} ns ({} samples)",
-        tel.packets_total(),
-        diverted,
-        slow,
+        stats.fast.packets,
+        stats.divert.set_size,
+        stats.packets_to_slow + stats.divert.shed_packets,
         fast.quantile_upper(0.99),
         fast.count
     );
@@ -124,9 +115,9 @@ fn main() {
         }
     }
     // One more run at the sustained multiplier, this time watching the
-    // pipeline's own telemetry: quarter-trace snapshots while the replay
-    // is live (single engine — the sharded registries live on the workers
-    // until finish), and the merged registry at the end.
+    // pipeline's own numbers: quarter-trace snapshots while the replay is
+    // live (single engine — sharded stats live on the workers until
+    // finish), and the shard-merged numbers at the end.
     println!("\nreplaying once more at {lo:.0}x with telemetry snapshots:");
     let every = (trace.len() / 4).max(1);
     let mut alerts = Vec::new();
@@ -137,7 +128,8 @@ fn main() {
             engine.process_packet(pkt, tick, &mut alerts)
         });
         engine.finish(&mut alerts);
-        snapshot(engine.telemetry().expect("finished"));
+        let stats = SplitDetectStats::aggregate(&engine.stats()).expect("no shard died");
+        snapshot(&stats, engine.telemetry().expect("finished"));
     } else {
         let mut engine =
             SplitDetect::with_config(SignatureSet::demo(), config).expect("admissible");
@@ -146,11 +138,11 @@ fn main() {
             engine.process_packet(pkt, tick, &mut alerts);
             seen += 1;
             if seen.is_multiple_of(every) {
-                snapshot(engine.telemetry());
+                snapshot(&engine.stats(), engine.telemetry());
             }
         });
         engine.finish(&mut alerts);
-        snapshot(engine.telemetry());
+        snapshot(&engine.stats(), engine.telemetry());
     }
     println!(
         "\nsustained offered load on this machine: ~{:.2} Gbps ({:.0}x trace speed).\n\
