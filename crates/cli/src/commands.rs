@@ -51,9 +51,6 @@ pub fn dispatch(command: Command, out: Out) -> i32 {
         } => generate_rules_cmd(path, *count, *malformed, *seed, out),
         Command::AnalyzeRules { path, top, seed } => analyze_rules_cmd(path, *top, *seed, out),
         Command::Serve(args) => serve_cmd(args, out),
-        // `lab` picks its own exit codes: input that is not sd-e2e output
-        // is a usage error.
-        Command::Lab(action) => return crate::lab::lab_cmd(action, out),
     };
     match result {
         Ok(()) => 0,

@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 mod commands;
-mod lab;
 mod opts;
 pub mod serve;
 

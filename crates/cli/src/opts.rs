@@ -34,8 +34,6 @@ usage:
            [--slow-workers N] [--slow-lane-depth PKTS] [--flow-hash-seed S]
            [--source loopback|afpacket] [--iface IF] [--scrape ADDR]
            [--duration-secs N] [--flows N] [--attacks N] [--seed S]
-  sd lab record [--journal FILE] < sd-e2e-output
-  sd lab list [--journal FILE]
 
 Without --rules, the embedded demo rule set is used.
 scan drives one engine over the capture, unpaced or at --speed X times
@@ -62,10 +60,7 @@ serve runs the engine as a daemon. --source loopback (default) loops
 generate's workload until --duration-secs (one pass without it);
 afpacket captures from --iface (build with --features afpacket; needs
 CAP_NET_RAW). --scrape ADDR serves http://ADDR/metrics. SIGHUP reloads
---rules without dropping flow state; SIGTERM drains and reports.
-lab record journals sd-e2e output read on stdin to --journal (default
-lab-journal.jsonl), with git commit and rustc version; input that is
-not sd-e2e output exits 2. lab list prints the journal's runs.";
+--rules without dropping flow state; SIGTERM drains and reports.";
 
 /// Which engine `scan` runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,16 +139,6 @@ pub struct ServeArgs {
     pub duration_secs: Option<u64>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub enum LabAction {
-    /// Journal the `sd-e2e` output read on stdin.
-    Record { journal: String },
-    /// Print the journal's runs.
-    List { journal: String },
-}
-
-pub const DEFAULT_JOURNAL: &str = "lab-journal.jsonl";
-
 /// A subcommand with the values it reads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -188,7 +173,6 @@ pub enum Command {
         seed: u64,
     },
     Serve(ServeArgs),
-    Lab(LabAction),
 }
 
 const POLICIES: &[(&str, OverlapPolicy)] = &[
@@ -309,14 +293,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 return Err("--source afpacket needs --iface".into());
             }
             Command::Serve(serve)
-        }
-        "lab" => {
-            let journal = a.get("--journal", DEFAULT_JOURNAL.to_string())?;
-            Command::Lab(match a.one("record|list action")?.as_str() {
-                "record" => LabAction::Record { journal },
-                "list" => LabAction::List { journal },
-                other => return Err(format!("unknown lab action {other:?} (record|list)")),
-            })
         }
         other => return Err(format!("unknown subcommand {other:?}")),
     };
@@ -590,64 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn lab_actions_parse() {
-        let journal = |j: &str| j.to_string();
-        for (line, action) in [
-            (
-                "lab record",
-                LabAction::Record {
-                    journal: journal(DEFAULT_JOURNAL),
-                },
-            ),
-            (
-                "lab record --journal j.jsonl",
-                LabAction::Record {
-                    journal: journal("j.jsonl"),
-                },
-            ),
-            (
-                "lab list",
-                LabAction::List {
-                    journal: journal(DEFAULT_JOURNAL),
-                },
-            ),
-            (
-                "lab list --journal j.jsonl",
-                LabAction::List {
-                    journal: journal("j.jsonl"),
-                },
-            ),
-        ] {
-            assert_eq!(parse(&args(line)), Ok(Command::Lab(action)), "{line}");
-        }
-    }
-
-    #[test]
-    fn lab_errors_are_helpful() {
-        for bad in [
-            "",
-            "frobnicate",
-            "record stray",
-            "list stray",
-            "record --journal",
-            "record --unknown-flag",
-            // The baseline machinery is gone: its actions and flags with it.
-            "run flowstate-occupancy",
-            "emit",
-            "compare j.jsonl b.json",
-            "import b.json",
-            "record --smoke",
-            "record --rounds 3",
-            "list --out-dir d",
-            "record --threshold 0.1",
-            "record --mem-threshold 0.1",
-        ] {
-            let line = format!("lab {bad}");
-            assert!(parse(&args(&line)).is_err(), "should reject {line:?}");
-        }
-    }
-
-    #[test]
     fn errors_are_helpful() {
         for bad in [
             "",
@@ -671,6 +589,8 @@ mod tests {
             "run",
             "run a b",
             "replay cap.pcap --speed 0",
+            // `sd lab` and its journal are gone.
+            "lab list",
             "stats cap.pcap --format prom",
             "scan cap.pcap --metrics-out",
             "scan cap.pcap --engine naive --metrics-out m",
@@ -727,7 +647,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(commands.len(), 12, "{commands:?}");
+        assert_eq!(commands.len(), 10, "{commands:?}");
         let mut known: Vec<&String> = commands.iter().flat_map(|(_, flags)| flags).collect();
         known.sort();
         known.dedup();

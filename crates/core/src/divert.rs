@@ -134,18 +134,8 @@ pub struct DiversionManager {
 }
 
 impl DiversionManager {
-    /// Build with a delay line of `delay_cap` packets and the default
-    /// diverted-set bound.
-    pub fn new(delay_cap: usize) -> Self {
-        Self::with_limits(delay_cap, DEFAULT_MAX_DIVERTED)
-    }
-
-    /// Build with explicit bounds and the default (FIFO) bound policy.
-    pub fn with_limits(delay_cap: usize, max_diverted: usize) -> Self {
-        Self::with_policy(delay_cap, max_diverted, EvictionPolicy::default())
-    }
-
-    /// Build with explicit bounds and bound policy.
+    /// Build with a delay line of `delay_cap` packets, a diverted set of
+    /// at most `max_diverted` flows and its bound policy.
     pub fn with_policy(delay_cap: usize, max_diverted: usize, policy: EvictionPolicy) -> Self {
         DiversionManager {
             diverted: HashSet::new(),
@@ -302,9 +292,14 @@ mod tests {
         .0
     }
 
+    /// A manager under the default (FIFO) bound policy.
+    fn manager(delay_cap: usize, max_diverted: usize) -> DiversionManager {
+        DiversionManager::with_policy(delay_cap, max_diverted, EvictionPolicy::default())
+    }
+
     #[test]
     fn divert_is_sticky() {
-        let mut d = DiversionManager::new(16);
+        let mut d = manager(16, DEFAULT_MAX_DIVERTED);
         assert!(!d.is_diverted(&key(1)));
         d.divert(key(1));
         assert!(d.is_diverted(&key(1)));
@@ -317,7 +312,7 @@ mod tests {
 
     #[test]
     fn history_replays_in_order_for_the_right_flow() {
-        let mut d = DiversionManager::new(16);
+        let mut d = manager(16, DEFAULT_MAX_DIVERTED);
         d.record(key(1), b"one-a");
         d.record(key(2), b"two-a");
         d.record(key(1), b"one-b");
@@ -331,7 +326,7 @@ mod tests {
 
     #[test]
     fn divert_lifts_one_flow_and_keeps_the_rest_in_order() {
-        let mut d = DiversionManager::new(64);
+        let mut d = manager(64, DEFAULT_MAX_DIVERTED);
         let mut line = Vec::new();
         for i in 0..40u32 {
             let (k, pkt) = (key(i % 3), vec![i as u8; 1 + (i as usize * 7) % 50]);
@@ -352,7 +347,7 @@ mod tests {
 
     #[test]
     fn delay_line_is_bounded() {
-        let mut d = DiversionManager::new(4);
+        let mut d = manager(4, DEFAULT_MAX_DIVERTED);
         for i in 0..10u32 {
             d.record(key(1), format!("p{i}").as_bytes());
         }
@@ -363,7 +358,7 @@ mod tests {
 
     #[test]
     fn zero_delay_is_divert_from_now() {
-        let mut d = DiversionManager::new(0);
+        let mut d = manager(0, DEFAULT_MAX_DIVERTED);
         d.record(key(1), b"lost");
         let h = d.divert(key(1));
         assert!(h.is_empty());
@@ -375,7 +370,7 @@ mod tests {
     fn fifo_policy_evicts_the_oldest_diversion() {
         // Pins the bugfix: eviction at the bound is deterministic FIFO,
         // not an arbitrary HashSet element.
-        let mut d = DiversionManager::with_limits(4, 2);
+        let mut d = manager(4, 2);
         assert_eq!(d.policy(), EvictionPolicy::EvictOldest);
         d.divert(key(1));
         d.divert(key(2));
@@ -413,7 +408,7 @@ mod tests {
 
     #[test]
     fn diverted_set_bound_is_loud() {
-        let mut d = DiversionManager::with_limits(4, 2);
+        let mut d = manager(4, 2);
         d.divert(key(1));
         d.divert(key(2));
         d.divert(key(3));
@@ -423,7 +418,7 @@ mod tests {
 
     #[test]
     fn memory_tracks_buffered_bytes() {
-        let mut d = DiversionManager::new(16);
+        let mut d = manager(16, DEFAULT_MAX_DIVERTED);
         assert_eq!(d.memory_bytes(), 0);
         d.record(key(1), &[0u8; 100]);
         assert!(d.memory_bytes() >= 100);
@@ -439,7 +434,7 @@ mod tests {
         // The pool now clamps recycled buffers to POOL_BUFFER_CAP_BYTES
         // and bounds its entry count at delay_cap.
         const CAP: usize = 64;
-        let mut d = DiversionManager::new(CAP);
+        let mut d = manager(CAP, DEFAULT_MAX_DIVERTED);
         // Phase 1: jumbo packets ratchet buffer capacities up.
         let jumbo = vec![0u8; 60_000];
         for _ in 0..(CAP * 4) {
@@ -464,7 +459,7 @@ mod tests {
 
     #[test]
     fn pool_entry_count_is_bounded() {
-        let mut d = DiversionManager::new(8);
+        let mut d = manager(8, DEFAULT_MAX_DIVERTED);
         // Heavy churn: many records and a divert that empties the line.
         for i in 0..100u32 {
             d.record(key(i % 3), &[0u8; 64]);

@@ -10,7 +10,7 @@
 //! anomaly rules. Either way the flow is *diverted* to a slow path (a
 //! conventional reassembling IPS applied to that flow alone), which is
 //! sound. Benign traffic almost never diverts, so the fast path carries the
-//! load with ~20 bytes of state per flow instead of kilobytes.
+//! load with 12 bytes of state per flow instead of kilobytes.
 //!
 //! ## Module map
 //!

@@ -1,18 +1,18 @@
 //! Dependency-free JSON value model, parser and writer.
 //!
-//! The journal, `sd lab record` and the `sd-e2e` result line all need
-//! JSON, and the workspace is offline-only (no serde). This is a small
-//! recursive-descent parser over the full JSON grammar plus a writer, with
-//! one deliberate deviation from typical value models: objects are ordered
-//! `Vec<(String, Value)>`, not maps. Journal rows must round-trip config
-//! order, so insertion order is part of the data.
+//! The `sd-e2e` result line and span records need JSON, and the
+//! workspace is offline-only (no serde). This is a small recursive-descent
+//! parser over the full JSON grammar plus a writer, with one deliberate
+//! deviation from typical value models: objects are ordered
+//! `Vec<(String, Value)>`, not maps. A result line keeps its metrics in
+//! the order they were written, so insertion order is part of the data.
 
 use std::fmt::Write as _;
 
 /// Deepest array/object nesting [`Value::parse`] accepts. The parser
-/// recurses once per level and reads untrusted input (`sd lab record`
-/// parses stdin), so without a bound a line of 200k `[` overflows the
-/// stack. Every document this repo writes nests at most three deep.
+/// recurses once per level, so without a bound a line of 200k `[`
+/// overflows the stack. Every document this repo writes nests at most
+/// three deep.
 pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Objects preserve insertion order; duplicate keys are
@@ -22,9 +22,9 @@ pub const MAX_DEPTH: usize = 128;
 pub enum Value {
     Null,
     Bool(bool),
-    /// All numbers are f64, like the Python tooling this replaces. The
-    /// journal's integral metrics stay exact: f64 holds integers up to
-    /// 2^53 and `Display` round-trips them without a fractional part.
+    /// All numbers are f64, like the Python tooling this replaces.
+    /// Integral metrics stay exact: f64 holds integers up to 2^53 and
+    /// `Display` round-trips them without a fractional part.
     Num(f64),
     Str(String),
     Arr(Vec<Value>),
@@ -92,8 +92,8 @@ impl Value {
         Ok(v)
     }
 
-    /// Compact single-line rendering (`{"k":1,"s":"x"}`) — the journal's
-    /// line format.
+    /// Compact single-line rendering (`{"k":1,"s":"x"}`) — the result
+    /// line's format.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
         self.write_compact(&mut out);
@@ -135,7 +135,8 @@ impl Value {
 
 /// Write an f64 as JSON. `Display` for f64 prints the shortest decimal
 /// string that round-trips, never exponent notation for the magnitudes the
-/// journal sees; non-finite values have no JSON spelling and become null.
+/// benchmark writes; non-finite values have no JSON spelling and become
+/// null.
 fn write_num(n: f64, out: &mut String) {
     if n.is_finite() {
         let _ = write!(out, "{n}");
@@ -461,5 +462,87 @@ mod tests {
             .get("end_to_end")
             .and_then(Value::as_arr)
             .is_some());
+    }
+
+    /// Numerical Recipes LCG: quality is irrelevant, determinism isn't.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+
+        fn string(&mut self) -> String {
+            const PIECES: [&str; 10] = [
+                "benign",
+                "scan/adversarial",
+                "with \"quotes\"",
+                "back\\slash",
+                "tab\there",
+                "new\nline",
+                "unicode-é😀",
+                "",
+                "ctrl-\u{1}",
+                "pps mice-churn",
+            ];
+            let mut s = String::new();
+            for _ in 0..(self.next() % 3 + 1) {
+                s.push_str(PIECES[(self.next() as usize) % PIECES.len()]);
+            }
+            s
+        }
+
+        fn number(&mut self) -> f64 {
+            match self.next() % 5 {
+                0 => self.next() as f64,                   // large integer
+                1 => (self.next() % 1_000) as f64 / 64.0,  // small dyadic fraction
+                2 => -((self.next() % 1_000_000) as f64),  // negative integer
+                3 => (self.next() % 97) as f64 * 0.001625, // decimal-ish
+                _ => 0.0,
+            }
+        }
+
+        /// A value nested at most `depth` levels; object keys come out in
+        /// draw order, not sorted.
+        fn value(&mut self, depth: u32) -> Value {
+            let kinds = if depth == 0 { 4 } else { 6 };
+            match self.next() % kinds {
+                0 => Value::Null,
+                1 => Value::Bool(self.next() % 2 == 0),
+                2 => Value::Num(self.number()),
+                3 => Value::Str(self.string()),
+                4 => Value::Arr(
+                    (0..self.next() % 4)
+                        .map(|_| self.value(depth - 1))
+                        .collect(),
+                ),
+                _ => Value::Obj(
+                    (0..self.next() % 5)
+                        .map(|i| {
+                            (
+                                format!("{}_{}", 9 - i, self.string()),
+                                self.value(depth - 1),
+                            )
+                        })
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn generated_values_round_trip() {
+        for seed in 0..512 {
+            let v = Lcg(seed).value(3);
+            let text = v.to_compact();
+            let back = Value::parse(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text}"));
+            assert_eq!(back, v, "seed {seed}");
+            // And the line itself is stable: re-serializing is a no-op.
+            assert_eq!(back.to_compact(), text, "seed {seed}");
+        }
     }
 }
