@@ -407,33 +407,37 @@ impl FastPath {
             Transport::Tcp(info) => {
                 let payload = info.payload;
 
-                // The flow lookup comes first (a hardware pipeline fetches
-                // per-flow state before the payload arrives); it also makes
-                // `flows_seen` accounting include flows whose very first
-                // packet diverts. It is the packet's only probe: the rules
-                // below share `state` until a teardown removes the entry.
+                // The flow's state is fetched first (a hardware pipeline
+                // fetches per-flow state before the payload arrives) and
+                // looked up after rules 0 and 1, so the scan hides the
+                // memory latency. Every packet, a diverting one too, does
+                // that one lookup, which keeps `flows_seen` counting flows
+                // whose very first packet diverts; the rules below share
+                // `state` until a teardown removes the entry through the
+                // same probe.
+                let probe = self.table.probe(&flow_key);
                 let d = match dir {
                     Direction::Forward => 0usize,
                     Direction::Backward => 1usize,
                 };
-                let (state, _) = self.table.get_or_insert_with(&flow_key, FlowState::default);
 
                 // Rule 0: the URG flag. Its delivery semantics differ
                 // across stacks (see sd-reassembly::urgent), so the fast
                 // path refuses to interpret it — the slow path, which
                 // knows the victim's semantics, takes over.
-                if self.params.divert_on_urgent && info.repr.flags.urg() {
-                    let v = divert(stats, DivertReason::Urgent);
-                    return done(Some(key), v);
-                }
-
+                //
                 // Rule 1: piece scan. One window-filtered walk of the piece
                 // automaton over the payload; this is the dominant
                 // per-byte cost of the whole fast path.
-                stats.bytes_scanned += payload.len() as u64;
-                if self.plan.scan(payload).is_some() {
-                    let v = divert(stats, DivertReason::PieceMatch);
-                    return done(Some(key), v);
+                let early = if self.params.divert_on_urgent && info.repr.flags.urg() {
+                    Some(DivertReason::Urgent)
+                } else {
+                    stats.bytes_scanned += payload.len() as u64;
+                    self.plan.scan(payload).map(|_| DivertReason::PieceMatch)
+                };
+                let (state, _) = self.table.get_or_insert_at(&probe, FlowState::default);
+                if let Some(reason) = early {
+                    return done(Some(key), divert(stats, reason));
                 }
 
                 // Rule 2: sequence monotonicity (data/FIN segments only —
@@ -472,7 +476,7 @@ impl FastPath {
                 // (Diverted flows never reach here — they short-circuit at
                 // the sticky set — so reclamation cannot un-divert.)
                 if info.repr.flags.rst() {
-                    if self.table.remove(&flow_key).is_some() {
+                    if self.table.remove_at(&probe).is_some() {
                         stats.reclaimed += 1;
                     }
                     return done(Some(key), Verdict::Benign);
@@ -480,7 +484,7 @@ impl FastPath {
                 if info.repr.flags.fin() {
                     state.set_fin(d);
                     if state.both_fins() {
-                        self.table.remove(&flow_key);
+                        self.table.remove_at(&probe);
                         stats.reclaimed += 1;
                         return done(Some(key), Verdict::Benign);
                     }
@@ -505,12 +509,14 @@ impl FastPath {
                 (Some(key), Verdict::Benign)
             }
             Transport::Udp(info) => {
-                // Same seen-flow accounting as TCP (the entry's counters
-                // are unused for UDP, but the slot is what "per-flow state"
-                // costs either way).
-                self.table.get_or_insert_with(&flow_key, FlowState::default);
+                // Same seen-flow accounting, finished after the scan, as
+                // TCP (the entry's counters are unused for UDP, but the
+                // slot is what "per-flow state" costs either way).
+                let probe = self.table.probe(&flow_key);
                 stats.bytes_scanned += info.payload.len() as u64;
-                if self.plan.scan(info.payload).is_some() {
+                let hit = self.plan.scan(info.payload).is_some();
+                self.table.get_or_insert_at(&probe, FlowState::default);
+                if hit {
                     let v = divert(stats, DivertReason::PieceMatch);
                     (Some(key), v)
                 } else {
@@ -866,9 +872,30 @@ mod tests {
         assert_eq!(v, Verdict::Benign);
         assert_eq!(f.stats().reclaimed, 1);
         // A new conversation on the same 5-tuple starts fresh (no stale
-        // next-seq to trip the order rule).
+        // next-seq to trip the order rule) in a fresh slot.
         let (_, v) = f.classify(&pkt(50_000, &[b'y'; 100]), not_diverted);
         assert_eq!(v, Verdict::Benign);
+        assert_eq!(f.table_stats().insertions, 2);
+    }
+
+    #[test]
+    fn urgent_and_piece_hit_packets_insert_their_flow() {
+        // Both rules decide before the lookup finishes, yet each packet of
+        // a brand-new flow still does its one lookup and inserts the flow.
+        let mut f = fast();
+        let urg = TcpPacketSpec::new("10.0.0.3:4000", "10.0.0.2:80")
+            .seq(1000)
+            .flags(TcpFlags::ACK.union(TcpFlags::URG))
+            .payload(b"urgent")
+            .build();
+        let (_, v) = f.classify(ip_of_frame(&urg), not_diverted);
+        assert_eq!(v, Verdict::Divert(DivertReason::Urgent));
+        assert_eq!(f.table_stats().insertions, 1);
+        let (_, v) = f.classify(&pkt(1000, b"....ABCDEFGH...."), not_diverted);
+        assert_eq!(v, Verdict::Divert(DivertReason::PieceMatch));
+        assert_eq!(f.table_stats().insertions, 2);
+        assert_eq!(f.table_stats().lookups, 2);
+        assert_eq!(f.stats().bytes_scanned, 16, "URG packets are not scanned");
     }
 
     #[test]
@@ -886,6 +913,8 @@ mod tests {
         assert_eq!(f.stats().reclaimed, 0, "one direction is half-closed");
         f.classify(&fin("10.0.0.2:80", "10.0.0.1:4000", 777), not_diverted);
         assert_eq!(f.stats().reclaimed, 1, "both FINs close the flow");
+        f.classify(&pkt(5000, &[b'y'; 100]), not_diverted);
+        assert_eq!(f.table_stats().insertions, 2, "the slot was freed");
     }
 
     #[test]

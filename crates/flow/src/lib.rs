@@ -10,17 +10,22 @@
 //!   production keys every table with a random seed (collision floods
 //!   cannot be precomputed), experiments pin one for reproducibility,
 //! * [`table`] — a fixed-capacity open-addressing flow table with CLOCK
-//!   (second-chance) eviction, allocation-free probing, and byte-accurate
-//!   memory accounting,
+//!   (second-chance) eviction, allocation-free probing over 16-byte
+//!   control groups, and byte-accurate memory accounting,
+//! * `prefetch` (crate-private) — the cache-line prefetch behind
+//!   [`FlowTable::probe`]; the crate's only `unsafe`, a no-op off x86-64,
 //! * [`bloom`] — a counting Bloom filter, the alternative fast-path
 //!   suspicion-counter backend evaluated in the ablations.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod bloom;
 pub mod hash;
 pub mod key;
+#[allow(unsafe_code)]
+mod prefetch;
 pub mod table;
 
 pub use bloom::CountingBloom;

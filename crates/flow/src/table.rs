@@ -5,40 +5,100 @@
 //!
 //! * **fixed capacity** — memory is provisioned once (the paper sizes for
 //!   ~1 M connections); no rehashing, no allocation per packet — lookups,
-//!   inserts and removes iterate the probe window in place and never touch
+//!   inserts and removes work on the probe window in place and never touch
 //!   the heap;
 //! * **bounded probing** — linear probing limited to a window of
 //!   [`PROBE_WINDOW`] slots, so the worst-case per-packet work is constant;
+//! * **one control group per window** — each slot has a control byte: 0
+//!   when empty, otherwise `0x80 | CLOCK bit 0x40 | 6-bit fingerprint`
+//!   taken from the top of the key's hash. The first `PROBE_WINDOW − 1`
+//!   control bytes are mirrored after the last, so every window's bytes
+//!   are one contiguous 16-byte group read as one `u128`. Finding the key,
+//!   the first free slot and the CLOCK victim are word operations on that
+//!   group (SWAR), and a key is compared only where its fingerprint
+//!   matches, so a lookup reads one control line and, on a hit, usually
+//!   one slot;
+//! * **fetch ahead** — [`FlowTable::probe`] hashes the key and prefetches
+//!   its control group and slot lines; [`FlowTable::get_or_insert_at`]
+//!   finishes the lookup later, so a caller with other work to do first
+//!   (the fast path's piece scan) hides the memory latency behind it;
 //! * **seeded hashing** — slot indices come from a per-instance
 //!   random-keyed hash ([`crate::hash::random_seed`] by default,
 //!   [`FlowTable::with_seed`] to pin one), so an adversary cannot
 //!   precompute flow keys that pile into one probe window and evict
 //!   tracked flows;
 //! * **CLOCK (second-chance) eviction** — when a window is full, the sweep
-//!   starts at a rotating hand (not the window head), clears reference
-//!   bits until an unreferenced entry is found, and evicts it; reference
-//!   bits are set on every hit. Evicting a live benign flow is harmless
-//!   for correctness (its counters restart at zero); the false-negative
-//!   risk this creates for *diverted* flows is handled a layer up, which
-//!   is why diversion is sticky in `splitdetect`;
+//!   starts at a hand shared by all windows (not the window head), clears
+//!   reference bits until an unreferenced entry is found, and evicts it;
+//!   reference bits are set on every hit. Evicting a live benign flow is
+//!   harmless for correctness (its counters restart at zero); the
+//!   false-negative risk this creates for *diverted* flows is handled a
+//!   layer up, which is why diversion is sticky in `splitdetect`;
 //! * **byte-accurate accounting** — [`FlowTable::memory_bytes`] reports the
 //!   provisioned footprint the way the paper's state comparison counts it.
 
 use std::mem;
+use std::net::Ipv4Addr;
 
 use crate::hash::{hash_key_seeded, random_seed};
 use crate::key::FlowKey;
+use crate::prefetch;
 
 /// Probe window: how many consecutive slots a key may occupy. Bounds the
 /// per-packet worst case; 16 keeps the false-eviction rate negligible below
-/// 90 % occupancy while staying cache-friendly (16 slots × ~24 B ≈ 6 lines).
+/// 90 % occupancy, and its 16 control bytes are one `u128` group (the slots
+/// behind it span 7–8 cache lines, which a hit rarely needs more than one
+/// of).
 pub const PROBE_WINDOW: usize = 16;
 
+/// Control byte of an empty slot.
+const EMPTY: u8 = 0;
+/// Control bit every occupied slot has.
+const OCCUPIED: u8 = 0x80;
+/// Control bit: the CLOCK reference bit.
+const REFERENCED: u8 = 0x40;
+/// `0x01` in every byte of a group.
+const BYTES: u128 = u128::MAX / 0xFF;
+
+/// `BYTES * b`: the byte `b` in every lane of a group.
+const fn splat(b: u8) -> u128 {
+    BYTES * b as u128
+}
+
+/// Lanes of `group` equal to zero, as each lane's top bit. Exact: no carry
+/// crosses a lane, so no nonzero lane is reported.
+fn zero_lanes(group: u128) -> u128 {
+    let low7 = splat(0x7F);
+    !(((group & low7) + low7) | group) & splat(0x80)
+}
+
+/// Window positions of the lane bits in `lanes`, lowest first.
+fn positions(mut lanes: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (lanes != 0).then(|| {
+            let pos = lanes.trailing_zeros() as usize / 8;
+            lanes &= lanes - 1;
+            pos
+        })
+    })
+}
+
+/// The key every empty slot holds; only the control byte says a slot is
+/// empty, so the value never matters.
+const VACANT: FlowKey = FlowKey {
+    addr_a: Ipv4Addr::UNSPECIFIED,
+    addr_b: Ipv4Addr::UNSPECIFIED,
+    port_a: 0,
+    port_b: 0,
+    proto: 0,
+};
+
+/// Occupancy lives in the control byte alone, so a slot carries no tag:
+/// 28 B for the fast path's 12-byte `FlowState`.
 #[derive(Debug, Clone)]
 struct Slot<V> {
     key: FlowKey,
     value: V,
-    referenced: bool,
 }
 
 /// Outcome of [`FlowTable::get_or_insert_with`].
@@ -65,6 +125,18 @@ pub struct TableStats {
     pub evictions: u64,
 }
 
+/// A key hashed against one table: where its probe window starts and the
+/// control byte it carries when resident. [`FlowTable::probe`] makes it
+/// (and starts fetching the window); [`FlowTable::get_or_insert_at`] and
+/// [`FlowTable::remove_at`] on the same table spend it without hashing
+/// again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probe {
+    key: FlowKey,
+    start: usize,
+    tag: u8,
+}
+
 /// Fixed-capacity open-addressing hash table keyed by [`FlowKey`].
 ///
 /// ```
@@ -82,7 +154,10 @@ pub struct TableStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlowTable<V> {
-    slots: Vec<Option<Slot<V>>>,
+    /// One control byte per slot, then the first `PROBE_WINDOW − 1` again
+    /// so no window's group wraps.
+    ctrl: Vec<u8>,
+    slots: Vec<Slot<V>>,
     mask: usize,
     len: usize,
     seed: u64,
@@ -94,7 +169,7 @@ pub struct FlowTable<V> {
     stats: TableStats,
 }
 
-impl<V> FlowTable<V> {
+impl<V: Default> FlowTable<V> {
     /// Create a table with at least `capacity` slots (rounded up to a power
     /// of two, minimum [`PROBE_WINDOW`]) and a process-random hash seed —
     /// the production default, which keeps precomputed collision floods
@@ -108,8 +183,12 @@ impl<V> FlowTable<V> {
     pub fn with_seed(capacity: usize, seed: u64) -> Self {
         let cap = capacity.max(PROBE_WINDOW).next_power_of_two();
         let mut slots = Vec::with_capacity(cap);
-        slots.resize_with(cap, || None);
+        slots.resize_with(cap, || Slot {
+            key: VACANT,
+            value: V::default(),
+        });
         FlowTable {
+            ctrl: vec![EMPTY; cap + PROBE_WINDOW - 1],
             slots,
             mask: cap - 1,
             len: 0,
@@ -119,6 +198,34 @@ impl<V> FlowTable<V> {
         }
     }
 
+    /// Remove `key`, returning its value.
+    pub fn remove(&mut self, key: &FlowKey) -> Option<V> {
+        let probe = self.locate(key);
+        self.remove_at(&probe)
+    }
+
+    /// [`remove`](Self::remove) through a probe this table made, without
+    /// hashing the key again.
+    pub fn remove_at(&mut self, probe: &Probe) -> Option<V> {
+        let idx = self.find_at(probe)?;
+        self.set_ctrl(idx, EMPTY);
+        self.len -= 1;
+        Some(mem::take(&mut self.slots[idx].value))
+    }
+
+    /// Drop all entries, keeping the provisioned capacity and stats.
+    pub fn clear(&mut self) {
+        for (ctrl, slot) in self.ctrl.iter().zip(&mut self.slots) {
+            if *ctrl != EMPTY {
+                slot.value = V::default();
+            }
+        }
+        self.ctrl.fill(EMPTY);
+        self.len = 0;
+    }
+}
+
+impl<V> FlowTable<V> {
     /// The hash seed slot indices derive from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -145,9 +252,9 @@ impl<V> FlowTable<V> {
     }
 
     /// Provisioned memory footprint in bytes: every slot costs one key, one
-    /// value, and one reference bit (rounded to a byte), whether occupied or
-    /// not — a fixed-size hardware table is paid for up front, which is how
-    /// the paper's state comparison counts it.
+    /// value, and one control byte (occupancy, CLOCK bit, fingerprint),
+    /// whether occupied or not — a fixed-size hardware table is paid for up
+    /// front, which is how the paper's state comparison counts it.
     pub fn memory_bytes(&self) -> usize {
         self.capacity() * Self::slot_bytes()
     }
@@ -157,39 +264,96 @@ impl<V> FlowTable<V> {
         FlowKey::WIRE_BYTES + mem::size_of::<V>() + 1
     }
 
-    /// First slot index of the key's probe window.
-    fn start(&self, key: &FlowKey) -> usize {
-        hash_key_seeded(self.seed, key) as usize & self.mask
+    /// Hash `key` once: its window start from the low bits, its
+    /// fingerprint from the top six.
+    fn locate(&self, key: &FlowKey) -> Probe {
+        let hash = hash_key_seeded(self.seed, key);
+        Probe {
+            key: *key,
+            start: hash as usize & self.mask,
+            tag: OCCUPIED | (hash >> 58) as u8,
+        }
     }
 
-    /// Slot index of `key` within its probe window, scanning in place (the
-    /// hot paths below must not allocate).
-    fn find(&self, key: &FlowKey) -> Option<usize> {
-        let start = self.start(key);
-        for i in 0..PROBE_WINDOW {
-            let idx = (start + i) & self.mask;
-            if self.slots[idx].as_ref().is_some_and(|s| s.key == *key) {
-                return Some(idx);
-            }
+    /// Hash `key` and start fetching its probe window — the control group
+    /// and the slots behind it — so that a later
+    /// [`get_or_insert_at`](Self::get_or_insert_at) finds them in cache.
+    /// Even with no work in between, the slot lines then load alongside
+    /// the control line rather than after it.
+    pub fn probe(&self, key: &FlowKey) -> Probe {
+        let probe = self.locate(key);
+        let end = probe.start + PROBE_WINDOW;
+        prefetch::lines(&self.ctrl[probe.start..end]);
+        prefetch::lines(&self.slots[probe.start..end.min(self.capacity())]);
+        if let Some(wrapped) = end.checked_sub(self.capacity()) {
+            prefetch::lines(&self.slots[..wrapped]);
         }
-        None
+        probe
+    }
+
+    /// The 16 control bytes of the window starting at `start`; byte `i`
+    /// (lane `i`) is slot `(start + i) & mask`.
+    fn group(&self, start: usize) -> u128 {
+        let bytes = &self.ctrl[start..start + PROBE_WINDOW];
+        u128::from_le_bytes(bytes.try_into().expect("a group is 16 bytes"))
+    }
+
+    /// Set slot `idx`'s control byte and its mirror.
+    fn set_ctrl(&mut self, idx: usize, ctrl: u8) {
+        self.ctrl[idx] = ctrl;
+        if idx < PROBE_WINDOW - 1 {
+            self.ctrl[self.slots.len() + idx] = ctrl;
+        }
+    }
+
+    /// Write back the window group starting at `start`, mirrors included.
+    fn store_group(&mut self, start: usize, group: u128) {
+        let cap = self.slots.len();
+        let end = start + PROBE_WINDOW;
+        self.ctrl[start..end].copy_from_slice(&group.to_le_bytes());
+        // Primaries written (slots below `PROBE_WINDOW − 1`) refresh their
+        // mirrors; mirrors written (a group that wraps) refresh their
+        // primaries. Only a 16-slot table needs both.
+        let primaries = start..end.min(PROBE_WINDOW - 1);
+        if !primaries.is_empty() {
+            self.ctrl
+                .copy_within(primaries.clone(), cap + primaries.start);
+        }
+        if end > cap {
+            let mirrors = start.max(cap)..end;
+            self.ctrl.copy_within(mirrors.clone(), mirrors.start - cap);
+        }
+    }
+
+    /// Slot index of the probe's key in `group`, comparing keys only where
+    /// the fingerprint matches.
+    fn find_in(&self, group: u128, probe: &Probe) -> Option<usize> {
+        debug_assert_eq!(*probe, self.locate(&probe.key), "a probe of this table");
+        let candidates = zero_lanes((group & !splat(REFERENCED)) ^ splat(probe.tag));
+        positions(candidates)
+            .map(|pos| (probe.start + pos) & self.mask)
+            .find(|&idx| self.slots[idx].key == probe.key)
+    }
+
+    fn find_at(&self, probe: &Probe) -> Option<usize> {
+        self.find_in(self.group(probe.start), probe)
     }
 
     /// Look up `key`, setting its reference bit on a hit.
     pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut V> {
         self.stats.lookups += 1;
-        let idx = self.find(key)?;
+        let probe = self.locate(key);
+        let idx = self.find_at(&probe)?;
         self.stats.hits += 1;
-        let slot = self.slots[idx].as_mut().expect("find returned occupied");
-        slot.referenced = true;
-        Some(&mut slot.value)
+        self.set_ctrl(idx, probe.tag | REFERENCED);
+        Some(&mut self.slots[idx].value)
     }
 
     /// Look up `key` without touching reference bits or stats (read-only
     /// inspection for tests and reporting).
     pub fn peek(&self, key: &FlowKey) -> Option<&V> {
-        self.find(key)
-            .map(|idx| &self.slots[idx].as_ref().expect("occupied").value)
+        self.find_at(&self.locate(key))
+            .map(|idx| &self.slots[idx].value)
     }
 
     /// Look up `key`, inserting `make()` if absent. Runs CLOCK eviction
@@ -199,98 +363,78 @@ impl<V> FlowTable<V> {
         key: &FlowKey,
         make: impl FnOnce() -> V,
     ) -> (&mut V, InsertOutcome) {
-        self.stats.lookups += 1;
-        let start = self.start(key);
-        let mask = self.mask;
-
-        let mut free: Option<usize> = None;
-        let mut hit: Option<usize> = None;
-        for i in 0..PROBE_WINDOW {
-            let idx = (start + i) & mask;
-            match &self.slots[idx] {
-                Some(slot) if slot.key == *key => {
-                    hit = Some(idx);
-                    break;
-                }
-                Some(_) => {}
-                None => {
-                    if free.is_none() {
-                        free = Some(idx);
-                    }
-                }
-            }
-        }
-        if let Some(idx) = hit {
-            self.stats.hits += 1;
-            let slot = self.slots[idx].as_mut().expect("hit is occupied");
-            slot.referenced = true;
-            return (&mut slot.value, InsertOutcome::Found);
-        }
-
-        let (idx, outcome) = match free {
-            Some(idx) => {
-                self.len += 1;
-                (idx, InsertOutcome::Inserted)
-            }
-            None => {
-                // CLOCK sweep over the window, starting at the rotating
-                // hand rather than the window head (a head-anchored sweep
-                // hammers the earliest unreferenced slot under sustained
-                // pressure): clear reference bits until an unreferenced
-                // victim is found; if every entry was referenced, the
-                // first (now-cleared) slot swept is the victim. The hand
-                // advances past the victim either way.
-                let mut victim_pos = self.hand;
-                for j in 0..PROBE_WINDOW {
-                    let pos = (self.hand + j) % PROBE_WINDOW;
-                    let idx = (start + pos) & mask;
-                    let slot = self.slots[idx].as_mut().expect("window is full");
-                    if slot.referenced {
-                        slot.referenced = false;
-                    } else {
-                        victim_pos = pos;
-                        break;
-                    }
-                }
-                self.hand = (victim_pos + 1) % PROBE_WINDOW;
-                self.stats.evictions += 1;
-                (
-                    (start + victim_pos) & mask,
-                    InsertOutcome::InsertedWithEviction,
-                )
-            }
-        };
-
-        self.stats.insertions += 1;
-        self.slots[idx] = Some(Slot {
-            key: *key,
-            value: make(),
-            referenced: true,
-        });
-        let v = &mut self.slots[idx].as_mut().unwrap().value;
-        (v, outcome)
+        self.get_or_insert_at(&self.probe(key), make)
     }
 
-    /// Remove `key`, returning its value.
-    pub fn remove(&mut self, key: &FlowKey) -> Option<V> {
-        let idx = self.find(key)?;
-        self.len -= 1;
-        self.slots[idx].take().map(|s| s.value)
+    /// [`get_or_insert_with`](Self::get_or_insert_with) through a probe
+    /// this table made: the key is not hashed again, and the window is
+    /// already in flight if the caller did other work since
+    /// [`probe`](Self::probe).
+    pub fn get_or_insert_at(
+        &mut self,
+        probe: &Probe,
+        make: impl FnOnce() -> V,
+    ) -> (&mut V, InsertOutcome) {
+        self.stats.lookups += 1;
+        let group = self.group(probe.start);
+        if let Some(idx) = self.find_in(group, probe) {
+            self.stats.hits += 1;
+            self.set_ctrl(idx, probe.tag | REFERENCED);
+            return (&mut self.slots[idx].value, InsertOutcome::Found);
+        }
+        let (pos, outcome) = match positions(!group & splat(OCCUPIED)).next() {
+            Some(pos) => {
+                self.len += 1;
+                (pos, InsertOutcome::Inserted)
+            }
+            None => (
+                self.evict(probe.start, group),
+                InsertOutcome::InsertedWithEviction,
+            ),
+        };
+        let idx = (probe.start + pos) & self.mask;
+        self.stats.insertions += 1;
+        self.set_ctrl(idx, probe.tag | REFERENCED);
+        self.slots[idx] = Slot {
+            key: probe.key,
+            value: make(),
+        };
+        (&mut self.slots[idx].value, outcome)
+    }
+
+    /// CLOCK sweep over a full window, starting at the shared hand rather
+    /// than the window head (a head-anchored sweep hammers the earliest
+    /// unreferenced slot under sustained pressure): clear reference bits
+    /// until an unreferenced victim is found; if every entry was
+    /// referenced, the first (now-cleared) slot swept is the victim. The
+    /// hand advances past the victim either way. Returns the victim's
+    /// window position.
+    fn evict(&mut self, start: usize, group: u128) -> usize {
+        let hand = self.hand;
+        let turn = 8 * hand as u32;
+        // Lane `j` of the rotated group is window position `(hand + j) % 16`.
+        let rotated = group.rotate_right(turn);
+        let (victim, swept) = match positions(!rotated & splat(REFERENCED)).next() {
+            Some(j) => (j, (1u128 << (8 * j)) - 1),
+            None => (0, u128::MAX),
+        };
+        if swept != 0 {
+            let cleared = rotated & !(swept & splat(REFERENCED));
+            self.store_group(start, cleared.rotate_left(turn));
+        }
+        let pos = (hand + victim) % PROBE_WINDOW;
+        self.hand = (pos + 1) % PROBE_WINDOW;
+        self.stats.evictions += 1;
+        pos
     }
 
     /// Iterate over live `(key, value)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (&FlowKey, &V)> {
-        self.slots
+        self.ctrl
             .iter()
-            .filter_map(|s| s.as_ref().map(|s| (&s.key, &s.value)))
-    }
-
-    /// Drop all entries, keeping the provisioned capacity and stats.
-    pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
-        self.len = 0;
+            .zip(&self.slots)
+            .filter(|(ctrl, _)| **ctrl != EMPTY)
+            .map(|(_, slot)| (&slot.key, &slot.value))
     }
 }
 
@@ -393,21 +537,64 @@ mod tests {
         );
     }
 
+    /// Brute-force `n` distinct keys whose seed-`seed` hash passes `pick`.
+    fn keys_where(seed: u64, n: usize, pick: impl Fn(u64) -> bool) -> Vec<FlowKey> {
+        (0..)
+            .map(key)
+            .filter(|k| pick(crate::hash::hash_key_seeded(seed, k)))
+            .take(n)
+            .collect()
+    }
+
     /// Brute-force `n` distinct keys whose probe windows all start at slot
     /// `target` of a `cap`-slot table hashed with `seed` — the collision
     /// flood an adversary could precompute against a *fixed* public hash.
     fn colliding_keys(seed: u64, cap: usize, target: usize, n: usize) -> Vec<FlowKey> {
-        let mask = cap - 1;
-        let mut out = Vec::new();
-        let mut c = 0u32;
-        while out.len() < n {
-            let k = key(c);
-            if crate::hash::hash_key_seeded(seed, &k) as usize & mask == target {
-                out.push(k);
-            }
-            c += 1;
+        keys_where(seed, n, |h| h as usize & (cap - 1) == target)
+    }
+
+    #[test]
+    fn fingerprint_collisions_compare_keys() {
+        // A full window of keys with one start and one fingerprint: every
+        // control byte matches every probe, so only the key compare tells
+        // them apart.
+        let (seed, cap) = (5u64, 256usize);
+        let keys = keys_where(seed, PROBE_WINDOW, |h| {
+            h as usize & (cap - 1) == 17 && h >> 58 == 0x2A
+        });
+        let mut t: FlowTable<usize> = FlowTable::with_seed(cap, seed);
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(t.get_or_insert_with(k, || i).1, InsertOutcome::Inserted);
         }
-        out
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(t.peek(k), Some(&i));
+            *t.get_mut(k).unwrap() += 100;
+        }
+        assert_eq!(t.remove(&keys[3]), Some(103));
+        for (i, k) in keys.iter().enumerate().filter(|&(i, _)| i != 3) {
+            let (v, outcome) = t.get_or_insert_with(k, || 0);
+            assert_eq!((*v, outcome), (i + 100, InsertOutcome::Found));
+        }
+        assert_eq!(t.peek(&keys[3]), None);
+        assert_eq!(t.stats().evictions, 0);
+    }
+
+    #[test]
+    fn flow_state_slot_is_28_bytes() {
+        // The fast path's `FlowState` layout: 12 bytes at alignment 4. With
+        // occupancy in the control byte its slot is key + value padded to
+        // 28 B, not the 32 B a tagged `Option<(key, value)>` takes.
+        struct FlowStateLayout {
+            _next_seq: [u32; 2],
+            _small_count: [u8; 2],
+            _flags: u8,
+        }
+        assert_eq!(mem::size_of::<FlowStateLayout>(), 12);
+        assert_eq!(mem::size_of::<Slot<FlowStateLayout>>(), 28);
+        assert_eq!(
+            FlowTable::<FlowStateLayout>::slot_bytes(),
+            FlowKey::WIRE_BYTES + 12 + 1
+        );
     }
 
     #[test]

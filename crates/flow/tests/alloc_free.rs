@@ -3,7 +3,8 @@
 //! `FlowTable::{get_mut, get_or_insert_with, remove}` used to collect the
 //! probe window into a `Vec<usize>` on every call — a heap allocation per
 //! packet on the fast path. This test wraps the global allocator in a
-//! counter and pins that the lookup/insert/evict/remove paths (and the
+//! counter and pins that the lookup/insert/evict/remove paths (the
+//! `probe` → `get_or_insert_at` → `remove_at` split included, and the
 //! counting-Bloom operations) perform **zero** heap allocations once the
 //! structures are built.
 //!
@@ -93,6 +94,14 @@ fn hot_paths_do_not_allocate() {
     }
     for k in &keys[..512] {
         table.remove(k);
+    }
+    // The fetch-ahead split: probe, then insert or find, then remove.
+    for k in &keys[..1024] {
+        let probe = table.probe(k);
+        table.get_or_insert_at(&probe, || 3);
+        if k.port_a % 2 == 0 {
+            table.remove_at(&probe);
+        }
     }
     for k in &keys {
         bloom.increment(k);

@@ -1,12 +1,14 @@
-//! Property tests: the flow table against a reference map, the Bloom filter
-//! against its one-sided error guarantee, and key canonicalization.
+//! Property tests: the flow table against a reference map and against a
+//! linear-scan CLOCK model, the Bloom filter against its one-sided error
+//! guarantee, and key canonicalization.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
+use sd_flow::hash::hash_key_seeded;
 use sd_flow::key::{Direction, FlowKey};
-use sd_flow::table::FlowTable;
+use sd_flow::table::{FlowTable, InsertOutcome, TableStats, PROBE_WINDOW};
 use sd_flow::CountingBloom;
 
 fn arb_endpoint() -> impl Strategy<Value = (Ipv4Addr, u16)> {
@@ -18,7 +20,153 @@ fn arb_key() -> impl Strategy<Value = FlowKey> {
         .prop_map(|(src, dst, proto)| FlowKey::from_endpoints(proto, src, dst).0)
 }
 
+/// The flow table without control bytes: `Option` slots with a reference
+/// bit each, every lookup a linear scan of the window, and the CLOCK sweep
+/// one slot at a time from a hand shared by all windows. The control-byte
+/// table must make exactly its decisions.
+struct LinearClock {
+    slots: Vec<Option<(FlowKey, u64, bool)>>,
+    seed: u64,
+    hand: usize,
+    stats: TableStats,
+}
+
+impl LinearClock {
+    fn new(capacity: usize, seed: u64) -> Self {
+        LinearClock {
+            slots: vec![None; capacity],
+            seed,
+            hand: 0,
+            stats: TableStats::default(),
+        }
+    }
+
+    fn window(&self, key: &FlowKey) -> Vec<usize> {
+        let mask = self.slots.len() - 1;
+        let start = hash_key_seeded(self.seed, key) as usize & mask;
+        (0..PROBE_WINDOW).map(|i| (start + i) & mask).collect()
+    }
+
+    fn find(&self, key: &FlowKey) -> Option<usize> {
+        self.window(key)
+            .into_iter()
+            .find(|&i| matches!(self.slots[i], Some((k, ..)) if k == *key))
+    }
+
+    fn get_mut(&mut self, key: &FlowKey) -> Option<&mut u64> {
+        self.stats.lookups += 1;
+        let i = self.find(key)?;
+        self.stats.hits += 1;
+        let (_, value, referenced) = self.slots[i].as_mut().expect("found");
+        *referenced = true;
+        Some(value)
+    }
+
+    fn peek(&self, key: &FlowKey) -> Option<&u64> {
+        self.find(key)
+            .map(|i| &self.slots[i].as_ref().expect("found").1)
+    }
+
+    fn remove(&mut self, key: &FlowKey) -> Option<u64> {
+        let i = self.find(key)?;
+        self.slots[i].take().map(|(_, value, _)| value)
+    }
+
+    /// The value now stored for `key`, the outcome, and the evicted key.
+    fn get_or_insert(
+        &mut self,
+        key: &FlowKey,
+        value: u64,
+    ) -> (u64, InsertOutcome, Option<FlowKey>) {
+        if let Some(v) = self.get_mut(key) {
+            return (*v, InsertOutcome::Found, None);
+        }
+        let window = self.window(key);
+        let (i, outcome, victim) = match window.iter().find(|&&i| self.slots[i].is_none()) {
+            Some(&i) => (i, InsertOutcome::Inserted, None),
+            None => {
+                let mut victim = self.hand;
+                for j in 0..PROBE_WINDOW {
+                    let pos = (self.hand + j) % PROBE_WINDOW;
+                    let (_, _, referenced) = self.slots[window[pos]].as_mut().expect("full");
+                    if !*referenced {
+                        victim = pos;
+                        break;
+                    }
+                    *referenced = false;
+                }
+                self.hand = (victim + 1) % PROBE_WINDOW;
+                self.stats.evictions += 1;
+                let evicted = self.slots[window[victim]].map(|(k, ..)| k);
+                (window[victim], InsertOutcome::InsertedWithEviction, evicted)
+            }
+        };
+        self.stats.insertions += 1;
+        self.slots[i] = Some((*key, value, true));
+        (value, outcome, victim)
+    }
+
+    /// Live entries in slot order.
+    fn live(&self) -> Vec<(FlowKey, u64)> {
+        self.slots
+            .iter()
+            .flatten()
+            .map(|&(k, v, _)| (k, v))
+            .collect()
+    }
+}
+
 proptest! {
+    /// Under eviction pressure (three keys per slot) on tables small enough
+    /// that windows wrap across the mirrored control bytes, the table makes
+    /// the linear-scan model's decisions: equal outcomes and values, equal
+    /// stats, the same victim at every eviction, and every entry in the
+    /// same slot.
+    #[test]
+    fn table_matches_linear_clock_model(
+        capacity in prop::sample::select(vec![16usize, 32, 64]),
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..6, 0u32..192), 1..400),
+    ) {
+        let mut table: FlowTable<u64> = FlowTable::with_seed(capacity, seed);
+        let mut model = LinearClock::new(capacity, seed);
+        for (n, (op, kn)) in ops.into_iter().enumerate() {
+            let k = FlowKey::from_endpoints(
+                6,
+                (Ipv4Addr::from(0x0a00_0000 + kn % (3 * capacity as u32)), 1000),
+                (Ipv4Addr::from(0x0a01_0001u32), 80),
+            )
+            .0;
+            match op {
+                0..=2 => {
+                    let (v, outcome) = table.get_or_insert_with(&k, || n as u64);
+                    let (mv, moutcome, victim) = model.get_or_insert(&k, n as u64);
+                    prop_assert_eq!((*v, outcome), (mv, moutcome));
+                    if let Some(victim) = victim {
+                        prop_assert!(table.peek(&victim).is_none(), "a different victim");
+                    }
+                }
+                3 => {
+                    let got = table.get_mut(&k).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    let want = model.get_mut(&k).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                4 => prop_assert_eq!(table.remove(&k), model.remove(&k)),
+                _ => prop_assert_eq!(table.peek(&k), model.peek(&k)),
+            }
+            prop_assert_eq!(table.stats(), model.stats);
+            let live: Vec<(FlowKey, u64)> = table.iter().map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(table.len(), live.len());
+            prop_assert_eq!(live, model.live());
+        }
+    }
+
     /// Canonicalization: swapping src and dst never changes the key, and
     /// `oriented` inverts it.
     #[test]
