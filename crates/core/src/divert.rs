@@ -18,6 +18,22 @@
 //!    diversion. Setting its length to 0 gives the divert-from-now
 //!    ablation, which E10 shows breaks detection for split signatures.
 //!
+//! ## The delay line
+//!
+//! The FIFO is the forwarding buffer hardware already has: one byte ring
+//! of `delay_line_packets ×` [`SLOT_BYTES`], allocated once, plus a fixed
+//! index of `(key, offset, len, replayed)` entries, one per buffered
+//! packet, oldest first. A 1500-byte slot is one Ethernet-MTU datagram, so
+//! any `delay_line_packets` packets of at most 1500 B fit at once; larger
+//! packets take more of the ring and the oldest entries are overwritten
+//! when either the packet bound or the byte bound is hit. A packet may
+//! straddle the ring's end (two copies in, two out); one longer than the
+//! whole ring is not buffered. Recording is one copy and one index push,
+//! and nothing on that path allocates. Diverting copies the flow's
+//! unreplayed packets out and marks them replayed in place; they keep
+//! their slots until overwritten, so nothing is replayed twice. The
+//! footprint is constant: the ring, plus the index at its wire size.
+//!
 //! ## The diverted-set bound
 //!
 //! The sticky set is bounded; what happens *at* the bound is a policy
@@ -33,17 +49,19 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
+use std::ops::Range;
 
-use sd_flow::FlowKey;
+use sd_flow::{FlowKey, SeededState};
 
 /// Default bound on remembered diverted flows.
 pub const DEFAULT_MAX_DIVERTED: usize = 1 << 20;
 
-/// Ceiling on a pooled delay-line buffer's retained capacity. Buffers are
-/// reused across packets and `Vec` never shrinks on `clear()`, so one
-/// jumbo burst would otherwise ratchet every recycled buffer to jumbo
-/// capacity forever; recycling clamps them back to one jumbo frame.
-pub const POOL_BUFFER_CAP_BYTES: usize = 9216;
+/// Ring bytes per delay-line packet: one Ethernet-MTU datagram.
+pub const SLOT_BYTES: usize = 1500;
+
+/// Bytes an index entry is accounted at: the key's wire size, a 4-byte
+/// ring offset and a 2-byte length.
+const INDEX_ENTRY_BYTES: usize = FlowKey::WIRE_BYTES + 4 + 2;
 
 /// What the diversion manager does when a new flow must divert but the
 /// sticky set is at its bound.
@@ -106,47 +124,67 @@ pub struct DivertStats {
     pub policy: EvictionPolicy,
 }
 
+/// The ranges of a `ring_len`-byte ring that `len` bytes from `offset`
+/// occupy: up to the ring's end, then on from its start.
+fn spans(ring_len: usize, offset: usize, len: usize) -> (Range<usize>, Range<usize>) {
+    let first = len.min(ring_len - offset);
+    (offset..offset + first, 0..len - first)
+}
+
+/// One buffered packet: where its bytes sit in the ring.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: FlowKey,
+    /// Already handed to the slow path; kept until overwritten.
+    replayed: bool,
+    offset: usize,
+    len: usize,
+}
+
 /// The diversion manager.
 #[derive(Debug)]
 pub struct DiversionManager {
-    diverted: HashSet<FlowKey>,
+    diverted: HashSet<FlowKey, SeededState>,
     /// Insertion order of `diverted`, for deterministic FIFO eviction.
     /// Entries leave the set only through this queue, so the two stay in
     /// lockstep.
     order: VecDeque<FlowKey>,
     max_diverted: usize,
     policy: EvictionPolicy,
-    delay: VecDeque<(FlowKey, Vec<u8>)>,
+    /// The delay line's bytes, `delay_cap ×` [`SLOT_BYTES`].
+    ring: Box<[u8]>,
+    /// The buffered packets, oldest first. At most `delay_cap` entries, so
+    /// it never grows past its first allocation.
+    index: VecDeque<Entry>,
     delay_cap: usize,
-    /// Sum of *capacities* (not lengths) of the delay line's buffers —
-    /// reused buffers retain capacity across packets, so capacity is what
-    /// the allocator actually holds.
-    delay_buf_bytes: usize,
-    /// Retired buffers reused by `record` — the delay line is the hottest
-    /// allocation site on the fast path (one buffer per packet), so at
-    /// steady state it must not touch the allocator, mirroring the fixed
-    /// FIFO a hardware delay line is. Bounded at `delay_cap` entries, each
-    /// clamped to [`POOL_BUFFER_CAP_BYTES`].
-    pool: Vec<Vec<u8>>,
-    /// Sum of capacities of pooled buffers.
-    pool_buf_bytes: usize,
+    /// Ring offset the next packet is written at.
+    head: usize,
+    /// Ring bytes the index's entries occupy: they run contiguously from
+    /// `head − used` (mod the ring) up to `head`.
+    used: usize,
     stats: DivertStats,
 }
 
 impl DiversionManager {
     /// Build with a delay line of `delay_cap` packets, a diverted set of
     /// at most `max_diverted` flows and its bound policy.
+    ///
+    /// # Panics
+    /// Panics if `delay_cap ×` [`SLOT_BYTES`] overflows `usize`.
     pub fn with_policy(delay_cap: usize, max_diverted: usize, policy: EvictionPolicy) -> Self {
+        let ring_len = delay_cap
+            .checked_mul(SLOT_BYTES)
+            .expect("delay line of delay_cap × SLOT_BYTES overflows usize");
         DiversionManager {
-            diverted: HashSet::new(),
+            diverted: HashSet::with_hasher(SeededState::new()),
             order: VecDeque::new(),
             max_diverted: max_diverted.max(1),
             policy,
-            delay: VecDeque::new(),
+            ring: vec![0; ring_len].into_boxed_slice(),
+            index: VecDeque::with_capacity(delay_cap),
             delay_cap,
-            delay_buf_bytes: 0,
-            pool: Vec::new(),
-            pool_buf_bytes: 0,
+            head: 0,
+            used: 0,
             stats: DivertStats {
                 policy,
                 ..DivertStats::default()
@@ -177,52 +215,41 @@ impl DiversionManager {
         }
     }
 
-    /// Retire a buffer into the pool: bounded entry count, clamped
-    /// capacity. A buffer that does not fit is simply dropped — the
-    /// allocator reclaims it and steady-state memory stays bounded.
-    fn recycle(&mut self, mut buf: Vec<u8>) {
-        if self.pool.len() >= self.delay_cap {
-            return;
-        }
-        buf.clear();
-        if buf.capacity() > POOL_BUFFER_CAP_BYTES {
-            buf.shrink_to(POOL_BUFFER_CAP_BYTES);
-        }
-        self.pool_buf_bytes += buf.capacity();
-        self.pool.push(buf);
-    }
-
-    /// Record a benign-so-far packet into the delay line.
+    /// Record a benign-so-far packet into the delay line, overwriting the
+    /// oldest packets as the packet or byte bound requires.
     pub fn record(&mut self, key: FlowKey, packet: &[u8]) {
         self.stats.recorded_packets += 1;
-        if self.delay_cap == 0 {
+        let len = packet.len();
+        if self.delay_cap == 0 || len > self.ring.len() {
             return;
         }
-        let mut buf = match self.pool.pop() {
-            Some(b) => {
-                self.pool_buf_bytes -= b.capacity();
-                b
-            }
-            None => Vec::new(),
-        };
-        buf.clear();
-        buf.extend_from_slice(packet);
-        self.delay_buf_bytes += buf.capacity();
-        self.delay.push_back((key, buf));
-        while self.delay.len() > self.delay_cap {
-            if let Some((_, dropped)) = self.delay.pop_front() {
-                self.delay_buf_bytes -= dropped.capacity();
-                // A dropped packet whose flow later diverts never reaches
-                // the slow path, and that erosion is not counted. The
-                // buffer itself goes back to the pool.
-                self.recycle(dropped);
-            }
+        while self.index.len() == self.delay_cap || self.used + len > self.ring.len() {
+            // A dropped packet whose flow later diverts never reaches the
+            // slow path, and that erosion is not counted.
+            let oldest = self.index.pop_front().expect("a full line has entries");
+            self.used -= oldest.len;
         }
+        let offset = self.head;
+        let (tail, wrapped) = spans(self.ring.len(), offset, len);
+        let split = tail.len();
+        self.ring[tail].copy_from_slice(&packet[..split]);
+        self.ring[wrapped].copy_from_slice(&packet[split..]);
+        self.head = offset + len;
+        if self.head >= self.ring.len() {
+            self.head -= self.ring.len();
+        }
+        self.used += len;
+        self.index.push_back(Entry {
+            key,
+            replayed: false,
+            offset,
+            len,
+        });
     }
 
     /// Mark a flow diverted and return its delay-line history, oldest
-    /// first. The history is removed from the line (those packets now
-    /// belong to the slow path).
+    /// first. The history is marked replayed (those packets now belong to
+    /// the slow path) and is never returned again.
     ///
     /// At the diverted-set bound the configured [`EvictionPolicy`]
     /// applies: `EvictOldest` sheds the oldest diversion to admit this
@@ -250,29 +277,27 @@ impl DiversionManager {
         self.order.push_back(key);
         self.stats.flows_diverted += 1;
 
-        // Lift the flow's packets out in place; the rest keep their order.
+        let ring = &self.ring;
         let mut history = Vec::new();
-        let mut lifted = 0;
-        self.delay.retain_mut(|(k, pkt)| {
-            if *k != key {
-                return true;
-            }
-            lifted += pkt.capacity();
-            history.push(std::mem::take(pkt));
-            false
-        });
-        self.delay_buf_bytes -= lifted;
+        let unreplayed = self
+            .index
+            .iter_mut()
+            .filter(|e| e.key == key && !e.replayed);
+        for e in unreplayed {
+            e.replayed = true;
+            let (tail, wrapped) = spans(ring.len(), e.offset, e.len);
+            history.push([&ring[tail], &ring[wrapped]].concat());
+        }
         self.stats.replayed_packets += history.len() as u64;
         history
     }
 
-    /// Memory footprint: buffer capacities actually held (delay line plus
-    /// recycle pool — capacity, not content, is what the allocator keeps),
-    /// per-entry overhead, and the diverted set with its FIFO order queue.
+    /// Memory footprint: the ring and the index at its wire size (both
+    /// constant, provisioned up front), and the diverted set with its FIFO
+    /// order queue.
     pub fn memory_bytes(&self) -> usize {
-        self.delay_buf_bytes
-            + self.pool_buf_bytes
-            + (self.delay.len() + self.pool.len()) * 24
+        self.ring.len()
+            + self.delay_cap * INDEX_ENTRY_BYTES
             + self.diverted.len() * (FlowKey::WIRE_BYTES + 8)
             + self.order.len() * FlowKey::WIRE_BYTES
     }
@@ -324,6 +349,19 @@ mod tests {
         assert_eq!(d.stats().replayed_packets, 3);
     }
 
+    /// The constant footprint of a `delay_cap`-packet line.
+    fn line_bytes(delay_cap: usize) -> usize {
+        delay_cap * (SLOT_BYTES + INDEX_ENTRY_BYTES)
+    }
+
+    /// The diverted set's cost per flow: set entry plus order-queue entry.
+    const DIVERTED_BYTES: usize = FlowKey::WIRE_BYTES + 8 + FlowKey::WIRE_BYTES;
+
+    /// A packet whose bytes say which packet it is.
+    fn packet(n: u32, len: usize) -> Vec<u8> {
+        (0..len).map(|i| (n as usize * 31 + i) as u8).collect()
+    }
+
     #[test]
     fn divert_lifts_one_flow_and_keeps_the_rest_in_order() {
         let mut d = manager(64, DEFAULT_MAX_DIVERTED);
@@ -333,16 +371,17 @@ mod tests {
             d.record(k, &pkt);
             line.push((k, pkt));
         }
-        let h = d.divert(key(1));
-        let (lifted, kept): (Vec<_>, Vec<_>) = line.into_iter().partition(|(k, _)| *k == key(1));
-        assert_eq!(h, lifted.into_iter().map(|(_, p)| p).collect::<Vec<_>>());
-        let remaining: Vec<(FlowKey, Vec<u8>)> = d.delay.iter().cloned().collect();
-        assert_eq!(remaining, kept, "the other flows keep their order");
-        let delay: usize = d.delay.iter().map(|(_, b)| b.capacity()).sum();
-        assert_eq!(d.delay_buf_bytes, delay);
-        let pool: usize = d.pool.iter().map(Vec::capacity).sum();
-        assert_eq!(d.pool_buf_bytes, pool);
-        assert_eq!(d.stats().replayed_packets, 13);
+        for flow in [1, 0, 2] {
+            let h = d.divert(key(flow));
+            let expect: Vec<Vec<u8>> = line
+                .iter()
+                .filter(|(k, _)| *k == key(flow))
+                .map(|(_, p)| p.clone())
+                .collect();
+            assert_eq!(h, expect, "flow {flow} replays its packets in order");
+        }
+        assert_eq!(d.stats().replayed_packets, 40);
+        assert!(d.index.iter().all(|e| e.replayed));
     }
 
     #[test]
@@ -359,11 +398,78 @@ mod tests {
     #[test]
     fn zero_delay_is_divert_from_now() {
         let mut d = manager(0, DEFAULT_MAX_DIVERTED);
+        assert_eq!(d.memory_bytes(), 0, "no ring, no index");
         d.record(key(1), b"lost");
+        d.record(key(1), b"");
+        assert_eq!(d.memory_bytes(), 0);
         let h = d.divert(key(1));
         assert!(h.is_empty());
-        let key_bytes = key(1).to_bytes().len();
-        assert_eq!(d.memory_bytes(), (key_bytes + 8) + key_bytes);
+        assert_eq!(d.stats().recorded_packets, 2);
+        assert_eq!(d.memory_bytes(), DIVERTED_BYTES);
+    }
+
+    #[test]
+    fn packet_straddling_the_ring_end_replays_whole() {
+        // A 3000-byte ring: the third packet starts at 2000 and wraps.
+        let mut d = manager(2, DEFAULT_MAX_DIVERTED);
+        d.record(key(1), &packet(1, 1000));
+        d.record(key(2), &packet(2, 1000));
+        d.record(key(3), &packet(3, 1400));
+        let last = *d.index.back().unwrap();
+        assert_eq!((last.offset, last.len), (2000, 1400));
+        assert!(last.offset + last.len > d.ring.len(), "the packet wraps");
+        assert!(
+            d.divert(key(1)).is_empty(),
+            "packet bound overwrote the oldest"
+        );
+        assert_eq!(d.divert(key(3)), vec![packet(3, 1400)]);
+        assert_eq!(d.divert(key(2)), vec![packet(2, 1000)]);
+    }
+
+    #[test]
+    fn jumbo_packets_evict_by_bytes() {
+        // Four slots, 6000 bytes: three 2000-byte packets fill the bytes
+        // before the packet bound, so a fourth overwrites the oldest.
+        let mut d = manager(4, DEFAULT_MAX_DIVERTED);
+        for n in 1..=3 {
+            d.record(key(n), &packet(n, 2000));
+        }
+        assert_eq!((d.index.len(), d.used), (3, 6000));
+        d.record(key(4), &packet(4, 100));
+        assert!(d.divert(key(1)).is_empty());
+        for n in 2..=4 {
+            assert_eq!(d.divert(key(n)).len(), 1, "flow {n} kept");
+        }
+        assert_eq!(d.memory_bytes(), line_bytes(4) + 4 * DIVERTED_BYTES);
+    }
+
+    #[test]
+    fn packet_longer_than_the_ring_is_not_recorded() {
+        let mut d = manager(2, DEFAULT_MAX_DIVERTED);
+        d.record(key(1), b"small");
+        d.record(key(1), &packet(9, 2 * SLOT_BYTES + 1));
+        assert_eq!(d.stats().recorded_packets, 2, "still counted as handed in");
+        assert_eq!(d.index.len(), 1, "nothing overwritten for it");
+        assert_eq!(d.divert(key(1)), vec![b"small".to_vec()]);
+        // A packet exactly the ring's size fits.
+        d.record(key(2), &packet(2, 2 * SLOT_BYTES));
+        assert_eq!(d.divert(key(2)), vec![packet(2, 2 * SLOT_BYTES)]);
+    }
+
+    #[test]
+    fn rediversion_after_set_eviction_replays_nothing_twice() {
+        let mut d = manager(16, 1);
+        d.record(key(1), b"before");
+        assert_eq!(d.divert(key(1)), vec![b"before".to_vec()]);
+        d.divert(key(2)); // bound of one: key(1) leaves the set
+        assert!(!d.is_diverted(&key(1)));
+        d.record(key(1), b"after");
+        assert_eq!(
+            d.divert(key(1)),
+            vec![b"after".to_vec()],
+            "the replayed packet is still in the ring but not replayed again"
+        );
+        assert_eq!(d.stats().replayed_packets, 2);
     }
 
     #[test]
@@ -418,49 +524,46 @@ mod tests {
 
     #[test]
     fn memory_tracks_buffered_bytes() {
+        // The line is provisioned up front: recording does not move the
+        // footprint, only a diversion adds its set entry.
         let mut d = manager(16, DEFAULT_MAX_DIVERTED);
-        assert_eq!(d.memory_bytes(), 0);
+        assert_eq!(d.memory_bytes(), line_bytes(16));
+        assert_eq!(line_bytes(16), 16 * 1519);
         d.record(key(1), &[0u8; 100]);
-        assert!(d.memory_bytes() >= 100);
-        d.divert(key(1));
-        assert!(d.memory_bytes() < 100, "history handed off");
+        assert_eq!(d.memory_bytes(), line_bytes(16));
+        assert_eq!(d.divert(key(1)).len(), 1, "history handed off");
+        assert_eq!(d.memory_bytes(), line_bytes(16) + DIVERTED_BYTES);
     }
 
     #[test]
-    fn pool_memory_is_bounded_under_jumbo_tiny_alternation() {
-        // Pins the bugfix: recycled buffers retain their *capacity*, so a
-        // jumbo burst used to ratchet every delay-line buffer to jumbo
-        // capacity forever even when the line holds only tiny packets.
-        // The pool now clamps recycled buffers to POOL_BUFFER_CAP_BYTES
-        // and bounds its entry count at delay_cap.
+    fn ring_memory_is_constant_under_jumbo_tiny_alternation() {
+        // The old pooled line let a jumbo burst ratchet its buffers'
+        // capacity; the ring cannot hold more than it was built with.
         const CAP: usize = 64;
         let mut d = manager(CAP, DEFAULT_MAX_DIVERTED);
-        // Phase 1: jumbo packets ratchet buffer capacities up.
-        let jumbo = vec![0u8; 60_000];
-        for _ in 0..(CAP * 4) {
-            d.record(key(1), &jumbo);
-        }
-        // Phase 2: tiny packets cycle every buffer through the pool.
+        let jumbo = vec![0u8; 9000];
         let tiny = [0u8; 16];
-        for _ in 0..(CAP * 4) {
-            d.record(key(2), &tiny);
+        for _ in 0..4 {
+            for _ in 0..CAP {
+                d.record(key(1), &jumbo);
+            }
+            assert_eq!(d.index.len(), CAP * SLOT_BYTES / 9000, "bytes bound jumbos");
+            assert_eq!(d.memory_bytes(), line_bytes(CAP));
+            for _ in 0..CAP {
+                d.record(key(2), &tiny);
+            }
+            assert_eq!(d.index.len(), CAP, "the packet bound holds tinies");
+            assert_eq!(d.memory_bytes(), line_bytes(CAP));
         }
-        // Steady state: the line holds CAP tiny packets in buffers whose
-        // capacity has been clamped by pool recycling, plus a bounded
-        // pool. Without the clamp this would report (and hold) tens of
-        // megabytes of dead jumbo capacity.
-        let bound = 2 * CAP * (POOL_BUFFER_CAP_BYTES + 24) + 4096;
-        assert!(
-            d.memory_bytes() < bound,
-            "steady-state memory {} exceeds bound {bound}",
-            d.memory_bytes()
-        );
+        assert!(d.divert(key(1)).is_empty(), "every jumbo overwritten");
+        assert_eq!(d.divert(key(2)).len(), CAP);
     }
 
     #[test]
-    fn pool_entry_count_is_bounded() {
+    fn index_entry_count_is_bounded() {
         let mut d = manager(8, DEFAULT_MAX_DIVERTED);
-        // Heavy churn: many records and a divert that empties the line.
+        let capacity = d.index.capacity();
+        // Heavy churn: many records and diversions that replay the line.
         for i in 0..100u32 {
             d.record(key(i % 3), &[0u8; 64]);
         }
@@ -468,18 +571,17 @@ mod tests {
         d.divert(key(1));
         d.divert(key(2));
         for i in 0..100u32 {
-            d.record(key(10 + i % 3), &[0u8; 64]);
+            d.record(key(10 + i % 3), &vec![0u8; 1 + i as usize * 37]);
+            assert!(
+                d.index.len() <= 8,
+                "index holds {} > delay_cap",
+                d.index.len()
+            );
+            let used: usize = d.index.iter().map(|e| e.len).sum();
+            assert_eq!(d.used, used, "tracked bytes match the index");
         }
-        assert!(
-            d.pool.len() <= 8,
-            "pool holds {} > delay_cap entries",
-            d.pool.len()
-        );
-        // Accounting invariant: tracked pool bytes match reality.
-        let actual: usize = d.pool.iter().map(Vec::capacity).sum();
-        assert_eq!(d.pool_buf_bytes, actual);
-        let actual_delay: usize = d.delay.iter().map(|(_, b)| b.capacity()).sum();
-        assert_eq!(d.delay_buf_bytes, actual_delay);
+        assert_eq!(d.index.capacity(), capacity, "the index never grew");
+        assert_eq!(d.memory_bytes(), line_bytes(8) + 3 * DIVERTED_BYTES);
     }
 
     #[test]

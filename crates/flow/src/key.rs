@@ -7,6 +7,7 @@
 //! [`Direction`].
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 use sd_packet::ipv4::Protocol;
@@ -37,7 +38,11 @@ impl Direction {
 /// 13 bytes of real information (2×4 address + 2×2 port + 1 proto); stored
 /// padded for alignment. This is the unit the paper's "state for 1 million
 /// connections" is counted in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// `Hash` writes the key's two [`words`](FlowKey::words), so under
+/// [`SeededState`](crate::hash::SeededState) a key hashes to exactly
+/// [`hash_key_seeded`](crate::hash::hash_key_seeded).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowKey {
     /// First canonical endpoint address.
     pub addr_a: Ipv4Addr,
@@ -147,8 +152,18 @@ impl FlowKey {
         }
     }
 
-    /// Serialize to the 13-byte canonical encoding (used by hashing and by
-    /// the Bloom filter so that both directions hash identically).
+    /// The key's 13 bytes packed into two words: both addresses in the
+    /// first, both ports and the protocol in the low 40 bits of the
+    /// second. Canonical, so both directions hash identically.
+    #[inline]
+    pub fn words(&self) -> [u64; 2] {
+        [
+            (u64::from(u32::from(self.addr_a)) << 32) | u64::from(u32::from(self.addr_b)),
+            (u64::from(self.port_a) << 24) | (u64::from(self.port_b) << 8) | u64::from(self.proto),
+        ]
+    }
+
+    /// Serialize to the 13-byte canonical encoding.
     pub fn to_bytes(&self) -> [u8; 13] {
         let mut out = [0u8; 13];
         out[0..4].copy_from_slice(&self.addr_a.octets());
@@ -157,6 +172,15 @@ impl FlowKey {
         out[10..12].copy_from_slice(&self.port_b.to_be_bytes());
         out[12] = self.proto;
         out
+    }
+}
+
+impl Hash for FlowKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b] = self.words();
+        state.write_u64(a);
+        state.write_u64(b);
     }
 }
 
@@ -232,5 +256,15 @@ mod tests {
         let (k2, _) = key("5.6.7.8", 2, "1.2.3.4", 1);
         assert_eq!(k1.to_bytes(), k2.to_bytes());
         assert_eq!(k1.to_bytes().len(), FlowKey::WIRE_BYTES);
+    }
+
+    #[test]
+    fn words_pack_the_canonical_bytes() {
+        let (k, _) = key("1.2.3.4", 0x0506, "7.8.9.10", 0x0b0c);
+        let [a, b] = k.words();
+        let mut packed = a.to_be_bytes().to_vec();
+        packed.extend_from_slice(&b.to_be_bytes()[3..]);
+        assert_eq!(packed, k.to_bytes());
+        assert_eq!(b >> 40, 0, "the second word holds 5 bytes");
     }
 }

@@ -6,9 +6,11 @@
 //! provides the substrate for both sides of that comparison:
 //!
 //! * [`key`] — canonical 5-tuple flow keys with direction handling,
-//! * [`hash`] — seeded FNV-1a hashing plus a process-random seed source;
-//!   production keys every table with a random seed (collision floods
-//!   cannot be precomputed), experiments pin one for reproducibility,
+//! * [`hash`] — a seeded one-multiply flow-key hash, the `BuildHasher`
+//!   that gives std maps the same hash, and a process-random seed source;
+//!   production keys every table and map with a random seed (collision
+//!   floods cannot be precomputed), experiments pin one for
+//!   reproducibility,
 //! * [`table`] — a fixed-capacity open-addressing flow table with CLOCK
 //!   (second-chance) eviction, allocation-free probing over 16-byte
 //!   control groups, and byte-accurate memory accounting,
@@ -29,6 +31,6 @@ mod prefetch;
 pub mod table;
 
 pub use bloom::CountingBloom;
-pub use hash::random_seed;
+pub use hash::{random_seed, SeededState};
 pub use key::{Direction, FlowKey};
 pub use table::FlowTable;

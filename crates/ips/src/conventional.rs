@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use sd_flow::{Direction, FlowKey};
+use sd_flow::{Direction, FlowKey, SeededState};
 use sd_packet::parse::{parse_ipv4, Transport};
 use sd_reassembly::conn::ConnState;
 use sd_reassembly::defrag::DefragResult;
@@ -84,7 +84,8 @@ pub struct ConventionalIps {
     scanner: StreamScanner,
     normalizer: Normalizer,
     defrag: Defragmenter,
-    conns: HashMap<FlowKey, ConnEntry>,
+    /// Probed on every packet: keyed with the flow-key hash, not SipHash.
+    conns: HashMap<FlowKey, ConnEntry, SeededState>,
     config: ConventionalConfig,
     usage: ResourceUsage,
     /// Running sum of per-connection memory, kept incrementally so state
@@ -106,7 +107,7 @@ impl ConventionalIps {
             sigs,
             normalizer: Normalizer::new(),
             defrag: Defragmenter::new(config.policy),
-            conns: HashMap::new(),
+            conns: HashMap::with_hasher(SeededState::new()),
             config,
             usage: ResourceUsage::default(),
             conn_state_bytes: 0,

@@ -11,7 +11,11 @@
 //! contexts expire after [`Defragmenter::timeout`] logical ticks (the caller
 //! supplies a tick, usually the packet index — a line-rate box cannot afford
 //! wall-clock syscalls per packet). Every limit hit is counted, never silent.
+//! The per-packet cost does not grow with the number of live contexts: the
+//! byte total is kept as contexts change, and the timeout sweep runs only
+//! when the oldest context can have timed out.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -154,6 +158,11 @@ pub struct Defragmenter {
     contexts: HashMap<FragKey, Context>,
     max_contexts: usize,
     timeout: u64,
+    /// Running sum of the contexts' `memory_bytes`.
+    bytes: usize,
+    /// No context's `last_tick` is below this (`u64::MAX` when there are
+    /// none), so no context has timed out while `tick − oldest ≤ timeout`.
+    oldest: u64,
     stats: DefragStats,
 }
 
@@ -170,6 +179,8 @@ impl Defragmenter {
             contexts: HashMap::new(),
             max_contexts: max_contexts.max(1),
             timeout,
+            bytes: 0,
+            oldest: u64::MAX,
             stats: DefragStats::default(),
         }
     }
@@ -191,7 +202,14 @@ impl Defragmenter {
 
     /// Total state footprint across all contexts.
     pub fn memory_bytes(&self) -> usize {
-        self.contexts.values().map(|c| c.memory_bytes()).sum()
+        self.bytes
+    }
+
+    /// Drop the context under `key`, if any, from the map and the total.
+    fn remove(&mut self, key: &FragKey) -> Option<Context> {
+        let ctx = self.contexts.remove(key)?;
+        self.bytes -= ctx.memory_bytes();
+        Some(ctx)
     }
 
     /// Offer one IPv4 packet. Non-fragments pass through without copying;
@@ -236,16 +254,22 @@ impl Defragmenter {
                 .min_by_key(|(_, c)| c.last_tick)
                 .map(|(k, _)| *k)
             {
-                self.contexts.remove(&stale);
+                self.remove(&stale);
                 self.stats.evicted += 1;
             }
         }
 
-        let ctx = self
-            .contexts
-            .entry(key)
-            .or_insert_with(|| Context::new(tick));
+        let ctx = match self.contexts.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let ctx = e.insert(Context::new(tick));
+                self.bytes += ctx.memory_bytes();
+                ctx
+            }
+        };
+        let before = ctx.memory_bytes();
         ctx.last_tick = tick;
+        self.oldest = self.oldest.min(tick);
 
         if !ip.more_frags() {
             // Last fragment pins the total length; inconsistent repeats are
@@ -253,7 +277,7 @@ impl Defragmenter {
             match ctx.total_len {
                 Some(t) if t != end => {
                     self.stats.rejected += 1;
-                    self.contexts.remove(&key);
+                    self.remove(&key);
                     return Err(Error::Malformed);
                 }
                 _ => ctx.total_len = Some(end),
@@ -269,10 +293,11 @@ impl Defragmenter {
             data: payload.to_vec(),
         });
         ctx.bytes += payload.len();
+        self.bytes = self.bytes + ctx.memory_bytes() - before;
         self.stats.fragments += 1;
 
         if ctx.is_complete() && ctx.first_header.is_some() {
-            let ctx = self.contexts.remove(&key).expect("context present");
+            let ctx = self.remove(&key).expect("context present");
             self.stats.completed += 1;
             let payload = ctx.assemble(self.policy);
             let header = ctx.first_header.expect("checked above");
@@ -300,12 +325,29 @@ impl Defragmenter {
         })
     }
 
+    /// Drop every context idle for more than `timeout` ticks. The sweep
+    /// runs only when the oldest context can have timed out.
     fn expire(&mut self, tick: u64) {
         let timeout = self.timeout;
-        let before = self.contexts.len();
-        self.contexts
-            .retain(|_, c| tick.saturating_sub(c.last_tick) <= timeout);
+        if tick.saturating_sub(self.oldest) <= timeout {
+            return;
+        }
+        let (before, mut freed) = (self.contexts.len(), 0);
+        self.contexts.retain(|_, c| {
+            let keep = tick.saturating_sub(c.last_tick) <= timeout;
+            if !keep {
+                freed += c.memory_bytes();
+            }
+            keep
+        });
+        self.bytes -= freed;
         self.stats.timeouts += (before - self.contexts.len()) as u64;
+        self.oldest = self
+            .contexts
+            .values()
+            .map(|c| c.last_tick)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 }
 
@@ -480,6 +522,66 @@ mod tests {
             let ip = Ipv4Packet::new_checked(&out[..]).unwrap();
             let region = &ip.payload()[8..16];
             assert_eq!(region, &expect[..], "policy {policy}");
+        }
+    }
+
+    mod accounting {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Fragments of datagram `n` (ident `n`), 8 payload bytes each.
+        fn fragments(n: u16) -> Vec<Vec<u8>> {
+            let frame = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+                .payload(&[n as u8; 40])
+                .dont_frag(false)
+                .ident(n)
+                .build();
+            fragment_ipv4(ip_of_frame(&frame), 16).unwrap()
+        }
+
+        proptest! {
+            /// After any push/complete/evict/reject/expire sequence the
+            /// running byte total equals a recount of the live contexts,
+            /// and the lazy sweep drops exactly the contexts a sweep on
+            /// every push would have: none is left past its timeout, and
+            /// `timeouts` counts every one.
+            #[test]
+            fn running_total_and_timeouts_match_a_full_recount(
+                ops in prop::collection::vec((0u8..10, 0u16..4, 0usize..8, 0u64..6), 1..200),
+            ) {
+                const TIMEOUT: u64 = 12;
+                let mut d = Defragmenter::with_limits(OverlapPolicy::First, 3, TIMEOUT);
+                let datagrams: Vec<Vec<Vec<u8>>> = (0..4).map(fragments).collect();
+                let (mut tick, mut timeouts) = (0u64, 0u64);
+                for (op, n, j, step) in ops {
+                    tick += step;
+                    timeouts += d
+                        .contexts
+                        .values()
+                        .filter(|c| tick - c.last_tick > TIMEOUT)
+                        .count() as u64;
+                    let frags = &datagrams[n as usize];
+                    let packet = match op {
+                        // A last fragment that moves the datagram's end.
+                        0 => {
+                            let mut fake = frags.last().unwrap().clone();
+                            let mut v = Ipv4Packet::new_unchecked(&mut fake[..]);
+                            let off = v.frag_offset();
+                            v.set_frag_fields(false, false, off + 8);
+                            v.fill_checksum();
+                            fake
+                        }
+                        1 => attack_packet(b"not a fragment"),
+                        _ => frags[j % frags.len()].clone(),
+                    };
+                    let _ = d.push(&packet, tick);
+                    let recount: usize = d.contexts.values().map(Context::memory_bytes).sum();
+                    prop_assert_eq!(d.memory_bytes(), recount);
+                    prop_assert_eq!(d.stats().timeouts, timeouts);
+                    prop_assert!(d.contexts.values().all(|c| tick - c.last_tick <= TIMEOUT));
+                    prop_assert!(d.contexts.values().all(|c| c.last_tick >= d.oldest));
+                }
+            }
         }
     }
 }
