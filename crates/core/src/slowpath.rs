@@ -294,8 +294,9 @@ impl SlowPathPool {
     }
 
     /// Flush every lane, join every worker, and merge all outstanding
-    /// alerts (including the workers' own `finish` alerts, which sort
-    /// after all packet ticks), returning their delivery latencies.
+    /// alerts, returning their delivery latencies. Each worker calls its
+    /// engine's `finish` as the `Ips` contract asks; the conventional
+    /// engine matches streams incrementally, so that call adds nothing.
     /// Idempotent: a second call emits nothing. Dropping the pool without
     /// calling this still joins the workers (their alerts are discarded).
     pub fn finish(&mut self, out: &mut Vec<Alert>) -> Vec<u64> {
@@ -349,8 +350,9 @@ fn run_worker(
             Job::Reload(sigs) => engine.reload_signatures(sigs),
         }
     }
-    // The engine's own finish can still alert (buffered stream tails);
-    // tag those after every packet tick so the merge is total.
+    // `Ips::finish` is part of the contract; the conventional engine's is
+    // a no-op (stream matching is incremental). Anything an engine did
+    // emit here would be tagged after every packet tick.
     let flush_started = Instant::now();
     engine.finish(&mut buf);
     deliver(u64::MAX, flush_started, &mut buf);

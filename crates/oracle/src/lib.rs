@@ -9,9 +9,12 @@
 //! * [`program`] — seeded adversarial trace programs: a mutation grammar
 //!   (segment splits at random and signature-straddling offsets, IP
 //!   fragmentation, reordering, duplication, overlapping retransmits with
-//!   consistent and inconsistent bytes, TTL/checksum chaff, decoy flows)
-//!   compiled into deterministic packet sequences, plus the replayable
-//!   `.trace` text format;
+//!   consistent and inconsistent bytes, TTL/checksum chaff, decoy flows,
+//!   collision floods, heavy-tail churn) with each mutation kind described
+//!   once, plus the replayable `.trace` text format. Programs compile to a
+//!   schedule of [`sd_traffic::evasion::Segment`]s emitted by
+//!   [`sd_traffic::evasion::Conversation`], the same emitter the evasion
+//!   catalog uses; this crate crafts no packets of its own;
 //! * [`exec`] — the differential executor: victim-model ground truth,
 //!   `SplitDetect`, `ShardedSplitDetect` (1/2/4 shards) and
 //!   `ConventionalIps` run over each trace with the theorem invariants

@@ -6,7 +6,10 @@
 //! Ptacek–Newsham attacker would emit — segment cuts at random and
 //! signature-straddling offsets, IP fragmentation, reordering, duplication,
 //! overlapping retransmits with consistent *and* inconsistent bytes,
-//! TTL/checksum invalidation, and signature-free decoy flows.
+//! TTL/checksum invalidation, and signature-free decoy flows. Mutations
+//! rewrite a schedule of [`Segment`]s; the attack flow and every
+//! background flow are emitted by [`Conversation`], the evasion catalog's
+//! emitter.
 //!
 //! Two properties make programs a good fuzzing substrate:
 //!
@@ -24,11 +27,8 @@ use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
-use sd_packet::frag::fragment_ipv4;
-use sd_packet::ipv4::Ipv4Packet;
-use sd_packet::tcp::TcpFlags;
 use sd_reassembly::OverlapPolicy;
+use sd_traffic::evasion::{garbage, Conversation, Fragmentation, Segment};
 use sd_traffic::victim::VictimConfig;
 
 /// The signature every program plants (20 bytes → pieces 7/7/6 under the
@@ -50,6 +50,9 @@ const FLOOD_MASK: u64 = (1 << 16) - 1;
 
 /// Honest maximum segment size, matching `sd_traffic::evasion`.
 const MSS: usize = 1460;
+
+/// The attack flow's initial sequence number.
+const ISN: u32 = 0x1000_0000;
 
 /// Garbage padding bytes per overlap-stitch sub-segment: with real chunks
 /// of at most 5 bytes this keeps every interior sub-segment at
@@ -159,45 +162,102 @@ pub enum Mutation {
     },
 }
 
+/// How a random program draws one mutation parameter.
+#[derive(Clone, Copy)]
+enum Draw {
+    /// Any `usize` (resolved modulo its bound when applied).
+    Any,
+    /// Uniform in `lo..=hi`.
+    In(usize, usize),
+}
+use Draw::{Any, In};
+
+/// Everything about one mutation kind except what it does.
+struct Kind {
+    /// Name in the `.trace` format.
+    name: &'static str,
+    /// Salt tag: garbage bytes depend on the mutation, not on its position
+    /// in the program, so shrinking can delete any other mutation.
+    tag: u64,
+    /// Parameter names and random distributions, in `.trace` order.
+    params: &'static [(&'static str, Draw)],
+    /// The mutation with these parameters (unused slots are 0).
+    make: fn([usize; 2]) -> Mutation,
+}
+
+/// One descriptor per [`Mutation`] variant; random programs draw kinds
+/// uniformly in this order.
+#[rustfmt::skip]
+const KINDS: [Kind; 13] = [
+    Kind { name: "split", tag: 1, params: &[("offset", Any)],
+        make: |p| Mutation::SplitAt { offset: p[0] } },
+    Kind { name: "split-sig", tag: 2, params: &[("delta", Any)],
+        make: |p| Mutation::SplitInSignature { delta: p[0] } },
+    Kind { name: "swap", tag: 3, params: &[("a", Any), ("b", Any)],
+        make: |p| Mutation::Swap { a: p[0], b: p[1] } },
+    Kind { name: "dup", tag: 4, params: &[("index", Any)],
+        make: |p| Mutation::Duplicate { index: p[0] } },
+    Kind { name: "retransmit-bad", tag: 5, params: &[("index", Any)],
+        make: |p| Mutation::InconsistentRetransmit { index: p[0] } },
+    Kind { name: "stitch", tag: 6, params: &[("index", Any), ("chunk", In(3, 5))],
+        make: |p| Mutation::OverlapStitch { index: p[0], chunk: p[1] } },
+    Kind { name: "chaff-cksum", tag: 7, params: &[("index", Any)],
+        make: |p| Mutation::BadChecksumChaff { index: p[0] } },
+    Kind { name: "chaff-ttl", tag: 8, params: &[("index", Any)],
+        make: |p| Mutation::LowTtlChaff { index: p[0] } },
+    Kind { name: "frag", tag: 9, params: &[("index", Any), ("unit", In(8, 63))],
+        make: |p| Mutation::Fragment { index: p[0], unit: p[1] } },
+    Kind { name: "frag-overlap", tag: 10, params: &[("index", Any)],
+        make: |p| Mutation::OverlapFragment { index: p[0] } },
+    Kind { name: "decoy", tag: 11, params: &[("id", In(0, 999)), ("segments", In(1, 4))],
+        make: |p| Mutation::Decoy { id: p[0], segments: p[1] } },
+    Kind { name: "collide-flood", tag: 12, params: &[("flows", In(8, 24))],
+        make: |p| Mutation::CollisionFlood { flows: p[0] } },
+    Kind { name: "heavytail", tag: 13, params: &[("flows", In(8, 32))],
+        make: |p| Mutation::HeavyTailNoise { flows: p[0] } },
+];
+
 impl Mutation {
-    /// Stable name used by the `.trace` text format.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Mutation::SplitAt { .. } => "split",
-            Mutation::SplitInSignature { .. } => "split-sig",
-            Mutation::Swap { .. } => "swap",
-            Mutation::Duplicate { .. } => "dup",
-            Mutation::InconsistentRetransmit { .. } => "retransmit-bad",
-            Mutation::OverlapStitch { .. } => "stitch",
-            Mutation::BadChecksumChaff { .. } => "chaff-cksum",
-            Mutation::LowTtlChaff { .. } => "chaff-ttl",
-            Mutation::Fragment { .. } => "frag",
-            Mutation::OverlapFragment { .. } => "frag-overlap",
-            Mutation::Decoy { .. } => "decoy",
-            Mutation::CollisionFlood { .. } => "collide-flood",
-            Mutation::HeavyTailNoise { .. } => "heavytail",
-        }
+    /// This mutation's descriptor and parameters (unused slots are 0).
+    fn parts(&self) -> (&'static Kind, [usize; 2]) {
+        let (k, p) = match *self {
+            Mutation::SplitAt { offset } => (0, [offset, 0]),
+            Mutation::SplitInSignature { delta } => (1, [delta, 0]),
+            Mutation::Swap { a, b } => (2, [a, b]),
+            Mutation::Duplicate { index } => (3, [index, 0]),
+            Mutation::InconsistentRetransmit { index } => (4, [index, 0]),
+            Mutation::OverlapStitch { index, chunk } => (5, [index, chunk]),
+            Mutation::BadChecksumChaff { index } => (6, [index, 0]),
+            Mutation::LowTtlChaff { index } => (7, [index, 0]),
+            Mutation::Fragment { index, unit } => (8, [index, unit]),
+            Mutation::OverlapFragment { index } => (9, [index, 0]),
+            Mutation::Decoy { id, segments } => (10, [id, segments]),
+            Mutation::CollisionFlood { flows } => (11, [flows, 0]),
+            Mutation::HeavyTailNoise { flows } => (12, [flows, 0]),
+        };
+        (&KINDS[k], p)
     }
 
-    /// A stable per-mutation salt, so garbage bytes do not depend on the
-    /// mutation's position in the program (deletion-stable shrinking).
+    /// Stable name used by the `.trace` text format.
+    pub fn name(&self) -> &'static str {
+        self.parts().0.name
+    }
+
     fn salt(&self) -> u64 {
-        let (tag, x, y) = match *self {
-            Mutation::SplitAt { offset } => (1u64, offset as u64, 0),
-            Mutation::SplitInSignature { delta } => (2, delta as u64, 0),
-            Mutation::Swap { a, b } => (3, a as u64, b as u64),
-            Mutation::Duplicate { index } => (4, index as u64, 0),
-            Mutation::InconsistentRetransmit { index } => (5, index as u64, 0),
-            Mutation::OverlapStitch { index, chunk } => (6, index as u64, chunk as u64),
-            Mutation::BadChecksumChaff { index } => (7, index as u64, 0),
-            Mutation::LowTtlChaff { index } => (8, index as u64, 0),
-            Mutation::Fragment { index, unit } => (9, index as u64, unit as u64),
-            Mutation::OverlapFragment { index } => (10, index as u64, 0),
-            Mutation::Decoy { id, segments } => (11, id as u64, segments as u64),
-            Mutation::CollisionFlood { flows } => (12, flows as u64, 0),
-            Mutation::HeavyTailNoise { flows } => (13, flows as u64, 0),
-        };
-        mix(mix(tag, x), y)
+        let (kind, [x, y]) = self.parts();
+        mix(mix(kind.tag, x as u64), y as u64)
+    }
+
+    fn random(rng: &mut StdRng) -> Mutation {
+        let kind = &KINDS[rng.gen_range(0..KINDS.len() as u32) as usize];
+        let mut p = [0; 2];
+        for (slot, &(_, draw)) in p.iter_mut().zip(kind.params) {
+            *slot = match draw {
+                Any => rng.gen(),
+                In(lo, hi) => rng.gen_range(lo..=hi),
+            };
+        }
+        (kind.make)(p)
     }
 }
 
@@ -242,43 +302,28 @@ pub struct CompiledTrace {
     pub victim: VictimConfig,
 }
 
-/// A scheduled TCP send on the attack flow.
-#[derive(Debug, Clone)]
-struct Emit {
-    /// Stream offset (relative to the first payload byte).
-    offset: usize,
-    /// Payload bytes on the wire.
-    bytes: Vec<u8>,
-    /// `bytes` equals `payload[offset..offset + len]` and no invalidation
-    /// or fragmentation was applied — such entries are eligible targets for
-    /// the retransmit/stitch rewrites.
+/// A scheduled send on the attack flow. `pristine` entries carry exactly
+/// `payload[offset..offset + len]` with no invalidation or fragmentation:
+/// only they are eligible targets for the retransmit/stitch rewrites.
+#[derive(Clone)]
+struct Entry {
+    seg: Segment,
     pristine: bool,
-    /// Break the TCP checksum after building the packet.
-    bad_checksum: bool,
-    /// TTL override (chaff that dies en route).
-    ttl: Option<u8>,
-    /// IP fragmentation applied when emitting.
-    frag: FragMode,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FragMode {
-    None,
-    /// Tile into fragments of at most this payload size.
-    Tiles(usize),
-    /// Tile, then inject a conflicting garbage copy of a data fragment.
-    Overlap,
-}
-
-impl Emit {
-    fn real(payload: &[u8], offset: usize, len: usize) -> Emit {
-        Emit {
-            offset,
-            bytes: payload[offset..offset + len].to_vec(),
+impl Entry {
+    fn real(payload: &[u8], offset: usize, len: usize) -> Entry {
+        let seg = Segment::new(offset, &payload[offset..offset + len]);
+        Entry {
+            seg,
             pristine: true,
-            bad_checksum: false,
-            ttl: None,
-            frag: FragMode::None,
+        }
+    }
+
+    fn forged(seg: Segment) -> Entry {
+        Entry {
+            seg,
+            pristine: false,
         }
     }
 }
@@ -293,12 +338,6 @@ fn filler(salt: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Unconstrained garbage (chaff and conflicting-copy contents).
-fn garbage(salt: u64, len: usize) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(salt);
-    (0..len).map(|_| rng.gen()).collect()
-}
-
 impl TraceProgram {
     /// Draw a random program. Deterministic in `seed`; the program's own
     /// `seed` field is derived so that content randomness and structural
@@ -309,7 +348,7 @@ impl TraceProgram {
         let prefix_len = rng.gen_range(8..500);
         let suffix_len = rng.gen_range(4..400);
         let n = rng.gen_range(0..=8);
-        let mutations = (0..n).map(|_| random_mutation(&mut rng)).collect();
+        let mutations = (0..n).map(|_| Mutation::random(&mut rng)).collect();
         TraceProgram {
             seed,
             policy,
@@ -364,31 +403,29 @@ impl TraceProgram {
         cuts.sort_unstable();
         cuts.dedup();
 
-        let mut schedule: Vec<Emit> = cuts
+        let mut schedule: Vec<Entry> = cuts
             .windows(2)
-            .map(|w| Emit::real(&payload, w[0], w[1] - w[0]))
+            .map(|w| Entry::real(&payload, w[0], w[1] - w[0]))
             .collect();
 
-        // Phase 2 — structural mutations, in program order.
+        // Phase 2 — structural mutations, in program order. Index
+        // parameters resolve modulo the current schedule length.
+        let forge_salt = mix(self.seed, 0x0F0F);
         let mut decoys: Vec<(usize, usize, u64)> = Vec::new();
         let mut floods: Vec<(usize, u64)> = Vec::new();
         let mut noise: Vec<(usize, u64)> = Vec::new();
         for m in &self.mutations {
             let salt = mix(self.seed, m.salt());
+            let n = schedule.len();
+            // A garbage twin of entry `e`, inserted just before it.
+            let twin =
+                |e: &Entry| Segment::new(e.seg.offset, garbage(salt, e.seg.bytes.len().max(1)));
             match *m {
                 Mutation::SplitAt { .. } | Mutation::SplitInSignature { .. } => {}
-                Mutation::Swap { a, b } => {
-                    if schedule.len() >= 2 {
-                        let (i, j) = (a % schedule.len(), b % schedule.len());
-                        schedule.swap(i, j);
-                    }
-                }
-                Mutation::Duplicate { index } => {
-                    if !schedule.is_empty() {
-                        let i = index % schedule.len();
-                        let copy = schedule[i].clone();
-                        schedule.insert(i + 1, copy);
-                    }
+                Mutation::Swap { a, b } if n >= 2 => schedule.swap(a % n, b % n),
+                Mutation::Duplicate { index } if n > 0 => {
+                    let copy = schedule[index % n].clone();
+                    schedule.insert(index % n + 1, copy);
                 }
                 Mutation::InconsistentRetransmit { index } => {
                     apply_inconsistent_retransmit(
@@ -402,48 +439,34 @@ impl TraceProgram {
                 Mutation::OverlapStitch { index, chunk } => {
                     apply_overlap_stitch(&mut schedule, index, chunk, &payload, salt);
                 }
-                Mutation::BadChecksumChaff { index } => {
-                    if !schedule.is_empty() {
-                        let i = index % schedule.len();
-                        let twin = Emit {
-                            offset: schedule[i].offset,
-                            bytes: garbage(salt, schedule[i].bytes.len().max(1)),
-                            pristine: false,
-                            bad_checksum: true,
-                            ttl: None,
-                            frag: FragMode::None,
-                        };
-                        schedule.insert(i, twin);
-                    }
+                Mutation::BadChecksumChaff { index } if n > 0 => {
+                    let seg = Segment {
+                        bad_checksum: true,
+                        ..twin(&schedule[index % n])
+                    };
+                    schedule.insert(index % n, Entry::forged(seg));
                 }
-                Mutation::LowTtlChaff { index } => {
-                    if !schedule.is_empty() {
-                        let i = index % schedule.len();
-                        let twin = Emit {
-                            offset: schedule[i].offset,
-                            bytes: garbage(salt, schedule[i].bytes.len().max(1)),
-                            pristine: false,
-                            bad_checksum: false,
-                            // VictimConfig::default() drops TTL < 4 hops.
-                            ttl: Some(2),
-                            frag: FragMode::None,
-                        };
-                        schedule.insert(i, twin);
-                    }
+                Mutation::LowTtlChaff { index } if n > 0 => {
+                    // VictimConfig::default() drops TTL < 4 hops.
+                    let seg = Segment {
+                        ttl: Some(2),
+                        ..twin(&schedule[index % n])
+                    };
+                    schedule.insert(index % n, Entry::forged(seg));
                 }
-                Mutation::Fragment { index, unit } => {
-                    if !schedule.is_empty() {
-                        let i = index % schedule.len();
-                        schedule[i].frag = FragMode::Tiles(unit.clamp(8, 256));
-                        schedule[i].pristine = false;
-                    }
+                Mutation::Fragment { index, unit } if n > 0 => {
+                    let e = &mut schedule[index % n];
+                    e.seg.frag = Fragmentation::Tiles {
+                        unit: unit.clamp(8, 256),
+                    };
+                    e.seg.dont_frag = false;
+                    e.pristine = false;
                 }
-                Mutation::OverlapFragment { index } => {
-                    if !schedule.is_empty() {
-                        let i = index % schedule.len();
-                        schedule[i].frag = FragMode::Overlap;
-                        schedule[i].pristine = false;
-                    }
+                Mutation::OverlapFragment { index } if n > 0 => {
+                    let e = &mut schedule[index % n];
+                    e.seg.frag = forged_trisection(&e.seg, forge_salt, self.policy);
+                    e.seg.dont_frag = false;
+                    e.pristine = false;
                 }
                 Mutation::Decoy { id, segments } => {
                     decoys.push((id, segments.clamp(1, 4), salt));
@@ -454,17 +477,18 @@ impl TraceProgram {
                 Mutation::HeavyTailNoise { flows } => {
                     noise.push((flows.clamp(4, 32), salt));
                 }
+                // Index mutations on a schedule too short to resolve them.
+                _ => {}
             }
         }
 
         // Phase 3 — emit the attack flow.
-        let mut b = PacketBuilder::new(client, server, self.policy);
-        b.syn();
+        let mut c = Conversation::new(client, server, ISN, 64);
+        c.syn();
         for e in &schedule {
-            b.emit(e, mix(self.seed, 0x0F0F));
+            c.send(&e.seg);
         }
-        b.fin(payload.len());
-        let mut packets = b.packets;
+        let mut packets = c.fin(payload.len());
 
         // Phase 4 — interleave decoy flows (and heavy-tail background
         // churn) at evenly spaced positions.
@@ -524,7 +548,7 @@ pub fn collision_flood_packets(flows: usize, salt: u64) -> Vec<Vec<u8>> {
     let target = sd_flow::hash::hash_key_seeded(ORACLE_FLOW_HASH_SEED, &attack_key) & FLOOD_MASK;
     // Flood flows talk to their own server, outside the victim model's
     // filter and every other generator's address space.
-    let flood_server = std::net::SocketAddrV4::new(Ipv4Addr::new(10, 0, 8, 1), 80);
+    let flood_server = (Ipv4Addr::new(10, 0, 8, 1), 80);
 
     let mut packets = Vec::with_capacity(flows * 3);
     let mut found = 0usize;
@@ -536,44 +560,17 @@ pub fn collision_flood_packets(flows: usize, salt: u64) -> Vec<Vec<u8>> {
         candidate += 1;
         let port = 1024 + (c % 60_000) as u16;
         let ip = Ipv4Addr::from(0xAC18_0000u32.wrapping_add((c / 60_000) as u32));
-        let flood_client = std::net::SocketAddrV4::new(ip, port);
-        let (key, _) = sd_flow::FlowKey::from_endpoints(
-            6,
-            (*flood_client.ip(), flood_client.port()),
-            (*flood_server.ip(), flood_server.port()),
-        );
+        let (key, _) = sd_flow::FlowKey::from_endpoints(6, (ip, port), flood_server);
         if sd_flow::hash::hash_key_seeded(ORACLE_FLOW_HASH_SEED, &key) & FLOOD_MASK != target {
             continue;
         }
         found += 1;
         let isn = 0xC011_0000u32.wrapping_add(found as u32);
         let body = filler(mix(salt, c), 120);
-        let mut ident = port ^ (isn as u16);
-        let tcp = |seq: u32, flags: TcpFlags, payload: &[u8], ident: u16| {
-            let frame = TcpPacketSpec::between(flood_client, flood_server)
-                .seq(seq)
-                .flags(flags)
-                .ttl(64)
-                .ident(ident)
-                .payload(payload)
-                .build();
-            ip_of_frame(&frame).to_vec()
-        };
-        packets.push(tcp(isn, TcpFlags::SYN, b"", ident));
-        ident = ident.wrapping_add(1);
-        packets.push(tcp(
-            isn.wrapping_add(1),
-            TcpFlags::ACK.union(TcpFlags::PSH),
-            &body,
-            ident,
-        ));
-        ident = ident.wrapping_add(1);
-        packets.push(tcp(
-            isn.wrapping_add(1).wrapping_add(body.len() as u32),
-            TcpFlags::FIN.union(TcpFlags::ACK),
-            b"",
-            ident,
-        ));
+        let mut flow = Conversation::new((ip, port), flood_server, isn, 64);
+        flow.syn();
+        flow.send(&Segment::new(0, body));
+        packets.extend(flow.fin(120));
     }
     packets
 }
@@ -596,46 +593,12 @@ fn heavytail_packets(flows: usize, salt: u64) -> Vec<Vec<u8>> {
     gen.generate().packets.into_iter().map(|p| p.data).collect()
 }
 
-fn random_mutation(rng: &mut StdRng) -> Mutation {
-    match rng.gen_range(0..13u32) {
-        0 => Mutation::SplitAt { offset: rng.gen() },
-        1 => Mutation::SplitInSignature { delta: rng.gen() },
-        2 => Mutation::Swap {
-            a: rng.gen(),
-            b: rng.gen(),
-        },
-        3 => Mutation::Duplicate { index: rng.gen() },
-        4 => Mutation::InconsistentRetransmit { index: rng.gen() },
-        5 => Mutation::OverlapStitch {
-            index: rng.gen(),
-            chunk: rng.gen_range(3..=5),
-        },
-        6 => Mutation::BadChecksumChaff { index: rng.gen() },
-        7 => Mutation::LowTtlChaff { index: rng.gen() },
-        8 => Mutation::Fragment {
-            index: rng.gen(),
-            unit: rng.gen_range(8..64),
-        },
-        9 => Mutation::OverlapFragment { index: rng.gen() },
-        10 => Mutation::Decoy {
-            id: rng.gen_range(0..1000),
-            segments: rng.gen_range(1..=4),
-        },
-        11 => Mutation::CollisionFlood {
-            flows: rng.gen_range(8..=24),
-        },
-        _ => Mutation::HeavyTailNoise {
-            flows: rng.gen_range(8..=32),
-        },
-    }
-}
-
 /// Replace entry `index` with a conflicting-retransmission triplet: both
 /// copies cover `offset + 1 ..`, arrive while the byte at `offset` is still
 /// a hole (so they meet in the reassembly buffer), and are ordered so the
 /// victim's policy keeps the real copy; the one-byte plug comes last.
 fn apply_inconsistent_retransmit(
-    schedule: &mut Vec<Emit>,
+    schedule: &mut Vec<Entry>,
     index: usize,
     payload: &[u8],
     policy: OverlapPolicy,
@@ -646,20 +609,13 @@ fn apply_inconsistent_retransmit(
     }
     let i = index % schedule.len();
     let e = &schedule[i];
-    if !e.pristine || e.bytes.len() < 2 {
+    if !e.pristine || e.seg.bytes.len() < 2 {
         return;
     }
-    let (o, l) = (e.offset, e.bytes.len());
-    let contested_real = Emit::real(payload, o + 1, l - 1);
-    let contested_garb = Emit {
-        offset: o + 1,
-        bytes: garbage(salt, l - 1),
-        pristine: false,
-        bad_checksum: false,
-        ttl: None,
-        frag: FragMode::None,
-    };
-    let plug = Emit::real(payload, o, 1);
+    let (o, l) = (e.seg.offset, e.seg.bytes.len());
+    let contested_real = Entry::real(payload, o + 1, l - 1);
+    let contested_garb = Entry::forged(Segment::new(o + 1, garbage(salt, l - 1)));
+    let plug = Entry::real(payload, o, 1);
     // Both copies start at the same offset: every overlap is a tie, so
     // First/BSD victims keep the first arrival, Last/Linux the second.
     let real_first = matches!(policy, OverlapPolicy::First | OverlapPolicy::Bsd);
@@ -685,7 +641,7 @@ fn apply_inconsistent_retransmit(
 /// regresses behind the delivered edge — the attack is visible *only* to
 /// the out-of-order rule.
 fn apply_overlap_stitch(
-    schedule: &mut Vec<Emit>,
+    schedule: &mut Vec<Entry>,
     index: usize,
     chunk: usize,
     payload: &[u8],
@@ -697,10 +653,10 @@ fn apply_overlap_stitch(
     let i = index % schedule.len();
     let e = &schedule[i];
     let chunk = chunk.clamp(3, 5);
-    if !e.pristine || e.bytes.len() < 2 * chunk {
+    if !e.pristine || e.seg.bytes.len() < 2 * chunk {
         return;
     }
-    let (o, l) = (e.offset, e.bytes.len());
+    let (o, l) = (e.seg.offset, e.seg.bytes.len());
     // Stream positions below STITCH_PAD cannot be given a full garbage
     // head; a shorter head would leave sub-segments under the small-segment
     // cutoff and the train would trip the small budget instead of staying
@@ -712,143 +668,37 @@ fn apply_overlap_stitch(
     }
     let mut train = Vec::new();
     if pre > 0 {
-        train.push(Emit::real(payload, o, pre));
+        train.push(Entry::real(payload, o, pre));
     }
     let mut j = pre;
     while j < l {
         let take = chunk.min(l - j);
         let mut bytes = garbage(mix(salt, j as u64), STITCH_PAD);
         bytes.extend_from_slice(&payload[o + j..o + j + take]);
-        train.push(Emit {
-            offset: o + j - STITCH_PAD,
-            bytes,
-            pristine: false,
-            bad_checksum: false,
-            ttl: None,
-            frag: FragMode::None,
-        });
+        train.push(Entry::forged(Segment::new(o + j - STITCH_PAD, bytes)));
         j += take;
     }
     schedule.splice(i..=i, train);
 }
 
-/// Packet assembly for the attack flow, mirroring the evasion builder:
-/// distinct IP idents per packet, seq = isn + 1 + stream offset.
-struct PacketBuilder {
-    client: (Ipv4Addr, u16),
-    server: (Ipv4Addr, u16),
-    policy: OverlapPolicy,
-    isn: u32,
-    ttl: u8,
-    next_ident: u16,
-    packets: Vec<Vec<u8>>,
-}
-
-impl PacketBuilder {
-    fn new(client: (Ipv4Addr, u16), server: (Ipv4Addr, u16), policy: OverlapPolicy) -> Self {
-        let isn = 0x1000_0000;
-        PacketBuilder {
-            client,
-            server,
-            policy,
-            isn,
-            ttl: 64,
-            next_ident: client.1 ^ (isn as u16),
-            packets: Vec::new(),
-        }
+/// The overlapping-fragment rewrite of `seg`: roughly trisect its datagram
+/// and forge a *middle* fragment. The target must carry MF=1: a forged
+/// copy of the final fragment would complete the datagram early with
+/// garbage content and the real bytes could then never be delivered. A
+/// datagram too short for three fragments goes out whole.
+fn forged_trisection(seg: &Segment, salt: u64, policy: OverlapPolicy) -> Fragmentation {
+    let ip_payload = 20 + seg.bytes.len();
+    let unit = ip_payload.div_ceil(3).max(8);
+    let tiles = ip_payload.div_ceil(unit & !7);
+    if tiles < 3 {
+        return Fragmentation::None;
     }
-
-    fn tcp(&mut self, seq: u32, flags: TcpFlags, payload: &[u8], ttl: u8, frag: bool) -> Vec<u8> {
-        let ident = self.next_ident;
-        self.next_ident = self.next_ident.wrapping_add(1);
-        let frame = TcpPacketSpec::between(
-            std::net::SocketAddrV4::new(self.client.0, self.client.1),
-            std::net::SocketAddrV4::new(self.server.0, self.server.1),
-        )
-        .seq(seq)
-        .flags(flags)
-        .ttl(ttl)
-        .ident(ident)
-        .dont_frag(!frag)
-        .payload(payload)
-        .build();
-        ip_of_frame(&frame).to_vec()
-    }
-
-    fn syn(&mut self) {
-        let p = self.tcp(self.isn, TcpFlags::SYN, b"", self.ttl, false);
-        self.packets.push(p);
-    }
-
-    fn fin(&mut self, payload_len: usize) {
-        let seq = self.isn.wrapping_add(1).wrapping_add(payload_len as u32);
-        let p = self.tcp(
-            seq,
-            TcpFlags::FIN.union(TcpFlags::ACK),
-            b"",
-            self.ttl,
-            false,
-        );
-        self.packets.push(p);
-    }
-
-    fn emit(&mut self, e: &Emit, forge_salt: u64) {
-        let seq = self.isn.wrapping_add(1).wrapping_add(e.offset as u32);
-        let ttl = e.ttl.unwrap_or(self.ttl);
-        let frag = e.frag != FragMode::None;
-        let mut pkt = self.tcp(seq, TcpFlags::ACK.union(TcpFlags::PSH), &e.bytes, ttl, frag);
-        if e.bad_checksum {
-            let ihl = Ipv4Packet::new_unchecked(&pkt[..]).header_len();
-            pkt[ihl + 16] ^= 0xff;
-        }
-        match e.frag {
-            FragMode::None => self.packets.push(pkt),
-            FragMode::Tiles(unit) => match fragment_ipv4(&pkt, unit) {
-                Ok(frags) => self.packets.extend(frags),
-                Err(_) => self.packets.push(pkt),
-            },
-            FragMode::Overlap => {
-                // Roughly trisect the datagram; fall back to the whole
-                // packet when it cannot produce at least three fragments.
-                let ip_payload = 20 + e.bytes.len();
-                let unit = (ip_payload.div_ceil(3)).max(8);
-                let frags = match fragment_ipv4(&pkt, unit) {
-                    Ok(f) if f.len() >= 3 => f,
-                    _ => {
-                        self.packets.push(pkt);
-                        return;
-                    }
-                };
-                // Forge a conflicting copy of a *middle* fragment; the
-                // copies tie on offset, so First/BSD victims keep the first
-                // arrival, Last/Linux the second. The target must carry
-                // MF=1: a forged copy of the final fragment would complete
-                // the datagram early with garbage content and the real
-                // bytes could then never be delivered.
-                let target = frags.len() - 2;
-                let mut forged = frags[target].clone();
-                {
-                    let mut v = Ipv4Packet::new_unchecked(&mut forged[..]);
-                    let g = garbage(mix(forge_salt, seq as u64), v.payload().len());
-                    v.payload_mut().copy_from_slice(&g);
-                    v.fill_checksum();
-                }
-                let real_first = matches!(self.policy, OverlapPolicy::First | OverlapPolicy::Bsd);
-                for (i, f) in frags.iter().enumerate() {
-                    if i == target {
-                        if real_first {
-                            self.packets.push(f.clone());
-                            self.packets.push(forged.clone());
-                        } else {
-                            self.packets.push(forged.clone());
-                            self.packets.push(f.clone());
-                        }
-                    } else {
-                        self.packets.push(f.clone());
-                    }
-                }
-            }
-        }
+    let seq = ISN.wrapping_add(1).wrapping_add(seg.offset as u32);
+    Fragmentation::Forged {
+        unit,
+        target: tiles - 2,
+        salt: mix(salt, seq as u64),
+        forged_first: !matches!(policy, OverlapPolicy::First | OverlapPolicy::Bsd),
     }
 }
 
@@ -857,52 +707,20 @@ impl PacketBuilder {
 /// service) never sees it, and carrying filler that cannot contain the
 /// signature, so any alert on it is a false alert.
 fn decoy_packets(id: usize, segments: usize, salt: u64) -> Vec<Vec<u8>> {
-    let client: Ipv4Addr = format!("10.77.{}.{}", (id / 250) % 250, 1 + id % 250)
-        .parse()
-        .expect("static addr");
-    let server: Ipv4Addr = format!("10.0.9.{}", 1 + id % 250)
-        .parse()
-        .expect("static addr");
+    let client = Ipv4Addr::new(10, 77, ((id / 250) % 250) as u8, (1 + id % 250) as u8);
+    let server = Ipv4Addr::new(10, 0, 9, (1 + id % 250) as u8);
     let cport = 20_000 + (id % 10_000) as u16;
     let isn = 0x5EED_0000u32.wrapping_add(id as u32);
     let mut rng = StdRng::seed_from_u64(salt);
-    let mut packets = Vec::new();
-    let mut ident = cport ^ (isn as u16);
-    let tcp = |seq: u32, flags: TcpFlags, payload: &[u8], ident: u16| {
-        let frame = TcpPacketSpec::between(
-            std::net::SocketAddrV4::new(client, cport),
-            std::net::SocketAddrV4::new(server, 80),
-        )
-        .seq(seq)
-        .flags(flags)
-        .ttl(64)
-        .ident(ident)
-        .payload(payload)
-        .build();
-        ip_of_frame(&frame).to_vec()
-    };
-    packets.push(tcp(isn, TcpFlags::SYN, b"", ident));
+    let mut flow = Conversation::new((client, cport), (server, 80), isn, 64);
+    flow.syn();
     let mut off = 0usize;
     for _ in 0..segments {
         let len = rng.gen_range(40..600);
-        let body = filler(mix(salt, off as u64), len);
-        ident = ident.wrapping_add(1);
-        packets.push(tcp(
-            isn.wrapping_add(1).wrapping_add(off as u32),
-            TcpFlags::ACK.union(TcpFlags::PSH),
-            &body,
-            ident,
-        ));
+        flow.send(&Segment::new(off, filler(mix(salt, off as u64), len)));
         off += len;
     }
-    ident = ident.wrapping_add(1);
-    packets.push(tcp(
-        isn.wrapping_add(1).wrapping_add(off as u32),
-        TcpFlags::FIN.union(TcpFlags::ACK),
-        b"",
-        ident,
-    ));
-    packets
+    flow.fin(off)
 }
 
 // ---------------------------------------------------------------------------
@@ -919,22 +737,13 @@ impl TraceProgram {
         s.push_str(&format!("prefix {}\n", self.prefix_len));
         s.push_str(&format!("suffix {}\n", self.suffix_len));
         for m in &self.mutations {
-            let args = match *m {
-                Mutation::SplitAt { offset } => format!("{offset}"),
-                Mutation::SplitInSignature { delta } => format!("{delta}"),
-                Mutation::Swap { a, b } => format!("{a} {b}"),
-                Mutation::Duplicate { index } => format!("{index}"),
-                Mutation::InconsistentRetransmit { index } => format!("{index}"),
-                Mutation::OverlapStitch { index, chunk } => format!("{index} {chunk}"),
-                Mutation::BadChecksumChaff { index } => format!("{index}"),
-                Mutation::LowTtlChaff { index } => format!("{index}"),
-                Mutation::Fragment { index, unit } => format!("{index} {unit}"),
-                Mutation::OverlapFragment { index } => format!("{index}"),
-                Mutation::Decoy { id, segments } => format!("{id} {segments}"),
-                Mutation::CollisionFlood { flows } => format!("{flows}"),
-                Mutation::HeavyTailNoise { flows } => format!("{flows}"),
-            };
-            s.push_str(&format!("mutate {} {}\n", m.name(), args));
+            let (kind, p) = m.parts();
+            s.push_str("mutate ");
+            s.push_str(kind.name);
+            for v in &p[..kind.params.len()] {
+                s.push_str(&format!(" {v}"));
+            }
+            s.push('\n');
         }
         s
     }
@@ -993,57 +802,16 @@ impl TraceProgram {
                     });
                 }
                 "mutate" => {
-                    let kind = take(&tokens, &mut at, lineno, "mutation kind")?;
-                    let num = |name: &str, at: &mut usize| take_num(&tokens, at, lineno, name);
-                    let m = match kind {
-                        "split" => Mutation::SplitAt {
-                            offset: num("offset", &mut at)?,
-                        },
-                        "split-sig" => Mutation::SplitInSignature {
-                            delta: num("delta", &mut at)?,
-                        },
-                        "swap" => Mutation::Swap {
-                            a: num("a", &mut at)?,
-                            b: num("b", &mut at)?,
-                        },
-                        "dup" => Mutation::Duplicate {
-                            index: num("index", &mut at)?,
-                        },
-                        "retransmit-bad" => Mutation::InconsistentRetransmit {
-                            index: num("index", &mut at)?,
-                        },
-                        "stitch" => Mutation::OverlapStitch {
-                            index: num("index", &mut at)?,
-                            chunk: num("chunk", &mut at)?,
-                        },
-                        "chaff-cksum" => Mutation::BadChecksumChaff {
-                            index: num("index", &mut at)?,
-                        },
-                        "chaff-ttl" => Mutation::LowTtlChaff {
-                            index: num("index", &mut at)?,
-                        },
-                        "frag" => Mutation::Fragment {
-                            index: num("index", &mut at)?,
-                            unit: num("unit", &mut at)?,
-                        },
-                        "frag-overlap" => Mutation::OverlapFragment {
-                            index: num("index", &mut at)?,
-                        },
-                        "decoy" => Mutation::Decoy {
-                            id: num("id", &mut at)?,
-                            segments: num("segments", &mut at)?,
-                        },
-                        "collide-flood" => Mutation::CollisionFlood {
-                            flows: num("flows", &mut at)?,
-                        },
-                        "heavytail" => Mutation::HeavyTailNoise {
-                            flows: num("flows", &mut at)?,
-                        },
-                        other => {
-                            return Err(format!("line {}: unknown mutation {other:?}", lineno + 1))
-                        }
-                    };
-                    mutations.push(m);
+                    let name = take(&tokens, &mut at, lineno, "mutation kind")?;
+                    let kind = KINDS
+                        .iter()
+                        .find(|k| k.name == name)
+                        .ok_or_else(|| format!("line {}: unknown mutation {name:?}", lineno + 1))?;
+                    let mut p = [0; 2];
+                    for (slot, (param, _)) in p.iter_mut().zip(kind.params) {
+                        *slot = take_num(&tokens, &mut at, lineno, param)?;
+                    }
+                    mutations.push((kind.make)(p));
                 }
                 other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
             }

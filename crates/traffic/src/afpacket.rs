@@ -280,8 +280,8 @@ impl AfPacketSource {
     /// maps directly.
     fn frame_ptr(&self, i: usize) -> *mut Tpacket2Hdr {
         debug_assert!(i < self.frame_count);
-        // SAFETY (of the arithmetic): i < frame_count and frame_count *
-        // frame_size == ring_len, so the offset stays inside the mapping.
+        // SAFETY: i < frame_count and frame_count * frame_size == ring_len,
+        // so the offset stays inside the mapping.
         unsafe { self.ring.add(i * self.frame_size) as *mut Tpacket2Hdr }
     }
 

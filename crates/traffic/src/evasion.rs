@@ -10,8 +10,15 @@
 //! verified (tests + experiment harness) to deliver the payload through
 //! [`crate::victim::receive_stream`] — an "evasion" that breaks the attack
 //! is a bug.
+//!
+//! A strategy is a schedule of [`Segment`]s: stream offset and bytes plus
+//! every way a send may deviate (TTL, checksum, urgent pointer, DF, IP
+//! fragmentation with an optional forged fragment). [`Conversation`] is
+//! the one emitter that turns a schedule into packets; `sd-oracle`'s trace
+//! programs compile onto it too, so each attack primitive is written once.
 
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,7 +26,7 @@ use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
 use sd_packet::frag::fragment_ipv4;
 use sd_packet::ipv4::Ipv4Packet;
 use sd_packet::tcp::TcpFlags;
-use sd_reassembly::OverlapPolicy;
+use sd_reassembly::{OverlapPolicy, UrgentSemantics};
 
 use crate::victim::VictimConfig;
 
@@ -192,111 +199,200 @@ impl EvasionStrategy {
 /// Maximum segment size for honest segments.
 const MSS: usize = 1460;
 
-struct Builder<'a> {
-    spec: &'a AttackSpec,
-    packets: Vec<Vec<u8>>,
-    /// IP identification counter: every packet gets a distinct ident so
-    /// fragments of different datagrams (and different attacks sharing a
-    /// host pair in a mixed trace) never collide in a reassembly context.
-    next_ident: u16,
+/// Seeded unconstrained bytes: chaff, forged fragments and the garbage
+/// copies of conflicting retransmissions. One seed gives one stream, so
+/// slices of one draw equal consecutive draws from it.
+pub fn garbage(salt: u64, len: usize) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(salt);
+    (0..len).map(|_| rng.gen()).collect()
 }
 
-impl<'a> Builder<'a> {
-    fn new(spec: &'a AttackSpec) -> Self {
-        Builder {
-            spec,
+/// How a [`Segment`]'s IP datagram goes on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fragmentation {
+    /// One unfragmented datagram.
+    None,
+    /// IP fragments carrying at most `unit` payload bytes each (rounded
+    /// down to a multiple of 8).
+    Tiles {
+        /// Maximum fragment payload in bytes.
+        unit: usize,
+    },
+    /// [`Tiles`](Self::Tiles) plus a forged twin of fragment `target`
+    /// whose payload is [`garbage`]`(salt, len)`. Both copies start at the
+    /// same offset, so the victim's overlap policy picks by arrival:
+    /// First/BSD keep the earlier copy, Last/Linux the later one.
+    Forged {
+        /// Maximum fragment payload in bytes.
+        unit: usize,
+        /// Index of the fragment to forge (ignored when out of range).
+        target: usize,
+        /// Seed of the forged payload.
+        salt: u64,
+        /// Send the forged twin before the real fragment.
+        forged_first: bool,
+    },
+}
+
+/// One TCP data segment of an attack conversation, and every way it may
+/// deviate from an honest one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Segment {
+    /// Stream offset of the first byte (`seq = isn + 1 + offset`).
+    pub offset: usize,
+    /// TCP payload.
+    pub bytes: Vec<u8>,
+    /// TTL override (chaff that expires before the victim).
+    pub ttl: Option<u8>,
+    /// Flip the TCP checksum so the victim's stack drops the segment.
+    pub bad_checksum: bool,
+    /// Urgent pointer; nonzero also sets URG.
+    pub urgent: u16,
+    /// The IP Don't Fragment bit.
+    pub dont_frag: bool,
+    /// IP fragmentation applied on the wire.
+    pub frag: Fragmentation,
+}
+
+impl Segment {
+    /// An honest segment: conversation TTL, valid checksum, DF set, one
+    /// datagram.
+    pub fn new(offset: usize, bytes: impl Into<Vec<u8>>) -> Segment {
+        Segment {
+            offset,
+            bytes: bytes.into(),
+            ttl: None,
+            bad_checksum: false,
+            urgent: 0,
+            dont_frag: true,
+            frag: Fragmentation::None,
+        }
+    }
+}
+
+/// The one attack-flow emitter: a client→server TCP conversation that
+/// turns a SYN, a schedule of [`Segment`]s and a FIN into IPv4 packets.
+/// Every packet takes the next IP ident, so fragments of different
+/// datagrams (and of different flows sharing a host pair in a mixed trace)
+/// never collide in a reassembly context.
+#[derive(Debug, Clone)]
+pub struct Conversation {
+    client: SocketAddrV4,
+    server: SocketAddrV4,
+    isn: u32,
+    ttl: u8,
+    next_ident: u16,
+    packets: Vec<Vec<u8>>,
+}
+
+impl Conversation {
+    /// A conversation whose SYN carries `isn` and whose packets carry `ttl`
+    /// unless a segment overrides it.
+    pub fn new(client: (Ipv4Addr, u16), server: (Ipv4Addr, u16), isn: u32, ttl: u8) -> Self {
+        Conversation {
+            client: SocketAddrV4::new(client.0, client.1),
+            server: SocketAddrV4::new(server.0, server.1),
+            isn,
+            ttl,
+            next_ident: client.1 ^ (isn as u16),
             packets: Vec::new(),
-            next_ident: spec.client.1 ^ (spec.isn as u16),
         }
     }
 
-    fn tcp(&mut self, seq: u32, flags: TcpFlags, payload: &[u8], ttl: u8, frag: bool) -> Vec<u8> {
-        let s = self.spec;
+    fn seq(&self, offset: usize) -> u32 {
+        self.isn.wrapping_add(1).wrapping_add(offset as u32)
+    }
+
+    fn packet(&mut self, seq: u32, flags: TcpFlags, s: &Segment) -> Vec<u8> {
         let ident = self.next_ident;
-        self.next_ident = self.next_ident.wrapping_add(1);
-        let frame = TcpPacketSpec::between(
-            std::net::SocketAddrV4::new(s.client.0, s.client.1),
-            std::net::SocketAddrV4::new(s.server.0, s.server.1),
-        )
-        .seq(seq)
-        .flags(flags)
-        .ttl(ttl)
-        .ident(ident)
-        .dont_frag(!frag)
-        .payload(payload)
-        .build();
-        ip_of_frame(&frame).to_vec()
+        self.next_ident = ident.wrapping_add(1);
+        let frame = TcpPacketSpec::between(self.client, self.server)
+            .seq(seq)
+            .flags(flags)
+            .urgent(s.urgent)
+            .ttl(s.ttl.unwrap_or(self.ttl))
+            .ident(ident)
+            .dont_frag(s.dont_frag)
+            .payload(&s.bytes)
+            .build();
+        let mut pkt = ip_of_frame(&frame).to_vec();
+        if s.bad_checksum {
+            let ihl = Ipv4Packet::new_unchecked(&pkt[..]).header_len();
+            pkt[ihl + 16] ^= 0xff;
+        }
+        pkt
     }
 
-    fn syn(&mut self) {
-        let p = self.tcp(self.spec.isn, TcpFlags::SYN, b"", self.spec.ttl, false);
+    /// Emit the SYN.
+    pub fn syn(&mut self) {
+        let p = self.packet(self.isn, TcpFlags::SYN, &Segment::new(0, []));
         self.packets.push(p);
     }
 
-    fn data(&mut self, offset: usize, bytes: &[u8]) {
-        let seq = self.spec.isn.wrapping_add(1).wrapping_add(offset as u32);
-        let p = self.tcp(
-            seq,
-            TcpFlags::ACK.union(TcpFlags::PSH),
-            bytes,
-            self.spec.ttl,
-            true,
-        );
-        self.packets.push(p);
+    /// Emit one data segment (ACK|PSH), fragmented as it asks. A datagram
+    /// the fragmenter refuses goes out whole.
+    pub fn send(&mut self, s: &Segment) {
+        let pkt = self.packet(self.seq(s.offset), TcpFlags::ACK.union(TcpFlags::PSH), s);
+        let unit = match s.frag {
+            Fragmentation::None => return self.packets.push(pkt),
+            Fragmentation::Tiles { unit } | Fragmentation::Forged { unit, .. } => unit,
+        };
+        let Ok(mut frags) = fragment_ipv4(&pkt, unit) else {
+            return self.packets.push(pkt);
+        };
+        if let Fragmentation::Forged {
+            target,
+            salt,
+            forged_first,
+            ..
+        } = s.frag
+        {
+            if let Some(real) = frags.get(target) {
+                let mut forged = real.clone();
+                let mut v = Ipv4Packet::new_unchecked(&mut forged[..]);
+                let len = v.payload().len();
+                v.payload_mut().copy_from_slice(&garbage(salt, len));
+                v.fill_checksum();
+                frags.insert(target + usize::from(!forged_first), forged);
+            }
+        }
+        self.packets.extend(frags);
     }
 
-    fn fin(&mut self, payload_len: usize) {
-        let seq = self
-            .spec
-            .isn
-            .wrapping_add(1)
-            .wrapping_add(payload_len as u32);
-        let p = self.tcp(
-            seq,
-            TcpFlags::FIN.union(TcpFlags::ACK),
-            b"",
-            self.spec.ttl,
-            false,
-        );
+    /// Emit the FIN after `len` stream bytes and hand back every packet in
+    /// wire order.
+    pub fn fin(mut self, len: usize) -> Vec<Vec<u8>> {
+        let flags = TcpFlags::FIN.union(TcpFlags::ACK);
+        let p = self.packet(self.seq(len), flags, &Segment::new(0, []));
         self.packets.push(p);
+        self.packets
     }
 }
 
-/// Cut `len` bytes into `(start, end)` chunks of at most `size`.
-fn chunks(len: usize, size: usize) -> Vec<(usize, usize)> {
-    let size = size.max(1);
-    let mut v = Vec::new();
-    let mut at = 0;
-    while at < len {
-        let end = (at + size).min(len);
-        v.push((at, end));
-        at = end;
-    }
-    v
+/// `(start, end)` chunks of at most `size` bytes tiling `range`.
+fn chunks(range: Range<usize>, size: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (size, end) = (size.max(1), range.end);
+    range.step_by(size).map(move |s| (s, (s + size).min(end)))
 }
 
-/// Like [`chunks`], but with one boundary pinned at `pin` — used by the
-/// reorder/duplicate strategies so the signature always straddles a segment
-/// boundary (a FragRoute attacker controls segmentation and would never
-/// leave the whole signature inside one packet).
+/// `size`-byte chunks of `0..len` with one boundary pinned at `pin` — used
+/// by the reorder/duplicate strategies so the signature always straddles a
+/// segment boundary (a FragRoute attacker controls segmentation and would
+/// never leave the whole signature inside one packet).
 fn chunks_pinned(len: usize, size: usize, pin: usize) -> Vec<(usize, usize)> {
-    let size = size.max(1);
-    let pin = pin.min(len);
-    // Boundary set: {0, pin mod size, pin mod size + size, …} — the grid is
-    // phase-shifted so `pin` lands exactly on a chunk boundary.
-    let mut v = Vec::new();
     let first = pin % size;
-    if first > 0 {
-        v.push((0, first));
+    chunks(0..first, size)
+        .chain(chunks(first..len, size))
+        .collect()
+}
+
+/// A data segment of the catalog: the catalog clears DF on every data
+/// segment, fragmented or not.
+fn data(offset: usize, bytes: &[u8]) -> Segment {
+    Segment {
+        dont_frag: false,
+        ..Segment::new(offset, bytes)
     }
-    let mut at = first;
-    while at < len {
-        let end = (at + size).min(len);
-        v.push((at, end));
-        at = end;
-    }
-    debug_assert!(pin == 0 || pin == len || v.iter().any(|&(s, _)| s == pin));
-    v
 }
 
 /// Generate the packet sequence for `spec` under `strategy`, crafted
@@ -321,111 +417,86 @@ pub fn generate(
     seed: u64,
 ) -> Vec<Vec<u8>> {
     let payload = spec.payload();
+    let mut c = Conversation::new(spec.client, spec.server, spec.isn, spec.ttl);
+    c.syn();
+    for s in schedule(spec, &payload, strategy, victim, seed) {
+        c.send(&s);
+    }
+    c.fin(payload.len())
+}
+
+/// The segments `strategy` sends for `payload`.
+fn schedule(
+    spec: &AttackSpec,
+    payload: &[u8],
+    strategy: EvasionStrategy,
+    victim: VictimConfig,
+    seed: u64,
+) -> Vec<Segment> {
+    let len = payload.len();
     let sig = spec.sig_range();
-    let mut b = Builder::new(spec);
-    b.syn();
+    // Most strategies cut once mid-signature.
+    let mid = sig.start + sig.len() / 2;
+    let cut = |(s, e): (usize, usize)| data(s, &payload[s..e]);
+    // First/BSD victims keep the first-arrived of two copies starting at
+    // one offset; Last and tie-winning Linux keep the later one.
+    let real_first = matches!(victim.policy, OverlapPolicy::First | OverlapPolicy::Bsd);
+    // Garbage twins of the two halves around `mid`, each right before its
+    // honest half: both twins come from one draw of `garbage(salt, len)`.
+    let chaffed = |salt: u64, ttl: Option<u8>, bad_checksum: bool| {
+        let chaff = garbage(salt, len);
+        [(0, mid), (mid, len)]
+            .into_iter()
+            .flat_map(|(s, e)| {
+                let twin = Segment {
+                    ttl,
+                    bad_checksum,
+                    ..data(s, &chaff[s..e])
+                };
+                [twin, data(s, &payload[s..e])]
+            })
+            .collect()
+    };
 
     match strategy {
-        EvasionStrategy::None => {
-            for (s, e) in chunks(payload.len(), MSS) {
-                b.data(s, &payload[s..e]);
-            }
-        }
+        EvasionStrategy::None => chunks(0..len, MSS).map(cut).collect(),
 
-        EvasionStrategy::SplitAtSignature => {
-            let mid = sig.start + spec.signature.len() / 2;
-            for (s, e) in [(0, mid), (mid, payload.len())] {
-                // Each half may still exceed MSS; keep it in one packet only
-                // if it fits, else MSS-chunk within the half (the boundary
-                // at `mid` is what defeats per-packet matching).
-                for (cs, ce) in chunks(e - s, MSS) {
-                    b.data(s + cs, &payload[s + cs..s + ce]);
-                }
-            }
-        }
+        // Each half may still exceed MSS: MSS-chunk within the half (the
+        // boundary at `mid` is what defeats per-packet matching).
+        EvasionStrategy::SplitAtSignature => chunks(0..mid, MSS)
+            .chain(chunks(mid..len, MSS))
+            .map(cut)
+            .collect(),
 
-        EvasionStrategy::TinySegments { size } => {
-            for (s, e) in chunks(payload.len(), size) {
-                b.data(s, &payload[s..e]);
-            }
-        }
+        EvasionStrategy::TinySegments { size } => chunks(0..len, size).map(cut).collect(),
 
-        EvasionStrategy::TinyFragments { frag } => {
-            let frag = frag.div_ceil(8) * 8;
-            // One big TCP packet, then fragment it at the IP layer.
-            let seq = spec.isn.wrapping_add(1);
-            let whole = b.tcp(
-                seq,
-                TcpFlags::ACK.union(TcpFlags::PSH),
-                &payload,
-                spec.ttl,
-                true,
-            );
-            let frags = fragment_ipv4(&whole, frag).expect("fragmentable");
-            b.packets.extend(frags);
-        }
+        // One big TCP segment, fragmented at the IP layer.
+        EvasionStrategy::TinyFragments { frag } => vec![Segment {
+            frag: Fragmentation::Tiles {
+                unit: frag.div_ceil(8) * 8,
+            },
+            ..data(0, payload)
+        }],
 
+        // Fragment the signature-carrying segment, then forge the fragment
+        // holding the signature's first byte (20 bytes of TCP header into
+        // the IP payload). Fragments are smaller than the signature so no
+        // single one carries it whole (8-byte granularity).
         EvasionStrategy::OverlappingFragments => {
-            // Fragment the signature-carrying packet, then inject a forged
-            // copy of the signature-region fragment with garbage content.
-            // Ordering is policy-aware: the copy the victim should *keep*
-            // is positioned so its policy picks it.
-            let seq = spec.isn.wrapping_add(1);
-            let whole = b.tcp(
-                seq,
-                TcpFlags::ACK.union(TcpFlags::PSH),
-                &payload,
-                spec.ttl,
-                true,
-            );
-            // Fragment payload must be smaller than the signature so no
-            // single fragment carries it whole (8-byte granularity).
-            let frag_sz = ((spec.signature.len().saturating_sub(1)) / 8).max(1) * 8;
-            let frags = fragment_ipv4(&whole, frag_sz).expect("fragmentable");
-            // Find a fragment overlapping the signature (TCP header is 20
-            // bytes into the IP payload).
-            let sig_ip_start = 20 + sig.start;
-            let target = frags
-                .iter()
-                .position(|f| {
-                    let ip = Ipv4Packet::new_unchecked(&f[..]);
-                    let off = ip.frag_offset() as usize;
-                    let len = ip.payload().len();
-                    off <= sig_ip_start && sig_ip_start < off + len
-                })
-                .expect("some fragment covers the signature start");
-            let mut forged = frags[target].clone();
-            {
-                let mut v = Ipv4Packet::new_unchecked(&mut forged[..]);
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xF0F0);
-                for byte in v.payload_mut() {
-                    *byte = rng.gen();
-                }
-                v.fill_checksum();
-            }
-            // First-policy victims keep the copy that arrives first; Last
-            // and tie-winning Linux prefer the later copy. BSD keeps the
-            // earlier-starting segment, and both copies start at the same
-            // offset, so old (first-arrived) wins — like First.
-            let real_first = matches!(victim.policy, OverlapPolicy::First | OverlapPolicy::Bsd);
-            for (i, f) in frags.iter().enumerate() {
-                if i == target {
-                    if real_first {
-                        b.packets.push(f.clone());
-                        b.packets.push(forged.clone());
-                    } else {
-                        b.packets.push(forged.clone());
-                        b.packets.push(f.clone());
-                    }
-                } else {
-                    b.packets.push(f.clone());
-                }
-            }
+            let unit = (sig.len().saturating_sub(1) / 8).max(1) * 8;
+            vec![Segment {
+                frag: Fragmentation::Forged {
+                    unit,
+                    target: (20 + sig.start) / unit,
+                    salt: seed ^ 0xF0F0,
+                    forged_first: !real_first,
+                },
+                ..data(0, payload)
+            }]
         }
 
         EvasionStrategy::ReorderSegments { window } => {
-            let mid = sig.start + spec.signature.len() / 2;
-            let cuts = chunks_pinned(payload.len(), 128, mid);
+            let cuts = chunks_pinned(len, 128, mid);
             let mut idx: Vec<usize> = (0..cuts.len()).collect();
             let mut rng = StdRng::seed_from_u64(seed);
             for w in idx.chunks_mut(window.max(2)) {
@@ -434,202 +505,115 @@ pub fn generate(
                     w.swap(i, j);
                 }
             }
-            for i in idx {
-                let (s, e) = cuts[i];
-                b.data(s, &payload[s..e]);
-            }
+            idx.into_iter().map(|i| cut(cuts[i])).collect()
         }
 
-        EvasionStrategy::ReverseSegments => {
-            let mid = sig.start + spec.signature.len() / 2;
-            for (s, e) in chunks_pinned(payload.len(), 128, mid).into_iter().rev() {
-                b.data(s, &payload[s..e]);
-            }
-        }
+        EvasionStrategy::ReverseSegments => chunks_pinned(len, 128, mid)
+            .into_iter()
+            .rev()
+            .map(cut)
+            .collect(),
 
-        EvasionStrategy::DuplicateSegments => {
-            let mid = sig.start + spec.signature.len() / 2;
-            for (s, e) in chunks_pinned(payload.len(), 128, mid) {
-                b.data(s, &payload[s..e]);
-                b.data(s, &payload[s..e]);
-            }
-        }
+        EvasionStrategy::DuplicateSegments => chunks_pinned(len, 128, mid)
+            .into_iter()
+            .flat_map(|c| [cut(c), cut(c)])
+            .collect(),
 
+        // Garbage and real copies of the signature region, held behind a
+        // one-byte hole so the conflicting copies meet in the reassembly
+        // buffer (not the delivered stream). Both copies are split at `mid`
+        // — no packet carries the whole signature — and start at identical
+        // offsets, so every overlap is a tie the victim's policy resolves
+        // to the real bytes.
         EvasionStrategy::InconsistentRetransmission => {
-            // Garbage and real copies of the signature region, ordered so
-            // the victim's policy resolves to the real bytes. The region is
-            // held behind a deliberate hole so the conflicting copies meet
-            // in the reassembly buffer (not the delivered stream).
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-            let garbage: Vec<u8> = (0..sig.len()).map(|_| rng.gen()).collect();
-
-            // Leading prefix up to a hole of 1 byte before the signature.
-            if sig.start > 1 {
-                b.data(0, &payload[..sig.start - 1]);
-            }
-            // Both copies are split at the signature midpoint — no single
-            // packet carries the whole signature — and start at identical
-            // offsets, so every overlap is a *tie*: First/BSD victims keep
-            // the first-arrived copy, Last/Linux victims the second.
-            let mid = sig.start + sig.len() / 2;
-            let real = [
-                (sig.start, &payload[sig.start..mid]),
-                (mid, &payload[mid..sig.end]),
-            ];
+            let g = garbage(seed ^ 0xBEEF, sig.len());
+            let real = [cut((sig.start, mid)), cut((mid, sig.end))];
             let garb = [
-                (sig.start, &garbage[..mid - sig.start]),
-                (mid, &garbage[mid - sig.start..]),
+                data(sig.start, &g[..mid - sig.start]),
+                data(mid, &g[mid - sig.start..]),
             ];
-            let real_wins_when_later =
-                matches!(victim.policy, OverlapPolicy::Last | OverlapPolicy::Linux);
-            let (first, second) = if real_wins_when_later {
-                (garb, real)
-            } else {
+            let (first, second) = if real_first {
                 (real, garb)
-            };
-            for (off, bytes) in first.into_iter().chain(second) {
-                b.data(off, bytes);
-            }
-            // Plug the hole so everything delivers.
-            b.data(sig.start - 1, &payload[sig.start - 1..sig.start]);
-            if sig.end < payload.len() {
-                b.data(sig.end, &payload[sig.end..]);
-            }
-        }
-
-        EvasionStrategy::BadChecksumChaff => {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DE);
-            // Split the signature across two honest segments so no packet
-            // holds it whole, and precede each honest segment with a chaff
-            // twin (same seq, garbage data, broken checksum).
-            let mid = sig.start + spec.signature.len() / 2;
-            let cuts = [(0usize, mid), (mid, payload.len())];
-            for (s, e) in cuts {
-                let chaff: Vec<u8> = (0..e - s).map(|_| rng.gen()).collect();
-                let seq = spec.isn.wrapping_add(1).wrapping_add(s as u32);
-                let mut pkt = b.tcp(
-                    seq,
-                    TcpFlags::ACK.union(TcpFlags::PSH),
-                    &chaff,
-                    spec.ttl,
-                    true,
-                );
-                // Break the TCP checksum (last payload byte flip would also
-                // break it; flip the checksum field directly for clarity).
-                let ihl = Ipv4Packet::new_unchecked(&pkt[..]).header_len();
-                pkt[ihl + 16] ^= 0xff;
-                b.packets.push(pkt);
-                b.data(s, &payload[s..e]);
-            }
-        }
-
-        EvasionStrategy::UrgentChaff { pitch } => {
-            use sd_reassembly::UrgentSemantics;
-            if victim.urgent != UrgentSemantics::DiscardOne {
-                // An inline-delivery victim would receive the chaff: the
-                // attack only exists against discard semantics, so degrade
-                // to the plain mid-signature split (still an evasion).
-                let mid = sig.start + spec.signature.len() / 2;
-                for (s, e) in [(0, mid), (mid, payload.len())] {
-                    for (cs, ce) in chunks(e - s, MSS) {
-                        b.data(s + cs, &payload[s + cs..s + ce]);
-                    }
-                }
             } else {
-                let pitch = pitch.max(2);
-                let mut rng = StdRng::seed_from_u64(seed ^ 0x0B0E);
-                // Build the wire stream: payload with a chaff byte inserted
-                // after every `pitch` signature bytes.
-                let mut wire = payload[..sig.start].to_vec();
-                let mut chaff_at = Vec::new(); // offsets in `wire`
-                for (i, &byte) in payload[sig.clone()].iter().enumerate() {
-                    if i > 0 && i % pitch == 0 {
-                        chaff_at.push(wire.len());
-                        wire.push(rng.gen());
-                    }
-                    wire.push(byte);
-                }
-                wire.extend_from_slice(&payload[sig.end..]);
-
-                // Segments end exactly at each chaff byte; URG pointer
-                // names it (1-based offset of the last payload byte).
-                let mut prev = 0usize;
-                for &c in &chaff_at {
-                    let seg = &wire[prev..=c];
-                    let seq = spec.isn.wrapping_add(1).wrapping_add(prev as u32);
-                    let mut pkt = b.tcp(
-                        seq,
-                        TcpFlags::ACK.union(TcpFlags::PSH).union(TcpFlags::URG),
-                        seg,
-                        spec.ttl,
-                        true,
-                    );
-                    // Set the urgent pointer to the chaff (last) byte.
-                    {
-                        let ihl = Ipv4Packet::new_unchecked(&pkt[..]).header_len();
-                        let urg = (seg.len() as u16).to_be_bytes();
-                        pkt[ihl + 18] = urg[0];
-                        pkt[ihl + 19] = urg[1];
-                        // Fix the TCP checksum after the edit.
-                        let (src, dst) = (spec.client.0, spec.server.0);
-                        let total = Ipv4Packet::new_unchecked(&pkt[..]).total_len() as usize;
-                        let mut seg_bytes = pkt[ihl..total].to_vec();
-                        let mut view =
-                            sd_packet::tcp::TcpSegment::new_unchecked(&mut seg_bytes[..]);
-                        view.fill_checksum(src, dst);
-                        pkt[ihl..total].copy_from_slice(&seg_bytes);
-                    }
-                    b.packets.push(pkt);
-                    prev = c + 1;
-                }
-                if prev < wire.len() {
-                    b.data(prev, &wire[prev..]);
-                }
+                (garb, real)
+            };
+            let mut v = Vec::new();
+            if sig.start > 1 {
+                v.push(cut((0, sig.start - 1)));
             }
+            v.extend(first.into_iter().chain(second));
+            // Plug the hole so everything delivers.
+            v.push(cut((sig.start - 1, sig.start)));
+            if sig.end < len {
+                v.push(cut((sig.end, len)));
+            }
+            v
         }
 
-        EvasionStrategy::PitchSegments { pitch } => {
-            let pitch = pitch.max(2);
-            // Leading data up to the first mid-piece boundary.
-            let first = sig.start + pitch / 2;
-            for (cs, ce) in chunks(first, MSS) {
-                b.data(cs, &payload[cs..ce]);
-            }
-            // Interior segments of exactly `pitch` bytes, each straddling
-            // two adjacent pieces.
-            let mut at = first;
-            while at + pitch < sig.end + pitch / 2 && at + pitch <= payload.len() {
-                b.data(at, &payload[at..at + pitch]);
-                at += pitch;
-            }
-            // Remainder.
-            for (cs, ce) in chunks(payload.len() - at, MSS) {
-                b.data(at + cs, &payload[at + cs..at + ce]);
-            }
-        }
+        // Chaff twins (same seq, garbage data, broken checksum).
+        EvasionStrategy::BadChecksumChaff => chaffed(seed ^ 0xC0DE, None, true),
 
         EvasionStrategy::LowTtlChaff { chaff_ttl } => {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x7711);
-            let mid = sig.start + spec.signature.len() / 2;
-            let cuts = [(0usize, mid), (mid, payload.len())];
-            for (s, e) in cuts {
-                let chaff: Vec<u8> = (0..e - s).map(|_| rng.gen()).collect();
-                let seq = spec.isn.wrapping_add(1).wrapping_add(s as u32);
-                let pkt = b.tcp(
-                    seq,
-                    TcpFlags::ACK.union(TcpFlags::PSH),
-                    &chaff,
-                    chaff_ttl,
-                    true,
-                );
-                b.packets.push(pkt);
-                b.data(s, &payload[s..e]);
+            chaffed(seed ^ 0x7711, Some(chaff_ttl), false)
+        }
+
+        // An inline-delivery victim would receive the chaff: the attack
+        // only exists against discard semantics, so degrade to the plain
+        // mid-signature split (still an evasion).
+        EvasionStrategy::UrgentChaff { .. } if victim.urgent != UrgentSemantics::DiscardOne => {
+            schedule(
+                spec,
+                payload,
+                EvasionStrategy::SplitAtSignature,
+                victim,
+                seed,
+            )
+        }
+
+        // The wire stream is the payload with a chaff byte inserted after
+        // every `pitch` signature bytes; a segment ends at each chaff byte
+        // and its urgent pointer names it (1-based offset of its last byte).
+        EvasionStrategy::UrgentChaff { pitch } => {
+            let pitch = pitch.max(2);
+            let chaff = garbage(seed ^ 0x0B0E, sig.len().saturating_sub(1) / pitch);
+            let mut wire = payload[..sig.start].to_vec();
+            let mut v = Vec::new();
+            let mut prev = 0;
+            for (i, &byte) in payload[sig.clone()].iter().enumerate() {
+                if i > 0 && i % pitch == 0 {
+                    wire.push(chaff[i / pitch - 1]);
+                    v.push(Segment {
+                        urgent: (wire.len() - prev) as u16,
+                        ..data(prev, &wire[prev..])
+                    });
+                    prev = wire.len();
+                }
+                wire.push(byte);
             }
+            wire.extend_from_slice(&payload[sig.end..]);
+            if prev < wire.len() {
+                v.push(data(prev, &wire[prev..]));
+            }
+            v
+        }
+
+        // Leading data up to the first mid-piece boundary, interior
+        // segments of exactly `pitch` bytes each straddling two adjacent
+        // pieces, then the remainder.
+        EvasionStrategy::PitchSegments { pitch } => {
+            let pitch = pitch.max(2);
+            let first = sig.start + pitch / 2;
+            let mut at = first;
+            while at + pitch < sig.end + pitch / 2 && at + pitch <= len {
+                at += pitch;
+            }
+            chunks(0..first, MSS)
+                .chain(chunks(first..at, pitch))
+                .chain(chunks(at..len, MSS))
+                .map(cut)
+                .collect()
         }
     }
-
-    b.fin(payload.len());
-    b.packets
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //! * [`evasion`] — the attack generator: one attack conversation carrying a
 //!   signature, transformed by each evasion strategy (tiny segments, tiny
 //!   and overlapping fragments, reordering, duplication, inconsistent
-//!   retransmission, bad-checksum and low-TTL chaff),
+//!   retransmission, bad-checksum, low-TTL and urgent chaff), emitted by
+//!   the one attack-flow emitter the fuzzing oracle shares,
 //! * [`victim`] — the victim model used to *verify* every generated evasion
 //!   still delivers its payload to the target stack (an evasion that fails
 //!   to attack is not an evasion),
@@ -38,6 +39,7 @@
 // the workspace (raw sockets + a kernel-shared mmap ring have no safe std
 // equivalent); everything else stays forbidden.
 #![cfg_attr(not(feature = "afpacket"), forbid(unsafe_code))]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 #[cfg(all(feature = "afpacket", target_os = "linux"))]
