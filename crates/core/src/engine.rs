@@ -466,8 +466,9 @@ mod tests {
     #[test]
     fn tiny_segment_evasion_diverted_and_detected() {
         let mut e = engine();
-        // 4-byte segments: below the 8-byte cutoff, budget T=1 → diverted
-        // on the second small segment, well before the signature completes.
+        // 4-byte segments: below the cutoff 2·8 − 1 = 15 for 8-byte
+        // pieces, budget T=1 → diverted on the second small segment, well
+        // before the signature completes.
         let mut pkts = Vec::new();
         let payload: Vec<u8> = {
             let mut p = b"prefix--".to_vec();
@@ -569,7 +570,7 @@ mod tests {
 
     #[test]
     fn with_delay_line_the_same_attack_is_caught() {
-        let mut e = engine(); // default config: delay line 4096
+        let mut e = engine(); // default config: delay line 1024
         let mut head = SIG[..7].to_vec();
         head.splice(0..0, b"x".iter().copied());
         let q1 = pkt(1000, &head);

@@ -1,22 +1,28 @@
 //! The window filter's eight-wide loop: AVX2 tests the eight strided
 //! positions `p, p + s, …, p + 7s` per iteration and branches once.
 //!
-//! Each iteration gathers the eight 4-byte windows with one byte-scaled
-//! `vpgatherdd`, masks them to `w` bytes, multiplies by the filter's
-//! hash constant (`vpmulld`), shifts the product right by the filter's
-//! `shift` (logical: the hash is unsigned), gathers the bitmap's 32-bit
-//! words at `h >> 5` with a second `vpgatherdd`, moves bit `h & 31` of
-//! each word to its sign bit (`vpsllvd` by `31 − (h & 31)`) and reads the
-//! eight sign bits with `vmovmskps`. The lowest set lane is the first hit,
-//! so the loop returns exactly the candidate the scalar loop in
-//! [`crate::tiered`] would. It stops at the first position whose block
-//! would read past the haystack and hands that position to the scalar
-//! loop, which is the tail and, without AVX2, the whole scan.
+//! Each iteration builds the eight 4-byte windows with plain loads. At
+//! stride `s ≤ 4` (every piece filter) two unaligned 16-byte loads at `p`
+//! and `p + 4s` and one `vpshufb` do it: lane `k` of each half takes bytes
+//! `(k mod 4)·s .. + 4` of its load. Above stride 4 (the whole-signature
+//! filter), and in the last blocks, where the second 16-byte load would
+//! read past the haystack, the loop loads each lane's window on its own.
+//! It then masks the windows to `w` bytes, multiplies by the filter's hash
+//! constant (`vpmulld`), shifts the product right by the filter's `shift`
+//! (logical: the hash is unsigned), gathers the bitmap's 32-bit words at
+//! `h >> 5` with one `vpgatherdd`, moves bit `h & 31` of each word to its
+//! sign bit (`vpsllvd` by `31 − (h & 31)`) and reads the eight sign bits
+//! with `vmovmskps`. The lowest set lane is the first hit, so the loop
+//! returns exactly the candidate the scalar loop in [`crate::tiered`]
+//! would. It stops at the first position whose block would read past the
+//! haystack and hands that position to the scalar loop, which is the tail
+//! and, without AVX2, the whole scan.
 //!
-//! This is the crate's only `unsafe`: two gathers and the call into the
-//! `avx2` function. [`Avx2`] exists only once CPUID has reported AVX2, and
-//! [`Avx2::find`] checks the bounds both gathers rely on before it enters
-//! the loop, so no input safe code can pass makes them read out of range.
+//! This is the crate's only `unsafe`: the window loads, the bitmap gather
+//! and the call into the `avx2` function. [`Avx2`] exists only once CPUID
+//! has reported AVX2, and [`Avx2::find`] checks the bounds the loads and
+//! the gather rely on before it enters the loop, so no input safe code can
+//! pass makes them read out of range.
 
 /// Proof that the CPU runs AVX2: the only way to reach the vector loop.
 #[cfg(target_arch = "x86_64")]
@@ -47,10 +53,15 @@ impl Avx2 {
     }
 }
 
-/// Largest stride whose lane offsets `0, s, …, 7s` fit a gather's `i32`
-/// index.
+/// `vpshufb` masks for strides 1–4, as the little-endian `i32` of each
+/// lane: lane `k` of a 16-byte load takes its bytes `k·s ..= k·s + 3`.
 #[cfg(target_arch = "x86_64")]
-const MAX_STRIDE: usize = i32::MAX as usize / 7;
+const SHUFFLES: [[i32; 4]; 4] = [
+    [0x0302_0100, 0x0403_0201, 0x0504_0302, 0x0605_0403],
+    [0x0302_0100, 0x0504_0302, 0x0706_0504, 0x0908_0706],
+    [0x0302_0100, 0x0605_0403, 0x0908_0706, 0x0C0B_0A09],
+    [0x0302_0100, 0x0706_0504, 0x0B0A_0908, 0x0F0E_0D0C],
+];
 
 #[cfg(target_arch = "x86_64")]
 impl Avx2 {
@@ -84,16 +95,19 @@ impl Avx2 {
             shift < 32 && (u32::MAX >> shift) as usize >> 5 < bits.len(),
             "every hash indexes a bitmap word"
         );
-        if stride == 0 || stride > MAX_STRIDE {
+        if stride == 0 {
             return Err(p);
         }
-        let Some(last) = hay.len().checked_sub(7 * stride + 4) else {
+        let Some(last) = stride
+            .checked_mul(7)
+            .and_then(|span| hay.len().checked_sub(span)?.checked_sub(4))
+        else {
             return Err(p);
         };
         // SAFETY: `self` exists only where `detect` saw AVX2. The other
-        // conditions of `find8` hold: `stride` is in `1..=MAX_STRIDE`,
-        // `last + 7·stride + 4 = hay.len()`, and the assert above bounds
-        // every word index `(u32::MAX >> shift) >> 5` by `bits.len()`.
+        // conditions of `find8` hold: `stride ≥ 1`, `last + 7·stride + 4 =
+        // hay.len()`, and the assert above bounds every word index
+        // `(u32::MAX >> shift) >> 5` by `bits.len()`.
         unsafe { find8(hay, p, last, stride, mask, shift, bits) }
     }
 }
@@ -103,8 +117,8 @@ impl Avx2 {
 ///
 /// # Safety
 ///
-/// The CPU supports AVX2; `1 ≤ stride ≤ MAX_STRIDE`; `last + 7·stride + 4
-/// ≤ hay.len()`; `shift < 32` and `(u32::MAX >> shift) >> 5 < bits.len()`.
+/// The CPU supports AVX2; `stride ≥ 1`; `last + 7·stride + 4 ≤
+/// hay.len()`; `shift < 32` and `(u32::MAX >> shift) >> 5 < bits.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn find8(
@@ -118,21 +132,12 @@ unsafe fn find8(
 ) -> Result<usize, usize> {
     use std::arch::x86_64::*;
 
-    let offsets = _mm256_mullo_epi32(
-        _mm256_set1_epi32(stride as i32),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-    );
     let mask = _mm256_set1_epi32(mask as i32);
     let multiplier = _mm256_set1_epi32(crate::tiered::WINDOW_HASH as i32);
     let shift = _mm_cvtsi32_si128(shift as i32);
     let low5 = _mm256_set1_epi32(31);
-    while p <= last {
-        // SAFETY: `p ≤ last ≤ hay.len()`, so `hay.as_ptr() + p` is in
-        // bounds. Lane `k` reads bytes `p + k·stride ..= p + k·stride + 3`,
-        // the last of them at most `p + 7·stride + 3 < hay.len()` by the
-        // bound `p + 7s + 4 ≤ len` (`p ≤ last`); and `7·stride ≤ i32::MAX`
-        // keeps every offset a valid index.
-        let windows = unsafe { _mm256_i32gather_epi32::<1>(hay.as_ptr().add(p).cast(), offsets) };
+    // The eight windows' bitmap bits, lane `k`'s as bit `k`.
+    let hits = |windows: __m256i| {
         let h = _mm256_srl_epi32(
             _mm256_mullo_epi32(_mm256_and_si256(windows, mask), multiplier),
             shift,
@@ -144,9 +149,52 @@ unsafe fn find8(
             unsafe { _mm256_i32gather_epi32::<4>(bits.as_ptr().cast(), _mm256_srli_epi32::<5>(h)) };
         // `!h & 31 = 31 − (h & 31)`: bit `h & 31` lands on the sign bit.
         let probe = _mm256_sllv_epi32(words, _mm256_andnot_si256(h, low5));
-        let hits = _mm256_movemask_ps(_mm256_castsi256_ps(probe));
-        if hits != 0 {
-            return Ok(p + hits.trailing_zeros() as usize * stride);
+        _mm256_movemask_ps(_mm256_castsi256_ps(probe))
+    };
+    if let (Some(&[a, b, c, d]), Some(end)) = (
+        SHUFFLES.get(stride - 1),
+        hay.len().checked_sub(4 * stride + 16),
+    ) {
+        let pick = _mm256_setr_epi32(a, b, c, d, a, b, c, d);
+        // `p ≤ end` implies `p ≤ last`: `4s + 16 ≥ 7s + 4` for `s ≤ 4`.
+        while p <= end {
+            // SAFETY: `p + 4·stride + 16 ≤ hay.len()` (`p ≤ end`), so both
+            // 16-byte loads, at `p` and `p + 4·stride`, are in bounds.
+            let halves = unsafe {
+                let at = hay.as_ptr().add(p);
+                _mm256_loadu2_m128i(at.add(4 * stride).cast(), at.cast())
+            };
+            // Every mask byte is below 16 (`3·stride + 3 ≤ 15`), so lane
+            // `k` is `hay[p + k·stride ..][..4]`.
+            let found = hits(_mm256_shuffle_epi8(halves, pick));
+            if found != 0 {
+                return Ok(p + found.trailing_zeros() as usize * stride);
+            }
+            p += 8 * stride;
+        }
+    }
+    while p <= last {
+        // SAFETY: lane `k` reads the four bytes at `p + k·stride`, the
+        // last of them at most `p + 7·stride + 3 < hay.len()` because
+        // `p ≤ last`; `read_unaligned` needs no alignment.
+        let window = |k: usize| unsafe {
+            hay.as_ptr()
+                .add(p + k * stride)
+                .cast::<i32>()
+                .read_unaligned()
+        };
+        let found = hits(_mm256_setr_epi32(
+            window(0),
+            window(1),
+            window(2),
+            window(3),
+            window(4),
+            window(5),
+            window(6),
+            window(7),
+        ));
+        if found != 0 {
+            return Ok(p + found.trailing_zeros() as usize * stride);
         }
         p += 8 * stride;
     }

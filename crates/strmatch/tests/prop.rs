@@ -136,15 +136,16 @@ proptest! {
         }
     }
 
-    /// The strided filter: pieces of 5–12 bytes over a 3-letter alphabet
+    /// The strided filter: pieces of 5–24 bytes over a 3-letter alphabet
     /// put the shortest piece at 5 bytes or more, so the filter tests one
-    /// position in every `s ≥ 2`, walks back `s − 1` bytes from each hit
-    /// and resumes constantly. Two pieces are planted so occurrences are
-    /// certain, not a matter of luck.
+    /// position in every `s` of 2–21 (the eight-wide loop's shuffle
+    /// strides and its per-lane ones), walks back `s − 1` bytes from each
+    /// hit and resumes constantly. Two pieces are planted so occurrences
+    /// are certain, not a matter of luck.
     #[test]
     fn strided_walk_agrees_with_naive_and_dense(
         patterns in prop::collection::vec(
-            prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 5..=12),
+            prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 5..=24),
             1..8,
         ),
         noise in prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..200),
