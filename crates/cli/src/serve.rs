@@ -71,8 +71,10 @@ impl ServeControl {
         self.inner.drain.load(Ordering::SeqCst)
     }
 
+    /// Called once per packet: a relaxed load, and the clearing swap
+    /// (a locked read-modify-write) only once a reload is pending.
     fn take_reload(&self) -> bool {
-        self.inner.reload.swap(false, Ordering::SeqCst)
+        self.inner.reload.load(Ordering::Relaxed) && self.inner.reload.swap(false, Ordering::SeqCst)
     }
 }
 

@@ -40,21 +40,34 @@
 //! (offsets `0..s`), and the scan tests one position in every `s` —
 //! `from + s − 1, from + 2s − 1, …` — each a `u32` load, a mask, a
 //! multiply, a shift and a bit test, with no dependence between
-//! positions. With AVX2, the crate's `wide` loop tests eight of them per
-//! branch and returns the same first hit; the scalar loop takes the
-//! first two, finishes after the last whole block, and is the whole
-//! filter elsewhere. An occurrence starting at `c ≥ from` has its windows
-//! at `c ..= c + s − 1`, which holds exactly one tested position, and
-//! that position is at most `len − w`. On a hit at `q` the automaton
+//! positions. A hit counts only inside a run: the filter passes a tested
+//! position `q` whose window hits when the hits met walking left from
+//! `q − 1` and right from `q + 1`, each side stopping at its first miss,
+//! number at least `s − 1` (a position below 0, or a window past the last
+//! `u32` load, is a miss; at `s = 1` nothing is checked). With AVX2, the
+//! crate's `wide` loop tests eight positions per branch and runs the same
+//! confirmation on each hitting lane, lowest first, so it returns the same
+//! first candidate; the scalar loop takes the first two, finishes after
+//! the last whole block, and is the whole filter elsewhere.
+//!
+//! *Run lemma.* An occurrence starting at `c ≥ from` has its windows at
+//! `c ..= c + s − 1`, all in the bitmap and all inside the haystack
+//! (`c + s − 1 + 4 = c + m`); that interval holds exactly one tested
+//! position `q`, and the `s − 1` others are hits next to it on one side or
+//! the other, so `q` passes. A false hit passes only if its neighbours hit
+//! as well. *Resume invariant.* On a candidate at `q` the automaton
 //! walks from the start state at `c0 = q − (s − 1)`: an occurrence
-//! starting in `[from, c0)` would have hit at a tested position before
+//! starting in `[from, c0)` would have passed at a tested position before
 //! `q`. Once the walk has read at least two bytes and is back at depth
 //! ≤ 1 at `j`, the filter resumes at `from = j − depth ≥ c0 + 1`: any
 //! occurrence still in progress at `j` starts at or after `j − depth`.
-//! It is linear: tested
-//! positions strictly increase, so the filter makes at most `n` tests,
-//! and each walk ends at most one byte before the next `c0`, so the
-//! automaton takes at most `2n` steps. Breadth-first numbering makes
+//! *Linear:* tested positions strictly increase, so there are at most `n`,
+//! and each costs at most `s + 1` window tests: its own, then `L` hits
+//! and at most one miss on the left and at most `s − 1 − L` tests on the
+//! right. So the filter makes at most `(s + 1)·n` tests; a miss, which is
+//! almost every benign position, costs one. Each walk ends at most
+//! one byte before the next `c0`, so the automaton takes at most `2n`
+//! steps. Breadth-first numbering makes
 //! "depth ≤ 1" one compare, which needs the root and all its children
 //! hot and reporting nothing — hence the hot-tier floor of `1 + fan-out`
 //! and `w ≥ 2`. With a one-byte piece, or a hot tier pinned below the
@@ -105,6 +118,37 @@ pub(crate) const WINDOW_HASH: u32 = 0x9E37_79B1;
 /// Tested positions the scalar loop takes before the eight-wide one.
 const SCALAR_PROBE: usize = 2;
 
+/// The window filter's bitmap and hash, which both loops read: a window
+/// `x` hits when bit `h & 31` of word `h >> 5` is set, `h = (x & mask) ×
+/// WINDOW_HASH >> shift`.
+#[derive(Debug, Clone)]
+pub(crate) struct Bitmap {
+    /// Keeps the low `window` bytes of a little-endian `u32`.
+    pub(crate) mask: u32,
+    /// `32 − log2(bitmap bits)`: the hash keeps its top bits.
+    pub(crate) shift: u32,
+    /// Bit `h & 31` of word `h >> 5` is set for each inserted hash `h`.
+    pub(crate) bits: Box<[u32]>,
+}
+
+impl Bitmap {
+    #[inline(always)]
+    fn hash(&self, x: u32) -> usize {
+        ((x & self.mask).wrapping_mul(WINDOW_HASH) >> self.shift) as usize
+    }
+
+    fn insert(&mut self, x: u32) {
+        let h = self.hash(x);
+        self.bits[h >> 5] |= 1 << (h & 31);
+    }
+
+    #[inline(always)]
+    fn hit(&self, x: u32) -> bool {
+        let h = self.hash(x);
+        (self.bits[h >> 5] >> (h & 31)) & 1 != 0
+    }
+}
+
 /// The strided piece-window filter: one bit at a multiplicative hash of
 /// each of a piece's first `stride` windows of `window` bytes. A tested
 /// window that misses the bitmap is no such window of any piece; a hit is
@@ -116,13 +160,7 @@ struct WindowFilter {
     /// Positions per test, `shortest piece − window + 1`; above 1 only
     /// when `window == MAX_WINDOW`.
     stride: usize,
-    /// Keeps the low `window` bytes of a little-endian `u32`.
-    mask: u32,
-    /// `32 − log2(bitmap bits)`: the hash keeps its top bits.
-    shift: u32,
-    /// Bit `h & 31` of word `h >> 5` is set for each inserted hash `h`;
-    /// both loops read these words.
-    bits: Box<[u32]>,
+    bitmap: Bitmap,
     /// Set when the CPU runs the eight-wide loop.
     wide: Option<Avx2>,
 }
@@ -142,45 +180,53 @@ impl WindowFilter {
             .next_power_of_two()
             .trailing_zeros()
             .clamp(lo, hi);
-        let mut filter = WindowFilter {
-            window,
-            stride,
+        let mut bitmap = Bitmap {
             mask: u32::MAX >> (32 - 8 * window as u32),
             shift: 32 - log2,
             bits: vec![0; 1 << (log2 - 5)].into_boxed_slice(),
-            wide: Avx2::detect(),
         };
         for (_, piece) in set.iter() {
             for at in 0..stride {
-                let h = filter.hash(load_window(&piece[at..]));
-                filter.bits[h >> 5] |= 1 << (h & 31);
+                bitmap.insert(load_window(&piece[at..]));
             }
         }
-        Some(filter)
-    }
-
-    #[inline(always)]
-    fn hash(&self, x: u32) -> usize {
-        ((x & self.mask).wrapping_mul(WINDOW_HASH) >> self.shift) as usize
-    }
-
-    #[inline(always)]
-    fn hit(&self, x: u32) -> bool {
-        let h = self.hash(x);
-        (self.bits[h >> 5] >> (h & 31)) & 1 != 0
+        Some(WindowFilter {
+            window,
+            stride,
+            bitmap,
+            wide: Avx2::detect(),
+        })
     }
 
     /// Whether the `u32` window at `p` hits; `None` past the last load.
     #[inline(always)]
     fn test(&self, hay: &[u8], p: usize) -> Option<bool> {
         let w = hay.get(p..p + 4)?;
-        Some(self.hit(u32::from_le_bytes(w.try_into().expect("4-byte window"))))
+        let x = u32::from_le_bytes(w.try_into().expect("4-byte window"));
+        Some(self.bitmap.hit(x))
+    }
+
+    /// Whether the hit at tested position `q` lies in a run of `stride`
+    /// consecutive hitting positions: the hits met walking left from
+    /// `q − 1` and right from `q + 1`, each side stopping at its first
+    /// miss, number at least `stride − 1`. A position below 0 or a window
+    /// past the last `u32` load is a miss. An occurrence at `c` hits at
+    /// every `c ..= c + stride − 1` (module docs), so its tested position
+    /// always passes.
+    #[inline(always)]
+    fn confirm(&self, hay: &[u8], q: usize) -> bool {
+        let need = self.stride - 1;
+        let left = (1..=need.min(q))
+            .take_while(|&d| self.test(hay, q - d) == Some(true))
+            .count();
+        (1..=need - left).all(|d| self.test(hay, q + d) == Some(true))
     }
 
     /// Where to walk from: `q − (stride − 1)` for the first tested
     /// position `q` in `from + stride − 1, from + 2·stride − 1, …` whose
-    /// window hits the bitmap. The last `window − 1` positions cannot
-    /// start a piece and are not tested.
+    /// window hits the bitmap inside a run of `stride` hits
+    /// ([`Self::confirm`]). The last `window − 1` positions cannot start a
+    /// piece and are not tested.
     #[inline]
     fn find(&self, hay: &[u8], from: usize) -> Option<usize> {
         let back = self.stride - 1;
@@ -189,22 +235,24 @@ impl WindowFilter {
             // Candidates cluster: a walk often ends just short of the next
             // one, which the scalar test then finds in a few cycles, before
             // the vector loop's loads, multiply and bitmap gather would
-            // answer. Without the probe the whole-signature scan of a 10k
-            // text corpus over HTTP-like payload is 1.4–1.5× slower (E29).
+            // answer. On payload built from piece prefixes every candidate
+            // is real, and without the probe the piece scan there is 1.26×
+            // slower (E30).
             for _ in 0..SCALAR_PROBE {
                 match self.test(hay, p) {
-                    Some(true) => return Some(p - back),
-                    Some(false) => p += self.stride,
+                    Some(true) if self.confirm(hay, p) => return Some(p - back),
+                    Some(_) => p += self.stride,
                     None => break,
                 }
             }
-            match wide.find(hay, p, self.stride, self.mask, self.shift, &self.bits) {
+            let confirm = |q| self.confirm(hay, q);
+            match wide.find(hay, p, self.stride, &self.bitmap, confirm) {
                 Ok(q) => return Some(q - back),
                 Err(next) => p = next,
             }
         }
         while let Some(hit) = self.test(hay, p) {
-            if hit {
+            if hit && self.confirm(hay, p) {
                 return Some(p - back);
             }
             p += self.stride;
@@ -212,11 +260,11 @@ impl WindowFilter {
         // Past the `u32` loads only `window < 4`, hence `stride == 1`,
         // leaves positions to test; for `window == 4` the range is empty.
         let last = hay.len().checked_sub(self.window)?;
-        (p..=last).find(|&p| self.hit(load_window(&hay[p..])))
+        (p..=last).find(|&p| self.bitmap.hit(load_window(&hay[p..])))
     }
 
     fn memory_bytes(&self) -> usize {
-        self.bits.len() * 4
+        self.bitmap.bits.len() * 4
     }
 }
 
@@ -787,15 +835,17 @@ mod tests {
         }
     }
 
-    /// The eight-wide loop against the scalar one at every filter shape
-    /// `(w, s)` (each shuffle stride 1–4, per-lane strides 5, 6 and 13),
-    /// every `from` and every haystack length up to four blocks of the
-    /// longer span, `7s + 4` or the shuffle's `4s + 16`, so that each
-    /// hand-off from the shuffle to the per-lane loads is crossed: with no
-    /// hit, with a piece window planted at each tested position, and over
-    /// bytes ≥ 0x80. The wide loop must return the scalar loop's first
-    /// hit among its whole blocks, or the same first untested position,
-    /// and `find` must not change. Skipped without AVX2.
+    /// The eight-wide loop against a scalar model of the run rule at every
+    /// filter shape `(w, s)` (each shuffle stride 1–4, per-lane strides 5,
+    /// 6 and 13), every `from` and every haystack length up to four blocks
+    /// of the longer span, `7s + 4` or the shuffle's `4s + 16`, so that
+    /// each hand-off from the shuffle to the per-lane loads is crossed:
+    /// with no hit, with a lone piece window at each tested position
+    /// (skipped above stride 1), with a whole piece whose run covers it
+    /// at each offset (returned), and over bytes ≥ 0x80. The wide loop
+    /// must return the model's first candidate among its whole blocks, or
+    /// the same first untested position, and `find` must not change.
+    /// Skipped without AVX2.
     #[test]
     fn wide_loop_returns_the_scalar_candidates() {
         let Some(wide) = Avx2::detect() else { return };
@@ -842,6 +892,13 @@ mod tests {
                 if !high {
                     assert_eq!(scalar.find(&filler, 0), None, "filler must miss");
                 }
+                // The run rule, counted out in full on both sides of `q`.
+                let hits = |hay: &[u8], p: usize| filter.test(hay, p) == Some(true);
+                let in_run = |hay: &[u8], q: usize| {
+                    let left = (0..q).rev().take_while(|&p| hits(hay, p)).count();
+                    let right = (q + 1..).take_while(|&p| hits(hay, p)).count();
+                    hits(hay, q) && left + right >= s - 1
+                };
                 let mut block_end_hits = 0;
                 let mut check = |hay: &[u8], from: usize| {
                     let p = from + s - 1;
@@ -850,16 +907,16 @@ mod tests {
                         if q + 7 * s + 4 > hay.len() {
                             break Err(q);
                         }
-                        if let Some(k) = (0..8).find(|k| filter.test(hay, q + k * s) == Some(true))
-                        {
-                            break Ok(q + k * s);
+                        if let Some(t) = (0..8).map(|k| q + k * s).find(|&t| in_run(hay, t)) {
+                            break Ok(t);
                         }
                         q += 8 * s;
                     };
-                    let got = wide.find(hay, p, s, filter.mask, filter.shift, &filter.bits);
+                    let got = wide.find(hay, p, s, &filter.bitmap, |q| filter.confirm(hay, q));
                     assert_eq!(got, want, "w={w} s={s} len={} from={from}", hay.len());
+                    let found = filter.find(hay, from);
                     assert_eq!(
-                        filter.find(hay, from),
+                        found,
                         scalar.find(hay, from),
                         "w={w} s={s} len={} from={from}",
                         hay.len()
@@ -868,15 +925,31 @@ mod tests {
                     if got.ok().map(|q| q + 4) == Some(hay.len()) {
                         block_end_hits += 1;
                     }
+                    found
                 };
                 for len in 0..=max_len {
                     let mut hay = filler[..len].to_vec();
                     for from in 0..=len {
                         check(&hay, from);
                         for q in (from + s - 1..).step_by(s).take_while(|q| q + w <= len) {
-                            hay[q..q + w].copy_from_slice(&pieces[q % 3][..w]);
-                            check(&hay, from);
+                            let piece = &pieces[q % 3];
+                            hay[q..q + w].copy_from_slice(&piece[..w]);
+                            let lone = check(&hay, from);
                             hay[q..q + w].copy_from_slice(&filler[q..q + w]);
+                            if !high && s > 1 {
+                                assert_eq!(lone, None, "s={s} len={len}: lone window at {q}");
+                            }
+                            // `q` sits `(q / s) mod s` into the piece's run.
+                            let c = q - (q / s) % s;
+                            if c < from || c + piece.len() > len {
+                                continue;
+                            }
+                            hay[c..c + piece.len()].copy_from_slice(piece);
+                            let whole = check(&hay, from);
+                            hay[c..c + piece.len()].copy_from_slice(&filler[c..c + piece.len()]);
+                            if !high {
+                                assert_eq!(whole, Some(q + 1 - s), "s={s} len={len}: piece at {c}");
+                            }
                         }
                     }
                 }

@@ -12,17 +12,24 @@
 //! (logical: the hash is unsigned), gathers the bitmap's 32-bit words at
 //! `h >> 5` with one `vpgatherdd`, moves bit `h & 31` of each word to its
 //! sign bit (`vpsllvd` by `31 − (h & 31)`) and reads the eight sign bits
-//! with `vmovmskps`. The lowest set lane is the first hit, so the loop
-//! returns exactly the candidate the scalar loop in [`crate::tiered`]
-//! would. It stops at the first position whose block would read past the
-//! haystack and hands that position to the scalar loop, which is the tail
-//! and, without AVX2, the whole scan.
+//! with `vmovmskps`. A block with no hit stays in the loop. A block with
+//! hits goes to one out-of-line call that hands each set lane, lowest
+//! first, to the caller's `confirm` predicate, the filter's run
+//! confirmation; the first lane it accepts is returned, and a block
+//! whose hits it all rejects is passed over without leaving the loop.
+//! So the loop returns exactly the candidate the scalar loop in
+//! [`crate::tiered`] would. It stops at the first position whose block
+//! would read past the haystack and hands that position to the scalar
+//! loop, which is the tail and, without AVX2, the whole scan.
 //!
 //! This is the crate's only `unsafe`: the window loads, the bitmap gather
 //! and the call into the `avx2` function. [`Avx2`] exists only once CPUID
 //! has reported AVX2, and [`Avx2::find`] checks the bounds the loads and
 //! the gather rely on before it enters the loop, so no input safe code can
-//! pass makes them read out of range.
+//! pass makes them read out of range. The confirmation, and the lane walk
+//! that calls it, are safe code.
+
+use crate::tiered::Bitmap;
 
 /// Proof that the CPU runs AVX2: the only way to reach the vector loop.
 #[cfg(target_arch = "x86_64")]
@@ -45,9 +52,8 @@ impl Avx2 {
         _: &[u8],
         _: usize,
         _: usize,
-        _: u32,
-        _: u32,
-        _: &[u32],
+        _: &Bitmap,
+        _: impl FnMut(usize) -> bool,
     ) -> Result<usize, usize> {
         match self {}
     }
@@ -72,25 +78,27 @@ impl Avx2 {
     }
 
     /// The first tested position `q` in `p, p + stride, …` whose window,
-    /// `hay[q..q + 4]` masked by `mask`, hits `bits` under the hash
-    /// `(x & mask) × WINDOW_HASH >> shift` — `Ok(q)` — testing only whole
-    /// blocks of eight that end inside `hay` (`q + 7·stride + 4 ≤ len`).
-    /// `Err(next)` when none of those hit: `next` is the first position
-    /// left untested.
+    /// `hay[q..q + 4]`, hits `bitmap` and which `confirm(q)` accepts
+    /// — `Ok(q)` — testing only whole blocks of eight that end inside
+    /// `hay` (`q + 7·stride + 4 ≤ len`). `confirm` runs on each hitting
+    /// lane of a block, lowest first, so a rejected hit never leaves the
+    /// loop. `Err(next)` when none of those pass: `next` is the first
+    /// position left untested.
     ///
     /// # Panics
     ///
-    /// When `bits` does not hold a word for every hash `shift` leaves.
+    /// When `bitmap.bits` does not hold a word for every hash its `shift`
+    /// leaves.
     #[inline]
     pub(crate) fn find(
         self,
         hay: &[u8],
         p: usize,
         stride: usize,
-        mask: u32,
-        shift: u32,
-        bits: &[u32],
+        bitmap: &Bitmap,
+        confirm: impl FnMut(usize) -> bool,
     ) -> Result<usize, usize> {
+        let (shift, bits) = (bitmap.shift, &bitmap.bits);
         assert!(
             shift < 32 && (u32::MAX >> shift) as usize >> 5 < bits.len(),
             "every hash indexes a bitmap word"
@@ -108,17 +116,18 @@ impl Avx2 {
         // conditions of `find8` hold: `stride ≥ 1`, `last + 7·stride + 4 =
         // hay.len()`, and the assert above bounds every word index
         // `(u32::MAX >> shift) >> 5` by `bits.len()`.
-        unsafe { find8(hay, p, last, stride, mask, shift, bits) }
+        unsafe { find8(hay, p, last, stride, bitmap, confirm) }
     }
 }
 
 /// The loop behind [`Avx2::find`]: tests blocks starting at `p` while
-/// `p ≤ last`.
+/// `p ≤ last`, handing each hitting lane to `confirm`.
 ///
 /// # Safety
 ///
 /// The CPU supports AVX2; `stride ≥ 1`; `last + 7·stride + 4 ≤
-/// hay.len()`; `shift < 32` and `(u32::MAX >> shift) >> 5 < bits.len()`.
+/// hay.len()`; `bitmap.shift < 32` and `(u32::MAX >> bitmap.shift) >> 5
+/// < bitmap.bits.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn find8(
@@ -126,15 +135,15 @@ unsafe fn find8(
     mut p: usize,
     last: usize,
     stride: usize,
-    mask: u32,
-    shift: u32,
-    bits: &[u32],
+    bitmap: &Bitmap,
+    mut confirm: impl FnMut(usize) -> bool,
 ) -> Result<usize, usize> {
     use std::arch::x86_64::*;
 
-    let mask = _mm256_set1_epi32(mask as i32);
+    let bits = &bitmap.bits;
+    let mask = _mm256_set1_epi32(bitmap.mask as i32);
     let multiplier = _mm256_set1_epi32(crate::tiered::WINDOW_HASH as i32);
-    let shift = _mm_cvtsi32_si128(shift as i32);
+    let shift = _mm_cvtsi32_si128(bitmap.shift as i32);
     let low5 = _mm256_set1_epi32(31);
     // The eight windows' bitmap bits, lane `k`'s as bit `k`.
     let hits = |windows: __m256i| {
@@ -168,7 +177,9 @@ unsafe fn find8(
             // `k` is `hay[p + k·stride ..][..4]`.
             let found = hits(_mm256_shuffle_epi8(halves, pick));
             if found != 0 {
-                return Ok(p + found.trailing_zeros() as usize * stride);
+                if let Some(q) = first_confirmed(p, stride, found, &mut confirm) {
+                    return Ok(q);
+                }
             }
             p += 8 * stride;
         }
@@ -194,9 +205,33 @@ unsafe fn find8(
             window(7),
         ));
         if found != 0 {
-            return Ok(p + found.trailing_zeros() as usize * stride);
+            if let Some(q) = first_confirmed(p, stride, found, &mut confirm) {
+                return Ok(q);
+            }
         }
         p += 8 * stride;
     }
     Err(p)
+}
+
+/// The first set lane of `found`, lowest first, whose position `p + k·stride`
+/// `confirm` accepts. Out of line and cold: the loops call it only on a
+/// block with a hit, and keep their constants in registers otherwise.
+#[cfg(target_arch = "x86_64")]
+#[cold]
+#[inline(never)]
+fn first_confirmed(
+    p: usize,
+    stride: usize,
+    mut found: i32,
+    confirm: &mut impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    while found != 0 {
+        let q = p + found.trailing_zeros() as usize * stride;
+        if confirm(q) {
+            return Some(q);
+        }
+        found &= found - 1;
+    }
+    None
 }

@@ -171,4 +171,46 @@ proptest! {
             prop_assert_eq!(tiered.find_first_id(&hay), dense.find_first_id(&hay));
         }
     }
+
+    /// The window filter's run confirmation under payload built to defeat
+    /// it: haystacks concatenate single piece windows (a lone hit, or part
+    /// of a run a neighbour completes), piece prefixes (each piece without
+    /// its last byte: a run of hits and a deep walk that never matches)
+    /// and whole pieces. Pieces of 5–16 bytes put the filter at
+    /// strides 2–13. `find_all` must equal the naive reference and
+    /// `find_first_id` must name a piece ending first.
+    #[test]
+    fn run_adversarial_payload_agrees_with_naive(
+        patterns in prop::collection::vec(prop::collection::vec(any::<u8>(), 5..=16), 1..6),
+        parts in prop::collection::vec((0u8..3, any::<u8>(), any::<u8>()), 0..48),
+    ) {
+        let mut hay = Vec::new();
+        for (kind, which, at) in parts {
+            let piece = &patterns[usize::from(which) % patterns.len()];
+            match kind {
+                0 => {
+                    let at = usize::from(at) % (piece.len() - 3);
+                    hay.extend_from_slice(&piece[at..at + 4]);
+                }
+                1 => hay.extend_from_slice(&piece[..piece.len() - 1]),
+                _ => hay.extend_from_slice(piece),
+            }
+        }
+        let set = PatternSet::from_patterns(&patterns);
+        // In `Match` order: by end, then pattern id.
+        let want = naive::find_all(&set, &hay);
+        let first_end = want.first().map(|m| m.end);
+        for tiered in hot_sweep(&set) {
+            if let Some((_, stride, _, _)) = tiered.filter_shape() {
+                prop_assert!((2..=13).contains(&stride), "shortest piece 5–16 bytes");
+            }
+            let mut got = tiered.find_all(&hay);
+            got.sort();
+            prop_assert_eq!(&got, &want, "hot = {}", tiered.hot_state_count());
+            let first = tiered
+                .find_first_id(&hay)
+                .map(|id| want.iter().any(|m| Some(m.end) == first_end && m.pattern == id));
+            prop_assert_eq!(first, first_end.map(|_| true), "hot = {}", tiered.hot_state_count());
+        }
+    }
 }
