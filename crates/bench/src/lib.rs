@@ -8,10 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::time::Instant;
-
-use sd_ips::api::run_trace;
-use sd_ips::{Alert, Ips, SignatureSet};
+use sd_ips::SignatureSet;
 use sd_traffic::benign::{BenignConfig, BenignGenerator};
 use sd_traffic::trace::Trace;
 
@@ -44,24 +41,6 @@ pub fn benign_trace(flows: usize, seed: u64) -> Trace {
     BenignGenerator::new(standard_benign(flows, seed)).generate()
 }
 
-/// Introduce benign-style reordering into a trace by swapping adjacent
-/// packets with probability `prob` (seeded). Used to make the conventional
-/// engine hold realistic out-of-order buffers in the state experiments.
-pub fn shuffle_adjacent(trace: &mut Trace, prob: f64, seed: u64) {
-    let mut state = seed | 1;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as f64 / (1u64 << 31) as f64
-    };
-    for i in 1..trace.packets.len() {
-        if next() < prob {
-            trace.packets.swap(i - 1, i);
-        }
-    }
-}
-
 /// Drop each non-SYN packet with probability `prob` (seeded): models path
 /// loss upstream of the IPS. Lost data leaves permanent reassembly holes,
 /// which is exactly what makes a conventional IPS hold buffers at scale.
@@ -83,13 +62,6 @@ pub fn drop_random(trace: &mut Trace, prob: f64, seed: u64) {
     });
 }
 
-/// Wall-clock a full trace through an engine. Returns (alerts, seconds).
-pub fn timed_run<E: Ips>(engine: &mut E, trace: &Trace) -> (Vec<Alert>, f64) {
-    let start = Instant::now();
-    let alerts = run_trace(engine, trace.iter_bytes());
-    (alerts, start.elapsed().as_secs_f64())
-}
-
 /// Gigabits per second for `bytes` processed in `secs`.
 pub fn gbps(bytes: u64, secs: f64) -> f64 {
     if secs <= 0.0 {
@@ -100,10 +72,11 @@ pub fn gbps(bytes: u64, secs: f64) -> f64 {
 
 /// Print a table header and its separator in the house format.
 pub fn header(cols: &[(&str, usize)]) {
-    let mut line = String::new();
-    for (name, width) in cols {
-        line.push_str(&format!("{name:>width$} "));
-    }
+    let line = cols
+        .iter()
+        .map(|(name, width)| format!("{name:>width$}"))
+        .collect::<Vec<_>>()
+        .join(" ");
     println!("{line}");
     println!("{}", "-".repeat(line.len()));
 }
@@ -121,17 +94,6 @@ mod tests {
     fn gbps_math() {
         assert_eq!(gbps(1_000_000_000, 8.0), 1.0);
         assert_eq!(gbps(0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn shuffle_is_seeded_and_bounded() {
-        let mut a = benign_trace(5, 1);
-        let mut b = benign_trace(5, 1);
-        shuffle_adjacent(&mut a, 0.2, 9);
-        shuffle_adjacent(&mut b, 0.2, 9);
-        assert_eq!(a, b);
-        let c = benign_trace(5, 1);
-        assert_eq!(a.len(), c.len());
     }
 
     #[test]
