@@ -12,6 +12,8 @@
 //! and `tests/golden.rs` pins each of them. E15 is the one timed table;
 //! engine speed is otherwise measured by `sd-e2e` (`benchmark/`).
 
+use std::net::Ipv4Addr;
+
 use sd_bench::{benign_trace, drop_random, gbps, generated_signatures, header, SIG};
 use sd_ips::api::run_trace;
 use sd_ips::conventional::ConventionalConfig;
@@ -846,16 +848,16 @@ fn e12() {
 
     // 200 benign flows and 12 attacks whose detection needs history replay
     // (reordered segments: the diverting packet is not the one carrying the
-    // start of the signature). The 12 share one client address and
-    // diversion is keyed on the IP pair, so an attack that starts after
-    // another one diverted is diverted from its first packet and needs no
-    // history.
+    // start of the signature). Diversion is keyed on the IP pair, so each
+    // attacker gets its own client address, one no benign flow uses (the
+    // generator numbers benign clients from 10.1.0.0): no attack rides on
+    // another's diversion.
     let benign = BenignGenerator::new(sd_bench::standard_benign(200, 77)).generate();
     let victim = VictimConfig::default();
     let attacks: Vec<(Vec<Vec<u8>>, usize, &'static str)> = (0..12)
         .map(|i| {
             let mut spec = AttackSpec::simple(SIG);
-            spec.client.1 = 43_000 + i as u16;
+            spec.client = (Ipv4Addr::new(10, 66, 0, 1 + i as u8), 43_000 + i as u16);
             (
                 generate(
                     &spec,

@@ -76,7 +76,7 @@ fn e11_bloom_counters_are_pinned() {
 
 #[test]
 fn e12_delay_line_depth_is_pinned() {
-    check("e12", 0x7463_3665_1116_42ef);
+    check("e12", 0xa2de_2b53_8528_54c5);
 }
 
 #[test]

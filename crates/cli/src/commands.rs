@@ -15,13 +15,13 @@ use sd_traffic::mixer::{mix, LabeledTrace};
 use sd_traffic::payload::PayloadModel;
 use sd_traffic::rulegen::{generate_rule_corpus, RuleCorpusConfig};
 use sd_traffic::victim::{receive_stream, VictimConfig};
-use sd_traffic::{pcap, Trace};
+use sd_traffic::{pcap, Trace, TraceSource};
 use splitdetect::{ShardedSplitDetect, SplitDetect, SplitDetectConfig, SplitPlan};
 
 use crate::opts::{
     Command, EngineArgs, EngineKind, FuzzArgs, ScanArgs, ServeArgs, ServeSource, WorkloadArgs,
 };
-use crate::serve::{self, ServeEngine, ServeOptions};
+use crate::serve::{self, ServeControl, ServeEngine, ServeOptions};
 
 type Out<'a> = &'a mut dyn Write;
 
@@ -133,8 +133,9 @@ fn split_engine(sigs: SignatureSet, args: &EngineArgs) -> Result<ServeEngine, St
     })
 }
 
-/// `sd scan`: drive one engine over the capture, then print its report
-/// and alerts.
+/// `sd scan`: run one engine over the capture, then print its report
+/// and alerts. Split-Detect runs through [`serve::serve`], the loop the
+/// daemon runs; the baselines run through [`run_trace`].
 fn scan(args: &ScanArgs, out: Out) -> Result<(), String> {
     let e = &args.engine;
     let rules = load_rules(e.rules.as_deref(), out)?;
@@ -151,58 +152,27 @@ fn scan(args: &ScanArgs, out: Out) -> Result<(), String> {
 
     let alerts = match args.kind {
         EngineKind::Split => {
-            let mut engine = split_engine(sigs, e)?;
-            let alerts = drive(&mut engine, &trace, args.speed, out);
-            let _ = out.write_all(engine.final_report().1.as_bytes());
+            let engine = split_engine(sigs, e)?;
+            let mut source = TraceSource::new(&trace.packets);
+            let control = ServeControl::new();
+            let opts = ServeOptions::default();
+            let summary = serve::serve(engine, &mut source, &control, opts, out)?;
             if let Some(base) = &args.metrics_out {
-                let metrics = engine.metrics().expect("drive() finished the engine");
-                for (ext, text) in [
-                    ("prom", sd_telemetry::to_prometheus(&metrics)),
-                    ("json", sd_telemetry::to_json(&metrics)),
-                ] {
-                    let path = format!("{base}.{ext}");
-                    std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-                }
-                let _ = writeln!(out, "metrics written to {base}.prom and {base}.json");
+                let metrics = summary.metrics.ok_or("no surviving shards; no metrics")?;
+                let path = format!("{base}.prom");
+                std::fs::write(&path, sd_telemetry::to_prometheus(&metrics))
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                let _ = writeln!(out, "metrics written to {path}");
             }
-            alerts
+            summary.alerts
         }
         EngineKind::Conventional => {
-            drive(&mut conventional(sigs, e.policy), &trace, args.speed, out)
+            run_trace(&mut conventional(sigs, e.policy), trace.iter_bytes())
         }
-        EngineKind::Naive => drive(&mut NaivePacketIps::new(sigs), &trace, args.speed, out),
+        EngineKind::Naive => run_trace(&mut NaivePacketIps::new(sigs), trace.iter_bytes()),
     };
     print_alerts(&rules, &alerts, out);
     Ok(())
-}
-
-/// The one loop that drives an engine over a capture: replay it at
-/// `speed` times its recorded pacing (0 = back to back), finish, and
-/// say how the replay went.
-fn drive(engine: &mut dyn Ips, trace: &Trace, speed: f64, out: Out) -> Vec<Alert> {
-    let pace = if speed == 0.0 { f64::INFINITY } else { speed };
-    let mut alerts = Vec::new();
-    let r = sd_traffic::replay::replay(trace, pace, |pkt, tick| {
-        engine.process_packet(pkt, tick, &mut alerts)
-    });
-    engine.finish(&mut alerts);
-    let pacing = if pace.is_finite() {
-        format!(
-            "target {:.3}s, max lateness {:.3} ms",
-            r.target_secs,
-            r.max_lateness_secs * 1e3
-        )
-    } else {
-        "unpaced".to_string()
-    };
-    let _ = writeln!(
-        out,
-        "{} replayed {} packets in {:.3}s ({pacing})",
-        engine.name(),
-        r.packets,
-        r.elapsed_secs
-    );
-    alerts
 }
 
 fn print_alerts(rules: &RuleSet, alerts: &[Alert], out: Out) {
@@ -757,7 +727,6 @@ fn serve_cmd(args: &ServeArgs, out: Out) -> Result<(), String> {
 
     match args.source {
         ServeSource::Loopback => {
-            let (handle, mut src) = sd_traffic::loopback(1024);
             let trace = workload(&rules, &args.workload).trace;
             let _ = writeln!(
                 out,
@@ -770,31 +739,13 @@ fn serve_cmd(args: &ServeArgs, out: Out) -> Result<(), String> {
                     None => ", one pass".to_string(),
                 }
             );
-            let deadline = args
-                .duration_secs
-                .map(|s| std::time::Instant::now() + std::time::Duration::from_secs(s));
-            let producer = std::thread::spawn(move || {
-                let mut base = 0u64;
-                loop {
-                    for (i, p) in trace.iter_bytes().enumerate() {
-                        if !handle.send(base + i as u64, p) {
-                            return;
-                        }
-                    }
-                    base += trace.len() as u64;
-                    // Without a deadline the trace plays once and the
-                    // dropped handle closes the source (drain).
-                    match deadline {
-                        Some(d) if std::time::Instant::now() < d => continue,
-                        _ => return,
-                    }
-                }
-            });
-            let result = serve::serve(engine, &mut src, &control, opts, out);
-            // Unblock a producer stuck on a full channel before joining.
-            drop(src);
-            let _ = producer.join();
-            result?;
+            // With a deadline the trace loops until `max_duration` drains
+            // the loop; without one it plays once and the source closes.
+            let mut src = match args.duration_secs {
+                Some(_) => TraceSource::cycling(&trace.packets),
+                None => TraceSource::new(&trace.packets),
+            };
+            serve::serve(engine, &mut src, &control, opts, out)?;
         }
         ServeSource::AfPacket => {
             #[cfg(all(feature = "afpacket", target_os = "linux"))]

@@ -1,16 +1,17 @@
 //! # sd-cli — the `sd` command
 //!
-//! A thin operational front end over the workspace: `scan` drives any of
-//! the three engines over a capture (paced or not, optionally exporting
-//! metrics); the other commands compare engines, lint rules, run the
-//! evasion gauntlet, generate workloads, fuzz, and serve live traffic.
-//! All logic lives here so the integration tests drive what users run.
+//! A thin operational front end over the workspace: `scan` runs any of
+//! the three engines over a capture (Split-Detect through [`serve::serve`],
+//! the loop the daemon runs, optionally exporting metrics); the other
+//! commands compare engines, lint rules, run the evasion gauntlet,
+//! generate workloads, fuzz, and serve live traffic. All logic lives here
+//! so the integration tests drive what users run.
 //!
 //! ```text
 //! sd scan capture.pcap --rules local.rules --engine split
-//! sd scan capture.pcap --shards 4 --metrics-out m   # m.prom + m.json
-//! sd scan capture.pcap --speed 10                   # paced replay
+//! sd scan capture.pcap --shards 4 --metrics-out m   # m.prom
 //! sd generate out.pcap --flows 200 --attacks 5 --seed 7
+//! sd serve --flows 200 --attacks 5 --seed 7         # the same workload, one pass
 //! ```
 
 #![forbid(unsafe_code)]

@@ -20,7 +20,7 @@ usage:
                          [--policy first|last|bsd|linux]
                          [--shards N] [--shard-batch PKTS]
                          [--slow-workers N] [--slow-lane-depth PKTS]
-                         [--flow-hash-seed S] [--speed X] [--metrics-out BASE]
+                         [--flow-hash-seed S] [--metrics-out BASE]
   sd compare <capture.pcap> [--rules FILE] [--policy P]
   sd stats <capture.pcap>
   sd rules <FILE>
@@ -36,9 +36,9 @@ usage:
            [--duration-secs N] [--flows N] [--attacks N] [--seed S]
 
 Without --rules, the embedded demo rule set is used.
-scan drives one engine over the capture, unpaced or at --speed X times
-its recorded pacing (0 = unpaced). --metrics-out BASE (split engine)
-writes the run's metrics to BASE.prom (Prometheus) and BASE.json.
+scan runs one engine over the capture; split-detect runs through the
+loop serve runs. --metrics-out BASE (split engine) writes the run's
+metrics to BASE.prom (Prometheus text format).
 --shards N > 1 runs the flow-sharded engine, sending --shard-batch
 packets per dispatch (default 64). --flow-hash-seed S pins the
 flow-table hash key (default: process-random, so collision floods
@@ -70,8 +70,8 @@ pub enum EngineKind {
     Naive,
 }
 
-/// Which packet source `serve` captures from: an in-process loopback fed
-/// with the `generate` workload (the default), or an AF_PACKET ring on
+/// Which packet source `serve` captures from: the `generate` workload
+/// played from memory (the default), or an AF_PACKET ring on
 /// `--iface` (Linux; needs a build with `--features afpacket`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeSource {
@@ -109,9 +109,7 @@ pub struct ScanArgs {
     pub pcap: String,
     pub kind: EngineKind,
     pub engine: EngineArgs,
-    /// Replay at `speed` times the recorded pacing; 0 is unpaced.
-    pub speed: f64,
-    /// Split engine only: write `BASE.prom` and `BASE.json`.
+    /// Split engine only: write `BASE.prom`.
     pub metrics_out: Option<String>,
 }
 
@@ -215,13 +213,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     ],
                 )?,
                 engine: a.engine()?,
-                speed: a.get("--speed", 0.0)?,
                 metrics_out: a.opt("--metrics-out")?,
             };
-            // NaN passes a plain `< 0.0` check; the replay needs a real pace.
-            if !(scan.speed.is_finite() && scan.speed >= 0.0) {
-                return Err("--speed must be a finite number >= 0".into());
-            }
             if scan.metrics_out.is_some() && scan.kind != EngineKind::Split {
                 return Err("--metrics-out needs the split engine".into());
             }
@@ -538,13 +531,13 @@ mod tests {
     }
 
     #[test]
-    fn scan_speed_and_metrics_flags() {
+    fn scan_metrics_flag() {
         let p = parse_as!(Scan, "scan cap.pcap");
-        assert_eq!((p.speed, p.metrics_out), (0.0, None));
+        assert_eq!(p.metrics_out, None);
 
-        let p = parse_as!(Scan, "scan cap.pcap --metrics-out m --shards 2 --speed 2.5");
+        let p = parse_as!(Scan, "scan cap.pcap --metrics-out m --shards 2");
         assert_eq!(p.metrics_out.as_deref(), Some("m"));
-        assert_eq!((p.engine.shards, p.speed), (2, 2.5));
+        assert_eq!(p.engine.shards, 2);
     }
 
     #[test]
@@ -588,15 +581,12 @@ mod tests {
             // `run`, `replay` and `stats --format|--shards` became `scan`.
             "run",
             "run a b",
-            "replay cap.pcap --speed 0",
+            "replay cap.pcap",
             // `sd lab` and its journal are gone.
             "lab list",
             "stats cap.pcap --format prom",
             "scan cap.pcap --metrics-out",
             "scan cap.pcap --engine naive --metrics-out m",
-            "scan cap.pcap --speed nan",
-            "scan cap.pcap --speed inf",
-            "scan cap.pcap --speed -1",
             "generate out.pcap --attacks 25536",
             // One piece automaton: its former selector flags are gone.
             "scan cap.pcap --matcher tiered",

@@ -1,8 +1,10 @@
-//! `sd serve` — the long-running capture daemon.
+//! `sd serve` — the long-running capture daemon, and the one loop that
+//! feeds packets to Split-Detect.
 //!
-//! `scan` drives an engine over a finite capture and exits. `serve`
-//! keeps a Split-Detect engine alive against a live [`PacketSource`]
-//! and adds the three things a daemon needs:
+//! [`serve`] keeps a Split-Detect engine alive against a
+//! [`PacketSource`] until a drain or the end of the source. `sd scan`
+//! runs it over a capture in memory, with no scrape endpoint; the daemon
+//! adds the three things a long run needs:
 //!
 //! * a **scrape endpoint**: the engine's metrics plus the daemon's own
 //!   counters, rendered from their stats and published to a
@@ -129,6 +131,9 @@ pub struct ServeSummary {
     pub alerts: Vec<Alert>,
     /// The final engine statistics (aggregated across shards).
     pub stats: Option<SplitDetectStats>,
+    /// The engine's final metrics, built once at drain; the last scrape
+    /// snapshot publishes the same registry.
+    pub metrics: Option<Registry>,
     /// The final report text, exactly as written to `out`.
     pub report: String,
 }
@@ -192,7 +197,7 @@ impl ServeEngine {
     }
 
     /// The engine's metrics, when they are readable right now.
-    pub(crate) fn metrics(&self) -> Option<Registry> {
+    fn metrics(&self) -> Option<Registry> {
         match self {
             ServeEngine::Single(e) => Some(e.metrics()),
             ServeEngine::Sharded(e) => e.metrics(),
@@ -230,7 +235,7 @@ impl ServeEngine {
     }
 
     /// Final stats + report text. Valid only after [`Ips::finish`].
-    pub(crate) fn final_report(&self) -> (Option<SplitDetectStats>, String) {
+    fn final_report(&self) -> (Option<SplitDetectStats>, String) {
         match self {
             ServeEngine::Single(e) => {
                 let stats = e.stats();
@@ -277,9 +282,10 @@ pub fn serve(
     let start = Instant::now();
     let scrape = opts.scrape.take();
     let mut counts = Counts::default();
-    let publish = |engine: &ServeEngine, counts: Counts, draining: bool| {
+    let publish = |engine: &ServeEngine, counts: Counts| {
         if let Some(server) = &scrape {
-            server.publish(counts.exposition(start.elapsed(), draining, engine));
+            let metrics = engine.metrics();
+            server.publish(counts.exposition(start.elapsed(), false, metrics.as_ref()));
         }
     };
 
@@ -297,7 +303,7 @@ pub fn serve(
             None => "no scrape endpoint".to_string(),
         }
     );
-    publish(&engine, counts, false);
+    publish(&engine, counts);
 
     'run: loop {
         if let Some(limit) = opts.max_duration {
@@ -314,7 +320,7 @@ pub fn serve(
         if pending.as_ref().is_some_and(|h| h.is_finished()) {
             let handle = pending.take().expect("checked is_some");
             finish_compile(handle, &mut engine, &mut counts, out);
-            publish(&engine, counts, false);
+            publish(&engine, counts);
         }
 
         if control.take_reload() {
@@ -335,12 +341,12 @@ pub fn serve(
                     ReloadStep::Applied => {
                         counts.reloads += 1;
                         let _ = writeln!(out, "reload: new rules broadcast to shards");
-                        publish(&engine, counts, false);
+                        publish(&engine, counts);
                     }
                     ReloadStep::Rejected(e) => {
                         counts.reload_failures += 1;
                         let _ = writeln!(out, "reload rejected ({e}); old rules kept");
-                        publish(&engine, counts, false);
+                        publish(&engine, counts);
                     }
                 }
             }
@@ -354,12 +360,12 @@ pub fn serve(
                 if since_publish >= opts.publish_every {
                     since_publish = 0;
                     engine.poll(&mut alerts);
-                    publish(&engine, counts, false);
+                    publish(&engine, counts);
                 }
             }
             SourceEvent::Idle => {
                 engine.poll(&mut alerts);
-                publish(&engine, counts, false);
+                publish(&engine, counts);
             }
             SourceEvent::Closed => {
                 let _ = writeln!(out, "source closed; draining");
@@ -375,6 +381,7 @@ pub fn serve(
     }
     engine.finish(&mut alerts);
     let (stats, report) = engine.final_report();
+    let metrics = engine.metrics();
 
     let Counts {
         packets,
@@ -399,8 +406,8 @@ pub fn serve(
 
     // One last snapshot (the sharded engine's metrics only exist now),
     // then take the endpoint down.
-    publish(&engine, counts, true);
     if let Some(mut server) = scrape {
+        server.publish(counts.exposition(start.elapsed(), true, metrics.as_ref()));
         server.shutdown();
     }
 
@@ -410,6 +417,7 @@ pub fn serve(
         reload_failures,
         alerts,
         stats,
+        metrics,
         report,
     })
 }
@@ -425,7 +433,7 @@ struct Counts {
 impl Counts {
     /// The scrape snapshot: the daemon's counters, then the engine's
     /// metrics when they are readable.
-    fn exposition(self, uptime: Duration, draining: bool, engine: &ServeEngine) -> String {
+    fn exposition(self, uptime: Duration, draining: bool, metrics: Option<&Registry>) -> String {
         let mut r = Registry::new();
         r.counter(
             "sd_serve_packets_total",
@@ -453,8 +461,8 @@ impl Counts {
             u64::from(draining),
         );
         let mut text = to_prometheus(&r);
-        if let Some(metrics) = engine.metrics() {
-            text.push_str(&to_prometheus(&metrics));
+        if let Some(metrics) = metrics {
+            text.push_str(&to_prometheus(metrics));
         }
         text
     }

@@ -1,16 +1,14 @@
-//! Exposition: Prometheus text format and JSON.
+//! Exposition: the Prometheus text format.
 //!
-//! Both renderings are pure functions of a [`Registry`] snapshot — the hot
-//! path never sees them. The Prometheus output follows the text exposition
-//! format version 0.0.4 (`# HELP` / `# TYPE` headers, cumulative
-//! `_bucket{le=...}` histogram series ending in `+Inf`, `_sum`/`_count`);
+//! The rendering is a pure function of a [`Registry`] snapshot — the hot
+//! path never sees it. It follows the text exposition format version
+//! 0.0.4 (`# HELP` / `# TYPE` headers, cumulative `_bucket{le=...}`
+//! histogram series ending in `+Inf`, `_sum`/`_count`);
 //! [`crate::promcheck`] validates it structurally, so a format regression
 //! is a test failure rather than a scrape failure in some future
-//! deployment. JSON is hand-rendered (the workspace is dependency-free by
-//! constraint) and nests histograms as sparse `{bucket_upper: count}`
-//! maps to keep snapshots diff-friendly.
+//! deployment.
 
-use crate::registry::{Histogram, MetricMeta, Registry, Series};
+use crate::registry::{Histogram, MetricMeta, Registry};
 
 fn label_suffix(meta: &MetricMeta, extra: Option<(&str, String)>) -> String {
     let mut pairs: Vec<(String, String)> = Vec::new();
@@ -137,68 +135,6 @@ fn render_histogram(out: &mut String, meta: &MetricMeta, h: &Histogram) {
     ));
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render the registry as a JSON snapshot:
-/// `{"counters": {name: value, ...}, "gauges": {...},
-///   "histograms": {name: {"count": n, "sum": s, "buckets": {upper: count}}}}`.
-/// Keys are full names (label pair folded in), so merged and per-shard
-/// snapshots diff cleanly.
-pub fn to_json(r: &Registry) -> String {
-    let mut out = String::from("{\n  \"counters\": {");
-    let counters: Vec<String> = r
-        .counters()
-        .iter()
-        .map(|c| format!("\"{}\": {}", json_escape(&c.meta.full_name()), c.value))
-        .collect();
-    out.push_str(&counters.join(", "));
-    out.push_str("},\n  \"gauges\": {");
-    let gauges: Vec<String> = r
-        .gauges()
-        .iter()
-        .map(|g| format!("\"{}\": {}", json_escape(&g.meta.full_name()), g.value))
-        .collect();
-    out.push_str(&gauges.join(", "));
-    out.push_str("},\n  \"histograms\": {\n");
-    let hists: Vec<String> = r
-        .histograms()
-        .iter()
-        .map(|Series { meta, value: h }| {
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &b)| b > 0)
-                .map(|(i, &b)| format!("\"{}\": {}", Histogram::bucket_upper(i), b))
-                .collect();
-            format!(
-                "    \"{}\": {{\"count\": {}, \"sum\": {}, \"buckets\": {{{}}}}}",
-                json_escape(&meta.full_name()),
-                h.count,
-                h.sum,
-                buckets.join(", ")
-            )
-        })
-        .collect();
-    out.push_str(&hists.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,28 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn json_snapshot_is_parseable_shape() {
-        let text = to_json(&sample());
-        // No JSON parser in-tree; assert the structural landmarks.
-        assert!(text.starts_with("{\n"), "{text}");
-        assert!(text.trim_end().ends_with('}'), "{text}");
-        assert!(text.contains("\"sd_packets_total\": 100"), "{text}");
-        assert!(
-            text.contains("\"sd_stage_packets_total{stage=\\\"slow_path\\\"}\": 10"),
-            "{text}"
-        );
-        assert!(text.contains("\"count\": 4, \"sum\": 9650"), "{text}");
-        // Balanced braces (cheap well-formedness check given escaped quotes).
-        let opens = text.matches('{').count();
-        let closes = text.matches('}').count();
-        assert_eq!(opens, closes, "{text}");
-    }
-
-    #[test]
     fn empty_registry_exports_cleanly() {
         let r = Registry::new();
         promcheck::validate(&to_prometheus(&r)).unwrap();
-        let j = to_json(&r);
-        assert!(j.contains("\"counters\": {}"), "{j}");
     }
 }

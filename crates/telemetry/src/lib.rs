@@ -13,8 +13,8 @@
 //!   path's delivery latency. Shard instances merge at `finish()`.
 //! - [`Registry`]: a named snapshot of counters, gauges and histograms,
 //!   built only at export time from numbers the engine already keeps.
-//! - [`export`]: Prometheus text-format and JSON renderings of a
-//!   registry snapshot.
+//! - [`export`]: the Prometheus text-format rendering of a registry
+//!   snapshot.
 //! - [`promcheck`]: a dependency-free structural validator for the
 //!   Prometheus exposition format, used by tests and CI to pin the
 //!   exporter's output.
@@ -31,7 +31,7 @@ pub mod promcheck;
 pub mod registry;
 pub mod scrape;
 
-pub use export::{to_json, to_prometheus};
+pub use export::to_prometheus;
 pub use pipeline::{PipelineTelemetry, Stage, StageClock};
 pub use registry::{Histogram, MetricMeta, Registry, Series, HISTOGRAM_BUCKETS};
 pub use scrape::ScrapeServer;

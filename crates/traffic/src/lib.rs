@@ -27,13 +27,12 @@
 //! * [`rulegen`] — seeded Snort-subset rule-corpus generator (families
 //!   with shared content prefixes, text/hex alphabet mixes, realistic
 //!   length distributions) for the 1k/10k-rule scale work,
-//! * [`replay`] — paced (timestamp-respecting) trace replay, for turning a
-//!   capture back into an offered load,
 //! * [`pcap`] — classic libpcap file I/O so real captures can be swapped in
 //!   for the synthetic workloads,
-//! * [`source`] — pluggable live packet sources for the `sd serve` daemon
-//!   (in-process loopback; AF_PACKET mmap ring behind the `afpacket`
-//!   feature).
+//! * [`source`] — the packet sources the `serve()` loop pulls from: an
+//!   in-memory capture (what `sd scan` and `sd serve` run), a cross-thread
+//!   loopback channel, and an AF_PACKET mmap ring behind the `afpacket`
+//!   feature.
 
 // The afpacket capture backend is the single sanctioned unsafe island in
 // the workspace (raw sockets + a kernel-shared mmap ring have no safe std
@@ -50,7 +49,6 @@ pub mod heavytail;
 pub mod mixer;
 pub mod payload;
 pub mod pcap;
-pub mod replay;
 pub mod rulegen;
 pub mod source;
 pub mod stats;
@@ -63,6 +61,8 @@ pub use heavytail::{HeavyTailConfig, HeavyTailGenerator, ZipfSizes};
 pub use mixer::LabeledTrace;
 pub use payload::PayloadModel;
 pub use rulegen::{generate_rule_corpus, RuleCorpusConfig};
-pub use source::{loopback, LoopbackHandle, LoopbackSource, PacketSource, SourceEvent};
+pub use source::{
+    loopback, LoopbackHandle, LoopbackSource, PacketSource, SourceEvent, TraceSource,
+};
 pub use trace::{Trace, TracePacket};
 pub use victim::VictimConfig;

@@ -1,24 +1,27 @@
-//! Pluggable live packet sources for the `sd serve` daemon.
+//! Pluggable packet sources for the `serve()` loop behind `sd scan` and
+//! `sd serve`.
 //!
-//! A [`PacketSource`] is the daemon's intake: something that hands over
+//! A [`PacketSource`] is the loop's intake: something that hands over
 //! raw IPv4 packets one at a time, with a bounded wait so the serve loop
 //! can interleave control work (signal flags, telemetry publishing, rule
 //! reloads) between packets even when the wire is quiet.
 //!
-//! Two implementations ship:
+//! Three implementations ship:
 //!
+//! * [`TraceSource`] — a capture held in memory, one packet per poll.
+//!   `sd scan` drains a pcap through it, and `sd serve --source loopback`
+//!   plays the generated workload once or, cycling, until its deadline.
 //! * [`LoopbackSource`] — an in-process bounded channel. The producing
-//!   side ([`LoopbackHandle`]) is `Clone + Send`, so tests and the soak
-//!   harness drive the daemon at line rate from another thread with zero
-//!   I/O, and dropping every handle gives the daemon a deterministic
-//!   end-of-stream. This is the source CI runs.
+//!   side ([`LoopbackHandle`]) is `Clone + Send`, so tests drive the
+//!   daemon from another thread with zero I/O, and dropping every handle
+//!   gives the daemon a deterministic end-of-stream.
 //! * `AfPacketSource` (feature `afpacket`, Linux only) — a real capture
 //!   socket; see the `afpacket` module (compiled only with that feature).
 
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
-use crate::trace::Trace;
+use crate::trace::{Trace, TracePacket};
 
 /// What one [`PacketSource::poll`] call produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +49,60 @@ pub trait PacketSource {
 
     /// Stable name for logs and reports.
     fn name(&self) -> &'static str;
+}
+
+/// A capture held in memory, one packet per poll: packet *i* comes at
+/// tick *i*, and every poll after the last packet returns `Closed`.
+///
+/// [`TraceSource::cycling`] starts over after the last packet instead,
+/// ticks still counting (`n, n+1, …`), and never closes unless the trace
+/// is empty; the caller ends the run.
+pub struct TraceSource<'a> {
+    packets: &'a [TracePacket],
+    next: u64,
+    cycling: bool,
+}
+
+impl<'a> TraceSource<'a> {
+    /// One pass over `packets`.
+    pub fn new(packets: &'a [TracePacket]) -> Self {
+        TraceSource {
+            packets,
+            next: 0,
+            cycling: false,
+        }
+    }
+
+    /// Pass after pass over `packets`.
+    pub fn cycling(packets: &'a [TracePacket]) -> Self {
+        TraceSource {
+            cycling: true,
+            ..Self::new(packets)
+        }
+    }
+}
+
+impl PacketSource for TraceSource<'_> {
+    fn poll(&mut self, buf: &mut Vec<u8>, _timeout: Duration) -> SourceEvent {
+        let len = self.packets.len() as u64;
+        let index = if self.cycling && len > 0 {
+            self.next % len
+        } else {
+            self.next
+        };
+        let Some(packet) = self.packets.get(index as usize) else {
+            return SourceEvent::Closed;
+        };
+        buf.clear();
+        buf.extend_from_slice(&packet.data);
+        let tick = self.next;
+        self.next += 1;
+        SourceEvent::Packet { tick }
+    }
+
+    fn name(&self) -> &'static str {
+        "trace"
+    }
 }
 
 /// Producer half of the in-process loopback source.
@@ -111,6 +168,49 @@ mod tests {
     use super::*;
 
     const SHORT: Duration = Duration::from_millis(10);
+
+    fn packets(n: u8) -> Vec<TracePacket> {
+        (0..n)
+            .map(|i| TracePacket::new(0, vec![i; 1 + i as usize]))
+            .collect()
+    }
+
+    #[test]
+    fn trace_source_ticks_by_index_then_closes() {
+        let packets = packets(3);
+        let mut src = TraceSource::new(&packets);
+        let mut buf = vec![0xEE; 9]; // stale bytes must not leak through
+        for (i, p) in packets.iter().enumerate() {
+            let tick = i as u64;
+            assert_eq!(src.poll(&mut buf, SHORT), SourceEvent::Packet { tick });
+            assert_eq!(buf, p.data);
+        }
+        for _ in 0..3 {
+            assert_eq!(src.poll(&mut buf, SHORT), SourceEvent::Closed);
+        }
+        assert_eq!(src.name(), "trace");
+    }
+
+    #[test]
+    fn cycling_trace_source_keeps_counting_ticks() {
+        let packets = packets(3);
+        let mut src = TraceSource::cycling(&packets);
+        let mut buf = Vec::new();
+        for tick in 0..8u64 {
+            assert_eq!(src.poll(&mut buf, SHORT), SourceEvent::Packet { tick });
+            assert_eq!(buf, packets[tick as usize % 3].data);
+        }
+    }
+
+    #[test]
+    fn empty_trace_source_is_closed_in_both_forms() {
+        let mut buf = Vec::new();
+        for mut src in [TraceSource::new(&[]), TraceSource::cycling(&[])] {
+            for _ in 0..3 {
+                assert_eq!(src.poll(&mut buf, SHORT), SourceEvent::Closed);
+            }
+        }
+    }
 
     #[test]
     fn loopback_delivers_packets_in_order_with_ticks() {
