@@ -35,15 +35,17 @@
 //! **Window filter.** Every piece is at least `m` (the shortest piece)
 //! bytes long; Split-Detect pieces are near-uniform, so `m` is close to
 //! the typical length. With
-//! `w = min(4, m)` and stride `s = m − w + 1`, a bitmap holds one bit at a
-//! multiplicative hash of each of a piece's `s` windows of `w` bytes
-//! (offsets `0..s`), and the scan tests one position in every `s` —
-//! `from + s − 1, from + 2s − 1, …` — each a `u32` load, a mask, a
-//! multiply, a shift and a bit test, with no dependence between
-//! positions. A hit counts only inside a run: the filter passes a tested
-//! position `q` whose window hits when the hits met walking left from
-//! `q − 1` and right from `q + 1`, each side stopping at its first miss,
-//! number at least `s − 1` (a position below 0, or a window past the last
+//! `w = min(4, m)` and stride `s = m − w + 1`, a bitmap holds two bits of
+//! one 32-bit word for each of a piece's `s` windows of `w` bytes
+//! (offsets `0..s`), both taken from one multiplicative hash (`Bitmap`),
+//! and the scan tests one position in every `s` — `from + s − 1, from +
+//! 2s − 1, …` — each a `u32` load, a mask, a multiply, two shifts and a
+//! test of both bits in one word, with no dependence between positions.
+//! A window hits only when both of its bits are set. A hit counts only
+//! inside a run: the filter passes a tested position `q` whose window
+//! hits when the hits met walking left from `q − 1` and right from
+//! `q + 1`, each side stopping at its first miss, number at least
+//! `s − 1` (a position below 0, or a window past the last
 //! `u32` load, is a miss; at `s = 1` nothing is checked). With AVX2, the
 //! crate's `wide` loop tests eight positions per branch and runs the same
 //! confirmation on each hitting lane, lowest first, so it returns the same
@@ -51,7 +53,7 @@
 //! the last whole block, and is the whole filter elsewhere.
 //!
 //! *Run lemma.* An occurrence starting at `c ≥ from` has its windows at
-//! `c ..= c + s − 1`, all in the bitmap and all inside the haystack
+//! `c ..= c + s − 1`, each with both bits set and all inside the haystack
 //! (`c + s − 1 + 4 = c + m`); that interval holds exactly one tested
 //! position `q`, and the `s − 1` others are hits next to it on one side or
 //! the other, so `q` passes. A false hit passes only if its neighbours hit
@@ -105,8 +107,11 @@ const CSR_STATE_BYTES: usize = 8;
 const MAX_WINDOW: usize = 4;
 
 /// Window-filter bitmap bits per inserted window (pieces × stride),
-/// keeping the false-hit rate near 1/64 per tested position; the bitmap
-/// is 16 KB at 200 rules (600 pieces, stride 2).
+/// before the size is rounded up to a power of two and clamped: 16 KB at
+/// 200 rules (600 pieces, stride 2), where a non-member window hits about
+/// 0.14 % of the time, and the 256 KB cap at 10k rules (about 60k
+/// windows, 35 bits each), where it hits about 0.6 % (one bit per
+/// window would be 0.9 % and 2.8 %).
 const FILTER_BITS_PER_WINDOW: usize = 64;
 
 /// Bitmap size bounds, log2 of the bit count: 512 B to 256 KB.
@@ -118,41 +123,51 @@ pub(crate) const WINDOW_HASH: u32 = 0x9E37_79B1;
 /// Tested positions the scalar loop takes before the eight-wide one.
 const SCALAR_PROBE: usize = 2;
 
-/// The window filter's bitmap and hash, which both loops read: a window
-/// `x` hits when bit `h & 31` of word `h >> 5` is set, `h = (x & mask) ×
-/// WINDOW_HASH >> shift`.
+/// The window filter's bitmap and hash, which both loops read. With
+/// `prod = (x & mask) × WINDOW_HASH` and `h = prod >> shift`, a window `x`
+/// owns two bits of word `h >> 5`: bit `h & 31` and bit `(prod >> (shift −
+/// 5)) & 31`, the five product bits just below the word index, so one
+/// multiply and one word load place both. It hits when both are set: a
+/// window outside the inserted set hits only when its word holds both of
+/// its bits.
 #[derive(Debug, Clone)]
 pub(crate) struct Bitmap {
     /// Keeps the low `window` bytes of a little-endian `u32`.
     pub(crate) mask: u32,
-    /// `32 − log2(bitmap bits)`: the hash keeps its top bits.
+    /// `32 − log2(bitmap bits)`, at least 5: the word index is the
+    /// product's top bits and the second bit's index the five below them.
     pub(crate) shift: u32,
-    /// Bit `h & 31` of word `h >> 5` is set for each inserted hash `h`.
+    /// Both bits of each inserted window are set.
     pub(crate) bits: Box<[u32]>,
 }
 
 impl Bitmap {
+    /// The word window `x` hashes to and its two bits in that word (one
+    /// bit when the two indices coincide).
     #[inline(always)]
-    fn hash(&self, x: u32) -> usize {
-        ((x & self.mask).wrapping_mul(WINDOW_HASH) >> self.shift) as usize
+    fn locate(&self, x: u32) -> (usize, u32) {
+        let prod = (x & self.mask).wrapping_mul(WINDOW_HASH);
+        let h = prod >> self.shift;
+        let second = prod >> (self.shift - 5);
+        ((h >> 5) as usize, 1 << (h & 31) | 1 << (second & 31))
     }
 
     fn insert(&mut self, x: u32) {
-        let h = self.hash(x);
-        self.bits[h >> 5] |= 1 << (h & 31);
+        let (word, pair) = self.locate(x);
+        self.bits[word] |= pair;
     }
 
     #[inline(always)]
     fn hit(&self, x: u32) -> bool {
-        let h = self.hash(x);
-        (self.bits[h >> 5] >> (h & 31)) & 1 != 0
+        let (word, pair) = self.locate(x);
+        self.bits[word] & pair == pair
     }
 }
 
-/// The strided piece-window filter: one bit at a multiplicative hash of
-/// each of a piece's first `stride` windows of `window` bytes. A tested
-/// window that misses the bitmap is no such window of any piece; a hit is
-/// only a candidate for the automaton to verify.
+/// The strided piece-window filter: two bits of one bitmap word for each
+/// of a piece's first `stride` windows of `window` bytes. A tested window
+/// that misses the bitmap is no such window of any piece; a hit is only a
+/// candidate for the automaton to verify.
 #[derive(Debug, Clone)]
 struct WindowFilter {
     /// Bytes hashed per position, `2..=MAX_WINDOW`.
@@ -664,6 +679,8 @@ fn hot_columns(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::dfa::AcDfa;
     use crate::naive;
@@ -835,6 +852,28 @@ mod tests {
         }
     }
 
+    /// What the eight-wide loop must return from `p`, counted out with the
+    /// scalar `test`: the first tested position `q` of a whole block
+    /// (`q + 7s + 4 ≤ len`) that hits inside a run of `s` hits, each side
+    /// of `q` counted out in full, else the first position left untested.
+    fn wide_model(filter: &WindowFilter, hay: &[u8], p: usize) -> Result<usize, usize> {
+        let s = filter.stride;
+        let hits = |p: usize| filter.test(hay, p) == Some(true);
+        let in_run = |q: usize| {
+            let left = (0..q).rev().take_while(|&p| hits(p)).count();
+            let right = (q + 1..).take_while(|&p| hits(p)).count();
+            hits(q) && left + right >= s - 1
+        };
+        let mut q = p;
+        while q + 7 * s + 4 <= hay.len() {
+            if let Some(t) = (0..8).map(|k| q + k * s).find(|&t| in_run(t)) {
+                return Ok(t);
+            }
+            q += 8 * s;
+        }
+        Err(q)
+    }
+
     /// The eight-wide loop against a scalar model of the run rule at every
     /// filter shape `(w, s)` (each shuffle stride 1–4, per-lane strides 5,
     /// 6 and 13), every `from` and every haystack length up to four blocks
@@ -892,27 +931,11 @@ mod tests {
                 if !high {
                     assert_eq!(scalar.find(&filler, 0), None, "filler must miss");
                 }
-                // The run rule, counted out in full on both sides of `q`.
-                let hits = |hay: &[u8], p: usize| filter.test(hay, p) == Some(true);
-                let in_run = |hay: &[u8], q: usize| {
-                    let left = (0..q).rev().take_while(|&p| hits(hay, p)).count();
-                    let right = (q + 1..).take_while(|&p| hits(hay, p)).count();
-                    hits(hay, q) && left + right >= s - 1
-                };
                 let mut block_end_hits = 0;
                 let mut check = |hay: &[u8], from: usize| {
                     let p = from + s - 1;
-                    let mut q = p;
-                    let want = loop {
-                        if q + 7 * s + 4 > hay.len() {
-                            break Err(q);
-                        }
-                        if let Some(t) = (0..8).map(|k| q + k * s).find(|&t| in_run(hay, t)) {
-                            break Ok(t);
-                        }
-                        q += 8 * s;
-                    };
                     let got = wide.find(hay, p, s, &filter.bitmap, |q| filter.confirm(hay, q));
+                    let want = wide_model(&filter, hay, p);
                     assert_eq!(got, want, "w={w} s={s} len={} from={from}", hay.len());
                     let found = filter.find(hay, from);
                     assert_eq!(
@@ -958,6 +981,164 @@ mod tests {
                     "w={w} s={s}: no last full block ending at len"
                 );
             }
+        }
+    }
+
+    /// A half hit is a window whose first bitmap bit is set and whose
+    /// second is clear, so it is no inserted window. Planted as the last
+    /// window of a piece's run (the piece with its last byte changed), it
+    /// has the piece's own `s − 1` windows hitting beside it, and only its
+    /// second bit stops the run rule from passing it. At the wide test's
+    /// shapes, lengths and `from`s, with the half hit at every tested
+    /// position, the vector loop must match the scalar model and both
+    /// loops must return no candidate. Skipped without AVX2.
+    #[test]
+    fn wide_loop_skips_half_hits_beside_piece_windows() {
+        let Some(wide) = Avx2::detect() else { return };
+        let mut state = 0x0BAD_5EEDu32;
+        let mut letter = move || {
+            state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            b'a' + (state >> 16) as u8 % 26
+        };
+        for (m, shape) in [
+            (2, (2, 1)),
+            (3, (3, 1)),
+            (5, (4, 2)),
+            (6, (4, 3)),
+            (7, (4, 4)),
+            (8, (4, 5)),
+            (9, (4, 6)),
+            (16, (4, 13)),
+        ] {
+            // Enough pieces that some last byte of some piece makes a half
+            // hit.
+            let pieces: Vec<Vec<u8>> = (0..40)
+                .map(|_| (0..m).map(|_| letter()).collect())
+                .collect();
+            let filter = WindowFilter::new(&PatternSet::from_patterns(&pieces)).expect("filtered");
+            let (w, s) = (filter.window, filter.stride);
+            assert_eq!((w, s), shape);
+            let scalar = WindowFilter {
+                wide: None,
+                ..filter.clone()
+            };
+            let bitmap = &filter.bitmap;
+            // Window `x`'s bit `(prod >> shift) & 31` of word `h >> 5`,
+            // counted from the hash rather than through `Bitmap::hit`.
+            let bit = |x: u32, shift: u32| {
+                let prod = (x & bitmap.mask).wrapping_mul(WINDOW_HASH);
+                bitmap.bits[(prod >> bitmap.shift) as usize >> 5] >> (prod >> shift & 31) & 1 != 0
+            };
+            let first = |x| bit(x, bitmap.shift);
+            // Between '.' fills, the run's windows `0..s − 1` are the only
+            // ones whose first bit is set, besides the half hit.
+            let pad = 4;
+            let run = pieces
+                .iter()
+                .flat_map(|piece| {
+                    (0..=255u8).map(move |b| {
+                        let mut run = piece.clone();
+                        run[m - 1] = b;
+                        run
+                    })
+                })
+                .find(|run| {
+                    let x = load_window(&run[s - 1..]);
+                    let mut hay = vec![b'.'; pad];
+                    hay.extend_from_slice(run);
+                    hay.resize(hay.len() + pad, b'.');
+                    first(x)
+                        && !bit(x, bitmap.shift - 5)
+                        && (0..=hay.len() - 4).filter(|&p| p != pad + s - 1).all(|p| {
+                            first(load_window(&hay[p..])) == (pad..pad + s - 1).contains(&p)
+                        })
+                })
+                .expect("a half hit at the end of some piece's run");
+            let max_len = 4 * (7 * s + 4).max(4 * s + 16);
+            let mut hay = vec![b'.'; max_len];
+            assert_eq!(scalar.find(&hay, 0), None, "filler must miss");
+            for len in m..=max_len {
+                for from in 0..=len - m {
+                    for q in (from + s - 1..).step_by(s).take_while(|q| q + w <= len) {
+                        let c = q + 1 - s;
+                        if c + m > len {
+                            break;
+                        }
+                        hay[c..c + m].copy_from_slice(&run);
+                        let cut = &hay[..len];
+                        let p = from + s - 1;
+                        let got = wide.find(cut, p, s, bitmap, |q| filter.confirm(cut, q));
+                        let at = format!("w={w} s={s} len={len} from={from} half hit at {q}");
+                        assert_eq!(got, wide_model(&filter, cut, p), "{at}");
+                        assert_eq!(filter.find(cut, from), None, "{at}");
+                        assert_eq!(scalar.find(cut, from), None, "{at}");
+                        hay[c..c + m].fill(b'.');
+                    }
+                }
+            }
+        }
+    }
+
+    /// The raw false-hit rate, counted: 5-byte random pieces (`w = 4`,
+    /// `s = 2`) filling the bitmap at the 200-rule size (600 pieces, 2^17
+    /// bits) and at the cap (30,000 pieces, about 60k windows in 2^21
+    /// bits), probed with a fixed stream of 2^20 random non-member
+    /// windows. Every inserted window hits, and a probe hits at under the
+    /// bound. The test prints its count next to what the same windows at
+    /// one bit each would give.
+    #[test]
+    fn two_bits_cut_the_false_hit_rate() {
+        let mut state = 0x2006_5EEDu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 32) as u32
+        };
+        for (count, log2, bound) in [(600, 17, 0.002), (30_000, 21, 0.008)] {
+            let pieces: Vec<[u8; 5]> = (0..count)
+                .map(|_| {
+                    let [a, b, c, d] = next().to_le_bytes();
+                    [a, b, c, d, next() as u8]
+                })
+                .collect();
+            let filter = WindowFilter::new(&PatternSet::from_patterns(&pieces)).expect("filtered");
+            assert_eq!((filter.window, filter.stride), (4, 2));
+            assert_eq!(filter.memory_bytes() * 8, 1 << log2);
+            let bitmap = &filter.bitmap;
+            let members: HashSet<u32> = pieces
+                .iter()
+                .flat_map(|piece| [load_window(piece), load_window(&piece[1..])])
+                .collect();
+            assert!(
+                members.iter().all(|&x| bitmap.hit(x)),
+                "an inserted window missed"
+            );
+            // The same windows at one bit each, for comparison.
+            let hash = |x: u32| (x.wrapping_mul(WINDOW_HASH) >> bitmap.shift) as usize;
+            let mut one_bit = vec![0u32; bitmap.bits.len()];
+            for &x in &members {
+                one_bit[hash(x) >> 5] |= 1 << (hash(x) & 31);
+            }
+            let (mut probes, mut one, mut two) = (0u32, 0u32, 0u32);
+            while probes < 1 << 20 {
+                let x = next();
+                if members.contains(&x) {
+                    continue;
+                }
+                probes += 1;
+                one += one_bit[hash(x) >> 5] >> (hash(x) & 31) & 1;
+                two += u32::from(bitmap.hit(x));
+            }
+            let rate = |n: u32| f64::from(n) / f64::from(probes);
+            println!(
+                "2^{log2} bits, {} windows, {probes} probes: one bit per window {one} \
+                 ({:.2} %), two bits {two} ({:.2} %)",
+                members.len(),
+                100.0 * rate(one),
+                100.0 * rate(two)
+            );
+            assert!(rate(two) < bound, "2^{log2} bits: {two} of {probes} hit");
         }
     }
 

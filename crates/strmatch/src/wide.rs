@@ -8,11 +8,14 @@
 //! filter), and in the last blocks, where the second 16-byte load would
 //! read past the haystack, the loop loads each lane's window on its own.
 //! It then masks the windows to `w` bytes, multiplies by the filter's hash
-//! constant (`vpmulld`), shifts the product right by the filter's `shift`
-//! (logical: the hash is unsigned), gathers the bitmap's 32-bit words at
-//! `h >> 5` with one `vpgatherdd`, moves bit `h & 31` of each word to its
-//! sign bit (`vpsllvd` by `31 − (h & 31)`) and reads the eight sign bits
-//! with `vmovmskps`. A block with no hit stays in the loop. A block with
+//! constant (`vpmulld`) and shifts the product right by the filter's
+//! `shift` to `h` and by `shift − 5` to `g` (logical: the hash is
+//! unsigned). One `vpgatherdd` fetches the bitmap's 32-bit words at `h >>
+//! 5`. Two `vpsllvd`, by `31 − (h & 31)` and `31 − (g & 31)`, move the
+//! window's two bits of its word to the sign bits of two copies; a
+//! `vpand` of the copies and `vmovmskps` read the eight lanes, so a lane
+//! hits only when both of its bits are set, as in the scalar test. A
+//! block with no hit stays in the loop. A block with
 //! hits goes to one out-of-line call that hands each set lane, lowest
 //! first, to the caller's `confirm` predicate, the filter's run
 //! confirmation; the first lane it accepts is returned, and a block
@@ -144,21 +147,24 @@ unsafe fn find8(
     let mask = _mm256_set1_epi32(bitmap.mask as i32);
     let multiplier = _mm256_set1_epi32(crate::tiered::WINDOW_HASH as i32);
     let shift = _mm_cvtsi32_si128(bitmap.shift as i32);
+    let second_shift = _mm_cvtsi32_si128(bitmap.shift as i32 - 5);
     let low5 = _mm256_set1_epi32(31);
-    // The eight windows' bitmap bits, lane `k`'s as bit `k`.
+    // The eight windows' hits, lane `k`'s as bit `k`: both of its bitmap
+    // bits set.
     let hits = |windows: __m256i| {
-        let h = _mm256_srl_epi32(
-            _mm256_mullo_epi32(_mm256_and_si256(windows, mask), multiplier),
-            shift,
-        );
+        let prod = _mm256_mullo_epi32(_mm256_and_si256(windows, mask), multiplier);
+        let h = _mm256_srl_epi32(prod, shift);
+        let g = _mm256_srl_epi32(prod, second_shift);
         // SAFETY: the logical shift leaves `h ≤ u32::MAX >> shift`, so
         // every word index `h >> 5` is `< bits.len()` (the caller's bound)
         // and a non-negative `i32`; each lane reads one in-range `u32`.
         let words =
             unsafe { _mm256_i32gather_epi32::<4>(bits.as_ptr().cast(), _mm256_srli_epi32::<5>(h)) };
-        // `!h & 31 = 31 − (h & 31)`: bit `h & 31` lands on the sign bit.
-        let probe = _mm256_sllv_epi32(words, _mm256_andnot_si256(h, low5));
-        _mm256_movemask_ps(_mm256_castsi256_ps(probe))
+        // `!i & 31 = 31 − (i & 31)`: shifting left by it puts bit `i & 31`
+        // on the sign bit, so the sign of the `and` is both bits.
+        let first = _mm256_sllv_epi32(words, _mm256_andnot_si256(h, low5));
+        let second = _mm256_sllv_epi32(words, _mm256_andnot_si256(g, low5));
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_and_si256(first, second)))
     };
     if let (Some(&[a, b, c, d]), Some(end)) = (
         SHUFFLES.get(stride - 1),

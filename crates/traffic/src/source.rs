@@ -21,7 +21,7 @@
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
-use crate::trace::{Trace, TracePacket};
+use crate::trace::TracePacket;
 
 /// What one [`PacketSource::poll`] call produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,17 +120,6 @@ impl LoopbackHandle {
     /// been dropped (the daemon is gone; stop generating).
     pub fn send(&self, tick: u64, packet: &[u8]) -> bool {
         self.tx.send((tick, packet.to_vec())).is_ok()
-    }
-
-    /// Offer a whole trace, ticking packets by their index. Returns the
-    /// number of packets accepted (short only if the daemon went away).
-    pub fn send_trace(&self, trace: &Trace) -> usize {
-        for (i, p) in trace.iter_bytes().enumerate() {
-            if !self.send(i as u64, p) {
-                return i;
-            }
-        }
-        trace.len()
     }
 }
 
@@ -244,19 +233,6 @@ mod tests {
         // Already-queued packets still drain before close.
         assert_eq!(src.poll(&mut buf, SHORT), SourceEvent::Packet { tick: 0 });
         assert_eq!(src.poll(&mut buf, SHORT), SourceEvent::Closed);
-    }
-
-    #[test]
-    fn send_trace_ticks_by_index() {
-        let trace = Trace::from_packets(vec![
-            crate::trace::TracePacket::new(0, vec![1]),
-            crate::trace::TracePacket::new(5, vec![2, 2]),
-        ]);
-        let (tx, mut src) = loopback(8);
-        assert_eq!(tx.send_trace(&trace), 2);
-        let mut buf = Vec::new();
-        assert_eq!(src.poll(&mut buf, SHORT), SourceEvent::Packet { tick: 0 });
-        assert_eq!(src.poll(&mut buf, SHORT), SourceEvent::Packet { tick: 1 });
     }
 
     #[test]
