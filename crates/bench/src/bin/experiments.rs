@@ -415,7 +415,8 @@ fn e5() {
         // (three pieces of exactly p bytes) — what a well-written content
         // rule looks like.
         let distinct = SignatureSet::generate(100 + p as u64, 60, 3 * p..3 * p + 1);
-        let plan = splitdetect::split::SplitPlan::compile_unchecked(&distinct, 3);
+        let engine = SplitDetect::with_config_unchecked(distinct, SplitDetectConfig::default());
+        let plan = engine.plan();
         let m = plan.piece_count() as f64;
 
         // Worst-case rules: substrings of HTTP-like traffic itself, so
@@ -429,7 +430,9 @@ fn e5() {
                 Signature::new(format!("text-{i}"), corpus[at..at + 3 * p].to_vec())
             }))
         };
-        let text_plan = splitdetect::split::SplitPlan::compile_unchecked(&text_rules, 3);
+        let text_engine =
+            SplitDetect::with_config_unchecked(text_rules, SplitDetectConfig::default());
+        let text_plan = text_engine.plan();
 
         // Analytic per-packet probability for uniform payloads:
         // 1 - (1 - m/256^p)^(PKT - p + 1).
@@ -438,9 +441,9 @@ fn e5() {
         println!(
             "{:>3} {:>8.4}% {:>9.4}% {:>10.4}% {:>17.4}%",
             p,
-            rate(&plan, PayloadModel::Uniform) * 100.0,
-            rate(&plan, PayloadModel::HttpLike) * 100.0,
-            rate(&text_plan, PayloadModel::HttpLike) * 100.0,
+            rate(plan, PayloadModel::Uniform) * 100.0,
+            rate(plan, PayloadModel::HttpLike) * 100.0,
+            rate(text_plan, PayloadModel::HttpLike) * 100.0,
             analytic * 100.0
         );
     }
@@ -1066,7 +1069,7 @@ fn summarize_alerts(alerts: &[sd_ips::Alert]) -> Vec<(sd_flow::FlowKey, usize)> 
 /// E15 — flow-sharded throughput, the one timed table (the mechanism
 /// behind the paper's 20 Gbps point: per-flow state makes lanes
 /// independent). Its timings are this host's; its detection is asserted
-/// equal to the single-threaded engine's at every shard count and batch.
+/// equal to the single-threaded engine's at every shard count.
 fn e15() {
     use splitdetect::ShardedSplitDetect;
     use std::time::Instant;
@@ -1104,21 +1107,8 @@ fn e15() {
         let mut single = SplitDetect::with_config(one_sig(), pinned()).expect("admissible");
         summarize_alerts(&run_trace(&mut single, trace.iter_bytes()))
     };
-    // One timed sharded run; its alerts must equal the single engine's.
-    let run = |config: SplitDetectConfig, shards: usize| {
-        let mut engine = ShardedSplitDetect::new(one_sig(), config, shards).expect("admissible");
-        let start = Instant::now();
-        let alerts = run_trace(&mut engine, trace.iter_bytes());
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(
-            summarize_alerts(&alerts),
-            single_alerts,
-            "{shards} shards, batch {} changed detection vs the single engine",
-            config.shard_batch_packets
-        );
-        (engine, alerts, secs)
-    };
-
+    // One timed sharded run per shard count; its alerts must equal the
+    // single engine's.
     header(&[
         ("shards", 7),
         ("Gbps", 7),
@@ -1128,7 +1118,15 @@ fn e15() {
     ]);
     let mut base = None;
     for &n in &[1usize, 2, 4, 8] {
-        let (_, alerts, secs) = run(pinned(), n);
+        let mut engine = ShardedSplitDetect::new(one_sig(), pinned(), n).expect("admissible");
+        let start = Instant::now();
+        let alerts = run_trace(&mut engine, trace.iter_bytes());
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(
+            summarize_alerts(&alerts),
+            single_alerts,
+            "{n} shards changed detection vs the single engine"
+        );
         let detected = labeled
             .attacks
             .iter()
@@ -1144,45 +1142,12 @@ fn e15() {
             format!("{detected}/{}", labeled.attacks.len()),
         );
     }
-    // Fixed shard count; what varies is how many packets the dispatcher
-    // accumulates per channel send (batch 1 is per-packet dispatch).
-    let sweep_shards = 4;
-    println!("\nbatch-size sweep at {sweep_shards} shards (packets per dispatch):");
-    header(&[
-        ("batch", 6),
-        ("Mpkt/s", 8),
-        ("Gbps", 7),
-        ("speedup", 8),
-        ("batches", 9),
-        ("pool-miss", 10),
-        ("hi-water", 9),
-    ]);
-    let mut base = None;
-    for &batch in &[1usize, 16, 64, 256] {
-        let config = SplitDetectConfig {
-            shard_batch_packets: batch,
-            ..pinned()
-        };
-        let (engine, _, secs) = run(config, sweep_shards);
-        let base = *base.get_or_insert(secs);
-        let d = splitdetect::ShardDispatchStats::aggregate(&engine.dispatch_stats());
-        println!(
-            "{:>6} {:>8.2} {:>7.2} {:>7.2}x {:>9} {:>10} {:>9}",
-            batch,
-            trace.len() as f64 / secs / 1e6,
-            gbps(bytes, secs),
-            base / secs,
-            d.batches_sent,
-            d.recycle_misses,
-            d.queue_depth_high_water,
-        );
-    }
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!(
         "\ndetection equals the single-threaded engine's at every shard count\n\
-         and batch size (asserted). host parallelism: {cores} core(s)."
+         (asserted). host parallelism: {cores} core(s)."
     );
 }

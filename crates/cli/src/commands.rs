@@ -16,7 +16,7 @@ use sd_traffic::payload::PayloadModel;
 use sd_traffic::rulegen::{generate_rule_corpus, RuleCorpusConfig};
 use sd_traffic::victim::{receive_stream, VictimConfig};
 use sd_traffic::{pcap, Trace, TraceSource};
-use splitdetect::{ShardedSplitDetect, SplitDetect, SplitDetectConfig, SplitPlan};
+use splitdetect::{CompiledRules, ShardedSplitDetect, SplitDetect, SplitDetectConfig};
 
 use crate::opts::{
     Command, EngineArgs, EngineKind, FuzzArgs, ScanArgs, ServeArgs, ServeSource, WorkloadArgs,
@@ -118,7 +118,6 @@ fn conventional(sigs: SignatureSet, policy: OverlapPolicy) -> ConventionalIps {
 fn split_engine(sigs: SignatureSet, args: &EngineArgs) -> Result<ServeEngine, String> {
     let config = SplitDetectConfig {
         slow_path_policy: args.policy,
-        shard_batch_packets: args.shard_batch,
         slow_path_workers: args.slow_workers,
         slow_path_lane_depth: args.slow_lane_depth,
         flow_hash_seed: args.flow_hash_seed,
@@ -559,9 +558,9 @@ fn analyze_rules_cmd(path: &str, top: usize, seed: u64, out: Out) -> Result<(), 
     if set.rules.is_empty() {
         return Err("rule file contains no usable alert rules".into());
     }
-    let sigs = set.to_signatures();
     let config = SplitDetectConfig::default();
-    let plan = SplitPlan::compile(&sigs, &config).map_err(|e| e.to_string())?;
+    let rules = CompiledRules::compile(set.to_signatures(), &config).map_err(|e| e.to_string())?;
+    let (sigs, plan) = (rules.signatures(), rules.plan());
     let content_bytes: usize = set.rules.iter().map(|r| r.signature_bytes().len()).sum();
     let _ = writeln!(
         out,

@@ -18,7 +18,7 @@ pub const USAGE: &str = "\
 usage:
   sd scan <capture.pcap> [--rules FILE] [--engine split|conventional|naive]
                          [--policy first|last|bsd|linux]
-                         [--shards N] [--shard-batch PKTS]
+                         [--shards N]
                          [--slow-workers N] [--slow-lane-depth PKTS]
                          [--flow-hash-seed S] [--metrics-out BASE]
   sd compare <capture.pcap> [--rules FILE] [--policy P]
@@ -30,7 +30,7 @@ usage:
           [--trace-out FILE] [--replay-trace FILE] [--rules-seed S]
   sd generate-rules <out.rules> [--count N] [--seed S] [--malformed N]
   sd analyze-rules <FILE> [--top N] [--seed S]
-  sd serve [--rules FILE] [--policy P] [--shards N] [--shard-batch PKTS]
+  sd serve [--rules FILE] [--policy P] [--shards N]
            [--slow-workers N] [--slow-lane-depth PKTS] [--flow-hash-seed S]
            [--source loopback|afpacket] [--iface IF] [--scrape ADDR]
            [--duration-secs N] [--flows N] [--attacks N] [--seed S]
@@ -39,8 +39,8 @@ Without --rules, the embedded demo rule set is used.
 scan runs one engine over the capture; split-detect runs through the
 loop serve runs. --metrics-out BASE (split engine) writes the run's
 metrics to BASE.prom (Prometheus text format).
---shards N > 1 runs the flow-sharded engine, sending --shard-batch
-packets per dispatch (default 64). --flow-hash-seed S pins the
+--shards N > 1 runs the flow-sharded engine, sending 64 packets per
+dispatch. --flow-hash-seed S pins the
 flow-table hash key (default: process-random, so collision floods
 cannot be precomputed). --slow-workers N >= 1 runs the slow path on N
 threads behind lanes of --slow-lane-depth packets (default 512); a
@@ -87,7 +87,6 @@ pub struct EngineArgs {
     pub policy: OverlapPolicy,
     /// 1 runs the single engine.
     pub shards: usize,
-    pub shard_batch: usize,
     /// 0 keeps the slow path inline.
     pub slow_workers: usize,
     pub slow_lane_depth: usize,
@@ -378,7 +377,6 @@ impl<'a> Args<'a> {
             rules: self.opt("--rules")?,
             policy: self.policy()?,
             shards: self.nonzero("--shards", 1)?,
-            shard_batch: self.nonzero("--shard-batch", d.shard_batch_packets)?,
             slow_workers: self.get("--slow-workers", d.slow_path_workers)?,
             slow_lane_depth: self.nonzero("--slow-lane-depth", d.slow_path_lane_depth)?,
             flow_hash_seed: self.opt("--flow-hash-seed")?,
@@ -501,12 +499,9 @@ mod tests {
 
     #[test]
     fn shard_flags_default_and_parse() {
-        let p = parse_as!(Scan, "scan cap.pcap").engine;
-        assert_eq!((p.shards, p.shard_batch), (1, 64));
-        let p = parse_as!(Scan, "scan cap.pcap --shards 4 --shard-batch 256").engine;
-        assert_eq!((p.shards, p.shard_batch), (4, 256));
-        let p = parse_as!(Serve, "serve --shards 2").engine;
-        assert_eq!((p.shards, p.shard_batch), (2, 64));
+        assert_eq!(parse_as!(Scan, "scan cap.pcap").engine.shards, 1);
+        assert_eq!(parse_as!(Scan, "scan cap.pcap --shards 4").engine.shards, 4);
+        assert_eq!(parse_as!(Serve, "serve --shards 2").engine.shards, 2);
     }
 
     #[test]
@@ -571,7 +566,9 @@ mod tests {
             "generate out.pcap --flows many",
             "gauntlet stray",
             "scan cap.pcap --shards 0",
-            "scan cap.pcap --shard-batch 0",
+            // The dispatch batch is a constant.
+            "scan cap.pcap --shard-batch 64",
+            "serve --shard-batch 16",
             "scan cap.pcap --shards x",
             "fuzz stray",
             "fuzz --iters 0",

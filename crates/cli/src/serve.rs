@@ -10,10 +10,11 @@
 //!   counters, rendered from their stats and published to a
 //!   [`ScrapeServer`] at `GET /metrics` at a cadence the packet loop
 //!   controls (a slow or hostile scraper can never stall intake),
-//! * **live rule reload** (SIGHUP): the rule file is re-read and the
-//!   piece automaton recompiled *off the packet path*, then swapped in
-//!   at a packet boundary. Flow, diversion and reassembly state all
-//!   survive the swap — only the rules change,
+//! * **live rule reload** (SIGHUP): the rule file is re-read and both
+//!   automata compiled on a spawned thread ([`CompiledRules::compile`]),
+//!   then installed at a packet boundary, the same way for the single and
+//!   the sharded engine. Flow, diversion and reassembly state all survive
+//!   the swap — only the rules change,
 //! * **graceful drain** (SIGTERM): intake stops, slow-path lanes flush,
 //!   and the daemon emits the same final [`RunReport`] `scan` prints,
 //!   so a drained daemon is auditable like a batch run.
@@ -28,10 +29,12 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sd_ips::{Alert, AlertSource, Ips, ResourceUsage, SignatureSet};
+use sd_ips::{Alert, AlertSource, Ips, ResourceUsage};
 use sd_telemetry::{to_prometheus, Registry, ScrapeServer};
 use sd_traffic::{PacketSource, SourceEvent};
-use splitdetect::{RunReport, ShardedSplitDetect, SplitDetect, SplitDetectStats, SplitPlan};
+use splitdetect::{
+    CompiledRules, RunReport, ShardedSplitDetect, SplitDetect, SplitDetectConfig, SplitDetectStats,
+};
 
 use crate::commands::load_rules;
 
@@ -150,15 +153,8 @@ pub enum ServeEngine {
     Sharded(Box<ShardedSplitDetect>),
 }
 
-/// How one reload request resolved inside the loop.
-enum ReloadStep {
-    /// Single engine: the automaton rebuild is running on this thread.
-    Compiling(JoinHandle<Result<(SplitPlan, SignatureSet), String>>),
-    /// Sharded engine: validated and broadcast; workers rebuild.
-    Applied,
-    /// Rejected before touching the engine; old rules stay in force.
-    Rejected(String),
-}
+/// A reload compiling on its own thread.
+type Compiling = JoinHandle<Result<CompiledRules, String>>;
 
 impl Ips for ServeEngine {
     fn name(&self) -> &'static str {
@@ -204,33 +200,18 @@ impl ServeEngine {
         }
     }
 
-    /// Start a reload with already-loaded signatures. The single engine
-    /// compiles the plan off the packet path (on a spawned thread) and
-    /// installs it when [`ReloadStep::Compiling`] finishes; the sharded
-    /// engine validates here and lets each worker rebuild on its own
-    /// thread, off this packet path by construction.
-    fn begin_reload(&mut self, sigs: SignatureSet) -> ReloadStep {
+    /// The configuration new rules are compiled under.
+    fn config(&self) -> SplitDetectConfig {
         match self {
-            ServeEngine::Single(e) => {
-                let config = e.config();
-                ReloadStep::Compiling(std::thread::spawn(move || {
-                    let plan = SplitPlan::compile(&sigs, &config).map_err(|e| e.to_string())?;
-                    Ok((plan, sigs))
-                }))
-            }
-            ServeEngine::Sharded(e) => match e.reload_rules(&sigs) {
-                Ok(()) => ReloadStep::Applied,
-                Err(e) => ReloadStep::Rejected(e.to_string()),
-            },
+            ServeEngine::Single(e) => e.config(),
+            ServeEngine::Sharded(e) => e.config(),
         }
     }
 
-    fn install(&mut self, plan: SplitPlan, sigs: SignatureSet) -> Result<(), String> {
+    fn install(&mut self, rules: CompiledRules) {
         match self {
-            ServeEngine::Single(e) => e.install_plan(plan, sigs).map_err(|e| e.to_string()),
-            // Unreachable: sharded reloads never produce a compiled plan
-            // to install here.
-            ServeEngine::Sharded(_) => Err("sharded engines install per worker".into()),
+            ServeEngine::Single(e) => e.install(rules),
+            ServeEngine::Sharded(e) => e.install(rules),
         }
     }
 
@@ -268,10 +249,10 @@ impl ServeEngine {
 /// The loop interleaves packet intake with control work: every idle gap
 /// (and every `publish_every` packets) it drains slow-path alerts,
 /// refreshes the scrape snapshot, and checks the [`ServeControl`] flags.
-/// Reload keeps serving packets under the old rules while the new
-/// automaton compiles; an in-flight compile still pending at drain time
-/// is joined and applied before the final report so the reload counters
-/// are deterministic.
+/// Reload keeps serving packets under the old rules while a spawned
+/// thread reads and compiles the new ones; an in-flight compile still
+/// pending at drain time is joined and applied before the final report
+/// so the reload counters are deterministic.
 pub fn serve(
     mut engine: ServeEngine,
     source: &mut dyn PacketSource,
@@ -291,7 +272,7 @@ pub fn serve(
 
     let mut alerts: Vec<Alert> = Vec::new();
     let mut buf: Vec<u8> = Vec::new();
-    let mut pending: Option<JoinHandle<Result<(SplitPlan, SignatureSet), String>>> = None;
+    let mut pending: Option<Compiling> = None;
     let mut since_publish = 0u64;
 
     let _ = writeln!(
@@ -315,8 +296,8 @@ pub fn serve(
             break 'run;
         }
 
-        // An off-path automaton rebuild that finished gets swapped in
-        // here — a packet boundary by construction.
+        // A reload that finished compiling is installed here — a packet
+        // boundary by construction.
         if pending.as_ref().is_some_and(|h| h.is_finished()) {
             let handle = pending.take().expect("checked is_some");
             finish_compile(handle, &mut engine, &mut counts, out);
@@ -329,26 +310,13 @@ pub fn serve(
                 // newest file is picked up right after it lands.
                 control.request_reload();
             } else {
-                let step = load_rules(opts.rules_path.as_deref(), &mut std::io::sink())
-                    .map_or_else(ReloadStep::Rejected, |rules| {
-                        engine.begin_reload(rules.to_signatures())
-                    });
-                match step {
-                    ReloadStep::Compiling(handle) => {
-                        let _ = writeln!(out, "reload: rebuilding automaton off-thread");
-                        pending = Some(handle);
-                    }
-                    ReloadStep::Applied => {
-                        counts.reloads += 1;
-                        let _ = writeln!(out, "reload: new rules broadcast to shards");
-                        publish(&engine, counts);
-                    }
-                    ReloadStep::Rejected(e) => {
-                        counts.reload_failures += 1;
-                        let _ = writeln!(out, "reload rejected ({e}); old rules kept");
-                        publish(&engine, counts);
-                    }
-                }
+                let (path, config) = (opts.rules_path.clone(), engine.config());
+                pending = Some(std::thread::spawn(move || {
+                    let rules = load_rules(path.as_deref(), &mut std::io::sink())?;
+                    CompiledRules::compile(rules.to_signatures(), &config)
+                        .map_err(|e| e.to_string())
+                }));
+                let _ = writeln!(out, "reload: rebuilding automaton off-thread");
             }
         }
 
@@ -468,19 +436,19 @@ impl Counts {
     }
 }
 
-/// Join a finished (or drain-forced) automaton rebuild and install it.
+/// Join a finished (or drain-forced) rule compile and install it.
 fn finish_compile(
-    handle: JoinHandle<Result<(SplitPlan, SignatureSet), String>>,
+    handle: Compiling,
     engine: &mut ServeEngine,
     counts: &mut Counts,
     out: &mut dyn Write,
 ) {
-    let installed = handle
+    let compiled = handle
         .join()
-        .unwrap_or_else(|_| Err("rebuild thread panicked".into()))
-        .and_then(|(plan, sigs)| engine.install(plan, sigs));
-    match installed {
-        Ok(()) => {
+        .unwrap_or_else(|_| Err("rebuild thread panicked".into()));
+    match compiled {
+        Ok(rules) => {
+            engine.install(rules);
             counts.reloads += 1;
             let _ = writeln!(out, "reload: new automaton installed");
         }

@@ -409,7 +409,7 @@ fn sharded_scan_prints_one_dispatch_line_per_shard() {
     let pcap = dir.join("s.pcap");
     let pcap_s = pcap.to_str().unwrap();
     run(&["generate", pcap_s, "--flows", "10", "--attacks", "2"]);
-    let (code, out) = run(&["scan", pcap_s, "--shards", "3", "--shard-batch", "4"]);
+    let (code, out) = run(&["scan", pcap_s, "--shards", "3"]);
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("dispatch: 3 shards"), "{out}");
     for shard in 0..3 {

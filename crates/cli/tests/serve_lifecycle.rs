@@ -18,7 +18,7 @@ use sd_packet::tcp::TcpFlags;
 use sd_telemetry::{promcheck, ScrapeServer};
 use sd_traffic::loopback;
 use splitdetect::fastpath::DivertReason;
-use splitdetect::{SplitDetect, SplitDetectConfig};
+use splitdetect::{ShardedSplitDetect, SplitDetect, SplitDetectConfig};
 
 const SIG_A: &str = "SERVE_SIG_ALPHA_BYTES_24";
 const SIG_B: &str = "SERVE_SIG_BRAVO_BYTES_24";
@@ -95,7 +95,22 @@ fn reload_does_not_drop_a_piece_straddling_the_boundary() {
     // half under the new) used to be silently missed because the slow
     // path's stream matchers were reset to their root state. The reload
     // now re-anchors them from a retained tail of delivered bytes.
-    let dir = std::env::temp_dir().join(format!("sd-serve-straddle-{}", std::process::id()));
+    straddle_a_reload(1);
+}
+
+#[test]
+fn sharded_reload_does_not_drop_a_piece_straddling_the_boundary() {
+    // The same reload path on the sharded engine: serve compiles, and the
+    // install reaches each shard behind the packets it already queued.
+    straddle_a_reload(2);
+}
+
+/// Send half a signature, reload to a superset of the rules through
+/// `serve()`, send the other half, and expect the alert. `shards` 1 runs
+/// the single engine.
+fn straddle_a_reload(shards: usize) {
+    let dir =
+        std::env::temp_dir().join(format!("sd-serve-straddle-{shards}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let rules_path: PathBuf = dir.join("live.rules");
     std::fs::write(&rules_path, rules_for(SIG_B, 9001)).unwrap();
@@ -108,7 +123,14 @@ fn reload_does_not_drop_a_piece_straddling_the_boundary() {
         ..Default::default()
     };
     let rules = sd_ips::rules::parse_rules(&std::fs::read_to_string(&rules_path).unwrap()).unwrap();
-    let engine = SplitDetect::with_config(rules.to_signatures(), config).unwrap();
+    let sigs = rules.to_signatures();
+    let engine = if shards == 1 {
+        ServeEngine::Single(Box::new(SplitDetect::with_config(sigs, config).unwrap()))
+    } else {
+        ServeEngine::Sharded(Box::new(
+            ShardedSplitDetect::new(sigs, config, shards).unwrap(),
+        ))
+    };
 
     let scrape = ScrapeServer::bind("127.0.0.1:0").unwrap();
     let scrape_addr = scrape.addr();
@@ -126,14 +148,8 @@ fn reload_does_not_drop_a_piece_straddling_the_boundary() {
             publish_every: 1,
             max_duration: None,
         };
-        let summary = serve(
-            ServeEngine::Single(Box::new(engine)),
-            &mut src,
-            &serve_control,
-            opts,
-            &mut out,
-        )
-        .expect("serve runs to a clean drain");
+        let summary = serve(engine, &mut src, &serve_control, opts, &mut out)
+            .expect("serve runs to a clean drain");
         (summary, String::from_utf8(out).unwrap())
     });
 
@@ -153,8 +169,14 @@ fn reload_does_not_drop_a_piece_straddling_the_boundary() {
     control.request_reload();
     let after = await_counter(scrape_addr, "sd_serve_reloads_total", 1);
     // The automaton gauges describe the installed plan, not the one the
-    // daemon started with: two signatures need more states than one.
-    for gauge in ["sd_automaton_hot_states", "sd_automaton_hot_bytes"] {
+    // daemon started with: two signatures need more states than one. (A
+    // sharded engine's metrics exist only once its workers are joined.)
+    let gauges = if shards == 1 {
+        &["sd_automaton_hot_states", "sd_automaton_hot_bytes"][..]
+    } else {
+        &[]
+    };
+    for gauge in gauges {
         assert!(
             counter(&after, gauge) > counter(&before, gauge),
             "{gauge} must follow the reload"
@@ -198,6 +220,7 @@ fn daemon_survives_reload_and_drains_deterministically() {
     };
     let rules = sd_ips::rules::parse_rules(&std::fs::read_to_string(&rules_path).unwrap()).unwrap();
     let engine = SplitDetect::with_config(rules.to_signatures(), config).unwrap();
+    let engine = ServeEngine::Single(Box::new(engine));
 
     let scrape = ScrapeServer::bind("127.0.0.1:0").unwrap();
     let scrape_addr = scrape.addr();
@@ -215,14 +238,8 @@ fn daemon_survives_reload_and_drains_deterministically() {
             publish_every: 1,
             max_duration: None,
         };
-        let summary = serve(
-            ServeEngine::Single(Box::new(engine)),
-            &mut src,
-            &serve_control,
-            opts,
-            &mut out,
-        )
-        .expect("serve runs to a clean drain");
+        let summary = serve(engine, &mut src, &serve_control, opts, &mut out)
+            .expect("serve runs to a clean drain");
         (summary, String::from_utf8(out).unwrap())
     });
 

@@ -51,8 +51,6 @@ pub enum ConfigError {
     },
     /// The signature set is empty.
     NoSignatures,
-    /// The sharded dispatcher's batch size must be at least one packet.
-    ZeroBatchSize,
     /// The slow-path worker lanes must hold at least one packet.
     ZeroLaneDepth,
 }
@@ -81,9 +79,6 @@ impl fmt::Display for ConfigError {
                 "signature #{signature} has {len} bytes, need ≥ {required} for the configured split"
             ),
             ConfigError::NoSignatures => f.write_str("signature set is empty"),
-            ConfigError::ZeroBatchSize => {
-                f.write_str("shard_batch_packets = 0, need ≥ 1 packet per dispatch batch")
-            }
             ConfigError::ZeroLaneDepth => {
                 f.write_str("slow_path_lane_depth = 0, need ≥ 1 packet per worker lane")
             }
@@ -143,12 +138,6 @@ pub struct SplitDetectConfig {
     /// Where small-segment counters live (exact table vs counting Bloom —
     /// the DESIGN §5 memory/diversion ablation, measured by E11).
     pub small_counter: SmallCounterBackend,
-    /// Packets the sharded dispatcher accumulates per shard before sending
-    /// one batch over the worker channel (the E15 sweep knob). 1 degrades
-    /// to per-packet dispatch; larger values amortise channel and pool
-    /// traffic at the cost of per-packet latency. Ignored by the
-    /// single-instance engine.
-    pub shard_batch_packets: usize,
     /// Bound on the sticky diverted set (flows). Diversions beyond it are
     /// handled per [`EvictionPolicy`]; either outcome erodes soundness and
     /// is counted loudly.
@@ -191,7 +180,6 @@ impl Default for SplitDetectConfig {
             slow_path_urgent: UrgentSemantics::DiscardOne,
             divert_on_urgent: true,
             small_counter: SmallCounterBackend::Exact,
-            shard_batch_packets: 64,
             max_diverted_flows: DEFAULT_MAX_DIVERTED,
             divert_eviction: EvictionPolicy::EvictOldest,
             stage_timing_sample_shift: Some(6),
@@ -220,9 +208,6 @@ impl SplitDetectConfig {
     pub fn validate(&self, sigs: &SignatureSet) -> Result<usize, ConfigError> {
         if sigs.is_empty() {
             return Err(ConfigError::NoSignatures);
-        }
-        if self.shard_batch_packets == 0 {
-            return Err(ConfigError::ZeroBatchSize);
         }
         if self.slow_path_workers > 0 && self.slow_path_lane_depth == 0 {
             return Err(ConfigError::ZeroLaneDepth);
@@ -323,15 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_batch_size() {
-        let cfg = SplitDetectConfig {
-            shard_batch_packets: 0,
-            ..Default::default()
-        };
-        assert_eq!(cfg.validate(&sigs()), Err(ConfigError::ZeroBatchSize));
-    }
-
-    #[test]
     fn rejects_zero_lane_depth_only_with_workers() {
         let cfg = SplitDetectConfig {
             slow_path_workers: 2,
@@ -371,7 +347,6 @@ mod tests {
                 required: 12,
             },
             ConfigError::NoSignatures,
-            ConfigError::ZeroBatchSize,
             ConfigError::ZeroLaneDepth,
         ] {
             assert!(!e.to_string().is_empty());

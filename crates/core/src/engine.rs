@@ -21,6 +21,7 @@
 use sd_flow::FlowKey;
 use sd_ips::alert::AlertSource;
 use sd_ips::conventional::{ConventionalConfig, ConventionalIps};
+use sd_ips::stream::StreamScanner;
 use sd_ips::{Alert, Ips, ResourceUsage, SignatureSet};
 use sd_packet::parse::{parse_ipv4, Transport};
 use sd_telemetry::{PipelineTelemetry, Registry, Stage};
@@ -31,7 +32,7 @@ use crate::fastpath::{FastPath, FastPathParams, Verdict};
 use crate::lane::WorkerFailure;
 use crate::report::metrics_registry;
 use crate::slowpath::SlowPathPool;
-use crate::split::SplitPlan;
+use crate::split::{CompiledRules, SplitPlan};
 use crate::stats::SplitDetectStats;
 
 /// How diverted packets reach the conventional slow path: inline on the
@@ -88,12 +89,12 @@ impl SplitDetect {
     ///
     /// Fails loudly if the configuration violates assumption A3 — an
     /// inadmissible Split-Detect silently loses its detection guarantee, so
-    /// there is deliberately no unchecked constructor. (E10 bypasses this
-    /// through [`SplitDetect::with_config_unchecked`] to measure what each
-    /// constraint buys.)
+    /// there is deliberately no unchecked constructor. (E3 and E10 bypass
+    /// this through [`SplitDetect::with_config_unchecked`] to measure what
+    /// each constraint buys.)
     pub fn with_config(sigs: SignatureSet, config: SplitDetectConfig) -> Result<Self, ConfigError> {
-        let cutoff = config.validate(&sigs)?;
-        Ok(Self::build(sigs, config, cutoff))
+        let rules = CompiledRules::compile(sigs, &config)?;
+        Ok(Self::build(rules, config))
     }
 
     /// Build *without* admissibility checks: for ablation experiments only.
@@ -104,16 +105,22 @@ impl SplitDetect {
             .map(|(_, s)| config.max_piece_len(s.bytes.len()))
             .max()
             .unwrap_or(8);
-        let cutoff = config.effective_cutoff(max_piece);
-        Self::build(sigs, config, cutoff)
+        let rules = CompiledRules {
+            cutoff: config.effective_cutoff(max_piece),
+            plan: SplitPlan::compile_unchecked(&sigs, config.pieces_per_signature),
+            scanner: StreamScanner::new(&sigs),
+            sigs,
+        };
+        Self::build(rules, config)
     }
 
-    fn build(sigs: SignatureSet, config: SplitDetectConfig, cutoff: usize) -> Self {
-        let plan = SplitPlan::compile_unchecked(&sigs, config.pieces_per_signature);
+    /// Build from rules compiled under `config` (the shard engine builds
+    /// each shard from one compile).
+    pub(crate) fn build(rules: CompiledRules, config: SplitDetectConfig) -> Self {
         let fast = FastPath::new(
-            plan,
+            rules.plan,
             FastPathParams {
-                cutoff,
+                cutoff: rules.cutoff,
                 budget: config.small_segment_budget,
                 divert_on_out_of_order: config.divert_on_out_of_order,
                 divert_on_fragments: config.divert_on_fragments,
@@ -129,10 +136,15 @@ impl SplitDetect {
             urgent: config.slow_path_urgent,
         };
         let slow = if config.slow_path_workers == 0 {
-            SlowPathDispatch::Inline(ConventionalIps::with_config(sigs, conv))
+            SlowPathDispatch::Inline(ConventionalIps::with_scanner(
+                rules.sigs,
+                rules.scanner,
+                conv,
+            ))
         } else {
             SlowPathDispatch::Pool(SlowPathPool::new(
-                sigs,
+                &rules.sigs,
+                &rules.scanner,
                 conv,
                 config.slow_path_workers,
                 config.slow_path_lane_depth,
@@ -164,31 +176,28 @@ impl SplitDetect {
         self.fast.plan()
     }
 
-    /// Install a precompiled plan + its signature set (live rule reload).
+    /// Install a new rule set (live rule reload), compiled under this
+    /// engine's configuration: `CompiledRules::compile(sigs,
+    /// &engine.config())`, on any thread.
     ///
-    /// Validates the new set against the active configuration, swaps the
-    /// fast path's piece plan (flow table, small-segment counters, and
-    /// diversion stickiness all survive — a flow diverted under the old
-    /// rules stays diverted), and forwards the signatures to the slow
-    /// path, whose connection and reassembly state also carries across.
-    /// The plan is taken precompiled so a daemon can build it off-thread
-    /// with [`SplitPlan::compile`] and hand it in without ever stalling
-    /// the packet loop; [`SplitDetect::reload_rules`] is the convenience
-    /// wrapper that compiles inline.
-    pub fn install_plan(&mut self, plan: SplitPlan, sigs: SignatureSet) -> Result<(), ConfigError> {
-        let cutoff = self.config.validate(&sigs)?;
-        self.fast.swap_plan(plan, cutoff);
+    /// Swaps the fast path's piece plan and cutoff (flow table,
+    /// small-segment counters, and diversion stickiness all survive — a
+    /// flow diverted under the old rules stays diverted) and hands the
+    /// signatures and their scanner to the slow path, whose connection and
+    /// reassembly state also carries across. Nothing is compiled here:
+    /// the caller's thread pays for the swap and for dropping the retired
+    /// automata.
+    pub fn install(&mut self, rules: CompiledRules) {
+        debug_assert_eq!(
+            rules.plan.pieces_per_signature(),
+            self.config.pieces_per_signature,
+            "rules compiled under another configuration"
+        );
+        self.fast.swap_plan(rules.plan, rules.cutoff);
         match &mut self.slow {
-            SlowPathDispatch::Inline(slow) => slow.reload_signatures(sigs),
-            SlowPathDispatch::Pool(pool) => pool.reload(&sigs),
+            SlowPathDispatch::Inline(slow) => slow.install(rules.sigs, rules.scanner),
+            SlowPathDispatch::Pool(pool) => pool.install(rules.sigs, rules.scanner),
         }
-        Ok(())
-    }
-
-    /// Compile and install a new signature set in one (blocking) call.
-    pub fn reload_rules(&mut self, sigs: SignatureSet) -> Result<(), ConfigError> {
-        let plan = SplitPlan::compile(&sigs, &self.config)?;
-        self.install_plan(plan, sigs)
     }
 
     /// Resource usage of the slow-path engine(s). In asynchronous pool
@@ -777,7 +786,7 @@ mod tests {
             assert_eq!(e.stats().divert.flows_diverted, 1);
 
             let fresh = SignatureSet::from_signatures([Signature::new("fresh", SIG2)]);
-            e.reload_rules(fresh).unwrap();
+            e.install(CompiledRules::compile(fresh, &e.config()).unwrap());
 
             // Divert stickiness survives: flow B's continuation still
             // reaches the slow path though the rule that diverted it is
@@ -825,10 +834,11 @@ mod tests {
 
     #[test]
     fn reload_rejects_inadmissible_rules_and_keeps_old_set() {
+        // A rule set is validated where it compiles, before any engine
+        // sees it; the old rules stay live.
         let mut e = engine();
         let mut out = Vec::new();
-        assert!(e.reload_rules(SignatureSet::default()).is_err());
-        // The old rules are still live after the failed reload.
+        assert!(CompiledRules::compile(SignatureSet::default(), &e.config()).is_err());
         let mut payload = b"..".to_vec();
         payload.extend_from_slice(SIG);
         e.process_packet(&pkt(1000, &payload), 0, &mut out);

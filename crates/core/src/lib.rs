@@ -15,7 +15,8 @@
 //! ## Module map
 //!
 //! * [`config`] — parameters and the admissibility checks (assumption A3),
-//! * [`split`] — signature → piece compilation with provenance,
+//! * [`split`] — signature → piece compilation with provenance, and
+//!   [`CompiledRules`], the one compile every engine is built from,
 //! * [`fastpath`] — the per-packet engine: piece scan + anomaly rules over
 //!   a compact flow table,
 //! * [`divert`] — sticky per-flow diversion plus the bounded delay line
@@ -67,7 +68,7 @@ pub use lane::{WorkerFailure, WorkerKind};
 pub use report::RunReport;
 pub use shard::{ShardDispatchStats, ShardedSplitDetect};
 pub use slowpath::SlowPathPool;
-pub use split::{SplitPlan, TierStats};
+pub use split::{CompiledRules, SplitPlan, TierStats};
 pub use stats::SplitDetectStats;
 
 // The telemetry types engines hand out; re-exported so downstream crates

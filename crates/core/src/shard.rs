@@ -12,6 +12,10 @@
 //! stream segments — the differential fuzzing oracle found exactly that
 //! divergence against the port-aware hash this dispatcher originally used.
 //!
+//! The rule set is compiled once and each shard gets a clone; a live
+//! reload ([`ShardedSplitDetect::install`]) hands every shard the rules
+//! the caller compiled, so no worker ever compiles.
+//!
 //! ## Batched, pooled dispatch
 //!
 //! A per-packet channel send plus a per-packet `Vec` allocation would make
@@ -23,9 +27,8 @@
 //! **zero heap allocations per packet**: every byte is copied once into a
 //! pooled arena and the pool cycles between dispatcher and workers.
 //!
-//! The batch size is [`SplitDetectConfig::shard_batch_packets`]; the E15
-//! sweep quantifies the dispatch-overhead amortisation at sizes
-//! {1, 16, 64, 256}.
+//! A batch is [`SHARD_BATCH_PACKETS`] packets. E15's journaled sweep read
+//! 2.78× over per-packet dispatch at 16, 4.00× at 64 and 4.13× at 256.
 //!
 //! ## Failure containment
 //!
@@ -39,6 +42,8 @@
 //! scales with cores while throughput does — the same provisioning trade a
 //! multi-lane line card makes.
 
+use std::sync::Arc;
+
 use sd_flow::{hash, FlowKey};
 use sd_ips::{Alert, Ips, ResourceUsage, SignatureSet};
 use sd_packet::parse::parse_ipv4;
@@ -48,7 +53,11 @@ use crate::config::{ConfigError, SplitDetectConfig};
 use crate::engine::SplitDetect;
 use crate::lane::{sum_usage, Lanes, Worker, WorkerFailure, WorkerKind};
 use crate::report::metrics_registry;
+use crate::split::CompiledRules;
 use crate::stats::SplitDetectStats;
+
+/// Packets the dispatcher accumulates per shard before one channel send.
+pub const SHARD_BATCH_PACKETS: usize = 64;
 
 /// Bounded per-shard queue depth, in batches. Small enough that a stalled
 /// worker exerts backpressure on the dispatcher instead of buffering
@@ -86,10 +95,10 @@ impl PacketBatch {
 
 enum Job {
     Batch(PacketBatch),
-    /// Live rule reload: the worker swaps its engine's signature set in
-    /// lane order, so batches sent before the reload are scanned under
-    /// the old rules and batches after it under the new.
-    Reload(SignatureSet),
+    /// Live rule reload, installed in lane order: batches sent before it
+    /// are scanned under the old rules. Each shard copies the shared rules
+    /// on its own thread.
+    Install(Arc<CompiledRules>),
     /// Test/chaos hook: make the worker panic with this message.
     Poison(String),
 }
@@ -174,11 +183,9 @@ pub struct ShardedSplitDetect {
     dispatch: Vec<ShardDispatchStats>,
     /// Ready-to-fill batch buffers.
     pool: Vec<PacketBatch>,
-    batch_packets: usize,
-    /// The per-shard configuration (capacities already divided), kept so
-    /// a live reload can validate the new signature set on the caller's
-    /// thread before broadcasting.
-    per_shard_config: SplitDetectConfig,
+    /// The configuration the engine was built with; rules installed
+    /// later are compiled under it.
+    config: SplitDetectConfig,
     finished: Option<Finished>,
 }
 
@@ -187,9 +194,9 @@ impl ShardedSplitDetect {
     ///
     /// Per-shard capacities are `config`'s values divided by the shard
     /// count (rounded up), so total provisioned state matches what a
-    /// single-instance engine with `config` would hold. The dispatcher
-    /// batches [`SplitDetectConfig::shard_batch_packets`] packets per
-    /// channel send.
+    /// single-instance engine with `config` would hold. The rule set is
+    /// compiled once and each shard gets a clone. The dispatcher batches
+    /// [`SHARD_BATCH_PACKETS`] packets per channel send.
     ///
     /// When `config.slow_path_workers ≥ 1`, each shard owns its own
     /// slow-path worker pool (so the process runs `shards ×
@@ -215,41 +222,41 @@ impl ShardedSplitDetect {
             max_diverted_flows: config.max_diverted_flows.div_ceil(shards),
             ..config
         };
-        // Validate once up front so errors surface on the caller's thread.
-        per_shard.validate(&sigs)?;
-        let engines = (0..shards)
-            .map(|i| {
-                // A pinned seed still gets a distinct per-shard derivation
-                // so shard tables do not share collision sets; `None` stays
-                // `None` (each shard draws its own random key at build).
-                let flow_hash_seed = per_shard
-                    .flow_hash_seed
-                    .map(|s| s.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-                SplitDetect::with_config(
-                    sigs.clone(),
-                    SplitDetectConfig {
-                        flow_hash_seed,
-                        ..per_shard
-                    },
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let rules = CompiledRules::compile(sigs, &config)?;
+        let engines = (0..shards).map(|i| {
+            // A pinned seed still gets a distinct per-shard derivation so
+            // shard tables do not share collision sets; `None` stays `None`
+            // (each shard draws its own random key at build).
+            let flow_hash_seed = per_shard
+                .flow_hash_seed
+                .map(|s| s.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+            SplitDetect::build(
+                rules.clone(),
+                SplitDetectConfig {
+                    flow_hash_seed,
+                    ..per_shard
+                },
+            )
+        });
         let lanes = Lanes::spawn(
             WorkerKind::Shard,
             SHARD_QUEUE_BATCHES,
-            engines
-                .into_iter()
-                .map(|engine| move |worker: Worker<Job, PacketBatch>| run_shard(engine, worker)),
+            engines.map(|engine| move |worker: Worker<Job, PacketBatch>| run_shard(engine, worker)),
         );
         Ok(ShardedSplitDetect {
             lanes,
             pending: (0..shards).map(|_| PacketBatch::default()).collect(),
             dispatch: vec![ShardDispatchStats::default(); shards],
             pool: Vec::new(),
-            batch_packets: config.shard_batch_packets.max(1),
-            per_shard_config: per_shard,
+            config,
             finished: None,
         })
+    }
+
+    /// The configuration the engine was built with (before its capacities
+    /// were divided among the shards).
+    pub fn config(&self) -> SplitDetectConfig {
+        self.config
     }
 
     /// Number of shards.
@@ -380,20 +387,17 @@ impl ShardedSplitDetect {
         ))
     }
 
-    /// Broadcast a new signature set to every live shard (live rule
-    /// reload). The set is validated against the per-shard configuration
-    /// on the caller's thread first, so an inadmissible rule file is
-    /// rejected wholesale and no shard ever runs it. Each lane's pending
-    /// batch is flushed ahead of the reload job, so packets accepted
-    /// before this call are scanned under the old rules and packets after
-    /// it under the new; per-shard flow, diversion, and reassembly state
-    /// all survive the swap. Dead lanes are skipped.
-    pub fn reload_rules(&mut self, sigs: &SignatureSet) -> Result<(), ConfigError> {
+    /// Install a new rule set on every live shard (live rule reload),
+    /// compiled under [`Self::config`]. Each lane's pending batch is
+    /// flushed ahead of the install job, so packets accepted before this
+    /// call are scanned under the old rules and packets after it under the
+    /// new; per-shard flow, diversion, and reassembly state all survive
+    /// the swap. Dead lanes are skipped.
+    pub fn install(&mut self, rules: CompiledRules) {
         assert!(self.finished.is_none(), "engine already finished");
-        self.per_shard_config.validate(sigs)?;
         self.flush_all();
-        self.lanes.broadcast(|| Job::Reload(sigs.clone()));
-        Ok(())
+        let rules = Arc::new(rules);
+        self.lanes.broadcast(|| Job::Install(Arc::clone(&rules)));
     }
 
     /// Chaos/test hook: make `shard`'s worker panic on its next job, as a
@@ -424,13 +428,8 @@ fn run_shard(
                 batch.clear();
                 worker.recycle(batch);
             }
-            Job::Reload(sigs) => {
-                // Validated on the dispatcher thread before broadcast; a
-                // failure here would mean the config mutated, which it
-                // cannot (Copy, never exposed).
-                if let Err(e) = engine.reload_rules(sigs) {
-                    eprintln!("split-detect: shard reload failed: {e}");
-                }
+            Job::Install(rules) => {
+                engine.install(Arc::try_unwrap(rules).unwrap_or_else(|r| (*r).clone()));
             }
             Job::Poison(msg) => panic!("{msg}"),
         }
@@ -458,7 +457,7 @@ impl Ips for ShardedSplitDetect {
         stats.bytes_enqueued += packet.len() as u64;
         let pending = &mut self.pending[idx];
         pending.push(packet, tick);
-        if pending.len() >= self.batch_packets {
+        if pending.len() >= SHARD_BATCH_PACKETS {
             self.flush_shard(idx);
         }
     }
@@ -539,8 +538,18 @@ mod tests {
     }
 
     fn mixed_trace(n_attacks: usize) -> sd_traffic::mixer::LabeledTrace {
+        trace(40, n_attacks)
+    }
+
+    /// Long enough that every lane of 2 or 4 shards fills several
+    /// `SHARD_BATCH_PACKETS` batches.
+    fn long_trace() -> sd_traffic::mixer::LabeledTrace {
+        trace(400, 6)
+    }
+
+    fn trace(flows: usize, n_attacks: usize) -> sd_traffic::mixer::LabeledTrace {
         let benign = BenignGenerator::new(BenignConfig {
-            flows: 40,
+            flows,
             seed: 61,
             ..Default::default()
         })
@@ -561,47 +570,51 @@ mod tests {
         mix(benign, attacks, 5)
     }
 
-    #[test]
-    fn sharded_equals_single_engine_detection() {
-        let labeled = mixed_trace(6);
-        for shards in [1usize, 2, 4] {
-            let mut engine =
-                ShardedSplitDetect::new(sigs(), SplitDetectConfig::default(), shards).unwrap();
-            let alerts = run_trace(&mut engine, labeled.trace.iter_bytes());
-            for label in &labeled.attacks {
-                assert!(
-                    alerts.iter().any(|a| a.flow == label.flow),
-                    "{shards} shards missed {}",
-                    label.strategy
-                );
-            }
-            for a in &alerts {
-                assert!(
-                    labeled.is_attack(&a.flow),
-                    "false alert with {shards} shards"
-                );
-            }
-            assert_eq!(engine.shard_count(), shards);
-        }
+    /// Full identity of an alert, as a sortable key.
+    fn keys(alerts: &[Alert]) -> Vec<(FlowKey, usize, u64, u8)> {
+        let mut v: Vec<_> = alerts
+            .iter()
+            .map(|a| (a.flow, a.signature, a.offset, a.source as u8))
+            .collect();
+        v.sort();
+        v
     }
 
     #[test]
-    fn batch_size_does_not_change_detection() {
-        let labeled = mixed_trace(4);
-        let mut reference: Option<Vec<(sd_flow::FlowKey, usize)>> = None;
-        for batch in [1usize, 16, 64, 256] {
-            let config = SplitDetectConfig {
-                shard_batch_packets: batch,
-                ..Default::default()
-            };
-            let mut engine = ShardedSplitDetect::new(sigs(), config, 4).unwrap();
+    fn sharded_equals_single_engine_detection() {
+        // Every lane sends at least two full batches, so this compares the
+        // steady-state dispatch path, not only the flush at finish().
+        let labeled = long_trace();
+        let mut single = SplitDetect::new(sigs()).unwrap();
+        let reference = keys(&run_trace(&mut single, labeled.trace.iter_bytes()));
+        for label in &labeled.attacks {
+            assert!(
+                reference.iter().any(|k| k.0 == label.flow),
+                "the single engine missed {}",
+                label.strategy
+            );
+        }
+        assert!(
+            reference.iter().all(|k| labeled.is_attack(&k.0)),
+            "false alert"
+        );
+        for shards in [2usize, 4] {
+            let mut engine =
+                ShardedSplitDetect::new(sigs(), SplitDetectConfig::default(), shards).unwrap();
             let alerts = run_trace(&mut engine, labeled.trace.iter_bytes());
-            let mut summary: Vec<(sd_flow::FlowKey, usize)> =
-                alerts.iter().map(|a| (a.flow, a.signature)).collect();
-            summary.sort();
-            match &reference {
-                None => reference = Some(summary),
-                Some(r) => assert_eq!(&summary, r, "batch {batch} changed detection"),
+            assert!(engine.failures().is_empty());
+            assert_eq!(keys(&alerts), reference, "{shards} shards diverged");
+            assert_eq!(engine.shard_count(), shards);
+            for (i, lane) in engine.dispatch_stats().iter().enumerate() {
+                // Only a full batch is sent before finish(), which sends
+                // the one partial remainder.
+                let batch = SHARD_BATCH_PACKETS as u64;
+                assert_eq!(lane.batches_sent, lane.packets_enqueued.div_ceil(batch));
+                assert!(
+                    lane.packets_enqueued / batch >= 2,
+                    "{shards} shards: lane {i} sent {} full batch(es)",
+                    lane.packets_enqueued / batch
+                );
             }
         }
     }
@@ -644,12 +657,8 @@ mod tests {
 
     #[test]
     fn dispatch_stats_count_batches_and_recycling() {
-        let labeled = mixed_trace(2);
-        let config = SplitDetectConfig {
-            shard_batch_packets: 16,
-            ..Default::default()
-        };
-        let mut engine = ShardedSplitDetect::new(sigs(), config, 2).unwrap();
+        let labeled = long_trace();
+        let mut engine = ShardedSplitDetect::new(sigs(), SplitDetectConfig::default(), 2).unwrap();
         let mut out = Vec::new();
         let n = labeled.trace.len() as u64;
         for (tick, p) in labeled.trace.iter_bytes().enumerate() {
@@ -661,7 +670,8 @@ mod tests {
         let total = ShardDispatchStats::aggregate(&lanes);
         assert_eq!(total.packets_enqueued, n);
         assert_eq!(total.packets_dropped, 0);
-        assert!(total.batches_sent >= n / 16, "batches cover the trace");
+        let batch = SHARD_BATCH_PACKETS as u64;
+        assert!(total.batches_sent >= n / batch, "batches cover the trace");
         assert!(
             total.batches_sent < n,
             "batching must send fewer messages than packets"
@@ -695,20 +705,19 @@ mod tests {
         // SHARD_QUEUE_BATCHES batches, so a later send meets the closed
         // channel and the rest of its packets drop at intake: they must not
         // dilute the fill of the batches actually sent.
-        let labeled = mixed_trace(4);
-        let config = SplitDetectConfig {
-            shard_batch_packets: 1,
-            ..Default::default()
-        };
-        let mut engine = ShardedSplitDetect::new(sigs(), config, 2).unwrap();
+        let labeled = long_trace();
+        let mut engine = ShardedSplitDetect::new(sigs(), SplitDetectConfig::default(), 2).unwrap();
         engine.poison_shard(1);
         run_trace(&mut engine, labeled.trace.iter_bytes());
         let lanes = engine.dispatch_stats();
         let total = ShardDispatchStats::aggregate(&lanes);
-        assert!(lanes[1].dead && total.packets_dropped > 0);
+        assert!(lanes[1].dead && lanes[1].packets_dropped > 0);
         let sent = labeled.trace.len() as u64 - total.packets_dropped;
-        assert_eq!(total.batches_sent, sent, "one packet per batch");
-        assert_eq!(total.mean_batch_fill(), 1.0);
+        assert_eq!(total.packets_enqueued, sent);
+        // The dead lane sent only full batches: its partial remainder
+        // dropped at finish() with everything after the failed send.
+        assert!(lanes[1].batches_sent > 0);
+        assert_eq!(lanes[1].mean_batch_fill(), SHARD_BATCH_PACKETS as f64);
     }
 
     #[test]
@@ -869,12 +878,12 @@ mod tests {
         let a = mk("10.1.0.1:4000", SIG);
         engine.process_packet(&a, 0, &mut out);
 
-        // An inadmissible set is rejected wholesale (validated before any
-        // shard sees it); the old rules stay live.
-        assert!(engine.reload_rules(&SignatureSet::default()).is_err());
+        // An inadmissible set is rejected where it compiles, before any
+        // shard sees it; the old rules stay live.
+        assert!(CompiledRules::compile(SignatureSet::default(), &engine.config()).is_err());
 
         let fresh = SignatureSet::from_signatures([Signature::new("fresh", SIG2)]);
-        engine.reload_rules(&fresh).unwrap();
+        engine.install(CompiledRules::compile(fresh, &engine.config()).unwrap());
 
         // After the reload: the retired signature stops matching, the new
         // one matches, on every shard.
@@ -921,12 +930,8 @@ mod tests {
         // Poison immediately, then push the whole trace: every send path
         // (pending fill, batch flush, finish flush) must tolerate the
         // closed channel.
-        let labeled = mixed_trace(2);
-        let config = SplitDetectConfig {
-            shard_batch_packets: 4,
-            ..Default::default()
-        };
-        let mut engine = ShardedSplitDetect::new(sigs(), config, 2).unwrap();
+        let labeled = long_trace();
+        let mut engine = ShardedSplitDetect::new(sigs(), SplitDetectConfig::default(), 2).unwrap();
         engine.poison_shard(0);
         engine.poison_shard(1);
         // Give the workers a moment to die so sends actually fail.

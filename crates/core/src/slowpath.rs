@@ -33,11 +33,13 @@
 //! propagated panic.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sd_flow::{hash, FlowKey};
 use sd_ips::alert::AlertSource;
 use sd_ips::conventional::{ConventionalConfig, ConventionalIps};
+use sd_ips::stream::StreamScanner;
 use sd_ips::{Alert, Ips, ResourceUsage, SignatureSet};
 
 use crate::lane::{sum_usage, Lanes, Worker, WorkerFailure, WorkerKind};
@@ -75,10 +77,10 @@ enum Job {
         tick: u64,
         enqueued: Instant,
     },
-    /// Live rule reload: the worker swaps its engine's signature set in
-    /// lane order, so packets enqueued before the reload are scanned
-    /// under the old rules and packets after it under the new.
-    Reload(SignatureSet),
+    /// Live rule reload, installed in lane order: packets enqueued before
+    /// it are scanned under the old rules. Each worker copies the shared
+    /// rules on its own thread.
+    Install(Arc<(SignatureSet, StreamScanner)>),
 }
 
 /// One worker's alert delivery: everything its engine raised for one
@@ -117,12 +119,14 @@ pub struct SlowPathPool {
 
 impl SlowPathPool {
     /// Spawn `workers` slow-path engines behind lanes of `lane_depth`
-    /// packets each. The per-worker connection cap is `conv`'s cap divided
+    /// packets each, every one with its own copy of `scanner` (compiled
+    /// from `sigs`). The per-worker connection cap is `conv`'s cap divided
     /// by the worker count (rounded up), mirroring the shard dispatcher's
     /// provisioning rule: flows partition across workers, so total
     /// provisioned state matches one inline engine.
     pub fn new(
-        sigs: SignatureSet,
+        sigs: &SignatureSet,
+        scanner: &StreamScanner,
         conv: ConventionalConfig,
         workers: usize,
         lane_depth: usize,
@@ -137,7 +141,8 @@ impl SlowPathPool {
             WorkerKind::SlowPath,
             lane_depth.max(1),
             (0..workers).map(|_| {
-                let engine = ConventionalIps::with_config(sigs.clone(), per_worker);
+                let engine =
+                    ConventionalIps::with_scanner(sigs.clone(), scanner.clone(), per_worker);
                 let alerts_out = alert_tx.clone();
                 move |worker: Worker<Job, Vec<u8>>| run_worker(engine, worker, alerts_out)
             }),
@@ -253,16 +258,17 @@ impl SlowPathPool {
         }
     }
 
-    /// Broadcast a new signature set to every live worker (live rule
-    /// reload). The reload job rides each lane in FIFO order behind any
-    /// queued packets, so no lane pauses and no worker's connection or
-    /// reassembly state is dropped. Dead lanes are skipped — their
-    /// failure is already on record. The send blocks when a lane is full:
-    /// reload is a rare control event, and waiting for lane space beats
-    /// shedding data packets to make room.
-    pub fn reload(&mut self, sigs: &SignatureSet) {
+    /// Broadcast a new signature set and its compiled scanner to every
+    /// live worker (live rule reload). The job rides each lane in FIFO
+    /// order behind any queued packets, so no lane pauses and no worker's
+    /// connection or reassembly state is dropped. Dead lanes are skipped —
+    /// their failure is already on record. The send blocks when a lane is
+    /// full: reload is a rare control event, and waiting for lane space
+    /// beats shedding data packets to make room.
+    pub fn install(&mut self, sigs: SignatureSet, scanner: StreamScanner) {
         assert!(self.usage.is_none(), "pool already finished");
-        self.lanes.broadcast(|| Job::Reload(sigs.clone()));
+        let rules = Arc::new((sigs, scanner));
+        self.lanes.broadcast(|| Job::Install(Arc::clone(&rules)));
     }
 
     /// Sort and append every alert message drained so far. The order is
@@ -347,7 +353,10 @@ fn run_worker(
                 worker.recycle(data);
                 deliver(tick, enqueued, &mut buf);
             }
-            Job::Reload(sigs) => engine.reload_signatures(sigs),
+            Job::Install(rules) => {
+                let (sigs, scanner) = Arc::try_unwrap(rules).unwrap_or_else(|s| (*s).clone());
+                engine.install(sigs, scanner);
+            }
         }
     }
     // `Ips::finish` is part of the contract; the conventional engine's is
@@ -373,7 +382,15 @@ mod tests {
     }
 
     fn pool(workers: usize, lane_depth: usize) -> SlowPathPool {
-        SlowPathPool::new(sigs(), ConventionalConfig::default(), workers, lane_depth)
+        let sigs = sigs();
+        let scanner = StreamScanner::new(&sigs);
+        SlowPathPool::new(
+            &sigs,
+            &scanner,
+            ConventionalConfig::default(),
+            workers,
+            lane_depth,
+        )
     }
 
     fn pkt(src: &str, seq: u32, payload: &[u8]) -> (FlowKey, Vec<u8>) {

@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use sd_ips::stream::StreamScanner;
 use sd_ips::{SignatureId, SignatureSet};
 use sd_match::pattern::PatternSet;
 use sd_match::{Match, PatternId, TieredNfa};
@@ -60,6 +61,42 @@ pub struct SplitPlan {
     build_time: Duration,
 }
 
+/// A signature set compiled once for every engine that runs it: the
+/// validated small-segment cutoff, the fast path's piece plan and the
+/// slow path's whole-signature scanner. Engines are built from it and a
+/// live reload installs it ([`crate::SplitDetect::install`]), so rules
+/// compile on whatever thread calls [`CompiledRules::compile`].
+#[derive(Debug, Clone)]
+pub struct CompiledRules {
+    pub(crate) sigs: SignatureSet,
+    pub(crate) cutoff: usize,
+    pub(crate) plan: SplitPlan,
+    pub(crate) scanner: StreamScanner,
+}
+
+impl CompiledRules {
+    /// Validate `sigs` against `config` (assumption A3) and compile both
+    /// automata, for engines running `config`.
+    pub fn compile(sigs: SignatureSet, config: &SplitDetectConfig) -> Result<Self, ConfigError> {
+        Ok(CompiledRules {
+            cutoff: config.validate(&sigs)?,
+            plan: SplitPlan::compile_unchecked(&sigs, config.pieces_per_signature),
+            scanner: StreamScanner::new(&sigs),
+            sigs,
+        })
+    }
+
+    /// The signature set.
+    pub fn signatures(&self) -> &SignatureSet {
+        &self.sigs
+    }
+
+    /// The piece plan.
+    pub fn plan(&self) -> &SplitPlan {
+        &self.plan
+    }
+}
+
 /// Cut `len` into `k` near-equal spans.
 pub fn balanced_cuts(len: usize, k: usize) -> Vec<(usize, usize)> {
     assert!(k >= 1 && len >= k, "cannot cut {len} bytes into {k} pieces");
@@ -82,9 +119,10 @@ impl SplitPlan {
         Ok(Self::compile_unchecked(sigs, config.pieces_per_signature))
     }
 
-    /// Compile without admissibility checks (ablation experiments). A
-    /// signature shorter than `k` bytes is split into fewer pieces.
-    pub fn compile_unchecked(sigs: &SignatureSet, k: usize) -> Self {
+    /// Compile without admissibility checks (the unchecked engine build
+    /// of the ablation experiments). A signature shorter than `k` bytes is
+    /// split into fewer pieces.
+    pub(crate) fn compile_unchecked(sigs: &SignatureSet, k: usize) -> Self {
         let mut strings: Vec<Vec<u8>> = Vec::new();
         let mut origins: Vec<Vec<PieceOrigin>> = Vec::new();
         let mut index: HashMap<Vec<u8>, usize> = HashMap::new();

@@ -1,8 +1,7 @@
 //! Sharded-vs-single differential regression: the flow-sharded engine must
 //! be *byte-identical* to one `SplitDetect` instance — same alerts (flow,
 //! signature, offset, source), same count — across the whole evasion
-//! gauntlet, every victim overlap policy, 2 and 4 shards, batch sizes 1
-//! and 64.
+//! gauntlet, every victim overlap policy, 2 and 4 shards.
 //!
 //! This is the pinned form of the equivalence the differential fuzzing
 //! oracle (`sd-oracle`) checks on random traces; the catalog here is the
@@ -55,28 +54,19 @@ fn sharded_verdicts_equal_single_across_the_gauntlet() {
             ));
 
             for shards in [2usize, 4] {
-                for batch in [1usize, 64] {
-                    let config = SplitDetectConfig {
-                        slow_path_policy: policy,
-                        shard_batch_packets: batch,
-                        ..Default::default()
-                    };
-                    let mut engine = ShardedSplitDetect::new(sigs(), config, shards).unwrap();
-                    let alerts = run_trace(&mut engine, packets.iter().map(|p| p.as_slice()));
-                    assert!(
-                        engine.failures().is_empty(),
-                        "{} vs {policy}: worker failures with {shards} shards",
-                        strategy.name()
-                    );
-                    let got = keys(&alerts);
-                    assert_eq!(
-                        got,
-                        reference,
-                        "{} vs {policy}: {shards} shards (batch {batch}) diverged \
-                         from the single engine",
-                        strategy.name()
-                    );
-                }
+                let mut engine = ShardedSplitDetect::new(sigs(), config, shards).unwrap();
+                let alerts = run_trace(&mut engine, packets.iter().map(|p| p.as_slice()));
+                assert!(
+                    engine.failures().is_empty(),
+                    "{} vs {policy}: worker failures with {shards} shards",
+                    strategy.name()
+                );
+                assert_eq!(
+                    keys(&alerts),
+                    reference,
+                    "{} vs {policy}: {shards} shards diverged from the single engine",
+                    strategy.name()
+                );
             }
         }
     }

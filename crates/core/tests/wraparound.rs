@@ -161,20 +161,15 @@ fn detection_parity_across_wrap_and_engines() {
         "both signature flows detected, benign clean"
     );
 
-    // Sharded engine, several batch sizes: byte-identical alert sets.
-    for batch in [1usize, 64] {
-        for shards in [2usize, 4] {
-            let config = SplitDetectConfig {
-                shard_batch_packets: batch,
-                ..Default::default()
-            };
-            let mut engine = ShardedSplitDetect::new(sigs(), config, shards).unwrap();
-            let alerts = run_trace(&mut engine, wrap_packets.iter().map(|p| p.as_slice()));
-            assert_eq!(
-                alert_digest(&alerts),
-                wrap_digest,
-                "sharded ({shards} shards, batch {batch}) differs from single engine"
-            );
-        }
+    // Sharded engine: byte-identical alert sets.
+    for shards in [2usize, 4] {
+        let mut engine =
+            ShardedSplitDetect::new(sigs(), SplitDetectConfig::default(), shards).unwrap();
+        let alerts = run_trace(&mut engine, wrap_packets.iter().map(|p| p.as_slice()));
+        assert_eq!(
+            alert_digest(&alerts),
+            wrap_digest,
+            "sharded ({shards} shards) differs from single engine"
+        );
     }
 }

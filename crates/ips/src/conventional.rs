@@ -102,8 +102,19 @@ impl ConventionalIps {
 
     /// Build with an explicit configuration.
     pub fn with_config(sigs: SignatureSet, config: ConventionalConfig) -> Self {
+        let scanner = StreamScanner::new(&sigs);
+        Self::with_scanner(sigs, scanner, config)
+    }
+
+    /// Build around a scanner already compiled from `sigs`, so an engine
+    /// that compiled its rules elsewhere does not compile them again.
+    pub fn with_scanner(
+        sigs: SignatureSet,
+        scanner: StreamScanner,
+        config: ConventionalConfig,
+    ) -> Self {
         ConventionalIps {
-            scanner: StreamScanner::new(&sigs),
+            scanner,
             sigs,
             normalizer: Normalizer::new(),
             defrag: Defragmenter::new(config.policy),
@@ -120,16 +131,16 @@ impl ConventionalIps {
         &self.sigs
     }
 
-    /// Swap in a new signature set (live rule reload). Rebuilds the match
-    /// automaton while keeping all reassembly state — buffers, sequence
+    /// Swap in a new signature set with its compiled scanner (live rule
+    /// reload), keeping all reassembly state — buffers, sequence
     /// tracking, and connection lifecycle carry straight across. Each
     /// stream keeps its tail, trimmed to the new window: the tail is plain
     /// bytes, so the next junction scan runs it under the new rules, and a
     /// signature occurrence whose bytes straddle the reload instant (some
     /// delivered before, some after) is still detected the moment its
     /// remaining bytes arrive.
-    pub fn reload_signatures(&mut self, sigs: SignatureSet) {
-        self.scanner = StreamScanner::new(&sigs);
+    pub fn install(&mut self, sigs: SignatureSet, scanner: StreamScanner) {
+        self.scanner = scanner;
         self.sigs = sigs;
         for entry in self.conns.values_mut() {
             let mem_before = entry.mem;
@@ -324,6 +335,12 @@ mod tests {
         SignatureSet::from_signatures([Signature::new("evil", &b"EVIL_SIGNATURE_BYTES"[..])])
     }
 
+    /// A live reload as an engine performs it: compile, then install.
+    fn reload(ips: &mut ConventionalIps, sigs: SignatureSet) {
+        let scanner = StreamScanner::new(&sigs);
+        ips.install(sigs, scanner);
+    }
+
     fn tcp_pkt(seq: u32, payload: &[u8]) -> Vec<u8> {
         let frame = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
             .seq(seq)
@@ -480,7 +497,7 @@ mod tests {
             Signature::new("evil", &b"EVIL_SIGNATURE_BYTES"[..]),
             Signature::new("new", &b"BRAND_NEW_RULE_BYTES"[..]),
         ]);
-        ips.reload_signatures(fresh);
+        reload(&mut ips, fresh);
         assert_eq!(ips.connection_count(), 1, "reload must keep connections");
 
         // Fill the gap: both halves deliver together and scan as one run.
@@ -508,7 +525,7 @@ mod tests {
             Signature::new("evil", &b"EVIL_SIGNATURE_BYTES"[..]),
             Signature::new("new", &b"BRAND_NEW_RULE_BYTES"[..]),
         ]);
-        ips.reload_signatures(fresh);
+        reload(&mut ips, fresh);
 
         ips.process_packet(&tcp_pkt(1013, b"ATURE_BYTES...."), 1, &mut out);
         assert_eq!(out.len(), 1, "straddling occurrence must survive reload");
@@ -525,7 +542,7 @@ mod tests {
         let mut out = Vec::new();
         ips.process_packet(&tcp_pkt(1000, b"EVIL_SIGNATURE_BYTES"), 0, &mut out);
         assert_eq!(out.len(), 1);
-        ips.reload_signatures(sigs());
+        reload(&mut ips, sigs());
         ips.process_packet(&tcp_pkt(1020, b"benign continuation."), 1, &mut out);
         assert_eq!(out.len(), 1, "tail replay must stay silent");
     }
@@ -533,10 +550,8 @@ mod tests {
     #[test]
     fn reload_retires_old_rules() {
         let mut ips = ConventionalIps::new(sigs());
-        ips.reload_signatures(SignatureSet::from_signatures([Signature::new(
-            "only",
-            &b"SOMETHING_ELSE_ENTIRELY"[..],
-        )]));
+        let only = Signature::new("only", &b"SOMETHING_ELSE_ENTIRELY"[..]);
+        reload(&mut ips, SignatureSet::from_signatures([only]));
         let alerts = run_trace(
             &mut ips,
             [tcp_pkt(1000, b"xxEVIL_SIGNATURE_BYTESxx").as_slice()],

@@ -169,7 +169,7 @@ proptest! {
         let mut alerts = Vec::new();
         for (i, pkt) in packets.iter().enumerate() {
             if reload_at == Some(i) {
-                ips.reload_signatures(fresh.clone());
+                ips.install(fresh.clone(), StreamScanner::new(&fresh));
             }
             ips.process_packet(pkt, i as u64, &mut alerts);
         }
