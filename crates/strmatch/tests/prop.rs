@@ -1,6 +1,8 @@
 //! Cross-engine property tests: every engine must agree with the naive
 //! reference on arbitrary patterns and haystacks.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use sd_match::tiered::MIN_HOT_STATES;
 use sd_match::{naive, AcDfa, AhoCorasick, PatternSet, TieredNfa};
@@ -211,6 +213,75 @@ proptest! {
                 .find_first_id(&hay)
                 .map(|id| want.iter().any(|m| Some(m.end) == first_end && m.pattern == id));
             prop_assert_eq!(first, first_end.map(|_| true), "hot = {}", tiered.hot_state_count());
+        }
+    }
+}
+
+/// Pattern sets that exercise the trie's construction: two-letter strings
+/// (shared prefixes, duplicates, patterns that are suffixes of others),
+/// one-byte patterns, and short strings over all 256 byte values.
+fn construction_set() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    prop::collection::vec(
+        prop_oneof![
+            prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b')], 1..6),
+            any::<u8>().prop_map(|b| vec![b]),
+            prop::collection::vec(any::<u8>(), 1..4),
+        ],
+        1..12,
+    )
+}
+
+/// The deepest state whose label is a suffix of `word` from offset
+/// `from` on (the root's label is empty).
+fn deepest_suffix(labels: &HashMap<Vec<u8>, u32>, word: &[u8], from: usize) -> u32 {
+    (from..=word.len())
+        .find_map(|k| labels.get(&word[k..]).copied())
+        .expect("the root's empty label is a suffix of every word")
+}
+
+proptest! {
+    /// The NFA against the definition of Aho–Corasick: states numbered
+    /// breadth-first with siblings by byte, so listing every state's trie
+    /// edges in state order names states `1, 2, 3, …`; each failure link
+    /// is the deepest state that is a proper suffix of the state's label;
+    /// each step is the deepest state that is a suffix of the label plus
+    /// the byte; and each state reports its own pattern ids in id order,
+    /// then its failure state's list.
+    #[test]
+    fn nfa_construction_matches_its_definition(pats in construction_set()) {
+        let set = PatternSet::from_patterns(&pats);
+        let nfa = AhoCorasick::new(set.clone());
+        let n = nfa.state_count() as u32;
+        let mut labels: Vec<Vec<u8>> = vec![Vec::new()];
+        for s in 0..n {
+            let edges: Vec<(u8, u32)> = nfa.transitions(s).collect();
+            prop_assert!(edges.windows(2).all(|e| e[0].0 < e[1].0), "edges of {} by byte", s);
+            for (b, t) in edges {
+                prop_assert_eq!(t as usize, labels.len(), "breadth-first number");
+                let mut label = labels[s as usize].clone();
+                label.push(b);
+                labels.push(label);
+            }
+        }
+        prop_assert_eq!(labels.len(), n as usize);
+        let state_of: HashMap<Vec<u8>, u32> =
+            labels.iter().enumerate().map(|(s, l)| (l.clone(), s as u32)).collect();
+        for (s, label) in labels.iter().enumerate() {
+            let s = s as u32;
+            let fail = if s == 0 { 0 } else { deepest_suffix(&state_of, label, 1) };
+            prop_assert_eq!(nfa.fail(s), fail, "fail of {:?}", label);
+            let mut word = label.clone();
+            for b in 0..=255u8 {
+                word.push(b);
+                prop_assert_eq!(nfa.step(s, b), deepest_suffix(&state_of, &word, 0));
+                word.pop();
+            }
+            let mut outputs: Vec<u32> =
+                set.iter().filter(|(_, p)| *p == label.as_slice()).map(|(id, _)| id).collect();
+            if s != 0 {
+                outputs.extend_from_slice(nfa.outputs(fail));
+            }
+            prop_assert_eq!(nfa.outputs(s), outputs.as_slice(), "outputs of {:?}", label);
         }
     }
 }
