@@ -264,21 +264,6 @@ impl ShardedSplitDetect {
         self.lanes.len()
     }
 
-    fn shard_of(&self, packet: &[u8]) -> usize {
-        let n = self.lanes.len();
-        // Dispatch on the IP pair, not the 5-tuple: non-first fragments
-        // carry no ports, so a port-aware hash would split a connection's
-        // fragments from its stream segments across shards and the sharded
-        // engine would diverge from the single engine on fragmented flows.
-        match parse_ipv4(packet)
-            .ok()
-            .and_then(|p| FlowKey::from_ip_pair(&p))
-        {
-            Some(key) => (hash::hash_key_seeded(0x51AD, &key) as usize) % n,
-            None => 0,
-        }
-    }
-
     /// A cleared batch buffer for `shard`: recycled when possible,
     /// freshly allocated otherwise.
     fn acquire_batch(&mut self, shard: usize) -> PacketBatch {
@@ -445,7 +430,7 @@ impl Ips for ShardedSplitDetect {
 
     fn process_packet(&mut self, packet: &[u8], tick: u64, _out: &mut Vec<Alert>) {
         assert!(self.finished.is_none(), "engine already finished");
-        let idx = self.shard_of(packet);
+        let idx = shard_of(packet, self.lanes.len());
         let stats = &mut self.dispatch[idx];
         if self.lanes.is_dead(idx) {
             // Worker died earlier: count, don't crash. The failure itself
@@ -505,6 +490,21 @@ impl Ips for ShardedSplitDetect {
                 }
             }
         }
+    }
+}
+
+/// The shard of `shards` that `packet` dispatches to. Dispatch is on the
+/// IP pair, not the 5-tuple: non-first fragments carry no ports, so a
+/// port-aware hash would split a connection's fragments from its stream
+/// segments across shards and the sharded engine would diverge from the
+/// single engine on fragmented flows.
+fn shard_of(packet: &[u8], shards: usize) -> usize {
+    match parse_ipv4(packet)
+        .ok()
+        .and_then(|p| FlowKey::from_ip_pair(&p))
+    {
+        Some(key) => (hash::hash_key_seeded(0x51AD, &key) as usize) % shards,
+        None => 0,
     }
 }
 
@@ -820,16 +820,23 @@ mod tests {
 
     #[test]
     fn spawn_failure_degrades_to_dead_lane_instead_of_panicking() {
-        // Shard 1's worker never spawns. Construction must not panic (the
+        // One shard's worker never spawns. Construction must not panic (the
         // documented contract: failures surface at finish(), never as a
         // propagated panic); its packets drop (counted) while surviving
-        // shards keep detecting.
+        // shards keep detecting. Every attack shares one IP pair, hence
+        // one shard; the dead one is its neighbour, so the survivors have
+        // attacks to detect.
+        use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
         let labeled = mixed_trace(4);
+        let spec = AttackSpec::simple(SIG);
+        let endpoint = |(addr, port)| std::net::SocketAddrV4::new(addr, port);
+        let attack = TcpPacketSpec::between(endpoint(spec.client), endpoint(spec.server)).build();
+        let dead = (shard_of(ip_of_frame(&attack), 4) + 1) % 4;
         let mut engine = ShardedSplitDetect::new_with_spawn_failures(
             sigs(),
             SplitDetectConfig::default(),
             4,
-            0b10,
+            1 << dead,
         )
         .unwrap();
         assert_eq!(engine.failures().len(), 1, "spawn failure visible early");
@@ -840,14 +847,14 @@ mod tests {
         engine.finish(&mut out);
         let failures = engine.failures().to_vec();
         assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].worker, 1);
+        assert_eq!(failures[0].worker, dead);
         assert!(failures[0].message.contains("spawn failed"));
         assert_eq!(engine.stats().len(), 3, "three survivors");
         let lanes = engine.dispatch_stats();
         assert_eq!(lanes.len(), 4, "dispatch slots stay index-aligned");
-        assert!(lanes[1].dead);
+        assert!(lanes[dead].dead);
         assert!(
-            lanes[1].packets_dropped > 0,
+            lanes[dead].packets_dropped > 0,
             "dead lane's packets counted as dropped"
         );
         assert!(!out.is_empty(), "survivors still alert");

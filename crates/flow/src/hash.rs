@@ -1,12 +1,20 @@
-//! Hashing for flow keys: one seeded folded multiply, the `BuildHasher`
-//! that puts it under std maps, and a process-random seed source.
+//! Hashing for flow keys: two folded multiplies, the `BuildHasher` that
+//! puts them under std maps, and a process-random seed source.
 //!
 //! A flow key is 13 bytes, which pack into two words
 //! ([`FlowKey::words`]). The hash XORs the seed into both, multiplies them
-//! 64 × 64 → 128 bits and folds the product's high half onto its low half.
-//! That is one multiply per key, where a byte-at-a-time chain takes 13, and
-//! the fold carries every input bit into both the low bits a table indexes
-//! with and the top bits its fingerprints come from.
+//! 64 × 64 → 128 bits and folds the product's high half onto its low half,
+//! then multiplies and folds that once more by a fixed odd constant. That
+//! is two multiplies per key, where a byte-at-a-time chain takes 13.
+//!
+//! The first fold alone is not enough. For keys that differ in one field,
+//! its low bits move linearly with that field times the other (seeded)
+//! word, and a seed that leaves that word with trailing zeros under the
+//! field collapses the keys into a few table windows: 50 flows of one
+//! client /26 evicted each other in a 256-slot table under about one seed
+//! in 113. The second fold carries every bit of the first product into
+//! both the low bits a table indexes with and the top bits its
+//! fingerprints come from.
 //!
 //! Every table, Bloom filter and map takes a per-instance seed: a public,
 //! fixed hash lets an adversary precompute flow keys that collide into one
@@ -23,6 +31,8 @@ use crate::key::FlowKey;
 /// multiply with dense words.
 const K0: u64 = 0x243f_6a88_85a3_08d3;
 const K1: u64 = 0x1319_8a2e_0370_7344;
+/// The second fold's multiplier: the next odd word of π's digits.
+const K2: u64 = 0x082e_fa98_ec4e_6c89;
 
 /// Full 64 × 64 → 128-bit product, high half XOR low half.
 #[inline]
@@ -34,10 +44,11 @@ fn folded_multiply(x: u64, y: u64) -> u64 {
 /// The seeded hash of two words.
 #[inline]
 fn hash_words(seed: u64, [a, b]: [u64; 2]) -> u64 {
-    folded_multiply(a ^ seed ^ K0, b ^ seed.rotate_left(32) ^ K1)
+    let h = folded_multiply(a ^ seed ^ K0, b ^ seed.rotate_left(32) ^ K1);
+    folded_multiply(h, K2)
 }
 
-/// Seeded flow-key hash: one folded multiply over the key's two words.
+/// Seeded flow-key hash: two folded multiplies over the key's two words.
 /// Distinct seeds give independent functions (the Bloom filter's `k`).
 #[inline]
 pub fn hash_key_seeded(seed: u64, key: &FlowKey) -> u64 {

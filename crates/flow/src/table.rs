@@ -692,4 +692,48 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..50).collect::<Vec<_>>());
     }
+
+    /// 50 flows of one client /26 fit a 256-slot table under every seed:
+    /// keys that differ only in the low bits of one field (either address,
+    /// either port) must spread over enough windows that none overflows.
+    /// A hash whose index is linear in one field collapses them into a few
+    /// windows for a seed that zeroes the multiplier's bits under it.
+    #[test]
+    fn no_seed_piles_one_field_family_into_a_window() {
+        let endpoints = |client: u32, client_port, server: u32, server_port| {
+            let client = (Ipv4Addr::from(0x0a00_0000 | client), client_port);
+            FlowKey::from_endpoints(
+                6,
+                client,
+                (Ipv4Addr::from(0x0a01_0000 | server), server_port),
+            )
+            .0
+        };
+        let families: [&dyn Fn(u16) -> FlowKey; 4] = [
+            &|n| endpoints(u32::from(n), 10_000, 0, 80),
+            &|n| endpoints(0, 10_000, u32::from(n), 80),
+            &|n| endpoints(0, 10_000 + n, 0, 80),
+            &|n| endpoints(0, 10_000, 0, 8_000 + n),
+        ];
+        // SplitMix64 over a counter: 10,000 well-spread seeds.
+        let mut state = 0u64;
+        for _ in 0..10_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut seed = state;
+            seed = (seed ^ seed >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            seed = (seed ^ seed >> 27).wrapping_mul(0x94d0_49bb_1331_11eb);
+            seed ^= seed >> 31;
+            for (family, key) in families.iter().enumerate() {
+                let mut t: FlowTable<u16> = FlowTable::with_seed(256, seed);
+                for n in 0..50 {
+                    t.get_or_insert_with(&key(n), || n);
+                }
+                assert_eq!(
+                    t.stats().evictions,
+                    0,
+                    "seed {seed:#x}, family {family}: a live flow was evicted"
+                );
+            }
+        }
+    }
 }
