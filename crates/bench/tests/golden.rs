@@ -71,7 +71,7 @@ fn e10_precondition_ablation_is_pinned() {
 
 #[test]
 fn e11_bloom_counters_are_pinned() {
-    check("e11", 0x2f9e_48fa_6c70_44e8);
+    check("e11", 0x3114_2332_20c0_3382);
 }
 
 #[test]
