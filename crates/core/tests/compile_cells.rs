@@ -1,0 +1,69 @@
+//! Rule compilation in isolation: the piece plan, the whole-signature
+//! scanner and both together, timed at the three rule-set sizes the
+//! benchmark and the experiments compile.
+//!
+//! ```console
+//! cargo test --release -p splitdetect --test compile_cells -- --ignored --nocapture
+//! ```
+//!
+//! Rule sets: 200 = `SignatureSet::generate(2006, 200, 16..40)`, the
+//! random rules of `bulk-benign`, `mice-churn` and `evasion-mix`; 1k =
+//! `generate_rule_corpus` seed 7; 10k = `generate_rule_corpus` seed 2006,
+//! the corpus of `rules10k-encrypted`. Each cell prints the median of
+//! [`RUNS`] compiles in ms: `SplitPlan::compile`, `StreamScanner::new`,
+//! and `CompiledRules::compile` (the validation and both automata, what
+//! an engine build and every reload pay). The timings are for reading,
+//! not gating.
+
+use std::hint::black_box;
+use std::time::Instant;
+
+use sd_ips::rules::parse_rules_lenient;
+use sd_ips::stream::StreamScanner;
+use sd_ips::SignatureSet;
+use sd_traffic::{generate_rule_corpus, RuleCorpusConfig};
+use splitdetect::{CompiledRules, SplitDetectConfig, SplitPlan};
+
+/// Timed compiles per cell; the median is reported.
+const RUNS: usize = 7;
+
+/// The median of [`RUNS`] calls of `compile`, in ms.
+fn median_ms<T>(mut compile: impl FnMut() -> T) -> f64 {
+    let mut ms: Vec<f64> = (0..RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(compile());
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[RUNS / 2]
+}
+
+fn corpus(rules: usize, seed: u64) -> SignatureSet {
+    let (corpus, errors) =
+        parse_rules_lenient(&generate_rule_corpus(&RuleCorpusConfig::sized(rules, seed)));
+    assert!(errors.is_empty(), "the generated corpus parses cleanly");
+    corpus.to_signatures()
+}
+
+#[test]
+#[ignore = "timing: run in release with --ignored --nocapture"]
+fn compile_cells() {
+    let sets = [
+        ("200", SignatureSet::generate(2006, 200, 16..40)),
+        ("1k", corpus(1_000, 7)),
+        ("10k", corpus(10_000, 2006)),
+    ];
+    let config = SplitDetectConfig::default();
+    println!(
+        "{:<5} {:>16} {:>20} {:>23}",
+        "rules", "SplitPlan ms", "StreamScanner ms", "CompiledRules ms"
+    );
+    for (name, sigs) in &sets {
+        let plan = median_ms(|| SplitPlan::compile(sigs, &config).expect("admissible"));
+        let scanner = median_ms(|| StreamScanner::new(sigs));
+        let both = median_ms(|| CompiledRules::compile(sigs.clone(), &config).expect("admissible"));
+        println!("{name:<5} {plan:>16.1} {scanner:>20.1} {both:>23.1}");
+    }
+}
