@@ -6,7 +6,8 @@
 //! The plan keeps *provenance* — which signature and which position each
 //! piece came from — so a fast-path hit can say what it suspects, and
 //! duplicate piece strings across signatures are stored once with merged
-//! provenance (keeping the automaton minimal).
+//! provenance (keeping the automaton minimal). A piece is copied once, into
+//! the [`PatternSet`]; the origin lists are one [`FlatLists`].
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -14,7 +15,7 @@ use std::time::{Duration, Instant};
 use sd_ips::stream::StreamScanner;
 use sd_ips::{SignatureId, SignatureSet};
 use sd_match::pattern::PatternSet;
-use sd_match::{Match, PatternId, TieredNfa};
+use sd_match::{FlatLists, Match, PatternId, TieredNfa};
 
 use crate::config::{ConfigError, SplitDetectConfig};
 
@@ -50,7 +51,7 @@ pub struct TierStats {
 pub struct SplitPlan {
     automaton: TieredNfa,
     /// origin lists parallel to pattern ids.
-    origins: Vec<Vec<PieceOrigin>>,
+    origins: FlatLists<PieceOrigin>,
     /// Longest piece length (the admissible small-segment cutoff floor).
     max_piece_len: usize,
     /// Shortest piece length.
@@ -123,11 +124,10 @@ impl SplitPlan {
     /// of the ablation experiments). A signature shorter than `k` bytes is
     /// split into fewer pieces.
     pub(crate) fn compile_unchecked(sigs: &SignatureSet, k: usize) -> Self {
-        let mut strings: Vec<Vec<u8>> = Vec::new();
-        let mut origins: Vec<Vec<PieceOrigin>> = Vec::new();
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-        let mut max_piece = 0usize;
-        let mut min_piece = usize::MAX;
+        let mut set = PatternSet::new();
+        // Each origin with its piece's id, in signature-then-piece order.
+        let mut origins: Vec<(PatternId, PieceOrigin)> = Vec::new();
+        let mut index: HashMap<&[u8], PatternId> = HashMap::new();
 
         for (sig_id, sig) in sigs.iter() {
             let k_here = k.min(sig.bytes.len()).max(1);
@@ -135,33 +135,25 @@ impl SplitPlan {
                 .into_iter()
                 .enumerate()
             {
-                let piece = sig.bytes[s..e].to_vec();
-                max_piece = max_piece.max(piece.len());
-                min_piece = min_piece.min(piece.len());
+                let piece = &sig.bytes[s..e];
                 let origin = PieceOrigin {
                     signature: sig_id,
                     index: i,
                     offset: s,
                 };
-                match index.get(&piece) {
-                    Some(&slot) => origins[slot].push(origin),
-                    None => {
-                        index.insert(piece.clone(), strings.len());
-                        strings.push(piece);
-                        origins.push(vec![origin]);
-                    }
-                }
+                let id = *index.entry(piece).or_insert_with(|| set.add(piece));
+                origins.push((id, origin));
             }
         }
 
-        let set = PatternSet::from_patterns(strings.iter().map(|p| p.as_slice()));
+        let origins = FlatLists::grouped(set.len(), origins);
         let started = Instant::now();
         let automaton = TieredNfa::new(set);
         SplitPlan {
+            max_piece_len: automaton.patterns().max_len().unwrap_or(0),
+            min_piece_len: automaton.patterns().min_len().unwrap_or(0),
             automaton,
             origins,
-            max_piece_len: max_piece,
-            min_piece_len: min_piece.min(max_piece),
             pieces_per_signature: k,
             build_time: started.elapsed(),
         }
@@ -199,7 +191,7 @@ impl SplitPlan {
 
     /// Provenance of a matched piece pattern.
     pub fn origins(&self, id: PatternId) -> &[PieceOrigin] {
-        &self.origins[id as usize]
+        self.origins.get(id as usize)
     }
 
     /// Number of distinct piece strings.

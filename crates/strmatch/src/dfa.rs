@@ -11,18 +11,16 @@
 //! and as the dense reference of the equivalence tests.
 
 use crate::aho::AhoCorasick;
-use crate::pattern::{Match, PatternId, PatternSet};
+use crate::pattern::{FlatLists, Match, PatternId, PatternSet};
 
 /// A dense Aho–Corasick DFA.
 #[derive(Debug, Clone)]
 pub struct AcDfa {
     /// `delta[state * 256 + byte]` = next state.
     delta: Vec<u32>,
-    /// Pattern ids ending at each state (empty for most states).
-    outputs: Vec<Box<[PatternId]>>,
-    /// Per-state "any output?" flag, checked before touching `outputs`.
-    has_output: Vec<bool>,
-    set: PatternSet,
+    /// Pattern ids ending at each state (empty for most states): the
+    /// NFA's lists, state numbers being the same.
+    outputs: FlatLists<PatternId>,
 }
 
 impl AcDfa {
@@ -35,27 +33,15 @@ impl AcDfa {
     pub fn from_nfa(nfa: &AhoCorasick) -> Self {
         let n = nfa.state_count();
         let mut delta = vec![0u32; n * 256];
-        let mut outputs = Vec::with_capacity(n);
-        let mut has_output = Vec::with_capacity(n);
         for s in 0..n as u32 {
             for b in 0..=255u8 {
                 delta[s as usize * 256 + b as usize] = nfa.step(s, b);
             }
-            let out = nfa.outputs(s).to_vec().into_boxed_slice();
-            has_output.push(!out.is_empty());
-            outputs.push(out);
         }
         AcDfa {
             delta,
-            outputs,
-            has_output,
-            set: nfa.patterns().clone(),
+            outputs: nfa.outputs.clone(),
         }
-    }
-
-    /// The pattern set this DFA recognizes.
-    pub fn patterns(&self) -> &PatternSet {
-        &self.set
     }
 
     /// Number of states.
@@ -64,24 +50,24 @@ impl AcDfa {
     }
 
     /// The start state.
-    pub const START: u32 = 0;
+    const START: u32 = 0;
 
     /// One transition.
     #[inline(always)]
-    pub fn next_state(&self, state: u32, byte: u8) -> u32 {
+    fn next_state(&self, state: u32, byte: u8) -> u32 {
         self.delta[state as usize * 256 + byte as usize]
     }
 
     /// True if `state` reports at least one pattern.
     #[inline(always)]
-    pub fn is_match_state(&self, state: u32) -> bool {
-        self.has_output[state as usize]
+    fn is_match_state(&self, state: u32) -> bool {
+        !self.outputs(state).is_empty()
     }
 
     /// Pattern ids ending at `state`.
-    #[inline]
-    pub fn outputs(&self, state: u32) -> &[PatternId] {
-        &self.outputs[state as usize]
+    #[inline(always)]
+    fn outputs(&self, state: u32) -> &[PatternId] {
+        self.outputs.get(state as usize)
     }
 
     /// Find all matches in `hay` with end offsets relative to `hay`.
@@ -90,25 +76,11 @@ impl AcDfa {
         let mut state = Self::START;
         for (i, &b) in hay.iter().enumerate() {
             state = self.next_state(state, b);
-            if self.is_match_state(state) {
-                for &p in self.outputs(state) {
-                    out.push(Match::new(p, i + 1));
-                }
+            for &p in self.outputs(state) {
+                out.push(Match::new(p, i + 1));
             }
         }
         out
-    }
-
-    /// First match in `hay`.
-    pub fn find_first(&self, hay: &[u8]) -> Option<Match> {
-        let mut state = Self::START;
-        for (i, &b) in hay.iter().enumerate() {
-            state = self.next_state(state, b);
-            if self.is_match_state(state) {
-                return Some(Match::new(self.outputs(state)[0], i + 1));
-            }
-        }
-        None
     }
 
     /// Pattern id of the first match, without materializing a [`Match`].
@@ -124,29 +96,10 @@ impl AcDfa {
         None
     }
 
-    /// True if any pattern occurs in `hay`.
-    #[inline]
-    pub fn is_match(&self, hay: &[u8]) -> bool {
-        let mut state = Self::START;
-        for &b in hay {
-            state = self.next_state(state, b);
-            if self.is_match_state(state) {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Heap footprint in bytes: the transition table dominates
     /// (`states × 256 × 4`).
     pub fn memory_bytes(&self) -> usize {
-        let mut total = self.delta.len() * 4;
-        total += self.has_output.len();
-        for o in &self.outputs {
-            total += o.len() * std::mem::size_of::<PatternId>() + std::mem::size_of::<usize>();
-        }
-        total += self.set.total_bytes();
-        total
+        self.delta.len() * 4 + self.outputs.memory_bytes()
     }
 }
 
@@ -163,7 +116,7 @@ mod tests {
         got.sort();
         want.sort();
         assert_eq!(got, want);
-        assert_eq!(dfa.is_match(hay), !want.is_empty());
+        assert_eq!(dfa.find_first_id(hay).is_some(), !want.is_empty());
     }
 
     #[test]
@@ -209,7 +162,6 @@ mod tests {
     #[test]
     fn find_first_early_exit() {
         let dfa = AcDfa::new(PatternSet::from_patterns(["ab", "abcdef"]));
-        assert_eq!(dfa.find_first(b"abcdef"), Some(Match::new(0, 2)));
         assert_eq!(dfa.find_first_id(b"abcdef"), Some(0));
         assert_eq!(dfa.find_first_id(b"zzz"), None);
     }

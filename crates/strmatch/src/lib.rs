@@ -45,5 +45,5 @@ mod wide;
 
 pub use aho::AhoCorasick;
 pub use dfa::AcDfa;
-pub use pattern::{Match, PatternId, PatternSet};
+pub use pattern::{FlatLists, Match, PatternId, PatternSet};
 pub use tiered::TieredNfa;

@@ -1,4 +1,5 @@
-//! Pattern sets and match records shared by every engine.
+//! Pattern sets, match records and [`FlatLists`], the list layout every
+//! engine shares. A set keeps its patterns as one `FlatLists` of bytes.
 
 use core::fmt;
 
@@ -34,7 +35,7 @@ impl Match {
 /// An ordered collection of non-empty byte patterns.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PatternSet {
-    patterns: Vec<Vec<u8>>,
+    pub(crate) patterns: FlatLists<u8>,
 }
 
 impl PatternSet {
@@ -61,9 +62,7 @@ impl PatternSet {
     /// Append a pattern, returning its id.
     pub fn add(&mut self, pattern: &[u8]) -> PatternId {
         assert!(!pattern.is_empty(), "empty patterns are not allowed");
-        let id = self.patterns.len() as PatternId;
-        self.patterns.push(pattern.to_vec());
-        id
+        self.patterns.push(pattern) as PatternId
     }
 
     /// Number of patterns.
@@ -78,30 +77,121 @@ impl PatternSet {
 
     /// The bytes of pattern `id`.
     pub fn pattern(&self, id: PatternId) -> &[u8] {
-        &self.patterns[id as usize]
+        self.patterns.get(id as usize)
     }
 
     /// Iterate `(id, bytes)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (PatternId, &[u8])> {
-        self.patterns
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as PatternId, p.as_slice()))
+        (0..).zip(self.patterns.iter())
     }
 
     /// Total bytes across all patterns.
     pub fn total_bytes(&self) -> usize {
-        self.patterns.iter().map(Vec::len).sum()
+        self.patterns.iter().map(<[u8]>::len).sum()
     }
 
     /// Length of the shortest pattern (None if empty).
     pub fn min_len(&self) -> Option<usize> {
-        self.patterns.iter().map(Vec::len).min()
+        self.patterns.iter().map(<[u8]>::len).min()
     }
 
     /// Length of the longest pattern (None if empty).
     pub fn max_len(&self) -> Option<usize> {
-        self.patterns.iter().map(Vec::len).max()
+        self.patterns.iter().map(<[u8]>::len).max()
+    }
+}
+
+/// Variable-length lists in two flat arrays: list `i` is
+/// `items[start[i]..start[i + 1]]`, `start[0] == 0`. Every list the
+/// compiled rules keep is one: a pattern's bytes, a state's pattern ids, a
+/// piece's provenance. `n` lists are two allocations, not `n`, so a clone
+/// is two copies and a drop two frees; the heap is `4 (n + 1)` bytes of
+/// offsets plus the items. Lists are only ever appended.
+#[derive(Clone, PartialEq, Eq)]
+pub struct FlatLists<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> FlatLists<T> {
+    /// `n` lists from `(list, item)` pairs, each list holding its items in
+    /// pair order; every `list` must be below `n`.
+    pub fn grouped(n: usize, mut pairs: Vec<(u32, T)>) -> Self {
+        let mut start = vec![0u32; n + 1];
+        for &(list, _) in &pairs {
+            start[list as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        pairs.sort_by_key(|&(list, _)| list); // stable
+        let items = pairs.into_iter().map(|(_, item)| item).collect();
+        FlatLists { start, items }
+    }
+
+    /// Number of lists.
+    pub fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// True when there is no list.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// List `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &[T] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// Every list, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[T]> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Append `list`, returning its index.
+    pub fn push(&mut self, list: &[T]) -> usize {
+        self.items.extend_from_slice(list);
+        self.close()
+    }
+
+    /// Append `head` followed by the items of list `tail`, returning the
+    /// new list's index.
+    pub fn push_joined(&mut self, head: &[T], tail: usize) -> usize {
+        self.items.extend_from_slice(head);
+        let tail = self.start[tail] as usize..self.start[tail + 1] as usize;
+        self.items.extend_from_within(tail);
+        self.close()
+    }
+
+    /// End the list being appended at the last item.
+    fn close(&mut self) -> usize {
+        let end = u32::try_from(self.items.len()).expect("list items fit u32 offsets");
+        self.start.push(end);
+        self.len() - 1
+    }
+
+    /// Heap footprint in bytes: the offsets and the items.
+    pub fn memory_bytes(&self) -> usize {
+        self.start.len() * 4 + self.items.len() * core::mem::size_of::<T>()
+    }
+}
+
+/// No lists.
+impl<T: Copy> Default for FlatLists<T> {
+    fn default() -> Self {
+        FlatLists {
+            start: vec![0],
+            items: Vec::new(),
+        }
+    }
+}
+
+/// The lists, printed as a `Vec<Vec<T>>` of the same content prints.
+impl<T: Copy + fmt::Debug> fmt::Debug for FlatLists<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -157,5 +247,46 @@ mod tests {
     fn display_summarizes() {
         let set = PatternSet::from_patterns(["abc", "d"]);
         assert_eq!(set.to_string(), "PatternSet(2 patterns, 4 bytes)");
+    }
+
+    #[test]
+    fn lists_read_back_in_order_and_print_like_nested_vecs() {
+        let nested: Vec<Vec<u8>> = vec![vec![1, 2], vec![], vec![3]];
+        let mut lists = FlatLists::default();
+        for (i, list) in nested.iter().enumerate() {
+            assert_eq!(lists.push(list), i);
+        }
+        assert_eq!(lists.len(), 3);
+        assert_eq!(lists.get(0), [1, 2]);
+        assert!(lists.get(1).is_empty());
+        assert_eq!(lists.iter().collect::<Vec<_>>(), nested);
+        assert_eq!(format!("{lists:?}"), format!("{nested:?}"));
+        assert_eq!(format!("{lists:#?}"), format!("{nested:#?}"));
+        assert_eq!(lists.memory_bytes(), 4 * 4 + 3);
+        assert_eq!(format!("{:?}", FlatLists::<u8>::default()), "[]");
+    }
+
+    #[test]
+    fn joined_list_copies_an_earlier_one() {
+        let mut lists = FlatLists::default();
+        lists.push(&[7u32, 8]);
+        assert_eq!(lists.push_joined(&[1], 0), 1);
+        assert_eq!(lists.push_joined(&[], 1), 2);
+        assert_eq!(lists.get(1), [1, 7, 8]);
+        assert_eq!(lists.get(2), [1, 7, 8]);
+    }
+
+    #[test]
+    fn grouped_keeps_pair_order_within_each_list() {
+        let pairs = vec![(2, 'a'), (0, 'b'), (2, 'c'), (0, 'd')];
+        let lists = FlatLists::grouped(4, pairs);
+        let got: Vec<&[char]> = lists.iter().collect();
+        assert_eq!(got, [&['b', 'd'][..], &[], &['a', 'c'], &[]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn grouped_rejects_a_list_out_of_range() {
+        FlatLists::grouped(1, vec![(1, 0u8)]);
     }
 }
