@@ -172,8 +172,10 @@ impl ConventionalIps {
         self.scanner.memory_bytes()
     }
 
-    fn evict_if_full(&mut self) {
-        if self.conns.len() < self.config.max_connections {
+    /// At the cap, evict the least-recently-active connection to make
+    /// room for `flow`; a packet of a tracked connection evicts nothing.
+    fn evict_if_full(&mut self, flow: &FlowKey) {
+        if self.conns.len() < self.config.max_connections || self.conns.contains_key(flow) {
             return;
         }
         if let Some(victim) = self
@@ -242,7 +244,7 @@ impl Ips for ConventionalIps {
                     return;
                 };
                 self.usage.payload_bytes += info.payload.len() as u64;
-                self.evict_if_full();
+                self.evict_if_full(&flow);
                 let policy = self.config.policy;
                 let urgent = self.config.urgent;
                 let entry = self.conns.entry(flow).or_insert_with(|| ConnEntry {
@@ -633,6 +635,33 @@ mod tests {
         }
         assert!(ips.connection_count() <= 4);
         assert_eq!(ips.evictions(), 4);
+    }
+
+    #[test]
+    fn tracked_connection_at_the_cap_evicts_nothing() {
+        // Two connections fill a cap of 2; the older one's next segment
+        // must find its stream (and the signature's first half) in place.
+        let mut ips = ConventionalIps::with_config(
+            sigs(),
+            ConventionalConfig {
+                max_connections: 2,
+                ..Default::default()
+            },
+        );
+        let other = TcpPacketSpec::new("10.0.0.3:5000", "10.0.0.2:80")
+            .seq(1)
+            .flags(TcpFlags::ACK)
+            .payload(b"hello")
+            .build();
+        let pkts = [
+            tcp_pkt(1000, b"....EVIL_SIGN"),
+            ip_of_frame(&other).to_vec(),
+            tcp_pkt(1013, b"ATURE_BYTES...."),
+        ];
+        let alerts = run_trace(&mut ips, pkts.iter().map(|p| p.as_slice()));
+        assert_eq!(ips.evictions(), 0);
+        assert_eq!(ips.connection_count(), 2);
+        assert_eq!(alerts.len(), 1, "the older stream kept its first half");
     }
 
     #[test]
