@@ -1,12 +1,15 @@
 //! Property tests for the full engine: the detection theorem exercised on
 //! randomized adversaries, not just the curated catalog.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use sd_ips::api::run_trace;
 use sd_ips::{Signature, SignatureSet};
 use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
 use sd_packet::tcp::TcpFlags;
-use splitdetect::{SplitDetect, SplitDetectConfig};
+use splitdetect::split::{balanced_cuts, PieceOrigin};
+use splitdetect::{SplitDetect, SplitDetectConfig, SplitPlan};
 
 const SIG: &[u8] = b"EVIL_SIGNATURE_BYTES"; // 20 bytes
 
@@ -227,5 +230,73 @@ proptest! {
             !alerts.iter().any(|a| a.signature == 0),
             "the crippled engine should miss this adversary"
         );
+    }
+}
+
+/// Every piece's origins, regrouped naively: each cut of each signature
+/// (`min(k, len)` pieces) appended to its piece string's list, in
+/// signature-then-piece order.
+fn regrouped_cuts(sigs: &SignatureSet, k: usize) -> HashMap<Vec<u8>, Vec<PieceOrigin>> {
+    let mut lists: HashMap<Vec<u8>, Vec<PieceOrigin>> = HashMap::new();
+    for (signature, sig) in sigs.iter() {
+        let cuts = balanced_cuts(sig.bytes.len(), k.min(sig.bytes.len()));
+        for (index, (offset, end)) in cuts.into_iter().enumerate() {
+            lists
+                .entry(sig.bytes[offset..end].to_vec())
+                .or_default()
+                .push(PieceOrigin {
+                    signature,
+                    index,
+                    offset,
+                });
+        }
+    }
+    lists
+}
+
+/// `plan`'s origins for every piece id equal the naive regrouping, and
+/// every regrouped piece string has an id.
+fn assert_provenance(plan: &SplitPlan, sigs: &SignatureSet) {
+    let want = regrouped_cuts(sigs, plan.pieces_per_signature());
+    assert_eq!(plan.piece_count(), want.len());
+    for (id, piece) in plan.pieces().iter() {
+        assert_eq!(plan.origins(id), &want[piece][..], "piece {piece:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Piece provenance, merged across signatures that share a piece
+    /// string, is the naive regrouping of every signature's cuts. The
+    /// signatures are 3 to 5 chunks from a pool of three 4-byte chunks
+    /// over two letters, so equal pieces are common; the unchecked engine
+    /// adds signatures of one and two bytes, cut into fewer than k pieces.
+    #[test]
+    fn piece_origins_are_the_regrouped_cuts(
+        chunks in prop::collection::vec(
+            prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b')], 4),
+            3,
+        ),
+        picks in prop::collection::vec(prop::collection::vec(0usize..3, 3..6), 1..10),
+        short in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..3), 0..4),
+    ) {
+        let signature = |i: usize, bytes: Vec<u8>| Signature::new(format!("s{i}"), bytes);
+        let long: Vec<Signature> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, pick)| signature(i, pick.iter().flat_map(|&c| chunks[c].clone()).collect()))
+            .collect();
+        let sigs = SignatureSet::from_signatures(long.clone());
+        let plan = SplitPlan::compile(&sigs, &SplitDetectConfig::default())
+            .expect("12- to 20-byte signatures are admissible");
+        assert_provenance(&plan, &sigs);
+
+        let with_short = SignatureSet::from_signatures(
+            long.into_iter().chain(short.into_iter().enumerate().map(|(i, b)| signature(100 + i, b))),
+        );
+        let engine =
+            SplitDetect::with_config_unchecked(with_short.clone(), SplitDetectConfig::default());
+        assert_provenance(engine.plan(), &with_short);
     }
 }
