@@ -1,6 +1,7 @@
 //! Rule compilation in isolation: the piece plan, the whole-signature
 //! scanner and both together, timed at the three rule-set sizes the
-//! benchmark and the experiments compile.
+//! benchmark and the experiments compile, with the clone and the drop of
+//! the compiled rules.
 //!
 //! ```console
 //! cargo test --release -p splitdetect --test compile_cells -- --ignored --nocapture
@@ -10,10 +11,12 @@
 //! random rules of `bulk-benign`, `mice-churn` and `evasion-mix`; 1k =
 //! `generate_rule_corpus` seed 7; 10k = `generate_rule_corpus` seed 2006,
 //! the corpus of `rules10k-encrypted`. Each cell prints the median of
-//! [`RUNS`] compiles in ms: `SplitPlan::compile`, `StreamScanner::new`,
-//! and `CompiledRules::compile` (the validation and both automata, what
-//! an engine build and every reload pay). The timings are for reading,
-//! not gating.
+//! [`RUNS`] runs in ms: `SplitPlan::compile`, `StreamScanner::new`,
+//! `CompiledRules::compile` (the validation and both automata, what an
+//! engine build and every reload pay), `CompiledRules::clone` (what every
+//! shard build pays) and dropping that clone (what every reload pays on
+//! the serve thread when it swaps the old rules out). The timings are for
+//! reading, not gating.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -24,20 +27,44 @@ use sd_ips::SignatureSet;
 use sd_traffic::{generate_rule_corpus, RuleCorpusConfig};
 use splitdetect::{CompiledRules, SplitDetectConfig, SplitPlan};
 
-/// Timed compiles per cell; the median is reported.
+/// Timed runs per cell; the median is reported.
 const RUNS: usize = 7;
 
-/// The median of [`RUNS`] calls of `compile`, in ms.
+/// The median of `ms`.
+fn median(mut ms: Vec<f64>) -> f64 {
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
+/// The median of [`RUNS`] calls of `compile`, in ms, each with the drop
+/// of what it built.
 fn median_ms<T>(mut compile: impl FnMut() -> T) -> f64 {
-    let mut ms: Vec<f64> = (0..RUNS)
+    median(
+        (0..RUNS)
+            .map(|_| {
+                let start = Instant::now();
+                black_box(compile());
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    )
+}
+
+/// The medians of [`RUNS`] clones of `rules` and of their drops, in ms,
+/// each timed on its own.
+fn clone_and_drop_ms(rules: &CompiledRules) -> (f64, f64) {
+    let ms = |since: Instant| since.elapsed().as_secs_f64() * 1e3;
+    let (clone, dropped) = (0..RUNS)
         .map(|_| {
             let start = Instant::now();
-            black_box(compile());
-            start.elapsed().as_secs_f64() * 1e3
+            let clone = black_box(rules.clone());
+            let cloned = ms(start);
+            let start = Instant::now();
+            drop(clone);
+            (cloned, ms(start))
         })
-        .collect();
-    ms.sort_by(f64::total_cmp);
-    ms[RUNS / 2]
+        .unzip();
+    (median(clone), median(dropped))
 }
 
 fn corpus(rules: usize, seed: u64) -> SignatureSet {
@@ -57,13 +84,17 @@ fn compile_cells() {
     ];
     let config = SplitDetectConfig::default();
     println!(
-        "{:<5} {:>16} {:>20} {:>23}",
-        "rules", "SplitPlan ms", "StreamScanner ms", "CompiledRules ms"
+        "{:<5} {:>16} {:>20} {:>23} {:>10} {:>9}",
+        "rules", "SplitPlan ms", "StreamScanner ms", "CompiledRules ms", "clone ms", "drop ms"
     );
     for (name, sigs) in &sets {
         let plan = median_ms(|| SplitPlan::compile(sigs, &config).expect("admissible"));
         let scanner = median_ms(|| StreamScanner::new(sigs));
         let both = median_ms(|| CompiledRules::compile(sigs.clone(), &config).expect("admissible"));
-        println!("{name:<5} {plan:>16.1} {scanner:>20.1} {both:>23.1}");
+        let rules = CompiledRules::compile(sigs.clone(), &config).expect("admissible");
+        let (clone, dropped) = clone_and_drop_ms(&rules);
+        println!(
+            "{name:<5} {plan:>16.1} {scanner:>20.1} {both:>23.1} {clone:>10.2} {dropped:>9.2}"
+        );
     }
 }
