@@ -21,7 +21,6 @@
 use sd_flow::FlowKey;
 use sd_ips::alert::AlertSource;
 use sd_ips::conventional::{ConventionalConfig, ConventionalIps};
-use sd_ips::stream::StreamScanner;
 use sd_ips::{Alert, Ips, ResourceUsage, SignatureSet};
 use sd_packet::parse::{parse_ipv4, Transport};
 use sd_telemetry::{PipelineTelemetry, Registry, Stage};
@@ -100,18 +99,7 @@ impl SplitDetect {
     /// Build *without* admissibility checks: for ablation experiments only.
     /// The cutoff falls back to the longest piece when unset.
     pub fn with_config_unchecked(sigs: SignatureSet, config: SplitDetectConfig) -> Self {
-        let max_piece = sigs
-            .iter()
-            .map(|(_, s)| config.max_piece_len(s.bytes.len()))
-            .max()
-            .unwrap_or(8);
-        let rules = CompiledRules {
-            cutoff: config.effective_cutoff(max_piece),
-            plan: SplitPlan::compile_unchecked(&sigs, config.pieces_per_signature),
-            scanner: StreamScanner::new(&sigs),
-            sigs,
-        };
-        Self::build(rules, config)
+        Self::build(CompiledRules::compile_unchecked(sigs, &config), config)
     }
 
     /// Build from rules compiled under `config` (the shard engine builds

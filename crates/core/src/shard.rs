@@ -701,14 +701,27 @@ mod tests {
 
     #[test]
     fn batch_fill_counts_only_packets_sent_after_a_shard_dies() {
-        // Shard 1 dies on its first job. Its lane holds only
-        // SHARD_QUEUE_BATCHES batches, so a later send meets the closed
-        // channel and the rest of its packets drop at intake: they must not
-        // dilute the fill of the batches actually sent.
+        // Shard 1 dies on the job after its first batch. Its lane holds
+        // only SHARD_QUEUE_BATCHES batches, so a later send meets the
+        // closed channel and the rest of its packets drop at intake: they
+        // must not dilute the fill of the batches actually sent. The
+        // poison goes in only once a batch is sent, so that send does not
+        // race the worker's death.
         let labeled = long_trace();
         let mut engine = ShardedSplitDetect::new(sigs(), SplitDetectConfig::default(), 2).unwrap();
+        let mut packets = labeled.trace.iter_bytes().enumerate();
+        let mut out = Vec::new();
+        for (tick, p) in packets.by_ref() {
+            engine.process_packet(p, tick as u64, &mut out);
+            if engine.dispatch_stats()[1].batches_sent > 0 {
+                break;
+            }
+        }
         engine.poison_shard(1);
-        run_trace(&mut engine, labeled.trace.iter_bytes());
+        for (tick, p) in packets {
+            engine.process_packet(p, tick as u64, &mut out);
+        }
+        engine.finish(&mut out);
         let lanes = engine.dispatch_stats();
         let total = ShardDispatchStats::aggregate(&lanes);
         assert!(lanes[1].dead && lanes[1].packets_dropped > 0);
