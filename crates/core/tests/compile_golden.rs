@@ -1,6 +1,9 @@
 //! The compiled automata, pinned: a digest of every array of the piece
 //! plan (`SplitPlan`) and the whole-signature scanner (`StreamScanner`)
-//! for the three rule sets the benchmark and the experiments compile.
+//! for the three rule sets the benchmark and the experiments compile,
+//! both taken from one `CompiledRules::compile`, the build every engine
+//! runs: on one thread at 200 rules, with the scanner built on a helper
+//! thread at 1k and 10k.
 //! The automaton builder may change how it gets there; what it builds may
 //! not move by one byte without a new digest here.
 //!
@@ -12,10 +15,9 @@
 use std::fmt::Debug;
 
 use sd_ips::rules::parse_rules_lenient;
-use sd_ips::stream::StreamScanner;
 use sd_ips::SignatureSet;
 use sd_traffic::{generate_rule_corpus, RuleCorpusConfig};
-use splitdetect::{SplitDetectConfig, SplitPlan};
+use splitdetect::{CompiledRules, SplitDetectConfig};
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -37,11 +39,11 @@ fn digest(value: &impl Debug, cut: Option<&str>) -> u64 {
 
 /// `(plan, scanner)` digests of `sigs` under the default configuration.
 fn digests(sigs: &SignatureSet) -> (u64, u64) {
-    let plan = SplitPlan::compile(sigs, &SplitDetectConfig::default())
+    let rules = CompiledRules::compile(sigs.clone(), &SplitDetectConfig::default())
         .expect("the default configuration admits the set");
     // `build_time` is the plan's last field.
-    let plan = digest(&plan, Some(", build_time: "));
-    let scanner = digest(&StreamScanner::new(sigs), None);
+    let plan = digest(rules.plan(), Some(", build_time: "));
+    let scanner = digest(rules.scanner(), None);
     (plan, scanner)
 }
 
