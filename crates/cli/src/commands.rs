@@ -559,8 +559,9 @@ fn analyze_rules_cmd(path: &str, top: usize, seed: u64, out: Out) -> Result<(), 
         return Err("rule file contains no usable alert rules".into());
     }
     let config = SplitDetectConfig::default();
-    let rules = CompiledRules::compile(set.to_signatures(), &config).map_err(|e| e.to_string())?;
-    let (sigs, plan) = (rules.signatures(), rules.plan());
+    let sigs = set.to_signatures();
+    let rules = CompiledRules::compile(&sigs, &config).map_err(|e| e.to_string())?;
+    let plan = rules.plan();
     let content_bytes: usize = set.rules.iter().map(|r| r.signature_bytes().len()).sum();
     let _ = writeln!(
         out,

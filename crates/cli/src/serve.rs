@@ -313,7 +313,7 @@ pub fn serve(
                 let (path, config) = (opts.rules_path.clone(), engine.config());
                 pending = Some(std::thread::spawn(move || {
                     let rules = load_rules(path.as_deref(), &mut std::io::sink())?;
-                    CompiledRules::compile(rules.to_signatures(), &config)
+                    CompiledRules::compile(&rules.to_signatures(), &config)
                         .map_err(|e| e.to_string())
                 }));
                 let _ = writeln!(out, "reload: rebuilding automaton off-thread");

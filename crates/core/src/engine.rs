@@ -92,18 +92,18 @@ impl SplitDetect {
     /// this through [`SplitDetect::with_config_unchecked`] to measure what
     /// each constraint buys.)
     pub fn with_config(sigs: SignatureSet, config: SplitDetectConfig) -> Result<Self, ConfigError> {
-        let rules = CompiledRules::compile(sigs, &config)?;
+        let rules = CompiledRules::compile(&sigs, &config)?;
         Ok(Self::build(rules, config))
     }
 
     /// Build *without* admissibility checks: for ablation experiments only.
     /// The cutoff falls back to the longest piece when unset.
     pub fn with_config_unchecked(sigs: SignatureSet, config: SplitDetectConfig) -> Self {
-        Self::build(CompiledRules::compile_unchecked(sigs, &config), config)
+        Self::build(CompiledRules::compile_unchecked(&sigs, &config), config)
     }
 
-    /// Build from rules compiled under `config` (the shard engine builds
-    /// each shard from one compile).
+    /// Build from rules compiled under `config`, sharing their automata
+    /// (the shard engine builds every shard from one compile).
     pub(crate) fn build(rules: CompiledRules, config: SplitDetectConfig) -> Self {
         let fast = FastPath::new(
             rules.plan,
@@ -124,15 +124,10 @@ impl SplitDetect {
             urgent: config.slow_path_urgent,
         };
         let slow = if config.slow_path_workers == 0 {
-            SlowPathDispatch::Inline(ConventionalIps::with_scanner(
-                rules.sigs,
-                rules.scanner,
-                conv,
-            ))
+            SlowPathDispatch::Inline(ConventionalIps::with_scanner(rules.scanner, conv))
         } else {
             SlowPathDispatch::Pool(SlowPathPool::new(
-                &rules.sigs,
-                &rules.scanner,
+                rules.scanner,
                 conv,
                 config.slow_path_workers,
                 config.slow_path_lane_depth,
@@ -165,16 +160,16 @@ impl SplitDetect {
     }
 
     /// Install a new rule set (live rule reload), compiled under this
-    /// engine's configuration: `CompiledRules::compile(sigs,
+    /// engine's configuration: `CompiledRules::compile(&sigs,
     /// &engine.config())`, on any thread.
     ///
     /// Swaps the fast path's piece plan and cutoff (flow table,
     /// small-segment counters, and diversion stickiness all survive — a
     /// flow diverted under the old rules stays diverted) and hands the
-    /// signatures and their scanner to the slow path, whose connection and
-    /// reassembly state also carries across. Nothing is compiled here:
-    /// the caller's thread pays for the swap and for dropping the retired
-    /// automata.
+    /// scanner to the slow path, whose connection and reassembly state
+    /// also carries across. Nothing is compiled or copied here: the
+    /// caller's thread pays for the swap, and for freeing the retired
+    /// automata when it held their last reference.
     pub fn install(&mut self, rules: CompiledRules) {
         debug_assert_eq!(
             rules.plan.pieces_per_signature(),
@@ -183,8 +178,8 @@ impl SplitDetect {
         );
         self.fast.swap_plan(rules.plan, rules.cutoff);
         match &mut self.slow {
-            SlowPathDispatch::Inline(slow) => slow.install(rules.sigs, rules.scanner),
-            SlowPathDispatch::Pool(pool) => pool.install(rules.sigs, rules.scanner),
+            SlowPathDispatch::Inline(slow) => slow.install(rules.scanner),
+            SlowPathDispatch::Pool(pool) => pool.install(rules.scanner),
         }
     }
 
@@ -415,6 +410,8 @@ impl Ips for SplitDetect {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use sd_ips::api::run_trace;
     use sd_ips::Signature;
@@ -774,7 +771,7 @@ mod tests {
             assert_eq!(e.stats().divert.flows_diverted, 1);
 
             let fresh = SignatureSet::from_signatures([Signature::new("fresh", SIG2)]);
-            e.install(CompiledRules::compile(fresh, &e.config()).unwrap());
+            e.install(CompiledRules::compile(&fresh, &e.config()).unwrap());
 
             // Divert stickiness survives: flow B's continuation still
             // reaches the slow path though the rule that diverted it is
@@ -826,12 +823,35 @@ mod tests {
         // sees it; the old rules stay live.
         let mut e = engine();
         let mut out = Vec::new();
-        assert!(CompiledRules::compile(SignatureSet::default(), &e.config()).is_err());
+        assert!(CompiledRules::compile(&SignatureSet::default(), &e.config()).is_err());
         let mut payload = b"..".to_vec();
         payload.extend_from_slice(SIG);
         e.process_packet(&pkt(1000, &payload), 0, &mut out);
         e.finish(&mut out);
         assert_eq!(out.len(), 1, "failed reload must not disturb the engine");
+    }
+
+    #[test]
+    fn engines_built_from_one_compile_share_one_plan_and_scanner() {
+        let sigs = SignatureSet::from_signatures([Signature::new("evil", SIG)]);
+        let config = SplitDetectConfig::default();
+        let rules = CompiledRules::compile(&sigs, &config).unwrap();
+        let a = SplitDetect::build(rules.clone(), config);
+        let b = SplitDetect::build(rules.clone(), config);
+        let scanner = |e: &SplitDetect| match &e.slow {
+            SlowPathDispatch::Inline(slow) => Arc::clone(slow.scanner()),
+            SlowPathDispatch::Pool(_) => unreachable!("the default slow path is inline"),
+        };
+        assert!(Arc::ptr_eq(a.fast.plan(), &rules.plan));
+        assert!(Arc::ptr_eq(b.fast.plan(), &rules.plan));
+        assert!(Arc::ptr_eq(&scanner(&a), &rules.scanner));
+        assert!(Arc::ptr_eq(&scanner(&b), &rules.scanner));
+        // One plan and one scanner: held by the rules and the two engines.
+        assert_eq!(Arc::strong_count(&rules.plan), 3);
+        assert_eq!(Arc::strong_count(&rules.scanner), 3);
+        drop((a, b));
+        assert_eq!(Arc::strong_count(&rules.plan), 1);
+        assert_eq!(Arc::strong_count(&rules.scanner), 1);
     }
 
     #[test]

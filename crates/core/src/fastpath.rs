@@ -9,6 +9,7 @@
 //! contain a piece; only the slow path's full-signature scan confirms).
 
 use std::mem;
+use std::sync::Arc;
 
 use sd_flow::{Direction, FlowKey, FlowTable};
 use sd_packet::parse::{parse_ipv4, Transport};
@@ -228,7 +229,7 @@ impl Default for FastPathParams {
 
 /// The fast-path classifier.
 pub struct FastPath {
-    plan: SplitPlan,
+    plan: Arc<SplitPlan>,
     params: FastPathParams,
     budget: u8,
     table: FlowTable<FlowState>,
@@ -237,8 +238,8 @@ pub struct FastPath {
 }
 
 impl FastPath {
-    /// Build from a compiled plan and validated parameters.
-    pub fn new(plan: SplitPlan, params: FastPathParams) -> Self {
+    /// Build from a compiled plan, owned or shared, and validated parameters.
+    pub fn new(plan: impl Into<Arc<SplitPlan>>, params: FastPathParams) -> Self {
         // Table and Bloom derive distinct hash streams from one resolved
         // seed so neither shares index functions with the other.
         let small_bloom = match params.small_counter {
@@ -252,7 +253,7 @@ impl FastPath {
             }
         };
         FastPath {
-            plan,
+            plan: plan.into(),
             budget: params.budget.min(u8::MAX as usize) as u8,
             table: FlowTable::with_seed(params.table_capacity, params.hash_seed),
             small_bloom,
@@ -261,8 +262,9 @@ impl FastPath {
         }
     }
 
-    /// The compiled piece plan.
-    pub fn plan(&self) -> &SplitPlan {
+    /// The compiled piece plan, shared with every engine built from the
+    /// same compile.
+    pub fn plan(&self) -> &Arc<SplitPlan> {
         &self.plan
     }
 
@@ -272,10 +274,10 @@ impl FastPath {
     /// per-packet stateless, so the swap is safe at any packet boundary.
     /// `cutoff` is the new signature set's validated small-segment cutoff
     /// (rule admissibility is per-signature-set, so it moves with the
-    /// plan). Returns the retired plan.
-    pub fn swap_plan(&mut self, plan: SplitPlan, cutoff: usize) -> SplitPlan {
+    /// plan).
+    pub fn swap_plan(&mut self, plan: Arc<SplitPlan>, cutoff: usize) {
         self.params.cutoff = cutoff;
-        mem::replace(&mut self.plan, plan)
+        self.plan = plan;
     }
 
     /// The effective small-segment cutoff.

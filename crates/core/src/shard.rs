@@ -12,9 +12,9 @@
 //! stream segments — the differential fuzzing oracle found exactly that
 //! divergence against the port-aware hash this dispatcher originally used.
 //!
-//! The rule set is compiled once and each shard gets a clone; a live
-//! reload ([`ShardedSplitDetect::install`]) hands every shard the rules
-//! the caller compiled, so no worker ever compiles.
+//! The rule set is compiled once and every shard shares its automata; a
+//! live reload ([`ShardedSplitDetect::install`]) hands every shard the
+//! rules the caller compiled, so no worker ever compiles or copies them.
 //!
 //! ## Batched, pooled dispatch
 //!
@@ -41,8 +41,6 @@
 //! N times (each shard gets its own flow table and delay line), so memory
 //! scales with cores while throughput does — the same provisioning trade a
 //! multi-lane line card makes.
-
-use std::sync::Arc;
 
 use sd_flow::{hash, FlowKey};
 use sd_ips::{Alert, Ips, ResourceUsage, SignatureSet};
@@ -96,9 +94,8 @@ impl PacketBatch {
 enum Job {
     Batch(PacketBatch),
     /// Live rule reload, installed in lane order: batches sent before it
-    /// are scanned under the old rules. Each shard copies the shared rules
-    /// on its own thread.
-    Install(Arc<CompiledRules>),
+    /// are scanned under the old rules. Every shard shares the one compile.
+    Install(CompiledRules),
     /// Test/chaos hook: make the worker panic with this message.
     Poison(String),
 }
@@ -195,7 +192,7 @@ impl ShardedSplitDetect {
     /// Per-shard capacities are `config`'s values divided by the shard
     /// count (rounded up), so total provisioned state matches what a
     /// single-instance engine with `config` would hold. The rule set is
-    /// compiled once and each shard gets a clone. The dispatcher batches
+    /// compiled once and every shard shares it. The dispatcher batches
     /// [`SHARD_BATCH_PACKETS`] packets per channel send.
     ///
     /// When `config.slow_path_workers ≥ 1`, each shard owns its own
@@ -222,7 +219,7 @@ impl ShardedSplitDetect {
             max_diverted_flows: config.max_diverted_flows.div_ceil(shards),
             ..config
         };
-        let rules = CompiledRules::compile(sigs, &config)?;
+        let rules = CompiledRules::compile(&sigs, &config)?;
         let engines = (0..shards).map(|i| {
             // A pinned seed still gets a distinct per-shard derivation so
             // shard tables do not share collision sets; `None` stays `None`
@@ -381,8 +378,7 @@ impl ShardedSplitDetect {
     pub fn install(&mut self, rules: CompiledRules) {
         assert!(self.finished.is_none(), "engine already finished");
         self.flush_all();
-        let rules = Arc::new(rules);
-        self.lanes.broadcast(|| Job::Install(Arc::clone(&rules)));
+        self.lanes.broadcast(|| Job::Install(rules.clone()));
     }
 
     /// Chaos/test hook: make `shard`'s worker panic on its next job, as a
@@ -413,9 +409,7 @@ fn run_shard(
                 batch.clear();
                 worker.recycle(batch);
             }
-            Job::Install(rules) => {
-                engine.install(Arc::try_unwrap(rules).unwrap_or_else(|r| (*r).clone()));
-            }
+            Job::Install(rules) => engine.install(rules),
             Job::Poison(msg) => panic!("{msg}"),
         }
     }
@@ -510,6 +504,8 @@ fn shard_of(packet: &[u8], shards: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use sd_ips::api::run_trace;
     use sd_ips::Signature;
@@ -900,10 +896,10 @@ mod tests {
 
         // An inadmissible set is rejected where it compiles, before any
         // shard sees it; the old rules stay live.
-        assert!(CompiledRules::compile(SignatureSet::default(), &engine.config()).is_err());
+        assert!(CompiledRules::compile(&SignatureSet::default(), &engine.config()).is_err());
 
         let fresh = SignatureSet::from_signatures([Signature::new("fresh", SIG2)]);
-        engine.install(CompiledRules::compile(fresh, &engine.config()).unwrap());
+        engine.install(CompiledRules::compile(&fresh, &engine.config()).unwrap());
 
         // After the reload: the retired signature stops matching, the new
         // one matches, on every shard.
@@ -968,5 +964,25 @@ mod tests {
             "drops are counted, not lost silently"
         );
         assert_eq!(engine.stats().len(), 0, "no survivors");
+    }
+
+    #[test]
+    fn shards_share_one_compile_across_a_reload() {
+        let mut engine = ShardedSplitDetect::new(sigs(), SplitDetectConfig::default(), 4).unwrap();
+        let fresh =
+            SignatureSet::from_signatures([Signature::new("fresh", &b"FRESH_RULE_BYTES"[..])]);
+        let rules = CompiledRules::compile(&fresh, &engine.config()).unwrap();
+        engine.install(rules.clone());
+        engine.finish(&mut Vec::new());
+        let finished = engine.finished.as_ref().unwrap();
+        let shards: Vec<&SplitDetect> = finished.engines.iter().flatten().collect();
+        assert_eq!(shards.len(), 4);
+        for shard in shards {
+            assert!(std::ptr::eq(shard.plan(), Arc::as_ptr(&rules.plan)));
+        }
+        // One plan and one scanner: held here and by each of the four
+        // shards.
+        assert_eq!(Arc::strong_count(&rules.plan), 5);
+        assert_eq!(Arc::strong_count(&rules.scanner), 5);
     }
 }

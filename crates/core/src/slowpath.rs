@@ -40,7 +40,7 @@ use sd_flow::{hash, FlowKey};
 use sd_ips::alert::AlertSource;
 use sd_ips::conventional::{ConventionalConfig, ConventionalIps};
 use sd_ips::stream::StreamScanner;
-use sd_ips::{Alert, Ips, ResourceUsage, SignatureSet};
+use sd_ips::{Alert, Ips, ResourceUsage};
 
 use crate::lane::{sum_usage, Lanes, Worker, WorkerFailure, WorkerKind};
 
@@ -78,9 +78,9 @@ enum Job {
         enqueued: Instant,
     },
     /// Live rule reload, installed in lane order: packets enqueued before
-    /// it are scanned under the old rules. Each worker copies the shared
-    /// rules on its own thread.
-    Install(Arc<(SignatureSet, StreamScanner)>),
+    /// it are scanned under the old rules. Every worker shares the one
+    /// scanner.
+    Install(Arc<StreamScanner>),
 }
 
 /// One worker's alert delivery: everything its engine raised for one
@@ -119,14 +119,12 @@ pub struct SlowPathPool {
 
 impl SlowPathPool {
     /// Spawn `workers` slow-path engines behind lanes of `lane_depth`
-    /// packets each, every one with its own copy of `scanner` (compiled
-    /// from `sigs`). The per-worker connection cap is `conv`'s cap divided
-    /// by the worker count (rounded up), mirroring the shard dispatcher's
-    /// provisioning rule: flows partition across workers, so total
-    /// provisioned state matches one inline engine.
+    /// packets each, all sharing `scanner`. The per-worker connection cap
+    /// is `conv`'s cap divided by the worker count (rounded up), mirroring
+    /// the shard dispatcher's provisioning rule: flows partition across
+    /// workers, so total provisioned state matches one inline engine.
     pub fn new(
-        sigs: &SignatureSet,
-        scanner: &StreamScanner,
+        scanner: Arc<StreamScanner>,
         conv: ConventionalConfig,
         workers: usize,
         lane_depth: usize,
@@ -141,8 +139,7 @@ impl SlowPathPool {
             WorkerKind::SlowPath,
             lane_depth.max(1),
             (0..workers).map(|_| {
-                let engine =
-                    ConventionalIps::with_scanner(sigs.clone(), scanner.clone(), per_worker);
+                let engine = ConventionalIps::with_scanner(Arc::clone(&scanner), per_worker);
                 let alerts_out = alert_tx.clone();
                 move |worker: Worker<Job, Vec<u8>>| run_worker(engine, worker, alerts_out)
             }),
@@ -258,17 +255,16 @@ impl SlowPathPool {
         }
     }
 
-    /// Broadcast a new signature set and its compiled scanner to every
-    /// live worker (live rule reload). The job rides each lane in FIFO
-    /// order behind any queued packets, so no lane pauses and no worker's
-    /// connection or reassembly state is dropped. Dead lanes are skipped —
-    /// their failure is already on record. The send blocks when a lane is
-    /// full: reload is a rare control event, and waiting for lane space
-    /// beats shedding data packets to make room.
-    pub fn install(&mut self, sigs: SignatureSet, scanner: StreamScanner) {
+    /// Broadcast a newly compiled scanner to every live worker (live rule
+    /// reload). The job rides each lane in FIFO order behind any queued
+    /// packets, so no lane pauses and no worker's connection or
+    /// reassembly state is dropped. Dead lanes are skipped — their failure
+    /// is already on record. The send blocks when a lane is full: reload
+    /// is a rare control event, and waiting for lane space beats shedding
+    /// data packets to make room.
+    pub fn install(&mut self, scanner: Arc<StreamScanner>) {
         assert!(self.usage.is_none(), "pool already finished");
-        let rules = Arc::new((sigs, scanner));
-        self.lanes.broadcast(|| Job::Install(Arc::clone(&rules)));
+        self.lanes.broadcast(|| Job::Install(Arc::clone(&scanner)));
     }
 
     /// Sort and append every alert message drained so far. The order is
@@ -353,10 +349,7 @@ fn run_worker(
                 worker.recycle(data);
                 deliver(tick, enqueued, &mut buf);
             }
-            Job::Install(rules) => {
-                let (sigs, scanner) = Arc::try_unwrap(rules).unwrap_or_else(|s| (*s).clone());
-                engine.install(sigs, scanner);
-            }
+            Job::Install(scanner) => engine.install(scanner),
         }
     }
     // `Ips::finish` is part of the contract; the conventional engine's is
@@ -371,7 +364,7 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sd_ips::Signature;
+    use sd_ips::{Signature, SignatureSet};
     use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
     use sd_packet::tcp::TcpFlags;
 
@@ -382,11 +375,8 @@ mod tests {
     }
 
     fn pool(workers: usize, lane_depth: usize) -> SlowPathPool {
-        let sigs = sigs();
-        let scanner = StreamScanner::new(&sigs);
         SlowPathPool::new(
-            &sigs,
-            &scanner,
+            Arc::new(StreamScanner::new(&sigs())),
             ConventionalConfig::default(),
             workers,
             lane_depth,
@@ -639,5 +629,22 @@ mod tests {
         let b = run();
         assert_eq!(a.len(), 3);
         assert_eq!(a, b, "finish-only merge must be deterministic");
+    }
+
+    #[test]
+    fn workers_share_one_scanner_across_a_reload() {
+        let old = Arc::new(StreamScanner::new(&sigs()));
+        let mut p = SlowPathPool::new(Arc::clone(&old), ConventionalConfig::default(), 3, 4);
+        // One scanner: held here and by each of the three workers.
+        assert_eq!(Arc::strong_count(&old), 4);
+        let new = Arc::new(StreamScanner::new(&sigs()));
+        p.install(Arc::clone(&new));
+        let engines: Vec<ConventionalIps> = p.lanes.finish().into_iter().flatten().collect();
+        assert_eq!(engines.len(), 3);
+        for engine in &engines {
+            assert!(Arc::ptr_eq(engine.scanner(), &new));
+        }
+        assert_eq!(Arc::strong_count(&new), 4);
+        assert_eq!(Arc::strong_count(&old), 1, "the workers let go");
     }
 }

@@ -10,6 +10,7 @@
 //! the [`PatternSet`]; the origin lists are one [`FlatLists`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use std::{panic, thread};
 
@@ -76,30 +77,32 @@ const PARALLEL_BUILD_MIN_BYTES: usize = 16 * 1024;
 
 /// A signature set compiled once for every engine that runs it: the
 /// validated small-segment cutoff, the fast path's piece plan and the
-/// slow path's whole-signature scanner. Engines are built from it and a
-/// live reload installs it ([`crate::SplitDetect::install`]), so rules
-/// compile on whatever thread calls [`CompiledRules::compile`] (and, for a
-/// large set, one helper thread it joins before returning).
+/// slow path's whole-signature scanner. Both automata are immutable and
+/// shared: every engine built from it and every engine a live reload
+/// installs it on ([`crate::SplitDetect::install`]) holds the same two
+/// allocations, so a clone is two reference-count bumps and the last
+/// holder frees them. Rules compile on whatever thread calls
+/// [`CompiledRules::compile`] (and, for a large set, one helper thread it
+/// joins before returning).
 #[derive(Debug, Clone)]
 pub struct CompiledRules {
-    pub(crate) sigs: SignatureSet,
     pub(crate) cutoff: usize,
-    pub(crate) plan: SplitPlan,
-    pub(crate) scanner: StreamScanner,
+    pub(crate) plan: Arc<SplitPlan>,
+    pub(crate) scanner: Arc<StreamScanner>,
 }
 
 impl CompiledRules {
     /// Validate `sigs` against `config` (assumption A3) and compile both
     /// automata, for engines running `config`.
-    pub fn compile(sigs: SignatureSet, config: &SplitDetectConfig) -> Result<Self, ConfigError> {
-        let cutoff = config.validate(&sigs)?;
+    pub fn compile(sigs: &SignatureSet, config: &SplitDetectConfig) -> Result<Self, ConfigError> {
+        let cutoff = config.validate(sigs)?;
         Ok(Self::build(sigs, cutoff, config.pieces_per_signature))
     }
 
     /// Compile without admissibility checks (the unchecked engine build
     /// of the ablation experiments). The cutoff falls back to the longest
     /// piece when unset.
-    pub(crate) fn compile_unchecked(sigs: SignatureSet, config: &SplitDetectConfig) -> Self {
+    pub(crate) fn compile_unchecked(sigs: &SignatureSet, config: &SplitDetectConfig) -> Self {
         let max_piece = sigs
             .iter()
             .map(|(_, s)| config.max_piece_len(s.bytes.len()))
@@ -111,19 +114,19 @@ impl CompiledRules {
 
     /// Build the piece plan (`k` pieces per signature) and the scanner,
     /// side by side once the set reaches [`PARALLEL_BUILD_MIN_BYTES`].
-    fn build(sigs: SignatureSet, cutoff: usize, k: usize) -> Self {
+    fn build(sigs: &SignatureSet, cutoff: usize, k: usize) -> Self {
         let bytes: usize = sigs.iter().map(|(_, s)| s.bytes.len()).sum();
         let (plan, scanner) = if bytes < PARALLEL_BUILD_MIN_BYTES {
             (
-                SplitPlan::compile_unchecked(&sigs, k),
-                StreamScanner::new(&sigs),
+                SplitPlan::compile_unchecked(sigs, k),
+                StreamScanner::new(sigs),
             )
         } else {
             thread::scope(|scope| {
                 let helper = thread::Builder::new()
                     .name("sd-rules-build".into())
-                    .spawn_scoped(scope, || StreamScanner::new(&sigs));
-                let plan = SplitPlan::compile_unchecked(&sigs, k);
+                    .spawn_scoped(scope, || StreamScanner::new(sigs));
+                let plan = SplitPlan::compile_unchecked(sigs, k);
                 let scanner = match helper {
                     // Cloned onto this thread: engines served packets about
                     // 3 % slower from the helper's own copy, which sits in
@@ -133,22 +136,16 @@ impl CompiledRules {
                         .unwrap_or_else(|p| panic::resume_unwind(p))
                         .clone(),
                     // No thread to be had: build it here instead.
-                    Err(_) => StreamScanner::new(&sigs),
+                    Err(_) => StreamScanner::new(sigs),
                 };
                 (plan, scanner)
             })
         };
         CompiledRules {
-            sigs,
             cutoff,
-            plan,
-            scanner,
+            plan: Arc::new(plan),
+            scanner: Arc::new(scanner),
         }
-    }
-
-    /// The signature set.
-    pub fn signatures(&self) -> &SignatureSet {
-        &self.sigs
     }
 
     /// The piece plan.

@@ -1,7 +1,7 @@
 //! Rule compilation in isolation: the piece plan, the whole-signature
 //! scanner and both together, timed at the three rule-set sizes the
-//! benchmark and the experiments compile, with the clone and the drop of
-//! the compiled rules.
+//! benchmark and the experiments compile, with the clone of the compiled
+//! rules and the drop of their last reference.
 //!
 //! ```console
 //! cargo test --release -p splitdetect --test compile_cells -- --ignored --nocapture
@@ -17,10 +17,10 @@
 //! `SplitPlan::compile`, `StreamScanner::new` (those two columns add up
 //! to the sequential build), `CompiledRules::compile` (the validation
 //! and both automata, side by side on a large set: what an engine build
-//! and every reload pay), `CompiledRules::clone` (what every shard build
-//! pays) and dropping that clone (what every reload pays on the serve
-//! thread when it swaps the old rules out). The timings are for reading,
-//! not gating.
+//! and every reload pay), `CompiledRules::clone` (two reference-count
+//! bumps: what every shard build pays) and dropping the last reference
+//! to a compile (what a reload's retire costs the thread that lets the old
+//! rules go). The timings are for reading, not gating.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -54,17 +54,19 @@ fn median_ms<T>(mut compile: impl FnMut() -> T) -> f64 {
     )
 }
 
-/// The medians of [`RUNS`] clones of `rules` and of their drops, in ms,
-/// each timed on its own.
-fn clone_and_drop_ms(rules: &CompiledRules) -> (f64, f64) {
+/// The medians, in ms, of [`RUNS`] clones of a fresh `compile()` and of
+/// the drops of its last reference, each timed on its own.
+fn clone_and_drop_ms(compile: impl Fn() -> CompiledRules) -> (f64, f64) {
     let ms = |since: Instant| since.elapsed().as_secs_f64() * 1e3;
     let (clone, dropped) = (0..RUNS)
         .map(|_| {
+            let rules = compile();
             let start = Instant::now();
             let clone = black_box(rules.clone());
             let cloned = ms(start);
-            let start = Instant::now();
             drop(clone);
+            let start = Instant::now();
+            drop(rules);
             (cloned, ms(start))
         })
         .unzip();
@@ -112,11 +114,11 @@ fn compile_cells() {
         let loaded = median_ms(|| load(text));
         let plan = median_ms(|| SplitPlan::compile(sigs, &config).expect("admissible"));
         let scanner = median_ms(|| StreamScanner::new(sigs));
-        let both = median_ms(|| CompiledRules::compile(sigs.clone(), &config).expect("admissible"));
-        let rules = CompiledRules::compile(sigs.clone(), &config).expect("admissible");
-        let (clone, dropped) = clone_and_drop_ms(&rules);
+        let compile = || CompiledRules::compile(sigs, &config).expect("admissible");
+        let both = median_ms(compile);
+        let (clone, dropped) = clone_and_drop_ms(compile);
         println!(
-            "{name:<5} {loaded:>15.1} {plan:>16.1} {scanner:>20.1} {both:>23.1} {clone:>10.2} {dropped:>9.2}"
+            "{name:<5} {loaded:>15.1} {plan:>16.1} {scanner:>20.1} {both:>23.1} {clone:>10.5} {dropped:>9.3}"
         );
     }
 }

@@ -15,6 +15,7 @@
 //! bytes to find occurrences that straddle segments.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use sd_flow::{Direction, FlowKey, SeededState};
 use sd_packet::parse::{parse_ipv4, Transport};
@@ -80,8 +81,9 @@ impl Default for ConventionalConfig {
 
 /// The conventional IPS baseline.
 pub struct ConventionalIps {
-    sigs: SignatureSet,
-    scanner: StreamScanner,
+    scanner: Arc<StreamScanner>,
+    /// Scratch for the scanner's junction scans.
+    junction: Vec<u8>,
     normalizer: Normalizer,
     defrag: Defragmenter,
     /// Probed on every packet: keyed with the flow-key hash, not SipHash.
@@ -102,20 +104,15 @@ impl ConventionalIps {
 
     /// Build with an explicit configuration.
     pub fn with_config(sigs: SignatureSet, config: ConventionalConfig) -> Self {
-        let scanner = StreamScanner::new(&sigs);
-        Self::with_scanner(sigs, scanner, config)
+        Self::with_scanner(Arc::new(StreamScanner::new(&sigs)), config)
     }
 
-    /// Build around a scanner already compiled from `sigs`, so an engine
-    /// that compiled its rules elsewhere does not compile them again.
-    pub fn with_scanner(
-        sigs: SignatureSet,
-        scanner: StreamScanner,
-        config: ConventionalConfig,
-    ) -> Self {
+    /// Build around a scanner compiled elsewhere and shared with every
+    /// engine built from the same compile.
+    pub fn with_scanner(scanner: Arc<StreamScanner>, config: ConventionalConfig) -> Self {
         ConventionalIps {
             scanner,
-            sigs,
+            junction: Vec::new(),
             normalizer: Normalizer::new(),
             defrag: Defragmenter::new(config.policy),
             conns: HashMap::with_hasher(SeededState::new()),
@@ -126,22 +123,21 @@ impl ConventionalIps {
         }
     }
 
-    /// The signature set this engine scans for.
-    pub fn signatures(&self) -> &SignatureSet {
-        &self.sigs
+    /// The compiled scanner this engine shares.
+    pub fn scanner(&self) -> &Arc<StreamScanner> {
+        &self.scanner
     }
 
-    /// Swap in a new signature set with its compiled scanner (live rule
-    /// reload), keeping all reassembly state — buffers, sequence
-    /// tracking, and connection lifecycle carry straight across. Each
-    /// stream keeps its tail, trimmed to the new window: the tail is plain
-    /// bytes, so the next junction scan runs it under the new rules, and a
-    /// signature occurrence whose bytes straddle the reload instant (some
-    /// delivered before, some after) is still detected the moment its
-    /// remaining bytes arrive.
-    pub fn install(&mut self, sigs: SignatureSet, scanner: StreamScanner) {
+    /// Swap in a newly compiled scanner (live rule reload), keeping all
+    /// reassembly state — buffers, sequence tracking, and connection
+    /// lifecycle carry straight across. Each stream keeps its tail,
+    /// trimmed to the new window: the tail is plain bytes, so the next
+    /// junction scan runs it under the new rules, and a signature
+    /// occurrence whose bytes straddle the reload instant (some delivered
+    /// before, some after) is still detected the moment its remaining
+    /// bytes arrive.
+    pub fn install(&mut self, scanner: Arc<StreamScanner>) {
         self.scanner = scanner;
-        self.sigs = sigs;
         for entry in self.conns.values_mut() {
             let mem_before = entry.mem;
             for tail in &mut entry.tails {
@@ -260,10 +256,11 @@ impl Ips for ConventionalIps {
                     Direction::Forward => 0,
                     Direction::Backward => 1,
                 }];
-                let (scanner, usage) = (&mut self.scanner, &mut self.usage);
+                let (scanner, junction, usage) =
+                    (&*self.scanner, &mut self.junction, &mut self.usage);
                 let scan = |bytes: &[u8]| {
                     usage.bytes_scanned += bytes.len() as u64;
-                    scanner.feed(tail, bytes, |signature, offset| {
+                    scanner.feed(tail, bytes, junction, |signature, offset| {
                         usage.alerts += 1;
                         out.push(Alert {
                             flow,
@@ -339,8 +336,7 @@ mod tests {
 
     /// A live reload as an engine performs it: compile, then install.
     fn reload(ips: &mut ConventionalIps, sigs: SignatureSet) {
-        let scanner = StreamScanner::new(&sigs);
-        ips.install(sigs, scanner);
+        ips.install(Arc::new(StreamScanner::new(&sigs)));
     }
 
     fn tcp_pkt(seq: u32, payload: &[u8]) -> Vec<u8> {
@@ -559,7 +555,12 @@ mod tests {
             [tcp_pkt(1000, b"xxEVIL_SIGNATURE_BYTESxx").as_slice()],
         );
         assert!(alerts.is_empty(), "retired signature must stop matching");
-        assert_eq!(ips.signatures().len(), 1);
+        let alerts = run_trace(
+            &mut ips,
+            [tcp_pkt(1024, b"xxSOMETHING_ELSE_ENTIRELYxx").as_slice()],
+        );
+        assert_eq!(alerts.len(), 1, "the installed rule matches");
+        assert_eq!(alerts[0].signature, 0);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! none of them. A signature may straddle slices. [`StreamTail`] is the
 //! only stream state the matcher keeps: the last `window = longest
 //! signature − 1` bytes of one direction and the absolute offset of the
-//! next byte. [`StreamScanner::feed`] scans a new slice in two parts:
+//! next byte. The scanner itself is immutable, so every engine shares one.
+//! [`StreamScanner::feed`] scans a new slice in two parts:
 //!
 //! * `TieredNfa::find_all` over the slice finds every occurrence that lies
 //!   inside it;
@@ -77,14 +78,13 @@ impl StreamTail {
     }
 }
 
-/// The full-signature automaton shared by every stream, with its junction
-/// window and a scratch buffer for the junction scan.
+/// The full-signature automaton and its junction window: read-only once
+/// built, and shared by every stream and every engine that runs it.
 #[derive(Debug, Clone)]
 pub struct StreamScanner {
     nfa: TieredNfa,
     /// `longest signature − 1`.
     window: usize,
-    junction: Vec<u8>,
 }
 
 impl StreamScanner {
@@ -93,11 +93,7 @@ impl StreamScanner {
     pub fn new(sigs: &SignatureSet) -> Self {
         let nfa = TieredNfa::new(sigs.to_patterns());
         let window = nfa.patterns().max_len().unwrap_or(0).saturating_sub(1);
-        StreamScanner {
-            nfa,
-            window,
-            junction: Vec::new(),
-        }
+        StreamScanner { nfa, window }
     }
 
     /// Tail bytes a stream keeps: one short of the longest signature.
@@ -118,23 +114,24 @@ impl StreamScanner {
 
     /// Feed the next in-order slice of the stream `tail` tracks, calling
     /// `on_match(signature, end)` for every occurrence that ends in it,
-    /// with absolute end offsets, in end-offset order.
+    /// with absolute end offsets, in end-offset order. `junction` is the
+    /// caller's scratch buffer for the junction scan.
     pub fn feed(
-        &mut self,
+        &self,
         tail: &mut StreamTail,
         chunk: &[u8],
+        junction: &mut Vec<u8>,
         mut on_match: impl FnMut(PatternId, u64),
     ) {
         let base = tail.offset;
         let mut inside = self.nfa.find_all(chunk).into_iter().peekable();
         if !tail.is_empty() {
             let t = tail.len();
-            self.junction.clear();
-            self.junction.extend_from_slice(&tail.bytes);
-            self.junction
-                .extend_from_slice(&chunk[..chunk.len().min(self.window)]);
+            junction.clear();
+            junction.extend_from_slice(&tail.bytes);
+            junction.extend_from_slice(&chunk[..chunk.len().min(self.window)]);
             let set = self.nfa.patterns();
-            for m in self.nfa.find_all(&self.junction) {
+            for m in self.nfa.find_all(junction) {
                 if m.end <= t || m.start(set) >= t {
                     continue;
                 }
@@ -168,11 +165,11 @@ mod tests {
     }
 
     /// Feed `chunks` into a fresh tail; `(signature, end)` in report order.
-    fn feed_all(s: &mut StreamScanner, chunks: &[&[u8]]) -> Vec<(PatternId, u64)> {
-        let mut tail = StreamTail::new();
+    fn feed_all(s: &StreamScanner, chunks: &[&[u8]]) -> Vec<(PatternId, u64)> {
+        let (mut tail, mut junction) = (StreamTail::new(), Vec::new());
         let mut out = Vec::new();
         for chunk in chunks {
-            s.feed(&mut tail, chunk, |p, end| out.push((p, end)));
+            s.feed(&mut tail, chunk, &mut junction, |p, end| out.push((p, end)));
         }
         assert_eq!(tail.offset(), chunks.iter().map(|c| c.len() as u64).sum());
         assert!(tail.len() <= s.window());
@@ -181,18 +178,18 @@ mod tests {
 
     #[test]
     fn match_across_chunk_boundary() {
-        let mut s = scanner(&["attack"]);
+        let s = scanner(&["attack"]);
         assert_eq!(s.window(), 5);
-        assert_eq!(feed_all(&mut s, &[b"xxatt", b"ackyy"]), [(0, 8)]);
+        assert_eq!(feed_all(&s, &[b"xxatt", b"ackyy"]), [(0, 8)]);
     }
 
     #[test]
     fn byte_at_a_time_equals_batch() {
-        let mut s = scanner(&["abab", "ba"]);
+        let s = scanner(&["abab", "ba"]);
         let hay = b"abababab";
-        let batch = feed_all(&mut s, &[hay]);
+        let batch = feed_all(&s, &[hay]);
         let single: Vec<&[u8]> = hay.chunks(1).collect();
-        assert_eq!(feed_all(&mut s, &single), batch);
+        assert_eq!(feed_all(&s, &single), batch);
         let direct: Vec<(PatternId, u64)> = s
             .find_all(hay)
             .into_iter()
@@ -203,9 +200,9 @@ mod tests {
 
     #[test]
     fn random_chunking_equals_batch() {
-        let mut s = scanner(&["he", "she", "hers", "his"]);
+        let s = scanner(&["he", "she", "hers", "his"]);
         let hay = b"ushers and his shed with hershey";
-        let batch = feed_all(&mut s, &[hay]);
+        let batch = feed_all(&s, &[hay]);
         for sizes in [
             [1usize, 30, 1].as_slice(),
             &[3, 3, 3, 3, 3, 17],
@@ -218,7 +215,7 @@ mod tests {
                 chunks.push(&hay[pos..pos + n]);
                 pos += n;
             }
-            assert_eq!(feed_all(&mut s, &chunks), batch, "chunk sizes {sizes:?}");
+            assert_eq!(feed_all(&s, &chunks), batch, "chunk sizes {sizes:?}");
         }
     }
 
@@ -226,21 +223,21 @@ mod tests {
     fn junction_reports_nested_signatures_once_in_end_order() {
         // "abcd" contains "bc" and ends with "cd": cut at every point, each
         // occurrence is reported once, straddling or not.
-        let mut s = scanner(&["abcd", "bc", "cd", "d"]);
+        let s = scanner(&["abcd", "bc", "cd", "d"]);
         let hay = b"xabcdx";
-        let batch = feed_all(&mut s, &[hay]);
+        let batch = feed_all(&s, &[hay]);
         assert_eq!(batch, [(1, 4), (0, 5), (2, 5), (3, 5)]);
         for cut in 0..=hay.len() {
             let (a, b) = hay.split_at(cut);
-            assert_eq!(feed_all(&mut s, &[a, b]), batch, "cut at {cut}");
+            assert_eq!(feed_all(&s, &[a, b]), batch, "cut at {cut}");
         }
     }
 
     #[test]
     fn occurrence_over_slices_shorter_than_the_window() {
-        let mut s = scanner(&["0123456789"]);
+        let s = scanner(&["0123456789"]);
         assert_eq!(s.window(), 9);
-        let got = feed_all(&mut s, &[b"..012", b"345", b"6", b"78", b"9.."]);
+        let got = feed_all(&s, &[b"..012", b"345", b"6", b"78", b"9.."]);
         assert_eq!(got, [(0, 12)]);
     }
 
@@ -249,14 +246,18 @@ mod tests {
         // A reload swaps the scanner and keeps the tail: a straddling
         // occurrence completes under the new rules at its absolute offset,
         // and one wholly inside the tail is not reported again.
-        let mut old = scanner(&["attack"]);
-        let mut new = scanner(&["attack", "other"]);
-        let mut tail = StreamTail::new();
+        let old = scanner(&["attack"]);
+        let new = scanner(&["attack", "other"]);
+        let (mut tail, mut junction) = (StreamTail::new(), Vec::new());
         let mut out = Vec::new();
-        old.feed(&mut tail, b"attack..att", |p, end| out.push((p, end)));
+        old.feed(&mut tail, b"attack..att", &mut junction, |p, end| {
+            out.push((p, end))
+        });
         assert_eq!(out, [(0, 6)]);
         tail.trim(new.window());
-        new.feed(&mut tail, b"ackyy", |p, end| out.push((p, end)));
+        new.feed(&mut tail, b"ackyy", &mut junction, |p, end| {
+            out.push((p, end))
+        });
         assert_eq!(out, [(0, 6), (0, 14)]);
     }
 }

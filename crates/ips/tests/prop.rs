@@ -3,6 +3,8 @@
 //! search over the victim's application stream finds, whatever the
 //! segmentation, urgent bytes or rule reloads.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use sd_ips::stream::{StreamScanner, StreamTail};
 use sd_ips::{ConventionalIps, Ips, Signature, SignatureSet};
@@ -64,16 +66,16 @@ proptest! {
         cuts in prop::collection::vec(0usize..200, 0..8),
     ) {
         let sigs = signature_set(&pats);
-        let mut scanner = StreamScanner::new(&sigs);
-        let feed = |scanner: &mut StreamScanner, chunks: &[&[u8]]| {
-            let mut tail = StreamTail::new();
+        let scanner = StreamScanner::new(&sigs);
+        let feed = |chunks: &[&[u8]]| {
+            let (mut tail, mut junction) = (StreamTail::new(), Vec::new());
             let mut out: Vec<(PatternId, u64)> = Vec::new();
             for chunk in chunks {
-                scanner.feed(&mut tail, chunk, |p, end| out.push((p, end)));
+                scanner.feed(&mut tail, chunk, &mut junction, |p, end| out.push((p, end)));
             }
             (out, tail.offset())
         };
-        let (batch, _) = feed(&mut scanner, &[&hay]);
+        let (batch, _) = feed(&[&hay]);
 
         let mut boundaries: Vec<usize> = cuts.iter().map(|&c| c % (hay.len() + 1)).collect();
         boundaries.push(0);
@@ -81,7 +83,7 @@ proptest! {
         boundaries.sort_unstable();
         boundaries.dedup();
         let chunks: Vec<&[u8]> = boundaries.windows(2).map(|w| &hay[w[0]..w[1]]).collect();
-        let (out, offset) = feed(&mut scanner, &chunks);
+        let (out, offset) = feed(&chunks);
         prop_assert_eq!(&out, &batch);
         prop_assert_eq!(offset, hay.len() as u64);
 
@@ -169,7 +171,7 @@ proptest! {
         let mut alerts = Vec::new();
         for (i, pkt) in packets.iter().enumerate() {
             if reload_at == Some(i) {
-                ips.install(fresh.clone(), StreamScanner::new(&fresh));
+                ips.install(Arc::new(StreamScanner::new(&fresh)));
             }
             ips.process_packet(pkt, i as u64, &mut alerts);
         }
