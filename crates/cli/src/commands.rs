@@ -157,9 +157,8 @@ fn scan(args: &ScanArgs, out: Out) -> Result<(), String> {
             let opts = ServeOptions::default();
             let summary = serve::serve(engine, &mut source, &control, opts, out)?;
             if let Some(base) = &args.metrics_out {
-                let metrics = summary.metrics.ok_or("no surviving shards; no metrics")?;
                 let path = format!("{base}.prom");
-                std::fs::write(&path, sd_telemetry::to_prometheus(&metrics))
+                std::fs::write(&path, sd_telemetry::to_prometheus(&summary.metrics))
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
                 let _ = writeln!(out, "metrics written to {path}");
             }

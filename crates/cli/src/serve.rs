@@ -6,8 +6,8 @@
 //! runs it over a capture in memory, with no scrape endpoint; the daemon
 //! adds the three things a long run needs:
 //!
-//! * a **scrape endpoint**: the engine's metrics plus the daemon's own
-//!   counters, rendered from their stats and published to a
+//! * a **scrape endpoint**: one [`Registry`] of the engine's metrics and
+//!   the daemon's own `sd_serve_*` counters, published to a
 //!   [`ScrapeServer`] at `GET /metrics` at a cadence the packet loop
 //!   controls (a slow or hostile scraper can never stall intake),
 //! * **live rule reload** (SIGHUP): the rule file is re-read and both
@@ -16,8 +16,9 @@
 //!   the sharded engine. Flow, diversion and reassembly state all survive
 //!   the swap — only the rules change,
 //! * **graceful drain** (SIGTERM): intake stops, slow-path lanes flush,
-//!   and the daemon emits the same final [`RunReport`] `scan` prints,
-//!   so a drained daemon is auditable like a batch run.
+//!   and the daemon prints the final registry with [`to_text`] — the
+//!   report `scan` prints, every number in it the one the last scrape
+//!   serves — so a drained daemon is auditable like a batch run.
 //!
 //! All of the logic lives here as a library function driven by a
 //! [`ServeControl`]; real signal delivery is a two-line handler in the
@@ -30,10 +31,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sd_ips::{Alert, AlertSource, Ips, ResourceUsage};
-use sd_telemetry::{to_prometheus, Registry, ScrapeServer};
+use sd_telemetry::{to_prometheus, to_text, Registry, ScrapeServer};
 use sd_traffic::{PacketSource, SourceEvent};
 use splitdetect::{
-    CompiledRules, RunReport, ShardedSplitDetect, SplitDetect, SplitDetectConfig, SplitDetectStats,
+    CompiledRules, ShardedSplitDetect, SplitDetect, SplitDetectConfig, SplitDetectStats,
+    WorkerFailure, EROSION_FAMILIES,
 };
 
 use crate::commands::load_rules;
@@ -132,11 +134,13 @@ pub struct ServeSummary {
     pub reload_failures: u64,
     /// Every alert raised over the daemon's lifetime, in delivery order.
     pub alerts: Vec<Alert>,
-    /// The final engine statistics (aggregated across shards).
+    /// The final engine statistics (aggregated across shards; `None` when
+    /// no shard survived).
     pub stats: Option<SplitDetectStats>,
-    /// The engine's final metrics, built once at drain; the last scrape
-    /// snapshot publishes the same registry.
-    pub metrics: Option<Registry>,
+    /// The engine's final metrics and the daemon's counters, built once at
+    /// drain: the report renders this registry and the last scrape
+    /// snapshot publishes it.
+    pub metrics: Registry,
     /// The final report text, exactly as written to `out`.
     pub report: String,
 }
@@ -215,33 +219,32 @@ impl ServeEngine {
         }
     }
 
-    /// Final stats + report text. Valid only after [`Ips::finish`].
-    fn final_report(&self) -> (Option<SplitDetectStats>, String) {
+    /// Final stats, aggregated across shards. Valid only after
+    /// [`Ips::finish`].
+    fn stats(&self) -> Option<SplitDetectStats> {
         match self {
-            ServeEngine::Single(e) => {
-                let stats = e.stats();
-                let mut text = RunReport::new(stats).to_string();
-                for failure in e.slow_failures() {
-                    text.push_str(&format!("WARNING: {failure}\n"));
-                }
-                (Some(stats), text)
-            }
-            ServeEngine::Sharded(e) => match SplitDetectStats::aggregate(&e.stats()) {
-                Some(total) => {
-                    let report =
-                        RunReport::with_dispatch(total, e.dispatch_stats(), e.failures().to_vec());
-                    (Some(total), report.to_string())
-                }
-                None => {
-                    let mut text = String::from("no surviving shards; no engine stats\n");
-                    for failure in e.failures() {
-                        text.push_str(&format!("WARNING: {failure}\n"));
-                    }
-                    (None, text)
-                }
-            },
+            ServeEngine::Single(e) => Some(e.stats()),
+            ServeEngine::Sharded(e) => SplitDetectStats::aggregate(&e.stats()),
         }
     }
+
+    /// Workers that failed: the slow-path pool's or the shards'.
+    fn failures(&self) -> &[WorkerFailure] {
+        match self {
+            ServeEngine::Single(e) => e.slow_failures(),
+            ServeEngine::Sharded(e) => e.failures(),
+        }
+    }
+}
+
+/// The drain report: the registry's counters and gauges, a warning for
+/// each eroded detection guarantee, and one for each failed worker.
+fn report(metrics: &Registry, failures: &[WorkerFailure]) -> String {
+    let mut text = to_text(metrics, &EROSION_FAMILIES);
+    for failure in failures {
+        text.push_str(&format!("WARNING: {failure}\n"));
+    }
+    text
 }
 
 /// Run the daemon until a drain is requested or the source closes.
@@ -265,8 +268,9 @@ pub fn serve(
     let mut counts = Counts::default();
     let publish = |engine: &ServeEngine, counts: Counts| {
         if let Some(server) = &scrape {
-            let metrics = engine.metrics();
-            server.publish(counts.exposition(start.elapsed(), false, metrics.as_ref()));
+            let mut metrics = engine.metrics().unwrap_or_default();
+            counts.register(&mut metrics, start.elapsed(), false);
+            server.publish(to_prometheus(&metrics));
         }
     };
 
@@ -348,8 +352,10 @@ pub fn serve(
         finish_compile(handle, &mut engine, &mut counts, out);
     }
     engine.finish(&mut alerts);
-    let (stats, report) = engine.final_report();
-    let metrics = engine.metrics();
+    let stats = engine.stats();
+    let mut metrics = engine.metrics().unwrap_or_default();
+    counts.register(&mut metrics, start.elapsed(), true);
+    let report = report(&metrics, engine.failures());
 
     let Counts {
         packets,
@@ -375,7 +381,7 @@ pub fn serve(
     // One last snapshot (the sharded engine's metrics only exist now),
     // then take the endpoint down.
     if let Some(mut server) = scrape {
-        server.publish(counts.exposition(start.elapsed(), true, metrics.as_ref()));
+        server.publish(to_prometheus(&metrics));
         server.shutdown();
     }
 
@@ -399,10 +405,8 @@ struct Counts {
 }
 
 impl Counts {
-    /// The scrape snapshot: the daemon's counters, then the engine's
-    /// metrics when they are readable.
-    fn exposition(self, uptime: Duration, draining: bool, metrics: Option<&Registry>) -> String {
-        let mut r = Registry::new();
+    /// Add the daemon's counters to the engine's registry.
+    fn register(self, r: &mut Registry, uptime: Duration, draining: bool) {
         r.counter(
             "sd_serve_packets_total",
             "Packets accepted from the capture source",
@@ -428,11 +432,6 @@ impl Counts {
             "1 once a drain has been requested",
             u64::from(draining),
         );
-        let mut text = to_prometheus(&r);
-        if let Some(metrics) = metrics {
-            text.push_str(&to_prometheus(metrics));
-        }
-        text
     }
 }
 
@@ -456,5 +455,28 @@ fn finish_compile(
             counts.reload_failures += 1;
             let _ = writeln!(out, "reload rejected ({e}); old rules kept");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use splitdetect::WorkerKind;
+
+    #[test]
+    fn drain_report_warns_on_each_failed_worker() {
+        let mut r = Registry::new();
+        r.counter("sd_slowpath_shed_total", "Shed", 0);
+        let failure = WorkerFailure {
+            kind: WorkerKind::Shard,
+            worker: 1,
+            message: "boom".into(),
+        };
+        let text = report(&r, &[failure]);
+        assert!(
+            text.contains("WARNING: shard 1 worker failed: boom"),
+            "{text}"
+        );
+        assert_eq!(text.matches("WARNING").count(), 1, "{text}");
     }
 }

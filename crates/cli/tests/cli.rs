@@ -249,16 +249,20 @@ fn scan_writes_valid_prometheus_metrics() {
     assert!(prom.contains("sd_stage_packets_total"), "{prom}");
     assert!(!prom.contains("sd_shard_packets_total"), "{prom}");
 
-    // Every shard compiles the same plan: the sharded export reports that
-    // one plan's state counts, and the bytes all the copies hold.
+    // Every shard shares one compiled plan: the sharded export counts it
+    // once, as the single engine does.
     let sharded = samples(&sharded_prom);
     let single = samples(&prom);
     for name in ["sd_automaton_hot_states", "sd_automaton_cold_states"] {
         assert!(single[name] > 0 || name.contains("cold"), "{name}");
         assert_eq!(sharded[name], single[name], "{name}");
     }
-    for name in ["sd_automaton_hot_bytes", "sd_automaton_cold_bytes"] {
-        assert_eq!(sharded[name], 2 * single[name], "{name}");
+    for name in [
+        "sd_automaton_bytes",
+        "sd_automaton_hot_bytes",
+        "sd_automaton_cold_bytes",
+    ] {
+        assert_eq!(sharded[name], single[name], "{name}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -372,20 +376,29 @@ fn scan_and_one_pass_serve_agree_with_the_bare_loop() {
     want.sort();
     assert_eq!(want.len(), 3, "{want:?}");
 
-    // The drain line minus its wall clock: packets, alerts, reloads.
+    // The drain line minus its wall clock (packets, alerts, reloads), and
+    // the report's family lines minus their padding.
     let line = |out: &str, prefix: &str| -> String {
         let l = out.lines().find(|l| l.starts_with(prefix));
         let l = l.unwrap_or_else(|| panic!("no {prefix:?} line:\n{out}"));
         match prefix {
             "drained after" => l.split_once("s: ").expect("drain line").1.to_string(),
-            _ => l.to_string(),
+            _ => l.split_whitespace().collect::<Vec<_>>().join(" "),
         }
     };
     for shards in ["1", "2"] {
         let (code, scanned) = run(&[&["scan", pcap_s, "--shards", shards][..], &seed].concat());
         assert_eq!(code, 0, "{scanned}");
         assert!(scanned.contains("\n3 alert(s)\n"), "{scanned}");
-        for prefix in ["drained after", "diverted:", "divert reasons:"] {
+        for prefix in [
+            "drained after",
+            "sd_flows_seen_total ",
+            "sd_flows_diverted_total ",
+            "sd_diverts_total{reason} ",
+            "sd_payload_bytes_total ",
+            "sd_slowpath_packets_total ",
+            "sd_slowpath_bytes_total ",
+        ] {
             assert_eq!(
                 line(&scanned, prefix),
                 line(&served, prefix),
@@ -411,12 +424,74 @@ fn sharded_scan_prints_one_dispatch_line_per_shard() {
     run(&["generate", pcap_s, "--flows", "10", "--attacks", "2"]);
     let (code, out) = run(&["scan", pcap_s, "--shards", "3"]);
     assert_eq!(code, 0, "{out}");
-    assert!(out.contains("dispatch: 3 shards"), "{out}");
-    for shard in 0..3 {
-        assert!(out.contains(&format!("  shard {shard}: ")), "{out}");
+    // One series per shard on each lane family's line.
+    let lanes = |family: &str| -> Vec<String> {
+        let l = out.lines().find(|l| l.starts_with(family));
+        let l = l.unwrap_or_else(|| panic!("no {family} line:\n{out}"));
+        let series = l.split_whitespace().skip(1);
+        series
+            .map(|v| v.split_once('=').expect("shard=value").0.to_string())
+            .collect()
+    };
+    for family in [
+        "sd_shard_batches_total{shard} ",
+        "sd_shard_packets_total{shard} ",
+    ] {
+        assert_eq!(lanes(family), ["0", "1", "2"], "{out}");
     }
-    assert!(!out.contains("  shard 3: "), "{out}");
     assert!(out.contains("2 alert(s)"), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The report `sd scan` prints and the `.prom` file it writes are one
+/// registry: every counter or gauge the report prints has the same value
+/// in the file, and every counter or gauge in the file is in the report.
+#[test]
+fn scan_report_and_prometheus_file_agree() {
+    let dir = tmpdir("report-prom");
+    let pcap = dir.join("r.pcap");
+    let pcap_s = pcap.to_str().unwrap();
+    run(&["generate", pcap_s, "--flows", "40", "--attacks", "3"]);
+    let base = dir.join("m");
+    let base_s = base.to_str().unwrap();
+    let (code, out) = run(&["scan", pcap_s, "--shards", "2", "--metrics-out", base_s]);
+    assert_eq!(code, 0, "{out}");
+    let prom = std::fs::read_to_string(format!("{base_s}.prom")).unwrap();
+    sd_telemetry::promcheck::validate(&prom).unwrap_or_else(|errs| {
+        panic!("invalid Prometheus exposition: {errs:?}\n{prom}");
+    });
+
+    // The report's lines as `name{key="value"}` → value.
+    let mut printed = std::collections::HashMap::new();
+    for line in out.lines().filter(|l| l.starts_with("sd_")) {
+        let mut words = line.split_whitespace();
+        let head = words.next().unwrap();
+        match head.split_once('{') {
+            None => {
+                let value = words.next().expect("value");
+                printed.insert(head.to_string(), value.parse::<u64>().unwrap());
+            }
+            Some((family, key)) => {
+                let key = key.trim_end_matches('}');
+                for series in words {
+                    let (label, value) = series.split_once('=').expect("label=value");
+                    let name = format!("{family}{{{key}=\"{label}\"}}");
+                    printed.insert(name, value.parse::<u64>().unwrap());
+                }
+            }
+        }
+    }
+    let families: Vec<&str> = prom
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.strip_suffix(" counter").or(l.strip_suffix(" gauge")))
+        .collect();
+    let exported: std::collections::HashMap<String, u64> = samples(&prom)
+        .into_iter()
+        .filter(|(name, _)| families.contains(&name.split('{').next().unwrap()))
+        .collect();
+    assert!(printed.len() > 40, "{out}");
+    assert_eq!(printed, exported, "report:\n{out}\nfile:\n{prom}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -331,7 +331,7 @@ fn daemon_survives_reload_and_drains_deterministically() {
     );
     assert!(!out.contains("WARNING"), "clean run must not warn:\n{out}");
     assert!(
-        summary.report.contains("divert reasons"),
+        summary.report.contains("sd_diverts_total{reason}"),
         "final report must carry the divert breakdown:\n{}",
         summary.report
     );

@@ -48,7 +48,6 @@
 //! established diversion at the cost of not admitting new ones.
 
 use std::collections::{HashSet, VecDeque};
-use std::fmt;
 use std::ops::Range;
 
 use sd_flow::{FlowKey, SeededState};
@@ -79,22 +78,6 @@ pub enum EvictionPolicy {
     RefuseNew,
 }
 
-impl EvictionPolicy {
-    /// Stable label used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            EvictionPolicy::EvictOldest => "evict-oldest",
-            EvictionPolicy::RefuseNew => "refuse-new",
-        }
-    }
-}
-
-impl fmt::Display for EvictionPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Counters for the diversion layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DivertStats {
@@ -120,8 +103,6 @@ pub struct DivertStats {
     pub shed_packets: u64,
     /// Payload bytes of the shed packets.
     pub shed_bytes: u64,
-    /// The bound policy in force (uniform across shards).
-    pub policy: EvictionPolicy,
 }
 
 /// The ranges of a `ring_len`-byte ring that `len` bytes from `offset`
@@ -185,10 +166,7 @@ impl DiversionManager {
             delay_cap,
             head: 0,
             used: 0,
-            stats: DivertStats {
-                policy,
-                ..DivertStats::default()
-            },
+            stats: DivertStats::default(),
         }
     }
 
@@ -582,16 +560,5 @@ mod tests {
         }
         assert_eq!(d.index.capacity(), capacity, "the index never grew");
         assert_eq!(d.memory_bytes(), line_bytes(8) + 3 * DIVERTED_BYTES);
-    }
-
-    #[test]
-    fn eviction_policy_names_roundtrip() {
-        for p in [EvictionPolicy::EvictOldest, EvictionPolicy::RefuseNew] {
-            assert_eq!(p.to_string(), p.name());
-        }
-        assert_ne!(
-            EvictionPolicy::EvictOldest.name(),
-            EvictionPolicy::RefuseNew.name()
-        );
     }
 }

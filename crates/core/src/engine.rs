@@ -196,6 +196,7 @@ impl SplitDetect {
     /// Snapshot of everything the experiments measure.
     pub fn stats(&self) -> SplitDetectStats {
         let slow_res = self.slow_resources();
+        let table = self.fast.table_stats();
         let mut divert = self.divert.stats();
         let mut slow_queue_depth = 0;
         if let SlowPathDispatch::Pool(pool) = &self.slow {
@@ -209,7 +210,9 @@ impl SplitDetect {
         SplitDetectStats {
             fast: self.fast.stats(),
             divert,
-            flows_seen: self.fast.table_stats().insertions,
+            flows_seen: table.insertions,
+            flow_table_evictions: table.evictions,
+            flow_table_entries: self.fast.table_len() as u64,
             packets_to_slow: self.packets_to_slow,
             bytes_to_slow: self.bytes_to_slow,
             payload_bytes: self.usage.payload_bytes,
@@ -231,7 +234,7 @@ impl SplitDetect {
     /// Everything the engine counts, named for export: [`Self::stats`]
     /// and the telemetry histograms rendered into one registry.
     pub fn metrics(&self) -> Registry {
-        metrics_registry(&self.stats(), &self.telemetry, &[self.plan()], &[])
+        metrics_registry(&self.stats(), &self.telemetry, Some(self.plan()), &[])
     }
 
     /// Decay the fast path's small-segment Bloom counters (no-op for the
@@ -931,8 +934,9 @@ mod tests {
             out.iter().any(|a| a.source == AlertSource::Overload),
             "default policy must surface the overload in the alert stream"
         );
-        let report = crate::RunReport::new(s).to_string();
-        assert!(report.contains("shed at full slow-path lanes"), "{report}");
+        let report = sd_telemetry::to_text(&e.metrics(), &crate::EROSION_FAMILIES);
+        let warning = format!("WARNING: sd_slowpath_shed_total {}:", s.divert.shed_packets);
+        assert!(report.contains(&warning), "{report}");
     }
 
     #[test]

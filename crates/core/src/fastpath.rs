@@ -301,6 +301,11 @@ impl FastPath {
         self.table.stats()
     }
 
+    /// Live flow-table entries.
+    pub fn table_len(&self) -> usize {
+        self.table.len()
+    }
+
     /// Shared (non-per-flow) automaton memory.
     pub fn automaton_bytes(&self) -> usize {
         self.plan.memory_bytes()

@@ -34,7 +34,8 @@
 //! * [`theory`] — the detection theorem: machine-checkable statement of the
 //!   parameter constraints and the pigeonhole bound behind the proof,
 //! * [`stats`] — the measurement surface the experiments read, and
-//!   [`report`] — its human-readable rendering and its metrics export.
+//!   [`report`] — the one table that names those numbers, for the scrape
+//!   and the drain report alike.
 //!
 //! ## The detection theorem (informal)
 //!
@@ -65,7 +66,7 @@ pub use config::SplitDetectConfig;
 pub use divert::{DivertStats, EvictionPolicy};
 pub use engine::SplitDetect;
 pub use lane::{WorkerFailure, WorkerKind};
-pub use report::RunReport;
+pub use report::EROSION_FAMILIES;
 pub use shard::{ShardDispatchStats, ShardedSplitDetect};
 pub use slowpath::SlowPathPool;
 pub use split::{CompiledRules, SplitPlan, TierStats};

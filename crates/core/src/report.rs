@@ -1,192 +1,46 @@
-//! Run reports and metrics export.
+//! The one table that names every number an engine run keeps.
 //!
-//! Every front end (CLI `scan`, examples, ad-hoc scripts) wants the same
-//! summary of what a Split-Detect run did: what diverted and why, where
-//! the state lives, how much traffic the slow path re-examined. Rendering
-//! it in one place keeps the numbers consistently labelled — and unit
-//! tested, which format strings scattered across binaries never are.
-//! [`RunReport`] renders the numbers as text; `metrics_registry` names
-//! the same numbers for Prometheus/JSON export (through
-//! `SplitDetect::metrics` and `ShardedSplitDetect::metrics`).
-
-use std::fmt;
+//! `metrics_registry` turns an engine's stats, telemetry and (for a
+//! sharded run) dispatcher counters into one [`Registry`], through
+//! `SplitDetect::metrics` and `ShardedSplitDetect::metrics`. The scrape
+//! serves it as Prometheus text and a drained run prints it with
+//! [`sd_telemetry::to_text`], so the report and the scrape read the same
+//! numbers under the same names. [`EROSION_FAMILIES`] are the families
+//! whose nonzero value means the detection guarantee was eroded; the
+//! report warns on each.
 
 use sd_telemetry::{PipelineTelemetry, Registry, Stage};
 
 use crate::fastpath::DivertReason;
-use crate::lane::WorkerFailure;
 use crate::shard::ShardDispatchStats;
 use crate::split::SplitPlan;
 use crate::stats::SplitDetectStats;
 
-/// A formatted snapshot of one engine run. Display renders the block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunReport {
-    stats: SplitDetectStats,
-    /// Per-shard dispatcher counters, present for sharded runs.
-    dispatch: Vec<ShardDispatchStats>,
-    /// Workers that died mid-run, present for sharded runs.
-    failures: Vec<WorkerFailure>,
-}
-
-impl RunReport {
-    /// Wrap a stats snapshot for rendering.
-    pub fn new(stats: SplitDetectStats) -> Self {
-        RunReport {
-            stats,
-            dispatch: Vec::new(),
-            failures: Vec::new(),
-        }
-    }
-
-    /// A sharded run's report: aggregated engine stats plus the
-    /// dispatcher's per-lane counters and any worker failures.
-    pub fn with_dispatch(
-        stats: SplitDetectStats,
-        dispatch: Vec<ShardDispatchStats>,
-        failures: Vec<WorkerFailure>,
-    ) -> Self {
-        RunReport {
-            stats,
-            dispatch,
-            failures,
-        }
-    }
-}
-
-/// Format a byte count with a binary-prefix unit.
-fn human_bytes(b: u64) -> String {
-    match b {
-        0..=1023 => format!("{b} B"),
-        1024..=1048575 => format!("{:.1} KiB", b as f64 / 1024.0),
-        1048576..=1073741823 => format!("{:.1} MiB", b as f64 / 1048576.0),
-        _ => format!("{:.2} GiB", b as f64 / 1073741824.0),
-    }
-}
-
-impl fmt::Display for RunReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = &self.stats;
-        writeln!(
-            f,
-            "packets {}  payload {}  flows seen {}",
-            s.fast.packets,
-            human_bytes(s.payload_bytes),
-            s.flows_seen
-        )?;
-        writeln!(
-            f,
-            "diverted: {} flows ({:.2}%), {} packets ({:.2}%), {} of payload ({:.2}%)",
-            s.divert.flows_diverted,
-            s.diverted_flow_fraction() * 100.0,
-            s.packets_to_slow,
-            s.slow_packet_fraction() * 100.0,
-            human_bytes(s.bytes_to_slow),
-            s.slow_byte_fraction() * 100.0
-        )?;
-        write!(f, "divert reasons:")?;
-        for reason in DivertReason::ALL {
-            let n = s.diverts_by(reason);
-            if n > 0 {
-                write!(f, " {}={}", reason.name(), n)?;
-            }
-        }
-        if s.fast.total_diverts() == 0 {
-            write!(f, " none")?;
-        }
-        writeln!(f)?;
-        writeln!(
-            f,
-            "state: fast {}  delay-line {}  slow now {} (peak {})  automaton {}",
-            human_bytes(s.fast_state_bytes),
-            human_bytes(s.divert_state_bytes),
-            human_bytes(s.slow_state_bytes),
-            human_bytes(s.slow_state_peak_bytes),
-            human_bytes(s.automaton_bytes)
-        )?;
-        if s.divert.set_evictions > 0 {
-            writeln!(
-                f,
-                "WARNING: {} diverted-set evictions (policy {}) — detection guarantee \
-                 eroded, raise the diverted-flow bound",
-                s.divert.set_evictions, s.divert.policy
-            )?;
-        }
-        if s.divert.set_refused > 0 {
-            writeln!(
-                f,
-                "WARNING: {} diversions refused at the bound (policy {}) — new \
-                 suspicious flows were not diverted, raise the diverted-flow bound",
-                s.divert.set_refused, s.divert.policy
-            )?;
-        }
-        if s.divert.shed_packets > 0 {
-            writeln!(
-                f,
-                "WARNING: {} diverted packets ({}) shed at full slow-path lanes — \
-                 those flows were not fully inspected; raise slow-path workers or \
-                 lane depth",
-                s.divert.shed_packets,
-                human_bytes(s.divert.shed_bytes)
-            )?;
-        }
-        if !self.dispatch.is_empty() {
-            let d = ShardDispatchStats::aggregate(&self.dispatch);
-            writeln!(
-                f,
-                "dispatch: {} shards, {} batches ({:.1} pkts/batch), {} enqueued ({}), \
-                 pool {}/{} hit/miss, queue high-water {}",
-                self.dispatch.len(),
-                d.batches_sent,
-                d.mean_batch_fill(),
-                d.packets_enqueued,
-                human_bytes(d.bytes_enqueued),
-                d.recycle_hits,
-                d.recycle_misses,
-                d.queue_depth_high_water
-            )?;
-            for (i, lane) in self.dispatch.iter().enumerate() {
-                writeln!(
-                    f,
-                    "  shard {i}: {} batches, {} pkts ({:.1}/batch), pool {}/{} hit/miss, \
-                     high-water {}{}",
-                    lane.batches_sent,
-                    lane.packets_enqueued,
-                    lane.mean_batch_fill(),
-                    lane.recycle_hits,
-                    lane.recycle_misses,
-                    lane.queue_depth_high_water,
-                    if lane.dead { ", DEAD" } else { "" }
-                )?;
-            }
-            if d.packets_dropped > 0 {
-                writeln!(
-                    f,
-                    "WARNING: {} packets dropped on dead shard lanes",
-                    d.packets_dropped
-                )?;
-            }
-        }
-        for failure in &self.failures {
-            writeln!(f, "WARNING: {failure}")?;
-        }
-        Ok(())
-    }
-}
+/// The families a report warns on when nonzero: diverted-set evictions
+/// and refusals, diverted packets shed at full slow-path lanes, and
+/// packets dropped on dead shard lanes. Each is a place where traffic
+/// went uninspected.
+pub const EROSION_FAMILIES: [&str; 4] = [
+    "sd_divert_set_evictions_total",
+    "sd_divert_set_refused_total",
+    "sd_slowpath_shed_total",
+    "sd_shard_dropped_total",
+];
 
 /// Name every number an engine run keeps, for export. `stats` is the
 /// run's snapshot (aggregated across shards for a sharded run),
-/// `telemetry` its sampled histograms, `plans` the piece plan each engine
-/// instance holds, and `dispatch` the sharded dispatcher's per-lane
-/// counters (empty for a single engine).
+/// `telemetry` its sampled histograms, `plan` the compiled piece plan
+/// every engine instance shares (`None` when no shard survived), and
+/// `dispatch` the sharded dispatcher's per-lane counters (empty for a
+/// single engine).
 ///
-/// Byte gauges report memory held, summed over the instances as
-/// [`SplitDetectStats::aggregate`] sums it; the automaton's state counts
-/// describe one plan and are exported once.
+/// Per-flow byte gauges report memory held, summed over the instances as
+/// [`SplitDetectStats::aggregate`] sums it; the automaton is one shared
+/// compile and is counted once.
 pub(crate) fn metrics_registry(
     stats: &SplitDetectStats,
     telemetry: &PipelineTelemetry,
-    plans: &[&SplitPlan],
+    plan: Option<&SplitPlan>,
     dispatch: &[ShardDispatchStats],
 ) -> Registry {
     let s = stats;
@@ -227,7 +81,8 @@ pub(crate) fn metrics_registry(
     }
     r.counter(
         "sd_slowpath_shed_total",
-        "Diverted packets shed at a full slow-path worker lane",
+        "Diverted packets shed at a full slow-path worker lane (not fully \
+         inspected; raise slow-path workers or lane depth)",
         s.divert.shed_packets,
     );
     r.counter(
@@ -248,6 +103,11 @@ pub(crate) fn metrics_registry(
             "sd_flows_seen_total",
             "Distinct flows inserted into the fast-path flow table",
             s.flows_seen,
+        ),
+        (
+            "sd_flow_table_evictions_total",
+            "Fast-path flow-table entries evicted to admit a new flow",
+            s.flow_table_evictions,
         ),
         (
             "sd_flows_reclaimed_total",
@@ -281,12 +141,14 @@ pub(crate) fn metrics_registry(
         ),
         (
             "sd_divert_set_evictions_total",
-            "Diverted flows evicted at the set bound (detection guarantee eroded)",
+            "Diverted flows evicted at the set bound (detection guarantee eroded; \
+             raise the diverted-flow bound)",
             s.divert.set_evictions,
         ),
         (
             "sd_divert_set_refused_total",
-            "Diversions refused at the set bound (detection guarantee eroded)",
+            "Diversions refused at the set bound (detection guarantee eroded; \
+             raise the diverted-flow bound)",
             s.divert.set_refused,
         ),
         (
@@ -328,15 +190,44 @@ pub(crate) fn metrics_registry(
             d.batches_sent,
         );
         r.counter_labeled(
+            "sd_shard_bytes_total",
+            "Raw bytes of the packets enqueued to each shard lane",
+            label,
+            d.bytes_enqueued,
+        );
+        r.counter_labeled(
+            "sd_shard_recycle_hits_total",
+            "Batch buffers each shard lane took from its recycle pool",
+            label,
+            d.recycle_hits,
+        );
+        r.counter_labeled(
+            "sd_shard_recycle_misses_total",
+            "Batch buffers each shard lane allocated (recycle pool empty)",
+            label,
+            d.recycle_misses,
+        );
+        r.counter_labeled(
             "sd_shard_dropped_total",
             "Packets dropped because the shard worker had died",
             label,
             d.packets_dropped,
         );
+        r.gauge_labeled(
+            "sd_shard_queue_high_water",
+            "Most batches in flight to each shard lane at once",
+            label,
+            d.queue_depth_high_water,
+        );
+        r.gauge_labeled(
+            "sd_shard_dead",
+            "1 when the shard's worker died before finish",
+            label,
+            u64::from(d.dead),
+        );
     }
 
-    let tiers = plans.first().map(|p| p.tier_stats());
-    let sum = |f: fn(&SplitPlan) -> u64| plans.iter().map(|p| f(p)).sum::<u64>();
+    let tiers = plan.map(|p| p.tier_stats());
     for (name, help, value) in [
         (
             "sd_diverted_flows",
@@ -356,7 +247,7 @@ pub(crate) fn metrics_registry(
         (
             "sd_automaton_build_ns",
             "Wall nanoseconds spent compiling the piece automaton",
-            sum(|p| p.build_time().as_nanos() as u64),
+            plan.map_or(0, |p| p.build_time().as_nanos() as u64),
         ),
         (
             "sd_automaton_hot_states",
@@ -371,17 +262,22 @@ pub(crate) fn metrics_registry(
         (
             "sd_automaton_hot_bytes",
             "Piece automaton: hot-tier table bytes (class map + dense rows)",
-            sum(|p| p.tier_stats().hot_bytes as u64),
+            tiers.map_or(0, |t| t.hot_bytes as u64),
         ),
         (
             "sd_automaton_cold_bytes",
             "Piece automaton: cold-tier table bytes (CSR arrays + failure links)",
-            sum(|p| p.tier_stats().cold_bytes as u64),
+            tiers.map_or(0, |t| t.cold_bytes as u64),
         ),
         (
             "sd_slowpath_queue_depth",
             "Diverted packets currently queued in slow-path worker lanes",
             s.slow_queue_depth,
+        ),
+        (
+            "sd_flow_table_entries",
+            "Live fast-path flow-table entries",
+            s.flow_table_entries,
         ),
         (
             "sd_fastpath_state_bytes",
@@ -429,21 +325,35 @@ mod tests {
     use crate::SplitDetect;
     use sd_ips::{Ips, Signature, SignatureSet};
     use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_telemetry::to_text;
 
-    #[test]
-    fn human_bytes_units() {
-        assert_eq!(human_bytes(0), "0 B");
-        assert_eq!(human_bytes(1023), "1023 B");
-        assert_eq!(human_bytes(2048), "2.0 KiB");
-        assert_eq!(human_bytes(3 * 1024 * 1024), "3.0 MiB");
-        assert_eq!(human_bytes(2 * 1024 * 1024 * 1024), "2.00 GiB");
+    fn engine() -> SplitDetect {
+        let sigs =
+            SignatureSet::from_signatures([Signature::new("e", &b"EVIL_SIGNATURE_BYTES"[..])]);
+        SplitDetect::new(sigs).unwrap()
+    }
+
+    /// The report a run with these numbers prints.
+    fn report(stats: &SplitDetectStats, dispatch: &[ShardDispatchStats]) -> String {
+        let e = engine();
+        let r = metrics_registry(stats, e.telemetry(), Some(e.plan()), dispatch);
+        to_text(&r, &EROSION_FAMILIES)
+    }
+
+    /// The words of the line that starts with `family`.
+    fn line<'a>(text: &'a str, family: &str) -> Vec<&'a str> {
+        let l = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(family));
+        l.unwrap_or_else(|| panic!("no {family} line:\n{text}"))
+            .split_whitespace()
+            .skip(1)
+            .collect()
     }
 
     #[test]
     fn report_renders_a_real_run() {
-        let sigs =
-            SignatureSet::from_signatures([Signature::new("e", &b"EVIL_SIGNATURE_BYTES"[..])]);
-        let mut engine = SplitDetect::new(sigs).unwrap();
+        let mut engine = engine();
         let mut out = Vec::new();
         let pkt = {
             let f = TcpPacketSpec::new("10.0.0.1:1000", "10.0.0.2:80")
@@ -453,32 +363,34 @@ mod tests {
             ip_of_frame(&f).to_vec()
         };
         engine.process_packet(&pkt, 0, &mut out);
-        let text = RunReport::new(engine.stats()).to_string();
-        assert!(text.contains("diverted: 1 flows (100.00%)"), "{text}");
-        assert!(text.contains("piece-match=1"), "{text}");
-        assert!(text.contains("state: fast"), "{text}");
+        let text = to_text(&engine.metrics(), &EROSION_FAMILIES);
+        assert_eq!(line(&text, "sd_flows_seen_total"), ["1"]);
+        assert_eq!(line(&text, "sd_flows_diverted_total"), ["1"]);
+        assert_eq!(line(&text, "sd_flow_table_entries"), ["1"]);
+        let reasons = line(&text, "sd_diverts_total{reason}");
+        assert!(reasons.contains(&"piece-match=1"), "{text}");
+        let fast = engine.stats().fast_state_bytes.to_string();
+        assert_eq!(line(&text, "sd_fastpath_state_bytes"), [fast.as_str()]);
         assert!(!text.contains("WARNING"), "{text}");
     }
 
     #[test]
     fn shed_traffic_warns() {
-        let sigs =
-            SignatureSet::from_signatures([Signature::new("e", &b"EVIL_SIGNATURE_BYTES"[..])]);
-        let engine = SplitDetect::new(sigs).unwrap();
-        let mut stats = engine.stats();
+        let mut stats = engine().stats();
         stats.divert.shed_packets = 42;
         stats.divert.shed_bytes = 58_800;
-        let text = RunReport::new(stats).to_string();
-        assert!(text.contains("WARNING: 42 diverted packets"), "{text}");
-        assert!(text.contains("shed at full slow-path lanes"), "{text}");
+        let text = report(&stats, &[]);
+        assert!(
+            text.contains("WARNING: sd_slowpath_shed_total 42:"),
+            "{text}"
+        );
+        assert!(text.contains("raise slow-path workers"), "{text}");
+        assert_eq!(line(&text, "sd_slowpath_shed_bytes_total"), ["58800"]);
     }
 
     #[test]
-    fn sharded_report_renders_dispatch_and_failures() {
-        let sigs =
-            SignatureSet::from_signatures([Signature::new("e", &b"EVIL_SIGNATURE_BYTES"[..])]);
-        let engine = SplitDetect::new(sigs).unwrap();
-        let dispatch = vec![
+    fn sharded_report_renders_dispatch_lanes() {
+        let dispatch = [
             ShardDispatchStats {
                 batches_sent: 10,
                 packets_enqueued: 640,
@@ -494,29 +406,32 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let failures = vec![WorkerFailure {
-            kind: crate::WorkerKind::Shard,
-            worker: 1,
-            message: "boom".into(),
-        }];
-        let text = RunReport::with_dispatch(engine.stats(), dispatch, failures).to_string();
-        assert!(text.contains("dispatch: 2 shards, 10 batches"), "{text}");
-        assert!(text.contains("pool 9/1 hit/miss"), "{text}");
+        let text = report(&engine().stats(), &dispatch);
+        for (family, values) in [
+            ("sd_shard_batches_total{shard}", ["0=10", "1=0"]),
+            ("sd_shard_packets_total{shard}", ["0=640", "1=0"]),
+            ("sd_shard_bytes_total{shard}", ["0=64000", "1=0"]),
+            ("sd_shard_recycle_hits_total{shard}", ["0=9", "1=0"]),
+            ("sd_shard_recycle_misses_total{shard}", ["0=1", "1=0"]),
+            ("sd_shard_dropped_total{shard}", ["0=0", "1=5"]),
+            ("sd_shard_queue_high_water{shard}", ["0=3", "1=0"]),
+            ("sd_shard_dead{shard}", ["0=0", "1=1"]),
+        ] {
+            assert_eq!(line(&text, family), values, "{text}");
+        }
         assert!(
-            text.contains("  shard 0: 10 batches, 640 pkts (64.0/batch), pool 9/1 hit/miss"),
+            text.contains("WARNING: sd_shard_dropped_total 5:"),
             "{text}"
         );
-        assert!(text.contains("  shard 1: 0 batches") && text.contains(", DEAD"));
-        assert!(text.contains("5 packets dropped"), "{text}");
-        assert!(text.contains("shard 1 worker failed: boom"), "{text}");
     }
 
     #[test]
     fn quiet_run_says_none() {
-        let sigs =
-            SignatureSet::from_signatures([Signature::new("e", &b"EVIL_SIGNATURE_BYTES"[..])]);
-        let engine = SplitDetect::new(sigs).unwrap();
-        let text = RunReport::new(engine.stats()).to_string();
-        assert!(text.contains("divert reasons: none"), "{text}");
+        let text = report(&engine().stats(), &[]);
+        for value in line(&text, "sd_diverts_total{reason}") {
+            assert!(value.ends_with("=0"), "{text}");
+        }
+        assert!(!text.contains("WARNING"), "{text}");
+        assert!(!text.contains("sd_shard_"), "{text}");
     }
 }

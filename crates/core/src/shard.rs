@@ -354,17 +354,18 @@ impl ShardedSplitDetect {
     }
 
     /// Everything the surviving shards counted, aggregated and named for
-    /// export, with the dispatcher's per-lane counters
-    /// (`sd_shard_*_total{shard="i"}`). `None` before [`Ips::finish`] —
+    /// export, with the dispatcher's per-lane counters and gauges
+    /// (`sd_shard_*{shard="i"}`). `None` before [`Ips::finish`] —
     /// per-shard state lives on the worker threads until then.
     pub fn metrics(&self) -> Option<Registry> {
         let f = self.finished.as_ref()?;
         let stats = SplitDetectStats::aggregate(&self.stats()).unwrap_or_default();
-        let plans: Vec<_> = f.engines.iter().flatten().map(|e| e.plan()).collect();
+        // Every shard holds the one plan `install` gave them all.
+        let plan = f.engines.iter().flatten().next().map(|e| e.plan());
         Some(metrics_registry(
             &stats,
             &f.telemetry,
-            &plans,
+            plan,
             &self.dispatch_stats(),
         ))
     }
@@ -756,14 +757,18 @@ mod tests {
             })
             .sum();
         assert_eq!(per_shard, n, "per-lane dispatch counters cover the trace");
-        // The automaton's state counts describe one plan, not three; its
-        // bytes are held once per shard.
+        // The three shards share one plan: its state counts and bytes
+        // are exported once.
         let one = SplitDetect::new(sigs()).unwrap().metrics();
-        for name in ["sd_automaton_hot_states", "sd_automaton_cold_states"] {
+        for name in [
+            "sd_automaton_hot_states",
+            "sd_automaton_cold_states",
+            "sd_automaton_bytes",
+            "sd_automaton_hot_bytes",
+            "sd_automaton_cold_bytes",
+        ] {
             assert_eq!(reg.value_of(name), one.value_of(name), "{name}");
         }
-        let bytes = |r: &Registry| r.value_of("sd_automaton_hot_bytes").unwrap();
-        assert_eq!(bytes(&reg), 3 * bytes(&one));
         // The export is valid Prometheus text with the per-stage
         // histograms of every shard merged in.
         let text = sd_telemetry::to_prometheus(&reg);

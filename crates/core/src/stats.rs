@@ -16,6 +16,10 @@ pub struct SplitDetectStats {
     pub divert: DivertStats,
     /// Distinct flows that hit the fast path (table insertions).
     pub flows_seen: u64,
+    /// Flow-table entries evicted to admit a new flow.
+    pub flow_table_evictions: u64,
+    /// Live flow-table entries at snapshot time.
+    pub flow_table_entries: u64,
     /// Packets handed to the slow path (replayed + live).
     pub packets_to_slow: u64,
     /// Payload bytes handed to the slow path.
@@ -30,7 +34,8 @@ pub struct SplitDetectStats {
     pub slow_state_bytes: u64,
     /// Slow-path peak state, bytes.
     pub slow_state_peak_bytes: u64,
-    /// Shared piece-automaton bytes (control plane, not per-flow).
+    /// Piece-automaton bytes (control plane, not per-flow; one compile
+    /// shared by every shard).
     pub automaton_bytes: u64,
     /// Diverted packets queued in slow-path worker lanes right now
     /// (asynchronous pool mode; always 0 inline and after `finish`).
@@ -77,8 +82,9 @@ impl SplitDetectStats {
 
     /// Element-wise sum across shards: counters add, state bytes add
     /// (each shard provisions its own tables), peaks add as well since the
-    /// shards run concurrently. `None` (and a zeroed snapshot) for an
-    /// empty slice.
+    /// shards run concurrently. The automaton is one compile every shard
+    /// shares, so its bytes count once. `None` (and a zeroed snapshot)
+    /// for an empty slice.
     pub fn aggregate(shards: &[SplitDetectStats]) -> Option<SplitDetectStats> {
         let (first, rest) = shards.split_first()?;
         let mut total = *first;
@@ -100,8 +106,9 @@ impl SplitDetectStats {
             total.divert.set_size += s.divert.set_size;
             total.divert.shed_packets += s.divert.shed_packets;
             total.divert.shed_bytes += s.divert.shed_bytes;
-            // The policy is uniform across shards; keep the first's.
             total.flows_seen += s.flows_seen;
+            total.flow_table_evictions += s.flow_table_evictions;
+            total.flow_table_entries += s.flow_table_entries;
             total.packets_to_slow += s.packets_to_slow;
             total.bytes_to_slow += s.bytes_to_slow;
             total.payload_bytes += s.payload_bytes;
@@ -109,7 +116,6 @@ impl SplitDetectStats {
             total.divert_state_bytes += s.divert_state_bytes;
             total.slow_state_bytes += s.slow_state_bytes;
             total.slow_state_peak_bytes += s.slow_state_peak_bytes;
-            total.automaton_bytes += s.automaton_bytes;
             total.slow_queue_depth += s.slow_queue_depth;
         }
         Some(total)
@@ -125,6 +131,8 @@ mod tests {
             fast: FastPathStats::default(),
             divert: DivertStats::default(),
             flows_seen: 0,
+            flow_table_evictions: 0,
+            flow_table_entries: 0,
             packets_to_slow: 0,
             bytes_to_slow: 0,
             payload_bytes: 0,
@@ -166,16 +174,23 @@ mod tests {
         a.flows_seen = 2;
         a.fast_state_bytes = 100;
         a.fast.diverts[0] = 1;
+        a.flow_table_entries = 2;
+        a.automaton_bytes = 4096;
         let mut b = zeroed();
         b.fast.packets = 5;
         b.flows_seen = 1;
         b.fast_state_bytes = 100;
         b.fast.diverts[0] = 2;
+        b.flow_table_entries = 1;
+        b.flow_table_evictions = 7;
+        b.automaton_bytes = 4096;
         let t = SplitDetectStats::aggregate(&[a, b]).unwrap();
         assert_eq!(t.fast.packets, 15);
         assert_eq!(t.flows_seen, 3);
         assert_eq!(t.fast_state_bytes, 200);
         assert_eq!(t.fast.diverts[0], 3);
+        assert_eq!((t.flow_table_entries, t.flow_table_evictions), (3, 7));
+        assert_eq!(t.automaton_bytes, 4096, "one shared compile");
         assert!(SplitDetectStats::aggregate(&[]).is_none());
     }
 

@@ -14,7 +14,7 @@ use sd_ips::{Ips, Signature, SignatureSet};
 use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
 use sd_packet::tcp::TcpFlags;
 use splitdetect::fastpath::SmallCounterBackend;
-use splitdetect::{EvictionPolicy, RunReport, SplitDetect, SplitDetectConfig};
+use splitdetect::{EvictionPolicy, SplitDetect, SplitDetectConfig, EROSION_FAMILIES};
 
 const SIG: &[u8] = b"EVIL_SIGNATURE_BYTES"; // 20 bytes → pieces 7/7/6, cutoff 13
 
@@ -111,19 +111,31 @@ fn fifo_eviction_displaces_only_the_oldest_diversion() {
         "FIFO must evict the oldest entry, not the attacker"
     );
     // The erosion is loud: the run report warns about the eviction.
-    let text = RunReport::new(e.stats()).to_string();
-    assert!(text.contains("WARNING: 1 diverted-set evictions"), "{text}");
-    assert!(text.contains("evict-oldest"), "{text}");
+    let text = sd_telemetry::to_text(&e.metrics(), &EROSION_FAMILIES);
+    assert!(
+        text.contains("WARNING: sd_divert_set_evictions_total 1:"),
+        "{text}"
+    );
 }
 
 #[test]
 fn refused_diversions_warn_in_run_report() {
-    let mut stats = splitdetect::SplitDetectStats::default();
-    stats.divert.set_refused = 9;
-    stats.divert.policy = EvictionPolicy::RefuseNew;
-    let text = RunReport::new(stats).to_string();
-    assert!(text.contains("WARNING: 9 diversions refused"), "{text}");
-    assert!(text.contains("refuse-new"), "{text}");
+    let config = SplitDetectConfig {
+        max_diverted_flows: 1,
+        divert_eviction: EvictionPolicy::RefuseNew,
+        ..Default::default()
+    };
+    let mut e = SplitDetect::with_config(sigs(), config).unwrap();
+    let mut out = Vec::new();
+    for i in 0..10u8 {
+        e.process_packet(&first_half(&format!("10.7.0.{i}")), i.into(), &mut out);
+    }
+    let text = sd_telemetry::to_text(&e.metrics(), &EROSION_FAMILIES);
+    assert!(
+        text.contains("WARNING: sd_divert_set_refused_total 9:"),
+        "{text}"
+    );
+    assert!(!text.contains("WARNING: sd_divert_set_evictions"), "{text}");
 }
 
 proptest! {
@@ -215,7 +227,7 @@ fn split_signature_detected_at_exact_capacity() {
         let alerts = run_trace(&mut e, trace.iter().map(|p| p.as_slice()));
         assert!(
             alerts.iter().any(|a| a.signature == 0),
-            "policy {policy} lost the attacker at capacity"
+            "policy {policy:?} lost the attacker at capacity"
         );
     }
 }

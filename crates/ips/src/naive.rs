@@ -1,14 +1,15 @@
 //! The naive per-packet strawman.
 //!
 //! Scans each packet's payload independently with the full-signature
-//! automaton: no normalization, no defragmentation, no reassembly, no
+//! automaton (the same [`TieredNfa`] the conventional IPS runs over
+//! streams): no normalization, no defragmentation, no reassembly, no
 //! per-flow state at all. This is the engine Ptacek & Newsham's paper killed
 //! — any signature split across two packets sails through — and it anchors
 //! the detection matrix (E1) and the state comparison (it is the zero-state
 //! lower bound).
 
 use sd_flow::FlowKey;
-use sd_match::AcDfa;
+use sd_match::TieredNfa;
 use sd_packet::parse::{parse_ipv4, Transport};
 
 use crate::alert::{Alert, AlertSource};
@@ -18,17 +19,17 @@ use crate::signature::SignatureSet;
 /// The per-packet IPS.
 pub struct NaivePacketIps {
     sigs: SignatureSet,
-    dfa: AcDfa,
+    matcher: TieredNfa,
     usage: ResourceUsage,
 }
 
 impl NaivePacketIps {
     /// Build from a signature set.
     pub fn new(sigs: SignatureSet) -> Self {
-        let dfa = AcDfa::new(sigs.to_patterns());
+        let matcher = TieredNfa::new(sigs.to_patterns());
         NaivePacketIps {
             sigs,
-            dfa,
+            matcher,
             usage: ResourceUsage::default(),
         }
     }
@@ -41,7 +42,7 @@ impl NaivePacketIps {
     fn scan(&mut self, flow: FlowKey, payload: &[u8], out: &mut Vec<Alert>) {
         self.usage.payload_bytes += payload.len() as u64;
         self.usage.bytes_scanned += payload.len() as u64;
-        for m in self.dfa.find_all(payload) {
+        for m in self.matcher.find_all(payload) {
             self.usage.alerts += 1;
             out.push(Alert {
                 flow,

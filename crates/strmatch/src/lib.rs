@@ -7,8 +7,9 @@
 //!
 //! * [`aho`] — Aho–Corasick automaton (goto/fail/output construction): the
 //!   NFA both compiled forms below are built from,
-//! * [`tiered`] — the automaton both paths run, over pieces on the fast
-//!   path and over whole signatures on the slow path: dense byte-classed
+//! * [`tiered`] — the automaton every engine runs, over pieces on the
+//!   fast path and over whole signatures on the slow path, the
+//!   conventional IPS and the per-packet strawman: dense byte-classed
 //!   rows for the hot shallow states (where benign traffic lives), CSR
 //!   edges + failure links for the cold tail, entered only where a hashed
 //!   filter over each pattern's leading (up to) 4-byte windows finds a
@@ -22,8 +23,8 @@
 //!   `unsafe`, compiled on x86-64 alone,
 //! * [`dfa`] — a dense byte-indexed DFA compiled from the NFA: one table
 //!   lookup per byte, 1 KB per state. What the paper's hardware argument is
-//!   about, the per-packet strawman's engine and the dense reference of
-//!   the equivalence tests; no Split-Detect path builds it,
+//!   about, and the dense reference of the equivalence tests; no engine
+//!   builds it,
 //! * [`naive`] — the obviously-correct quadratic reference every engine is
 //!   cross-checked against in unit and property tests.
 //!

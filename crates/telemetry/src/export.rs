@@ -1,14 +1,18 @@
-//! Exposition: the Prometheus text format.
+//! Exposition: the Prometheus text format, and the plain-text report a
+//! drained run prints.
 //!
-//! The rendering is a pure function of a [`Registry`] snapshot — the hot
-//! path never sees it. It follows the text exposition format version
-//! 0.0.4 (`# HELP` / `# TYPE` headers, cumulative `_bucket{le=...}`
-//! histogram series ending in `+Inf`, `_sum`/`_count`);
+//! Both renderings are pure functions of a [`Registry`] snapshot — the hot
+//! path never sees them. [`to_prometheus`] follows the text exposition
+//! format version 0.0.4 (`# HELP` / `# TYPE` headers, cumulative
+//! `_bucket{le=...}` histogram series ending in `+Inf`, `_sum`/`_count`);
 //! [`crate::promcheck`] validates it structurally, so a format regression
 //! is a test failure rather than a scrape failure in some future
-//! deployment.
+//! deployment. [`to_text`] prints the same counters and gauges one family
+//! per line, so every number a report shows is the one the scrape serves.
 
-use crate::registry::{Histogram, MetricMeta, Registry};
+use std::fmt::Write;
+
+use crate::registry::{Histogram, MetricMeta, Registry, Series};
 
 fn label_suffix(meta: &MetricMeta, extra: Option<(&str, String)>) -> String {
     let mut pairs: Vec<(String, String)> = Vec::new();
@@ -97,6 +101,52 @@ pub fn to_prometheus(r: &Registry) -> String {
             for s in r.histograms().iter().filter(|s| s.meta.name == h.meta.name) {
                 render_histogram(&mut out, &s.meta, &s.value);
             }
+        }
+    }
+    out
+}
+
+/// Render the registry's counters and gauges as plain text, one line per
+/// family in insertion order (counters first): `name value`, or for a
+/// labelled family `name{key} a=1 b=2`, its series in insertion order.
+/// Then one `WARNING:` line, with the sum and the help text, for each
+/// family in `warn` whose series sum to more than zero. Histograms are
+/// left to [`to_prometheus`].
+pub fn to_text(r: &Registry, warn: &[&str]) -> String {
+    let mut rows: Vec<(String, String)> = Vec::new();
+    for list in [r.counters(), r.gauges()] {
+        for (i, s) in list.iter().enumerate() {
+            if list[..i].iter().any(|p| p.meta.name == s.meta.name) {
+                continue;
+            }
+            rows.push(match &s.meta.label {
+                None => (s.meta.name.to_string(), s.value.to_string()),
+                Some((key, _)) => {
+                    let series: Vec<String> = list
+                        .iter()
+                        .filter(|x| x.meta.name == s.meta.name)
+                        .filter_map(|x| Some(format!("{}={}", x.meta.label.as_ref()?.1, x.value)))
+                        .collect();
+                    (format!("{}{{{key}}}", s.meta.name), series.join(" "))
+                }
+            });
+        }
+    }
+    let width = rows.iter().map(|(name, _)| name.len()).max().unwrap_or(0);
+    let mut out = String::new();
+    for (name, values) in rows {
+        let _ = writeln!(out, "{name:<width$} {values}");
+    }
+    for &name in warn {
+        let family: Vec<&Series<u64>> = r
+            .counters()
+            .iter()
+            .chain(r.gauges())
+            .filter(|s| s.meta.name == name)
+            .collect();
+        let total: u64 = family.iter().map(|s| s.value).sum();
+        if total > 0 {
+            let _ = writeln!(out, "WARNING: {name} {total}: {}", family[0].meta.help);
         }
     }
     out
@@ -202,5 +252,36 @@ mod tests {
     fn empty_registry_exports_cleanly() {
         let r = Registry::new();
         promcheck::validate(&to_prometheus(&r)).unwrap();
+        assert_eq!(to_text(&r, &["sd_packets_total"]), "");
+    }
+
+    #[test]
+    fn text_puts_each_family_on_one_line_and_warns_on_nonzero() {
+        let mut r = sample();
+        r.counter("sd_refused_total", "Refused (guarantee eroded)", 0);
+        r.counter_labeled("sd_dropped_total", "Dropped", ("shard", "0"), 0);
+        r.counter_labeled("sd_dropped_total", "Dropped", ("shard", "1"), 5);
+        let text = to_text(&r, &["sd_refused_total", "sd_dropped_total"]);
+        let lines: Vec<Vec<&str>> = text
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                &["sd_packets_total", "100"][..],
+                &[
+                    "sd_stage_packets_total{stage}",
+                    "fast_path=90",
+                    "slow_path=10"
+                ],
+                &["sd_refused_total", "0"],
+                &["sd_dropped_total{shard}", "0=0", "1=5"],
+                &["sd_diverted_flows", "4"],
+                &["WARNING:", "sd_dropped_total", "5:", "Dropped"],
+            ],
+            "{text}"
+        );
+        assert!(!text.contains("latency"), "histograms stay out: {text}");
     }
 }

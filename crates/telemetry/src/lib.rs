@@ -14,7 +14,7 @@
 //! - [`Registry`]: a named snapshot of counters, gauges and histograms,
 //!   built only at export time from numbers the engine already keeps.
 //! - [`export`]: the Prometheus text-format rendering of a registry
-//!   snapshot.
+//!   snapshot, and the plain-text one a drained run prints.
 //! - [`promcheck`]: a dependency-free structural validator for the
 //!   Prometheus exposition format, used by tests and CI to pin the
 //!   exporter's output.
@@ -31,7 +31,7 @@ pub mod promcheck;
 pub mod registry;
 pub mod scrape;
 
-pub use export::to_prometheus;
+pub use export::{to_prometheus, to_text};
 pub use pipeline::{PipelineTelemetry, Stage, StageClock};
 pub use registry::{Histogram, MetricMeta, Registry, Series, HISTOGRAM_BUCKETS};
 pub use scrape::ScrapeServer;

@@ -170,6 +170,19 @@ impl Registry {
         self.gauges.push(Series { meta, value });
     }
 
+    /// Add one series of a gauge family, told apart by a `(key, value)`
+    /// label.
+    pub fn gauge_labeled(
+        &mut self,
+        name: &'static str,
+        help: &'static str,
+        label: (&'static str, &str),
+        value: u64,
+    ) {
+        let meta = meta(name, help, Some(label));
+        self.gauges.push(Series { meta, value });
+    }
+
     /// Add a histogram.
     pub fn histogram(&mut self, name: &'static str, help: &'static str, value: &Histogram) {
         let meta = meta(name, help, None);

@@ -7,8 +7,9 @@
 //!
 //! Run with: `cargo run --release --example ips_compare [flows]`
 
-use split_detect::core::SplitDetect;
+use split_detect::core::{SplitDetect, EROSION_FAMILIES};
 use split_detect::ips::{ConventionalIps, Ips, SignatureSet};
+use split_detect::telemetry::to_text;
 use split_detect::traffic::benign::{BenignConfig, BenignGenerator};
 
 fn main() {
@@ -106,18 +107,8 @@ fn main() {
         "piece automaton (bytes)", "-", sd_stats.automaton_bytes
     );
 
-    println!(
-        "\nsplit-detect internals: {:.2}% of flows diverted, {:.2}% of packets and \
-         {:.2}% of bytes re-examined on the slow path",
-        sd_stats.diverted_flow_fraction() * 100.0,
-        sd_stats.slow_packet_fraction() * 100.0,
-        sd_stats.slow_byte_fraction() * 100.0,
-    );
-    println!(
-        "divert reasons: piece={} small={} out-of-order={} fragment={}",
-        sd_stats.diverts_by(split_detect::core::fastpath::DivertReason::PieceMatch),
-        sd_stats.diverts_by(split_detect::core::fastpath::DivertReason::SmallSegments),
-        sd_stats.diverts_by(split_detect::core::fastpath::DivertReason::OutOfOrder),
-        sd_stats.diverts_by(split_detect::core::fastpath::DivertReason::Fragment),
-    );
+    // Split-Detect's own numbers, as `sd scan` prints them: the engine's
+    // metrics registry rendered as text.
+    println!("\nsplit-detect's metrics:");
+    print!("{}", to_text(&sd.metrics(), &EROSION_FAMILIES));
 }

@@ -3,9 +3,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use split_detect::core::{SplitDetect, SplitDetectConfig};
+use split_detect::core::{SplitDetect, SplitDetectConfig, EROSION_FAMILIES};
 use split_detect::ips::api::run_trace;
 use split_detect::ips::{Signature, SignatureSet};
+use split_detect::telemetry::to_text;
 use split_detect::traffic::evasion::{generate, AttackSpec, EvasionStrategy};
 use split_detect::traffic::victim::VictimConfig;
 
@@ -51,17 +52,21 @@ fn main() {
     }
     assert!(!alerts.is_empty(), "the theorem says this cannot be missed");
 
-    // 5. What it cost: how much of the traffic took the slow path.
-    let stats = engine.stats();
-    println!(
-        "flows diverted: {} of {} seen ({:.0}%), {} packets re-examined on the slow path",
-        stats.divert.flows_diverted,
-        stats.flows_seen,
-        stats.diverted_flow_fraction() * 100.0,
-        stats.packets_to_slow,
-    );
-    println!(
-        "fast-path state: {} bytes provisioned; slow-path peak: {} bytes",
-        stats.fast_state_bytes, stats.slow_state_peak_bytes,
-    );
+    // 5. What it cost: how many flows diverted and how much of the
+    //    traffic the slow path re-examined, from the engine's metrics
+    //    registry (the numbers `sd scan` prints and `sd serve` scrapes).
+    let report = to_text(&engine.metrics(), &EROSION_FAMILIES);
+    let shown = [
+        "sd_flows_seen_total",
+        "sd_flows_diverted_total",
+        "sd_diverts_total",
+        "sd_slowpath_packets_total",
+        "sd_fastpath_state_bytes",
+        "sd_slowpath_state_peak_bytes",
+    ];
+    for line in report.lines() {
+        if shown.iter().any(|family| line.starts_with(family)) {
+            println!("{line}");
+        }
+    }
 }
