@@ -1,15 +1,20 @@
-//! Golden digests of the evasion catalog's wire bytes.
+//! Golden digests of the generators' wire bytes.
 //!
 //! `evasion-mix`, the experiments and the gauntlet all replay these exact
 //! packets, so any change to how a strategy is emitted must be deliberate.
 //! Each digest covers one strategy against every overlap policy and two
-//! seeds; a mismatch names the strategies whose bytes moved.
+//! seeds; a mismatch names the strategies whose bytes moved. The benign and
+//! heavy-tail generators, which build every `sd-e2e` workload, are pinned
+//! the same way at the end of the file.
 
 use std::net::Ipv4Addr;
 
 use sd_reassembly::OverlapPolicy;
 use sd_traffic::evasion::{generate, AttackSpec, EvasionStrategy};
 use sd_traffic::victim::VictimConfig;
+use sd_traffic::{
+    BenignConfig, BenignGenerator, HeavyTailConfig, HeavyTailGenerator, PayloadModel,
+};
 
 const SEEDS: [u64; 2] = [1, 4242];
 
@@ -122,4 +127,87 @@ fn inline_urgent_victim_bytes_are_pinned() {
     let packets = generate(&spec, EvasionStrategy::UrgentChaff { pitch: 7 }, victim, 1);
     let h = fold(FNV_BASIS, &packets);
     assert_eq!(h, 0x9ebc_24d7_884d_dbcd, "digest now {h:#x}");
+}
+
+/// Fold a trace into a digest: each packet's timestamp, then its bytes.
+fn trace_digest(trace: &sd_traffic::Trace) -> u64 {
+    trace.packets.iter().fold(FNV_BASIS, |h, p| {
+        let h = fold(h, &[p.ts_micros.to_le_bytes().to_vec()]);
+        fold(h, std::slice::from_ref(&p.data))
+    })
+}
+
+/// `sd-e2e`'s benign profile (interactive 0.05, reorder 0.002) at about
+/// 1/100 of its flow counts, on the two seeds it is judged on.
+fn e2e_benign(seed: u64, flows: usize, payload: PayloadModel) -> BenignConfig {
+    BenignConfig {
+        seed,
+        flows,
+        interactive_fraction: 0.05,
+        reorder_prob: 0.002,
+        payload,
+        ..Default::default()
+    }
+}
+
+const E2E_SEEDS: [u64; 2] = [1, 2006];
+
+fn check_traces(what: &str, golden: [u64; 2], make: impl Fn(u64) -> sd_traffic::Trace) {
+    let got = E2E_SEEDS.map(|seed| trace_digest(&make(seed)));
+    assert_eq!(
+        got, golden,
+        "{what}: digests now [{:#x}, {:#x}]",
+        got[0], got[1]
+    );
+}
+
+#[test]
+fn benign_http_bytes_are_pinned() {
+    check_traces(
+        "benign http-like",
+        [0xdfdc_2e70_c9c1_475a, 0x6e4f_2969_d050_117a],
+        |seed| BenignGenerator::new(e2e_benign(seed, 200, PayloadModel::HttpLike)).generate(),
+    );
+}
+
+#[test]
+fn benign_uniform_bytes_are_pinned() {
+    check_traces(
+        "benign uniform",
+        [0x7a36_b9de_7dfd_7572, 0x9dc6_9b8b_2fa8_e08c],
+        |seed| BenignGenerator::new(e2e_benign(seed, 60, PayloadModel::Uniform)).generate(),
+    );
+}
+
+#[test]
+fn concurrent_bytes_are_pinned() {
+    check_traces(
+        "concurrent",
+        [0x086e_6df8_319a_a0b4, 0xe10e_f4c8_e791_3f9f],
+        |seed| {
+            BenignGenerator::new(e2e_benign(seed, 1, PayloadModel::HttpLike))
+                .generate_concurrent(200, 3_000)
+        },
+    );
+}
+
+/// `mice-churn`'s α, flow sizes and churn at 1/100 of its flow counts.
+#[test]
+fn heavy_tail_bytes_are_pinned() {
+    check_traces(
+        "heavy tail",
+        [0x7296_cc47_5cbd_2e4e, 0x8c4a_ff4a_3fdf_fa8a],
+        |seed| {
+            HeavyTailGenerator::new(HeavyTailConfig {
+                seed,
+                concurrency: 2_000,
+                total_flows: 6_000,
+                alpha: 1.2,
+                min_flow_bytes: 64,
+                max_flow_bytes: 64 * 1024,
+                churn: 0.02,
+            })
+            .generate()
+        },
+    );
 }
