@@ -301,7 +301,7 @@ fn e3() {
 /// the cutoff — chat/RPC-style flows with a handful of 8–64-byte writes —
 /// so the workload is built around exactly those.
 fn e4() {
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
     use sd_packet::tcp::TcpFlags;
     use sd_traffic::trace::{Trace, TracePacket};
 
@@ -325,13 +325,13 @@ fn e4() {
         for _ in 0..6 {
             let size = 8 + rng() % 56;
             let payload: Vec<u8> = (0..size).map(|_| (rng() % 26) as u8 + b'a').collect();
-            let frame = TcpPacketSpec::new(&src, "10.0.0.2:80")
+            let packet = TcpPacketSpec::new(&src, "10.0.0.2:80")
                 .seq(seq)
                 .flags(TcpFlags::ACK.union(TcpFlags::PSH))
                 .payload(&payload)
                 .build();
             ts += 7;
-            packets.push(TracePacket::new(ts, ip_of_frame(&frame).to_vec()));
+            packets.push(TracePacket::new(ts, packet));
             seq += size as u32;
         }
     }
@@ -979,7 +979,7 @@ fn e13() {
 /// every one earns full slow-path state — a DoS amplification channel the
 /// slow-path connection cap must bound.
 fn e14() {
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
     use sd_packet::tcp::TcpFlags;
 
     println!("== E14: diversion-flood DoS pressure on the slow path ==\n");
@@ -1006,14 +1006,14 @@ fn e14() {
                 .seq(99)
                 .flags(TcpFlags::SYN)
                 .build();
-            packets.push(ip_of_frame(&syn).to_vec());
+            packets.push(syn);
             for (j, off) in [0u32, 2].iter().enumerate() {
                 let p = TcpPacketSpec::new(&src, "10.0.0.2:80")
                     .seq(100 + off)
                     .flags(TcpFlags::ACK.union(TcpFlags::PSH))
                     .payload(&[b'a' + j as u8, b'b'])
                     .build();
-                packets.push(ip_of_frame(&p).to_vec());
+                packets.push(p);
             }
         }
 

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use sd_cli::serve::{serve, ServeControl, ServeEngine, ServeOptions, ServeSummary};
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+use sd_packet::builder::TcpPacketSpec;
 use sd_packet::parse::parse_ipv4;
 use sd_packet::tcp::TcpFlags;
 use sd_telemetry::{promcheck, ScrapeServer};
@@ -30,12 +30,11 @@ fn rules_for(sig: &str, sid: u32) -> String {
 }
 
 fn pkt(src: &str, seq: u32, payload: &[u8]) -> Vec<u8> {
-    let f = TcpPacketSpec::new(src, "10.0.0.9:80")
+    TcpPacketSpec::new(src, "10.0.0.9:80")
         .seq(seq)
         .flags(TcpFlags::ACK.union(TcpFlags::PSH))
         .payload(payload)
-        .build();
-    ip_of_frame(&f).to_vec()
+        .build()
 }
 
 /// The 5-tuple key alerts carry for a packet (alerts use the full

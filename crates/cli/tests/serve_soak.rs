@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use sd_cli::serve::{serve, ServeControl, ServeEngine, ServeOptions};
 use sd_ips::{AlertSource, Signature, SignatureSet};
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+use sd_packet::builder::TcpPacketSpec;
 use sd_packet::tcp::TcpFlags;
 use sd_telemetry::{promcheck, ScrapeServer};
 use sd_traffic::evasion::{generate, AttackSpec, EvasionStrategy};
@@ -88,7 +88,7 @@ fn soak_pass(tx: &LoopbackHandle, pass: u64, tick: &mut u64) -> bool {
                 .flags(TcpFlags::ACK.union(TcpFlags::PSH))
                 .payload(&payload[..n])
                 .build();
-            if !tx.send(*tick, ip_of_frame(&frame)) {
+            if !tx.send(*tick, &frame) {
                 return false;
             }
             *tick += 1;

@@ -180,11 +180,6 @@ impl DiversionManager {
         self.diverted.len()
     }
 
-    /// The bound policy in force.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
-    }
-
     /// Counters, with the diverted set's current size.
     pub fn stats(&self) -> DivertStats {
         DivertStats {
@@ -455,7 +450,6 @@ mod tests {
         // Pins the bugfix: eviction at the bound is deterministic FIFO,
         // not an arbitrary HashSet element.
         let mut d = manager(4, 2);
-        assert_eq!(d.policy(), EvictionPolicy::EvictOldest);
         d.divert(key(1));
         d.divert(key(2));
         d.divert(key(3)); // bound hit: key(1) is the oldest

@@ -50,7 +50,7 @@ enum SlowPathDispatch {
 ///
 /// ```
 /// use sd_ips::{Ips, Signature, SignatureSet};
-/// use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+/// use sd_packet::builder::TcpPacketSpec;
 /// use splitdetect::SplitDetect;
 ///
 /// let sigs = SignatureSet::from_signatures([
@@ -58,12 +58,12 @@ enum SlowPathDispatch {
 /// ]);
 /// let mut engine = SplitDetect::new(sigs).expect("admissible defaults");
 ///
-/// let frame = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+/// let packet = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
 ///     .seq(1000)
 ///     .payload(b"...EVIL_SIGNATURE_BYTES...")
 ///     .build();
 /// let mut alerts = Vec::new();
-/// engine.process_packet(ip_of_frame(&frame), 0, &mut alerts);
+/// engine.process_packet(&packet, 0, &mut alerts);
 /// assert_eq!(alerts.len(), 1);
 /// assert!(engine.stats().divert.flows_diverted >= 1);
 /// ```
@@ -321,7 +321,6 @@ fn payload_len(packet: &[u8]) -> usize {
             Transport::Tcp(t) => t.payload.len(),
             Transport::Udp(u) => u.payload.len(),
             Transport::Fragment(raw) | Transport::Other(raw) => raw.len(),
-            Transport::NonIp => 0,
         },
         Err(_) => 0,
     }
@@ -418,7 +417,7 @@ mod tests {
     use super::*;
     use sd_ips::api::run_trace;
     use sd_ips::Signature;
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
     use sd_packet::tcp::TcpFlags;
 
     const SIG: &[u8] = b"EVIL_SIGNATURE_BYTES_24!"; // 24 bytes → pieces of 8
@@ -429,12 +428,11 @@ mod tests {
     }
 
     fn pkt(seq: u32, payload: &[u8]) -> Vec<u8> {
-        let f = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+        TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
             .seq(seq)
             .flags(TcpFlags::ACK.union(TcpFlags::PSH))
             .payload(payload)
-            .build();
-        ip_of_frame(&f).to_vec()
+            .build()
     }
 
     #[test]
@@ -519,7 +517,7 @@ mod tests {
                 .flags(TcpFlags::ACK)
                 .payload(&[b'x'; 64])
                 .build();
-            e.process_packet(ip_of_frame(&f), 1 + i as u64, &mut out);
+            e.process_packet(&f, 1 + i as u64, &mut out);
         }
         // Flow A's continuation still goes to the slow path and alerts.
         e.process_packet(&pkt(1010, &SIG[10..]), 999, &mut out);
@@ -596,14 +594,13 @@ mod tests {
         let mut out = Vec::new();
         for f in 0..20u16 {
             for j in 0..5u32 {
-                let frame = TcpPacketSpec::new(&format!("10.0.1.{}:2000", f), "10.0.0.2:80")
+                let pkt = TcpPacketSpec::new(&format!("10.0.1.{}:2000", f), "10.0.0.2:80")
                     .seq(1000 + j * 5000) // gaps → conventional buffers OoO data
                     .flags(TcpFlags::ACK)
                     .payload(&[b'd'; 1400])
                     .build();
-                let pkt = ip_of_frame(&frame);
                 let tick = (f as u64) * 5 + j as u64;
-                conv.process_packet(pkt, tick, &mut out);
+                conv.process_packet(&pkt, tick, &mut out);
             }
         }
         // Conventional is buffering 20 flows × ~4 out-of-order segments.
@@ -616,7 +613,7 @@ mod tests {
             .flags(TcpFlags::ACK)
             .payload(&[b'd'; 1400])
             .build();
-        sd.process_packet(ip_of_frame(&frame), 0, &mut out2);
+        sd.process_packet(&frame, 0, &mut out2);
         assert!(sd.stats().fast_state_bytes < 4096);
     }
 
@@ -745,12 +742,11 @@ mod tests {
     }
 
     fn fpkt(src: &str, seq: u32, payload: &[u8]) -> Vec<u8> {
-        let f = TcpPacketSpec::new(src, "10.0.0.2:80")
+        TcpPacketSpec::new(src, "10.0.0.2:80")
             .seq(seq)
             .flags(TcpFlags::ACK.union(TcpFlags::PSH))
             .payload(payload)
-            .build();
-        ip_of_frame(&f).to_vec()
+            .build()
     }
 
     fn key_of(packet: &[u8]) -> sd_flow::FlowKey {
@@ -887,14 +883,14 @@ mod tests {
                 .flags(TcpFlags::ACK.union(TcpFlags::PSH))
                 .payload(&SIG[..10])
                 .build();
-            e.process_packet(ip_of_frame(&first), f as u64, &mut out);
+            e.process_packet(&first, f as u64, &mut out);
             for j in 0..8u32 {
                 let follow = TcpPacketSpec::new(&src, "10.0.0.2:80")
                     .seq(1010 + j * 1400)
                     .flags(TcpFlags::ACK)
                     .payload(&[b'm'; 1400])
                     .build();
-                e.process_packet(ip_of_frame(&follow), 100 + j as u64, &mut out);
+                e.process_packet(&follow, 100 + j as u64, &mut out);
             }
         }
         drop(e); // must join worker threads without panicking or hanging

@@ -374,7 +374,6 @@ impl FastPath {
             ),
             Transport::Udp(u) => (u.payload.len(), !u.payload.is_empty()),
             Transport::Fragment(raw) | Transport::Other(raw) => (raw.len(), true),
-            Transport::NonIp => (0, false),
         };
         let done = |key, verdict| Classification {
             key,
@@ -530,7 +529,7 @@ impl FastPath {
                     (Some(key), Verdict::Benign)
                 }
             }
-            Transport::Other(_) | Transport::NonIp => (Some(key), Verdict::NonFlow),
+            Transport::Other(_) => (Some(key), Verdict::NonFlow),
         };
         done(key, verdict)
     }
@@ -548,7 +547,7 @@ mod tests {
     use super::*;
     use crate::config::SplitDetectConfig;
     use sd_ips::{Signature, SignatureSet};
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
     use sd_packet::frag::fragment_ipv4;
     use sd_packet::tcp::TcpFlags;
 
@@ -571,12 +570,11 @@ mod tests {
     }
 
     fn pkt(seq: u32, payload: &[u8]) -> Vec<u8> {
-        let f = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+        TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
             .seq(seq)
             .flags(TcpFlags::ACK.union(TcpFlags::PSH))
             .payload(payload)
-            .build();
-        ip_of_frame(&f).to_vec()
+            .build()
     }
 
     fn not_diverted(_: &FlowKey) -> bool {
@@ -662,13 +660,10 @@ mod tests {
     #[test]
     fn pure_acks_never_divert() {
         let mut f = fast();
-        let ack = {
-            let fr = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
-                .seq(1000)
-                .flags(TcpFlags::ACK)
-                .build();
-            ip_of_frame(&fr).to_vec()
-        };
+        let ack = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+            .seq(1000)
+            .flags(TcpFlags::ACK)
+            .build();
         for _ in 0..20 {
             let (_, v) = f.classify(&ack, not_diverted);
             assert_eq!(v, Verdict::Benign, "repeated pure ACKs are normal");
@@ -682,7 +677,7 @@ mod tests {
             .payload(&[0u8; 64])
             .dont_frag(false)
             .build();
-        let frags = fragment_ipv4(ip_of_frame(&frame), 32).unwrap();
+        let frags = fragment_ipv4(&frame, 32).unwrap();
         let (_, v) = f.classify(&frags[0], not_diverted);
         assert_eq!(v, Verdict::Divert(DivertReason::Fragment));
     }
@@ -699,7 +694,7 @@ mod tests {
             .payload(&[0u8; 64])
             .dont_frag(false)
             .build();
-        let frags = fragment_ipv4(ip_of_frame(&frame), 32).unwrap();
+        let frags = fragment_ipv4(&frame, 32).unwrap();
         let (frag_key, v) = f.classify(&frags[0], not_diverted);
         assert_eq!(v, Verdict::Divert(DivertReason::Fragment));
         let frag_key = frag_key.unwrap();
@@ -728,7 +723,7 @@ mod tests {
             .payload(&[0u8; 64])
             .dont_frag(false)
             .build();
-        let frags = fragment_ipv4(ip_of_frame(&frame), 32).unwrap();
+        let frags = fragment_ipv4(&frame, 32).unwrap();
         let (_, v) = f.classify(&frags[0], not_diverted);
         assert_eq!(v, Verdict::Benign);
     }
@@ -746,13 +741,10 @@ mod tests {
     #[test]
     fn syn_establishes_expectation() {
         let mut f = fast();
-        let syn = {
-            let fr = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
-                .seq(999)
-                .flags(TcpFlags::SYN)
-                .build();
-            ip_of_frame(&fr).to_vec()
-        };
+        let syn = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+            .seq(999)
+            .flags(TcpFlags::SYN)
+            .build();
         f.classify(&syn, not_diverted);
         // Data at ISN+1 is in order.
         let (_, v) = f.classify(&pkt(1000, &[b'x'; 50]), not_diverted);
@@ -777,14 +769,11 @@ mod tests {
         let mut f = fast();
         f.classify(&pkt(1000, &[b'x'; 100]), not_diverted);
         // Reverse direction with its own sequence space.
-        let rev = {
-            let fr = TcpPacketSpec::new("10.0.0.2:80", "10.0.0.1:4000")
-                .seq(88_000)
-                .flags(TcpFlags::ACK.union(TcpFlags::PSH))
-                .payload(&[b'y'; 100])
-                .build();
-            ip_of_frame(&fr).to_vec()
-        };
+        let rev = TcpPacketSpec::new("10.0.0.2:80", "10.0.0.1:4000")
+            .seq(88_000)
+            .flags(TcpFlags::ACK.union(TcpFlags::PSH))
+            .payload(&[b'y'; 100])
+            .build();
         let (_, v) = f.classify(&rev, not_diverted);
         assert_eq!(v, Verdict::Benign, "reverse direction is independent");
     }
@@ -840,7 +829,7 @@ mod tests {
                     .flags(TcpFlags::ACK.union(TcpFlags::PSH))
                     .payload(b"hi") // one small segment per flow: within budget
                     .build();
-            let (_, v) = f.classify(ip_of_frame(&frame), not_diverted);
+            let (_, v) = f.classify(&frame, not_diverted);
             if matches!(v, Verdict::Divert(DivertReason::SmallSegments)) {
                 early_diverts += 1;
             }
@@ -858,7 +847,7 @@ mod tests {
                     .flags(TcpFlags::ACK.union(TcpFlags::PSH))
                     .payload(b"hi")
                     .build();
-            let (_, v) = f.classify(ip_of_frame(&frame), not_diverted);
+            let (_, v) = f.classify(&frame, not_diverted);
             assert_eq!(v, Verdict::Benign);
         }
     }
@@ -868,13 +857,10 @@ mod tests {
         let mut f = fast();
         f.classify(&pkt(1000, &[b'x'; 100]), not_diverted);
         assert_eq!(f.table_stats().insertions, 1);
-        let rst = {
-            let fr = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
-                .seq(1100)
-                .flags(TcpFlags::RST)
-                .build();
-            ip_of_frame(&fr).to_vec()
-        };
+        let rst = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+            .seq(1100)
+            .flags(TcpFlags::RST)
+            .build();
         let (_, v) = f.classify(&rst, not_diverted);
         assert_eq!(v, Verdict::Benign);
         assert_eq!(f.stats().reclaimed, 1);
@@ -895,7 +881,7 @@ mod tests {
             .flags(TcpFlags::ACK.union(TcpFlags::URG))
             .payload(b"urgent")
             .build();
-        let (_, v) = f.classify(ip_of_frame(&urg), not_diverted);
+        let (_, v) = f.classify(&urg, not_diverted);
         assert_eq!(v, Verdict::Divert(DivertReason::Urgent));
         assert_eq!(f.table_stats().insertions, 1);
         let (_, v) = f.classify(&pkt(1000, b"....ABCDEFGH...."), not_diverted);
@@ -909,11 +895,10 @@ mod tests {
     fn bidirectional_fins_reclaim() {
         let mut f = fast();
         let fin = |src: &str, dst: &str, seq: u32| {
-            let fr = TcpPacketSpec::new(src, dst)
+            TcpPacketSpec::new(src, dst)
                 .seq(seq)
                 .flags(TcpFlags::FIN.union(TcpFlags::ACK))
-                .build();
-            ip_of_frame(&fr).to_vec()
+                .build()
         };
         f.classify(&pkt(1000, &[b'x'; 100]), not_diverted);
         f.classify(&fin("10.0.0.1:4000", "10.0.0.2:80", 1100), not_diverted);

@@ -324,7 +324,7 @@ mod tests {
     use super::*;
     use crate::SplitDetect;
     use sd_ips::{Ips, Signature, SignatureSet};
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
     use sd_telemetry::to_text;
 
     fn engine() -> SplitDetect {
@@ -355,13 +355,10 @@ mod tests {
     fn report_renders_a_real_run() {
         let mut engine = engine();
         let mut out = Vec::new();
-        let pkt = {
-            let f = TcpPacketSpec::new("10.0.0.1:1000", "10.0.0.2:80")
-                .seq(1)
-                .payload(b"..EVIL_SIGNATURE_BYTES..")
-                .build();
-            ip_of_frame(&f).to_vec()
-        };
+        let pkt = TcpPacketSpec::new("10.0.0.1:1000", "10.0.0.2:80")
+            .seq(1)
+            .payload(b"..EVIL_SIGNATURE_BYTES..")
+            .build();
         engine.process_packet(&pkt, 0, &mut out);
         let text = to_text(&engine.metrics(), &EROSION_FAMILIES);
         assert_eq!(line(&text, "sd_flows_seen_total"), ["1"]);

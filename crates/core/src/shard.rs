@@ -840,12 +840,12 @@ mod tests {
         // shards keep detecting. Every attack shares one IP pair, hence
         // one shard; the dead one is its neighbour, so the survivors have
         // attacks to detect.
-        use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+        use sd_packet::builder::TcpPacketSpec;
         let labeled = mixed_trace(4);
         let spec = AttackSpec::simple(SIG);
         let endpoint = |(addr, port)| std::net::SocketAddrV4::new(addr, port);
         let attack = TcpPacketSpec::between(endpoint(spec.client), endpoint(spec.server)).build();
-        let dead = (shard_of(ip_of_frame(&attack), 4) + 1) % 4;
+        let dead = (shard_of(&attack, 4) + 1) % 4;
         let mut engine = ShardedSplitDetect::new_with_spawn_failures(
             sigs(),
             SplitDetectConfig::default(),
@@ -876,16 +876,15 @@ mod tests {
 
     #[test]
     fn reload_rules_swaps_detection_across_shards() {
-        use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+        use sd_packet::builder::TcpPacketSpec;
         use sd_packet::tcp::TcpFlags;
         const SIG2: &[u8] = b"FRESH_RULE_SIGNATURE_24!";
         let mk = |src: &str, payload: &[u8]| -> Vec<u8> {
-            let f = TcpPacketSpec::new(src, "10.0.0.2:80")
+            TcpPacketSpec::new(src, "10.0.0.2:80")
                 .seq(1000)
                 .flags(TcpFlags::ACK.union(TcpFlags::PSH))
                 .payload(payload)
-                .build();
-            ip_of_frame(&f).to_vec()
+                .build()
         };
         // Alerts carry the 5-tuple key (the slow path's canonical key),
         // unlike the IP-pair key the dispatcher shards on.

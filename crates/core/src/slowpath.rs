@@ -365,7 +365,7 @@ fn run_worker(
 mod tests {
     use super::*;
     use sd_ips::{Signature, SignatureSet};
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
     use sd_packet::tcp::TcpFlags;
 
     const SIG: &[u8] = b"EVIL_SIGNATURE_BYTES_24!";
@@ -384,12 +384,11 @@ mod tests {
     }
 
     fn pkt(src: &str, seq: u32, payload: &[u8]) -> (FlowKey, Vec<u8>) {
-        let f = TcpPacketSpec::new(src, "10.0.0.2:80")
+        let raw = TcpPacketSpec::new(src, "10.0.0.2:80")
             .seq(seq)
             .flags(TcpFlags::ACK.union(TcpFlags::PSH))
             .payload(payload)
             .build();
-        let raw = ip_of_frame(&f).to_vec();
         let parsed = sd_packet::parse::parse_ipv4(&raw).unwrap();
         (FlowKey::from_ip_pair(&parsed).unwrap(), raw)
     }

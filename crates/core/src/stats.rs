@@ -75,11 +75,6 @@ impl SplitDetectStats {
         self.fast.diverts[reason.index()]
     }
 
-    /// Total live state (fast + divert + slow), bytes.
-    pub fn total_state_bytes(&self) -> u64 {
-        self.fast_state_bytes + self.divert_state_bytes + self.slow_state_bytes
-    }
-
     /// Element-wise sum across shards: counters add, state bytes add
     /// (each shard provisions its own tables), peaks add as well since the
     /// shards run concurrently. The automaton is one compile every shard
@@ -192,14 +187,5 @@ mod tests {
         assert_eq!((t.flow_table_entries, t.flow_table_evictions), (3, 7));
         assert_eq!(t.automaton_bytes, 4096, "one shared compile");
         assert!(SplitDetectStats::aggregate(&[]).is_none());
-    }
-
-    #[test]
-    fn state_totals() {
-        let mut s = zeroed();
-        s.fast_state_bytes = 100;
-        s.divert_state_bytes = 20;
-        s.slow_state_bytes = 300;
-        assert_eq!(s.total_state_bytes(), 420);
     }
 }

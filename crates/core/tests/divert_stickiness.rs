@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use sd_ips::api::run_trace;
 use sd_ips::{Ips, Signature, SignatureSet};
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+use sd_packet::builder::TcpPacketSpec;
 use sd_packet::tcp::TcpFlags;
 use splitdetect::fastpath::SmallCounterBackend;
 use splitdetect::{EvictionPolicy, SplitDetect, SplitDetectConfig, EROSION_FAMILIES};
@@ -24,12 +24,11 @@ fn sigs() -> SignatureSet {
 
 /// A data packet on the flow `src_ip:4000 → 10.0.0.2:80`.
 fn pkt(src_ip: &str, seq: u32, payload: &[u8]) -> Vec<u8> {
-    let f = TcpPacketSpec::new(&format!("{src_ip}:4000"), "10.0.0.2:80")
+    TcpPacketSpec::new(&format!("{src_ip}:4000"), "10.0.0.2:80")
         .seq(seq)
         .flags(TcpFlags::ACK.union(TcpFlags::PSH))
         .payload(payload)
-        .build();
-    ip_of_frame(&f).to_vec()
+        .build()
 }
 
 /// First half of the signature: carries piece 0 (7 bytes) whole, so the

@@ -225,7 +225,7 @@ fn rst_counter_reset_is_not_an_evasion() {
     // hope to interleave RSTs between small segments to keep resetting the
     // small-segment budget. But RST aborts the victim's connection, so the
     // payload never arrives — the "evasion" defeats its own attack (A2).
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
     use sd_packet::tcp::TcpFlags;
 
     let payload = {
@@ -242,13 +242,13 @@ fn rst_counter_reset_is_not_an_evasion() {
             .flags(TcpFlags::ACK.union(TcpFlags::PSH))
             .payload(&payload[off..end])
             .build();
-        packets.push(ip_of_frame(&f).to_vec());
+        packets.push(f);
         // One RST after every small segment, hoping to reset counters.
         let rst = TcpPacketSpec::new("10.66.0.9:31000", "10.0.0.2:80")
             .seq(1000 + end as u32)
             .flags(TcpFlags::RST)
             .build();
-        packets.push(ip_of_frame(&rst).to_vec());
+        packets.push(rst);
         off = end;
     }
 

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use sd_ips::api::run_trace;
 use sd_ips::{Signature, SignatureSet};
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+use sd_packet::builder::TcpPacketSpec;
 use sd_packet::tcp::TcpFlags;
 use splitdetect::split::{balanced_cuts, PieceOrigin};
 use splitdetect::{SplitDetect, SplitDetectConfig, SplitPlan};
@@ -18,20 +18,18 @@ fn sigs() -> SignatureSet {
 }
 
 fn syn() -> Vec<u8> {
-    let f = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+    TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
         .seq(999)
         .flags(TcpFlags::SYN)
-        .build();
-    ip_of_frame(&f).to_vec()
+        .build()
 }
 
 fn pkt(seq: u32, payload: &[u8]) -> Vec<u8> {
-    let f = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+    TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
         .seq(seq)
         .flags(TcpFlags::ACK.union(TcpFlags::PSH))
         .payload(payload)
-        .build();
-    ip_of_frame(&f).to_vec()
+        .build()
 }
 
 /// Cut `len` into random segments from a seed.

@@ -10,7 +10,7 @@
 
 use sd_ips::api::run_trace;
 use sd_ips::{Alert, Signature, SignatureSet};
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+use sd_packet::builder::TcpPacketSpec;
 use sd_packet::tcp::TcpFlags;
 use splitdetect::{ShardedSplitDetect, SplitDetect, SplitDetectConfig};
 
@@ -21,20 +21,18 @@ fn sigs() -> SignatureSet {
 }
 
 fn syn(isn: u32, sport: u16) -> Vec<u8> {
-    let f = TcpPacketSpec::new(&format!("10.0.0.1:{sport}"), "10.0.0.2:80")
+    TcpPacketSpec::new(&format!("10.0.0.1:{sport}"), "10.0.0.2:80")
         .seq(isn)
         .flags(TcpFlags::SYN)
-        .build();
-    ip_of_frame(&f).to_vec()
+        .build()
 }
 
 fn data(seq: u32, sport: u16, payload: &[u8]) -> Vec<u8> {
-    let f = TcpPacketSpec::new(&format!("10.0.0.1:{sport}"), "10.0.0.2:80")
+    TcpPacketSpec::new(&format!("10.0.0.1:{sport}"), "10.0.0.2:80")
         .seq(seq)
         .flags(TcpFlags::ACK.union(TcpFlags::PSH))
         .payload(payload)
-        .build();
-    ip_of_frame(&f).to_vec()
+        .build()
 }
 
 /// An in-order stream whose payload crosses `u32::MAX`, cut into `seg`-byte

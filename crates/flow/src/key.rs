@@ -93,18 +93,18 @@ impl FlowKey {
         }
     }
 
-    /// Extract a key from a parsed frame.
+    /// Extract a key from a parsed packet.
     ///
     /// Fragments key on the IP pair alone (ports unavailable past the first
     /// fragment — exactly the ambiguity evasions exploit, so the fast path
-    /// never trusts fragment ports). Non-IP frames have no flow key.
+    /// never trusts fragment ports). `None` only if `parsed.ipv4` is, which
+    /// `parse_ipv4` never returns.
     pub fn from_parsed(parsed: &Parsed<'_>) -> Option<(FlowKey, Direction)> {
         let ip = parsed.ipv4.as_ref()?;
         let (src_port, dst_port) = match &parsed.transport {
             Transport::Tcp(t) => (t.repr.src_port, t.repr.dst_port),
             Transport::Udp(u) => (u.src_port, u.dst_port),
             Transport::Fragment(_) | Transport::Other(_) => (0, 0),
-            Transport::NonIp => return None,
         };
         let proto = match ip.protocol {
             Protocol::Tcp => 6,
@@ -130,9 +130,6 @@ impl FlowKey {
     /// it belongs to — on the same shard.
     pub fn from_ip_pair(parsed: &Parsed<'_>) -> Option<FlowKey> {
         let ip = parsed.ipv4.as_ref()?;
-        if matches!(parsed.transport, Transport::NonIp) {
-            return None;
-        }
         let proto = match ip.protocol {
             Protocol::Tcp => 6,
             Protocol::Udp => 17,
@@ -198,7 +195,7 @@ impl fmt::Display for FlowKey {
 mod tests {
     use super::*;
     use sd_packet::builder::TcpPacketSpec;
-    use sd_packet::parse::parse_ethernet;
+    use sd_packet::parse::parse_ipv4;
 
     fn key(src: &str, sp: u16, dst: &str, dp: u16) -> (FlowKey, Direction) {
         FlowKey::from_endpoints(6, (src.parse().unwrap(), sp), (dst.parse().unwrap(), dp))
@@ -234,8 +231,8 @@ mod tests {
 
     #[test]
     fn from_parsed_tcp_frame() {
-        let frame = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80").build();
-        let parsed = parse_ethernet(&frame).unwrap();
+        let packet = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80").build();
+        let parsed = parse_ipv4(&packet).unwrap();
         let (k, _) = FlowKey::from_parsed(&parsed).unwrap();
         assert_eq!(k.proto, 6);
         assert_eq!(k.port_a, 4000);
@@ -244,10 +241,12 @@ mod tests {
 
     #[test]
     fn non_ip_has_no_key() {
-        let mut frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2").build();
-        frame[12..14].copy_from_slice(&0x0806u16.to_be_bytes());
-        let parsed = parse_ethernet(&frame).unwrap();
+        let parsed = Parsed {
+            ipv4: None,
+            transport: Transport::Other(&[]),
+        };
         assert!(FlowKey::from_parsed(&parsed).is_none());
+        assert!(FlowKey::from_ip_pair(&parsed).is_none());
     }
 
     #[test]

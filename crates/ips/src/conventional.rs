@@ -326,7 +326,7 @@ mod tests {
     use super::*;
     use crate::api::run_trace;
     use crate::signature::Signature;
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
     use sd_packet::frag::fragment_ipv4;
     use sd_packet::tcp::TcpFlags;
 
@@ -340,12 +340,11 @@ mod tests {
     }
 
     fn tcp_pkt(seq: u32, payload: &[u8]) -> Vec<u8> {
-        let frame = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+        TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
             .seq(seq)
             .flags(TcpFlags::ACK)
             .payload(payload)
-            .build();
-        ip_of_frame(&frame).to_vec()
+            .build()
     }
 
     #[test]
@@ -393,13 +392,10 @@ mod tests {
         // adopts the first-seen segment as the base and cannot place
         // earlier-sequence data (the documented mid-stream limitation).
         let mut ips = ConventionalIps::new(sigs());
-        let syn = {
-            let f = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
-                .seq(999)
-                .flags(TcpFlags::SYN)
-                .build();
-            ip_of_frame(&f).to_vec()
-        };
+        let syn = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+            .seq(999)
+            .flags(TcpFlags::SYN)
+            .build();
         let pkts = [
             syn,
             tcp_pkt(1013, b"ATURE_BYTES...."),
@@ -417,7 +413,7 @@ mod tests {
             .payload(b"____EVIL_SIGNATURE_BYTES____")
             .dont_frag(false)
             .build();
-        let frags = fragment_ipv4(ip_of_frame(&frame), 16).unwrap();
+        let frags = fragment_ipv4(&frame, 16).unwrap();
         let alerts = run_trace(&mut ips, frags.iter().map(|p| p.as_slice()));
         assert_eq!(alerts.len(), 1, "defrag must restore the datagram");
     }
@@ -445,13 +441,12 @@ mod tests {
         // after reassembly) actually receives.
         let mut ips = ConventionalIps::new(sigs()); // First policy
         let twin = {
-            let f = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+            let mut ip = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
                 .seq(1000)
                 .flags(TcpFlags::ACK)
                 .payload(b"garbage_bytes_here_x_garb")
                 .dont_frag(false)
                 .build();
-            let mut ip = ip_of_frame(&f).to_vec();
             let last = ip.len() - 1;
             ip[last] ^= 0xff; // corrupt payload; TCP checksum now wrong
             ip
@@ -479,13 +474,10 @@ mod tests {
         // connections would lose the buffered half.
         let mut ips = ConventionalIps::new(sigs());
         let mut out = Vec::new();
-        let syn = {
-            let f = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
-                .seq(999)
-                .flags(TcpFlags::SYN)
-                .build();
-            ip_of_frame(&f).to_vec()
-        };
+        let syn = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+            .seq(999)
+            .flags(TcpFlags::SYN)
+            .build();
         ips.process_packet(&syn, 0, &mut out);
         ips.process_packet(&tcp_pkt(1013, b"ATURE_BYTES...."), 1, &mut out);
         assert_eq!(ips.connection_count(), 1);
@@ -580,12 +572,11 @@ mod tests {
     fn both_directions_scanned_independently() {
         let mut ips = ConventionalIps::new(sigs());
         let fwd = tcp_pkt(1000, b"EVIL_SIGNA");
-        let frame = TcpPacketSpec::new("10.0.0.2:80", "10.0.0.1:4000")
+        let bwd = TcpPacketSpec::new("10.0.0.2:80", "10.0.0.1:4000")
             .seq(2000)
             .flags(TcpFlags::ACK)
             .payload(b"TURE_BYTES")
             .build();
-        let bwd = ip_of_frame(&frame).to_vec();
         // Halves on *different directions* must NOT concatenate.
         let alerts = run_trace(&mut ips, [fwd.as_slice(), bwd.as_slice()]);
         assert!(alerts.is_empty(), "directions are separate streams");
@@ -595,22 +586,16 @@ mod tests {
     fn connection_state_reclaimed_on_close() {
         let mut ips = ConventionalIps::new(sigs());
         let mut alerts = Vec::new();
-        let syn = {
-            let f = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
-                .seq(999)
-                .flags(TcpFlags::SYN)
-                .build();
-            ip_of_frame(&f).to_vec()
-        };
+        let syn = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+            .seq(999)
+            .flags(TcpFlags::SYN)
+            .build();
         ips.process_packet(&syn, 0, &mut alerts);
         assert_eq!(ips.connection_count(), 1);
-        let rst = {
-            let f = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
-                .seq(1000)
-                .flags(TcpFlags::RST)
-                .build();
-            ip_of_frame(&f).to_vec()
-        };
+        let rst = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+            .seq(1000)
+            .flags(TcpFlags::RST)
+            .build();
         ips.process_packet(&rst, 1, &mut alerts);
         assert_eq!(ips.connection_count(), 0, "RST must reclaim state");
         assert_eq!(ips.resources().state_bytes, 0);
@@ -632,7 +617,7 @@ mod tests {
                 .flags(TcpFlags::ACK)
                 .payload(b"hello")
                 .build();
-            ips.process_packet(ip_of_frame(&f), i as u64, &mut alerts);
+            ips.process_packet(&f, i as u64, &mut alerts);
         }
         assert!(ips.connection_count() <= 4);
         assert_eq!(ips.evictions(), 4);
@@ -656,7 +641,7 @@ mod tests {
             .build();
         let pkts = [
             tcp_pkt(1000, b"....EVIL_SIGN"),
-            ip_of_frame(&other).to_vec(),
+            other,
             tcp_pkt(1013, b"ATURE_BYTES...."),
         ];
         let alerts = run_trace(&mut ips, pkts.iter().map(|p| p.as_slice()));
@@ -684,7 +669,7 @@ mod tests {
         let f = UdpPacketSpec::new("10.0.0.1:53", "10.0.0.2:53")
             .payload(b"..EVIL_SIGNATURE_BYTES..")
             .build();
-        let alerts = run_trace(&mut ips, [ip_of_frame(&f)]);
+        let alerts = run_trace(&mut ips, [f.as_slice()]);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].source, AlertSource::Packet);
     }

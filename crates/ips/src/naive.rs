@@ -73,7 +73,6 @@ impl Ips for NaivePacketIps {
             // Scans raw fragment payloads too — the best a stateless engine
             // can do, and still evadable by construction.
             Transport::Fragment(raw) | Transport::Other(raw) => self.scan(flow, raw, out),
-            Transport::NonIp => {}
         }
         // Stateless: per-flow state is identically zero.
         self.usage.observe_state(0);
@@ -91,18 +90,17 @@ mod tests {
     use super::*;
     use crate::api::run_trace;
     use crate::signature::Signature;
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
 
     fn sigs() -> SignatureSet {
         SignatureSet::from_signatures([Signature::new("evil", &b"EVIL_SIGNATURE_BYTES"[..])])
     }
 
     fn tcp_pkt(seq: u32, payload: &[u8]) -> Vec<u8> {
-        let frame = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+        TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
             .seq(seq)
             .payload(payload)
-            .build();
-        ip_of_frame(&frame).to_vec()
+            .build()
     }
 
     #[test]
@@ -141,7 +139,7 @@ mod tests {
             .payload(b"....EVIL_SIGNATURE_BYTES....")
             .dont_frag(false)
             .build();
-        let frags = fragment_ipv4(ip_of_frame(&frame), 8).unwrap();
+        let frags = fragment_ipv4(&frame, 8).unwrap();
         let mut ips = NaivePacketIps::new(sigs());
         let alerts = run_trace(&mut ips, frags.iter().map(|p| p.as_slice()));
         assert!(

@@ -716,7 +716,7 @@ mod tests {
     fn engine_detects_rule_loaded_signature() {
         use crate::api::run_trace;
         use crate::conventional::ConventionalIps;
-        use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+        use sd_packet::builder::TcpPacketSpec;
 
         let set = parse_rules(
             r#"alert tcp any any -> any any (msg:"hexsig"; content:"|45 56 49 4c|_PAYLOAD_BYTES"; sid:42;)"#,
@@ -727,7 +727,7 @@ mod tests {
             .seq(1)
             .payload(b"...EVIL_PAYLOAD_BYTES...")
             .build();
-        let alerts = run_trace(&mut ips, [ip_of_frame(&frame)]);
+        let alerts = run_trace(&mut ips, [frame.as_slice()]);
         assert_eq!(alerts.len(), 1);
         assert_eq!(set.rules[alerts[0].signature].sid, 42);
     }

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use sd_ips::stream::{StreamScanner, StreamTail};
 use sd_ips::{ConventionalIps, Ips, Signature, SignatureSet};
 use sd_match::{naive, PatternId};
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+use sd_packet::builder::TcpPacketSpec;
 use sd_packet::tcp::TcpFlags;
 use sd_traffic::victim::{receive_stream, VictimConfig};
 
@@ -45,13 +45,12 @@ fn lcg(state: &mut u64) -> u64 {
 }
 
 fn packet(seq: u32, flags: TcpFlags, urgent: u16, payload: &[u8]) -> Vec<u8> {
-    let frame = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+    TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
         .seq(seq)
         .flags(flags)
         .urgent(urgent)
         .payload(payload)
-        .build();
-    ip_of_frame(&frame).to_vec()
+        .build()
 }
 
 proptest! {

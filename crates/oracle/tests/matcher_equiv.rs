@@ -89,7 +89,6 @@ fn scan_inputs(compiled: &CompiledTrace) -> Vec<&[u8]> {
                 Transport::Tcp(t) => inputs.push(t.payload),
                 Transport::Udp(u) => inputs.push(u.payload),
                 Transport::Fragment(raw) | Transport::Other(raw) => inputs.push(raw),
-                Transport::NonIp => {}
             }
         }
     }

@@ -1,11 +1,10 @@
-//! Builders that emit complete, checksummed Ethernet/IPv4/TCP|UDP frames.
+//! Builders that emit complete, checksummed IPv4/TCP|UDP packets.
 //!
 //! The traffic generator, the evasion transforms and hundreds of tests all
-//! need "give me a well-formed frame with these fields" — this module is
-//! that one place. Builders always produce frames that parse back through
-//! [`crate::parse`] and verify all checksums.
+//! need "give me a well-formed packet with these fields" — this module is
+//! that one place. Builders always produce packets that parse back through
+//! [`crate::parse::parse_ipv4`] and verify all checksums.
 
-use crate::ethernet::{EtherAddr, EtherType, EthernetFrame, EthernetRepr, HEADER_LEN as ETH_LEN};
 use crate::ipv4::{Ipv4Packet, Ipv4Repr, Protocol, MIN_HEADER_LEN as IP_LEN};
 use crate::seq::SeqNumber;
 use crate::tcp::{TcpFlags, TcpRepr, TcpSegment, MIN_HEADER_LEN as TCP_LEN};
@@ -17,15 +16,7 @@ fn parse_endpoint(s: &str) -> SocketAddrV4 {
         .unwrap_or_else(|_| panic!("endpoint must be `a.b.c.d:port`, got {s:?}"))
 }
 
-fn default_src_mac() -> EtherAddr {
-    EtherAddr([0x02, 0, 0, 0, 0, 0x01])
-}
-
-fn default_dst_mac() -> EtherAddr {
-    EtherAddr([0x02, 0, 0, 0, 0, 0x02])
-}
-
-/// Builder for a complete TCP/IPv4/Ethernet frame.
+/// Builder for a complete TCP/IPv4 packet.
 ///
 /// ```
 /// use sd_packet::builder::TcpPacketSpec;
@@ -35,7 +26,7 @@ fn default_dst_mac() -> EtherAddr {
 ///     .flags(TcpFlags::SYN)
 ///     .seq(1)
 ///     .build();
-/// assert!(sd_packet::parse::is_well_formed(&syn));
+/// assert!(sd_packet::parse::parse_ipv4(&syn).unwrap().tcp().is_some());
 /// ```
 #[derive(Debug, Clone)]
 pub struct TcpPacketSpec {
@@ -151,23 +142,13 @@ impl TcpPacketSpec {
         self.payload.len()
     }
 
-    /// Emit the complete frame.
+    /// Emit the complete IPv4 packet.
     pub fn build(&self) -> Vec<u8> {
         let tcp_len = TCP_LEN + self.options.len() + self.payload.len();
-        let ip_len = IP_LEN + tcp_len;
-        let mut frame = vec![0u8; ETH_LEN + ip_len];
-
-        let mut eth = EthernetFrame::new_unchecked(&mut frame[..]);
-        EthernetRepr {
-            src: default_src_mac(),
-            dst: default_dst_mac(),
-            ethertype: EtherType::Ipv4,
-        }
-        .emit(&mut eth);
+        let mut packet = vec![0u8; IP_LEN + tcp_len];
 
         {
-            let ip_buf = &mut frame[ETH_LEN..];
-            let mut ip = Ipv4Packet::new_unchecked(&mut ip_buf[..]);
+            let mut ip = Ipv4Packet::new_unchecked(&mut packet[..]);
             Ipv4Repr {
                 src: *self.src.ip(),
                 dst: *self.dst.ip(),
@@ -183,7 +164,7 @@ impl TcpPacketSpec {
         }
 
         {
-            let tcp_buf = &mut frame[ETH_LEN + IP_LEN..];
+            let tcp_buf = &mut packet[IP_LEN..];
             let mut tcp = TcpSegment::new_unchecked(&mut tcp_buf[..]);
             TcpRepr {
                 src_port: self.src.port(),
@@ -204,11 +185,11 @@ impl TcpPacketSpec {
             tcp.fill_checksum(*self.src.ip(), *self.dst.ip());
         }
 
-        frame
+        packet
     }
 }
 
-/// Builder for a complete UDP/IPv4/Ethernet frame.
+/// Builder for a complete UDP/IPv4 packet.
 #[derive(Debug, Clone)]
 pub struct UdpPacketSpec {
     src: SocketAddrV4,
@@ -248,23 +229,13 @@ impl UdpPacketSpec {
         self
     }
 
-    /// Emit the complete frame.
+    /// Emit the complete IPv4 packet.
     pub fn build(&self) -> Vec<u8> {
         let udp_len = UDP_LEN + self.payload.len();
-        let ip_len = IP_LEN + udp_len;
-        let mut frame = vec![0u8; ETH_LEN + ip_len];
-
-        let mut eth = EthernetFrame::new_unchecked(&mut frame[..]);
-        EthernetRepr {
-            src: default_src_mac(),
-            dst: default_dst_mac(),
-            ethertype: EtherType::Ipv4,
-        }
-        .emit(&mut eth);
+        let mut packet = vec![0u8; IP_LEN + udp_len];
 
         {
-            let ip_buf = &mut frame[ETH_LEN..];
-            let mut ip = Ipv4Packet::new_unchecked(&mut ip_buf[..]);
+            let mut ip = Ipv4Packet::new_unchecked(&mut packet[..]);
             Ipv4Repr {
                 src: *self.src.ip(),
                 dst: *self.dst.ip(),
@@ -280,7 +251,7 @@ impl UdpPacketSpec {
         }
 
         {
-            let udp_buf = &mut frame[ETH_LEN + IP_LEN..];
+            let udp_buf = &mut packet[IP_LEN..];
             let mut udp = UdpDatagram::new_unchecked(&mut udp_buf[..]);
             udp.set_src_port(self.src.port());
             udp.set_dst_port(self.dst.port());
@@ -289,34 +260,14 @@ impl UdpPacketSpec {
             udp.fill_checksum(*self.src.ip(), *self.dst.ip());
         }
 
-        frame
+        packet
     }
-}
-
-/// Extract the IPv4 packet (header + payload) from an Ethernet frame built
-/// by this module. Panics if the frame is shorter than an Ethernet header.
-pub fn ip_of_frame(frame: &[u8]) -> &[u8] {
-    &frame[ETH_LEN..]
-}
-
-/// Wrap a standalone IPv4 packet back into an Ethernet frame.
-pub fn frame_of_ip(ip: &[u8]) -> Vec<u8> {
-    let mut frame = vec![0u8; ETH_LEN + ip.len()];
-    let mut eth = EthernetFrame::new_unchecked(&mut frame[..]);
-    EthernetRepr {
-        src: default_src_mac(),
-        dst: default_dst_mac(),
-        ethertype: EtherType::Ipv4,
-    }
-    .emit(&mut eth);
-    frame[ETH_LEN..].copy_from_slice(ip);
-    frame
 }
 
 #[cfg(test)]
 mod tests_options {
     use super::*;
-    use crate::parse::parse_ethernet;
+    use crate::parse::parse_ipv4;
     use crate::tcp::{TcpFlags, TcpOption, TcpSegment};
 
     #[test]
@@ -327,15 +278,15 @@ mod tests_options {
             TcpOption::WindowScale(7),
             TcpOption::Timestamps(12345, 0),
         ];
-        let frame = TcpPacketSpec::new("10.0.0.1:1000", "10.0.0.2:80")
+        let packet = TcpPacketSpec::new("10.0.0.1:1000", "10.0.0.2:80")
             .flags(TcpFlags::SYN)
             .tcp_options(&opts)
             .payload(b"")
             .build();
-        let parsed = parse_ethernet(&frame).expect("well-formed with options");
+        let parsed = parse_ipv4(&packet).expect("well-formed with options");
         assert!(parsed.tcp().is_some());
 
-        let seg = TcpSegment::new_checked(&frame[crate::ethernet::HEADER_LEN + 20..]).unwrap();
+        let seg = TcpSegment::new_checked(&packet[IP_LEN..]).unwrap();
         let got: Vec<TcpOption> = seg.option_iter().map(|o| o.unwrap()).collect();
         // NOP padding may be appended; the real options must appear in order.
         let real: Vec<TcpOption> = got.into_iter().filter(|o| *o != TcpOption::Nop).collect();
@@ -345,11 +296,11 @@ mod tests_options {
 
     #[test]
     fn options_with_payload_keep_payload_intact() {
-        let frame = TcpPacketSpec::new("10.0.0.1:1000", "10.0.0.2:80")
+        let packet = TcpPacketSpec::new("10.0.0.1:1000", "10.0.0.2:80")
             .tcp_options(&[TcpOption::Mss(536)])
             .payload(b"hello-options")
             .build();
-        let parsed = parse_ethernet(&frame).unwrap();
+        let parsed = parse_ipv4(&packet).unwrap();
         assert_eq!(parsed.tcp().unwrap().payload, b"hello-options");
     }
 
@@ -373,17 +324,18 @@ mod tests_options {
 mod tests {
     use super::*;
     use crate::ipv4::Ipv4Packet;
-    use crate::parse::parse_ethernet;
+    use crate::parse::parse_ipv4;
     use crate::tcp::TcpSegment;
 
     #[test]
     fn tcp_frame_checksums_verify() {
-        let frame = TcpPacketSpec::new("192.168.0.1:1111", "192.168.0.2:2222")
+        let packet = TcpPacketSpec::new("192.168.0.1:1111", "192.168.0.2:2222")
             .seq(42)
             .ack(7)
             .payload(b"data bytes here")
             .build();
-        let ip = Ipv4Packet::new_checked(ip_of_frame(&frame)).unwrap();
+        let ip = Ipv4Packet::new_checked(&packet[..]).unwrap();
+        assert_eq!(usize::from(ip.total_len()), packet.len());
         assert!(ip.verify_checksum());
         let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
         assert!(tcp.verify_checksum(ip.src_addr(), ip.dst_addr()));
@@ -392,32 +344,23 @@ mod tests {
 
     #[test]
     fn udp_frame_checksums_verify() {
-        let frame = UdpPacketSpec::new("192.168.0.1:1111", "8.8.8.8:53")
+        let packet = UdpPacketSpec::new("192.168.0.1:1111", "8.8.8.8:53")
             .payload(b"q")
             .build();
-        let p = parse_ethernet(&frame).unwrap();
+        let p = parse_ipv4(&packet).unwrap();
         let udp = p.udp().unwrap();
         assert_eq!(udp.payload, b"q");
-        let ip = Ipv4Packet::new_checked(ip_of_frame(&frame)).unwrap();
+        let ip = Ipv4Packet::new_checked(&packet[..]).unwrap();
+        assert_eq!(usize::from(ip.total_len()), packet.len());
         let dg = UdpDatagram::new_checked(ip.payload()).unwrap();
         assert!(dg.verify_checksum(ip.src_addr(), ip.dst_addr()));
     }
 
     #[test]
     fn empty_payload_allowed() {
-        let frame = TcpPacketSpec::new("1.2.3.4:5", "6.7.8.9:10").build();
-        let p = parse_ethernet(&frame).unwrap();
+        let packet = TcpPacketSpec::new("1.2.3.4:5", "6.7.8.9:10").build();
+        let p = parse_ipv4(&packet).unwrap();
         assert_eq!(p.tcp().unwrap().payload, b"");
-    }
-
-    #[test]
-    fn frame_ip_roundtrip() {
-        let frame = TcpPacketSpec::new("1.2.3.4:5", "6.7.8.9:10")
-            .payload(b"x")
-            .build();
-        let ip = ip_of_frame(&frame).to_vec();
-        let again = frame_of_ip(&ip);
-        assert_eq!(frame, again);
     }
 
     #[test]
@@ -428,10 +371,10 @@ mod tests {
 
     #[test]
     fn urgent_sets_urg_flag() {
-        let frame = TcpPacketSpec::new("1.2.3.4:5", "6.7.8.9:10")
+        let packet = TcpPacketSpec::new("1.2.3.4:5", "6.7.8.9:10")
             .urgent(3)
             .build();
-        let p = parse_ethernet(&frame).unwrap();
+        let p = parse_ipv4(&packet).unwrap();
         assert!(p.tcp().unwrap().repr.flags.urg());
         assert_eq!(p.tcp().unwrap().repr.urgent, 3);
     }

@@ -76,15 +76,14 @@ pub fn coverage(fragments: &[Vec<u8>]) -> Result<Vec<(u16, usize, bool)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{ip_of_frame, TcpPacketSpec};
+    use crate::builder::TcpPacketSpec;
 
     fn tcp_ip_packet(payload_len: usize) -> Vec<u8> {
         let payload: Vec<u8> = (0..payload_len).map(|i| (i % 251) as u8).collect();
-        let frame = TcpPacketSpec::new("10.0.0.1:1000", "10.0.0.2:80")
+        TcpPacketSpec::new("10.0.0.1:1000", "10.0.0.2:80")
             .dont_frag(false)
             .payload(&payload)
-            .build();
-        ip_of_frame(&frame).to_vec()
+            .build()
     }
 
     #[test]
@@ -151,11 +150,10 @@ mod tests {
 
     #[test]
     fn rejects_df_and_tiny_unit() {
-        let frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
+        let pkt = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
             .payload(&[0u8; 64])
             .build(); // DF set by default
-        let pkt = ip_of_frame(&frame);
-        assert_eq!(fragment_ipv4(pkt, 32).unwrap_err(), Error::Malformed);
+        assert_eq!(fragment_ipv4(&pkt, 32).unwrap_err(), Error::Malformed);
         let pkt2 = tcp_ip_packet(64);
         assert_eq!(fragment_ipv4(&pkt2, 7).unwrap_err(), Error::Malformed);
     }

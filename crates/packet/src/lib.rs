@@ -1,17 +1,17 @@
 //! # sd-packet — wire formats for the Split-Detect reproduction
 //!
 //! Zero-copy, smoltcp-style packet views and owned `Repr` types for the
-//! protocols the paper's data path touches:
+//! protocols the paper's data path touches. Packets are IPv4 from builder
+//! to engine; link headers are stripped at the capture source.
 //!
-//! * [`ethernet`] — Ethernet II frames,
 //! * [`ipv4`] — IPv4 headers including the fragmentation fields,
 //! * [`tcp`] — TCP segments with option parsing and wrapping
 //!   sequence-number arithmetic ([`seq`]),
 //! * [`udp`] — UDP datagrams,
 //! * [`checksum`] — the RFC 1071 Internet checksum and pseudo-header sums,
-//! * [`builder`] — convenience builders that emit complete frames,
+//! * [`builder`] — convenience builders that emit complete IPv4 packets,
 //! * [`frag`] — IPv4 fragmentation of complete packets,
-//! * [`parse`] — one-shot layered parsing of a full frame.
+//! * [`parse`] — one-shot layered parsing of a full IPv4 packet.
 //!
 //! ## Design
 //!
@@ -30,12 +30,12 @@
 //! ```
 //! use sd_packet::builder::TcpPacketSpec;
 //!
-//! // Build a TCP/IPv4/Ethernet frame carrying "GET / HTTP/1.1".
-//! let frame = TcpPacketSpec::new("10.0.0.1:1234", "10.0.0.2:80")
+//! // Build a TCP/IPv4 packet carrying "GET / HTTP/1.1".
+//! let packet = TcpPacketSpec::new("10.0.0.1:1234", "10.0.0.2:80")
 //!     .seq(1000)
 //!     .payload(b"GET / HTTP/1.1")
 //!     .build();
-//! let parsed = sd_packet::parse::parse_ethernet(&frame).unwrap();
+//! let parsed = sd_packet::parse::parse_ipv4(&packet).unwrap();
 //! let tcp = parsed.tcp().unwrap();
 //! assert_eq!(tcp.payload, b"GET / HTTP/1.1");
 //! ```
@@ -46,7 +46,6 @@
 pub mod builder;
 pub mod checksum;
 pub mod error;
-pub mod ethernet;
 pub mod frag;
 pub mod ipv4;
 pub mod parse;

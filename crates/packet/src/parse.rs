@@ -1,12 +1,12 @@
-//! One-shot layered parsing of a captured frame.
+//! One-shot layered parsing of an IPv4 packet.
 //!
-//! The IPS fast path wants a single cheap call that classifies a frame and
+//! The IPS fast path wants a single cheap call that classifies a packet and
 //! exposes the fields the detection logic needs — without copying and
-//! without constructing intermediate objects per layer. [`parse_ethernet`]
-//! and [`parse_ipv4`] provide that.
+//! without constructing intermediate objects per layer. [`parse_ipv4`]
+//! provides that. Link headers never reach it: the capture sources strip
+//! them and keep only IPv4 frames.
 
 use crate::error::Result;
-use crate::ethernet::{EtherType, EthernetFrame, EthernetRepr};
 use crate::ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
 use crate::tcp::{TcpRepr, TcpSegment};
 use crate::udp::UdpDatagram;
@@ -46,16 +46,14 @@ pub enum Transport<'a> {
     Fragment(&'a [u8]),
     /// Some other IP protocol; raw IP payload exposed.
     Other(&'a [u8]),
-    /// Not IPv4 at all (ARP, IPv6, …).
-    NonIp,
 }
 
-/// A fully parsed frame.
+/// A fully parsed packet.
 #[derive(Debug, Clone)]
 pub struct Parsed<'a> {
-    /// Ethernet header.
-    pub ethernet: EthernetRepr,
-    /// IPv4 header, when the frame carries IPv4.
+    /// IPv4 header. Always `Some` since [`parse_ipv4`] is the only parser;
+    /// it stays an `Option` because the end-to-end benchmark matches
+    /// `Some(ip)` on it.
     pub ipv4: Option<Ipv4Repr>,
     /// Transport layer classification.
     pub transport: Transport<'a>,
@@ -78,37 +76,16 @@ impl<'a> Parsed<'a> {
         }
     }
 
-    /// True if this frame is an IP fragment.
+    /// True if this packet is an IP fragment.
     pub fn is_fragment(&self) -> bool {
         matches!(self.transport, Transport::Fragment(_))
     }
 }
 
-/// Parse a complete Ethernet frame down to the transport layer.
+/// Parse an IPv4 packet down to the transport layer.
 ///
-/// Frames that are not IPv4 parse successfully with
-/// [`Transport::NonIp`]; malformed IPv4 or transport headers are errors
-/// (a normalizing IPS drops them, and the fast path counts them).
-pub fn parse_ethernet(frame: &[u8]) -> Result<Parsed<'_>> {
-    let eth = EthernetFrame::new_checked(frame)?;
-    let ethernet = EthernetRepr::parse(&eth);
-    if ethernet.ethertype != EtherType::Ipv4 {
-        return Ok(Parsed {
-            ethernet,
-            ipv4: None,
-            transport: Transport::NonIp,
-        });
-    }
-    let payload = &frame[crate::ethernet::HEADER_LEN..];
-    let inner = parse_ipv4(payload)?;
-    Ok(Parsed {
-        ethernet,
-        ipv4: inner.ipv4,
-        transport: inner.transport,
-    })
-}
-
-/// Parse a standalone IPv4 packet down to the transport layer.
+/// Malformed IPv4 or transport headers are errors (a normalizing IPS drops
+/// them, and the fast path counts them).
 pub fn parse_ipv4(packet: &[u8]) -> Result<Parsed<'_>> {
     let ip = Ipv4Packet::new_checked(packet)?;
     let repr = Ipv4Repr::parse(&ip);
@@ -142,20 +119,9 @@ pub fn parse_ipv4(packet: &[u8]) -> Result<Parsed<'_>> {
     };
 
     Ok(Parsed {
-        ethernet: EthernetRepr {
-            src: Default::default(),
-            dst: Default::default(),
-            ethertype: EtherType::Ipv4,
-        },
         ipv4: Some(repr),
         transport,
     })
-}
-
-/// Shorthand: does this frame parse at all? Used by fuzz-style tests and by
-/// the normalizer's drop decision.
-pub fn is_well_formed(frame: &[u8]) -> bool {
-    parse_ethernet(frame).is_ok()
 }
 
 #[cfg(test)]
@@ -167,11 +133,11 @@ mod tests {
 
     #[test]
     fn parses_tcp_frame() {
-        let frame = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+        let packet = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
             .seq(77)
             .payload(b"payload!")
             .build();
-        let p = parse_ethernet(&frame).unwrap();
+        let p = parse_ipv4(&packet).unwrap();
         let tcp = p.tcp().unwrap();
         assert_eq!(tcp.repr.src_port, 4000);
         assert_eq!(tcp.repr.dst_port, 80);
@@ -183,10 +149,10 @@ mod tests {
 
     #[test]
     fn parses_udp_frame() {
-        let frame = UdpPacketSpec::new("10.0.0.1:5000", "10.0.0.9:53")
+        let packet = UdpPacketSpec::new("10.0.0.1:5000", "10.0.0.9:53")
             .payload(b"dns?")
             .build();
-        let p = parse_ethernet(&frame).unwrap();
+        let p = parse_ipv4(&packet).unwrap();
         let udp = p.udp().unwrap();
         assert_eq!((udp.src_port, udp.dst_port), (5000, 53));
         assert_eq!(udp.payload, b"dns?");
@@ -195,13 +161,11 @@ mod tests {
 
     #[test]
     fn classifies_fragments() {
-        let frame = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+        let packet = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
             .payload(&[0xaa; 64])
             .dont_frag(false)
             .build();
-        // Fragment the IP packet inside the Ethernet frame.
-        let ip = &frame[crate::ethernet::HEADER_LEN..];
-        let frags = fragment_ipv4(ip, 32).unwrap();
+        let frags = fragment_ipv4(&packet, 32).unwrap();
         assert!(frags.len() >= 2);
         for f in &frags {
             let p = parse_ipv4(f).unwrap();
@@ -211,31 +175,18 @@ mod tests {
     }
 
     #[test]
-    fn non_ip_is_classified_not_error() {
-        let mut frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2").build();
-        frame[12..14].copy_from_slice(&0x0806u16.to_be_bytes()); // ARP
-        let p = parse_ethernet(&frame).unwrap();
-        assert!(matches!(p.transport, Transport::NonIp));
-        assert!(p.ipv4.is_none());
-    }
-
-    #[test]
     fn malformed_inner_is_error() {
-        let mut frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2").build();
-        let off = crate::ethernet::HEADER_LEN;
-        frame[off] = (4 << 4) | 3; // bad IHL
-        assert_eq!(parse_ethernet(&frame).unwrap_err(), Error::Malformed);
-        assert!(!is_well_formed(&frame));
+        let mut packet = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2").build();
+        packet[0] = (4 << 4) | 3; // bad IHL
+        assert_eq!(parse_ipv4(&packet).unwrap_err(), Error::Malformed);
     }
 
     #[test]
     fn other_protocol_payload_exposed() {
-        let frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
+        let mut ip = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
             .payload(b"zz")
             .build();
-        let mut ip: Vec<u8> = frame[crate::ethernet::HEADER_LEN..].to_vec();
-        ip[9] = 47; // GRE
-                    // fix header checksum
+        ip[9] = 47; // GRE, then fix the header checksum
         let mut v = crate::ipv4::Ipv4Packet::new_unchecked(&mut ip[..]);
         v.fill_checksum();
         let p = parse_ipv4(&ip).unwrap();

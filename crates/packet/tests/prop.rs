@@ -1,12 +1,12 @@
-//! Property tests for sd-packet: every frame the builder can produce must
+//! Property tests for sd-packet: every packet the builder can produce must
 //! parse back to exactly the fields it was built from, checksums must
 //! verify, and fragmentation must tile the payload.
 
 use proptest::prelude::*;
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec, UdpPacketSpec};
+use sd_packet::builder::{TcpPacketSpec, UdpPacketSpec};
 use sd_packet::frag::{coverage, fragment_ipv4};
 use sd_packet::ipv4::Ipv4Packet;
-use sd_packet::parse::parse_ethernet;
+use sd_packet::parse::parse_ipv4;
 use sd_packet::tcp::{TcpFlags, TcpSegment};
 use sd_reassembly::defrag::DefragResult;
 use sd_reassembly::{Defragmenter, OverlapPolicy};
@@ -26,14 +26,14 @@ proptest! {
         flag_bits in 0u8..=0x3f,
         payload in proptest::collection::vec(any::<u8>(), 0..1460),
     ) {
-        let frame = TcpPacketSpec::new(&src, &dst)
+        let packet = TcpPacketSpec::new(&src, &dst)
             .seq(seq)
             .ack(ack)
             .window(window)
             .flags(TcpFlags(flag_bits))
             .payload(&payload)
             .build();
-        let p = parse_ethernet(&frame).unwrap();
+        let p = parse_ipv4(&packet).unwrap();
         let tcp = p.tcp().expect("built TCP must parse as TCP");
         prop_assert_eq!(tcp.repr.seq.raw(), seq);
         prop_assert_eq!(tcp.repr.ack.raw(), ack);
@@ -41,7 +41,7 @@ proptest! {
         prop_assert_eq!(tcp.repr.flags.0, flag_bits);
         prop_assert_eq!(tcp.payload, &payload[..]);
 
-        let ip = Ipv4Packet::new_checked(ip_of_frame(&frame)).unwrap();
+        let ip = Ipv4Packet::new_checked(&packet).unwrap();
         prop_assert!(ip.verify_checksum());
         let seg = TcpSegment::new_checked(ip.payload()).unwrap();
         prop_assert!(seg.verify_checksum(ip.src_addr(), ip.dst_addr()));
@@ -53,11 +53,11 @@ proptest! {
         dst in endpoint(),
         payload in proptest::collection::vec(any::<u8>(), 0..1400),
     ) {
-        let frame = UdpPacketSpec::new(&src, &dst).payload(&payload).build();
-        let p = parse_ethernet(&frame).unwrap();
+        let packet = UdpPacketSpec::new(&src, &dst).payload(&payload).build();
+        let p = parse_ipv4(&packet).unwrap();
         let udp = p.udp().expect("built UDP must parse as UDP");
         prop_assert_eq!(udp.payload, &payload[..]);
-        let ip = Ipv4Packet::new_checked(ip_of_frame(&frame)).unwrap();
+        let ip = Ipv4Packet::new_checked(&packet).unwrap();
         prop_assert!(ip.verify_checksum());
     }
 
@@ -67,11 +67,10 @@ proptest! {
         unit in 8usize..1480,
     ) {
         let payload: Vec<u8> = (0..payload_len).map(|i| (i * 31 % 256) as u8).collect();
-        let frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
+        let pkt = &TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
             .dont_frag(false)
             .payload(&payload)
             .build();
-        let pkt = ip_of_frame(&frame);
         let orig_payload = Ipv4Packet::new_checked(pkt).unwrap().payload().to_vec();
         let frags = fragment_ipv4(pkt, unit).unwrap();
         let cov = coverage(&frags).unwrap();
@@ -110,11 +109,10 @@ proptest! {
     ) {
         let policy = OverlapPolicy::ALL[policy_idx];
         let payload: Vec<u8> = (0..payload_len).map(|i| (i * 131 % 256) as u8).collect();
-        let frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
+        let pkt = &TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
             .dont_frag(false)
             .payload(&payload)
             .build();
-        let pkt = ip_of_frame(&frame);
         let mut frags = fragment_ipv4(pkt, unit).unwrap();
         if reverse {
             frags.reverse();
@@ -160,11 +158,10 @@ proptest! {
     ) {
         let policy = OverlapPolicy::ALL[policy_idx];
         let payload: Vec<u8> = (0..payload_len).map(|i| (i * 17 % 256) as u8).collect();
-        let frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
+        let pkt = &TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
             .dont_frag(false)
             .payload(&payload)
             .build();
-        let pkt = ip_of_frame(&frame);
         let frags = fragment_ipv4(pkt, unit).unwrap();
         prop_assert!(frags.len() >= 3, "need a middle fragment to overlap");
 
@@ -217,7 +214,17 @@ proptest! {
     fn parser_never_panics_on_noise(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
         // Arbitrary bytes must yield Ok or Err, never a panic or an
         // out-of-bounds slice.
-        let _ = parse_ethernet(&bytes);
+        let _ = parse_ipv4(&bytes);
+        let mut bytes = bytes;
+        // Raw noise rarely passes the version and total-length checks, so
+        // force both and let the rest (IHL, protocol, fragment bits, the
+        // transport header) stay noise.
+        if bytes.len() >= 4 {
+            bytes[0] = 0x40 | (bytes[0] & 0x0f);
+            let len = bytes.len() as u16;
+            bytes[2..4].copy_from_slice(&len.to_be_bytes());
+            let _ = parse_ipv4(&bytes);
+        }
     }
 
     #[test]
@@ -226,12 +233,12 @@ proptest! {
         idx in 0usize..100,
         val in any::<u8>(),
     ) {
-        // A well-formed frame with one mutated byte must still never panic.
-        let mut frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
+        // A well-formed packet with one mutated byte must still never panic.
+        let mut packet = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
             .payload(&payload)
             .build();
-        let i = idx % frame.len();
-        frame[i] = val;
-        let _ = parse_ethernet(&frame);
+        let i = idx % packet.len();
+        packet[i] = val;
+        let _ = parse_ipv4(&packet);
     }
 }

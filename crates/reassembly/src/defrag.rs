@@ -354,18 +354,17 @@ impl Defragmenter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
     use sd_packet::frag::fragment_ipv4;
     use sd_packet::parse::parse_ipv4;
 
     fn attack_packet(payload: &[u8]) -> Vec<u8> {
-        let frame = TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
+        TcpPacketSpec::new("10.0.0.1:4000", "10.0.0.2:80")
             .seq(1)
             .payload(payload)
             .dont_frag(false)
             .ident(42)
-            .build();
-        ip_of_frame(&frame).to_vec()
+            .build()
     }
 
     #[test]
@@ -457,7 +456,7 @@ mod tests {
                 .dont_frag(false)
                 .ident(n)
                 .build();
-            let frags = fragment_ipv4(ip_of_frame(&frame), 24).unwrap();
+            let frags = fragment_ipv4(&frame, 24).unwrap();
             d.push_owned(&frags[0], n as u64).unwrap();
         }
         assert_eq!(d.context_count(), 2);
@@ -536,7 +535,7 @@ mod tests {
                 .dont_frag(false)
                 .ident(n)
                 .build();
-            fragment_ipv4(ip_of_frame(&frame), 16).unwrap()
+            fragment_ipv4(&frame, 16).unwrap()
         }
 
         proptest! {

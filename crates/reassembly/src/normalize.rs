@@ -284,15 +284,14 @@ fn has_source_route(mut opts: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec, UdpPacketSpec};
+    use sd_packet::builder::{TcpPacketSpec, UdpPacketSpec};
     use sd_packet::frag::fragment_ipv4;
     use sd_packet::tcp::TcpFlags;
 
     fn tcp_ip(payload: &[u8]) -> Vec<u8> {
-        let frame = TcpPacketSpec::new("10.0.0.1:1234", "10.0.0.2:80")
+        TcpPacketSpec::new("10.0.0.1:1234", "10.0.0.2:80")
             .payload(payload)
-            .build();
-        ip_of_frame(&frame).to_vec()
+            .build()
     }
 
     #[test]
@@ -330,13 +329,13 @@ mod tests {
         let frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
             .ttl(3)
             .build();
-        assert_eq!(n.check_ipv4(ip_of_frame(&frame)), Verdict::LowTtl);
+        assert_eq!(n.check_ipv4(&frame), Verdict::LowTtl);
         // Disabled floor accepts the same packet.
         let mut n = Normalizer::with_config(NormalizerConfig {
             min_ttl: 0,
             ..Default::default()
         });
-        assert_eq!(n.check_ipv4(ip_of_frame(&frame)), Verdict::Accept);
+        assert_eq!(n.check_ipv4(&frame), Verdict::Accept);
     }
 
     #[test]
@@ -345,7 +344,7 @@ mod tests {
         let frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
             .flags(TcpFlags::SYN.union(TcpFlags::FIN))
             .build();
-        assert_eq!(n.check_ipv4(ip_of_frame(&frame)), Verdict::BadFlags);
+        assert_eq!(n.check_ipv4(&frame), Verdict::BadFlags);
     }
 
     #[test]
@@ -354,7 +353,7 @@ mod tests {
         let frame = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
             .flags(TcpFlags(0))
             .build();
-        assert_eq!(n.check_ipv4(ip_of_frame(&frame)), Verdict::BadFlags);
+        assert_eq!(n.check_ipv4(&frame), Verdict::BadFlags);
     }
 
     #[test]
@@ -364,7 +363,7 @@ mod tests {
             .payload(&[0u8; 64])
             .dont_frag(false)
             .build();
-        let frags = fragment_ipv4(ip_of_frame(&frame), 32).unwrap();
+        let frags = fragment_ipv4(&frame, 32).unwrap();
         for f in &frags {
             assert_eq!(n.check_ipv4(f), Verdict::Accept);
         }
@@ -373,11 +372,10 @@ mod tests {
     #[test]
     fn udp_checksum_verified() {
         let mut n = Normalizer::new();
-        let frame = UdpPacketSpec::new("10.0.0.1:53", "10.0.0.2:53")
+        let mut bad = UdpPacketSpec::new("10.0.0.1:53", "10.0.0.2:53")
             .payload(b"query")
             .build();
-        assert_eq!(n.check_ipv4(ip_of_frame(&frame)), Verdict::Accept);
-        let mut bad = ip_of_frame(&frame).to_vec();
+        assert_eq!(n.check_ipv4(&bad), Verdict::Accept);
         let last = bad.len() - 1;
         bad[last] ^= 1;
         assert_eq!(n.check_ipv4(&bad), Verdict::BadL4Checksum);

@@ -7,7 +7,7 @@
 //! overlaps are checked against a per-byte reference model.
 
 use proptest::prelude::*;
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+use sd_packet::builder::TcpPacketSpec;
 use sd_packet::frag::fragment_ipv4;
 use sd_packet::ipv4::Ipv4Packet;
 use sd_packet::SeqNumber;
@@ -25,12 +25,11 @@ fn arb_policy() -> impl Strategy<Value = OverlapPolicy> {
 #[test]
 fn regression_defrag_one_byte_payload_min_fragments_first_policy() {
     let payload = [0u8];
-    let frame = TcpPacketSpec::new("10.0.0.1:1234", "10.0.0.2:80")
+    let pkt = TcpPacketSpec::new("10.0.0.1:1234", "10.0.0.2:80")
         .seq(7)
         .payload(&payload)
         .dont_frag(false)
         .build();
-    let pkt = ip_of_frame(&frame).to_vec();
     let mut frags = fragment_ipv4(&pkt, 8).unwrap();
 
     // The shrunk case's shuffle: seed = 0, forced odd as in the generator.
@@ -205,12 +204,11 @@ proptest! {
         seed in any::<u64>(),
         policy in arb_policy(),
     ) {
-        let frame = TcpPacketSpec::new("10.0.0.1:1234", "10.0.0.2:80")
+        let pkt = TcpPacketSpec::new("10.0.0.1:1234", "10.0.0.2:80")
             .seq(7)
             .payload(&payload)
             .dont_frag(false)
             .build();
-        let pkt = ip_of_frame(&frame).to_vec();
         let mut frags = fragment_ipv4(&pkt, frag_units * 8).unwrap();
 
         // Shuffle deterministically.

@@ -21,6 +21,7 @@
 use std::io;
 use std::time::Duration;
 
+use crate::pcap::ETHERTYPE_IPV4;
 use crate::source::{PacketSource, SourceEvent};
 
 // ---- libc surface -------------------------------------------------------
@@ -32,7 +33,6 @@ const SOCK_RAW: i32 = 3;
 const SOCK_CLOEXEC: i32 = 0o2000000;
 /// ETH_P_ALL in network byte order (what `socket(2)` and `bind(2)` take).
 const ETH_P_ALL_BE: u16 = 0x0003u16.to_be();
-const ETHERTYPE_IPV4: u16 = 0x0800;
 const SOL_PACKET: i32 = 263;
 const PACKET_RX_RING: i32 = 5;
 const PACKET_VERSION: i32 = 10;

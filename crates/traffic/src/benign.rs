@@ -23,7 +23,7 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+use sd_packet::builder::TcpPacketSpec;
 use sd_packet::tcp::TcpFlags;
 
 use crate::payload::PayloadModel;
@@ -201,7 +201,7 @@ impl BenignGenerator {
             .flags(TcpFlags::SYN)
             .tcp_options(&syn_options)
             .build();
-        pkts.push(TracePacket::new(t, ip_of_frame(&syn).to_vec()));
+        pkts.push(TracePacket::new(t, syn));
         if self.config.bidirectional {
             t += self.rng.gen_range(20..200);
             let synack = TcpPacketSpec::between(server, client)
@@ -209,12 +209,9 @@ impl BenignGenerator {
                 .flags(TcpFlags::SYN.union(TcpFlags::ACK))
                 .tcp_options(&syn_options)
                 .build();
-            pkts.push(TracePacket::new(t, ip_of_frame(&synack).to_vec()));
+            pkts.push(TracePacket::new(t, synack));
             t += self.rng.gen_range(20..200);
-            pkts.push(TracePacket::new(
-                t,
-                ip_of_frame(&c2s(isn_c + 1, TcpFlags::ACK, b"")).to_vec(),
-            ));
+            pkts.push(TracePacket::new(t, c2s(isn_c + 1, TcpFlags::ACK, b"")));
         }
 
         // Data with interleaved pure ACKs from the server.
@@ -223,17 +220,17 @@ impl BenignGenerator {
         let mut data_pkts: Vec<TracePacket> = Vec::new();
         for s in sizes {
             t += self.rng.gen_range(20..400);
-            let frame = c2s(
+            let packet = c2s(
                 isn_c + 1 + off as u32,
                 TcpFlags::ACK.union(TcpFlags::PSH),
                 &payload[off..off + s],
             );
-            data_pkts.push(TracePacket::new(t, ip_of_frame(&frame).to_vec()));
+            data_pkts.push(TracePacket::new(t, packet));
             off += s;
             if self.config.bidirectional && self.rng.gen_bool(0.5) {
                 t += self.rng.gen_range(10..100);
                 let ack = s2c(isn_s + 1, TcpFlags::ACK, b"");
-                data_pkts.push(TracePacket::new(t, ip_of_frame(&ack).to_vec()));
+                data_pkts.push(TracePacket::new(t, ack));
             }
         }
         // Benign reordering: swap adjacent timestamps with low probability.
@@ -250,18 +247,17 @@ impl BenignGenerator {
         t += self.rng.gen_range(20..200);
         pkts.push(TracePacket::new(
             t,
-            ip_of_frame(&c2s(
+            c2s(
                 isn_c + 1 + off as u32,
                 TcpFlags::FIN.union(TcpFlags::ACK),
                 b"",
-            ))
-            .to_vec(),
+            ),
         ));
         if self.config.bidirectional {
             t += self.rng.gen_range(20..200);
             pkts.push(TracePacket::new(
                 t,
-                ip_of_frame(&s2c(isn_s + 1, TcpFlags::FIN.union(TcpFlags::ACK), b"")).to_vec(),
+                s2c(isn_s + 1, TcpFlags::FIN.union(TcpFlags::ACK), b""),
             ));
         }
         (pkts, t)
@@ -302,7 +298,7 @@ impl BenignGenerator {
                 .flags(TcpFlags::SYN)
                 .build();
             t += 1;
-            all.push(TracePacket::new(t, ip_of_frame(&syn).to_vec()));
+            all.push(TracePacket::new(t, syn));
         }
         // Round-robin data until all flows drain.
         let mut offsets = vec![0usize; n];
@@ -316,13 +312,13 @@ impl BenignGenerator {
                 live += 1;
                 let s = offsets[i];
                 let e = (s + MSS).min(payload.len());
-                let frame = TcpPacketSpec::between(*client, *server)
+                let packet = TcpPacketSpec::between(*client, *server)
                     .seq(isn.wrapping_add(1).wrapping_add(s as u32))
                     .flags(TcpFlags::ACK.union(TcpFlags::PSH))
                     .payload(&payload[s..e])
                     .build();
                 t += 1;
-                all.push(TracePacket::new(t, ip_of_frame(&frame).to_vec()));
+                all.push(TracePacket::new(t, packet));
                 offsets[i] = e;
             }
         }

@@ -22,7 +22,7 @@ use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+use sd_packet::builder::TcpPacketSpec;
 use sd_packet::frag::fragment_ipv4;
 use sd_packet::ipv4::Ipv4Packet;
 use sd_packet::tcp::TcpFlags;
@@ -306,7 +306,7 @@ impl Conversation {
     fn packet(&mut self, seq: u32, flags: TcpFlags, s: &Segment) -> Vec<u8> {
         let ident = self.next_ident;
         self.next_ident = ident.wrapping_add(1);
-        let frame = TcpPacketSpec::between(self.client, self.server)
+        let mut pkt = TcpPacketSpec::between(self.client, self.server)
             .seq(seq)
             .flags(flags)
             .urgent(s.urgent)
@@ -315,7 +315,6 @@ impl Conversation {
             .dont_frag(s.dont_frag)
             .payload(&s.bytes)
             .build();
-        let mut pkt = ip_of_frame(&frame).to_vec();
         if s.bad_checksum {
             let ihl = Ipv4Packet::new_unchecked(&pkt[..]).header_len();
             pkt[ihl + 16] ^= 0xff;

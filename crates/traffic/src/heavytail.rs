@@ -23,7 +23,7 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+use sd_packet::builder::TcpPacketSpec;
 use sd_packet::tcp::TcpFlags;
 
 use crate::benign::MSS;
@@ -191,12 +191,12 @@ impl HeavyTailGenerator {
         let mut started = 0usize;
 
         let syn = |f: &OpenFlow, t: &mut u64, pkts: &mut Vec<TracePacket>| {
-            let frame = TcpPacketSpec::between(f.client, f.server)
+            let packet = TcpPacketSpec::between(f.client, f.server)
                 .seq(f.isn)
                 .flags(TcpFlags::SYN)
                 .build();
             *t += 1;
-            pkts.push(TracePacket::new(*t, ip_of_frame(&frame).to_vec()));
+            pkts.push(TracePacket::new(*t, packet));
         };
 
         while started < concurrency.min(total_flows) {
@@ -220,13 +220,13 @@ impl HeavyTailGenerator {
                 let f = &mut open[i];
                 if f.sent < f.total {
                     let s = (f.total - f.sent).min(MSS);
-                    let frame = TcpPacketSpec::between(f.client, f.server)
+                    let packet = TcpPacketSpec::between(f.client, f.server)
                         .seq(f.isn.wrapping_add(1).wrapping_add(f.sent as u32))
                         .flags(TcpFlags::ACK.union(TcpFlags::PSH))
                         .payload(&filler[..s])
                         .build();
                     t += 1;
-                    pkts.push(TracePacket::new(t, ip_of_frame(&frame).to_vec()));
+                    pkts.push(TracePacket::new(t, packet));
                     f.sent += s;
                     i += 1;
                     continue;
@@ -238,7 +238,7 @@ impl HeavyTailGenerator {
                     .flags(TcpFlags::FIN.union(TcpFlags::ACK))
                     .build();
                 t += 1;
-                pkts.push(TracePacket::new(t, ip_of_frame(&fin).to_vec()));
+                pkts.push(TracePacket::new(t, fin));
                 if started < total_flows {
                     let fresh = self.open_flow(started);
                     syn(&fresh, &mut t, &mut pkts);

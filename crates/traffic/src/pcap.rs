@@ -5,8 +5,8 @@
 //! 24-byte global header + 16-byte per-record headers) and real captures
 //! can be loaded back. Both byte orders are read; files are written
 //! little-endian with `LINKTYPE_RAW` (raw IP, 101). Ethernet captures
-//! (linktype 1) are accepted on read and the link header stripped, since the
-//! engines consume IPv4 packets.
+//! (linktype 1) are accepted on read: the engines consume IPv4 packets, so
+//! only IPv4 frames are kept, with their link header stripped.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -18,6 +18,11 @@ use crate::trace::{Trace, TracePacket};
 pub const LINKTYPE_RAW: u32 = 101;
 /// LINKTYPE_ETHERNET.
 pub const LINKTYPE_ETHERNET: u32 = 1;
+
+/// Ethernet II header: two MAC addresses, then the ethertype at 12..14.
+const ETH_HEADER_LEN: usize = 14;
+/// The one ethertype both capture sources keep.
+pub(crate) const ETHERTYPE_IPV4: u16 = 0x0800;
 
 const MAGIC_LE: u32 = 0xa1b2_c3d4;
 const MAGIC_BE: u32 = 0xd4c3_b2a1;
@@ -152,10 +157,15 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Trace, PcapError> {
             }
         })?;
         if linktype == LINKTYPE_ETHERNET {
-            if data.len() < 14 {
+            if data.len() < ETH_HEADER_LEN {
                 return Err(PcapError::Truncated);
             }
-            data.drain(..14);
+            // Keep IPv4 frames only, as the AF_PACKET source does: ARP,
+            // IPv6 or a VLAN tag would reach the engines as bad IPv4.
+            if data[12..14] != ETHERTYPE_IPV4.to_be_bytes() {
+                continue;
+            }
+            data.drain(..ETH_HEADER_LEN);
         }
         packets.push(TracePacket::new(sec * 1_000_000 + usec, data));
     }
@@ -171,7 +181,7 @@ pub fn load(path: impl AsRef<Path>) -> Result<Trace, PcapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
 
     fn sample_trace() -> Trace {
         let packets = (0..5u16)
@@ -179,7 +189,7 @@ mod tests {
                 let f = TcpPacketSpec::new(&format!("10.0.0.1:{}", 1000 + i), "10.0.0.2:80")
                     .payload(format!("packet {i}").as_bytes())
                     .build();
-                TracePacket::new(i as u64 * 1_000_000 + 42, ip_of_frame(&f).to_vec())
+                TracePacket::new(i as u64 * 1_000_000 + 42, f)
             })
             .collect();
         Trace::from_packets(packets)
@@ -273,26 +283,51 @@ mod tests {
         assert_eq!(back.packets[0].ts_micros, 42);
     }
 
+    /// An Ethernet II frame with zeroed MACs around `payload`.
+    fn ethernet_frame(ethertype: u16, payload: &[u8]) -> Vec<u8> {
+        let mut f = vec![0u8; 12];
+        f.extend_from_slice(&ethertype.to_be_bytes());
+        f.extend_from_slice(payload);
+        f
+    }
+
+    /// A `LINKTYPE_ETHERNET` capture holding `frames`.
+    fn ethernet_pcap(frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for field in [MAGIC_LE, 0x0004_0002, 0, 0, 65_535, LINKTYPE_ETHERNET] {
+            buf.extend_from_slice(&field.to_le_bytes());
+        }
+        for f in frames {
+            for field in [0, 0, f.len() as u32, f.len() as u32] {
+                buf.extend_from_slice(&field.to_le_bytes());
+            }
+            buf.extend_from_slice(f);
+        }
+        buf
+    }
+
     #[test]
     fn ethernet_linktype_strips_header() {
-        let f = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
-            .payload(b"eth")
-            .build();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC_LE.to_le_bytes());
-        buf.extend_from_slice(&2u16.to_le_bytes());
-        buf.extend_from_slice(&4u16.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&65535u32.to_le_bytes());
-        buf.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&(f.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&(f.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&f);
+        let ip = sample_trace().packets[0].data.clone();
+        let buf = ethernet_pcap(&[ethernet_frame(0x0800, &ip)]);
         let back = read_trace(&buf[..]).unwrap();
-        assert_eq!(back.packets[0].data, ip_of_frame(&f));
+        assert_eq!(back.packets[0].data, ip);
+    }
+
+    #[test]
+    fn ethernet_linktype_keeps_only_ipv4_frames() {
+        let ip = sample_trace().packets[0].data.clone();
+        let buf = ethernet_pcap(&[
+            ethernet_frame(0x0806, &[0u8; 28]),  // ARP
+            ethernet_frame(0x86dd, &[0x60; 40]), // IPv6
+            ethernet_frame(0x0800, &ip),
+        ]);
+        let back = read_trace(&buf[..]).unwrap();
+        assert_eq!(back.len(), 1);
+        assert_eq!(back.packets[0].data, ip);
+        // A record too short for the link header is still an error.
+        let buf = ethernet_pcap(&[vec![0u8; 13]]);
+        assert!(matches!(read_trace(&buf[..]), Err(PcapError::Truncated)));
     }
 
     #[test]

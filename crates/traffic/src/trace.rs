@@ -94,13 +94,13 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
 
     fn pkt(src_port: u16, ts: u64) -> TracePacket {
         let f = TcpPacketSpec::new(&format!("10.0.0.1:{src_port}"), "10.0.0.2:80")
             .payload(b"x")
             .build();
-        TracePacket::new(ts, ip_of_frame(&f).to_vec())
+        TracePacket::new(ts, f)
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub fn receive_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sd_packet::builder::{ip_of_frame, TcpPacketSpec};
+    use sd_packet::builder::TcpPacketSpec;
     use sd_packet::tcp::TcpFlags;
 
     const SERVER: &str = "10.0.0.2";
@@ -128,13 +128,12 @@ mod tests {
     }
 
     fn pkt(seq: u32, flags: TcpFlags, payload: &[u8], ttl: u8) -> Vec<u8> {
-        let f = TcpPacketSpec::new("10.0.0.1:4000", &format!("{SERVER}:80"))
+        TcpPacketSpec::new("10.0.0.1:4000", &format!("{SERVER}:80"))
             .seq(seq)
             .flags(flags)
             .ttl(ttl)
             .payload(payload)
-            .build();
-        ip_of_frame(&f).to_vec()
+            .build()
     }
 
     #[test]
@@ -179,11 +178,7 @@ mod tests {
             .seq(1)
             .payload(b"response")
             .build();
-        let got = receive_stream(
-            [ip_of_frame(&f).to_vec()].iter(),
-            VictimConfig::default(),
-            server(),
-        );
+        let got = receive_stream([f].iter(), VictimConfig::default(), server());
         assert!(got.is_empty());
     }
 

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example policy_probe`
 
-use split_detect::packet::builder::{ip_of_frame, TcpPacketSpec};
+use split_detect::packet::builder::TcpPacketSpec;
 use split_detect::packet::tcp::TcpFlags;
 use split_detect::reassembly::{OverlapPolicy, UrgentSemantics};
 use split_detect::traffic::victim::{receive_stream, VictimConfig};
@@ -22,13 +22,12 @@ fn main() {
     //   6. bytes 8..13 the tail: "DATA!"
     let server = "10.0.0.2";
     let pkt = |seq: u32, flags: TcpFlags, payload: &[u8], urg: u16| {
-        let f = TcpPacketSpec::new("10.0.0.1:4000", &format!("{server}:80"))
+        TcpPacketSpec::new("10.0.0.1:4000", &format!("{server}:80"))
             .seq(seq)
             .flags(flags)
             .urgent(urg)
             .payload(payload)
-            .build();
-        ip_of_frame(&f).to_vec()
+            .build()
     };
     let ack = TcpFlags::ACK;
     let packets = [

@@ -127,13 +127,13 @@ fn demo_signature_set_is_admissible_and_detectable() {
 
 #[test]
 fn udp_attacks_detected_without_reassembly_state() {
-    use split_detect::packet::builder::{ip_of_frame, UdpPacketSpec};
+    use split_detect::packet::builder::UdpPacketSpec;
     let mut payload = b"dns chaff ".to_vec();
     payload.extend_from_slice(SIG);
     let pkt = UdpPacketSpec::new("10.3.0.1:5353", "10.0.0.2:53")
         .payload(&payload)
         .build();
     let mut engine = SplitDetect::new(sigs()).unwrap();
-    let alerts = run_trace(&mut engine, [ip_of_frame(&pkt)]);
+    let alerts = run_trace(&mut engine, [pkt.as_slice()]);
     assert_eq!(alerts.len(), 1);
 }

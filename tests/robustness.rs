@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use split_detect::core::SplitDetect;
 use split_detect::ips::rules::{parse_rules, parse_rules_lenient};
 use split_detect::ips::{ConventionalIps, Ips, NaivePacketIps, Signature, SignatureSet};
-use split_detect::packet::builder::{ip_of_frame, TcpPacketSpec};
-use split_detect::packet::parse::{parse_ethernet, parse_ipv4};
+use split_detect::packet::builder::TcpPacketSpec;
+use split_detect::packet::parse::parse_ipv4;
 use split_detect::reassembly::{Defragmenter, Normalizer, OverlapPolicy, TcpStreamReassembler};
 use split_detect::traffic::pcap;
 
@@ -24,7 +24,6 @@ proptest! {
     #[test]
     fn parsers_never_panic(data in prop::collection::vec(any::<u8>(), 0..200)) {
         let _ = parse_ipv4(&data);
-        let _ = parse_ethernet(&data);
         let mut n = Normalizer::new();
         let _ = n.check_ipv4(&data);
     }
@@ -59,11 +58,10 @@ proptest! {
         flip_byte in 0usize..1000,
         flip_bit in 0u8..8,
     ) {
-        let frame = TcpPacketSpec::new("10.0.0.1:1234", "10.0.0.2:80")
+        let mut pkt = TcpPacketSpec::new("10.0.0.1:1234", "10.0.0.2:80")
             .seq(100)
             .payload(&vec![b'd'; payload_len])
             .build();
-        let mut pkt = ip_of_frame(&frame).to_vec();
         let idx = flip_byte % pkt.len();
         pkt[idx] ^= 1 << flip_bit;
 
@@ -148,12 +146,9 @@ proptest! {
         let trace = split_detect::traffic::Trace::from_packets(vec![
             split_detect::traffic::TracePacket::new(
                 0,
-                ip_of_frame(
-                    &TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
-                        .payload(&[b'x'; 100])
-                        .build(),
-                )
-                .to_vec(),
+                TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
+                    .payload(&[b'x'; 100])
+                    .build(),
             ),
         ]);
         let mut buf = Vec::new();
@@ -207,7 +202,7 @@ fn three_packet_trace() -> split_detect::traffic::Trace {
                 let frame = TcpPacketSpec::new(&format!("10.0.0.1:{}", 1000 + i), "10.0.0.2:80")
                     .payload(&[b'p'; 60])
                     .build();
-                split_detect::traffic::TracePacket::new(i as u64, ip_of_frame(&frame).to_vec())
+                split_detect::traffic::TracePacket::new(i as u64, frame)
             })
             .collect(),
     )
@@ -223,26 +218,23 @@ fn handcrafted_hostile_packets() {
         vec![0xff; 64], // all-ones
         {
             // Valid header claiming total_len larger than the buffer.
-            let f = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
+            let mut p = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
                 .payload(b"abc")
                 .build();
-            let mut p = ip_of_frame(&f).to_vec();
             p[2] = 0xff; // total_len high byte
             p
         },
         {
             // IHL pointing past the buffer.
-            let f = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2").build();
-            let mut p = ip_of_frame(&f).to_vec();
+            let mut p = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2").build();
             p[0] = 0x4f; // IHL = 15 → 60-byte header on a 40-byte packet
             p
         },
         {
             // TCP data offset beyond the segment.
-            let f = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
+            let mut p = TcpPacketSpec::new("10.0.0.1:1", "10.0.0.2:2")
                 .payload(b"x")
                 .build();
-            let mut p = ip_of_frame(&f).to_vec();
             p[20 + 12] = 0xf0; // data offset = 15 words
             p
         },
