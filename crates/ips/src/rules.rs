@@ -27,10 +27,10 @@
 //! well-formed rule and returns line-numbered diagnostics for the rest
 //! (right for deployment-scale corpora); [`parse_rules`] is strict and
 //! fails with the first diagnostic (right for small hand-written files).
-//! The loader borrows from the text wherever it can: a line without a
-//! continuation, an option, a quoted value without a backslash and a
-//! content's literal runs are slices of the input until the parsed
-//! [`Rule`] copies them. [`Rule::to_text`] / [`RuleSet::to_text`]
+//! Each line is read in one pass: the header's fields and the options
+//! are slices of the text, and a content's escapes and `|hex|` runs are
+//! decoded in the same scan (so `\|` is a literal `|`, never a run
+//! delimiter); the only allocations are the parsed [`Rule`]'s own fields. [`Rule::to_text`] / [`RuleSet::to_text`]
 //! serialize back into the accepted subset, so parse→serialize→parse is
 //! the identity on the parsed form.
 
@@ -87,19 +87,22 @@ impl Rule {
 
     /// Rule name for alerts: `sid:msg`.
     pub fn name(&self) -> String {
-        if self.msg.is_empty() {
-            format!("sid-{}", self.sid)
-        } else {
-            format!("sid-{}:{}", self.sid, self.msg)
+        use fmt::Write as _;
+        // Sized up front: `sid-`, ten digits, `:` and the message.
+        let mut name = String::with_capacity(15 + self.msg.len());
+        let _ = write!(name, "sid-{}", self.sid);
+        if !self.msg.is_empty() {
+            name.push(':');
+            name.push_str(&self.msg);
         }
+        name
     }
 
     /// Serialize back to one rule line in the subset this parser accepts.
     /// `parse_rules(rule.to_text())` yields an equal `Rule`: contents are
     /// re-encoded with `\"`/`\\` character escapes and `|hex|` runs for
-    /// everything non-printable (including `|` itself, which only has a
-    /// hex spelling — a backslash escape would be re-read as a run
-    /// delimiter after unquoting).
+    /// everything non-printable (including `|` itself, always spelled
+    /// `|7C|`).
     pub fn to_text(&self) -> String {
         let proto = match self.proto {
             RuleProto::Tcp => "tcp",
@@ -134,7 +137,7 @@ fn escape_quoted(s: &str) -> String {
 }
 
 /// Encode content bytes in Snort content syntax (inverse of
-/// [`decode_content`] ∘ [`unquote`]): printable ASCII stays literal (with
+/// [`decode_content`]): printable ASCII stays literal (with
 /// `\"`/`\\` escapes), everything else — including `|` — becomes a
 /// `|hex|` run, with consecutive hex bytes merged into one run.
 fn encode_content(bytes: &[u8]) -> String {
@@ -272,34 +275,30 @@ pub fn parse_rules_lenient(text: &str) -> (RuleSet, Vec<RuleParseError>) {
 }
 
 /// Join trailing-backslash continuations (Snort rule files wrap long rules
-/// this way), tracking the line each logical rule starts on. A line that
-/// neither continues nor is continued is borrowed from `text`.
-fn logical_lines(text: &str) -> Vec<(usize, Cow<'_, str>)> {
-    let mut logical = Vec::new();
-    let mut pending: Option<(usize, String)> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        match pending.take() {
-            Some((start, mut acc)) => {
-                let cont = raw.trim_start();
-                if let Some(stripped) = cont.strip_suffix('\\') {
-                    acc.push_str(stripped);
-                    pending = Some((start, acc));
-                } else {
+/// this way), one logical rule at a time, each with the line it starts
+/// on. A line that neither continues nor is continued is borrowed from
+/// `text`.
+fn logical_lines(text: &str) -> impl Iterator<Item = (usize, Cow<'_, str>)> {
+    let mut lines = text.lines().enumerate();
+    std::iter::from_fn(move || {
+        let (idx, raw) = lines.next()?;
+        let Some(stripped) = raw.trim_end().strip_suffix('\\') else {
+            return Some((idx + 1, Cow::Borrowed(raw)));
+        };
+        let mut acc = stripped.to_string();
+        for (_, raw) in lines.by_ref() {
+            let cont = raw.trim_start();
+            match cont.strip_suffix('\\') {
+                Some(stripped) => acc.push_str(stripped),
+                None => {
                     acc.push_str(cont);
-                    logical.push((start, Cow::Owned(acc)));
+                    break;
                 }
             }
-            None => match raw.trim_end().strip_suffix('\\') {
-                Some(stripped) => pending = Some((line_no, stripped.to_string())),
-                None => logical.push((line_no, Cow::Borrowed(raw))),
-            },
         }
-    }
-    if let Some((start, acc)) = pending {
-        logical.push((start, Cow::Owned(acc))); // dangling continuation: parse as-is
-    }
-    logical
+        // A dangling continuation at the end of the text parses as-is.
+        Some((idx + 1, Cow::Owned(acc)))
+    })
 }
 
 fn err(line: usize, reason: impl Into<String>) -> RuleParseError {
@@ -310,89 +309,73 @@ fn err(line: usize, reason: impl Into<String>) -> RuleParseError {
 }
 
 /// Parse one rule line; `Ok(None)` for recognized-but-skipped actions.
+/// The header's fields and the options are read in place; the only
+/// allocations are the [`Rule`]'s own fields.
 fn parse_rule_line(line: &str, line_no: usize) -> Result<Option<Rule>, RuleParseError> {
     let open = line
         .find('(')
         .ok_or_else(|| err(line_no, "missing option block '('"))?;
-    if !line.trim_end().ends_with(')') {
+    let Some(body) = line.trim_end().strip_suffix(')') else {
         return Err(err(line_no, "missing closing ')'"));
-    }
-    let head = &line[..open];
-    let body = &line.trim_end()[open + 1..line.trim_end().len() - 1];
+    };
+    let body = &body[open + 1..];
 
-    let fields: Vec<&str> = head.split_whitespace().collect();
-    if fields.len() != 7 {
+    let mut fields = [""; 7];
+    let mut count = 0;
+    for field in line[..open].split_whitespace() {
+        if let Some(slot) = fields.get_mut(count) {
+            *slot = field;
+        }
+        count += 1;
+    }
+    if count != 7 {
         return Err(err(
             line_no,
-            format!(
-                "header needs 7 fields (action proto src sport -> dst dport), got {}",
-                fields.len()
-            ),
+            format!("header needs 7 fields (action proto src sport -> dst dport), got {count}"),
         ));
     }
-    match fields[0] {
+    let [action, proto, src, src_port, arrow, dst, dst_port] = fields;
+    match action {
         "alert" => {}
         "log" | "pass" | "drop" | "reject" | "sdrop" => return Ok(None),
         other => return Err(err(line_no, format!("unknown action {other:?}"))),
     }
-    let proto = match fields[1] {
+    let proto = match proto {
         "tcp" => RuleProto::Tcp,
         "udp" => RuleProto::Udp,
         "ip" => RuleProto::Ip,
         other => return Err(err(line_no, format!("unsupported protocol {other:?}"))),
     };
-    if fields[4] != "->" && fields[4] != "<>" {
+    if arrow != "->" && arrow != "<>" {
         return Err(err(
             line_no,
-            format!("expected '->' or '<>', got {:?}", fields[4]),
+            format!("expected '->' or '<>', got {arrow:?}"),
         ));
     }
 
     let mut rule = Rule {
         proto,
-        src: fields[2].to_string(),
-        src_port: fields[3].to_string(),
-        dst: fields[5].to_string(),
-        dst_port: fields[6].to_string(),
+        src: src.to_string(),
+        src_port: src_port.to_string(),
+        dst: dst.to_string(),
+        dst_port: dst_port.to_string(),
         msg: String::new(),
-        contents: Vec::new(),
+        // Most rules have one content.
+        contents: Vec::with_capacity(1),
         sid: 0,
         rev: 0,
         nocase: false,
     };
-
-    for opt in split_options(body, line_no)? {
-        let (name, value) = match opt.split_once(':') {
-            Some((n, v)) => (n.trim(), Some(v.trim())),
-            None => (opt, None),
-        };
-        match name {
-            "msg" => {
-                rule.msg = unquote(value.unwrap_or(""), line_no)?.into_owned();
-            }
-            "content" => {
-                let raw = unquote(value.unwrap_or(""), line_no)?;
-                let decoded = decode_content(&raw, line_no)?;
-                if decoded.is_empty() {
-                    return Err(err(line_no, "empty content"));
-                }
-                rule.contents.push(decoded);
-            }
-            "sid" => {
-                rule.sid = value
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| err(line_no, "bad sid"))?;
-            }
-            "rev" => {
-                rule.rev = value
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| err(line_no, "bad rev"))?;
-            }
-            "nocase" => rule.nocase = true,
-            // Everything else (classtype, flow, depth, offset, pcre, …) is
-            // accepted and ignored so real rule files load unedited.
-            _ => {}
+    // The first option's diagnostic; an unterminated quoted string
+    // anywhere in the body outranks it.
+    let mut failed = None;
+    for_each_option(body, line_no, |name, value| {
+        if failed.is_none() {
+            failed = apply_option(&mut rule, name, value, line_no).err();
         }
+    })?;
+    if let Some(e) = failed {
+        return Err(e);
     }
 
     if rule.contents.is_empty() {
@@ -404,36 +387,81 @@ fn parse_rule_line(line: &str, line_no: usize) -> Result<Option<Rule>, RuleParse
     Ok(Some(rule))
 }
 
-/// Split the option body on the `;`s outside quoted strings (inside
-/// quotes a backslash escapes the next byte) in one pass: jump to the next
-/// `"`, split on the `;`s before it, jump past its closing quote, repeat.
-/// The options come back trimmed, empty ones dropped, as slices of `body`.
-fn split_options<'a>(body: &'a str, line_no: usize) -> Result<Vec<&'a str>, RuleParseError> {
-    let mut opts = Vec::with_capacity(16);
-    let mut push = |opt: &'a str| {
-        let opt = opt.trim();
-        if !opt.is_empty() {
-            opts.push(opt);
+/// Apply one option, `name` or `name:value` (both trimmed), to `rule`.
+fn apply_option(
+    rule: &mut Rule,
+    name: &str,
+    value: Option<&str>,
+    line_no: usize,
+) -> Result<(), RuleParseError> {
+    match name {
+        "msg" => rule.msg = unescape(quoted(value.unwrap_or(""), line_no)?, line_no)?,
+        "content" => {
+            let decoded = decode_content(quoted(value.unwrap_or(""), line_no)?, line_no)?;
+            if decoded.is_empty() {
+                return Err(err(line_no, "empty content"));
+            }
+            rule.contents.push(decoded);
+        }
+        "sid" => {
+            rule.sid = value
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| err(line_no, "bad sid"))?;
+        }
+        "rev" => {
+            rule.rev = value
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| err(line_no, "bad rev"))?;
+        }
+        "nocase" => rule.nocase = true,
+        // Everything else (classtype, flow, depth, offset, pcre, …) is
+        // accepted and ignored so real rule files load unedited.
+        _ => {}
+    }
+    Ok(())
+}
+
+/// Call `each(name, value)` on every option of the body: the text between
+/// the `;`s outside quoted strings (inside quotes a backslash escapes the
+/// next byte), trimmed, empty ones skipped, split at its first `:` outside
+/// quotes into a trimmed name and value (`None` without a `:`). One pass:
+/// byte by byte outside quotes, a jump to the closing quote at each `"`.
+/// Fails, having called `each` on the options before it, at a quote that
+/// never closes.
+fn for_each_option<'a>(
+    body: &'a str,
+    line_no: usize,
+    mut each: impl FnMut(&'a str, Option<&'a str>),
+) -> Result<(), RuleParseError> {
+    let mut emit = |start: usize, colon: Option<usize>, end: usize| match colon {
+        Some(at) => each(body[start..at].trim(), Some(body[at + 1..end].trim())),
+        None => {
+            let opt = body[start..end].trim();
+            if !opt.is_empty() {
+                each(opt, None);
+            }
         }
     };
-    // `start` opens the current option; `from` is outside any quotes.
-    let (mut start, mut from) = (0, 0);
-    loop {
-        let quote = body[from..].find('"').map_or(body.len(), |at| from + at);
-        while let Some(at) = body[from..quote].find(';') {
-            push(&body[start..from + at]);
-            start = from + at + 1;
-            from = start;
+    let bytes = body.as_bytes();
+    // The current option opens at `start`; `colon` is its first `:`.
+    let (mut start, mut colon, mut i) = (0, None, 0);
+    while let Some(&b) = bytes.get(i) {
+        match b {
+            b';' => {
+                emit(start, colon, i);
+                (start, colon) = (i + 1, None);
+            }
+            b':' if colon.is_none() => colon = Some(i),
+            b'"' => {
+                i = closing_quote(body, i + 1)
+                    .ok_or_else(|| err(line_no, "unterminated quoted string"))?;
+            }
+            _ => {}
         }
-        if quote == body.len() {
-            break;
-        }
-        from = closing_quote(body, quote + 1)
-            .ok_or_else(|| err(line_no, "unterminated quoted string"))?
-            + 1;
+        i += 1;
     }
-    push(&body[start..]);
-    Ok(opts)
+    emit(start, colon, body.len());
+    Ok(())
 }
 
 /// The `"` that closes a quoted string whose text starts at `from`: the
@@ -454,61 +482,110 @@ fn closing_quote(s: &str, mut from: usize) -> Option<usize> {
     }
 }
 
-/// Strip surrounding quotes and process character escapes; a value
-/// without a backslash is borrowed.
-fn unquote(v: &str, line_no: usize) -> Result<Cow<'_, str>, RuleParseError> {
+/// The text inside a quoted option value, escapes still in place.
+fn quoted(v: &str, line_no: usize) -> Result<&str, RuleParseError> {
     let v = v.trim();
     if !(v.starts_with('"') && v.ends_with('"') && v.len() >= 2) {
         return Err(err(line_no, format!("expected quoted string, got {v:?}")));
     }
-    let inner = &v[1..v.len() - 1];
-    if !inner.contains('\\') {
-        return Ok(Cow::Borrowed(inner));
-    }
-    let mut out = String::with_capacity(inner.len());
-    let mut escaped = false;
-    for ch in inner.chars() {
-        if escaped {
-            match ch {
-                '"' | '\\' | ';' | '|' | ':' => out.push(ch),
-                other => return Err(err(line_no, format!("bad escape \\{other}"))),
-            }
-            escaped = false;
-        } else if ch == '\\' {
-            escaped = true;
-        } else {
-            out.push(ch);
-        }
-    }
-    if escaped {
-        return Err(err(line_no, "dangling backslash"));
-    }
-    Ok(Cow::Owned(out))
+    Ok(&v[1..v.len() - 1])
 }
 
-/// Decode Snort content syntax: literal bytes with `|DE AD BE EF|` hex
-/// runs. Literal runs are copied as slices and hex tokens read in place.
-fn decode_content(s: &str, line_no: usize) -> Result<Vec<u8>, RuleParseError> {
-    let mut out = Vec::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(open) = rest.find('|') {
-        out.extend_from_slice(&rest.as_bytes()[..open]);
-        let run = &rest[open + 1..];
-        let close = run
-            .find('|')
-            .ok_or_else(|| err(line_no, "unterminated |hex| run"))?;
-        for tok in run[..close].split_whitespace() {
-            if tok.len() != 2 {
-                return Err(err(line_no, format!("bad hex byte {tok:?}")));
-            }
-            let byte = u8::from_str_radix(tok, 16)
-                .map_err(|_| err(line_no, format!("bad hex byte {tok:?}")))?;
-            out.push(byte);
+/// The byte that the backslash escape opening `s` stands for.
+fn escaped(s: &str, line_no: usize) -> Result<u8, RuleParseError> {
+    match s.as_bytes().get(1) {
+        Some(&b @ (b'"' | b'\\' | b';' | b'|' | b':')) => Ok(b),
+        Some(_) => {
+            let other = s[1..].chars().next().unwrap_or_default();
+            Err(err(line_no, format!("bad escape \\{other}")))
         }
-        rest = &run[close + 1..];
+        None => Err(err(line_no, "dangling backslash")),
     }
-    out.extend_from_slice(rest.as_bytes());
+}
+
+/// Quoted text with its character escapes applied.
+fn unescape(inner: &str, line_no: usize) -> Result<String, RuleParseError> {
+    let mut out = String::with_capacity(inner.len());
+    let mut rest = inner;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        out.push(char::from(escaped(&rest[at..], line_no)?));
+        rest = &rest[at + 2..];
+    }
+    out.push_str(rest);
     Ok(out)
+}
+
+/// Decode a content's quoted text in one pass: literal bytes, character
+/// escapes (`\|` is a literal `|`) and `|DE AD BE EF|` hex runs, read in
+/// place (a run is copied only when it holds an escape). Every escape is
+/// checked before a malformed run is reported, so a bad escape anywhere
+/// in the text is the diagnostic.
+fn decode_content(inner: &str, line_no: usize) -> Result<Vec<u8>, RuleParseError> {
+    let bytes = inner.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
+    let mut bad_run = None;
+    let mut i = 0;
+    loop {
+        let stop = bytes[i..]
+            .iter()
+            .position(|&b| b == b'\\' || b == b'|')
+            .map_or(bytes.len(), |at| i + at);
+        out.extend_from_slice(&bytes[i..stop]);
+        i = stop;
+        match bytes.get(i) {
+            None => break,
+            Some(b'\\') => {
+                out.push(escaped(&inner[i..], line_no)?);
+                i += 2;
+            }
+            Some(_) => {
+                // A `|` opens a hex run; the next unescaped `|` closes it.
+                let run = i + 1;
+                let (mut j, mut escapes) = (run, false);
+                while j < bytes.len() && bytes[j] != b'|' {
+                    if bytes[j] == b'\\' {
+                        escaped(&inner[j..], line_no)?;
+                        escapes = true;
+                        j += 2;
+                    } else {
+                        j += 1;
+                    }
+                }
+                if j >= bytes.len() {
+                    bad_run.get_or_insert_with(|| err(line_no, "unterminated |hex| run"));
+                    break;
+                }
+                if bad_run.is_none() {
+                    let text = &inner[run..j];
+                    bad_run = if escapes {
+                        hex_bytes(&unescape(text, line_no)?, &mut out, line_no)
+                    } else {
+                        hex_bytes(text, &mut out, line_no)
+                    }
+                    .err();
+                }
+                i = j + 1;
+            }
+        }
+    }
+    match bad_run {
+        Some(e) => Err(e),
+        None => Ok(out),
+    }
+}
+
+/// Append the bytes of a hex run's text: whitespace-separated two-digit
+/// hex tokens.
+fn hex_bytes(text: &str, out: &mut Vec<u8>, line_no: usize) -> Result<(), RuleParseError> {
+    for tok in text.split_whitespace() {
+        let byte = Some(tok)
+            .filter(|tok| tok.len() == 2)
+            .and_then(|tok| u8::from_str_radix(tok, 16).ok())
+            .ok_or_else(|| err(line_no, format!("bad hex byte {tok:?}")))?;
+        out.push(byte);
+    }
+    Ok(())
 }
 
 /// The embedded demo rule file used by examples and the CLI when no rules
@@ -554,6 +631,19 @@ mod tests {
             parse_rules(r#"alert tcp any any -> any any (msg:"q"; content:"a\"b\\c\;d"; sid:6;)"#)
                 .unwrap();
         assert_eq!(set.rules[0].contents[0], b"a\"b\\c;d");
+    }
+
+    #[test]
+    fn escaped_pipes_in_content_are_literal() {
+        let set = parse_rules(
+            r#"alert tcp any any -> any any (content:"abc\|def_ghijklmnop"; content:"\|41\|-and-more-bytes"; sid:8;)"#,
+        )
+        .unwrap();
+        assert_eq!(set.rules[0].contents[0], b"abc|def_ghijklmnop");
+        assert_eq!(set.rules[0].contents[1], b"|41|-and-more-bytes");
+        // `to_text` still spells `|` as a hex run, and it reads back.
+        let again = parse_rules(&set.rules[0].to_text()).unwrap();
+        assert_eq!(again.rules, set.rules);
     }
 
     #[test]

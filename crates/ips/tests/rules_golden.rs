@@ -45,8 +45,8 @@ fn check(name: &str, text: &str, want: (u64, u64)) {
 }
 
 /// Well-formed rules the generator never writes: every character escape
-/// (`\|` only in `msg`: inside a `content` the unquoted `|` opens a hex
-/// run), a mixed literal/hex content with an empty `||` run, multi-byte
+/// (`\|` only in `msg`; inside a `content` it is a literal `|`), a mixed
+/// literal/hex content with an empty `||` run, multi-byte
 /// text, a two-line continuation and a stray empty option.
 const ESCAPED: &str = r#"alert tcp any any -> any any (msg:"quote \" back \\ semi \; pipe \| colon \:"; content:"a\"b\\c\;d\:e-escaped"; sid:1; rev:1;)
 alert udp $HOME_NET 53 <> 10.0.0.0/8 any (msg:"héllo ✓ wörld"; content:"zähler ✓ über-alles"; nocase; sid:2; rev:2;)

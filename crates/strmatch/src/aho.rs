@@ -33,56 +33,93 @@ pub struct AhoCorasick {
     /// failure state's list (merged during construction so search never
     /// walks the chain to report outputs).
     pub(crate) outputs: FlatLists<PatternId>,
-    set: PatternSet,
+    pub(crate) set: PatternSet,
 }
 
 impl AhoCorasick {
     /// Build the automaton. Takes ownership of the set so matches can be
     /// related back to pattern bytes.
     pub fn new(set: PatternSet) -> Self {
-        // Ids sorted by their bytes, equal strings in id order: the
+        // Patterns sorted by their bytes, equal strings in id order: the
         // patterns through a state at depth `d` are one run sharing its
-        // `d`-byte label, and those ending there lead the run.
-        let mut sorted: Vec<PatternId> = (0..set.len() as PatternId).collect();
-        sorted.sort_by_key(|&id| set.pattern(id));
+        // `d`-byte label, and those ending there lead the run. The id
+        // breaks ties, so the unstable sort keeps that order.
+        let mut keyed: Vec<(&[u8], PatternId)> = set.iter().map(|(id, p)| (p, id)).collect();
+        keyed.sort_unstable();
+        let (keys, sorted): (Vec<&[u8]>, Vec<PatternId>) = keyed.into_iter().unzip();
+        // At most one state per pattern byte, and the root.
+        let most = set.total_bytes() + 1;
         let mut ac = AhoCorasick {
-            edge_start: Vec::new(),
-            edge_bytes: Vec::new(),
-            edge_next: Vec::new(),
-            fail: vec![0],
+            edge_start: Vec::with_capacity(most + 1),
+            edge_bytes: Vec::with_capacity(most),
+            edge_next: Vec::with_capacity(most),
+            fail: Vec::with_capacity(most),
             outputs: FlatLists::default(),
             set: PatternSet::new(),
         };
-        // The root reports nothing.
+        // The root fails to itself and reports nothing.
+        ac.fail.push(0);
         ac.outputs.push(&[]);
-        // Per state: the run of `sorted` continuing below it and its depth.
-        let mut runs = vec![(0, sorted.len(), 0)];
-        let mut s = 0;
-        while let Some(&(mut lo, hi, depth)) = runs.get(s) {
-            ac.edge_start.push(ac.edge_bytes.len() as u32);
-            while lo < hi {
-                let byte_at = |id: &PatternId| set.pattern(*id)[depth];
-                let b = byte_at(&sorted[lo]);
-                let end = lo + sorted[lo..hi].partition_point(|id| byte_at(id) == b);
-                let ends_here =
-                    sorted[lo..end].partition_point(|&id| set.pattern(id).len() == depth + 1);
-                // The deepest proper suffix with a `b` edge: every state it
-                // reads is numbered below `s`, so its edges are complete.
-                // The root's children fail to the root.
-                let fail = if s == 0 { 0 } else { ac.step(ac.fail[s], b) };
-                ac.edge_bytes.push(b);
-                ac.edge_next.push(runs.len() as u32);
-                ac.fail.push(fail);
-                ac.outputs
-                    .push_joined(&sorted[lo..lo + ends_here], fail as usize);
-                runs.push((lo + ends_here, end, depth + 1));
-                lo = end;
+        // The root's edges as a dense row (0 where it has none), where
+        // every failure walk ends; complete before any walk reads it.
+        let mut root = [0u32; 256];
+        // One trie level at a time: per state of the level, in state
+        // order, the run of `sorted` continuing below it.
+        let mut level: Vec<(u32, u32)> = vec![(0, sorted.len() as u32)];
+        let mut below = Vec::new();
+        let (mut s, mut depth) = (0, 0);
+        while !level.is_empty() {
+            for &(lo, hi) in &level {
+                let (mut lo, hi) = (lo as usize, hi as usize);
+                ac.edge_start.push(ac.edge_bytes.len() as u32);
+                while lo < hi {
+                    let b = keys[lo][depth];
+                    let end = lo + keys[lo..hi].partition_point(|key| key[depth] == b);
+                    let ends_here = keys[lo..end].partition_point(|key| key.len() == depth + 1);
+                    let next = ac.fail.len() as u32;
+                    // The deepest proper suffix with a `b` edge: every
+                    // state it reads is numbered below `s`, so its edges
+                    // are complete. The root's children fail to the root.
+                    let fail = if s == 0 {
+                        root[usize::from(b)] = next;
+                        0
+                    } else {
+                        ac.resolve(&root, ac.fail[s], b)
+                    };
+                    ac.edge_bytes.push(b);
+                    ac.edge_next.push(next);
+                    ac.fail.push(fail);
+                    ac.outputs
+                        .push_joined(&sorted[lo..lo + ends_here], fail as usize);
+                    below.push(((lo + ends_here) as u32, end as u32));
+                    lo = end;
+                }
+                s += 1;
             }
-            s += 1;
+            std::mem::swap(&mut level, &mut below);
+            below.clear();
+            depth += 1;
         }
         ac.edge_start.push(ac.edge_bytes.len() as u32);
+        ac.edge_start.shrink_to_fit();
+        ac.edge_bytes.shrink_to_fit();
+        ac.edge_next.shrink_to_fit();
+        ac.fail.shrink_to_fit();
         ac.set = set;
         ac
+    }
+
+    /// [`Self::step`] during construction: failure links down to the
+    /// root, then the root's dense row `root`.
+    fn resolve(&self, root: &[u32; 256], mut state: u32, byte: u8) -> u32 {
+        while state != 0 {
+            let (bytes, next) = self.edges(state);
+            if let Ok(k) = bytes.binary_search(&byte) {
+                return next[k];
+            }
+            state = self.fail[state as usize];
+        }
+        root[usize::from(byte)]
     }
 
     /// The pattern set this automaton recognizes.

@@ -86,13 +86,13 @@
 //! **Build.** The NFA already numbers its states breadth-first, so the
 //! hot tier is its first `H` states and the cold tier the rest. A hot
 //! state's resolved row is its failure state's row (shallower, so built
-//! first) overwritten with its own edges; the rows are built once and
-//! shared by the sizing passes. The cold tier is the NFA's own edge
-//! arrays from the first cold state on, the outputs the NFA's lists
-//! renumbered ([`FlatLists`]). The build is `O(H × 256 + edges)`, with no
-//! failure-chain walk per row.
-
-use std::collections::HashMap;
+//! first) overwritten with its own edges, so each byte that labels a hot
+//! edge is a class of its own and the bytes that label none share one:
+//! the sizing passes read only the hot edge labels, and the rows are
+//! filled once, in classes, at their states' final places. The cold tier
+//! is the NFA's own edge arrays from the first cold state on, the outputs
+//! the NFA's lists renumbered ([`FlatLists`]). The build is
+//! `O(H × classes + edges)`, with no failure-chain walk per row.
 
 use crate::aho::AhoCorasick;
 use crate::pattern::{FlatLists, Match, PatternId, PatternSet};
@@ -343,13 +343,21 @@ impl TieredNfa {
 
     /// Compile from patterns with the default hot-tier budget.
     pub fn new(set: PatternSet) -> Self {
-        Self::from_nfa(&AhoCorasick::new(set), None)
+        let mut nfa = AhoCorasick::new(set);
+        // The NFA is dropped here, so its set moves instead of copying.
+        let set = std::mem::take(&mut nfa.set);
+        Self::build(&nfa, None, set)
     }
 
     /// Compile from an existing NFA. `hot_states` pins the hot-tier size
     /// (clamped to `1..=state_count`), the equivalence tests' axis; `None`
     /// applies the byte-budget heuristic.
     pub fn from_nfa(nfa: &AhoCorasick, hot_states: Option<usize>) -> Self {
+        Self::build(nfa, hot_states, nfa.patterns().clone())
+    }
+
+    /// [`Self::from_nfa`] with the NFA's pattern set, `set`, passed in.
+    fn build(nfa: &AhoCorasick, hot_states: Option<usize>, set: PatternSet) -> Self {
         let n = nfa.state_count();
 
         // The NFA numbers its states breadth-first: the hot tier is a
@@ -360,8 +368,8 @@ impl TieredNfa {
         // as many bytes on dense hot rows as the full CSR arena would
         // occupy, converging on the actual class count (classes are
         // computed over hot rows only, so the count depends on the
-        // boundary — one or two refinement passes settle it). Resolved
-        // rows are built once and shared by the passes.
+        // boundary — one or two more passes settle it, each reading only
+        // the hot states' edge labels).
         let edges = n.saturating_sub(1); // a trie over n states has n-1 edges
         let csr_budget = edges * CSR_EDGE_BYTES + n * CSR_STATE_BYTES;
         let floor = MIN_HOT_STATES.max(1 + fanout).min(n);
@@ -370,19 +378,17 @@ impl TieredNfa {
             Some(h) => h.clamp(1, n),
             None => clamp_hot(csr_budget / 1024), // worst case: 256 classes
         };
-        let mut rows = Vec::new();
-        let (mut classes, mut columns) = hot_columns(nfa, &mut rows, hot_count);
+        let (mut classes, mut class_count) = byte_classes(nfa, hot_count);
         if hot_states.is_none() {
             for _ in 0..2 {
-                let want = clamp_hot(csr_budget / (4 * columns.len().max(1)));
+                let want = clamp_hot(csr_budget / (4 * class_count));
                 if want == hot_count {
                     break;
                 }
                 hot_count = want;
-                (classes, columns) = hot_columns(nfa, &mut rows, hot_count);
+                (classes, class_count) = byte_classes(nfa, hot_count);
             }
         }
-        let class_count = columns.len();
 
         // Final numbering: hot states that report nothing, then hot match
         // states, each in breadth-first order; the cold tail keeps its
@@ -405,13 +411,23 @@ impl TieredNfa {
             None => (cold_base - hot_count) as u32 + s,
         };
 
-        // The rows already built, permuted into the final numbering and
-        // encoded — no second class computation.
+        // Resolved rows, each at its state's final place: the root's is
+        // its edges over zeros, any other state's its failure state's
+        // (shallower, so filled first) overwritten with its own edges.
+        // Then every target is encoded in place.
         let mut hot = vec![0u32; cold_base];
-        for (c, col) in columns.iter().enumerate() {
-            for (s, &t) in col.iter().enumerate() {
-                hot[number[s] * class_count + c] = encode(t);
+        for s in 0..hot_count {
+            let row = number[s] * class_count;
+            if s > 0 {
+                let fail = number[nfa.fail(s as u32) as usize] * class_count;
+                hot.copy_within(fail..fail + class_count, row);
             }
+            for (b, t) in nfa.transitions(s as u32) {
+                hot[row + usize::from(classes[usize::from(b)])] = t;
+            }
+        }
+        for t in &mut hot {
+            *t = encode(*t);
         }
 
         // Cold tail: the NFA's own edge arrays from the first cold state
@@ -434,7 +450,7 @@ impl TieredNfa {
         }
 
         let filter = if hot_count > fanout {
-            WindowFilter::new(nfa.patterns())
+            WindowFilter::new(&set)
         } else {
             None
         };
@@ -459,7 +475,7 @@ impl TieredNfa {
             fail,
             outputs,
             filter,
-            set: nfa.patterns().clone(),
+            set,
         }
     }
 
@@ -617,40 +633,37 @@ impl TieredNfa {
     }
 }
 
-/// Byte classes and their columns over the first `hot_count` states:
-/// `columns.get(class)[s]` is the state reached from state `s` on any
-/// byte of the class. Classes merge bytes whose *hot* columns agree,
-/// never scanning full-state-count columns. `rows` holds each state's resolved
-/// row, extended here to `hot_count`: a state's row is its failure
-/// state's (built earlier, being shallower) overwritten with its own
-/// edges, and the root's is its edges over zeros.
-fn hot_columns(
-    nfa: &AhoCorasick,
-    rows: &mut Vec<[u32; 256]>,
-    hot_count: usize,
-) -> (Box<[u8; 256]>, FlatLists<u32>) {
-    for s in rows.len() as u32..hot_count as u32 {
-        let mut row = if s == 0 {
-            [0; 256]
-        } else {
-            rows[nfa.fail(s) as usize]
-        };
-        for (b, t) in nfa.transitions(s) {
-            row[usize::from(b)] = t;
-        }
-        rows.push(row);
+/// Byte classes over the first `hot_count` states and their count: two
+/// bytes share a class when their *hot* columns (the resolved targets
+/// from every hot state) agree, and classes are numbered by their first
+/// byte.
+///
+/// By partition refinement, one resolved row at a time: a state's row
+/// is its failure state's with its own edges written over it, so it
+/// splits classes only at its own edge labels, and each label's target
+/// is a child of this state alone, unequal to every other entry of every
+/// column. After all hot rows, each byte that labels a hot edge is a
+/// class of its own, and the bytes that label none share the all-root
+/// column. Reading the labels, `O(hot edges)`, is all it takes.
+fn byte_classes(nfa: &AhoCorasick, hot_count: usize) -> (Box<[u8; 256]>, usize) {
+    let mut labels = [false; 256];
+    for &b in &nfa.edge_bytes[..nfa.edge_start[hot_count] as usize] {
+        labels[usize::from(b)] = true;
     }
-    let mut columns = FlatLists::default();
-    let mut class_of: HashMap<Vec<u32>, u8> = HashMap::new();
     let mut classes = Box::new([0u8; 256]);
-    for b in 0..256 {
-        let col: Vec<u32> = rows[..hot_count].iter().map(|row| row[b]).collect();
-        let class = *class_of
-            .entry(col)
-            .or_insert_with_key(|col| columns.push(col) as u8);
-        classes[b] = class;
+    let (mut count, mut unlabelled) = (0, None);
+    for (class, &label) in classes.iter_mut().zip(&labels) {
+        let mut next = || {
+            count += 1;
+            (count - 1) as u8
+        };
+        *class = if label {
+            next()
+        } else {
+            *unlabelled.get_or_insert_with(next)
+        };
     }
-    (classes, columns)
+    (classes, count)
 }
 
 #[cfg(test)]
@@ -1122,10 +1135,9 @@ mod tests {
     proptest! {
         /// Each hot row, its failure state's row overwritten with its own
         /// edges, resolves every byte to the state the NFA's failure walk
-        /// reaches, and each class's column is every hot row's entry for
-        /// each byte of the class, with no two columns equal — through a
-        /// boundary that grows and then shrinks over the same rows, as the
-        /// sizing passes move it.
+        /// reaches, encoded as the build numbers it, and no two classes'
+        /// columns over the hot rows are equal — at a boundary inside
+        /// the trie and at both ends.
         #[test]
         fn hot_rows_resolve_like_the_failure_walk(
             pats in prop::collection::vec(
@@ -1138,17 +1150,31 @@ mod tests {
         ) {
             let nfa = AhoCorasick::new(PatternSet::from_patterns(&pats));
             let n = nfa.state_count();
-            let mut rows = Vec::new();
             for hot in [n.div_ceil(2), n, 1] {
-                let (classes, columns) = hot_columns(&nfa, &mut rows, hot);
+                let tiered = TieredNfa::from_nfa(&nfa, Some(hot));
+                let classes = tiered.class_count();
+                // Hot states that report nothing, then hot match states,
+                // then the cold tail (module docs).
+                let (plain, matching): (Vec<usize>, Vec<usize>) =
+                    (0..hot).partition(|&s| nfa.outputs(s as u32).is_empty());
+                let mut encoded: Vec<u32> =
+                    (0..n).map(|s| tiered.cold_base + s as u32 - hot as u32).collect();
+                for (k, &s) in plain.iter().chain(&matching).enumerate() {
+                    encoded[s] = (k * classes) as u32;
+                }
                 for s in 0..hot {
                     for b in 0..=255u8 {
-                        let col = columns.get(usize::from(classes[usize::from(b)]));
-                        prop_assert_eq!(col[s], nfa.step(s as u32, b));
+                        let at = encoded[s] as usize + usize::from(tiered.classes[usize::from(b)]);
+                        prop_assert_eq!(
+                            tiered.hot[at],
+                            encoded[nfa.step(s as u32, b) as usize]
+                        );
                     }
                 }
-                let distinct: HashSet<&[u32]> = columns.iter().collect();
-                prop_assert_eq!(distinct.len(), columns.len());
+                let columns: HashSet<Vec<u32>> = (0..classes)
+                    .map(|c| (0..hot).map(|s| tiered.hot[s * classes + c]).collect())
+                    .collect();
+                prop_assert_eq!(columns.len(), classes);
             }
         }
     }
