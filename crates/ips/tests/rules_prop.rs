@@ -85,4 +85,36 @@ proptest! {
         let strict = parse_rules(&text).unwrap_err();
         prop_assert_eq!(strict.line, total_lines - malformed + 1);
     }
+
+    /// Content decoding against known bytes: arbitrary content bytes,
+    /// written through a random mix of `\"`, `\\`, `\;`, `\|`, `\:`
+    /// escapes, literal text and `|hex|` runs (either case, extra spaces,
+    /// empty `||` runs), load as exactly those bytes.
+    #[test]
+    fn content_spellings_decode_to_their_bytes(
+        content in prop::collection::vec(any::<u8>(), 1..40),
+        spelling in prop::collection::vec(any::<u8>(), 40),
+    ) {
+        let mut text = String::new();
+        for (&b, &how) in content.iter().zip(&spelling) {
+            let escapable = matches!(b, b'"' | b'\\' | b';' | b'|' | b':');
+            let literal = (0x20..=0x7E).contains(&b) && !matches!(b, b'"' | b'\\' | b'|');
+            if how & 1 == 1 && escapable {
+                text.push('\\');
+                text.push(b as char);
+            } else if how & 2 == 2 && literal {
+                text.push(b as char);
+            } else {
+                let hex = if how & 4 == 4 { format!("{b:02x}") } else { format!("{b:02X}") };
+                let pad = if how & 8 == 8 { "  " } else { "" };
+                text.push_str(&format!("|{pad}{hex}{pad}|"));
+            }
+            if how & 16 == 16 {
+                text.push_str("||");
+            }
+        }
+        let line = format!("alert tcp any any -> any any (msg:\"m\"; content:\"{text}\"; sid:1;)");
+        let set = parse_rules(&line).expect("every spelling parses");
+        prop_assert_eq!(&set.rules[0].contents[0], &content);
+    }
 }

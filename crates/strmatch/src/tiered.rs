@@ -504,6 +504,11 @@ impl TieredNfa {
         self.class_count as usize
     }
 
+    /// The byte equivalence class of `byte` over the hot rows.
+    pub fn byte_class(&self, byte: u8) -> usize {
+        usize::from(self.classes[usize::from(byte)])
+    }
+
     /// Hot-tier bytes: the class map plus the dense rows.
     pub fn hot_tier_bytes(&self) -> usize {
         256 + self.hot.len() * 4
