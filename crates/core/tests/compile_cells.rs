@@ -20,7 +20,10 @@
 //! and every reload pay), `CompiledRules::clone` (two reference-count
 //! bumps: what every shard build pays) and dropping the last reference
 //! to a compile (what a reload's retire costs the thread that lets the old
-//! rules go). The timings are for reading, not gating.
+//! rules go), and the set-up: the rule text through
+//! `SplitDetect::with_config`, what `sd-e2e` samples as `setup_s` (the
+//! 200-rule cell loads the written-out corpus, not the generated set).
+//! The timings are for reading, not gating.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -29,7 +32,7 @@ use sd_ips::rules::parse_rules_lenient;
 use sd_ips::stream::StreamScanner;
 use sd_ips::SignatureSet;
 use sd_traffic::{generate_rule_corpus, RuleCorpusConfig};
-use splitdetect::{CompiledRules, SplitDetectConfig, SplitPlan};
+use splitdetect::{CompiledRules, SplitDetect, SplitDetectConfig, SplitPlan};
 
 /// Timed runs per cell; the median is reported.
 const RUNS: usize = 7;
@@ -101,14 +104,15 @@ fn compile_cells() {
     ];
     let config = SplitDetectConfig::default();
     println!(
-        "{:<5} {:>15} {:>16} {:>20} {:>23} {:>10} {:>9}",
+        "{:<5} {:>15} {:>16} {:>20} {:>23} {:>10} {:>9} {:>12}",
         "rules",
         "rules text ms",
         "SplitPlan ms",
         "StreamScanner ms",
         "CompiledRules ms",
         "clone ms",
-        "drop ms"
+        "drop ms",
+        "set-up ms"
     );
     for (name, (text, sigs)) in &sets {
         let loaded = median_ms(|| load(text));
@@ -117,8 +121,9 @@ fn compile_cells() {
         let compile = || CompiledRules::compile(sigs, &config).expect("admissible");
         let both = median_ms(compile);
         let (clone, dropped) = clone_and_drop_ms(compile);
+        let setup = median_ms(|| SplitDetect::with_config(load(text), config.clone()));
         println!(
-            "{name:<5} {loaded:>15.1} {plan:>16.1} {scanner:>20.1} {both:>23.1} {clone:>10.5} {dropped:>9.3}"
+            "{name:<5} {loaded:>15.1} {plan:>16.1} {scanner:>20.1} {both:>23.1} {clone:>10.5} {dropped:>9.3} {setup:>12.1}"
         );
     }
 }
