@@ -1,9 +1,9 @@
 //! The compiled automata, pinned: a digest of every array of the piece
 //! plan (`SplitPlan`) and the whole-signature scanner (`StreamScanner`)
-//! for the three rule sets the benchmark and the experiments compile,
-//! both taken from one `CompiledRules::compile`, the build every engine
-//! runs: on one thread at 200 rules, with the scanner built on a helper
-//! thread at 1k and 10k.
+//! for the three rule sets the benchmark and the experiments compile and
+//! for the demo rules, each taken from one `CompiledRules::compile`, the
+//! build every engine runs: on one thread at 200 rules and for the demo
+//! rules, with the scanner built on a helper thread at 1k and 10k.
 //! The automaton builder may change how it gets there; what it builds may
 //! not move by one byte without a new digest here.
 //!
@@ -14,7 +14,7 @@
 
 use std::fmt::Debug;
 
-use sd_ips::rules::parse_rules_lenient;
+use sd_ips::rules::{parse_rules_lenient, DEMO_RULES};
 use sd_ips::SignatureSet;
 use sd_traffic::{generate_rule_corpus, RuleCorpusConfig};
 use splitdetect::{CompiledRules, SplitDetectConfig};
@@ -91,4 +91,27 @@ fn compiled_automata_are_pinned_at_10k_rules() {
         &corpus(10_000, 2006),
         (0x53de_06db_be4f_3f1d, 0x26da_0884_4445_5c82),
     );
+}
+
+/// The demo rules: `rules/demo.rules` and the embedded set `sd serve`
+/// loads without `--rules`. A handful of long ASCII signatures, the small
+/// alphabet where the whole automaton is the hot tier.
+#[test]
+fn compiled_automata_are_pinned_on_the_demo_rules() {
+    let sets = [
+        (
+            "rules/demo.rules",
+            include_str!("../../../rules/demo.rules"),
+        ),
+        ("DEMO_RULES", DEMO_RULES),
+    ];
+    let want = [
+        (0x9fd0_56f0_9829_9579, 0xa305_0d3a_0144_d7a2),
+        (0x0be1_3bf8_a167_6c0c, 0xc205_6f45_ff55_41c9),
+    ];
+    for ((name, text), want) in sets.into_iter().zip(want) {
+        let (rules, errors) = parse_rules_lenient(text);
+        assert!(errors.is_empty(), "{name} parses cleanly");
+        check(name, &rules.to_signatures(), want);
+    }
 }
