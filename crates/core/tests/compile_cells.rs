@@ -23,7 +23,10 @@
 //! rules go), and the set-up: the rule text through
 //! `SplitDetect::with_config`, what `sd-e2e` samples as `setup_s` (the
 //! 200-rule cell loads the written-out corpus, not the generated set).
-//! The timings are for reading, not gating.
+//! The timings are for reading, not gating. A second table prints what
+//! one compile builds: the hot states and the hot-tier, cold-tier and
+//! total bytes of the plan and of the scanner, so a layout change shows
+//! its memory beside its build time.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -114,6 +117,7 @@ fn compile_cells() {
         "drop ms",
         "set-up ms"
     );
+    let mut layouts = Vec::new();
     for (name, (text, sigs)) in &sets {
         let loaded = median_ms(|| load(text));
         let plan = median_ms(|| SplitPlan::compile(sigs, &config).expect("admissible"));
@@ -125,5 +129,34 @@ fn compile_cells() {
         println!(
             "{name:<5} {loaded:>15.1} {plan:>16.1} {scanner:>20.1} {both:>23.1} {clone:>10.5} {dropped:>9.3} {setup:>12.1}"
         );
+        let rules = compile();
+        let tiers = rules.plan().tier_stats();
+        let nfa = rules.scanner().automaton();
+        layouts.push(format!(
+            "{name:<5} {:>10} {:>12} {:>12} {:>12} {:>13} {:>15} {:>15} {:>15}",
+            tiers.hot_states,
+            tiers.hot_bytes,
+            tiers.cold_bytes,
+            rules.plan().memory_bytes(),
+            nfa.hot_state_count(),
+            nfa.hot_tier_bytes(),
+            nfa.cold_tier_bytes(),
+            nfa.memory_bytes()
+        ));
+    }
+    println!(
+        "\n{:<5} {:>10} {:>12} {:>12} {:>12} {:>13} {:>15} {:>15} {:>15}",
+        "rules",
+        "plan hot",
+        "plan hot B",
+        "plan cold B",
+        "plan B",
+        "scanner hot",
+        "scanner hot B",
+        "scanner cold B",
+        "scanner B"
+    );
+    for row in layouts {
+        println!("{row}");
     }
 }

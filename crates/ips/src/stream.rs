@@ -106,6 +106,11 @@ impl StreamScanner {
         self.nfa.memory_bytes()
     }
 
+    /// The compiled automaton, for its tier layout.
+    pub fn automaton(&self) -> &TieredNfa {
+        &self.nfa
+    }
+
     /// Every match in one self-contained payload, end offsets relative to
     /// it (UDP datagrams).
     pub fn find_all(&self, payload: &[u8]) -> Vec<Match> {
