@@ -72,16 +72,6 @@ impl Trace {
         self.packets.iter().map(|p| p.data.as_slice())
     }
 
-    /// Append another trace's packets, shifting their timestamps to start
-    /// after this trace ends, and keeping order.
-    pub fn append_after(&mut self, other: Trace) {
-        let base = self.packets.last().map_or(0, |p| p.ts_micros + 1);
-        self.packets.extend(other.packets.into_iter().map(|mut p| {
-            p.ts_micros += base;
-            p
-        }));
-    }
-
     /// Count distinct flow keys (None-parsing packets excluded).
     pub fn flow_count(&self) -> usize {
         let mut keys: Vec<FlowKey> = self.packets.iter().filter_map(|p| p.flow_key()).collect();
@@ -116,16 +106,6 @@ mod tests {
     fn flow_count_dedups_by_connection() {
         let t = Trace::from_packets(vec![pkt(1, 0), pkt(1, 1), pkt(2, 2)]);
         assert_eq!(t.flow_count(), 2);
-    }
-
-    #[test]
-    fn append_after_shifts_timestamps() {
-        let mut a = Trace::from_packets(vec![pkt(1, 10)]);
-        let b = Trace::from_packets(vec![pkt(2, 0), pkt(2, 5)]);
-        a.append_after(b);
-        assert_eq!(a.len(), 3);
-        assert!(a.packets[1].ts_micros > 10);
-        assert_eq!(a.packets[2].ts_micros - a.packets[1].ts_micros, 5);
     }
 
     #[test]
