@@ -81,7 +81,7 @@ fn e12_delay_line_depth_is_pinned() {
 
 #[test]
 fn e13_corpus_scaling_is_pinned() {
-    check("e13", 0x4f5a_1efc_a704_25e6);
+    check("e13", 0x549a_f7b8_ec96_c290);
 }
 
 #[test]

@@ -629,9 +629,9 @@ fn analyze_rules_cmd(path: &str, top: usize, seed: u64, out: Out) -> Result<(), 
     let t = plan.tier_stats();
     let _ = writeln!(
         out,
-        "tiered split (budget heuristic): {} hot state(s) as dense rows ({} B, {} classes), \
+        "tiered split (budget heuristic): {} hot state(s) as dense rows ({} B), \
          {} cold in CSR ({} B)",
-        t.hot_states, t.hot_bytes, t.class_count, t.cold_states, t.cold_bytes
+        t.hot_states, t.hot_bytes, t.cold_states, t.cold_bytes
     );
     let _ = match plan.filter_shape() {
         Some((window, stride, bytes, avx2)) => writeln!(

@@ -251,7 +251,7 @@ pub(crate) fn metrics_registry(
         ),
         (
             "sd_automaton_hot_states",
-            "Piece automaton: states laid out as dense byte-classed rows",
+            "Piece automaton: states laid out as dense byte-indexed rows",
             tiers.map_or(0, |t| t.hot_states as u64),
         ),
         (
@@ -261,7 +261,7 @@ pub(crate) fn metrics_registry(
         ),
         (
             "sd_automaton_hot_bytes",
-            "Piece automaton: hot-tier table bytes (class map + dense rows)",
+            "Piece automaton: hot-tier table bytes (dense rows, 1 KB per state)",
             tiers.map_or(0, |t| t.hot_bytes as u64),
         ),
         (

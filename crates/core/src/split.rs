@@ -32,20 +32,18 @@ pub struct PieceOrigin {
     pub offset: usize,
 }
 
-/// Per-tier layout of the piece automaton (telemetry and the bench JSON
-/// report both tiers separately).
+/// Per-tier layout of the piece automaton (the `sd_automaton_*` gauges
+/// and `sd analyze-rules` report both tiers separately).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierStats {
-    /// States laid out as dense byte-classed rows.
+    /// States laid out as dense byte-indexed rows.
     pub hot_states: usize,
     /// States kept in the CSR cold tail.
     pub cold_states: usize,
-    /// Hot-tier bytes (class map + dense rows).
+    /// Hot-tier bytes (dense rows, 1 KB per state).
     pub hot_bytes: usize,
     /// Cold-tier bytes (CSR arrays + failure links).
     pub cold_bytes: usize,
-    /// Byte equivalence classes over the hot rows.
-    pub class_count: usize,
 }
 
 /// The compiled split: piece automaton plus provenance.
@@ -54,10 +52,6 @@ pub struct SplitPlan {
     automaton: TieredNfa,
     /// origin lists parallel to pattern ids.
     origins: FlatLists<PieceOrigin>,
-    /// Longest piece length (the admissible small-segment cutoff floor).
-    max_piece_len: usize,
-    /// Shortest piece length.
-    min_piece_len: usize,
     pieces_per_signature: usize,
     /// Wall time spent compiling the automaton (the telemetry gauge and
     /// `sd analyze-rules` report it).
@@ -211,18 +205,11 @@ impl SplitPlan {
         let started = Instant::now();
         let automaton = TieredNfa::new(set);
         SplitPlan {
-            max_piece_len: automaton.patterns().max_len().unwrap_or(0),
-            min_piece_len: automaton.patterns().min_len().unwrap_or(0),
             automaton,
             origins,
             pieces_per_signature: k,
             build_time: started.elapsed(),
         }
-    }
-
-    /// Byte equivalence classes over the hot rows.
-    pub fn class_count(&self) -> usize {
-        self.automaton.class_count()
     }
 
     /// Hot/cold tier layout.
@@ -233,7 +220,6 @@ impl SplitPlan {
             cold_states: d.cold_state_count(),
             hot_bytes: d.hot_tier_bytes(),
             cold_bytes: d.cold_tier_bytes(),
-            class_count: d.class_count(),
         }
     }
 
@@ -260,14 +246,9 @@ impl SplitPlan {
         self.origins.len()
     }
 
-    /// Longest piece length.
+    /// Longest piece length (the admissible small-segment cutoff floor).
     pub fn max_piece_len(&self) -> usize {
-        self.max_piece_len
-    }
-
-    /// Shortest piece length.
-    pub fn min_piece_len(&self) -> usize {
-        self.min_piece_len
+        self.pieces().max_len().unwrap_or(0)
     }
 
     /// Pieces per signature (k).
@@ -396,7 +377,6 @@ mod tests {
         let plan = SplitPlan::compile_unchecked(&sigs, 3);
         // 6 pieces of 8 distinct bytes + the root.
         assert_eq!(plan.state_count(), 49);
-        assert!(plan.class_count() <= 49, "48 letters + rest");
         let tiers = plan.tier_stats();
         assert_eq!(
             tiers.hot_states + tiers.cold_states,
@@ -404,12 +384,12 @@ mod tests {
             "tiers partition the state set"
         );
         assert_eq!(tiers.cold_states, 0, "a demo-scale corpus is all hot");
-        assert_eq!(tiers.class_count, plan.class_count());
-        assert!(tiers.hot_bytes + tiers.cold_bytes <= plan.memory_bytes());
-        assert!(
-            plan.memory_bytes() < plan.state_count() * 1024 / 4,
-            "byte classes keep the table well under a dense DFA's 1 KB/state"
+        assert_eq!(
+            tiers.hot_bytes,
+            1024 * tiers.hot_states,
+            "one 1 KB row a state"
         );
+        assert!(tiers.hot_bytes + tiers.cold_bytes <= plan.memory_bytes());
     }
 
     #[test]
@@ -417,7 +397,7 @@ mod tests {
         let sigs = set(&[&[b'x'; 25][..]]); // 25 / 3 → pieces 9, 8, 8
         let plan = SplitPlan::compile(&sigs, &SplitDetectConfig::default()).unwrap();
         assert_eq!(plan.max_piece_len(), 9);
-        assert_eq!(plan.min_piece_len(), 8);
+        assert_eq!(plan.pieces().min_len(), Some(8));
         assert_eq!(plan.pieces_per_signature(), 3);
         assert!(plan.memory_bytes() > 0);
         // The filter follows the shortest piece: 4-byte windows, every

@@ -125,7 +125,7 @@ fn compile_cells() {
         let compile = || CompiledRules::compile(sigs, &config).expect("admissible");
         let both = median_ms(compile);
         let (clone, dropped) = clone_and_drop_ms(compile);
-        let setup = median_ms(|| SplitDetect::with_config(load(text), config.clone()));
+        let setup = median_ms(|| SplitDetect::with_config(load(text), config));
         println!(
             "{name:<5} {loaded:>15.1} {plan:>16.1} {scanner:>20.1} {both:>23.1} {clone:>10.5} {dropped:>9.3} {setup:>12.1}"
         );

@@ -5,14 +5,14 @@
 //! payload make identical engines: same divert decisions, same alerts,
 //! same accounting. The tiered automaton has one structural axis — how
 //! many shallow states are laid out as dense rows — whose endpoints are a
-//! CSR NFA under a dense root (`hot = 1`) and a byte-classed DFA
-//! (`hot = all`). This suite walks that axis (`1`, `2`, the heuristic's
-//! floor, the heuristic itself, `all`) and checks every point against
-//! the naive reference and the dense DFA on the payloads of the oracle's
-//! adversarial traces, where the signature arrives fragmented,
-//! overlapped, chaffed and out of order — and does it again at
-//! rule-corpus scale, where the tiers genuinely split (dedup'd shared
-//! prefixes, saturated byte classes, a populated cold tail).
+//! CSR NFA under a dense root (`hot = 1`) and a dense DFA behind the
+//! window filter (`hot = all`). This suite walks that axis (`1`, `2`,
+//! the heuristic's floor, the heuristic itself, `all`) and checks every
+//! point against the naive reference and the dense DFA on the payloads
+//! of the oracle's adversarial traces, where the signature arrives
+//! fragmented, overlapped, chaffed and out of order — and does it again
+//! at rule-corpus scale, where the tiers genuinely split (dedup'd shared
+//! prefixes, a populated cold tail).
 
 use sd_ips::api::run_trace;
 use sd_ips::rules::parse_rules;
@@ -212,9 +212,9 @@ fn corpus_signatures(rules: usize, seed: u64) -> SignatureSet {
 /// driven over the pinned regressions and fresh adversarial programs —
 /// exactly the traces whose fragments and splits straddle signatures
 /// across packet boundaries. At this scale the tiers genuinely differ
-/// inside (byte classes saturate, piece dedup kicks in, `hot = 256` leaves
-/// most of the trie cold), so agreement here is the proof the heuristic
-/// is free to put the boundary wherever the byte budget says.
+/// inside (piece dedup kicks in, `hot = 256` leaves most of the trie
+/// cold), so agreement here is the proof the heuristic is free to put the
+/// boundary wherever the byte budget says.
 #[test]
 fn corpus_scale_automata_agree_at_every_hot_count() {
     let subject = Subject::new(&corpus_signatures(CORPUS_RULES, 0xC0FFEE));

@@ -9,13 +9,13 @@
 //!   NFA both compiled forms below are built from,
 //! * [`tiered`] — the automaton every engine runs, over pieces on the
 //!   fast path and over whole signatures on the slow path, the
-//!   conventional IPS and the per-packet strawman: dense byte-classed
+//!   conventional IPS and the per-packet strawman: dense byte-indexed
 //!   rows for the hot shallow states (where benign traffic lives), CSR
 //!   edges + failure links for the cold tail, entered only where a hashed
 //!   filter over each pattern's leading (up to) 4-byte windows finds a
 //!   candidate; the filter tests one position in every `shortest pattern
 //!   − 3`, eight per branch where the CPU has AVX2. A small rule set is
-//!   entirely hot (a byte-classed DFA behind the filter); a 10k-rule
+//!   entirely hot (the dense DFA behind the filter); a 10k-rule
 //!   corpus keeps only its shallow levels dense and stays within ~2× the
 //!   `O(pattern bytes)` CSR footprint,
 //! * `wide` (crate-private) — that eight-wide AVX2 filter loop, which

@@ -1,5 +1,5 @@
 //! The automaton both paths run: two-tier Aho–Corasick with dense
-//! byte-classed rows for the hot shallow states and CSR sorted-edge lists
+//! byte-indexed rows for the hot shallow states and CSR sorted-edge lists
 //! for the cold tail, entered only where a piece-window filter says a
 //! piece may start. The fast path builds it over signature pieces and the
 //! slow path over whole signatures, with the same constructor, hot-tier
@@ -16,9 +16,13 @@
 //! a tiered layout:
 //!
 //! * **hot tier** — the first `H` states in breadth-first (depth) order,
-//!   stored as fully failure-resolved rows compressed by byte equivalence
-//!   classes computed over the hot rows only. Hot states that report
-//!   nothing are numbered before hot states that report a match.
+//!   stored as fully failure-resolved rows of 256 entries, one per byte.
+//!   Hot states that report nothing are numbered before hot states that
+//!   report a match. The rows are indexed by the byte itself: byte
+//!   equivalence classes over the hot rows number 145–256 on the rule
+//!   sets the benchmark runs (E21, E22, E40), so a class map saved a
+//!   quarter to two-fifths of the hot table at 200 rules and nothing at
+//!   10k, and cost every hot step a second load.
 //! * **cold tier** — every remaining state, kept as sorted edge arrays
 //!   plus a failure link. Failure links strictly decrease trie depth, and
 //!   the hot tier is a depth-ordered prefix rooted at depth 0, so every
@@ -26,10 +30,10 @@
 //!   walks terminate without a dense root row of their own.
 //!
 //! **One-compare step.** State ids are stored premultiplied: hot state `t`
-//! is `t × class_count` (its row offset) and cold state `t` is `hot_count
-//! × class_count + (t − hot_count)`. A step from a hot state that reports
-//! nothing is `hot[enc + classes[b]]`, and one `enc >= plain_limit` test
-//! catches both a match and a cold state.
+//! is `t << 8` (its row offset) and cold state `t` is `256 × hot_count +
+//! (t − hot_count)`. A step from a hot state that reports nothing is
+//! `hot[enc + b]`, and one `enc >= plain_limit` test catches both a match
+//! and a cold state.
 //!
 //! **Window filter.** Every piece is at least `m` (the shortest piece)
 //! bytes long; Split-Detect pieces are near-uniform, so `m` is close to
@@ -76,23 +80,21 @@
 //! no filter.
 //!
 //! Tier membership is a build-time byte-budget heuristic — spend about as
-//! many bytes on the hot tier as the whole CSR arena would occupy, so the
-//! total stays within ~2× the all-cold representation. The two endpoints
-//! are familiar engines: `H = n` (every small rule set) is a byte-classed
-//! DFA behind the filter, and `H = 1` is a CSR NFA with a dense root row.
+//! many bytes on the 1 KB hot rows as the whole CSR arena would occupy, so
+//! the total stays within ~2× the all-cold representation. The two
+//! endpoints are familiar engines: `H = n` (every rule set of at most
+//! [`MIN_HOT_STATES`] states) is the dense DFA behind the filter, and
+//! `H = 1` is a CSR NFA with a dense root row.
 //! [`TieredNfa::from_nfa`] takes a pinned boundary for the equivalence
 //! tests; it is not a user-settable knob.
 //!
 //! **Build.** The NFA already numbers its states breadth-first, so the
 //! hot tier is its first `H` states and the cold tier the rest. A hot
 //! state's resolved row is its failure state's row (shallower, so built
-//! first) overwritten with its own edges, so each byte that labels a hot
-//! edge is a class of its own and the bytes that label none share one:
-//! the sizing passes read only the hot edge labels, and the rows are
-//! filled once, in classes, at their states' final places. The cold tier
-//! is the NFA's own edge arrays from the first cold state on, the outputs
-//! the NFA's lists renumbered ([`FlatLists`]). The build is
-//! `O(H × classes + edges)`, with no failure-chain walk per row.
+//! first) overwritten with its own edges, filled once at the state's
+//! final place. The cold tier is the NFA's own edge arrays from the first
+//! cold state on, the outputs the NFA's lists renumbered ([`FlatLists`]).
+//! The build is `O(256 H + edges)`, with no failure-chain walk per row.
 
 use crate::aho::AhoCorasick;
 use crate::pattern::{FlatLists, Match, PatternId, PatternSet};
@@ -300,23 +302,19 @@ fn load_window(bytes: &[u8]) -> u32 {
         .fold(0, |x, (k, &b)| x | u32::from(b) << (8 * k))
 }
 
-/// Two-tier Aho–Corasick automaton: byte-classed dense rows for the hot
+/// Two-tier Aho–Corasick automaton: dense byte-indexed rows for the hot
 /// states, CSR edges + failure links for the tail, behind a window filter.
 /// State ids inside are encoded as the module docs describe.
 #[derive(Debug, Clone)]
 pub struct TieredNfa {
     /// States `0..hot_count` are hot (dense rows); the root is state 0.
     hot_count: u32,
-    /// Byte equivalence classes over the hot rows.
-    class_count: u32,
-    /// Byte → class, for the hot-tier lookup.
-    classes: Box<[u8; 256]>,
-    /// Hot transition table, `hot_count × class_count`, fully
-    /// failure-resolved; entries are encoded targets (may be cold).
+    /// Hot transition table, `hot_count × 256`, fully failure-resolved;
+    /// entries are encoded targets (may be cold).
     hot: Vec<u32>,
     /// Encoded ids below this are hot states that report nothing.
     plain_limit: u32,
-    /// First encoded cold id, `hot_count × class_count`.
+    /// First encoded cold id, `hot_count × 256`.
     cold_base: u32,
     /// Encoded ids below this are the root and its children (depth ≤ 1),
     /// where a filtered walk may stop; 0 when there is no filter.
@@ -365,30 +363,15 @@ impl TieredNfa {
         let fanout = nfa.transitions(0).count();
 
         // Hot-tier sizing. An explicit count wins; otherwise spend about
-        // as many bytes on dense hot rows as the full CSR arena would
-        // occupy, converging on the actual class count (classes are
-        // computed over hot rows only, so the count depends on the
-        // boundary — one or two more passes settle it, each reading only
-        // the hot states' edge labels).
+        // as many bytes on 1 KB hot rows as the full CSR arena would
+        // occupy.
         let edges = n.saturating_sub(1); // a trie over n states has n-1 edges
         let csr_budget = edges * CSR_EDGE_BYTES + n * CSR_STATE_BYTES;
         let floor = MIN_HOT_STATES.max(1 + fanout).min(n);
-        let clamp_hot = |h: usize| h.clamp(floor, n);
-        let mut hot_count = match hot_states {
+        let hot_count = match hot_states {
             Some(h) => h.clamp(1, n),
-            None => clamp_hot(csr_budget / 1024), // worst case: 256 classes
+            None => (csr_budget / 1024).clamp(floor, n),
         };
-        let (mut classes, mut class_count) = byte_classes(nfa, hot_count);
-        if hot_states.is_none() {
-            for _ in 0..2 {
-                let want = clamp_hot(csr_budget / (4 * class_count));
-                if want == hot_count {
-                    break;
-                }
-                hot_count = want;
-                (classes, class_count) = byte_classes(nfa, hot_count);
-            }
-        }
 
         // Final numbering: hot states that report nothing, then hot match
         // states, each in breadth-first order; the cold tail keeps its
@@ -401,33 +384,30 @@ impl TieredNfa {
         for (k, &s) in plain.iter().chain(&matching).enumerate() {
             number[s] = k;
         }
-        let cold_base = hot_count * class_count;
+        let cold_base = hot_count << 8;
         assert!(
             cold_base + (n - hot_count) <= u32::MAX as usize,
             "encoded state ids must fit u32"
         );
         let encode = |s: u32| match number.get(s as usize) {
-            Some(&t) => (t * class_count) as u32,
+            Some(&t) => (t << 8) as u32,
             None => (cold_base - hot_count) as u32 + s,
         };
 
-        // Resolved rows, each at its state's final place: the root's is
-        // its edges over zeros, any other state's its failure state's
-        // (shallower, so filled first) overwritten with its own edges.
-        // Then every target is encoded in place.
+        // Resolved rows of encoded targets, each at its state's final
+        // place: the root's is its edges over zeros (the root, encoded),
+        // any other state's its failure state's (shallower, so filled
+        // first) overwritten with its own edges.
         let mut hot = vec![0u32; cold_base];
         for s in 0..hot_count {
-            let row = number[s] * class_count;
+            let row = number[s] << 8;
             if s > 0 {
-                let fail = number[nfa.fail(s as u32) as usize] * class_count;
-                hot.copy_within(fail..fail + class_count, row);
+                let fail = number[nfa.fail(s as u32) as usize] << 8;
+                hot.copy_within(fail..fail + 256, row);
             }
             for (b, t) in nfa.transitions(s as u32) {
-                hot[row + usize::from(classes[usize::from(b)])] = t;
+                hot[row + usize::from(b)] = encode(t);
             }
-        }
-        for t in &mut hot {
-            *t = encode(*t);
         }
 
         // Cold tail: the NFA's own edge arrays from the first cold state
@@ -456,17 +436,15 @@ impl TieredNfa {
         };
         let shallow_limit = if filter.is_some() {
             debug_assert!((0..=fanout).all(|s| number[s] == s && !reports(s)));
-            (1 + fanout) * class_count
+            (1 + fanout) << 8
         } else {
             0
         };
 
         TieredNfa {
             hot_count: hot_count as u32,
-            class_count: class_count as u32,
-            classes,
             hot,
-            plain_limit: (plain.len() * class_count) as u32,
+            plain_limit: (plain.len() << 8) as u32,
             cold_base: cold_base as u32,
             shallow_limit: shallow_limit as u32,
             edge_start,
@@ -499,19 +477,9 @@ impl TieredNfa {
         self.state_count() - self.hot_state_count()
     }
 
-    /// Byte equivalence classes over the hot rows.
-    pub fn class_count(&self) -> usize {
-        self.class_count as usize
-    }
-
-    /// The byte equivalence class of `byte` over the hot rows.
-    pub fn byte_class(&self, byte: u8) -> usize {
-        usize::from(self.classes[usize::from(byte)])
-    }
-
-    /// Hot-tier bytes: the class map plus the dense rows.
+    /// Hot-tier bytes: the dense rows, 1 KB per hot state.
     pub fn hot_tier_bytes(&self) -> usize {
-        256 + self.hot.len() * 4
+        self.hot.len() * 4
     }
 
     /// Cold-tier bytes: the CSR arrays and failure links.
@@ -533,15 +501,15 @@ impl TieredNfa {
             .map(|f| (f.window, f.stride, f.memory_bytes(), f.wide.is_some()))
     }
 
-    /// One input byte from encoded state `enc`. Hot states are one class
-    /// load plus one table load; cold states binary-search their edges and
+    /// One input byte from encoded state `enc`. Hot states are one table
+    /// load; cold states binary-search their edges and
     /// follow failure links, which strictly decrease depth and therefore
     /// re-enter the hot tier.
     #[inline]
     fn step(&self, mut enc: u32, byte: u8) -> u32 {
         loop {
             if enc < self.cold_base {
-                return self.hot[enc as usize + usize::from(self.classes[usize::from(byte)])];
+                return self.hot[enc as usize + usize::from(byte)];
             }
             let c = (enc - self.cold_base) as usize;
             let lo = self.edge_start[c] as usize;
@@ -556,7 +524,7 @@ impl TieredNfa {
     /// Pattern ids ending at encoded state `enc`.
     fn outputs(&self, enc: u32) -> &[PatternId] {
         let state = if enc < self.cold_base {
-            enc / self.class_count
+            enc >> 8
         } else {
             self.hot_count + (enc - self.cold_base)
         };
@@ -570,7 +538,6 @@ impl TieredNfa {
     #[inline(always)]
     fn walk(&self, hay: &[u8], mut on_match: impl FnMut(&[PatternId], usize) -> bool) {
         let hot = &self.hot[..];
-        let classes = &*self.classes;
         let mut from = 0;
         loop {
             let c = match &self.filter {
@@ -585,7 +552,7 @@ impl TieredNfa {
             loop {
                 let Some(&b) = hay.get(j) else { return };
                 j += 1;
-                enc = hot[enc as usize + usize::from(classes[usize::from(b)])];
+                enc = hot[enc as usize + usize::from(b)];
                 while enc >= self.plain_limit {
                     let out = self.outputs(enc);
                     if !out.is_empty() && on_match(out, j) {
@@ -636,39 +603,6 @@ impl TieredNfa {
             + self.filter.as_ref().map_or(0, WindowFilter::memory_bytes)
             + self.set.patterns.memory_bytes()
     }
-}
-
-/// Byte classes over the first `hot_count` states and their count: two
-/// bytes share a class when their *hot* columns (the resolved targets
-/// from every hot state) agree, and classes are numbered by their first
-/// byte.
-///
-/// By partition refinement, one resolved row at a time: a state's row
-/// is its failure state's with its own edges written over it, so it
-/// splits classes only at its own edge labels, and each label's target
-/// is a child of this state alone, unequal to every other entry of every
-/// column. After all hot rows, each byte that labels a hot edge is a
-/// class of its own, and the bytes that label none share the all-root
-/// column. Reading the labels, `O(hot edges)`, is all it takes.
-fn byte_classes(nfa: &AhoCorasick, hot_count: usize) -> (Box<[u8; 256]>, usize) {
-    let mut labels = [false; 256];
-    for &b in &nfa.edge_bytes[..nfa.edge_start[hot_count] as usize] {
-        labels[usize::from(b)] = true;
-    }
-    let mut classes = Box::new([0u8; 256]);
-    let (mut count, mut unlabelled) = (0, None);
-    for (class, &label) in classes.iter_mut().zip(&labels) {
-        let mut next = || {
-            count += 1;
-            (count - 1) as u8
-        };
-        *class = if label {
-            next()
-        } else {
-            *unlabelled.get_or_insert_with(next)
-        };
-    }
-    (classes, count)
 }
 
 #[cfg(test)]
@@ -768,7 +702,7 @@ mod tests {
             "every depth-1 state is hot"
         );
         assert_eq!(tiered.filter.as_ref().map(|f| f.window), Some(3));
-        assert_eq!(tiered.shallow_limit as usize, 257 * tiered.class_count());
+        assert_eq!(tiered.shallow_limit, 257 << 8);
         let mut hay = b"....".to_vec();
         hay.extend_from_slice(&[255, b'-', 255, b'-', b'!', 0, b'-']);
         let mut want = naive::find_all(&set, &hay);
@@ -1140,8 +1074,7 @@ mod tests {
     proptest! {
         /// Each hot row, its failure state's row overwritten with its own
         /// edges, resolves every byte to the state the NFA's failure walk
-        /// reaches, encoded as the build numbers it, and no two classes'
-        /// columns over the hot rows are equal — at a boundary inside
+        /// reaches, encoded as the build numbers it — at a boundary inside
         /// the trie and at both ends.
         #[test]
         fn hot_rows_resolve_like_the_failure_walk(
@@ -1157,7 +1090,6 @@ mod tests {
             let n = nfa.state_count();
             for hot in [n.div_ceil(2), n, 1] {
                 let tiered = TieredNfa::from_nfa(&nfa, Some(hot));
-                let classes = tiered.class_count();
                 // Hot states that report nothing, then hot match states,
                 // then the cold tail (module docs).
                 let (plain, matching): (Vec<usize>, Vec<usize>) =
@@ -1165,21 +1097,16 @@ mod tests {
                 let mut encoded: Vec<u32> =
                     (0..n).map(|s| tiered.cold_base + s as u32 - hot as u32).collect();
                 for (k, &s) in plain.iter().chain(&matching).enumerate() {
-                    encoded[s] = (k * classes) as u32;
+                    encoded[s] = (k << 8) as u32;
                 }
                 for s in 0..hot {
                     for b in 0..=255u8 {
-                        let at = encoded[s] as usize + usize::from(tiered.classes[usize::from(b)]);
                         prop_assert_eq!(
-                            tiered.hot[at],
+                            tiered.hot[encoded[s] as usize + usize::from(b)],
                             encoded[nfa.step(s as u32, b) as usize]
                         );
                     }
                 }
-                let columns: HashSet<Vec<u32>> = (0..classes)
-                    .map(|c| (0..hot).map(|s| tiered.hot[s * classes + c]).collect())
-                    .collect();
-                prop_assert_eq!(columns.len(), classes);
             }
         }
     }
@@ -1249,12 +1176,11 @@ mod tests {
 
     #[test]
     fn default_budget_keeps_small_sets_fully_hot() {
-        // A demo-scale corpus fits entirely in the hot tier: a
-        // byte-classed DFA behind the window filter.
+        // A demo-scale corpus fits entirely in the hot tier: the dense
+        // DFA behind the window filter.
         let set = PatternSet::from_patterns([b"ABCDEFGH".as_slice(), b"IJKLMNOP", b"QRSTUVWX"]);
         let tiered = TieredNfa::new(set);
         assert_eq!(tiered.cold_state_count(), 0);
-        assert!(tiered.class_count() <= 25, "24 letters + rest");
         // 8-byte pieces: a 4-byte window tested every fifth position.
         let avx2 = Avx2::detect().is_some();
         assert_eq!(tiered.filter_shape(), Some((4, 5, 512, avx2)));
@@ -1296,7 +1222,7 @@ mod tests {
         let set = PatternSet::from_patterns([b"abcdefgh".as_slice(), b"ijklmnop"]);
         let nfa = AhoCorasick::new(set);
         let tiered = TieredNfa::from_nfa(&nfa, Some(4));
-        assert_eq!(tiered.hot_tier_bytes(), 256 + 4 * tiered.class_count() * 4);
+        assert_eq!(tiered.hot_tier_bytes(), 1024 * tiered.hot_state_count());
         assert!(tiered.cold_tier_bytes() > 0);
         assert!(tiered.memory_bytes() > tiered.hot_tier_bytes() + tiered.cold_tier_bytes());
     }

@@ -10,7 +10,7 @@ use sd_match::{naive, AcDfa, AhoCorasick, PatternSet, TieredNfa};
 /// The piece automaton at every hot-tier size worth distinguishing: the
 /// all-cold endpoint (`1`, a CSR NFA under a dense root), a boundary
 /// inside the first trie level, the heuristic's floor, the heuristic
-/// itself, and the all-hot endpoint (a byte-classed DFA).
+/// itself, and the all-hot endpoint (the dense DFA).
 fn hot_sweep(set: &PatternSet) -> Vec<TieredNfa> {
     let nfa = AhoCorasick::new(set.clone());
     [
@@ -81,7 +81,6 @@ proptest! {
             got.sort();
             prop_assert_eq!(&got, &want, "hot = {}", tiered.hot_state_count());
             prop_assert_eq!(tiered.find_first_id(&hay), dense.find_first_id(&hay));
-            prop_assert!(tiered.class_count() <= 256);
         }
     }
 
@@ -281,35 +280,6 @@ proptest! {
                 outputs.extend_from_slice(nfa.outputs(fail));
             }
             prop_assert_eq!(nfa.outputs(s), outputs.as_slice(), "outputs of {:?}", label);
-        }
-    }
-}
-
-proptest! {
-    /// The byte classes at every hot count the sweep visits are the
-    /// column definition: two bytes share a class iff their hot columns
-    /// (the NFA's resolved target from every hot state) are equal, and
-    /// classes are numbered by first byte. The reference hashes whole
-    /// columns.
-    #[test]
-    fn byte_classes_are_the_distinct_hot_columns(
-        patterns in prop::collection::vec(
-            prop_oneof![small_bytes(6), prop::collection::vec(any::<u8>(), 1..4)],
-            1..12,
-        ),
-    ) {
-        let set = PatternSet::from_patterns(patterns.iter().map(|p| p.as_slice()));
-        let nfa = AhoCorasick::new(set.clone());
-        for tiered in hot_sweep(&set) {
-            let hot = tiered.hot_state_count() as u32;
-            let mut columns: HashMap<Vec<u32>, usize> = HashMap::new();
-            for b in 0..=255u8 {
-                let column: Vec<u32> = (0..hot).map(|s| nfa.step(s, b)).collect();
-                let next = columns.len();
-                let want = *columns.entry(column).or_insert(next);
-                prop_assert_eq!(tiered.byte_class(b), want);
-            }
-            prop_assert_eq!(tiered.class_count(), columns.len());
         }
     }
 }
